@@ -20,7 +20,9 @@ Layout::
     faults.py      deterministic scripted fault injection
     ledger.py      fsynced write-ahead ledger + replay
     telemetry.py   JSONL event streams + utilization summaries
-    campaign.py    the driver loop (retry, backoff, quarantine, resume)
+    core.py        the pure scheduling state machine (retry, backoff,
+                   quarantine, worker loss) shared with repro.service
+    campaign.py    its single-campaign shell: pool, ledger, the driver loop
     report.py      reports + executed-vs-modeled cross-validation
     cli.py         the ``repro-campaign`` entry point
 """

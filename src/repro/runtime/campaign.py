@@ -1,25 +1,19 @@
 """The campaign driver: fault-tolerant execution of a task DAG.
 
 This is the executed counterpart of Section V's job-manager layer.  The
-driver owns the scheduling loop: it asks the policy which ready task
-each idle worker should take, records every transition in the
-write-ahead ledger *before* acting on it, and reacts to the three ways
-real campaigns go wrong:
-
-* **worker death** (a kill mid-solve): detected by process liveness; the
-  task is requeued and — thanks to solver checkpoints — resumes from its
-  last saved :class:`repro.solvers.cg.CGState` bit-exactly;
-* **task timeout** (a wedged solve): the worker is terminated and
-  replaced, the task retried with exponential backoff;
-* **poison tasks** (deterministic failures): quarantined after
-  ``max_attempts``, their transitive consumers marked skipped, and the
-  rest of the campaign completes — one bad task never wastes the
-  allocation.
+scheduling state machine itself — which task an idle worker takes,
+retry with backoff after a worker death or a task timeout, quarantine
+of a poison task and everything downstream of it — is
+:mod:`repro.runtime.core`; this module is its single-campaign shell:
+one worker pool, one write-ahead ledger every transition is recorded in
+*before* it is acted on, one telemetry stream, and the loop that feeds
+the machine the pool's results and the clock.
 
 A campaign killed outright (allocation timeout, driver crash) resumes
 with ``resume=True``: the ledger replay skips every completed task whose
-artifacts still verify, requeues whatever was in flight, and refuses to
-resume against a graph with a different fingerprint.
+artifacts still verify, requeues whatever was in flight (its solver
+checkpoints make the requeue cheap and bit-exact), and refuses to resume
+against a graph with a different fingerprint.
 """
 
 from __future__ import annotations
@@ -29,6 +23,17 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.runtime.core import (
+    DIED,
+    SETTLED,
+    TIMEOUT,
+    CampaignError,
+    LedgerMismatchError,
+    Lost,
+    TaskMachine,
+    WorkerSlots,
+    WorkerStormError,
+)
 from repro.runtime.exec_tasks import ArtifactStore, verify_artifacts
 from repro.runtime.faults import FaultPlan
 from repro.runtime.ledger import TaskLedger, replay_ledger
@@ -46,27 +51,46 @@ __all__ = [
     "WorkerStormError",
 ]
 
+# Ledger event -> the telemetry event (and fields) that mirrors it.
+_MIRROR = {
+    "campaign_start": ("campaign_start", ("policy", "workers")),
+    "submit": ("task_queued", ("task",)),
+    "start": ("task_start", ("task", "worker", "attempt")),
+    "done": None,  # telemetry says how: task_finish or task_cached
+    "fail": None,
+    "retry": ("task_retry", ("task", "attempt", "backoff_s")),
+    "quarantine": ("task_quarantined", ("task", "reason")),
+    "skip": ("task_skipped", ("task", "blocked_by")),
+    "campaign_finish": ("campaign_finish", ()),
+}
 
-class CampaignError(RuntimeError):
-    """Base of every typed failure the runtime raises.
 
-    Embedders (the campaign service, notebooks, other drivers) catch
-    this instead of pattern-matching generic exceptions; the runtime
-    itself never calls ``sys.exit`` — turning failures into exit codes
-    is the CLI's job alone.
+def journal(ledger: TaskLedger, tele: TelemetryWriter):
+    """The ``log(ev, **fields)`` a campaign's state machine writes to.
+
+    Ledger events are made durable first and then mirrored to
+    telemetry; everything else is telemetry alone.
     """
 
+    def log(ev: str, **fields) -> None:
+        if ev not in _MIRROR:
+            tele.emit(ev, **fields)
+            return
+        ledger.record(ev, **fields)
+        if _MIRROR[ev]:
+            name, keys = _MIRROR[ev]
+            tele.emit(name, **{k: fields[k] for k in keys})
 
-class LedgerMismatchError(CampaignError, ValueError):
-    """Refusing to resume a ledger written by a different task graph.
-
-    Also a :class:`ValueError` for compatibility with callers that
-    predate the typed hierarchy.
-    """
+    return log
 
 
-class WorkerStormError(CampaignError):
-    """Workers died faster than the respawn budget allows."""
+def replace_workers(pool, lost: list[Lost], log) -> None:
+    """Carry out a :meth:`WorkerSlots.sweep`: kill the overdue, respawn."""
+    for w, reason, _ in lost:
+        if reason == TIMEOUT:
+            pool.kill(w)
+        pool.spawn(w)
+        log("worker_spawn", worker=w, respawn=True)
 
 
 @dataclass(frozen=True)
@@ -109,10 +133,7 @@ class CampaignResult:
 
     @property
     def completed(self) -> bool:
-        return not self.interrupted and all(
-            s in (TaskStatus.DONE, TaskStatus.QUARANTINED, TaskStatus.SKIPPED)
-            for s in self.status.values()
-        )
+        return not self.interrupted and all(s in SETTLED for s in self.status.values())
 
     @property
     def all_done(self) -> bool:
@@ -163,36 +184,6 @@ class CampaignRuntime:
         """
         self._cancel.set()
 
-    # -- resume plumbing -----------------------------------------------------
-    def _restore_from_ledger(self, graph: TaskGraph):
-        """(done statuses, artifacts, reused count) from a prior run."""
-        state = replay_ledger(self.workdir / "ledger.jsonl")
-        status: dict[str, str] = {}
-        artifacts: dict[str, dict[str, str]] = {}
-        reused = 0
-        if not state.campaign:
-            return status, artifacts, reused
-        recorded = state.campaign.get("fingerprint")
-        if recorded and recorded != graph.fingerprint():
-            raise LedgerMismatchError(
-                f"ledger fingerprint {recorded} does not match this campaign "
-                f"({graph.fingerprint()}); refusing to resume a different graph"
-            )
-        for tid, st in state.status.items():
-            if tid not in graph.tasks:
-                continue
-            if st == TaskStatus.DONE:
-                arts = state.artifacts.get(tid, {})
-                # Trust nothing: a "done" task whose artifacts are gone
-                # or corrupt is simply re-run.
-                if arts and verify_artifacts(self.store, arts):
-                    status[tid] = TaskStatus.DONE
-                    artifacts[tid] = arts
-                    reused += 1
-            elif st == TaskStatus.QUARANTINED:
-                status[tid] = TaskStatus.QUARANTINED
-        return status, artifacts, reused
-
     # -- the scheduling loop -------------------------------------------------
     def run(
         self,
@@ -212,208 +203,72 @@ class CampaignRuntime:
         faults = faults or FaultPlan()
         policy = make_policy(cfg.policy)
         self._cancel.clear()  # one runtime may run / cancel / resume repeatedly
-
-        status = {tid: TaskStatus.PENDING for tid in graph.topo_order()}
-        artifacts: dict[str, dict[str, str]] = {}
-        attempts = {tid: 0 for tid in status}
-        reused = 0
-        if resume:
-            prior, prior_arts, reused = self._restore_from_ledger(graph)
-            status.update(prior)
-            artifacts.update(prior_arts)
-
-        ledger = TaskLedger(self.workdir / "ledger.jsonl")
-        tele = TelemetryWriter(self.workdir / "telemetry.jsonl", source="driver")
-        pool = make_pool(cfg.pool, cfg.workers, self.workdir)
-
-        ledger.record(
-            "campaign_start",
-            policy=cfg.policy,
-            workers=cfg.workers,
-            pool=cfg.pool,
-            fingerprint=graph.fingerprint(),
-            spec=self.spec,
-            resume=resume,
-            faults=faults.to_json(),
-        )
-        tele.emit("campaign_start", policy=cfg.policy, workers=cfg.workers)
-        for tid in graph.topo_order():
-            if status[tid] == TaskStatus.PENDING:
-                ledger.record("submit", task=tid)
-                tele.emit("task_queued", task=tid)
-
-        worker_task: dict[int, str | None] = {w: None for w in range(cfg.workers)}
-        deadlines: dict[int, float] = {}
-        ready_at = {tid: 0.0 for tid in status}
-        result = CampaignResult(
-            status=status, attempts=attempts, artifacts=artifacts, makespan=0.0
-        )
-        result.tasks_reused = reused
-        t_start = time.monotonic()
-        completions = 0
-
-        def done_set() -> set[str]:
-            return {t for t, s in status.items() if s == TaskStatus.DONE}
-
-        def settled(s: str) -> bool:
-            return s in (TaskStatus.DONE, TaskStatus.QUARANTINED, TaskStatus.SKIPPED)
-
-        def quarantine(tid: str, reason: str) -> None:
-            ledger.record("quarantine", task=tid, reason=reason)
-            tele.emit("task_quarantined", task=tid, reason=reason)
-            status[tid] = TaskStatus.QUARANTINED
-            result.quarantined.append(tid)
-            for victim in sorted(graph.transitive_consumers(tid)):
-                if not settled(status[victim]):
-                    ledger.record("skip", task=victim, blocked_by=tid)
-                    tele.emit("task_skipped", task=victim, blocked_by=tid)
-                    status[victim] = TaskStatus.SKIPPED
-                    result.skipped.append(victim)
-
-        def task_failed(tid: str, reason: str) -> None:
-            task = graph[tid]
-            ledger.record("fail", task=tid, attempt=attempts[tid], reason=reason)
-            if attempts[tid] >= task.max_attempts:
-                quarantine(tid, f"{attempts[tid]} attempts, last: {reason}")
-                return
-            backoff = cfg.backoff_base_s * cfg.backoff_factor ** (attempts[tid] - 1)
-            ready_at[tid] = time.monotonic() + backoff
-            status[tid] = TaskStatus.PENDING
-            result.retries += 1
-            ledger.record("retry", task=tid, attempt=attempts[tid], backoff_s=backoff)
-            tele.emit("task_retry", task=tid, attempt=attempts[tid], backoff_s=backoff)
-
-        def free_worker(w: int) -> None:
-            worker_task[w] = None
-            deadlines.pop(w, None)
-
-        def handle_result(res: dict) -> None:
-            nonlocal completions
-            w, tid = int(res["worker"]), res["task"]
-            if worker_task.get(w) != tid:
-                return  # stale report from a worker we already wrote off
-            free_worker(w)
-            if res["ok"]:
-                artifacts[tid] = dict(res["artifacts"])
-                ledger.record("done", task=tid, artifacts=artifacts[tid])
-                tele.emit(
-                    "task_finish",
-                    task=tid,
-                    worker=w,
-                    ok=True,
-                    elapsed=res.get("elapsed"),
-                    checkpoints=res.get("checkpoints", 0),
+        path = self.workdir / "ledger.jsonl"
+        with TaskLedger(path) as ledger, TelemetryWriter(
+            self.workdir / "telemetry.jsonl", source="driver"
+        ) as tele:
+            log = journal(ledger, tele)
+            machine = TaskMachine(graph, log, cfg)
+            if resume:
+                machine.restore(
+                    replay_ledger(path), lambda arts: verify_artifacts(self.store, arts)
                 )
-                status[tid] = TaskStatus.DONE
-                completions += 1
-            else:
-                tele.emit("task_finish", task=tid, worker=w, ok=False)
-                task_failed(tid, res.get("error", "unknown error"))
-
-        def respawn(w: int) -> None:
-            if pool.spawns >= cfg.workers + cfg.max_respawns:
-                raise WorkerStormError(
-                    f"workers keep dying ({pool.spawns} spawns for "
-                    f"{cfg.workers} slots); giving up instead of thrashing"
-                )
-            pool.spawn(w)
-            tele.emit("worker_spawn", worker=w, respawn=True)
-
-        def handle_death(w: int) -> None:
-            tid = worker_task[w]
-            tele.emit("worker_death", worker=w, task=tid)
-            result.worker_deaths += 1
-            free_worker(w)
-            if tid is not None:
-                task_failed(tid, "worker died")
-            if cfg.abort_on_worker_death:
-                raise _Interrupted(f"worker {w} died; abandoning allocation")
-            respawn(w)
-
-        try:
-            pool.start()
-            for w in range(cfg.workers):
-                tele.emit("worker_spawn", worker=w, respawn=False)
-
-            while not all(settled(s) for s in status.values()):
-                if self._cancel.is_set():
-                    result.cancelled = True
-                    raise _Interrupted("cancelled by caller")
-                now = time.monotonic()
-                running = [t for t in worker_task.values() if t is not None]
-                dispatchable = [
-                    graph[tid]
-                    for tid in graph.ready(done_set())
-                    if status[tid] == TaskStatus.PENDING and ready_at[tid] <= now
-                ]
-                idle = [
-                    w
-                    for w in range(cfg.workers)
-                    if worker_task[w] is None and pool.alive(w)
-                ]
-                for w, tid in policy.select(dispatchable, idle, len(running)):
-                    attempts[tid] += 1
-                    ledger.record("start", task=tid, worker=w, attempt=attempts[tid])
-                    tele.emit("task_start", task=tid, worker=w, attempt=attempts[tid])
-                    status[tid] = TaskStatus.RUNNING
-                    worker_task[w] = tid
-                    deadlines[w] = time.monotonic() + cfg.task_timeout_s
-                    task = graph[tid]
-                    fault = faults.get(tid)
-                    pool.dispatch(
-                        w,
-                        {
-                            "task": tid,
-                            "kind": task.kind,
-                            "params": task.params,
-                            "attempt": attempts[tid],
-                            "fault": fault.to_json() if fault else None,
-                        },
-                    )
-
-                res = pool.poll_result(cfg.poll_interval_s)
-                if res is not None:
-                    handle_result(res)
-                    if abort_after is not None and completions >= abort_after:
-                        raise _Interrupted(f"abort_after={abort_after} reached")
-
-                now = time.monotonic()
-                for w in list(worker_task):
-                    tid = worker_task[w]
-                    if not pool.alive(w):
-                        if tid is None:
-                            # Died idle (e.g. a bad worker environment):
-                            # the slot must come back or the campaign
-                            # starves with an all-dead "idle" pool.
-                            tele.emit("worker_death", worker=w, task=None)
-                            result.worker_deaths += 1
-                            respawn(w)
-                        else:
-                            handle_death(w)
-                    elif tid is not None and deadlines.get(w, float("inf")) <= now:
-                        tele.emit("task_timeout", task=tid, worker=w)
-                        result.timeouts += 1
-                        pool.kill(w)
-                        free_worker(w)
-                        task_failed(tid, "task timeout")
-                        respawn(w)
-
-            ledger.record(
-                "campaign_finish",
-                done=sum(1 for s in status.values() if s == TaskStatus.DONE),
-                quarantined=len(result.quarantined),
+            pool = make_pool(cfg.pool, cfg.workers, self.workdir)
+            slots = WorkerSlots(cfg, pool.kind, log)
+            result = CampaignResult(
+                status=machine.status,
+                attempts=machine.attempts,
+                artifacts=machine.artifacts,
+                makespan=0.0,
+                tasks_reused=machine.reused,
             )
-            tele.emit("campaign_finish")
-        except _Interrupted as e:
-            # A simulated (or policy-mandated) allocation loss: leave the
-            # ledger exactly as it stands — that is what resume replays.
-            tele.emit("campaign_interrupted", reason=str(e))
-            result.interrupted = True
-        finally:
-            result.makespan = time.monotonic() - t_start
-            pool.shutdown()
-            tele.close()
-            ledger.close()
+            machine.open(spec=self.spec, resume=resume, faults=faults.to_json())
+            t_start = time.monotonic()
+            completions = 0
+
+            try:
+                pool.start()
+                for w in range(cfg.workers):
+                    log("worker_spawn", worker=w, respawn=False)
+
+                while not machine.settled():
+                    if self._cancel.is_set():
+                        result.cancelled = True
+                        raise _Interrupted("cancelled by caller")
+                    now = time.monotonic()
+                    for w, tid in policy.select(
+                        machine.dispatchable(now), slots.idle(pool.alive), len(slots.running())
+                    ):
+                        fault = faults.get(tid)
+                        msg = slots.assign(w, machine, tid, now, fault and fault.to_json())
+                        pool.dispatch(w, msg)
+
+                    res = pool.poll_result(cfg.poll_interval_s)
+                    if res is not None and slots.result(res, time.monotonic()):
+                        completions += bool(res["ok"])
+                        if abort_after is not None and completions >= abort_after:
+                            raise _Interrupted(f"abort_after={abort_after} reached")
+
+                    lost = slots.sweep(pool.alive, time.monotonic())
+                    died = [w for w, reason, tid in lost if reason == DIED and tid is not None]
+                    if died and cfg.abort_on_worker_death:
+                        raise _Interrupted(f"worker {died[0]} died; abandoning allocation")
+                    replace_workers(pool, lost, log)
+
+                machine.finish()
+            except _Interrupted as e:
+                # A simulated (or policy-mandated) allocation loss: leave the
+                # ledger exactly as it stands — that is what resume replays.
+                log("campaign_interrupted", reason=str(e))
+                result.interrupted = True
+            finally:
+                result.makespan = time.monotonic() - t_start
+                pool.shutdown()
+        result.retries = machine.retries
+        result.worker_deaths, result.timeouts = slots.deaths, slots.timeouts
+        status = machine.status.items()
+        result.quarantined = [t for t, s in status if s == TaskStatus.QUARANTINED]
+        result.skipped = [t for t, s in status if s == TaskStatus.SKIPPED]
         return result
 
     def summarize(self):

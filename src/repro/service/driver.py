@@ -21,9 +21,9 @@ every *active* campaign's ready tasks over it —
   gauge configurations and propagators task-by-task — with in-flight
   dedup (a task whose content fingerprint is being computed by another
   campaign waits for that solve instead of duplicating it);
-* **fault handling** carried over from the single-campaign driver:
-  retry with backoff, quarantine + transitive skip, worker respawn with
-  a storm budget;
+* **fault handling** by the same state machine as the single-campaign
+  driver (:mod:`repro.runtime.core`): retry with backoff, quarantine +
+  transitive skip, worker respawn with a storm budget;
 * **cancellation** that stops dispatching, lets in-flight tasks land in
   the ledger, and leaves the campaign resumable bit-for-bit by simply
   resubmitting the same spec.
@@ -38,12 +38,14 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro import obs
-from repro.runtime.campaign import WorkerStormError
+from repro.runtime.campaign import journal, replace_workers
+from repro.runtime.core import LedgerMismatchError, TaskMachine, WorkerSlots, WorkerStormError
 from repro.runtime.exec_tasks import ArtifactStore, verify_artifacts
 from repro.runtime.ledger import TaskLedger, open_campaign_ledger, replay_ledger
 from repro.runtime.policies import make_policy
@@ -111,10 +113,12 @@ class CampaignEntry:
     state: str = CampaignState.QUEUED
     started: float | None = None
     finished: float | None = None
+    # status / attempts / artifacts are the dicts of ``machine``, the
+    # scheduling state of the current (or last) admission.
     status: dict[str, str] = field(default_factory=dict)
     attempts: dict[str, int] = field(default_factory=dict)
     artifacts: dict[str, dict[str, str]] = field(default_factory=dict)
-    ready_at: dict[str, float] = field(default_factory=dict)
+    machine: TaskMachine | None = None
     store: ArtifactStore | None = None
     ledger: TaskLedger | None = None
     tele: TelemetryWriter | None = None
@@ -124,20 +128,8 @@ class CampaignEntry:
     error: str | None = None
     done_event: threading.Event = field(default_factory=threading.Event)
 
-    def settled(self, s: str) -> bool:
-        return s in (TaskStatus.DONE, TaskStatus.QUARANTINED, TaskStatus.SKIPPED)
-
-    def all_settled(self) -> bool:
-        return all(self.settled(s) for s in self.status.values())
-
-    def done_set(self) -> set[str]:
-        return {t for t, s in self.status.items() if s == TaskStatus.DONE}
-
     def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for s in self.status.values():
-            out[s] = out.get(s, 0) + 1
-        return out
+        return dict(Counter(self.status.values()))
 
 
 class CampaignService:
@@ -155,9 +147,7 @@ class CampaignService:
         self._thread: threading.Thread | None = None
         self._pool = None
         self._policy = make_policy(self.config.policy)
-        self._worker_task: dict[int, tuple[str, str] | None] = {}
-        self._deadlines: dict[int, float] = {}
-        self._inflight: dict[str, tuple[str, str]] = {}  # task fp -> (cid, tid)
+        self._slots: WorkerSlots | None = None
         self._tele: TelemetryWriter | None = None
         self._tenant_busy: dict[str, float] = {}
         self._tenant_done: dict[str, int] = {}
@@ -174,8 +164,8 @@ class CampaignService:
         cfg = self.config
         self._pool = make_pool(cfg.pool, cfg.workers, self.workdir)
         self._pool.start()
-        self._worker_task = {w: None for w in range(cfg.workers)}
         self._tele = TelemetryWriter(self.workdir / "telemetry.jsonl", source="service")
+        self._slots = WorkerSlots(cfg, self._pool.kind, self._tele.emit)
         self._tele.emit("service_start", workers=cfg.workers, pool=cfg.pool)
         self._stop.clear()
         self._thread = threading.Thread(
@@ -305,8 +295,7 @@ class CampaignService:
                 self._finalize(entry, CampaignState.CANCELLED)
             elif entry.state == CampaignState.ACTIVE:
                 entry.state = CampaignState.CANCELLING
-                if not self._running_tasks(cid):
-                    self._finalize(entry, CampaignState.CANCELLED)
+                self._settle()
             return self._snapshot(entry)
 
     def list_campaigns(self) -> list[dict[str, Any]]:
@@ -392,20 +381,12 @@ class CampaignService:
             if not state.finished:
                 continue
             store = ArtifactStore(marker.parent / "artifacts")
-            status: dict[str, str] = {}
-            artifacts: dict[str, dict[str, str]] = {}
-            ok = True
-            for tid in graph.topo_order():
-                s = state.status.get(tid)
-                if s == TaskStatus.DONE and verify_artifacts(
-                    store, state.artifacts.get(tid, {})
-                ):
-                    status[tid] = TaskStatus.DONE
-                    artifacts[tid] = dict(state.artifacts[tid])
-                else:
-                    ok = False
-                    break
-            if not ok:
+            restored = TaskMachine(graph, None, self.config)  # restores only
+            try:
+                restored.restore(state, lambda arts: verify_artifacts(store, arts))
+            except LedgerMismatchError:
+                continue  # the builder now makes another graph of this spec
+            if restored.count(TaskStatus.DONE) < len(graph):
                 continue
             entry = CampaignEntry(
                 cid=fp,
@@ -418,13 +399,13 @@ class CampaignService:
                 workdir=marker.parent,
                 submitted=time.monotonic(),
                 state=CampaignState.DONE,
-                status=status,
-                artifacts=artifacts,
+                status=restored.status,
+                artifacts=restored.artifacts,
                 store=store,
             )
             entry.done_event.set()
             self._entries[fp] = entry
-            for tid, arts in artifacts.items():
+            for tid, arts in restored.artifacts.items():
                 self.cas.put(entry.task_fps[tid], store, arts)
 
     # -- the multiplexing loop ----------------------------------------------
@@ -434,20 +415,18 @@ class CampaignService:
             while not self._stop.is_set():
                 with self._lock:
                     self._admit()
-                    self._sweep_cancelling()
                     self._cas_sweep()
+                    self._settle()
                     self._dispatch()
                 res = self._pool.poll_result(cfg.poll_interval_s)
                 with self._lock:
-                    if res is not None:
+                    while res is not None:
                         self._handle_result(res)
                         # Drain whatever else already landed before sleeping.
-                        while True:
-                            more = self._pool.poll_result(0.0)
-                            if more is None:
-                                break
-                            self._handle_result(more)
-                    self._check_workers()
+                        res = self._pool.poll_result(0.0)
+                    lost = self._slots.sweep(self._pool.alive, time.monotonic())
+                    replace_workers(self._pool, lost, self._tele.emit)
+                    self._settle()
         except WorkerStormError as e:
             with self._lock:
                 self._error = str(e)
@@ -483,6 +462,8 @@ class CampaignService:
             self._activate(self._entries[q.cid])
 
     def _activate(self, entry: CampaignEntry) -> None:
+        """Admit a campaign: open its ledger, replay whatever a previous
+        admission left there (resubmission *is* resume), queue the rest."""
         cfg = self.config
         entry.ledger = open_campaign_ledger(
             self.workdir / "campaigns",
@@ -490,48 +471,19 @@ class CampaignService:
             fingerprint=entry.graph.fingerprint(),
             meta={"spec": entry.spec, "tenant": entry.tenant},
         )
-        entry.store = ArtifactStore(entry.workdir / "artifacts")
+        entry.store = store = ArtifactStore(entry.workdir / "artifacts")
         entry.tele = TelemetryWriter(entry.workdir / "telemetry.jsonl", source="driver")
-        entry.status = {tid: TaskStatus.PENDING for tid in entry.graph.topo_order()}
-        entry.attempts = {tid: 0 for tid in entry.status}
-        entry.artifacts = {}
-        entry.ready_at = {tid: 0.0 for tid in entry.status}
-        entry.cache_hits = 0
-        entry.tasks_reused = 0
-
-        prior = replay_ledger(entry.workdir / "ledger.jsonl", campaign=entry.cid)
-        resume = bool(prior.campaign)
-        for tid, s in prior.status.items():
-            if tid not in entry.status:
-                continue
-            if s == TaskStatus.DONE:
-                arts = prior.artifacts.get(tid, {})
-                if arts and verify_artifacts(entry.store, arts):
-                    entry.status[tid] = TaskStatus.DONE
-                    entry.artifacts[tid] = arts
-                    entry.tasks_reused += 1
-                    self.cas.put(entry.task_fps[tid], entry.store, arts)
-            elif s == TaskStatus.QUARANTINED:
-                entry.status[tid] = TaskStatus.QUARANTINED
-                for victim in entry.graph.transitive_consumers(tid):
-                    if not entry.settled(entry.status.get(victim, TaskStatus.PENDING)):
-                        entry.status[victim] = TaskStatus.SKIPPED
-
-        entry.ledger.record(
-            "campaign_start",
-            policy=cfg.policy,
-            workers=cfg.workers,
-            pool=cfg.pool,
-            fingerprint=entry.graph.fingerprint(),
-            spec=entry.spec,
-            resume=resume,
-            tenant=entry.tenant,
+        m = entry.machine = TaskMachine(
+            entry.graph, journal(entry.ledger, entry.tele), cfg, campaign=entry.cid
         )
-        entry.tele.emit("campaign_start", policy=cfg.policy, workers=cfg.workers)
-        for tid in entry.graph.topo_order():
-            if entry.status[tid] == TaskStatus.PENDING:
-                entry.ledger.record("submit", task=tid)
-                entry.tele.emit("task_queued", task=tid)
+        prior = replay_ledger(entry.workdir / "ledger.jsonl", campaign=entry.cid)
+        m.restore(prior, lambda arts: verify_artifacts(store, arts))
+        for tid, arts in m.artifacts.items():
+            self.cas.put(entry.task_fps[tid], store, arts)
+        entry.status, entry.attempts, entry.artifacts = m.status, m.attempts, m.artifacts
+        entry.cache_hits, entry.tasks_reused = 0, m.reused
+        resume = bool(prior.campaign)
+        m.open(spec=entry.spec, resume=resume, tenant=entry.tenant)
         entry.state = CampaignState.ACTIVE
         entry.started = time.monotonic()
         if self._tele is not None:
@@ -544,252 +496,106 @@ class CampaignService:
             )
         with obs.span("service.admit", cat="service", campaign=entry.cid):
             pass
-        self._maybe_finalize(entry)  # fully-replayed ledgers finish immediately
+
+    def _active(self) -> list[CampaignEntry]:
+        return [e for e in self._entries.values() if e.state == CampaignState.ACTIVE]
+
+    def _inflight(self) -> dict[str, str]:
+        """Content fingerprint -> campaign computing it right now."""
+        return {
+            self._entries[m.campaign].task_fps[tid]: m.campaign
+            for m, tid in self._slots.running()
+        }
 
     def _cas_sweep(self) -> None:
         """Satisfy ready tasks from the CAS until a fixpoint.
 
         A hit can unlock dependents that hit in turn (a fully-cached
         campaign completes here without ever touching the pool), so
-        iterate until nothing changes.
+        iterate until nothing changes.  A task waiting out a retry
+        backoff may hit too.
         """
+        inflight = self._inflight()
         changed = True
         while changed:
             changed = False
-            for entry in list(self._entries.values()):
-                if entry.state != CampaignState.ACTIVE:
-                    continue
-                for tid in entry.graph.ready(entry.done_set()):
-                    if entry.status[tid] != TaskStatus.PENDING:
+            for entry in self._active():
+                for task in entry.machine.dispatchable(float("inf")):
+                    fp = entry.task_fps[task.task_id]
+                    if fp in inflight or not self.cas.has(fp):
                         continue
-                    fp = entry.task_fps[tid]
-                    if not self.cas.has(fp) or fp in self._inflight:
-                        continue
-                    arts = self.cas.materialize(fp, entry.store, tid)
+                    arts = self.cas.materialize(fp, entry.store, task.task_id)
                     if arts is None:
                         continue
-                    entry.ledger.record("done", task=tid, artifacts=arts, cached=True)
-                    entry.tele.emit("task_cached", task=tid)
-                    entry.status[tid] = TaskStatus.DONE
-                    entry.artifacts[tid] = arts
+                    entry.machine.done(task.task_id, arts, cached=True)
                     entry.cache_hits += 1
                     changed = True
-                if changed:
-                    self._maybe_finalize(entry)
-
-    def _running_tasks(self, cid: str) -> list[str]:
-        return [t for v in self._worker_task.values() if v and v[0] == cid for t in [v[1]]]
-
-    def _dispatchable(self, entry: CampaignEntry, now: float) -> list:
-        out = []
-        for tid in entry.graph.ready(entry.done_set()):
-            if entry.status[tid] != TaskStatus.PENDING:
-                continue
-            if entry.ready_at.get(tid, 0.0) > now:
-                continue
-            fp = entry.task_fps[tid]
-            owner = self._inflight.get(fp)
-            if owner is not None and owner[0] != entry.cid:
-                # In-flight dedup: another campaign is computing this very
-                # content right now; wait for its CAS publish instead.
-                continue
-            out.append(entry.graph[tid])
-        return out
 
     def _dispatch(self) -> None:
         now = time.monotonic()
-        idle = [
-            w
-            for w, v in self._worker_task.items()
-            if v is None and self._pool.alive(w)
-        ]
-        for w in idle:
-            running_by_tenant: dict[str, int] = {}
-            for v in self._worker_task.values():
-                if v is not None:
-                    t = self._entries[v[0]].tenant
-                    running_by_tenant[t] = running_by_tenant.get(t, 0) + 1
-            candidates: dict[str, int] = {}
-            per_tenant_entries: dict[str, list[CampaignEntry]] = {}
-            for entry in self._entries.values():
-                if entry.state != CampaignState.ACTIVE:
-                    continue
-                ready = self._dispatchable(entry, now)
-                if ready:
-                    candidates[entry.tenant] = candidates.get(entry.tenant, 0) + len(ready)
-                    per_tenant_entries.setdefault(entry.tenant, []).append(entry)
+        for w in self._slots.idle(self._pool.alive):
+            inflight = self._inflight()
+            running_by_tenant = Counter(
+                self._entries[m.campaign].tenant for m, _ in self._slots.running()
+            )
+            candidates: Counter[str] = Counter()
+            ready: dict[str, list] = {}
+            for entry in self._active():
+                # In-flight dedup: content another campaign is computing
+                # right now is awaited (its CAS publish), not duplicated.
+                tasks = [
+                    t
+                    for t in entry.machine.dispatchable(now)
+                    if inflight.get(entry.task_fps[t.task_id], entry.cid) == entry.cid
+                ]
+                if tasks:
+                    ready[entry.cid] = tasks
+                    candidates[entry.tenant] += len(tasks)
             tenant = pick_tenant(candidates, running_by_tenant, self._tenants)
             if tenant is None:
                 return
             # Oldest-admitted campaign of the winning tenant first: FIFO
             # completion order within a tenant, deterministic across runs.
             entry = min(
-                per_tenant_entries[tenant], key=lambda e: (e.started or 0.0, e.cid)
+                (e for e in map(self._entries.get, ready) if e.tenant == tenant),
+                key=lambda e: (e.started or 0.0, e.cid),
             )
-            ready = self._dispatchable(entry, now)
-            pairs = self._policy.select(ready, [w], len(self._running_tasks(entry.cid)))
+            pairs = self._policy.select(
+                ready[entry.cid], [w], len(self._slots.running(entry.machine))
+            )
             if not pairs:
                 continue
-            _, tid = pairs[0]
-            self._dispatch_task(w, entry, tid)
-
-    def _dispatch_task(self, w: int, entry: CampaignEntry, tid: str) -> None:
-        task = entry.graph[tid]
-        entry.attempts[tid] += 1
-        entry.ledger.record("start", task=tid, worker=w, attempt=entry.attempts[tid])
-        entry.tele.emit("task_start", task=tid, worker=w, attempt=entry.attempts[tid])
-        entry.status[tid] = TaskStatus.RUNNING
-        self._worker_task[w] = (entry.cid, tid)
-        self._deadlines[w] = time.monotonic() + self.config.task_timeout_s
-        self._inflight[entry.task_fps[tid]] = (entry.cid, tid)
-        self._pool.dispatch(
-            w,
-            {
-                "task": tid,
-                "kind": task.kind,
-                "params": task.params,
-                "attempt": entry.attempts[tid],
-                "fault": None,
-                "workdir": str(entry.workdir),
-                "campaign": entry.cid,
-            },
-        )
+            msg = self._slots.assign(w, entry.machine, pairs[0][1], now)
+            msg.update(workdir=str(entry.workdir), campaign=entry.cid)
+            self._pool.dispatch(w, msg)
 
     def _handle_result(self, res: dict) -> None:
-        w = int(res["worker"])
-        cid = res.get("campaign")
-        tid = res["task"]
-        if self._worker_task.get(w) != (cid, tid):
-            return  # stale report from a worker we already wrote off
-        self._worker_task[w] = None
-        self._deadlines.pop(w, None)
-        entry = self._entries.get(cid)
-        if entry is None or entry.ledger is None:
+        held = self._slots.result(res, time.monotonic())
+        if held is None:
             return
-        fp = entry.task_fps.get(tid)
-        if self._inflight.get(fp) == (cid, tid):
-            self._inflight.pop(fp, None)
+        machine, tid = held
+        entry = self._entries[machine.campaign]
         elapsed = float(res.get("elapsed", 0.0))
         self._tenant_busy[entry.tenant] = self._tenant_busy.get(entry.tenant, 0.0) + elapsed
         if res["ok"]:
-            arts = dict(res["artifacts"])
-            entry.artifacts[tid] = arts
-            entry.ledger.record("done", task=tid, artifacts=arts)
-            entry.tele.emit(
-                "task_finish", task=tid, worker=w, ok=True, elapsed=elapsed
-            )
-            entry.status[tid] = TaskStatus.DONE
             self._tenant_done[entry.tenant] = self._tenant_done.get(entry.tenant, 0) + 1
-            self.cas.put(fp, entry.store, arts)
-        else:
-            entry.tele.emit("task_finish", task=tid, worker=w, ok=False)
-            self._task_failed(entry, tid, res.get("error", "unknown error"))
-        self._maybe_finalize(entry)
+            self.cas.put(entry.task_fps[tid], entry.store, machine.artifacts[tid])
 
-    def _task_failed(self, entry: CampaignEntry, tid: str, reason: str) -> None:
-        task = entry.graph[tid]
-        entry.ledger.record("fail", task=tid, attempt=entry.attempts[tid], reason=reason)
-        if entry.attempts[tid] >= task.max_attempts:
-            entry.ledger.record(
-                "quarantine",
-                task=tid,
-                reason=f"{entry.attempts[tid]} attempts, last: {reason}",
-            )
-            entry.tele.emit("task_quarantined", task=tid, reason=reason)
-            entry.status[tid] = TaskStatus.QUARANTINED
-            for victim in sorted(entry.graph.transitive_consumers(tid)):
-                if not entry.settled(entry.status[victim]):
-                    entry.ledger.record("skip", task=victim, blocked_by=tid)
-                    entry.tele.emit("task_skipped", task=victim, blocked_by=tid)
-                    entry.status[victim] = TaskStatus.SKIPPED
-            return
-        cfg = self.config
-        backoff = cfg.backoff_base_s * cfg.backoff_factor ** (entry.attempts[tid] - 1)
-        entry.ready_at[tid] = time.monotonic() + backoff
-        entry.status[tid] = TaskStatus.PENDING
-        entry.ledger.record(
-            "retry", task=tid, attempt=entry.attempts[tid], backoff_s=backoff
-        )
-        entry.tele.emit(
-            "task_retry", task=tid, attempt=entry.attempts[tid], backoff_s=backoff
-        )
-
-    def _check_workers(self) -> None:
-        now = time.monotonic()
-        for w in list(self._worker_task):
-            assigned = self._worker_task[w]
-            if not self._pool.alive(w):
-                if assigned is not None:
-                    cid, tid = assigned
-                    self._worker_task[w] = None
-                    self._deadlines.pop(w, None)
-                    entry = self._entries.get(cid)
-                    if entry is not None and entry.ledger is not None:
-                        fp = entry.task_fps.get(tid)
-                        if self._inflight.get(fp) == (cid, tid):
-                            self._inflight.pop(fp, None)
-                        entry.tele.emit("worker_death", worker=w, task=tid)
-                        self._task_failed(entry, tid, "worker died")
-                        self._maybe_finalize(entry)
-                self._respawn(w)
-            elif (
-                assigned is not None
-                and self._pool.kind == "process"
-                and self._deadlines.get(w, float("inf")) <= now
-            ):
-                cid, tid = assigned
-                entry = self._entries.get(cid)
-                self._pool.kill(w)
-                self._worker_task[w] = None
-                self._deadlines.pop(w, None)
-                if entry is not None and entry.ledger is not None:
-                    fp = entry.task_fps.get(tid)
-                    if self._inflight.get(fp) == (cid, tid):
-                        self._inflight.pop(fp, None)
-                    entry.tele.emit("task_timeout", task=tid, worker=w)
-                    self._task_failed(entry, tid, "task timeout")
-                    self._maybe_finalize(entry)
-                self._respawn(w)
-
-    def _respawn(self, w: int) -> None:
-        cfg = self.config
-        if self._pool.spawns >= cfg.workers + cfg.max_respawns:
-            raise WorkerStormError(
-                f"workers keep dying ({self._pool.spawns} spawns for "
-                f"{cfg.workers} slots); giving up instead of thrashing"
-            )
-        self._pool.spawn(w)
-        if self._tele is not None:
-            self._tele.emit("worker_spawn", worker=w, respawn=True)
-
-    def _sweep_cancelling(self) -> None:
-        for entry in list(self._entries.values()):
-            if entry.state == CampaignState.CANCELLING and not self._running_tasks(
-                entry.cid
-            ):
-                self._finalize(entry, CampaignState.CANCELLED)
-
-    def _maybe_finalize(self, entry: CampaignEntry) -> None:
-        if entry.state == CampaignState.CANCELLING:
-            if not self._running_tasks(entry.cid):
-                self._finalize(entry, CampaignState.CANCELLED)
-            return
-        if entry.state != CampaignState.ACTIVE or not entry.all_settled():
-            return
-        all_done = all(s == TaskStatus.DONE for s in entry.status.values())
-        entry.ledger.record(
-            "campaign_finish",
-            done=sum(1 for s in entry.status.values() if s == TaskStatus.DONE),
-            quarantined=sum(
-                1 for s in entry.status.values() if s == TaskStatus.QUARANTINED
-            ),
-        )
-        entry.tele.emit("campaign_finish")
-        if not all_done:
-            entry.error = "completed with quarantined/skipped tasks"
-        self._finalize(
-            entry, CampaignState.DONE if all_done else CampaignState.FAILED
-        )
+    def _settle(self) -> None:
+        """Finish every campaign with nothing left to wait for: all tasks
+        settled, or cancelled with its in-flight tasks drained."""
+        for entry in self._entries.values():
+            if entry.state == CampaignState.CANCELLING:
+                if not self._slots.running(entry.machine):
+                    self._finalize(entry, CampaignState.CANCELLED)
+            elif entry.state == CampaignState.ACTIVE and entry.machine.settled():
+                entry.machine.finish()
+                all_done = entry.machine.count(TaskStatus.DONE) == len(entry.graph)
+                if not all_done:
+                    entry.error = "completed with quarantined/skipped tasks"
+                self._finalize(
+                    entry, CampaignState.DONE if all_done else CampaignState.FAILED
+                )
 
     def _finalize(self, entry: CampaignEntry, state: str) -> None:
         entry.state = state

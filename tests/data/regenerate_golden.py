@@ -36,8 +36,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden_pipeline_4x4x4x8.npz"
 # the solver regression harness (weak coupling, light mass, Lt=16),
 # solved with the Chebyshev-deflated block-CG path.  The campaign is
 # deterministic end to end — seeded gauge, seeded Lanczos, ordered
-# solves — so its assembled correlator container is pinned *bitwise*
-# (tolerance-free), and every task's CG iteration count exactly.
+# solves — so on one host two runs give the same container bytes; across
+# hosts (LAPACK builds round differently) the decoded correlators are
+# pinned to the solver tolerance, and every task's CG iteration count
+# exactly.
 DEFL_CAMPAIGN = dict(
     dims=(2, 2, 2, 16),
     masses=(0.02,),

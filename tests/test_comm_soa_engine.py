@@ -150,17 +150,25 @@ def test_extent_two_every_partitioned_axis(engine, policy, n_rhs):
 
 # -- solver rank invariance --------------------------------------------------
 
+# Without numba these solves run the interpreted fallback bodies of the
+# kernels — a correctness guard, not a tier, and 45 % of tier-1 wall time
+# at full size — so there one RHS on ranks (1, 2) is the guard; the
+# 4-rank / multi-RHS coverage runs where the engine is really compiled
+# (the with-numba CI leg).
+CG_RANKS = (1, 2, 4) if NUMBA_AVAILABLE else (1, 2)
+CG_NRHS = 3 if NUMBA_AVAILABLE else 1
+
 
 def test_cg_bitwise_invariant_under_ranks_compiled():
-    gauge, b = _background((4, 4, 4, 8), n_rhs=3, seed=7)
+    gauge, b = _background((4, 4, 4, 8), n_rhs=CG_NRHS, seed=7)
     results = {}
-    for ranks in (1, 2, 4):
+    for ranks in CG_RANKS:
         with DistributedEvenOddOperator(
             gauge, MASS, ranks=ranks, engine="compiled", timeout=60.0
         ) as op:
             results[ranks] = DistributedCG(op, tol=1e-8, max_iter=2000).solve_batched(b)
     assert results[1].converged.all()
-    for ranks in (2, 4):
+    for ranks in CG_RANKS[1:]:
         assert results[ranks].iterations == results[1].iterations
         assert np.array_equal(results[ranks].x, results[1].x)
 
@@ -168,7 +176,7 @@ def test_cg_bitwise_invariant_under_ranks_compiled():
 def test_rucg_bitwise_invariant_under_ranks():
     """Reliable-update CG: sloppy storage, folds and restarts are all
     collective decisions, so the answer is rank-count invariant too."""
-    gauge, b = _background((4, 4, 4, 8), n_rhs=2, seed=7)
+    gauge, b = _background((4, 4, 4, 8), n_rhs=min(CG_NRHS, 2), seed=7)
     results = {}
     for ranks in (1, 2):
         with DistributedEvenOddOperator(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.io.container import FieldFile
 from tests.data import regenerate_golden as golden
 
 # Tight enough to catch any algorithmic change; loose enough to absorb
@@ -58,18 +59,39 @@ def measured_deflated():
     return golden.compute_deflated_campaign()
 
 
-def test_deflated_campaign_correlators_bitwise(measured_deflated, reference):
-    """The deflated block-CG campaign is deterministic end to end: its
-    assembled correlator container must equal the golden *bitwise* —
-    tolerance-free.  (The deflated path cannot bitwise-match the
-    *undeflated* trajectory — a different Krylov path rounds
-    differently — so the exactness pin is against its own frozen
-    output; agreement with the undeflated physics is covered by the
-    correlator tolerance tests above.)"""
-    got = measured_deflated["defl_correlators"]
-    want = reference["defl_correlators"]
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
+def test_deflated_campaign_deterministic_same_host(measured_deflated):
+    """*Deterministic, same host*: the deflated block-CG campaign is
+    seeded end to end (gauge, Lanczos, ordered solves), so two runs in
+    this session must assemble byte-identical correlator containers —
+    tolerance-free.  The bytes are *not* pinned across hosts: Lanczos
+    Rayleigh-Ritz (``eigh``) and the BCGrQ thin-QR go through LAPACK,
+    whose rounding is build-dependent; that contract is the portable
+    test below."""
+    again = golden.compute_deflated_campaign()
+    assert np.array_equal(
+        measured_deflated["defl_correlators"], again["defl_correlators"]
+    )
+
+
+def _decode(blob: np.ndarray, path) -> FieldFile:
+    path.write_bytes(blob.tobytes())
+    return FieldFile.load(path)
+
+
+def test_deflated_campaign_correlators_portable(measured_deflated, reference, tmp_path):
+    """*Portable*: on any BLAS build every decoded correlator agrees
+    with the golden to the campaign's solver tolerance (relative to the
+    correlator's scale).  Observed drift between hosts at tol 1e-7:
+    3e-11 pion, 8e-11 proton, 1.6e-8 axial three-point."""
+    tol = golden.DEFL_CAMPAIGN["tol"]
+    got = _decode(measured_deflated["defl_correlators"], tmp_path / "got.lq")
+    want = _decode(reference["defl_correlators"], tmp_path / "want.lq")
+    assert got.names() == want.names()
+    for name in want.names():
+        scale = np.max(np.abs(want[name]))
+        np.testing.assert_allclose(
+            got[name], want[name], rtol=tol, atol=tol * scale, err_msg=name
+        )
 
 
 def test_deflated_campaign_iterations_pinned(measured_deflated, reference):

@@ -135,6 +135,46 @@ class TestLedgerResume:
         assert res2.attempts["long0"] == 1  # re-ran
         assert rt2.store.exists("long0:token")
 
+    def test_resume_after_quarantine_returns(self, tmp_path):
+        """A quarantine is restored together with what it blocks; the
+        resumed campaign has nothing left to run and must say so rather
+        than wait forever on a task that can never start."""
+        import threading
+
+        def graph():
+            return TaskGraph(
+                [
+                    CampaignTask(task_id="ok", kind="sleep",
+                                 params={"seconds": 0.01}),
+                    CampaignTask(task_id="bad", kind="poison", max_attempts=2),
+                    CampaignTask(task_id="downstream", kind="sleep",
+                                 params={"seconds": 0.01}, deps=("bad",)),
+                ]
+            )
+
+        _, res = _run(tmp_path, graph(), workers=2)
+        assert res.completed and res.status["bad"] == "quarantined"
+
+        rt = CampaignRuntime(
+            tmp_path, CampaignConfig(workers=2, pool="thread", backoff_base_s=0.01)
+        )
+        out = []
+        t = threading.Thread(
+            target=lambda: out.append(rt.run(graph(), resume=True)), daemon=True
+        )
+        t.start()
+        t.join(timeout=30)
+        if t.is_alive():  # bound the wait: a regression fails, not hangs
+            rt.cancel()
+            t.join(timeout=30)
+            pytest.fail("run(resume=True) after a quarantine never returned")
+        (res2,) = out
+        assert res2.completed and not res2.all_done
+        assert res2.status == {"ok": "done", "bad": "quarantined",
+                               "downstream": "skipped"}
+        assert res2.attempts == {"ok": 0, "bad": 0, "downstream": 0}
+        assert res2.quarantined == ["bad"] and res2.skipped == ["downstream"]
+
     def test_resume_refuses_different_graph(self, tmp_path):
         graph, spec = build_sleep_campaign(n_long=2, n_short=2,
                                            long_s=0.02, short_s=0.01)
@@ -144,6 +184,20 @@ class TestLedgerResume:
         rt = CampaignRuntime(tmp_path, CampaignConfig(pool="thread"))
         with pytest.raises(ValueError, match="fingerprint"):
             rt.run(other, resume=True)
+
+
+class TestTimeoutOnThreadPool:
+    def test_deadline_not_enforced_where_workers_cannot_be_killed(self, tmp_path):
+        """Thread workers cannot be killed, so their deadline is not
+        enforced (the process-pool timeout lives in
+        test_runtime_faults.py): a slow task completes normally instead
+        of ``pool.kill`` raising out of ``run``."""
+        graph = TaskGraph([CampaignTask(task_id="slow", kind="sleep",
+                                        params={"seconds": 0.5})])
+        rt, res = _run(tmp_path, graph, workers=1, task_timeout_s=0.05)
+        assert res.all_done
+        assert res.timeouts == 0 and res.retries == 0
+        assert res.attempts == {"slow": 1}
 
 
 class TestConfigValidation:

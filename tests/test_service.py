@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.runtime import CampaignConfig, CampaignRuntime, build_from_spec
+from repro.runtime import CampaignConfig, CampaignRuntime, build_from_spec, summarize
+from repro.runtime.telemetry import load_events
 from repro.service import (
     CampaignService,
     CampaignState,
@@ -329,3 +330,39 @@ class TestFailureIsolation:
         assert rb["state"] == CampaignState.FAILED
         assert rb["counts"].get("quarantined", 0) >= 1
         assert rb["error"]
+
+
+class TestRestartRecovery:
+    def test_ledger_of_a_different_graph_is_not_reregistered(self, tmp_path):
+        """Restart recovery goes through the same restore as resume: a
+        finished ledger whose graph fingerprint is not what the spec
+        builds today is left alone, not served (and not a crash)."""
+        with CampaignService(tmp_path / "svc", ServiceConfig(workers=1)) as svc:
+            sub = svc.submit(sleep_spec())
+            res = svc.result(sub["id"], timeout=60)
+        ledger = Path(res["workdir"]) / "ledger.jsonl"
+        graph, _ = build_from_spec(sleep_spec())
+        ledger.write_text(ledger.read_text().replace(graph.fingerprint(), "0" * 16))
+        svc2 = CampaignService(tmp_path / "svc", ServiceConfig(workers=1))
+        assert svc2.status(sub["id"]) is None
+
+
+class TestWorkerDeath:
+    def test_idle_death_is_reported_like_the_runtime(self, service):
+        """A worker that dies holding nothing is respawned *and* leaves
+        the ``worker_death`` event the single-campaign runtime emits, so
+        ``summarize`` counts deaths the same way for service runs."""
+        service._pool.dispatch(0, None)  # the shutdown sentinel: worker 0 exits idle
+        deadline = time.monotonic() + 30
+        events = []
+        while time.monotonic() < deadline:
+            events = load_events(service.workdir)
+            if any(e["ev"] == "worker_spawn" and e.get("respawn") for e in events):
+                break
+            time.sleep(0.01)
+        deaths = [e for e in events if e["ev"] == "worker_death"]
+        assert [(e["worker"], e["task"]) for e in deaths] == [(0, None)]
+        assert summarize(service.workdir).worker_deaths == 1
+        # the slot came back: the pool still serves campaigns
+        res = service.result(service.submit(sleep_spec())["id"], timeout=60)
+        assert res["state"] == CampaignState.DONE
