@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 __all__ = [
     "FitResult",
@@ -112,6 +111,8 @@ def correlated_fit(
     kwargs = {}
     if bounds is not None:
         kwargs["bounds"] = bounds
+    from scipy.optimize import least_squares  # deferred: scipy costs 0.4 s to import
+
     sol = least_squares(residuals, np.asarray(p0, dtype=np.float64), **kwargs)
     chi2 = float(2.0 * sol.cost)
     dof = len(y) - len(sol.x)

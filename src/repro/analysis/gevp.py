@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 __all__ = ["GEVPResult", "solve_gevp", "effective_energies"]
 
@@ -45,6 +44,8 @@ def solve_gevp(corr: np.ndarray, t0: int, t_ref: int | None = None) -> GEVPResul
     corr = np.asarray(corr)
     if corr.ndim != 3 or corr.shape[1] != corr.shape[2]:
         raise ValueError(f"need (nt, n, n) correlator matrices, got {corr.shape}")
+    from scipy.linalg import eigh  # deferred: scipy costs 0.4 s to import
+
     nt, n, _ = corr.shape
     if not 0 <= t0 < nt:
         raise ValueError(f"t0={t0} outside 0..{nt - 1}")

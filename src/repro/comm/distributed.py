@@ -62,9 +62,10 @@ from repro.comm.shm import (
     ThreadShared,
     spawn_context,
 )
+from repro.dirac.gamma import gamma5_mul
 from repro.dirac.kernels import make_kernel
 from repro.dirac.kernels.base import roll_into
-from repro.dirac.kernels.halfspinor import _BWD, _FWD, _HalfSpinorBase
+from repro.dirac.kernels.halfspinor import _BWD, _FWD, HalfSpinorKernel
 from repro.dirac.kernels.numba_soa import SoAHalfSpinorKernel
 from repro.dirac.kernels.soa import pack_fermion, unpack_fermion
 from repro.dirac.kernels.soa_dist import (
@@ -98,11 +99,6 @@ ENGINES = ("interpreted", "compiled")
 
 LOW, HIGH = 0, 1
 
-#: diag(gamma_5) in the DeGrand-Rossi basis, shaped to broadcast over the
-#: spin axis — applying gamma_5 is an exact sign flip, no spin contraction.
-_G5 = np.array([1.0, 1.0, -1.0, -1.0]).reshape(4, 1)
-
-
 # ---------------------------------------------------------------------------
 # rank-side stencil
 # ---------------------------------------------------------------------------
@@ -112,7 +108,7 @@ class RankStencil:
     """The Wilson hopping term on one rank's block, under a real policy.
 
     Builds a serial half-spinor kernel (any PR-2 backend derived from
-    :class:`_HalfSpinorBase`) over the local links and swaps its periodic
+    :class:`HalfSpinorKernel`) over the local links and swaps its periodic
     rolls for roll-plus-halo-injection; spin projection means only 12 of
     24 reals per face site travel, exactly as in the paper's dslash.
 
@@ -144,7 +140,7 @@ class RankStencil:
         backend: str = "halfspinor",
     ):
         kernel = make_kernel(backend, -0.5 * u, -0.5 * u_dag, geometry)
-        if not isinstance(kernel, _HalfSpinorBase):
+        if not isinstance(kernel, HalfSpinorKernel):
             raise TypeError(
                 "distributed dslash needs a half-spinor kernel backend "
                 f"(got {type(kernel).__name__}); the full-spinor reference "
@@ -182,7 +178,7 @@ class RankStencil:
             np.multiply(uh[..., proj.rsel, :], proj.rcoef, out=rtmp)
             out[..., 2:4, :] = rtmp
         else:
-            _HalfSpinorBase._accumulate(out, uh, proj, rtmp)
+            HalfSpinorKernel._accumulate(out, uh, proj, rtmp)
 
     def hopping(self, phi: np.ndarray) -> np.ndarray:
         """``H phi`` on the local block ``(n,) + local_dims + (4, 3)``."""
@@ -540,7 +536,7 @@ class RankEvenOdd:
         self.geometry = geometry
         self.diag = float(mass) + 4.0
         self._inv_diag = 1.0 / self.diag
-        self._g5_diag = _G5 * self.diag
+        self._g5_diag = gamma5_mul(np.full((4, 3), self.diag))
         self._keep = (
             geometry.parity_mask(0)[..., None, None],
             geometry.parity_mask(1)[..., None, None],
@@ -556,8 +552,8 @@ class RankEvenOdd:
         return self.restrict(self.diag * x - t, 0)
 
     def schur_dagger_apply(self, x: np.ndarray) -> np.ndarray:
-        t = (self.stencil.hopping(x * _G5)) * _G5
-        t = (self.stencil.hopping((t / self.diag) * _G5)) * _G5
+        t = gamma5_mul(self.stencil.hopping(gamma5_mul(x)))
+        t = gamma5_mul(self.stencil.hopping(gamma5_mul(t / self.diag)))
         return self.restrict(self.diag * x - t, 0)
 
     def schur_normal_apply(self, x: np.ndarray) -> np.ndarray:
@@ -596,11 +592,11 @@ class RankEvenOdd:
         # what happens in the normal-equations chain dagger(schur(p)).
         ws = self.stencil.kernel.workspace
         y = ws.get("eo_g5x", x.shape)
-        np.multiply(x, _G5, out=y)
+        gamma5_mul(x, out=y)
         t = self.stencil.hopping(y)
         t *= self._inv_diag
         t = self.stencil.hopping(t)
-        t *= _G5
+        gamma5_mul(t, out=t)
         dx = ws.get("eo_diagx", x.shape)
         np.multiply(y, self._g5_diag, out=dx)
         return np.subtract(dx, t, out=t)
@@ -787,7 +783,7 @@ class CBEvenOdd:
         self.st = st
         self.diag = float(mass) + 4.0
         self._inv_diag = 1.0 / self.diag
-        self._g5_diag = _G5 * self.diag
+        self._g5_diag = gamma5_mul(np.full((4, 3), self.diag))
 
     def pack(self, field: np.ndarray, parity: int) -> np.ndarray:
         return self.st.pack(field, parity)
@@ -806,11 +802,11 @@ class CBEvenOdd:
         # slot x lives in (see RankEvenOdd.schur_dagger_fast).
         ws = self.st.kernel.workspace
         y = ws.get("cb_g5x", x.shape)
-        np.multiply(x, _G5, out=y)
+        gamma5_mul(x, out=y)
         t = self.st.hopping(y, 0)
         t *= self._inv_diag
         t = self.st.hopping(t, 1)
-        t *= _G5
+        gamma5_mul(t, out=t)
         dx = ws.get("cb_diagx", x.shape)
         np.multiply(y, self._g5_diag, out=dx)
         return np.subtract(dx, t, out=t)

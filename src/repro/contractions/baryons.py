@@ -34,18 +34,22 @@ POSITIVE_PARITY.setflags(write=False)
 _T: np.ndarray = g.CHARGE_CONJ @ g.GAMMA5
 _TBAR: np.ndarray = g.GAMMA[3] @ _T.conj().T @ g.GAMMA[3]
 
-#: Rank-3 antisymmetric epsilon tensor for the colour contractions.
-_EPS = np.zeros((3, 3, 3))
-for _i, _j, _k, _s in (
+#: The six non-zero entries ``(a, b, c, sign)`` of the rank-3 epsilon tensor.
+_EPS = (
     (0, 1, 2, 1.0),
     (1, 2, 0, 1.0),
     (2, 0, 1, 1.0),
     (0, 2, 1, -1.0),
     (2, 1, 0, -1.0),
     (1, 0, 2, -1.0),
-):
-    _EPS[_i, _j, _k] = _s
-_EPS.setflags(write=False)
+)
+
+
+def _color_major(s: np.ndarray) -> np.ndarray:
+    """``[snk colour, src colour, sites, snk spin, src spin]`` copy of
+    propagator data, so each colour pair is a stack of contiguous 4x4
+    spin matrices."""
+    return np.ascontiguousarray(np.moveaxis(s, (-2, -1), (0, 1)))
 
 
 def _timeslice_fold(arr: np.ndarray) -> np.ndarray:
@@ -80,42 +84,22 @@ def proton_correlator_bilinear(
     the ensemble average and the real part is positive at large ``t``.
     """
     proj = POSITIVE_PARITY if projector is None else projector
-    s1 = u1.shifted_to_origin()
-    s2 = u2.shifted_to_origin()
-    sd = d.shifted_to_origin()
+    s1 = _color_major(u1.shifted_to_origin())
+    # G^{bb'}_{AS} = (T Sd Tbar)_{AS}: the diquark-dressed d propagator;
+    # P S2, whose spin trace closes the direct term.
+    gtilde = _T @ _color_major(d.shifted_to_origin()) @ _TBAR
+    ps2 = proj @ _color_major(u2.shifted_to_origin())
+    tr2 = np.trace(ps2, axis1=-2, axis2=-1)[..., None, None]
 
-    # G^{bb'}_{as} = (T Sd T bar)_{as}: the diquark-dressed d propagator.
-    gtilde = np.einsum("AB,...BRbe,RS->...ASbe", _T, sd, _TBAR, optimize=True)
-
-    # Direct term:
-    #   eps_abc eps_a'b'c' Gt^{bb'}_{as} S1^{aa'}_{as} tr_s[P S2^{cc'}]
-    tr2 = np.einsum("GH,...HGcf->...cf", proj, s2, optimize=True)
-    direct = np.einsum(
-        "abc,def,...ASad,...ASbe,...cf->...",
-        _EPS,
-        _EPS,
-        s1,
-        gtilde,
-        tr2,
-        optimize=True,
-    )
-
-    # Exchange term:
-    #   eps_abc eps_a'b'c' Gt^{bb'}_{AS} S1^{ac'}_{A H} S2^{ca'}_{G S} P_{H G}
-    # (H = gamma' at the source of line 1, G = gamma at the sink of
-    # line 2, tied together by the parity projector).
-    exchange = np.einsum(
-        "abc,def,HG,...ASbe,...AHaf,...GScd->...",
-        _EPS,
-        _EPS,
-        proj,
-        gtilde,
-        s1,
-        s2,
-        optimize=True,
-    )
-
-    site_corr = direct - exchange
+    # eps_abc eps_def Gt^{be}_{AS} [ S1^{ad}_{AS} tr_s(P S2^{cf})   (direct)
+    #                              - (S1^{af} P S2^{cd})_{AS} ]     (exchange)
+    site_corr = 0.0
+    for a, b, c, sign_abc in _EPS:
+        for dd, e, f, sign_def in _EPS:
+            term = s1[a, dd] * tr2[c, f] - s1[a, f] @ ps2[c, dd]
+            site_corr = site_corr + (sign_abc * sign_def) * np.sum(
+                gtilde[b, e] * term, axis=(-2, -1)
+            )
     return _timeslice_fold(site_corr)
 
 

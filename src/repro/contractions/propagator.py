@@ -65,6 +65,13 @@ class Propagator:
         if self.data.shape[-4:] != (4, 4, 3, 3):
             raise ValueError(f"propagator tail shape {self.data.shape[-4:]} != (4,4,3,3)")
 
+    @classmethod
+    def from_columns(cls, x: np.ndarray, source: tuple[int, int, int, int]) -> "Propagator":
+        """Assemble the 12 solution columns ``x[3 * src_spin + src_col]``,
+        each ``dims + (snk spin, snk colour)``."""
+        cols = x.reshape((4, 3) + x.shape[1:])
+        return cls(np.ascontiguousarray(np.moveaxis(cols, (0, 1), (-3, -1))), source)
+
     @property
     def geometry_dims(self) -> tuple[int, ...]:
         return self.data.shape[:4]
@@ -164,11 +171,7 @@ def compute_propagator(
                 sources.append(b)
         stack = np.stack(sources, axis=0)
         psi5, batch_res = solve_5d_batched(mobius, stack, solver, eo)
-        q = _boundary_project_batched(psi5)
-        for idx in range(12):
-            spin, color = divmod(idx, 3)
-            data[..., :, spin, :, color] = q[idx]
-        return Propagator(data, site), batch_res.split()
+        return Propagator.from_columns(_boundary_project_batched(psi5), site), batch_res.split()
 
     results: list[SolveResult] = []
     for spin in range(4):
@@ -267,10 +270,7 @@ def compute_wilson_propagator(
         batch_res = solve_normal_equations_batched(
             wilson.apply, wilson.apply_dagger, stack, solver
         )
-        for idx in range(12):
-            spin, color = divmod(idx, 3)
-            data[..., :, spin, :, color] = batch_res.x[idx]
-        return Propagator(data, site), batch_res.split()
+        return Propagator.from_columns(batch_res.x, site), batch_res.split()
 
     results: list[SolveResult] = []
     for idx, b in enumerate(sources):

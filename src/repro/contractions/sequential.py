@@ -84,7 +84,7 @@ def sequential_propagator(
             solver = ConjugateGradient(tol=1e-10, max_iter=6000)
         b = np.stack(
             [
-                g.spin_mul(g.GAMMA5, restricted[..., :, spin, :, color])
+                g.gamma5_mul(restricted[..., :, spin, :, color])
                 for spin in range(4)
                 for color in range(3)
             ]
@@ -97,11 +97,11 @@ def sequential_propagator(
             raise RuntimeError("sequential batched solve did not converge")
         for col in range(12):
             spin, color = divmod(col, 3)
-            data[..., :, spin, :, color] = g.spin_mul(g.GAMMA5, res.x[col])
+            data[..., :, spin, :, color] = g.gamma5_mul(res.x[col])
     elif mode == "percolumn":
         for spin in range(4):
             for color in range(3):
-                b = g.spin_mul(g.GAMMA5, restricted[..., :, spin, :, color])
+                b = g.gamma5_mul(restricted[..., :, spin, :, color])
                 res = solve_normal_equations(
                     wilson.apply, wilson.apply_dagger, b, solver, deflation=deflation
                 )
@@ -110,7 +110,7 @@ def sequential_propagator(
                     raise RuntimeError(
                         f"sequential solve (spin {spin}, colour {color}) did not converge"
                     )
-                data[..., :, spin, :, color] = g.spin_mul(g.GAMMA5, res.x)
+                data[..., :, spin, :, color] = g.gamma5_mul(res.x)
     else:
         raise ValueError(f"unknown sequential solve mode {mode!r}")
     return Propagator(data, prop_d.source)

@@ -120,10 +120,11 @@ class EvenOddMobius:
 
     def b_dagger_apply(self, psi: np.ndarray) -> np.ndarray:
         """``B^H psi = D5_plus^H H^H psi``."""
-        hopped = self.mobius.wilson.hopping  # H^H = gamma_5 H gamma_5; use dagger via gamma5
         from repro.dirac import gamma as g
 
-        h_dag = g.spin_mul(g.GAMMA5, hopped(g.spin_mul(g.GAMMA5, psi)))
+        # H^H = gamma_5 H gamma_5
+        h_dag = self.mobius.wilson.hopping(g.gamma5_mul(psi))
+        g.gamma5_mul(h_dag, out=h_dag)
         return self.mobius.d5_plus_dagger(h_dag)
 
     # -- checkerboard restriction ---------------------------------------------------

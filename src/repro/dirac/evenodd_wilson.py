@@ -56,7 +56,7 @@ class EvenOddWilson:
 
     def schur_dagger_apply(self, x_even: np.ndarray) -> np.ndarray:
         """``S^H`` via gamma_5-hermiticity of the hopping term."""
-        g5 = lambda v: g.spin_mul(g.GAMMA5, v)
+        g5 = g.gamma5_mul
         t = g5(self.wilson.hopping(g5(x_even)))
         t = g5(self.wilson.hopping(g5(t / self.diag)))
         return self.restrict(self.diag * x_even - t, 0)

@@ -26,6 +26,7 @@ __all__ = [
     "proj_plus",
     "proj_minus",
     "spin_mul",
+    "gamma5_mul",
 ]
 
 _i = 1j
@@ -113,6 +114,17 @@ def spin_mul(mat: np.ndarray, psi: np.ndarray) -> np.ndarray:
     (fields are ``(..., spin, colour)``).
     """
     return np.einsum("st,...tc->...sc", mat, psi, optimize=_SPIN_MUL_PATH)
+
+
+#: diag(gamma_5) spread over the trailing ``(spin, colour)`` axes.
+_GAMMA5_SIGNS = np.repeat(np.diag(GAMMA5).real, 3).reshape(4, 3)
+
+
+def gamma5_mul(psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``gamma_5 psi`` — in this basis a sign flip of spin components 2, 3:
+    one elementwise pass, no spin contraction.  ``out=psi`` flips in place.
+    """
+    return np.multiply(psi, _GAMMA5_SIGNS, out=out)
 
 
 def proj_plus(psi: np.ndarray) -> np.ndarray:

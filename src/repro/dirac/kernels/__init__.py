@@ -7,9 +7,8 @@ engineering of exactly this kernel.  This package provides:
 * ``reference`` — the original full 4-spinor einsum stencil, kept as the
   correctness oracle (:mod:`repro.dirac.kernels.reference`);
 * ``halfspinor`` — DeGrand-Rossi spin projection to two-spinor half
-  fields before the SU(3) multiply, with workspace buffer reuse and
-  cached einsum contraction paths
-  (:mod:`repro.dirac.kernels.halfspinor`);
+  fields before the SU(3) multiply, on a component-major, RHS-tiled
+  workspace (:mod:`repro.dirac.kernels.halfspinor`);
 * ``numba_soa`` — a compiled tier: the same half-spinor stencil as a
   Numba-JIT per-site loop over a structure-of-arrays layout, registered
   only when numba imports (:mod:`repro.dirac.kernels.numba_soa`,
@@ -33,7 +32,7 @@ from repro.dirac.kernels.registry import (
     verify_backends,
 )
 from repro.dirac.kernels.reference import ReferenceKernel
-from repro.dirac.kernels.halfspinor import HalfSpinorEinsumKernel, HalfSpinorKernel
+from repro.dirac.kernels.halfspinor import HalfSpinorKernel
 from repro.dirac.kernels.soa import (
     SOA_LAYOUT_VERSION,
     neighbor_tables,
@@ -60,7 +59,6 @@ __all__ = [
     "verify_backends",
     "ReferenceKernel",
     "HalfSpinorKernel",
-    "HalfSpinorEinsumKernel",
     "SOA_LAYOUT_VERSION",
     "NUMBA_AVAILABLE",
     "SoAHalfSpinorKernel",

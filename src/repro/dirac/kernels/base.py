@@ -62,13 +62,12 @@ def roll_into(src: np.ndarray, shift: int, axis: int, out: np.ndarray) -> np.nda
     """
     length = src.shape[axis]
     s = shift % length
-    src_a = np.moveaxis(src, axis, 0)
-    out_a = np.moveaxis(out, axis, 0)
     if s == 0:
-        out_a[:] = src_a
+        out[...] = src
     else:
-        out_a[s:] = src_a[: length - s]
-        out_a[:s] = src_a[length - s :]
+        lead = (slice(None),) * (axis % src.ndim)
+        out[lead + (slice(s, None),)] = src[lead + (slice(None, length - s),)]
+        out[lead + (slice(None, s),)] = src[lead + (slice(length - s, None),)]
     return out
 
 

@@ -170,7 +170,7 @@ class MobiusOperator:
 
     def reflect(self, psi: np.ndarray) -> np.ndarray:
         """``gamma_5 R psi``: the 5D hermiticity conjugation."""
-        return g.spin_mul(g.GAMMA5, np.flip(psi, axis=self.S_AXIS))
+        return g.gamma5_mul(np.flip(psi, axis=self.S_AXIS))
 
     # -- accounting -----------------------------------------------------------------
     @property

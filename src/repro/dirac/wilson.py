@@ -133,11 +133,14 @@ class WilsonOperator:
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """``D psi``."""
-        return (self.mass + 4.0) * psi + self.hopping(psi)
+        out = self.hopping(psi)
+        out += (self.mass + 4.0) * psi
+        return out
 
     def apply_dagger(self, psi: np.ndarray) -> np.ndarray:
         """``D^H psi`` via gamma_5-hermiticity."""
-        return g.spin_mul(g.GAMMA5, self.apply(g.spin_mul(g.GAMMA5, psi)))
+        out = self.apply(g.gamma5_mul(psi))
+        return g.gamma5_mul(out, out=out)
 
     def apply_normal(self, psi: np.ndarray) -> np.ndarray:
         """``D^H D psi`` — the hermitian positive operator CG inverts."""

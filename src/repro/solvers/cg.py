@@ -173,7 +173,10 @@ class BatchedSolveResult:
 
     The leading axis of every array field indexes the right-hand side.
     ``iterations`` counts *stacked* operator applications; ``flops``
-    already accounts for the full stack width.
+    already accounts for the full stack width.  ``column_iterations``
+    (when the solver records it) is the iteration at which each system
+    froze — what :meth:`ConjugateGradient.solve` would have counted for
+    that column alone.
     """
 
     x: np.ndarray
@@ -184,6 +187,7 @@ class BatchedSolveResult:
     residual_history: list[np.ndarray] = field(default_factory=list)
     reliable_updates: int = 0
     matvecs: int = 0
+    column_iterations: np.ndarray | None = None
 
     @property
     def n_rhs(self) -> int:
@@ -196,11 +200,14 @@ class BatchedSolveResult:
     def split(self) -> list[SolveResult]:
         """Per-RHS :class:`SolveResult` views (flops shared equally)."""
         k = self.n_rhs
+        iters = self.column_iterations
+        if iters is None:
+            iters = np.full(k, self.iterations)
         return [
             SolveResult(
                 x=self.x[i],
                 converged=bool(self.converged[i]),
-                iterations=self.iterations,
+                iterations=int(iters[i]),
                 final_relres=float(self.final_relres[i]),
                 flops=self.flops / k,
                 residual_history=[float(h[i]) for h in self.residual_history],
@@ -438,11 +445,13 @@ class ConjugateGradient:
         history: list[np.ndarray] = []
         flops = k * self.flops_per_matvec if x0 is not None else 0.0
         iterations = 0
+        column_iterations = np.zeros(k, dtype=np.int64)
         matvecs = k if x0 is not None else 0
 
         while bool(active.any()) and iterations < self.max_iter:
             ap = matvec(p)
             iterations += 1
+            column_iterations += active
             matvecs += k
             flops += k * (self.flops_per_matvec + self.blas_flops_per_iter)
             p_ap = _batch_dot(p, ap)
@@ -468,6 +477,7 @@ class ConjugateGradient:
             flops=flops,
             residual_history=history,
             matvecs=matvecs,
+            column_iterations=column_iterations,
         )
 
 

@@ -101,3 +101,15 @@ class TestModels:
     def test_fit_result_chi2_per_dof_guard(self):
         fr = FitResult(np.ones(2), np.ones(2), chi2=1.0, dof=0, converged=True)
         assert fr.chi2_per_dof == np.inf
+
+
+def test_measurement_pipeline_does_not_import_scipy():
+    """SciPy serves the fits and the GEVP only; importing the measurement
+    pipeline (which reaches ``repro.analysis`` through the error budget)
+    must not pay its 0.4 s / 40 MB."""
+    import subprocess
+    import sys
+
+    code = "import sys, repro.core.pipeline; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:] or "scipy was imported"

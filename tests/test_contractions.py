@@ -103,7 +103,45 @@ class TestPion:
         assert pion[0] > pion[lt // 2]
 
 
+def _proton_bilinear_einsum(u1, u2, d, proj):
+    """The three-einsum form of ``proton_correlator_bilinear`` (the
+    implementation before the matmul one): the oracle for it."""
+    from repro.contractions.baryons import _T, _TBAR
+
+    eps = np.zeros((3, 3, 3))
+    eps[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+    eps[[0, 2, 1], [2, 1, 0], [1, 0, 2]] = -1.0
+    s1, s2, sd = (p.shifted_to_origin() for p in (u1, u2, d))
+    gtilde = np.einsum("AB,...BRbe,RS->...ASbe", _T, sd, _TBAR, optimize=True)
+    tr2 = np.einsum("GH,...HGcf->...cf", proj, s2, optimize=True)
+    direct = np.einsum(
+        "abc,def,...ASad,...ASbe,...cf->...", eps, eps, s1, gtilde, tr2, optimize=True
+    )
+    exchange = np.einsum(
+        "abc,def,HG,...ASbe,...AHaf,...GScd->...", eps, eps, proj, gtilde, s1, s2,
+        optimize=True,
+    )
+    return (direct - exchange).sum(axis=(0, 1, 2))
+
+
 class TestProton:
+    @pytest.mark.parametrize("projector", ["positive_parity", "spin_polarized"])
+    def test_matmul_form_matches_einsum_oracle(self, rng, projector):
+        """Three different random 'propagators' off-origin (u1 != u2, as
+        in the Feynman-Hellmann derivative), both projectors in use."""
+        from repro.contractions.baryons import POSITIVE_PARITY
+        from repro.core.feynman_hellmann import SPIN_POLARIZED_PROJ
+
+        proj = POSITIVE_PARITY if projector == "positive_parity" else SPIN_POLARIZED_PROJ
+        shape = (2, 2, 2, 4, 4, 4, 3, 3)
+        u1, u2, d = (
+            Propagator(rng.normal(size=shape) + 1j * rng.normal(size=shape), (1, 0, 1, 3))
+            for _ in range(3)
+        )
+        got = proton_correlator_bilinear(u1, u2, d, projector=proj)
+        want = _proton_bilinear_einsum(u1, u2, d, proj)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
     def test_imaginary_part_subdominant(self, wilson_prop):
         """Single-configuration correlators are only real after ensemble
         averaging; on a weak field the imaginary part must already be a

@@ -124,7 +124,7 @@ class TestSeededSolveAcceptance:
         doc = json.loads(out.read_text())
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert any(n.startswith("dslash.") for n in names)
-        assert "cg.solve" in names
+        assert any(n.startswith("cg.solve") for n in names)  # cg.solve / cg.solve_batched
 
     def test_measured_gflops_within_band_of_model(self, trace_dir):
         stats = aggregate(obs.load_spans(trace_dir))

@@ -21,6 +21,7 @@ from repro.dirac.gamma import (
     IDENTITY,
     P_MINUS,
     P_PLUS,
+    gamma5_mul,
     proj_minus,
     proj_plus,
     spin_mul,
@@ -106,3 +107,16 @@ def test_chiral_projection_helpers_match_projectors(seed):
     np.testing.assert_allclose(proj_plus(psi), spin_mul(P_PLUS, psi), atol=ATOL)
     np.testing.assert_allclose(proj_minus(psi), spin_mul(P_MINUS, psi), atol=ATOL)
     np.testing.assert_allclose(proj_plus(psi) + proj_minus(psi), psi, atol=ATOL)
+
+
+@given(seed=seeds)
+def test_gamma5_mul_is_spin_mul_by_gamma5_exactly(seed):
+    """gamma5_mul is the sign flip spin_mul(GAMMA5, .) amounts to in this
+    basis — equal to the last bit, fresh, into a buffer, and in place."""
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=(3, 2, 4, 3)) + 1j * rng.normal(size=(3, 2, 4, 3))
+    want = spin_mul(GAMMA5, psi)
+    assert np.array_equal(gamma5_mul(psi), want)
+    buf = np.empty_like(psi)
+    assert gamma5_mul(psi, out=buf) is buf and np.array_equal(buf, want)
+    assert gamma5_mul(psi, out=psi) is psi and np.array_equal(psi, want)
