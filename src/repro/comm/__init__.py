@@ -23,7 +23,6 @@ from repro.comm.policies import (
 from repro.comm.halo import Decomposition, best_decomposition, halo_message_bytes
 from repro.comm.model import CommCostModel
 from repro.comm.mpi import MPI_IMPLEMENTATIONS, MPIImplementation
-from repro.comm.ranksim import CommFabric, DistributedWilson
 from repro.comm.decomp import LocalGeometry, RankGrid, slab_grid
 from repro.comm.exchange import EXECUTED_POLICIES, HaloExchanger
 from repro.comm.shm import CommTimeoutError
@@ -35,8 +34,6 @@ from repro.comm.distributed import (
 )
 
 __all__ = [
-    "CommFabric",
-    "DistributedWilson",
     "CommPolicy",
     "TransferPath",
     "HaloGranularity",

@@ -81,8 +81,7 @@ class RankGrid:
     """A process grid over the global lattice, with rank bookkeeping.
 
     Rank ``r`` owns the block whose grid coordinate is the mixed-radix
-    decomposition of ``r`` (x slowest, t fastest) — the same convention
-    as :class:`repro.comm.ranksim.DistributedWilson`.
+    decomposition of ``r`` (x slowest, t fastest).
     """
 
     decomp: Decomposition

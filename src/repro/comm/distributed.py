@@ -7,39 +7,47 @@ results.  The facades at the bottom (:class:`DistributedWilsonOperator`,
 :class:`DistributedEvenOddOperator`, :class:`DistributedCG`) mirror the
 serial operator/solver APIs.
 
-Bitwise reproducibility
------------------------
-Two invariants are engineered in, and the test suite pins both:
+Reproducibility: two guarantees, of two kinds
+---------------------------------------------
+Both are engineered in, and the test suite pins both:
 
-* **Dslash is bitwise identical to the serial kernels for any rank
-  grid.**  NumPy elementwise kernels are per-element deterministic
+* **Dslash equals the serial kernels for any rank grid — exact on any
+  host.**  NumPy elementwise kernels are per-element deterministic
   regardless of array shape, so the distributed stencil preserves the
   serial half-spinor kernel's exact per-site operation chain (project ->
   shift -> color multiply -> scale -> accumulate, forward then backward
   in direction order) and replaces only the *data movement*: a local
   periodic roll whose wrapped face is overwritten with the fetched halo
-  yields the same bytes `np.roll` produces globally.
-* **The CG is bitwise invariant under the rank count** (1-rank runtime
-  included).  Global inner products are computed as per-global-slice
-  partial sums deposited into one shared table and reduced in a fixed
-  global order on every rank (:class:`SliceReducer` +
-  ``Fabric.allreduce_rows``) — never as a rank-count-dependent tree.
+  yields the same bytes `np.roll` produces globally.  No reduction is
+  involved, so the identity holds whatever BLAS numpy was built on.
+* **The solvers are invariant under the rank count and the transport
+  (1-rank runtime included) — deterministic, same host.**  The Krylov
+  recurrence is the serial solvers' own (:func:`rank_solve` hands
+  ``ConjugateGradient._run`` / ``ReliableUpdateCG._run`` a collective
+  inner product); global inner products are computed as
+  per-global-slice partial sums deposited into one shared table and
+  reduced in a fixed global order on every rank (:class:`SliceReducer`
+  + ``Fabric.allreduce_rows``) — never as a rank-count-dependent tree.
   Slab grids along the reduction axis keep each slice's partial within
   one rank, so the partials themselves are decomposition-invariant.
+  This holds for any BLAS, but each slice partial is a ``vdot``, so the
+  bits differ between BLAS builds: compare runs on one host.
 
-The CG additionally takes distributed-only shortcuts that the serial
-mirror methods do not (``gamma_5`` as a diagonal sign flip, checkerboard
-restriction elided where inputs are even-checkerboard-pure, in-place
-axpys); these change no values — signs and masks are exact in floating
-point — and the cross-rank-count bitwise tests run through them.
+The rank-side Schur operators additionally take distributed-only
+shortcuts that the serial mirror methods do not (``gamma_5`` as a
+diagonal sign flip, checkerboard restriction elided where inputs are
+even-checkerboard-pure, in-place axpys); these change no values — signs
+and masks are exact in floating point — and the cross-rank-count tests
+run through them.
 
 Where the grid allows it (t unpartitioned, all global extents even) the
-CG further runs on checkerboard-*packed* half-volume fields
+solve further runs on checkerboard-*packed* half-volume fields
 (:class:`CBStencil`/:class:`CBEvenOdd`): Schur vectors occupy one parity
 only, so packing halves the sites every hot kernel pass touches — the
 dominant single-process win of this runtime, mirroring QUDA's
-half-lattice preconditioned dslash.  Packing is pure data movement, so
-the packed pipeline keeps the rank-count bitwise invariance.
+half-lattice preconditioned dslash.  Packing is pure data movement
+(exact on any host), so the packed pipeline keeps the rank-count
+invariance.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ import queue
 import threading
 import time
 import traceback
+from dataclasses import replace
 
 import numpy as np
 
@@ -75,7 +84,9 @@ from repro.dirac.kernels.soa_dist import (
     distributed_tables,
 )
 from repro.lattice.gauge import GaugeField
-from repro.solvers.cg import BatchedSolveResult
+from repro.solvers.cg import BatchedSolveResult, ConjugateGradient
+from repro.solvers.multiprec import ReliableUpdateCG
+from repro.solvers.precision import SinglePrecision
 
 __all__ = [
     "ENGINES",
@@ -871,211 +882,6 @@ class SliceReducer:
         return self.fabric.allreduce_rows(self.row0, partials)
 
 
-def _cg_loop(
-    normal,
-    red: SliceReducer,
-    rhs: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Batched CG on the normal system (collective throughout).
-
-    Mirrors ``ConjugateGradient.solve_batched`` control flow exactly —
-    every scalar decision comes from an allreduce, so all ranks stay in
-    lock-step.  ``rhs`` must be caller-owned (never a workspace slot).
-    Returns ``(x, iterations, true_res)``.
-    """
-    k = rhs.shape[0]
-    lead = (k,) + (1,) * (rhs.ndim - 1)
-    bnorm = np.sqrt(red.batch_dot(rhs, rhs))
-    safe_bnorm = np.where(bnorm > 0.0, bnorm, 1.0)
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    p = r.copy()
-    tmp = np.empty_like(r)
-    rsq = red.batch_dot(r, r)
-    target = (tol * bnorm) ** 2
-    active = rsq > target
-    iterations = 0
-    while bool(active.any()) and iterations < max_iter:
-        ap = normal(p)
-        iterations += 1
-        p_ap = red.batch_dot(p, ap)
-        ok = active & (p_ap > 0.0)  # per-system breakdown guard
-        alpha = np.where(ok, rsq / np.where(p_ap > 0.0, p_ap, 1.0), 0.0)
-        al = alpha.reshape(lead)
-        np.multiply(p, al, out=tmp)
-        x += tmp
-        np.multiply(ap, al, out=tmp)
-        r -= tmp
-        new_rsq = red.batch_dot(r, r)
-        active = ok & (new_rsq > target)
-        beta = np.where(ok, new_rsq / np.where(rsq > 0.0, rsq, 1.0), 0.0)
-        np.multiply(p, beta.reshape(lead), out=p)
-        p += r
-        rsq = new_rsq
-
-    resid = rhs - normal(x)
-    true_res = np.sqrt(red.batch_dot(resid, resid)) / safe_bnorm
-    return x, iterations, true_res
-
-
-def _rank_cgne(
-    eo: RankEvenOdd,
-    red: SliceReducer,
-    b: np.ndarray,
-    tol: float,
-    max_iter: int,
-    cb: CBEvenOdd | None = None,
-) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-    """The full propagator pipeline on one rank: prepare the even-site
-    system, CG on the normal equations, reconstruct the full-lattice
-    local solution.  Runs on checkerboard-packed fields when ``cb`` is
-    given (half the work everywhere); the packed and full-field
-    pipelines are each bitwise invariant under the rank count.
-    Returns ``(x_local, iterations, converged, final_relres)``.
-    """
-    if cb is not None:
-        pb_o = cb.pack(b, 1)
-        b_prep = cb.prepare_rhs_packed(cb.pack(b, 0), pb_o)
-        rhs = np.array(cb.schur_dagger_fast(b_prep), copy=True)
-        x, iterations, true_res = _cg_loop(cb.schur_normal_fast, red, rhs, tol, max_iter)
-        schur_x = cb.schur_fast(x)
-    else:
-        b_prep = eo.prepare_rhs(b)
-        rhs = eo.schur_dagger_apply(b_prep)
-        x, iterations, true_res = _cg_loop(eo.schur_normal_fast, red, rhs, tol, max_iter)
-        schur_x = eo.schur_apply(x)
-    converged = true_res <= tol
-    pnorm = np.sqrt(red.batch_dot(b_prep, b_prep))
-    psafe = np.where(pnorm > 0.0, pnorm, 1.0)
-    orig = b_prep - schur_x
-    relres = np.where(
-        pnorm > 0.0, np.sqrt(red.batch_dot(orig, orig)) / psafe, true_res
-    )
-    if cb is not None:
-        x_full = cb.reconstruct_packed(x, pb_o, b)
-    else:
-        x_full = eo.reconstruct(x, b)
-    return x_full, iterations, converged, relres
-
-
-def _ru_loop(
-    normal,
-    red: SliceReducer,
-    rhs: np.ndarray,
-    tol: float,
-    max_iter: int,
-    delta: float,
-) -> tuple[np.ndarray, int, np.ndarray, int]:
-    """Reliable-update CG on the normal system (collective throughout).
-
-    The distributed analogue of :class:`ReliableUpdateCG`: the Krylov
-    recurrence runs in reduced-precision *storage* (every vector update
-    rounds through complex64) while reductions and the reliable solution
-    stay double.  When the sloppy residual of every system drops below
-    ``delta`` times its running maximum, the group folds the sloppy
-    accumulator into the double solution, recomputes the true residual
-    in double, and restarts the recurrence from it.  Every trigger
-    decision comes from an allreduce, so the schedule — and hence the
-    iterates — is identical on every rank count.
-    Returns ``(x, iterations, true_res, reliable_updates)``.
-    """
-
-    def store(v: np.ndarray) -> np.ndarray:
-        return v.astype(np.complex64).astype(np.complex128)
-
-    k = rhs.shape[0]
-    lead = (k,) + (1,) * (rhs.ndim - 1)
-    bnorm = np.sqrt(red.batch_dot(rhs, rhs))
-    safe_bnorm = np.where(bnorm > 0.0, bnorm, 1.0)
-    target = (tol * bnorm) ** 2
-    x = np.zeros_like(rhs)  # reliable (double) solution
-    x_s = np.zeros_like(rhs)  # sloppy accumulator since the last update
-    r = store(rhs)
-    p = r.copy()
-    tmp = np.empty_like(rhs)
-    rsq = red.batch_dot(r, r)
-    rsq_max = rsq.copy()
-    iterations = 0
-    reliable_updates = 0
-    while bool((rsq > target).any()) and iterations < max_iter:
-        ap = normal(p)
-        iterations += 1
-        p_ap = red.batch_dot(p, ap)
-        ok = (rsq > target) & (p_ap > 0.0)  # per-system breakdown guard
-        alpha = np.where(ok, rsq / np.where(p_ap > 0.0, p_ap, 1.0), 0.0)
-        al = alpha.reshape(lead)
-        np.multiply(p, al, out=tmp)
-        x_s = store(x_s + tmp)
-        np.multiply(ap, al, out=tmp)
-        r = store(r - tmp)
-        new_rsq = red.batch_dot(r, r)
-        rsq_max = np.maximum(rsq_max, new_rsq)
-        trigger = bool(np.all(new_rsq <= (delta * delta) * rsq_max)) or bool(
-            np.all(new_rsq <= target)
-        )
-        if trigger:
-            x += x_s
-            x_s = np.zeros_like(rhs)
-            r = store(rhs - normal(x))
-            rsq = red.batch_dot(r, r)
-            rsq_max = rsq.copy()
-            p = r.copy()
-            reliable_updates += 1
-            continue
-        beta = np.where(ok, new_rsq / np.where(rsq > 0.0, rsq, 1.0), 0.0)
-        np.multiply(p, beta.reshape(lead), out=p)
-        p += r
-        rsq = new_rsq
-
-    x += x_s
-    resid = rhs - normal(x)
-    true_res = np.sqrt(red.batch_dot(resid, resid)) / safe_bnorm
-    return x, iterations, true_res, reliable_updates
-
-
-def _rank_rucg(
-    eo: RankEvenOdd,
-    red: SliceReducer,
-    b: np.ndarray,
-    tol: float,
-    max_iter: int,
-    delta: float,
-    cb: CBEvenOdd | None = None,
-) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, int]:
-    """Like :func:`_rank_cgne` with the reliable-update inner loop.
-    Returns ``(x_local, iterations, converged, relres, reliable_updates)``.
-    """
-    if cb is not None:
-        pb_o = cb.pack(b, 1)
-        b_prep = cb.prepare_rhs_packed(cb.pack(b, 0), pb_o)
-        rhs = np.array(cb.schur_dagger_fast(b_prep), copy=True)
-        x, iterations, true_res, ru = _ru_loop(
-            cb.schur_normal_fast, red, rhs, tol, max_iter, delta
-        )
-        schur_x = cb.schur_fast(x)
-    else:
-        b_prep = eo.prepare_rhs(b)
-        rhs = eo.schur_dagger_apply(b_prep)
-        x, iterations, true_res, ru = _ru_loop(
-            eo.schur_normal_fast, red, rhs, tol, max_iter, delta
-        )
-        schur_x = eo.schur_apply(x)
-    converged = true_res <= tol
-    pnorm = np.sqrt(red.batch_dot(b_prep, b_prep))
-    psafe = np.where(pnorm > 0.0, pnorm, 1.0)
-    orig = b_prep - schur_x
-    relres = np.where(
-        pnorm > 0.0, np.sqrt(red.batch_dot(orig, orig)) / psafe, true_res
-    )
-    if cb is not None:
-        x_full = cb.reconstruct_packed(x, pb_o, b)
-    else:
-        x_full = eo.reconstruct(x, b)
-    return x_full, iterations, converged, relres, ru
-
-
 # ---------------------------------------------------------------------------
 # the per-rank worker program
 # ---------------------------------------------------------------------------
@@ -1147,6 +953,84 @@ class _RankContext:
         return self._cb
 
 
+#: The rank program's field operations, by wire code: ``fn(ctx, phi)``
+#: on one rank's local block.  Every launcher (``worker_main``,
+#: ``MpiRuntime``, the ``mpi_worker`` job protocol) dispatches through
+#: this table, so an operation is added here and nowhere else.
+RANK_OPS = {
+    "hopping": lambda ctx, phi: ctx.stencil.hopping(phi),
+    "apply": lambda ctx, phi: (ctx.mass + 4.0) * phi + ctx.stencil.hopping(phi),
+    "schur": lambda ctx, phi: ctx.eo.schur_apply(phi),
+    "schur_dagger": lambda ctx, phi: ctx.eo.schur_dagger_apply(phi),
+    "schur_normal": lambda ctx, phi: ctx.eo.schur_normal_apply(phi),
+    "prepare_rhs": lambda ctx, phi: ctx.eo.prepare_rhs(phi),
+}
+
+
+def rank_solve(
+    ctx: _RankContext,
+    b: np.ndarray,
+    tol: float = 1e-10,
+    max_iter: int = 10_000,
+    reliable: bool = False,
+    delta: float = 0.1,
+) -> BatchedSolveResult:
+    """The full propagator pipeline on one rank (collective throughout).
+
+    Prepares the even-site system (checkerboard-packed where ``ctx.cb``
+    allows: half the work everywhere), hands the normal system to the
+    *serial* solvers' own recurrence — :meth:`ConjugateGradient._run`,
+    or :meth:`ReliableUpdateCG._run` on single-precision Krylov storage
+    when ``reliable`` — with the collective ``SliceReducer.batch_dot``
+    as the inner product, and reconstructs the full-lattice local
+    solution.  ``b`` must be caller-owned (never a workspace slot).
+
+    Returns the solver's own result (identical on every rank) with ``x``
+    this rank's block of the solution and ``final_relres`` the prepared
+    even-site system's residual.
+    """
+    eo, cb, dot = ctx.eo, ctx.cb, ctx.reducer.batch_dot
+    if cb is not None:
+        pb_o = cb.pack(b, 1)
+        b_prep = cb.prepare_rhs_packed(cb.pack(b, 0), pb_o)
+        rhs = np.array(cb.schur_dagger_fast(b_prep), copy=True)
+        normal, schur = cb.schur_normal_fast, cb.schur_fast
+    else:
+        b_prep = eo.prepare_rhs(b)
+        rhs = eo.schur_dagger_apply(b_prep)
+        normal, schur = eo.schur_normal_fast, eo.schur_apply
+    if reliable:
+        solver = ReliableUpdateCG(SinglePrecision(), tol=tol, delta=delta, max_iter=max_iter)
+    else:
+        solver = ConjugateGradient(tol=tol, max_iter=max_iter)
+    res = solver._run(normal, rhs, dot=dot)
+    pnorm = np.sqrt(dot(b_prep, b_prep))
+    orig = b_prep - schur(res.x)
+    res.final_relres = np.where(
+        pnorm > 0.0,
+        np.sqrt(dot(orig, orig)) / np.where(pnorm > 0.0, pnorm, 1.0),
+        res.final_relres,
+    )
+    if cb is not None:
+        res.x = cb.reconstruct_packed(res.x, pb_o, b)
+    else:
+        res.x = eo.reconstruct(res.x, b)
+    return res
+
+
+def rank_stats(ctx: _RankContext) -> dict:
+    """One rank's exchanger counters (the ``halo_stats`` row)."""
+    ex = ctx.stencil.exchanger
+    return {
+        "engine": ctx.engine,
+        "rounds": ex.rounds,
+        "messages": ex.messages,
+        "bytes_sent": ex.bytes_sent,
+        "wait_seconds": ex.wait_seconds,
+        "interior_seconds": getattr(ctx.stencil, "interior_seconds", 0.0),
+    }
+
+
 class _ThreadIO:
     """Field transfer when driver and worker share an address space."""
 
@@ -1188,54 +1072,16 @@ def worker_main(ctx: _RankContext, chan, io) -> None:
                 chan.send(("ok", None))
                 continue
             if cmd == "stats":
-                ex = ctx.stencil.exchanger
-                chan.send(("ok", {
-                    "engine": ctx.engine,
-                    "rounds": ex.rounds,
-                    "messages": ex.messages,
-                    "bytes_sent": ex.bytes_sent,
-                    "wait_seconds": ex.wait_seconds,
-                    "interior_seconds": getattr(
-                        ctx.stencil, "interior_seconds", 0.0
-                    ),
-                }))
+                chan.send(("ok", rank_stats(ctx)))
                 continue
             if cmd == "cg":
                 b = np.array(io.get(payload), copy=True)
-                if payload.get("reliable"):
-                    x, iters, conv, relres, ru = _rank_rucg(
-                        ctx.eo, ctx.reducer, b,
-                        payload["tol"], payload["max_iter"],
-                        payload.get("delta", 0.1), cb=ctx.cb,
-                    )
-                    meta = io.put(x)
-                    meta.update(iterations=iters, converged=conv,
-                                relres=relres, reliable_updates=ru)
-                else:
-                    x, iters, conv, relres = _rank_cgne(
-                        ctx.eo, ctx.reducer, b, payload["tol"],
-                        payload["max_iter"], cb=ctx.cb,
-                    )
-                    meta = io.put(x)
-                    meta.update(iterations=iters, converged=conv, relres=relres)
-                chan.send(("ok", meta))
+                res = rank_solve(ctx, b, **payload["solve"])
+                chan.send(("ok", {**io.put(res.x), "result": replace(res, x=None)}))
                 continue
-            phi = io.get(payload)
-            if cmd == "hopping":
-                out = ctx.stencil.hopping(phi)
-            elif cmd == "apply":
-                out = (ctx.mass + 4.0) * phi + ctx.stencil.hopping(phi)
-            elif cmd == "schur":
-                out = ctx.eo.schur_apply(phi)
-            elif cmd == "schur_dagger":
-                out = ctx.eo.schur_dagger_apply(phi)
-            elif cmd == "schur_normal":
-                out = ctx.eo.schur_normal_apply(phi)
-            elif cmd == "prepare_rhs":
-                out = ctx.eo.prepare_rhs(phi)
-            else:
+            if cmd not in RANK_OPS:
                 raise ValueError(f"unknown worker command {cmd!r}")
-            chan.send(("ok", io.put(out)))
+            chan.send(("ok", io.put(RANK_OPS[cmd](ctx, io.get(payload)))))
         except Exception:
             chan.send(("err", traceback.format_exc()))
 
@@ -1350,6 +1196,18 @@ def _normalize_engine(engine) -> str:
     raise ValueError(
         f"unknown dslash engine {engine!r}; have {ENGINES + ('auto',)}"
     )
+
+
+def flatten_stack(psi: np.ndarray, dims: tuple, max_rhs: int) -> np.ndarray:
+    """A global field with any leading axes as one contiguous complex128
+    ``(n,) + dims + (4, 3)`` stack the transport is sized for."""
+    tail = tuple(dims) + (4, 3)
+    if psi.shape[-6:] != tail:
+        raise ValueError(f"field tail {psi.shape[-6:]} != lattice {tail}")
+    phi = psi.reshape((-1,) + tail)
+    if phi.shape[0] > max_rhs:
+        raise ValueError(f"{phi.shape[0]} stacked fields exceed max_rhs={max_rhs}")
+    return np.ascontiguousarray(np.asarray(phi, dtype=np.complex128))
 
 
 class DecompRuntime:
@@ -1573,17 +1431,6 @@ class DecompRuntime:
         return replies
 
     # -- field plumbing -----------------------------------------------------
-    def _flatten(self, psi: np.ndarray) -> np.ndarray:
-        tail = self.geometry.dims + (4, 3)
-        if psi.shape[-6:] != tail:
-            raise ValueError(f"field tail {psi.shape[-6:]} != lattice {tail}")
-        phi = psi.reshape((-1,) + tail)
-        if phi.shape[0] > self.max_rhs:
-            raise ValueError(
-                f"{phi.shape[0]} stacked fields exceed max_rhs={self.max_rhs}"
-            )
-        return np.ascontiguousarray(np.asarray(phi, dtype=np.complex128))
-
     def _field_payloads(self, phi: np.ndarray, extra: dict | None = None) -> list:
         blocks = self.grid.scatter(phi, site_axis=1)
         payloads = []
@@ -1608,12 +1455,18 @@ class DecompRuntime:
             ]
         return self.grid.gather(blocks, site_axis=1)
 
-    def _run_fieldwise(self, cmd: str, psi: np.ndarray) -> np.ndarray:
-        phi = self._flatten(psi)
-        replies = self._command(cmd, self._field_payloads(phi))
+    # -- public operations --------------------------------------------------
+    def fieldwise(self, op: str, psi: np.ndarray) -> np.ndarray:
+        """One :data:`RANK_OPS` field operation on a global field (stack)."""
+        if op not in RANK_OPS:
+            raise ValueError(f"unknown field op {op!r}; have {sorted(RANK_OPS)}")
+        phi = flatten_stack(psi, self.geometry.dims, self.max_rhs)
+        replies = self._command(op, self._field_payloads(phi))
         return self._gather_fields(replies).reshape(psi.shape)
 
-    # -- public operations --------------------------------------------------
+    def hopping(self, psi: np.ndarray) -> np.ndarray:
+        return self.fieldwise("hopping", psi)
+
     def set_policy(self, policy) -> None:
         name = _normalize_policy(policy)
         # Pre-check here so the driver raises the same structured error
@@ -1623,24 +1476,6 @@ class DecompRuntime:
             self.grid.check_overlap_feasible()
         self._command("policy", [name] * self.grid.n_ranks)
         self.policy = name
-
-    def hopping(self, psi: np.ndarray) -> np.ndarray:
-        return self._run_fieldwise("hopping", psi)
-
-    def apply_wilson(self, psi: np.ndarray) -> np.ndarray:
-        return self._run_fieldwise("apply", psi)
-
-    def schur_apply(self, x: np.ndarray) -> np.ndarray:
-        return self._run_fieldwise("schur", x)
-
-    def schur_dagger_apply(self, x: np.ndarray) -> np.ndarray:
-        return self._run_fieldwise("schur_dagger", x)
-
-    def schur_normal_apply(self, x: np.ndarray) -> np.ndarray:
-        return self._run_fieldwise("schur_normal", x)
-
-    def prepare_rhs(self, b: np.ndarray) -> np.ndarray:
-        return self._run_fieldwise("prepare_rhs", b)
 
     def solve_cgne(
         self,
@@ -1653,28 +1488,24 @@ class DecompRuntime:
         """Rank-parallel batched CGNE propagator solve on the full lattice.
 
         ``b`` must carry at least one leading (right-hand-side) axis.
-        ``reliable=True`` runs the reliable-update variant (complex64
-        Krylov storage, double residual refreshes triggered at ``delta``
-        — see :func:`_ru_loop`).  Returns a :class:`BatchedSolveResult`
-        whose ``final_relres`` is the prepared even-site system's
-        residual, matching ``solve_normal_equations_batched``.
+        ``reliable=True`` runs :class:`ReliableUpdateCG` on single-
+        precision Krylov storage with double residual refreshes
+        triggered at ``delta`` (see :func:`rank_solve`).  Returns a
+        :class:`BatchedSolveResult` whose ``final_relres`` is the
+        prepared even-site system's residual, matching
+        ``solve_normal_equations_batched``.
         """
         if b.ndim < 7:
             raise ValueError("solve_cgne expects a stacked rhs (leading axes)")
-        phi = self._flatten(b)
-        extra = {"tol": float(tol), "max_iter": int(max_iter)}
-        if reliable:
-            extra.update(reliable=True, delta=float(delta))
-        payloads = self._field_payloads(phi, extra=extra)
+        solve = {
+            "tol": float(tol), "max_iter": int(max_iter),
+            "reliable": bool(reliable), "delta": float(delta),
+        }
+        phi = flatten_stack(b, self.geometry.dims, self.max_rhs)
+        payloads = self._field_payloads(phi, extra={"solve": solve})
         replies = self._command("cg", payloads)
-        x = self._gather_fields(replies).reshape(b.shape)
-        meta = replies[0]
-        return BatchedSolveResult(
-            x=x,
-            converged=np.asarray(meta["converged"]),
-            iterations=int(meta["iterations"]),
-            final_relres=np.asarray(meta["relres"]),
-            reliable_updates=int(meta.get("reliable_updates", 0)),
+        return replace(
+            replies[0]["result"], x=self._gather_fields(replies).reshape(b.shape)
         )
 
     # -- diagnostics --------------------------------------------------------
@@ -1772,7 +1603,7 @@ class DistributedWilsonOperator:
         return self.runtime.hopping(psi)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        return self.runtime.apply_wilson(psi)
+        return self.runtime.fieldwise("apply", psi)
 
     def close(self) -> None:
         self.runtime.close()
@@ -1791,24 +1622,25 @@ class DistributedEvenOddOperator(DistributedWilsonOperator):
     """
 
     def schur_apply(self, x: np.ndarray) -> np.ndarray:
-        return self.runtime.schur_apply(x)
+        return self.runtime.fieldwise("schur", x)
 
     def schur_dagger_apply(self, x: np.ndarray) -> np.ndarray:
-        return self.runtime.schur_dagger_apply(x)
+        return self.runtime.fieldwise("schur_dagger", x)
 
     def schur_normal_apply(self, x: np.ndarray) -> np.ndarray:
-        return self.runtime.schur_normal_apply(x)
+        return self.runtime.fieldwise("schur_normal", x)
 
     def prepare_rhs(self, b: np.ndarray) -> np.ndarray:
-        return self.runtime.prepare_rhs(b)
+        return self.runtime.fieldwise("prepare_rhs", b)
 
 
 class DistributedCG:
     """Batched CGNE propagator solves through a distributed operator.
 
-    The per-rank loop mirrors ``ConjugateGradient.solve_batched`` with
-    every global reduction routed through the transport's deterministic
-    slice table, so results are bitwise invariant under the rank count.
+    Each rank runs ``ConjugateGradient.solve_batched``'s own recurrence
+    with every global reduction routed through the transport's
+    fixed-order slice table, so results are invariant under the rank
+    count (deterministic, same host).
     """
 
     def __init__(

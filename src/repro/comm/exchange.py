@@ -20,8 +20,7 @@ Face tags are ``("f", mu)`` — the low face of the forward-projected
 half-spinor, consumed by the ``-mu`` neighbour as its ``psi(x + mu)``
 ghost — and ``("b", mu)`` — the high face of ``U^H psi``, consumed by
 the ``+mu`` neighbour as its ``psi(x - mu)`` ghost.  Gauge links never
-travel: the backward hop's color multiply happens on the owning rank
-(the same convention as :mod:`repro.comm.ranksim`).
+travel: the backward hop's color multiply happens on the owning rank.
 """
 
 from __future__ import annotations

@@ -26,9 +26,10 @@ Job fields (all optional except ``op``, ``u``, ``mass``):
 ``repeats`` / ``policies``
     Bench controls (op ``bench``).
 
-``--selftest`` runs a built-in parity check against the serial operator
-on a tiny lattice and prints ``MPI-SELFTEST-OK`` from rank 0 — the CI
-smoke that the binding + launcher actually work before the suite runs.
+``--selftest`` runs built-in parity checks on a tiny lattice (hopping
+against the serial operator, one ``cg`` job against its 1-rank answer)
+and prints ``MPI-SELFTEST-OK`` from rank 0 — the CI smoke that the
+binding, the launcher and the op table work before the suite runs.
 """
 
 from __future__ import annotations
@@ -162,6 +163,8 @@ def _bench(comm, rt, job) -> dict:
 
 def run_job(comm, job) -> dict:
     """Execute one job collectively; returns the output-npz payload."""
+    from repro.comm.distributed import RANK_OPS
+
     op = str(_scalar(job, "op"))
     rt = _make_runtime(comm, job)
     if op == "bench":
@@ -170,39 +173,33 @@ def run_job(comm, job) -> dict:
         return payload
     psi = np.asarray(job["psi"], dtype=np.complex128)
     if op == "cg":
-        res = rt.solve_cgne(
-            psi,
-            tol=float(_scalar(job, "tol", 1e-10)),
-            max_iter=int(_scalar(job, "max_iter", 10_000)),
-            reliable=bool(_scalar(job, "reliable", False)),
-            delta=float(_scalar(job, "delta", 0.1)),
-        )
+        solve = {k: _scalar(job, k) for k in ("tol", "max_iter", "reliable", "delta")}
+        res = rt.solve_cgne(psi, **{k: v for k, v in solve.items() if v is not None})
         payload = {
             "result": res.x,
             "iterations": np.int64(res.iterations),
             "converged": np.asarray(res.converged),
             "relres": np.asarray(res.final_relres),
             "reliable_updates": np.int64(res.reliable_updates),
+            "matvecs": np.int64(res.matvecs),
         }
+        if res.column_iterations is not None:  # the reliable-update solve records none
+            payload["column_iterations"] = res.column_iterations
+    elif op in RANK_OPS:
+        payload = {"result": rt.fieldwise(op, psi)}
     else:
-        fns = {
-            "hopping": rt.hopping,
-            "apply": rt.apply_wilson,
-            "schur": rt.schur_apply,
-            "schur_dagger": rt.schur_dagger_apply,
-            "schur_normal": rt.schur_normal_apply,
-            "prepare_rhs": rt.prepare_rhs,
-        }
-        if op not in fns:
-            raise ValueError(f"unknown mpi_worker op {op!r}")
-        payload = {"result": fns[op](psi)}
+        raise ValueError(f"unknown mpi_worker op {op!r}")
     payload["n_ranks"] = np.int64(comm.Get_size())
     payload.update(_stats_payload(rt.halo_stats()))
     return payload
 
 
 def _selftest(comm) -> int:
-    """Built-in parity check: MPI hopping == serial hopping, bitwise."""
+    """Built-in parity checks: MPI hopping == serial hopping (exact), and
+    one 2-RHS ``cg`` job through :func:`run_job` == the same job on one
+    in-process rank — a broken op table or solver wiring fails here, in
+    seconds, before the suites start."""
+    from repro.comm.mpifabric import LoopbackWorld, MpiRuntime
     from repro.dirac.wilson import WilsonOperator
     from repro.lattice.gauge import GaugeField
     from repro.lattice.geometry import Geometry
@@ -215,12 +212,15 @@ def _selftest(comm) -> int:
     psi = rng.normal(size=(2,) + geom.dims + (4, 3)) + 1j * rng.normal(
         size=(2,) + geom.dims + (4, 3)
     )
-    from repro.comm.mpifabric import MpiRuntime
-
     rt = MpiRuntime(gauge, 0.1, comm=comm)
     got = rt.hopping(psi)
     want = WilsonOperator(gauge, mass=0.1).hopping(psi)
     ok = np.array_equal(got, want)
+    job = {"op": "cg", "u": gauge.u, "mass": 0.1, "psi": psi, "max_rhs": 2, "tol": 1e-8}
+    got, want = run_job(comm, job), run_job(LoopbackWorld(1).comm(0), job)
+    ok = ok and bool(np.all(got["converged"]))
+    ok = ok and int(got["iterations"]) == int(want["iterations"])
+    ok = ok and np.array_equal(got["result"], want["result"])
     all_ok = all(comm.allgather(bool(ok)))
     if comm.Get_rank() == 0:
         print(f"MPI-SELFTEST-{'OK' if all_ok else 'FAIL'} n_ranks={n}", flush=True)

@@ -12,8 +12,8 @@ Global reductions bypass MPI's reduction trees entirely:
 ``allreduce_rows`` allgathers the per-rank partial rows and every rank
 rebuilds and sums the *identical* slice table in the identical order —
 the same fixed-order sum the thread/shm fabrics use, which is what keeps
-the distributed CG bitwise invariant under the rank count *and* the
-transport.
+the distributed CG invariant under the rank count *and* the transport
+(deterministic, same host).
 
 The fabric is written against the small mpi4py API subset it actually
 uses (``Get_rank``/``Get_size``/``Isend``/``Irecv``/``Ibarrier``/
@@ -30,9 +30,10 @@ attachment exercised by the ``mpi-parity`` CI job under ``mpiexec``.
 every rank constructs the runtime identically from the same (gauge,
 mass, decomposition) arguments, computes on its own block, and gathers
 results through the communicator, so all ranks return the same global
-arrays.  It reuses ``_RankContext`` unchanged: both dslash engines, all
-three halo schedules and the rank-local CG/RU-CG run over MPI exactly
-as they do over threads and shared memory.
+arrays.  It reuses ``_RankContext``, the ``RANK_OPS`` table and
+``rank_solve`` unchanged: both dslash engines, all three halo schedules
+and the CG/RU-CG run over MPI exactly as they do over threads and
+shared memory.
 """
 
 from __future__ import annotations
@@ -45,6 +46,16 @@ from collections import deque
 import numpy as np
 
 from repro.comm.decomp import RankGrid, slab_grid
+from repro.comm.distributed import (
+    RANK_OPS,
+    SliceReducer,
+    _normalize_engine,
+    _normalize_policy,
+    _RankContext,
+    flatten_stack,
+    rank_solve,
+    rank_stats,
+)
 from repro.comm.shm import CommTimeoutError, Fabric, FabricSpec, FaceTag
 
 __all__ = [
@@ -366,9 +377,9 @@ class MpiRuntime:
     """The distributed runtime as seen from inside one MPI rank.
 
     Mirrors the public operations of
-    :class:`~repro.comm.distributed.DecompRuntime` (``hopping``,
-    ``apply_wilson``, the Schur family, ``solve_cgne``, ``halo_stats``)
-    but with SPMD semantics: every rank passes the same *global* arrays,
+    :class:`~repro.comm.distributed.DecompRuntime` (``fieldwise`` over
+    the ``RANK_OPS`` table, ``hopping``, ``set_policy``, ``solve_cgne``,
+    ``halo_stats``) but with SPMD semantics: every rank passes the same *global* arrays,
     computes its own block through the shared ``_RankContext`` rank
     program, and the results are gathered through the communicator so
     every rank returns identical global arrays.  Construction is itself
@@ -390,13 +401,6 @@ class MpiRuntime:
         max_rhs: int = 12,
         timeout: float = 60.0,
     ):
-        from repro.comm.distributed import (
-            SliceReducer,
-            _normalize_engine,
-            _normalize_policy,
-            _RankContext,
-        )
-
         if comm is None:
             comm = world_communicator()
         self.comm = comm
@@ -443,14 +447,7 @@ class MpiRuntime:
 
     # -- plumbing -----------------------------------------------------------
     def _local(self, psi: np.ndarray) -> np.ndarray:
-        tail = self.geometry.dims + (4, 3)
-        if psi.shape[-6:] != tail:
-            raise ValueError(f"field tail {psi.shape[-6:]} != lattice {tail}")
-        phi = np.asarray(psi, dtype=np.complex128).reshape((-1,) + tail)
-        if phi.shape[0] > self.max_rhs:
-            raise ValueError(
-                f"{phi.shape[0]} stacked fields exceed max_rhs={self.max_rhs}"
-            )
+        phi = flatten_stack(psi, self.geometry.dims, self.max_rhs)
         lead = (slice(None),)
         return np.ascontiguousarray(phi[lead + self.grid.site_slices(self.rank)])
 
@@ -458,86 +455,35 @@ class MpiRuntime:
         blocks = self.comm.allgather(np.ascontiguousarray(block))
         return self.grid.gather(list(blocks), site_axis=1).reshape(shape)
 
-    def _fieldwise(self, fn, psi: np.ndarray) -> np.ndarray:
-        return self._gather(fn(self._local(psi)), psi.shape)
-
     # -- public operations (mirror DecompRuntime) ---------------------------
-    def set_policy(self, policy) -> None:
-        from repro.comm.distributed import _normalize_policy
+    def fieldwise(self, op: str, psi: np.ndarray) -> np.ndarray:
+        """One :data:`~repro.comm.distributed.RANK_OPS` field operation,
+        gathered (identical on every rank)."""
+        return self._gather(RANK_OPS[op](self._ctx, self._local(psi)), psi.shape)
 
+    def hopping(self, psi: np.ndarray) -> np.ndarray:
+        return self.fieldwise("hopping", psi)
+
+    def set_policy(self, policy) -> None:
         name = _normalize_policy(policy)
         if name == "overlap" and self.grid.partitioned:
             self.grid.check_overlap_feasible()
         self._ctx.stencil.set_policy(name)
         self.policy = name
 
-    def hopping(self, psi: np.ndarray) -> np.ndarray:
-        return self._fieldwise(self._ctx.stencil.hopping, psi)
-
-    def apply_wilson(self, psi: np.ndarray) -> np.ndarray:
-        return self._fieldwise(
-            lambda p: (self.mass + 4.0) * p + self._ctx.stencil.hopping(p), psi
-        )
-
-    def schur_apply(self, x: np.ndarray) -> np.ndarray:
-        return self._fieldwise(self._ctx.eo.schur_apply, x)
-
-    def schur_dagger_apply(self, x: np.ndarray) -> np.ndarray:
-        return self._fieldwise(self._ctx.eo.schur_dagger_apply, x)
-
-    def schur_normal_apply(self, x: np.ndarray) -> np.ndarray:
-        return self._fieldwise(self._ctx.eo.schur_normal_apply, x)
-
-    def prepare_rhs(self, b: np.ndarray) -> np.ndarray:
-        return self._fieldwise(self._ctx.eo.prepare_rhs, b)
-
-    def solve_cgne(
-        self,
-        b: np.ndarray,
-        tol: float = 1e-10,
-        max_iter: int = 10_000,
-        reliable: bool = False,
-        delta: float = 0.1,
-    ):
-        """Collective batched CGNE (identical result on every rank)."""
-        from repro.comm.distributed import _rank_cgne, _rank_rucg
-        from repro.solvers.cg import BatchedSolveResult
-
+    def solve_cgne(self, b: np.ndarray, **solve):
+        """Collective batched CGNE (identical result on every rank);
+        keywords as :func:`repro.comm.distributed.rank_solve`."""
         if b.ndim < 7:
             raise ValueError("solve_cgne expects a stacked rhs (leading axes)")
-        local_b = np.array(self._local(b), copy=True)
-        ctx = self._ctx
-        if reliable:
-            x, iters, conv, relres, ru = _rank_rucg(
-                ctx.eo, ctx.reducer, local_b, float(tol), int(max_iter),
-                float(delta), cb=ctx.cb,
-            )
-        else:
-            x, iters, conv, relres = _rank_cgne(
-                ctx.eo, ctx.reducer, local_b, float(tol), int(max_iter), cb=ctx.cb
-            )
-            ru = 0
-        return BatchedSolveResult(
-            x=self._gather(x, b.shape),
-            converged=np.asarray(conv),
-            iterations=int(iters),
-            final_relres=np.asarray(relres),
-            reliable_updates=int(ru),
-        )
+        res = rank_solve(self._ctx, np.array(self._local(b), copy=True), **solve)
+        res.x = self._gather(res.x, b.shape)
+        return res
 
     # -- diagnostics --------------------------------------------------------
     def halo_stats(self) -> list:
         """Per-rank exchanger counters, allgathered (same list everywhere)."""
-        ex = self._ctx.stencil.exchanger
-        mine = {
-            "engine": self._ctx.engine,
-            "rounds": ex.rounds,
-            "messages": ex.messages,
-            "bytes_sent": ex.bytes_sent,
-            "wait_seconds": ex.wait_seconds,
-            "interior_seconds": getattr(self._ctx.stencil, "interior_seconds", 0.0),
-        }
-        return list(self.comm.allgather(mine))
+        return list(self.comm.allgather(rank_stats(self._ctx)))
 
     def close(self) -> None:  # symmetry with DecompRuntime; nothing owned
         pass

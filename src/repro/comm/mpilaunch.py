@@ -179,6 +179,8 @@ def mpi_solve_cgne(
         iterations=int(out["iterations"]),
         final_relres=out["relres"],
         reliable_updates=int(out["reliable_updates"]),
+        matvecs=int(out["matvecs"]),
+        column_iterations=out.get("column_iterations"),  # absent from a reliable-update solve
     )
 
 

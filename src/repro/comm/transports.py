@@ -30,7 +30,6 @@ import numpy as np
 
 __all__ = [
     "TRANSPORTS",
-    "FIELD_OPS",
     "transport_available",
     "dist_fieldwise",
     "dist_solve",
@@ -39,16 +38,6 @@ __all__ = [
 
 #: Every executed transport, in suite-parameterization order.
 TRANSPORTS = ("threads", "shm", "loopback", "mpi")
-
-#: Field operation codes (the mpi_worker job codes) -> runtime methods.
-FIELD_OPS = {
-    "hopping": "hopping",
-    "apply": "apply_wilson",
-    "schur": "schur_apply",
-    "schur_dagger": "schur_dagger_apply",
-    "schur_normal": "schur_normal_apply",
-    "prepare_rhs": "prepare_rhs",
-}
 
 
 def transport_available(name: str, n_ranks: int = 2) -> tuple[bool, str]:
@@ -106,27 +95,24 @@ def run_loopback_spmd(n_ranks: int, fn, timeout: float = 60.0) -> list:
     return results
 
 
-def _decomp_runtime(gauge, mass, *, transport, ranks, policy, engine, max_rhs, timeout):
+def _in_process(calls, gauge, mass, *, transport, ranks, **runtime):
+    """``calls(runtime)`` on an in-process runtime: the ``DecompRuntime``
+    driver, or — ``loopback`` — the MPI rank program run SPMD.  Both
+    expose the same ``fieldwise``/``solve_cgne`` surface."""
+    if transport == "loopback":
+        from repro.comm.mpifabric import MpiRuntime
+
+        def rank_program(comm):
+            return calls(MpiRuntime(gauge, mass, comm=comm, **runtime))
+
+        return run_loopback_spmd(ranks, rank_program, timeout=runtime["timeout"])[0]
     from repro.comm.distributed import DecompRuntime
 
-    return DecompRuntime(
+    with DecompRuntime(
         gauge, mass, ranks=ranks,
-        transport="processes" if transport == "shm" else transport,
-        policy=policy, engine=engine, max_rhs=max_rhs, timeout=timeout,
-    )
-
-
-def _loopback_call(gauge, mass, *, ranks, policy, engine, max_rhs, timeout, calls):
-    from repro.comm.mpifabric import MpiRuntime
-
-    def rank_program(comm):
-        rt = MpiRuntime(
-            gauge, mass, comm=comm, policy=policy, engine=engine,
-            max_rhs=max_rhs, timeout=timeout,
-        )
+        transport="processes" if transport == "shm" else transport, **runtime,
+    ) as rt:
         return calls(rt)
-
-    return run_loopback_spmd(ranks, rank_program, timeout=timeout)[0]
 
 
 def dist_fieldwise(
@@ -143,12 +129,14 @@ def dist_fieldwise(
 ) -> np.ndarray:
     """One distributed field operation through the named transport.
 
-    ``op`` is a :data:`FIELD_OPS` code.  The result is bitwise identical
-    across transports (the parity suites pin this).
+    ``op`` is a :data:`repro.comm.distributed.RANK_OPS` code.  The result
+    is exact on any host against the serial operator, whatever the
+    transport (the parity suites pin this).
     """
-    if op not in FIELD_OPS:
-        raise ValueError(f"unknown field op {op!r}; have {sorted(FIELD_OPS)}")
-    max_rhs = max(1, int(psi.shape[0]))
+    from repro.comm.distributed import RANK_OPS
+
+    if op not in RANK_OPS:
+        raise ValueError(f"unknown field op {op!r}; have {sorted(RANK_OPS)}")
     if transport == "mpi":
         from repro.comm.mpilaunch import mpi_fieldwise
 
@@ -156,17 +144,11 @@ def dist_fieldwise(
             op, gauge, mass, psi, ranks=ranks, policy=policy, engine=engine,
             timeout=max(timeout, 300.0),
         )
-    if transport == "loopback":
-        return _loopback_call(
-            gauge, mass, ranks=ranks, policy=policy, engine=engine,
-            max_rhs=max_rhs, timeout=timeout,
-            calls=lambda rt: getattr(rt, FIELD_OPS[op])(psi),
-        )
-    with _decomp_runtime(
-        gauge, mass, transport=transport, ranks=ranks, policy=policy,
-        engine=engine, max_rhs=max_rhs, timeout=timeout,
-    ) as rt:
-        return getattr(rt, FIELD_OPS[op])(psi)
+    return _in_process(
+        lambda rt: rt.fieldwise(op, psi), gauge, mass, transport=transport,
+        ranks=ranks, policy=policy, engine=engine,
+        max_rhs=max(1, int(psi.shape[0])), timeout=timeout,
+    )
 
 
 def dist_solve(
@@ -185,27 +167,16 @@ def dist_solve(
     timeout: float = 60.0,
 ):
     """Distributed batched CGNE/RU-CG through the named transport."""
-    max_rhs = max(1, int(b.shape[0]))
+    solve = {"tol": tol, "max_iter": max_iter, "reliable": reliable, "delta": delta}
     if transport == "mpi":
         from repro.comm.mpilaunch import mpi_solve_cgne
 
         return mpi_solve_cgne(
-            gauge, mass, b, ranks=ranks, tol=tol, max_iter=max_iter,
-            reliable=reliable, delta=delta, policy=policy, engine=engine,
-            timeout=max(timeout, 300.0),
+            gauge, mass, b, ranks=ranks, policy=policy, engine=engine,
+            timeout=max(timeout, 300.0), **solve,
         )
-    if transport == "loopback":
-        return _loopback_call(
-            gauge, mass, ranks=ranks, policy=policy, engine=engine,
-            max_rhs=max_rhs, timeout=timeout,
-            calls=lambda rt: rt.solve_cgne(
-                b, tol=tol, max_iter=max_iter, reliable=reliable, delta=delta
-            ),
-        )
-    with _decomp_runtime(
-        gauge, mass, transport=transport, ranks=ranks, policy=policy,
-        engine=engine, max_rhs=max_rhs, timeout=timeout,
-    ) as rt:
-        return rt.solve_cgne(
-            b, tol=tol, max_iter=max_iter, reliable=reliable, delta=delta
-        )
+    return _in_process(
+        lambda rt: rt.solve_cgne(b, **solve), gauge, mass, transport=transport,
+        ranks=ranks, policy=policy, engine=engine,
+        max_rhs=max(1, int(b.shape[0])), timeout=timeout,
+    )

@@ -325,6 +325,26 @@ def _prop_ckpt_load(ctx: ExecContext, shape: tuple[int, ...]):
     return data, int(md["column"]), state, totals
 
 
+def _solve_distributed(params: dict, gauge, sources, tol: float, max_iter: int):
+    """The 12-column solve through the rank-parallel decomposition runtime."""
+    # dist_transport="mpi" is launcher-driven: the whole CG runs inside
+    # one rank program (one subprocess per task, not one per operator
+    # apply); every other transport is an in-process worker pool
+    from repro.comm.transports import dist_solve
+
+    return dist_solve(
+        gauge,
+        float(params["mass"]),
+        sources,
+        transport=str(params.get("dist_transport", "threads")),
+        ranks=int(params.get("dist_ranks", 2)),
+        tol=tol,
+        max_iter=max_iter,
+        policy=str(params.get("dist_policy", "blocking")),
+        engine=str(params.get("dist_engine", "auto")),
+    )
+
+
 def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
     """12-column Wilson CGNE propagator.
 
@@ -340,13 +360,14 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
         All 12 columns in one true block CGNE (shared Krylov space).
     ``distributed``
         All 12 columns through the rank-parallel decomposition runtime
-        (:class:`DistributedCG`) — bitwise equal to the serial batched
-        CGNE for any rank count.  ``dist_ranks``/``dist_engine``/
-        ``dist_policy``/``dist_transport`` select the decomposition; the
-        compiled SoA engine is picked automatically where numba imports.
+        (:func:`repro.comm.transports.dist_solve`) — the serial batched
+        CGNE's own recurrence on a collective reducer, deterministic for
+        any rank count.  ``dist_ranks``/``dist_engine``/``dist_policy``/
+        ``dist_transport`` select the decomposition; the compiled SoA
+        engine is picked automatically where numba imports.
         ``dist_transport`` accepts ``threads``/``shm``/``loopback``
         (in-process) and ``mpi`` (the whole solve relaunched under the
-        machine's launcher via :func:`repro.comm.transports.dist_solve`).
+        machine's launcher).
 
     An optional ``eigen`` artifact ref deflates every solve with the
     per-configuration low-mode basis, in any mode except
@@ -389,15 +410,23 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
     data = np.zeros(shape, dtype=np.complex128)
     totals = {"iterations": 0, "matvecs": 0, "flops": 0.0}
 
-    if mode in ("batched", "block"):
-        solver = (
-            BlockCG(tol=tol, max_iter=max_iter)
-            if mode == "block"
-            else ConjugateGradient(tol=tol, max_iter=max_iter)
-        )
-        res = solve_normal_equations_batched(
-            wilson.apply, wilson.apply_dagger, sources, solver, deflation=eigen
-        )
+    if mode in ("batched", "block", "distributed"):
+        if mode == "distributed":
+            if eigen is not None:
+                raise ValueError(
+                    f"{ctx.task_id}: solver_mode 'distributed' does not support "
+                    "deflation (drop the eigen ref or use batched/block)"
+                )
+            res = _solve_distributed(params, gauge, sources, tol, max_iter)
+        else:
+            solver = (
+                BlockCG(tol=tol, max_iter=max_iter)
+                if mode == "block"
+                else ConjugateGradient(tol=tol, max_iter=max_iter)
+            )
+            res = solve_normal_equations_batched(
+                wilson.apply, wilson.apply_dagger, sources, solver, deflation=eigen
+            )
         if not res.all_converged:
             bad = [i for i in range(12) if not res.converged[i]]
             raise RuntimeError(
@@ -410,60 +439,14 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
         totals["iterations"] = res.iterations
         totals["matvecs"] = res.matvecs
         totals["flops"] = res.flops
-    elif mode == "distributed":
-        from repro.comm.distributed import DistributedCG, DistributedEvenOddOperator
-        from repro.dirac.flops import wilson_dslash_flops_per_site
+        if mode == "distributed":
+            # the rank solver charges no model flops; a matvec is one
+            # normal-operator application = 2 Schur applies = 4 hoppings
+            from repro.dirac.flops import wilson_dslash_flops_per_site
 
-        if eigen is not None:
-            raise ValueError(
-                f"{ctx.task_id}: solver_mode 'distributed' does not support "
-                "deflation (drop the eigen ref or use batched/block)"
+            totals["flops"] = float(
+                4 * res.matvecs * geom.volume * wilson_dslash_flops_per_site()
             )
-        dist_transport = str(params.get("dist_transport", "threads"))
-        if dist_transport == "mpi":
-            # launcher-driven: the whole CG runs inside one rank program
-            # (one subprocess per task, not one per operator apply)
-            from repro.comm.transports import dist_solve
-
-            res = dist_solve(
-                gauge,
-                float(params["mass"]),
-                sources,
-                transport="mpi",
-                ranks=int(params.get("dist_ranks", 2)),
-                tol=tol,
-                max_iter=max_iter,
-                policy=str(params.get("dist_policy", "blocking")),
-                engine=str(params.get("dist_engine", "auto")),
-            )
-        else:
-            with DistributedEvenOddOperator(
-                gauge,
-                float(params["mass"]),
-                ranks=int(params.get("dist_ranks", 2)),
-                engine=str(params.get("dist_engine", "auto")),
-                policy=str(params.get("dist_policy", "blocking")),
-                transport=dist_transport,
-            ) as op:
-                res = DistributedCG(op, tol=tol, max_iter=max_iter).solve_batched(
-                    sources
-                )
-        if not bool(np.all(res.converged)):
-            bad = [i for i in range(12) if not res.converged[i]]
-            raise RuntimeError(
-                f"{ctx.task_id}: columns {bad} did not converge "
-                f"(worst relres {float(np.max(res.final_relres)):.2e})"
-            )
-        for col in range(12):
-            spin, color = divmod(col, 3)
-            data[..., :, spin, :, color] = res.x[col]
-        totals["iterations"] = res.iterations
-        # per normal-equation iteration: 2 Schur applies = 4 hoppings,
-        # counted as matvecs on the full operator for report parity
-        totals["matvecs"] = 2 * res.iterations * 12
-        totals["flops"] = float(
-            4 * res.iterations * 12 * geom.volume * wilson_dslash_flops_per_site()
-        )
     elif mode == "percolumn":
         solver = ConjugateGradient(tol=tol, max_iter=max_iter)
         start_col = 0

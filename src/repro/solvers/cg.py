@@ -6,18 +6,22 @@ non-hermitian Dirac operator we solve the *normal equations*
 ``D^H D x = D^H b`` (CGNE) — the state-of-the-art approach for the Mobius
 domain-wall discretization per Section IV of the paper.
 
-Two entry points exist: :meth:`ConjugateGradient.solve` for one right-
-hand side, and :meth:`ConjugateGradient.solve_batched` for a *stack* of
-right-hand sides sharing one operator.  The batched path iterates all
-systems in lock-step with per-system scalars, so every stacked operator
-application reads the gauge field once for the whole stack — the
-multi-RHS amortization that dominates the paper's Feynman-Hellmann
-workflow (many sources per configuration).
+The recurrence is written once (:meth:`ConjugateGradient._run`), for a
+*stack* of right-hand sides sharing one operator and against an inner
+product passed as an argument.  All systems iterate in lock-step with
+per-system scalars, so every stacked operator application reads the gauge
+field once for the whole stack — the multi-RHS amortization that
+dominates the paper's Feynman-Hellmann workflow (many sources per
+configuration).  :meth:`ConjugateGradient.solve_batched` is that
+function; :meth:`ConjugateGradient.solve` is its width-1 call (with
+checkpoint/resume); the rank-parallel solve of
+:mod:`repro.comm.distributed` is the same function with the collective
+reducer as its inner product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -62,19 +66,6 @@ class CGState:
     flops: float
     history: list[float] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
-
-    def copy(self) -> "CGState":
-        return CGState(
-            x=self.x.copy(),
-            r=self.r.copy(),
-            p=self.p.copy(),
-            rsq=self.rsq,
-            bnorm=self.bnorm,
-            iteration=self.iteration,
-            flops=self.flops,
-            history=list(self.history),
-            meta=dict(self.meta),
-        )
 
 
 def save_state(state: CGState, path: str | Path) -> None:
@@ -227,16 +218,57 @@ def _norm(a: np.ndarray) -> float:
 
 
 def _batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-RHS ``Re <a_i, b_i>`` over the leading axis."""
-    k = a.shape[0]
-    return np.einsum(
-        "ij,ij->i", a.reshape(k, -1).conj(), b.reshape(k, -1)
-    ).real
+    """Per-RHS ``Re <a_i, b_i>`` over the leading axis — the serial reducer.
+
+    Rows of ``np.vdot``: each system is reduced by the call that would
+    reduce it alone, so a column of a stacked solve is *exact on any
+    host* against its own one-column solve.
+    """
+    return np.array([np.vdot(a[i], b[i]).real for i in range(a.shape[0])])
 
 
 def _batch_norm(a: np.ndarray) -> np.ndarray:
     """Per-RHS 2-norm over the leading axis."""
     return np.sqrt(_batch_dot(a, a))
+
+
+def _width_one(run, vectors, scalars, matvec, b, x0, state, checkpoint_every, on_checkpoint):
+    """One column through a stacked core ``run``.
+
+    ``matvec`` sees the unstacked vector, so it need not accept a stack,
+    and checkpoints keep the one-column form callers and the on-disk
+    format see: ``vectors``/``scalars`` name the state fields that carry
+    the stack axis inside the core (history entries always do).
+    """
+
+    def reform(st, vec, num):
+        return replace(
+            st,
+            history=[num(h) for h in st.history],
+            **{f: vec(getattr(st, f)) for f in vectors},
+            **{f: num(getattr(st, f)) for f in scalars},
+        )
+
+    return run(
+        lambda v: matvec(v[0])[None],
+        np.asarray(b)[None],
+        None if x0 is None else np.asarray(x0)[None],
+        state=state and reform(state, lambda a: a[None], lambda s: np.array([s])),
+        checkpoint_every=checkpoint_every,
+        on_checkpoint=on_checkpoint
+        and (lambda st: on_checkpoint(reform(st, lambda a: a[0], lambda s: float(s[0])))),
+    ).split()[0]
+
+
+def _record(sp, result, **attrs) -> None:
+    """Attribute a finished solve to its observability span."""
+    sp.add_flops(result.flops)
+    sp.set(
+        iterations=result.iterations,
+        matvecs=result.matvecs,
+        converged=bool(np.all(result.converged)),
+        **attrs,
+    )
 
 
 @dataclass
@@ -252,8 +284,8 @@ class ConjugateGradient:
     flops_per_matvec:
         Model flops charged per operator application on ONE right-hand
         side (e.g. from
-        :meth:`repro.dirac.EvenOddMobius.flops_per_normal_apply`); the
-        batched path charges this per RHS per stacked application.
+        :meth:`repro.dirac.EvenOddMobius.flops_per_normal_apply`); a
+        stacked application charges this per RHS.
     blas_flops_per_iter:
         Model flops charged per iteration per RHS for the axpy/dot work.
     """
@@ -275,11 +307,13 @@ class ConjugateGradient:
     ) -> SolveResult:
         """Solve ``A x = b`` for hermitian positive ``A``.
 
-        ``state`` resumes a previously checkpointed solve; the resumed
-        recurrence is bit-for-bit identical to the uninterrupted one
-        because the state captures every loop variable at an iteration
-        boundary.  With ``checkpoint_every > 0``, ``on_checkpoint`` is
-        called with a fresh :class:`CGState` every that many iterations
+        The width-1 call of :meth:`_run` (see :func:`_width_one`).
+        ``state`` resumes a
+        previously checkpointed solve; the resumed recurrence is
+        bit-for-bit identical to the uninterrupted one because the state
+        captures every loop variable at an iteration boundary.  With
+        ``checkpoint_every > 0``, ``on_checkpoint`` is called with a
+        fresh :class:`CGState` every that many iterations
         (checkpointing never perturbs the iterates).
 
         The whole solve runs inside one ``cg.solve`` observability span
@@ -288,120 +322,12 @@ class ConjugateGradient:
         accounting.  Tracing never perturbs the iterates.
         """
         with obs.span("cg.solve", cat="solver", resumed=state is not None) as sp:
-            result = self._solve(
-                matvec,
-                b,
-                x0,
-                state=state,
-                checkpoint_every=checkpoint_every,
-                on_checkpoint=on_checkpoint,
+            result = _width_one(
+                self._run, ("x", "r", "p"), ("rsq", "bnorm"),
+                matvec, b, x0, state, checkpoint_every, on_checkpoint,
             )
-            sp.add_flops(result.flops)
-            sp.set(
-                iterations=result.iterations,
-                matvecs=result.matvecs,
-                converged=result.converged,
-            )
+            _record(sp, result)
         return result
-
-    def _solve(
-        self,
-        matvec: MatVec,
-        b: np.ndarray,
-        x0: np.ndarray | None = None,
-        *,
-        state: CGState | None = None,
-        checkpoint_every: int = 0,
-        on_checkpoint: Callable[[CGState], None] | None = None,
-    ) -> SolveResult:
-        b = np.asarray(b, dtype=np.complex128)
-        matvecs = 0
-        if state is not None:
-            bnorm = state.bnorm
-            x = np.array(state.x, dtype=np.complex128)
-            r = np.array(state.r, dtype=np.complex128)
-            p = np.array(state.p, dtype=np.complex128)
-            rsq = float(state.rsq)
-            history = list(state.history)
-            flops = float(state.flops)
-            iterations = int(state.iteration)
-        else:
-            bnorm = _norm(b)
-            if bnorm == 0.0:
-                return SolveResult(np.zeros_like(b), True, 0, 0.0)
-            x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.complex128)
-            r = b - matvec(x) if x0 is not None else b.copy()
-            p = r.copy()
-            rsq = _dot(r, r).real
-            history = []
-            flops = self.flops_per_matvec if x0 is not None else 0.0
-            iterations = 0
-            if x0 is not None:
-                matvecs += 1
-
-        target = (self.tol * bnorm) ** 2
-        if rsq > target:
-            # Only enter the recurrence with genuine work to do — an
-            # exact initial guess otherwise trips the p_ap <= 0
-            # breakdown branch on a zero residual.
-            while iterations < self.max_iter:
-                ap = matvec(p)
-                iterations += 1
-                matvecs += 1
-                flops += self.flops_per_matvec + self.blas_flops_per_iter
-                p_ap = _dot(p, ap).real
-                if p_ap <= 0.0:
-                    # Operator not positive along p: numerical breakdown.
-                    break
-                alpha = rsq / p_ap
-                x += alpha * p
-                r -= alpha * ap
-                new_rsq = _dot(r, r).real
-                history.append(np.sqrt(new_rsq) / bnorm)
-                if new_rsq <= target:
-                    rsq = new_rsq
-                    break
-                beta = new_rsq / rsq
-                p = r + beta * p
-                rsq = new_rsq
-                if (
-                    checkpoint_every > 0
-                    and on_checkpoint is not None
-                    and iterations % checkpoint_every == 0
-                ):
-                    on_checkpoint(
-                        CGState(
-                            x=x.copy(),
-                            r=r.copy(),
-                            p=p.copy(),
-                            rsq=rsq,
-                            bnorm=bnorm,
-                            iteration=iterations,
-                            flops=flops,
-                            history=list(history),
-                        )
-                    )
-
-        true_res = _norm(b - matvec(x)) / bnorm
-        matvecs += 1
-        flops += self.flops_per_matvec
-        # Convergence is judged on the true residual (with a small
-        # rounding allowance for the recurrence-vs-true drift when the
-        # recurrence did hit the target).
-        converged = true_res <= self.tol or (
-            bool(history) and history[-1] <= self.tol and true_res <= 4.0 * self.tol
-        )
-        if not history and true_res <= self.tol:
-            converged = True
-        return SolveResult(
-            x=x,
-            converged=converged,
-            iterations=iterations,
-            final_relres=true_res,
-            flops=flops,
-            residual_history=history,
-            matvecs=matvecs,
-        )
 
     def solve_batched(
         self, matvec: MatVec, b: np.ndarray, x0: np.ndarray | None = None
@@ -418,67 +344,155 @@ class ConjugateGradient:
         (attributed with the full-stack model flops and batch width).
         """
         with obs.span("cg.solve_batched", cat="solver", n_rhs=int(np.shape(b)[0])) as sp:
-            result = self._solve_batched(matvec, b, x0)
-            sp.add_flops(result.flops)
-            sp.set(
-                iterations=result.iterations,
-                matvecs=result.matvecs,
-                converged=bool(result.all_converged),
-            )
+            result = self._run(matvec, b, x0)
+            _record(sp, result)
         return result
 
-    def _solve_batched(
-        self, matvec: MatVec, b: np.ndarray, x0: np.ndarray | None = None
+    def _run(
+        self,
+        matvec: MatVec,
+        b: np.ndarray,
+        x0: np.ndarray | None = None,
+        dot: Callable[[np.ndarray, np.ndarray], np.ndarray] = _batch_dot,
+        *,
+        state: CGState | None = None,
+        checkpoint_every: int = 0,
+        on_checkpoint: Callable[[CGState], None] | None = None,
     ) -> BatchedSolveResult:
+        """The CG recurrence — the one copy, stacked and in place.
+
+        ``dot(a, b)`` returns the per-RHS ``Re <a_i, b_i>`` as a
+        ``(n_rhs,)`` float64 array and is the only place the solver
+        meets the vector space: rows of ``np.vdot`` serially
+        (:func:`_batch_dot`), a fixed-order allreduce across ranks
+        (``SliceReducer.batch_dot``).  Every control decision — which
+        systems are live, breakdown, when to stop, when to checkpoint —
+        is derived from its results and the iteration count alone, so
+        ranks handed a collective ``dot`` stay in lock-step.
+
+        Workspace protocol: ``b`` is caller-owned and never written;
+        ``matvec`` may return a buffer it will reuse, because ``ap`` is
+        consumed before the next application.
+
+        ``state`` / ``on_checkpoint`` speak :class:`CGState` in stacked
+        form (array fields carry the leading axis, ``rsq``/``bnorm``/
+        history entries are ``(n_rhs,)`` arrays); :func:`_width_one`
+        maps it to and from the one-column form on disk.
+        """
         b = np.asarray(b, dtype=np.complex128)
         k = b.shape[0]
         lead = (k,) + (1,) * (b.ndim - 1)
-        bnorm = _batch_norm(b)
+        cost = k * self.flops_per_matvec  # one stacked application
+        if state is not None:
+            bnorm = np.asarray(state.bnorm, dtype=np.float64)
+            x = np.array(state.x, dtype=np.complex128)
+            r = np.array(state.r, dtype=np.complex128)
+            p = np.array(state.p, dtype=np.complex128)
+            rsq = np.array(state.rsq, dtype=np.float64)
+            history = list(state.history)
+            flops = float(state.flops)
+            iterations = int(state.iteration)
+            matvecs = 0  # operator applications in *this* run
+        else:
+            bnorm = np.sqrt(dot(b, b))
+            if not bnorm.any():
+                # Nothing to solve: return without touching the operator.
+                return BatchedSolveResult(
+                    np.zeros_like(b), np.ones(k, dtype=bool), 0, np.zeros(k),
+                    column_iterations=np.zeros(k, dtype=np.int64),
+                )
+            x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.complex128)
+            r = b - matvec(x) if x0 is not None else b.copy()
+            p = r.copy()
+            rsq = dot(r, r)
+            history = []
+            flops = cost if x0 is not None else 0.0
+            iterations = 0
+            matvecs = k if x0 is not None else 0
+
         safe_bnorm = np.where(bnorm > 0.0, bnorm, 1.0)
-
-        x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.complex128)
-        r = b - matvec(x) if x0 is not None else b.copy()
-        p = r.copy()
-        rsq = _batch_dot(r, r)
         target = (self.tol * bnorm) ** 2
+        # Only systems with genuine work to do enter the recurrence — an
+        # exact initial guess otherwise trips the breakdown guard on a
+        # zero residual.
         active = rsq > target
-        history: list[np.ndarray] = []
-        flops = k * self.flops_per_matvec if x0 is not None else 0.0
-        iterations = 0
-        column_iterations = np.zeros(k, dtype=np.int64)
-        matvecs = k if x0 is not None else 0
-
+        column_iterations = np.full(k, iterations, dtype=np.int64)
+        tmp = np.empty_like(r)
         while bool(active.any()) and iterations < self.max_iter:
             ap = matvec(p)
             iterations += 1
             column_iterations += active
             matvecs += k
             flops += k * (self.flops_per_matvec + self.blas_flops_per_iter)
-            p_ap = _batch_dot(p, ap)
+            p_ap = dot(p, ap)
             ok = active & (p_ap > 0.0)  # per-system breakdown guard
+            if not bool(ok.any()):
+                break  # operator not positive along any live p
             alpha = np.where(ok, rsq / np.where(p_ap > 0.0, p_ap, 1.0), 0.0)
-            x += alpha.reshape(lead) * p
-            r -= alpha.reshape(lead) * ap
-            new_rsq = _batch_dot(r, r)
+            al = alpha.reshape(lead)
+            np.multiply(p, al, out=tmp)
+            x += tmp
+            np.multiply(ap, al, out=tmp)
+            r -= tmp
+            new_rsq = dot(r, r)
             history.append(np.sqrt(new_rsq) / safe_bnorm)
             active = ok & (new_rsq > target)
             beta = np.where(ok, new_rsq / np.where(rsq > 0.0, rsq, 1.0), 0.0)
-            p = r + beta.reshape(lead) * p
+            np.multiply(p, beta.reshape(lead), out=p)
+            p += r
             rsq = new_rsq
+            if (
+                on_checkpoint is not None
+                and checkpoint_every > 0
+                and iterations % checkpoint_every == 0
+                and bool(active.any())
+            ):
+                on_checkpoint(
+                    CGState(
+                        x.copy(), r.copy(), p.copy(), rsq, bnorm, iterations, flops, list(history)
+                    )
+                )
 
-        true_res = _batch_norm(b - matvec(x)) / safe_bnorm
-        matvecs += k
-        flops += k * self.flops_per_matvec
+        resid = b - matvec(x)
+        true_res = np.sqrt(dot(resid, resid)) / safe_bnorm
+        # Convergence is judged on the true residual (with a small
+        # rounding allowance for the recurrence-vs-true drift when the
+        # recurrence did hit the target).
+        hit = history[-1] <= self.tol if history else np.zeros(k, dtype=bool)
         return BatchedSolveResult(
             x=x,
-            converged=true_res <= self.tol,
+            converged=(true_res <= self.tol) | (hit & (true_res <= 4.0 * self.tol)),
             iterations=iterations,
             final_relres=true_res,
-            flops=flops,
+            flops=flops + cost,
             residual_history=history,
-            matvecs=matvecs,
+            matvecs=matvecs + k,
             column_iterations=column_iterations,
         )
+
+
+def _cgne(solve, lift, apply_op, apply_dagger, b, x0, deflation, **resume):
+    """CGNE around a solver entry point, one column or a stack.
+
+    ``solve`` is the solver's ``solve`` or ``solve_batched``; ``lift``
+    views a field of the matching form as a stack.  Returns the solver's
+    result with ``final_relres`` replaced by the stacked residual of the
+    *original* system — convergence is judged on the normal system (the
+    quantity CG controls).
+    """
+    rhs = apply_dagger(b)
+    if deflation is not None and x0 is None and resume.get("state") is None:
+        from repro.solvers.lanczos import deflate_guess
+
+        x0 = deflate_guess(deflation, rhs)
+    result = solve(lambda v: apply_dagger(apply_op(v)), rhs, x0=x0, **resume)
+    bnorm = _batch_norm(lift(b))
+    result.final_relres = np.where(
+        bnorm > 0.0,
+        _batch_norm(lift(b - apply_op(result.x))) / np.where(bnorm > 0.0, bnorm, 1.0),
+        result.final_relres,
+    )
+    return result
 
 
 def solve_normal_equations(
@@ -495,8 +509,10 @@ def solve_normal_equations(
 ) -> SolveResult:
     """CGNE: solve non-hermitian ``D x = b`` via ``D^H D x = D^H b``.
 
-    The reported ``final_relres`` is the residual of the *original*
-    system ``|b - D x| / |b|``.  Checkpoint arguments pass through to
+    The one-column case of :func:`solve_normal_equations_batched`,
+    through the solver's checkpointable ``solve``.  The reported
+    ``final_relres`` is the residual of the *original* system
+    ``|b - D x| / |b|``.  Checkpoint arguments pass through to
     :meth:`ConjugateGradient.solve`; the state describes the *normal*
     system, which is all a resume needs.
 
@@ -507,29 +523,19 @@ def solve_normal_equations(
     per-configuration deflation.  The Krylov recurrence after the guess
     is plain CG, so checkpoint/resume stays bit-exact.
     """
-    solver = solver or ConjugateGradient()
-    rhs = apply_dagger(b)
-    if deflation is not None and x0 is None and state is None:
-        from repro.solvers.lanczos import deflate_guess
-
-        x0 = deflate_guess(deflation, rhs)
-
-    def normal(v: np.ndarray) -> np.ndarray:
-        return apply_dagger(apply_op(v))
-
-    result = solver.solve(
-        normal,
-        rhs,
-        x0=x0,
+    result = _cgne(
+        (solver or ConjugateGradient()).solve,
+        lambda a: a[None],
+        apply_op,
+        apply_dagger,
+        b,
+        x0,
+        deflation,
         state=state,
         checkpoint_every=checkpoint_every,
         on_checkpoint=on_checkpoint,
     )
-    bnorm = _norm(b)
-    if bnorm > 0.0:
-        # Report the residual of the original system; convergence is
-        # judged on the normal system (the quantity CG controls).
-        result.final_relres = _norm(b - apply_op(result.x)) / bnorm
+    result.final_relres = float(result.final_relres[0])
     return result
 
 
@@ -549,23 +555,14 @@ def solve_normal_equations_batched(
     Feynman-Hellmann many-sources-per-configuration pattern.
 
     ``deflation`` (a :class:`repro.solvers.lanczos.LanczosResult` on the
-    normal operator) seeds the whole stack with its low-mode solutions,
-    exactly as in :func:`solve_normal_equations`.
+    normal operator) seeds the whole stack with its low-mode solutions.
     """
-    solver = solver or ConjugateGradient()
-    rhs = apply_dagger(b)
-    if deflation is not None and x0 is None:
-        from repro.solvers.lanczos import deflate_guess
-
-        x0 = deflate_guess(deflation, rhs)
-
-    def normal(v: np.ndarray) -> np.ndarray:
-        return apply_dagger(apply_op(v))
-
-    result = solver.solve_batched(normal, rhs, x0=x0)
-    bnorm = _batch_norm(b)
-    safe = np.where(bnorm > 0.0, bnorm, 1.0)
-    result.final_relres = np.where(
-        bnorm > 0.0, _batch_norm(b - apply_op(result.x)) / safe, result.final_relres
+    return _cgne(
+        (solver or ConjugateGradient()).solve_batched,
+        lambda a: a,
+        apply_op,
+        apply_dagger,
+        b,
+        x0,
+        deflation,
     )
-    return result

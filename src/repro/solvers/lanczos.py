@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from repro import obs
-from repro.solvers.cg import CGState, ConjugateGradient, MatVec, SolveResult
+from repro.solvers.cg import CGState, ConjugateGradient, MatVec, SolveResult, _record
 from repro.utils.rng import make_rng
 
 __all__ = [
@@ -462,17 +462,15 @@ class DeflatedCG:
         checkpoint_every: int = 0,
         on_checkpoint: Callable[[DeflatedCGState], None] | None = None,
     ) -> SolveResult:
-        """Solve ``A x = b`` from the deflated initial guess.
+        """Solve ``A x = b`` from the deflated initial guess — the
+        one-column case of :meth:`solve_batched`, through the inner
+        solver's checkpointable ``solve``.
 
         Checkpointing mirrors :meth:`ConjugateGradient.solve` but wraps
         every state in a :class:`DeflatedCGState` carrying the basis
         fingerprint; resuming with a state minted under a different
         basis raises instead of silently diverging from the
         uninterrupted solve.
-
-        The result's ``flops`` include the deflation projection itself
-        (see :func:`deflation_flops`), not just the inner Krylov work,
-        so tracer GF/s attribution stays honest.
         """
         if state is not None and state.basis_fingerprint != self.eigen.fingerprint:
             raise ValueError(
@@ -480,7 +478,6 @@ class DeflatedCG:
                 f"{state.basis_fingerprint}, not {self.eigen.fingerprint}; "
                 "refusing to resume a deflated solve against a different basis"
             )
-        inner = self._inner()
         wrap = None
         if on_checkpoint is not None:
 
@@ -494,53 +491,37 @@ class DeflatedCG:
                 )
 
         with obs.span("dcg.solve", cat="solver", n_eigen=self.eigen.n_eigen) as sp:
-            proj_flops = deflation_flops(self.eigen)
-            if state is not None:
-                result = inner.solve(
-                    matvec,
-                    b,
-                    state=state.cg,
-                    checkpoint_every=checkpoint_every,
-                    on_checkpoint=wrap,
-                )
-                # Resumed solves already carry the projection charge in
-                # the checkpointed flops counter.
-                proj_flops = 0.0
-            else:
-                x0 = self.deflate(b)
-                result = inner.solve(
-                    matvec,
-                    b,
-                    x0=x0,
-                    checkpoint_every=checkpoint_every,
-                    on_checkpoint=wrap,
-                )
-            result.flops += proj_flops
-            sp.add_flops(result.flops)
-            sp.set(
-                iterations=result.iterations,
-                matvecs=result.matvecs,
-                converged=result.converged,
+            return self._deflated(
+                sp,
+                self._inner().solve,
+                matvec,
+                b,
+                1,
+                state and state.cg,
+                checkpoint_every=checkpoint_every,
+                on_checkpoint=wrap,
             )
-        return result
 
     def solve_batched(self, matvec: MatVec, b: np.ndarray):
         """Deflated multi-RHS solve; the whole stack is deflated in two
         GEMMs, then handed to the inner solver's batched path."""
-        inner = self._inner()
+        n_rhs = int(np.shape(b)[0])
         with obs.span(
-            "dcg.solve_batched",
-            cat="solver",
-            n_eigen=self.eigen.n_eigen,
-            n_rhs=int(np.shape(b)[0]),
+            "dcg.solve_batched", cat="solver", n_eigen=self.eigen.n_eigen, n_rhs=n_rhs
         ) as sp:
+            return self._deflated(sp, self._inner().solve_batched, matvec, b, n_rhs)
+
+    def _deflated(self, sp, solve, matvec: MatVec, b, n_rhs: int, state=None, **checkpoint):
+        """Deflate, run the inner ``solve``/``solve_batched``, and charge
+        the projection itself (see :func:`deflation_flops`) on top of the
+        inner Krylov work, so tracer GF/s attribution stays honest."""
+        if state is not None:
+            # Resumed solves already carry the projection charge in the
+            # checkpointed flops counter.
+            result = solve(matvec, b, state=state, **checkpoint)
+        else:
             x0 = self.deflate(np.asarray(b, dtype=np.complex128))
-            result = inner.solve_batched(matvec, b, x0=x0)
-            result.flops += deflation_flops(self.eigen, n_rhs=int(np.shape(b)[0]))
-            sp.add_flops(result.flops)
-            sp.set(
-                iterations=result.iterations,
-                matvecs=result.matvecs,
-                converged=bool(result.all_converged),
-            )
+            result = solve(matvec, b, x0=x0, **checkpoint)
+            result.flops += deflation_flops(self.eigen, n_rhs=n_rhs)
+        _record(sp, result)
         return result

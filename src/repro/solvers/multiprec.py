@@ -18,10 +18,20 @@ With ``storage="compressed"`` the inner-loop Krylov vectors (residual,
 search direction, partial solution) are additionally *persisted* between
 iterations in the 16-bit fixed-point form via
 :class:`repro.solvers.halfstore.Half16Codec`, shrinking the inner
-working set ~4x.  Because ``decode(encode(v))`` is bitwise identical to
-the dense storage round-trip, the compressed solve produces exactly the
-same iterates — iteration counts pinned for the dense half path cover
-the compressed path too (asserted in ``tests/test_solvers_halfstore.py``).
+working set ~4x.  Because ``decode(encode(v))`` and the dense storage
+round-trip are the same store/load pair (equal *exactly, on any host*),
+the compressed solve produces exactly the same iterates — iteration
+counts pinned for the dense half path cover the compressed path too
+(asserted in ``tests/test_solvers_halfstore.py``).
+
+The cycle is written once (:meth:`ReliableUpdateCG._run`), stacked and
+against an inner product passed as an argument, like
+:meth:`ConjugateGradient._run`: ``solve_batched`` is that function,
+``solve`` its width-1 call (exact on any host against column 0 of the
+width-1 stack: same call sequence), and ``reliable=True`` in
+:mod:`repro.comm.distributed` the same function on the collective
+reducer (invariant under rank count and transport: deterministic, same
+host).
 """
 
 from __future__ import annotations
@@ -38,9 +48,8 @@ from repro.solvers.cg import (
     MatVec,
     SolveResult,
     _batch_dot,
-    _batch_norm,
-    _dot,
-    _norm,
+    _record,
+    _width_one,
 )
 from repro.solvers.halfstore import Half16Codec
 from repro.solvers.precision import DoublePrecision, HalfPrecision, Precision
@@ -145,7 +154,7 @@ class ReliableUpdateCG:
         :class:`~repro.solvers.halfstore.Half16Field` handles (int16
         mantissas + per-site float32 scale, requires a
         :class:`HalfPrecision` inner format).  Both modes execute
-        bit-identical float operations.
+        identical float operations (exact on any host).
     """
 
     inner_precision: Precision
@@ -185,7 +194,7 @@ class ReliableUpdateCG:
 
         Dense mode: the handle *is* the round-tripped complex128 array.
         Compressed mode: the handle is a :class:`Half16Field`; decoding
-        it yields bitwise the same values the dense round-trip would.
+        it yields exactly the values the dense round-trip would.
         """
         if self._codec is not None:
             return self._codec.encode(v)
@@ -213,9 +222,10 @@ class ReliableUpdateCG:
         checkpoint_every: int = 0,
         on_checkpoint: Callable[[RUCGState], None] | None = None,
     ) -> SolveResult:
-        """Solve ``A x = b``; ``matvec`` is always evaluated on the
-        dequantized vector (the stencil itself runs in the compute
-        precision, which the storage round-trip already bounds).
+        """Solve ``A x = b`` — the width-1 call of :meth:`_run`;
+        ``matvec`` is always evaluated on the dequantized, unstacked
+        vector (the stencil itself runs in the compute precision, which
+        the storage round-trip already bounds).
 
         ``state`` resumes from a reliable-update-boundary checkpoint;
         with ``checkpoint_every > 0``, ``on_checkpoint`` receives an
@@ -226,143 +236,12 @@ class ReliableUpdateCG:
         with the model flops and the reliable-update count.
         """
         with obs.span("rucg.solve", cat="solver", resumed=state is not None) as sp:
-            result = self._solve(
-                matvec,
-                b,
-                x0,
-                state=state,
-                checkpoint_every=checkpoint_every,
-                on_checkpoint=on_checkpoint,
+            result = _width_one(
+                self._run, ("x", "r_true"), ("r_anchor", "bnorm"),
+                matvec, b, x0, state, checkpoint_every, on_checkpoint,
             )
-            sp.add_flops(result.flops)
-            sp.set(
-                iterations=result.iterations,
-                matvecs=result.matvecs,
-                converged=result.converged,
-                reliable_updates=result.reliable_updates,
-                storage=self.storage,
-                storage_nbytes=self._last_storage_nbytes,
-            )
+            self._record(sp, result)
         return result
-
-    def _solve(
-        self,
-        matvec: MatVec,
-        b: np.ndarray,
-        x0: np.ndarray | None = None,
-        *,
-        state: RUCGState | None = None,
-        checkpoint_every: int = 0,
-        on_checkpoint: Callable[[RUCGState], None] | None = None,
-    ) -> SolveResult:
-        b = np.asarray(b, dtype=np.complex128)
-        if state is not None:
-            bnorm = state.bnorm
-            x = np.array(state.x, dtype=np.complex128)
-            r_true = np.array(state.r_true, dtype=np.complex128)
-            flops = float(state.flops)
-            iterations = int(state.iteration)
-            reliable_updates = int(state.reliable_updates)
-            history = list(state.history)
-            r_anchor = float(state.r_anchor)
-            converged = r_anchor <= self.tol * bnorm
-            last_ckpt = iterations
-            matvecs = 0  # operator applications in *this* run
-        else:
-            bnorm = _norm(b)
-            if bnorm == 0.0:
-                return SolveResult(np.zeros_like(b), True, 0, 0.0)
-
-            x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.complex128)
-            # True residual in double precision.
-            r_true = b - matvec(x) if x0 is not None else b.copy()
-            flops = self.flops_per_matvec if x0 is not None else 0.0
-            matvecs = 1 if x0 is not None else 0
-            iterations = 0
-            reliable_updates = 0
-            history = []
-
-            r_anchor = _norm(r_true)  # residual norm at last reliable update
-            converged = False
-            last_ckpt = 0
-
-        while iterations < self.max_iter and not converged:
-            # --- start (or restart) an inner low-precision cycle -------
-            # Krylov vectors live as storage handles between iterations:
-            # dense complex128 round-trips or compressed Half16Fields,
-            # decoding to bitwise-identical values either way.
-            r_s = self._persist(r_true)
-            p_s = r_s.copy()
-            x_s = self._persist(np.zeros_like(b))  # low-precision partial solution
-            self._last_storage_nbytes = int(r_s.nbytes + p_s.nbytes + x_s.nbytes)
-            r = self._use(r_s)
-            rsq = _dot(r, r).real
-
-            while iterations < self.max_iter:
-                p = self._use(p_s)
-                ap = self._compute(matvec(self.inner_precision.roundtrip(p)))
-                iterations += 1
-                matvecs += 1
-                flops += self.flops_per_matvec + self.blas_flops_per_iter
-                p_ap = _dot(p, ap).real
-                if p_ap <= 0.0:
-                    break
-                alpha = rsq / p_ap
-                x_s = self._persist(self._use(x_s) + alpha * p)
-                r_s = self._persist(r - alpha * ap)
-                r = self._use(r_s)
-                new_rsq = _dot(r, r).real
-                rnorm = float(np.sqrt(new_rsq))
-                history.append(rnorm / bnorm)
-                beta = new_rsq / rsq
-                rsq = new_rsq
-                p_s = self._persist(r + beta * p)
-                if rnorm <= self.delta * r_anchor or rnorm <= self.tol * bnorm:
-                    break
-
-            # --- reliable update: fold in and refresh in double ---------
-            x += self._use(x_s)
-            r_true = b - matvec(x)
-            flops += self.flops_per_matvec
-            matvecs += 1
-            reliable_updates += 1
-            r_anchor = _norm(r_true)
-            converged = r_anchor <= self.tol * bnorm
-            if (
-                checkpoint_every > 0
-                and on_checkpoint is not None
-                and not converged
-                and iterations - last_ckpt >= checkpoint_every
-            ):
-                last_ckpt = iterations
-                on_checkpoint(
-                    RUCGState(
-                        x=x.copy(),
-                        r_true=r_true.copy(),
-                        r_anchor=r_anchor,
-                        bnorm=bnorm,
-                        iteration=iterations,
-                        reliable_updates=reliable_updates,
-                        flops=flops,
-                        history=list(history),
-                    )
-                )
-            if rsq <= 0.0 and not converged:
-                break  # breakdown: cannot make further progress
-
-        final = _norm(b - matvec(x)) / bnorm
-        flops += self.flops_per_matvec
-        matvecs += 1
-        return SolveResult(
-            x=x,
-            converged=converged,
-            iterations=iterations,
-            final_relres=final,
-            flops=flops,
-            residual_history=history,
-            reliable_updates=reliable_updates,
-            matvecs=matvecs,
-        )
 
     def solve_batched(
         self, matvec: MatVec, b: np.ndarray, x0: np.ndarray | None = None
@@ -383,47 +262,89 @@ class ReliableUpdateCG:
         with obs.span(
             "rucg.solve_batched", cat="solver", n_rhs=int(np.shape(b)[0])
         ) as sp:
-            result = self._solve_batched(matvec, b, x0)
-            sp.add_flops(result.flops)
-            sp.set(
-                iterations=result.iterations,
-                matvecs=result.matvecs,
-                converged=bool(result.all_converged),
-                reliable_updates=result.reliable_updates,
-                storage=self.storage,
-                storage_nbytes=self._last_storage_nbytes,
-            )
+            result = self._run(matvec, b, x0)
+            self._record(sp, result)
         return result
 
-    def _solve_batched(
-        self, matvec: MatVec, b: np.ndarray, x0: np.ndarray | None = None
+    def _record(self, sp, result) -> None:
+        _record(
+            sp,
+            result,
+            reliable_updates=result.reliable_updates,
+            storage=self.storage,
+            storage_nbytes=self._last_storage_nbytes,
+        )
+
+    def _run(
+        self,
+        matvec: MatVec,
+        b: np.ndarray,
+        x0: np.ndarray | None = None,
+        dot: Callable[[np.ndarray, np.ndarray], np.ndarray] = _batch_dot,
+        *,
+        state: RUCGState | None = None,
+        checkpoint_every: int = 0,
+        on_checkpoint: Callable[[RUCGState], None] | None = None,
     ) -> BatchedSolveResult:
+        """The reliable-update cycle — the one copy, stacked.
+
+        Same contract as :meth:`ConjugateGradient._run`: ``dot`` is the
+        per-RHS inner product (serial rows of ``np.vdot``, or the
+        collective ``SliceReducer.batch_dot``) and every control
+        decision — the ``delta`` trigger, per-system breakdown, the
+        no-progress stop, the checkpoint cadence — derives from its
+        results, so ranks stay in lock-step; ``b`` is caller-owned and
+        ``ap`` is consumed before the next operator application.
+        ``state`` / ``on_checkpoint`` speak :class:`RUCGState` in
+        stacked form.
+        """
         b = np.asarray(b, dtype=np.complex128)
         k = b.shape[0]
         lead = (k,) + (1,) * (b.ndim - 1)
-        bnorm = _batch_norm(b)
+        cost = k * self.flops_per_matvec  # one stacked application
+        if state is not None:
+            bnorm = np.asarray(state.bnorm, dtype=np.float64)
+            x = np.array(state.x, dtype=np.complex128)
+            r_true = np.array(state.r_true, dtype=np.complex128)
+            anchor = np.array(state.r_anchor, dtype=np.float64)
+            flops = float(state.flops)
+            iterations = int(state.iteration)
+            reliable_updates = int(state.reliable_updates)
+            history = list(state.history)
+            matvecs = 0  # operator applications in *this* run
+        else:
+            bnorm = np.sqrt(dot(b, b))
+            if not bnorm.any():
+                # Nothing to solve: return without touching the operator.
+                return BatchedSolveResult(
+                    np.zeros_like(b), np.ones(k, dtype=bool), 0, np.zeros(k)
+                )
+            x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.complex128)
+            # True residual in double precision.
+            r_true = b - matvec(x) if x0 is not None else b.copy()
+            anchor = np.sqrt(dot(r_true, r_true))  # residual norm at last reliable update
+            flops = cost if x0 is not None else 0.0
+            iterations = 0
+            reliable_updates = 0
+            history = []
+            matvecs = k if x0 is not None else 0
+
         safe_bnorm = np.where(bnorm > 0.0, bnorm, 1.0)
         target = self.tol * bnorm
-
-        x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.complex128)
-        r_true = b - matvec(x) if x0 is not None else b.copy()
-        flops = k * self.flops_per_matvec if x0 is not None else 0.0
-        matvecs = k if x0 is not None else 0
-        iterations = 0
-        reliable_updates = 0
-        history: list[np.ndarray] = []
-
-        anchor = _batch_norm(r_true)
         converged = anchor <= target
-
+        last_ckpt = iterations
         while iterations < self.max_iter and not bool(converged.all()):
-            prev_anchor = anchor.copy()
+            # --- start (or restart) an inner low-precision cycle -------
+            # Krylov vectors live as storage handles between iterations:
+            # dense complex128 round-trips or compressed Half16Fields,
+            # decoding to identical values either way.
+            prev_anchor = anchor
             r_s = self._persist(r_true)
             p_s = r_s.copy()
-            x_s = self._persist(np.zeros_like(b))
+            x_s = self._persist(np.zeros_like(b))  # low-precision partial solution
             self._last_storage_nbytes = int(r_s.nbytes + p_s.nbytes + x_s.nbytes)
             r = self._use(r_s)
-            rsq = _batch_dot(r, r)
+            rsq = dot(r, r)
             active = ~converged
 
             while iterations < self.max_iter:
@@ -432,15 +353,15 @@ class ReliableUpdateCG:
                 iterations += 1
                 matvecs += k
                 flops += k * (self.flops_per_matvec + self.blas_flops_per_iter)
-                p_ap = _batch_dot(p, ap)
-                ok = active & (p_ap > 0.0)
+                p_ap = dot(p, ap)
+                ok = active & (p_ap > 0.0)  # per-system breakdown guard
                 if not bool(ok.any()):
                     break
                 alpha = np.where(ok, rsq / np.where(p_ap > 0.0, p_ap, 1.0), 0.0)
                 x_s = self._persist(self._use(x_s) + alpha.reshape(lead) * p)
                 r_s = self._persist(r - alpha.reshape(lead) * ap)
                 r = self._use(r_s)
-                new_rsq = _batch_dot(r, r)
+                new_rsq = dot(r, r)
                 rnorm = np.sqrt(new_rsq)
                 history.append(rnorm / safe_bnorm)
                 beta = np.where(ok, new_rsq / np.where(rsq > 0.0, rsq, 1.0), 0.0)
@@ -450,29 +371,39 @@ class ReliableUpdateCG:
                 if not bool(active.any()):
                     break
 
+            # --- reliable update: fold in and refresh in double ---------
             x += self._use(x_s)
             r_true = b - matvec(x)
-            flops += k * self.flops_per_matvec
+            flops += cost
             matvecs += k
             reliable_updates += 1
-            anchor = _batch_norm(r_true)
+            anchor = np.sqrt(dot(r_true, r_true))
             converged = anchor <= target
-            unconverged = ~converged
-            if bool(unconverged.any()) and bool(
-                np.all(anchor[unconverged] >= prev_anchor[unconverged])
+            if bool(converged.all()):
+                break
+            if (
+                on_checkpoint is not None
+                and checkpoint_every > 0
+                and iterations - last_ckpt >= checkpoint_every
             ):
+                last_ckpt = iterations
+                on_checkpoint(
+                    RUCGState(
+                        x.copy(), r_true.copy(), anchor, bnorm, iterations,
+                        reliable_updates, flops, list(history),
+                    )
+                )
+            if bool(np.all(anchor[~converged] >= prev_anchor[~converged])):
                 break  # no unconverged system made progress: breakdown
 
-        true_res = _batch_norm(b - matvec(x)) / safe_bnorm
-        flops += k * self.flops_per_matvec
-        matvecs += k
+        resid = b - matvec(x)
         return BatchedSolveResult(
             x=x,
-            converged=true_res <= self.tol,
+            converged=converged,
             iterations=iterations,
-            final_relres=true_res,
-            flops=flops,
+            final_relres=np.sqrt(dot(resid, resid)) / safe_bnorm,
+            flops=flops + cost,
             residual_history=history,
             reliable_updates=reliable_updates,
-            matvecs=matvecs,
+            matvecs=matvecs + k,
         )

@@ -1,8 +1,10 @@
-"""Distributed operators vs serial: bitwise parity under every knob.
+"""Distributed operators vs serial: exact parity under every knob.
 
 The decomposition runtime must *reproduce*, not approximate: hopping,
 Wilson apply, and the Schur ops are required to match the single-process
-operators bit for bit on any rank grid, any transport, any policy.  The
+operators bit for bit on any rank grid, any transport, any policy —
+*exact on any host*, because the rank stencils keep the serial kernel's
+per-site operation chain and no reduction is involved.  The
 ``transport`` fixture (``tests/conftest.py``) parameterizes the parity
 assertions over threads/shm/loopback/mpi from one source of truth, with
 unavailable transports skipping with the capability probe's reason.

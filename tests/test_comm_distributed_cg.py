@@ -1,9 +1,12 @@
 """Distributed batched CGNE: rank-count invariance and legacy agreement.
 
-Global reductions go through the deterministic per-x-slice table, so the
+Global reductions go through the fixed-order per-x-slice table, so the
 solver's iterates — and therefore its answers and iteration counts — are
-bitwise invariant under the rank grid — and, through the ``transport``
-fixture, invariant under threads/shm/loopback/mpi as well.
+invariant under the rank grid and, through the ``transport`` fixture,
+under threads/shm/loopback/mpi as well.  The guarantee is
+*deterministic, same host*: it holds for any BLAS because
+``allreduce_rows`` sums in a fixed order, but the bits themselves differ
+between BLAS builds (each slice partial is a ``vdot``).
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ def _sources(dims, n_rhs=3, seed=7):
 
 @pytest.mark.parametrize("dims", [(4, 4, 4, 8), (4, 6, 2, 8)])
 def test_cg_bitwise_invariant_under_ranks(dims):
+    """Deterministic, same host: identical bits for 1, 2 and 4 ranks —
+    and the counters the serial solver publishes, from the same core."""
     gauge, b = _sources(dims)
     results = {}
     for ranks in (1, 2, 4):
@@ -42,10 +47,16 @@ def test_cg_bitwise_invariant_under_ranks(dims):
         ) as op:
             results[ranks] = DistributedCG(op, tol=TOL, max_iter=2000).solve_batched(b)
     assert results[1].converged.all()
+    assert results[1].matvecs == b.shape[0] * (results[1].iterations + 1)
+    assert results[1].column_iterations.max() == results[1].iterations
     for ranks in (2, 4):
         assert results[ranks].iterations == results[1].iterations
         assert np.array_equal(results[ranks].x, results[1].x)
         assert np.array_equal(results[ranks].final_relres, results[1].final_relres)
+        assert results[ranks].matvecs == results[1].matvecs
+        assert np.array_equal(
+            results[ranks].column_iterations, results[1].column_iterations
+        )
 
 
 def test_cg_matches_legacy_serial_solver():
@@ -81,8 +92,9 @@ def test_cg_true_residual_small():
 
 
 def test_cg_parity_across_transports(transport):
-    """Every transport reproduces the threaded answer bitwise — same x,
-    same iteration count, same final residuals."""
+    """Every transport reproduces the threaded answer bit for bit
+    (deterministic, same host) — same x, same iteration and matvec
+    counts, same final residuals."""
     gauge, b = _sources((4, 4, 4, 8), n_rhs=2)
     with DistributedEvenOddOperator(
         gauge, MASS, ranks=2, backend="halfspinor", timeout=60.0
@@ -95,11 +107,15 @@ def test_cg_parity_across_transports(transport):
     assert np.array_equal(got.x, want.x)
     assert got.iterations == want.iterations
     assert np.array_equal(got.final_relres, want.final_relres)
+    assert got.matvecs == want.matvecs == b.shape[0] * (want.iterations + 1)
+    assert np.array_equal(got.column_iterations, want.column_iterations)
+    assert want.column_iterations.max() == want.iterations
 
 
 def test_rucg_parity_across_transports(transport):
     """Reliable-update CG: fold/restart decisions are collective, so the
-    sloppy-storage path is transport-invariant too (same update count)."""
+    sloppy-storage path is transport-invariant too (same update count,
+    same bits on one host) — and the answer solves the system."""
     gauge, b = _sources((4, 4, 4, 8), n_rhs=2)
     with DistributedEvenOddOperator(
         gauge, MASS, ranks=2, backend="halfspinor", timeout=60.0
@@ -115,3 +131,14 @@ def test_rucg_parity_across_transports(transport):
     assert got.reliable_updates == want.reliable_updates
     assert got.iterations == want.iterations
     assert np.array_equal(got.x, want.x)
+    assert got.converged.all()
+    assert got.final_relres.max() < 10 * TOL
+
+
+def test_mpi_worker_selftest_over_loopback():
+    """The ``mpi-parity`` leg's pre-suite smoke (hopping parity plus one
+    ``cg`` job against its 1-rank answer), run where mpi4py is absent."""
+    from repro.comm.mpi_worker import _selftest
+    from repro.comm.transports import run_loopback_spmd
+
+    assert run_loopback_spmd(2, _selftest, timeout=60.0) == [0, 0]

@@ -238,13 +238,35 @@ class TestPerColumnIterations:
             res = solve_normal_equations_batched(w.apply, w.apply_dagger, stack, solver)
             batched = [r.iterations for r in res.split()]
             alone = [
-                solve_normal_equations(w.apply, w.apply_dagger, b, solver).iterations
-                for b in stack
+                solve_normal_equations(w.apply, w.apply_dagger, b, solver) for b in stack
             ]
-            assert batched == alone
+            assert batched == [r.iterations for r in alone]
             assert res.iterations == max(batched)
+            # one recurrence, one reducer: a column of the stack is its
+            # own one-column solve, exact on any host
+            for i, r in enumerate(alone):
+                assert np.array_equal(res.x[i], r.x), f"column {i}"
             total += sum(batched)
             stack = AxialInsertion4D().apply(res.x)
         assert min(batched) < max(batched)  # the FH columns do not freeze together
         with np.load(golden.GOLDEN) as f:
             assert total == int(f["solver_iterations"])
+
+    @pytest.mark.parametrize("storage", ["dense", "compressed"])
+    def test_reliable_update_solve_is_the_width_one_stack(self, gauge_tiny, storage):
+        """``ReliableUpdateCG.solve`` is the width-1 call of the stacked
+        cycle: same iterates, same update schedule, same bits (exact on
+        any host; wider stacks synchronize their reliable updates, so
+        only width 1 is comparable column by column)."""
+        from repro.contractions.propagator import point_source
+
+        w = WilsonOperator(gauge_tiny, mass=0.3)
+        solver = ReliableUpdateCG(HalfPrecision(), tol=1e-8, max_iter=2000, storage=storage)
+        for spin, color in ((0, 0), (3, 2)):
+            rhs = w.apply_dagger(point_source(gauge_tiny.geometry, (0, 0, 0, 0), spin, color))
+            alone = solver.solve(w.apply_normal, rhs)
+            stacked = solver.solve_batched(w.apply_normal, rhs[None])
+            assert alone.converged and alone.reliable_updates >= 1
+            assert stacked.iterations == alone.iterations
+            assert stacked.reliable_updates == alone.reliable_updates
+            assert np.array_equal(stacked.x[0], alone.x)

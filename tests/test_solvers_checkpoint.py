@@ -84,6 +84,31 @@ class TestCGCheckpoint:
         assert np.array_equal(ref.x, resumed.x)
         assert ref.residual_history == resumed.residual_history
 
+    def test_resumed_solve_is_a_column_of_the_stacked_solve(self):
+        """Scalar resume and the stacked core are one recurrence: a
+        ``solve`` resumed from a checkpoint equals column *i* of the
+        uninterrupted ``solve_batched`` (exact on any host)."""
+        a, _ = _spd_system(11)
+        rng = np.random.default_rng(12)
+        n = len(a)
+        stack = rng.normal(size=(3, n, 1, 1)) + 1j * rng.normal(size=(3, n, 1, 1))
+        solver = ConjugateGradient(tol=1e-10, max_iter=500)
+        # column-wise application, so the operator is the same call
+        # sequence either way (a stacked GEMM would round differently)
+        whole = solver.solve_batched(
+            lambda v: np.stack([_matvec(a)(col) for col in v]), stack
+        )
+        assert whole.all_converged
+        for i in (0, 2):
+            states = []
+            solver.solve(
+                _matvec(a), stack[i], checkpoint_every=7, on_checkpoint=states.append
+            )
+            assert len(states) >= 2
+            resumed = solver.solve(_matvec(a), stack[i], state=states[1])
+            assert resumed.iterations == int(whole.column_iterations[i])
+            assert np.array_equal(resumed.x, whole.x[i])
+
     def test_checkpoint_state_is_a_snapshot(self):
         """Saved arrays must not alias the solver's live iterates."""
         a, x_true = _spd_system(6)

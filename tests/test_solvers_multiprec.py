@@ -67,6 +67,17 @@ class TestReliableUpdates:
         res = solver.solve(_matvec(a), np.zeros((len(a), 1, 1), dtype=complex))
         assert res.converged and res.iterations == 0
 
+    def test_initial_guess_exact_reports_converged(self):
+        """The reliable-update twin of the CG regression: an exact ``x0``
+        is recognised from the initial true residual — no sloppy
+        iteration and no reliable update on a 1e-16 residual."""
+        a, x_true = _spd_system(2)
+        b = _matvec(a)(x_true)
+        solver = ReliableUpdateCG(inner_precision=PRECISIONS["half"], tol=1e-10)
+        res = solver.solve(_matvec(a), b, x0=x_true)
+        assert res.converged
+        assert res.iterations == 0 and res.reliable_updates == 0
+
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError):
             ReliableUpdateCG(inner_precision=PRECISIONS["half"], delta=1.5)
