@@ -7,47 +7,54 @@ results.  The facades at the bottom (:class:`DistributedWilsonOperator`,
 :class:`DistributedEvenOddOperator`, :class:`DistributedCG`) mirror the
 serial operator/solver APIs.
 
+One stencil, one schedule, one Schur class
+------------------------------------------
+Nothing in this file knows about spin or colour.  The stencil is the
+serial one — :meth:`HalfSpinorKernel.hopping(phi, ghosts)
+<repro.dirac.kernels.halfspinor.HalfSpinorKernel.hopping>` over the
+rank's links — and a rank differs from the serial operator only in
+passing ``ghosts``: the neighbours' :meth:`~repro.dirac.kernels.
+halfspinor.HalfSpinorKernel.faces`, spin-projected so 12 of 24 reals per
+face site travel.  :class:`RankStencil` is the *schedule*: it decides
+when those faces move (``blocking`` / ``pairwise`` / ``overlap``), for
+the full and for the checkerboard-packed layout alike, and with no
+partitioned direction it is a direct call of the kernel — serial is the
+1-rank case.  The red-black chain is :class:`repro.dirac.evenodd_wilson.
+WilsonSchur`, the class behind the serial ``EvenOddWilson``, instantiated
+on the rank's hopping term: on full-lattice fields for the field
+operations, and for the solve on checkerboard-*packed* half-volume
+fields where the grid allows it (t unpartitioned, every global extent
+even) — Schur vectors occupy one parity only, so packing halves the
+sites every hot pass touches, mirroring QUDA's half-lattice
+preconditioned dslash.
+
 Reproducibility: two guarantees, of two kinds
 ---------------------------------------------
 Both are engineered in, and the test suite pins both:
 
-* **Dslash equals the serial kernels for any rank grid — exact on any
-  host.**  NumPy elementwise kernels are per-element deterministic
-  regardless of array shape, so the distributed stencil preserves the
-  serial half-spinor kernel's exact per-site operation chain (project ->
-  shift -> color multiply -> scale -> accumulate, forward then backward
-  in direction order) and replaces only the *data movement*: a local
-  periodic roll whose wrapped face is overwritten with the fetched halo
-  yields the same bytes `np.roll` produces globally.  No reduction is
-  involved, so the identity holds whatever BLAS numpy was built on.
-* **The solvers are invariant under the rank count and the transport
-  (1-rank runtime included) — deterministic, same host.**  The Krylov
-  recurrence is the serial solvers' own (:func:`rank_solve` hands
-  ``ConjugateGradient._run`` / ``ReliableUpdateCG._run`` a collective
-  inner product); global inner products are computed as
-  per-global-slice partial sums deposited into one shared table and
-  reduced in a fixed global order on every rank (:class:`SliceReducer`
-  + ``Fabric.allreduce_rows``) — never as a rank-count-dependent tree.
-  Slab grids along the reduction axis keep each slice's partial within
-  one rank, so the partials themselves are decomposition-invariant.
-  This holds for any BLAS, but each slice partial is a ``vdot``, so the
-  bits differ between BLAS builds: compare runs on one host.
-
-The rank-side Schur operators additionally take distributed-only
-shortcuts that the serial mirror methods do not (``gamma_5`` as a
-diagonal sign flip, checkerboard restriction elided where inputs are
-even-checkerboard-pure, in-place axpys); these change no values — signs
-and masks are exact in floating point — and the cross-rank-count tests
-run through them.
-
-Where the grid allows it (t unpartitioned, all global extents even) the
-solve further runs on checkerboard-*packed* half-volume fields
-(:class:`CBStencil`/:class:`CBEvenOdd`): Schur vectors occupy one parity
-only, so packing halves the sites every hot kernel pass touches — the
-dominant single-process win of this runtime, mirroring QUDA's
-half-lattice preconditioned dslash.  Packing is pure data movement
-(exact on any host), so the packed pipeline keeps the rank-count
-invariance.
+* **Dslash and the Schur field operations equal the serial ones for any
+  rank grid, policy and layout — exact on any host.**  NumPy elementwise
+  kernels are per-element deterministic regardless of array shape, and
+  the distributed path runs the serial kernel's own per-site operation
+  chain; only *data movement* differs: a local periodic roll whose
+  wrapped plane is overwritten with the fetched face yields the same
+  bytes `np.roll` produces globally, faces computed from boundary slabs
+  are the bytes the loop computes there, and packing is a permutation.
+  No reduction is involved, so the identity holds whatever BLAS numpy
+  was built on.
+* **The solvers are invariant under the rank count, the transport and
+  the halo policy (1-rank runtime included) — deterministic, same
+  host.**  The Krylov recurrence is the serial solvers' own
+  (:func:`rank_solve` hands ``ConjugateGradient._run`` /
+  ``ReliableUpdateCG._run`` a collective inner product); global inner
+  products are computed as per-global-slice partial sums deposited into
+  one shared table and reduced in a fixed global order on every rank
+  (:class:`SliceReducer` + ``Fabric.allreduce_rows``) — never as a
+  rank-count-dependent tree.  Slab grids along the reduction axis keep
+  each slice's partial within one rank, so the partials themselves are
+  decomposition-invariant.  This holds for any BLAS, but each slice
+  partial is a ``vdot``, so the bits differ between BLAS builds: compare
+  runs on one host.
 """
 
 from __future__ import annotations
@@ -57,11 +64,12 @@ import threading
 import time
 import traceback
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 
 from repro import obs
-from repro.comm.decomp import LocalGeometry, RankGrid, slab_grid
+from repro.comm.decomp import RankGrid, slab_grid
 from repro.comm.exchange import EXECUTED_POLICIES, HaloExchanger, face_index
 from repro.comm.shm import (
     FabricSpec,
@@ -71,10 +79,9 @@ from repro.comm.shm import (
     ThreadShared,
     spawn_context,
 )
-from repro.dirac.gamma import gamma5_mul
+from repro.dirac.evenodd_wilson import WilsonSchur, parity_fields
 from repro.dirac.kernels import make_kernel
-from repro.dirac.kernels.base import roll_into
-from repro.dirac.kernels.halfspinor import _BWD, _FWD, HalfSpinorKernel
+from repro.dirac.kernels.base import DslashKernel
 from repro.dirac.kernels.numba_soa import SoAHalfSpinorKernel
 from repro.dirac.kernels.soa import pack_fermion, unpack_fermion
 from repro.dirac.kernels.soa_dist import (
@@ -92,9 +99,6 @@ __all__ = [
     "ENGINES",
     "RankStencil",
     "SoARankStencil",
-    "RankEvenOdd",
-    "CBStencil",
-    "CBEvenOdd",
     "SliceReducer",
     "DecompRuntime",
     "DistributedWilsonOperator",
@@ -111,292 +115,44 @@ ENGINES = ("interpreted", "compiled")
 LOW, HIGH = 0, 1
 
 # ---------------------------------------------------------------------------
-# rank-side stencil
+# rank-side stencil: a halo schedule around the serial kernel
 # ---------------------------------------------------------------------------
 
 
 class RankStencil:
     """The Wilson hopping term on one rank's block, under a real policy.
 
-    Builds a serial half-spinor kernel (any PR-2 backend derived from
-    :class:`HalfSpinorKernel`) over the local links and swaps its periodic
-    rolls for roll-plus-halo-injection; spin projection means only 12 of
-    24 reals per face site travel, exactly as in the paper's dslash.
+    ``kernel`` is the serial half-spinor kernel over the local links; this
+    class only decides when its faces travel.  One exchange per hopping
+    (never per RHS tile), the same three schedules for the full layout
+    and — ``parity=`` — the checkerboard-packed one:
 
-    Two traffic optimizations over the serial kernel, both value-exact:
-
-    * the hopping prefactor ``-1/2`` is folded into the link fields once
-      at construction, eliminating two full scaling passes per direction
-      — exact because scaling by a power of two only decrements IEEE
-      exponents, so it commutes with every rounding in the multiply-
-      accumulate chain;
-    * the output field is first-*written* (not zero-initialized then
-      accumulated) into one of two alternating workspace buffers.  The
-      alternation means callers may chain ``hopping(hopping(x))`` and
-      hold at most ONE previous result; anything older is overwritten.
-      Driver-facing paths copy on gather, and the CG consumes each
-      ``ap`` before the next operator application, so the protocol holds
-      everywhere in this module.
+    * no partitioned direction: ``kernel.hopping(phi)``, nothing else;
+    * ``pairwise``: one round per partitioned direction;
+    * ``blocking``: one round carrying every face;
+    * ``overlap``: one round begun, the whole block computed with the
+      local periodic wrap while the faces are in flight (wrong only on
+      the boundary planes), the round completed, and each boundary plane
+      recomputed as the kept plane of the kernel applied to the two-plane
+      box touching that face.  Every primitive of the kernel is
+      elementwise, so the recomputed planes are the bits ``blocking``
+      gives.
     """
 
     def __init__(
         self,
-        u: np.ndarray,
-        u_dag: np.ndarray,
-        geometry: LocalGeometry,
+        kernel: DslashKernel,
         grid: RankGrid,
         rank: int,
         fabric: Fabric,
         policy: str = "blocking",
-        backend: str = "halfspinor",
     ):
-        kernel = make_kernel(backend, -0.5 * u, -0.5 * u_dag, geometry)
-        if not isinstance(kernel, HalfSpinorKernel):
-            raise TypeError(
-                "distributed dslash needs a half-spinor kernel backend "
-                f"(got {type(kernel).__name__}); the full-spinor reference "
-                "backend has no spin-projected faces to exchange"
-            )
         self.kernel = kernel
-        self._out_slot = 0
         self.grid = grid
-        self.rank = rank
         self.part = grid.partitioned
         self.exchanger = HaloExchanger(fabric, grid, rank)
-        self.policy = ""
-        self.set_policy(policy)
-
-    def set_policy(self, policy: str) -> None:
-        if policy not in EXECUTED_POLICIES:
-            raise ValueError(
-                f"unknown executed policy {policy!r}; have {EXECUTED_POLICIES}"
-            )
-        if policy == "overlap" and self.part:
-            self.grid.check_overlap_feasible()
-        self.policy = policy
-
-    def _next_out(self, shape: tuple[int, ...]) -> np.ndarray:
-        """One of two alternating output buffers (see class docstring)."""
-        self._out_slot ^= 1
-        return self.kernel.workspace.get(f"dx_out{self._out_slot}", shape)
-
-    @staticmethod
-    def _acc(out, uh, proj, rtmp, first: bool) -> None:
-        """Accumulate one reconstructed hop term; ``first`` writes instead
-        (value-exact vs. zero-init: ``0 + x == x`` for every float)."""
-        if first:
-            out[..., 0:2, :] = uh
-            np.multiply(uh[..., proj.rsel, :], proj.rcoef, out=rtmp)
-            out[..., 2:4, :] = rtmp
-        else:
-            HalfSpinorKernel._accumulate(out, uh, proj, rtmp)
-
-    def hopping(self, phi: np.ndarray) -> np.ndarray:
-        """``H phi`` on the local block ``(n,) + local_dims + (4, 3)``."""
-        self.kernel.applications += 1
-        if self.policy == "pairwise":
-            return self._hopping_pairwise(phi)
-        return self._hopping_fused(phi, overlap=self.policy == "overlap")
-
-    # -- per-direction pairwise (fine-grained) ------------------------------
-    def _hopping_pairwise(self, phi: np.ndarray) -> np.ndarray:
-        k = self.kernel
-        ws = k.workspace
-        hshape = phi.shape[:-2] + (2, 3)
-        hf = ws.get("dx_hf", hshape)
-        hb = ws.get("dx_hb", hshape)
-        ub = ws.get("dx_ub", hshape)
-        hs = ws.get("dx_hs", hshape)
-        uh = ws.get("dx_uh", hshape)
-        rtmp = ws.get("dx_rtmp", hshape)
-        out = self._next_out(phi.shape)
-        for mu in range(4):
-            axis = 1 + mu
-            pf, pb = _FWD[mu], _BWD[mu]
-            k._project(phi, pf, hf)
-            k._project(phi, pb, hb)
-            k._color_mul(mu, True, hb, ub)
-            halos = None
-            if mu in self.part:
-                halos = self.exchanger.exchange(
-                    {("f", mu): hf[face_index(mu, LOW)],
-                     ("b", mu): ub[face_index(mu, HIGH)]}
-                )
-            roll_into(hf, -1, axis, hs)
-            if halos is not None:
-                hs[face_index(mu, HIGH)] = halos[("f", mu)]
-            k._color_mul(mu, False, hs, uh)
-            self._acc(out, uh, pf, rtmp, first=mu == 0)
-            roll_into(ub, +1, axis, hs)
-            if halos is not None:
-                hs[face_index(mu, LOW)] = halos[("b", mu)]
-            k._accumulate(out, hs, pb, rtmp)
-        return out
-
-    # -- fused full-halo, blocking or overlapped ----------------------------
-    def _hopping_fused(self, phi: np.ndarray, overlap: bool) -> np.ndarray:
-        k = self.kernel
-        ws = k.workspace
-        hshape = phi.shape[:-2] + (2, 3)
-        hb = ws.get("dx_hb", hshape)
-        hs = ws.get("dx_hs", hshape)
-        uh = ws.get("dx_uh", hshape)
-        rtmp = ws.get("dx_rtmp", hshape)
-        hf = [ws.get(f"dx_hf{mu}", hshape) for mu in range(4)]
-        ub = [ws.get(f"dx_ub{mu}", hshape) for mu in range(4)]
-        for mu in range(4):
-            k._project(phi, _FWD[mu], hf[mu])
-            k._project(phi, _BWD[mu], hb)
-            k._color_mul(mu, True, hb, ub[mu])
-        faces = {}
-        for mu in self.part:
-            faces[("f", mu)] = hf[mu][face_index(mu, LOW)]
-            faces[("b", mu)] = ub[mu][face_index(mu, HIGH)]
-        self.exchanger.begin(faces)
-        out = self._next_out(phi.shape)
-        if overlap:
-            # interior pass while faces are in flight: the local periodic
-            # wrap is wrong only on boundary slabs, fixed up below
-            for mu in range(4):
-                axis = 1 + mu
-                roll_into(hf[mu], -1, axis, hs)
-                k._color_mul(mu, False, hs, uh)
-                self._acc(out, uh, _FWD[mu], rtmp, first=mu == 0)
-                roll_into(ub[mu], +1, axis, hs)
-                k._accumulate(out, hs, _BWD[mu], rtmp)
-            halos = self.exchanger.complete()
-            self._fixup_boundary(out, hf, ub, halos)
-        else:
-            halos = self.exchanger.complete()
-            for mu in range(4):
-                axis = 1 + mu
-                roll_into(hf[mu], -1, axis, hs)
-                if mu in self.part:
-                    hs[face_index(mu, HIGH)] = halos[("f", mu)]
-                k._color_mul(mu, False, hs, uh)
-                self._acc(out, uh, _FWD[mu], rtmp, first=mu == 0)
-                roll_into(ub[mu], +1, axis, hs)
-                if mu in self.part:
-                    hs[face_index(mu, LOW)] = halos[("b", mu)]
-                k._accumulate(out, hs, _BWD[mu], rtmp)
-        return out
-
-    # -- overlap boundary recomputation -------------------------------------
-    def _shift_slab(
-        self,
-        arr: np.ndarray,
-        mu: int,
-        shift: int,
-        d: int,
-        side: int,
-        halos: dict,
-    ) -> np.ndarray:
-        """Values of ``arr`` at ``x + shift*e_mu`` for the (d, side) slab."""
-        tag = ("f", mu) if shift == -1 else ("b", mu)
-        if mu == d:
-            if shift == -1:
-                if side == HIGH:
-                    return halos[tag]
-                plane = (slice(None),) * (1 + mu) + (slice(1, 2),)
-                return arr[plane]
-            if side == LOW:
-                return halos[tag]
-            plane = (slice(None),) * (1 + mu) + (slice(-2, -1),)
-            return arr[plane]
-        rolled = np.roll(arr[face_index(d, side)], shift, axis=1 + mu)
-        if mu in self.part:
-            ghost = halos[tag][face_index(d, side)]
-            if shift == -1:
-                rolled[face_index(mu, HIGH)] = ghost
-            else:
-                rolled[face_index(mu, LOW)] = ghost
-        return rolled
-
-    def _fixup_boundary(
-        self,
-        out: np.ndarray,
-        hf: list[np.ndarray],
-        ub: list[np.ndarray],
-        halos: dict,
-    ) -> None:
-        """Recompute every halo-touching slab with the true ghost data.
-
-        Overwrites (idempotent at corners), preserving the interior
-        pass's per-site operation chain so overlap output is bitwise
-        identical to blocking.
-        """
-        k = self.kernel
-        ws = k.workspace
-        for d in self.part:
-            sshape = list(out.shape)
-            sshape[1 + d] = 1
-            acc = ws.get(f"dx_fx_acc{d}", tuple(sshape))
-            half = tuple(sshape[:-2]) + (2, 3)
-            us = ws.get(f"dx_fx_uh{d}", half)
-            rs = ws.get(f"dx_fx_rt{d}", half)
-            for side in (LOW, HIGH):
-                sites = face_index(d, side, lead=0)
-                for mu in range(4):
-                    hv = self._shift_slab(hf[mu], mu, -1, d, side, halos)
-                    k._color_mul(mu, False, hv, us, sites=sites)
-                    self._acc(acc, us, _FWD[mu], rs, first=mu == 0)
-                    bv = self._shift_slab(ub[mu], mu, +1, d, side, halos)
-                    k._accumulate(acc, bv, _BWD[mu], rs)
-                out[face_index(d, side)] = acc
-
-
-# ---------------------------------------------------------------------------
-# rank-side stencil, compiled SoA engine
-# ---------------------------------------------------------------------------
-
-
-class SoARankStencil:
-    """The Wilson hopping term on one rank's block, over the SoA tier.
-
-    The execution engine is the batched SoA stencil of
-    :mod:`repro.dirac.kernels.soa_dist` — numba-JIT where numba imports,
-    the identical body interpreted where it does not.  The distributed
-    neighbour tables encode ghost reads directly (``-(slot) - 1``
-    entries), so the kernel consumes received faces in place with no
-    halo-padded copy of the field.
-
-    Unlike :class:`RankStencil`, links are NOT pre-scaled by ``-1/2``:
-    the SoA kernel body carries the factor in its accumulate lines, so
-    the per-site float64 operation chain is *identical* to the serial
-    ``numba_soa`` backend — distributed output is bitwise equal to the
-    serial kernel for every rank grid and policy.
-
-    The interior/surface split gives true comm/compute overlap: under
-    the ``overlap`` policy the interior site list (no ghost reads) runs
-    between :meth:`HaloExchanger.begin` and ``complete``, then the
-    surface list consumes the ghosts.  Since both lists partition the
-    site set and each site's chain never depends on the other list,
-    overlap output is bitwise equal to blocking.
-
-    The output buffer protocol matches :class:`RankStencil` (two
-    alternating workspace slots; callers hold at most one prior result).
-    """
-
-    def __init__(
-        self,
-        u: np.ndarray,
-        u_dag: np.ndarray,
-        geometry: LocalGeometry,
-        grid: RankGrid,
-        rank: int,
-        fabric: Fabric,
-        policy: str = "blocking",
-    ):
-        self.kernel = SoAHalfSpinorKernel(u, u_dag, geometry)
-        self._out_slot = 0
-        self.grid = grid
-        self.rank = rank
-        self.part = grid.partitioned
-        self.exchanger = HaloExchanger(fabric, grid, rank)
-        self._dist = distributed_tables(geometry.dims, self.part)
-        self.geometry = geometry
-        #: cumulative seconds in the interior pass of the overlap
-        #: schedule — the compute window the halo wait hides behind
+        #: cumulative seconds of compute between ``begin`` and ``complete``
+        #: under the overlap schedule — the window the halo wait hides behind
         self.interior_seconds = 0.0
         self.policy = ""
         self.set_policy(policy)
@@ -410,10 +166,89 @@ class SoARankStencil:
             self.grid.check_overlap_feasible()
         self.policy = policy
 
-    def _next_out(self, shape: tuple[int, ...]) -> np.ndarray:
-        """One of two alternating output buffers (see class docstring)."""
-        self._out_slot ^= 1
-        return self.kernel.workspace.get(f"dx_out{self._out_slot}", shape)
+    def _halo(self, faces, interior) -> tuple[dict, object]:
+        """Move ``faces(mu)`` of every partitioned direction under the
+        policy; returns the received ghosts and — ``overlap`` only — what
+        ``interior()`` computed while they were in flight."""
+        ex = self.exchanger
+        if self.policy == "pairwise":
+            ghosts: dict = {}
+            for mu in self.part:
+                got = ex.exchange(faces(mu))
+                if len(self.part) > 2:  # transport storage lasts two rounds
+                    got = {tag: face.copy() for tag, face in got.items()}
+                ghosts.update(got)
+            return ghosts, None
+        ex.begin({tag: face for mu in self.part for tag, face in faces(mu).items()})
+        done = None
+        if self.policy == "overlap":
+            t0 = time.perf_counter()
+            done = interior()
+            self.interior_seconds += time.perf_counter() - t0
+        return ex.complete(), done
+
+    def hopping(self, phi: np.ndarray, parity: int | None = None) -> np.ndarray:
+        """``H phi`` on the local block ``(n,) + local_dims + (4, 3)`` (or,
+        with ``parity``, on its packed parity-``parity`` sites)."""
+        k = self.kernel
+        if not self.part:
+            return k.hopping(phi, parity=parity)
+        ghosts, out = self._halo(
+            lambda mu: k.faces(phi, mu, parity), lambda: k.hopping(phi, parity=parity)
+        )
+        if self.policy != "overlap":
+            return k.hopping(phi, ghosts, parity=parity)
+        for d in self.part:
+            thin = phi.shape[1 + d] == 2  # one box, both of its planes boundary
+            for side in (LOW,) if thin else (LOW, HIGH):
+                box = (slice(None),) * (1 + d) + (slice(-2, None) if side else slice(0, 2),)
+                keep = box if thin else face_index(d, side)
+                slab = k.hopping(
+                    phi[box], {tag: g[box] for tag, g in ghosts.items()}, box[1:], parity
+                )
+                out[keep] = slab[keep]
+        return out
+
+
+# ---------------------------------------------------------------------------
+# rank-side stencil, compiled SoA engine
+# ---------------------------------------------------------------------------
+
+
+class SoARankStencil(RankStencil):
+    """The Wilson hopping term on one rank's block, over the SoA tier.
+
+    The execution engine is the batched SoA stencil of
+    :mod:`repro.dirac.kernels.soa_dist` — numba-JIT where numba imports,
+    the identical body interpreted where it does not.  The distributed
+    neighbour tables encode ghost reads directly (``-(slot) - 1``
+    entries), so the kernel consumes received faces in place with no
+    halo-padded copy of the field.
+
+    The SoA kernel body carries the ``-1/2`` in its accumulate lines, so
+    the per-site float64 operation chain is *identical* to the serial
+    ``numba_soa`` backend — distributed output is bitwise equal to the
+    serial kernel for every rank grid and policy.
+
+    The schedule is :class:`RankStencil`'s; what runs inside it differs.
+    The interior/surface split gives true comm/compute overlap: under
+    the ``overlap`` policy the interior site list (no ghost reads) runs
+    between :meth:`HaloExchanger.begin` and ``complete``, then the
+    surface list consumes the ghosts.  Since both lists partition the
+    site set and each site's chain never depends on the other list,
+    overlap output is bitwise equal to blocking.
+    """
+
+    def __init__(
+        self,
+        kernel: SoAHalfSpinorKernel,
+        grid: RankGrid,
+        rank: int,
+        fabric: Fabric,
+        policy: str = "blocking",
+    ):
+        super().__init__(kernel, grid, rank, fabric, policy)
+        self._dist = distributed_tables(kernel.geometry.dims, self.part)
 
     # -- face pack / ghost fill ---------------------------------------------
     def _pack_mu(self, mu: int, n: int, phi_re, phi_im) -> dict:
@@ -434,12 +269,11 @@ class SoARankStencil:
                     t.a_idx, t.a_re, t.a_im)
         return {("f", mu): fbuf, ("b", mu): bbuf}
 
-    def _fill_ghosts(self, halos: dict, mus, ghosts) -> None:
-        """Copy received faces into the per-direction ghost segments
-        (transport storage is only valid until the next-but-one round)."""
+    def _fill_ghosts(self, halos: dict, ghosts) -> None:
+        """Copy received faces into the per-direction ghost segments."""
         gf_re, gf_im, gb_re, gb_im = ghosts
         dt = self._dist
-        for mu in mus:
+        for mu in self.part:
             off = dt.ghost_offset[mu]
             F = dt.face_volume[mu]
             f = halos[("f", mu)]
@@ -471,7 +305,7 @@ class SoARankStencil:
         k = self.kernel
         k.applications += 1
         n = phi.shape[0]
-        sshape = (n, 4, 3, self.geometry.volume)
+        sshape = (n, 4, 3, k.geometry.volume)
         ws = k.workspace
         phi_re = ws.get("phi_re", sshape, np.float64)
         phi_im = ws.get("phi_im", sshape, np.float64)
@@ -482,366 +316,26 @@ class SoARankStencil:
             pack_fermion(phi, out_re=phi_re, out_im=phi_im)
         k.pack_seconds += time.perf_counter() - t0
         dt = self._dist
+        sites, ghosts = dt.all_sites, (EMPTY_GHOST,) * 4
         if self.part:
             gshape = (n, 2, 3, max(dt.n_ghost, 1))
-            ghosts = (
-                ws.get("dx_gf_re", gshape, np.float64),
-                ws.get("dx_gf_im", gshape, np.float64),
-                ws.get("dx_gb_re", gshape, np.float64),
-                ws.get("dx_gb_im", gshape, np.float64),
+            ghosts = tuple(
+                ws.get(tag, gshape, np.float64)
+                for tag in ("dx_gf_re", "dx_gf_im", "dx_gb_re", "dx_gb_im")
             )
-            if self.policy == "pairwise":
-                for mu in sorted(self.part):
-                    halos = self.exchanger.exchange(
-                        self._pack_mu(mu, n, phi_re, phi_im)
-                    )
-                    self._fill_ghosts(halos, (mu,), ghosts)
-                self._stencil(dt.all_sites, phi_re, phi_im,
-                              out_re, out_im, ghosts)
-            else:
-                faces = {}
-                for mu in sorted(self.part):
-                    faces.update(self._pack_mu(mu, n, phi_re, phi_im))
-                self.exchanger.begin(faces)
-                if self.policy == "overlap":
-                    ti = time.perf_counter()
-                    self._stencil(dt.interior_sites, phi_re, phi_im,
-                                  out_re, out_im, ghosts)
-                    self.interior_seconds += time.perf_counter() - ti
-                    halos = self.exchanger.complete()
-                    self._fill_ghosts(halos, sorted(self.part), ghosts)
-                    self._stencil(dt.surface_sites, phi_re, phi_im,
-                                  out_re, out_im, ghosts)
-                else:
-                    halos = self.exchanger.complete()
-                    self._fill_ghosts(halos, sorted(self.part), ghosts)
-                    self._stencil(dt.all_sites, phi_re, phi_im,
-                                  out_re, out_im, ghosts)
-        else:
-            self._stencil(dt.all_sites, phi_re, phi_im, out_re, out_im,
-                          (EMPTY_GHOST, EMPTY_GHOST, EMPTY_GHOST, EMPTY_GHOST))
-        out = self._next_out(phi.shape)
+            halos, _ = self._halo(
+                lambda mu: self._pack_mu(mu, n, phi_re, phi_im),
+                lambda: self._stencil(dt.interior_sites, phi_re, phi_im,
+                                      out_re, out_im, ghosts),
+            )
+            self._fill_ghosts(halos, ghosts)
+            if self.policy == "overlap":
+                sites = dt.surface_sites
+        self._stencil(sites, phi_re, phi_im, out_re, out_im, ghosts)
         t1 = time.perf_counter()
         with obs.span("soa.unpack", cat="layout", lead=n):
-            unpack_fermion(out_re, out_im, phi.shape, out=out)
+            out = unpack_fermion(out_re, out_im, phi.shape)
         k.unpack_seconds += time.perf_counter() - t1
-        return out
-
-
-# ---------------------------------------------------------------------------
-# rank-side even-odd (Schur) operator and solver
-# ---------------------------------------------------------------------------
-
-
-class RankEvenOdd:
-    """Red-black Schur machinery on one rank's block.
-
-    The ``*_apply`` methods mirror :class:`repro.dirac.EvenOddWilson`
-    operation-for-operation (bitwise-testable against it); the ``*_fast``
-    variants are the CG hot path with the exact-value shortcuts described
-    in the module docstring.
-    """
-
-    def __init__(self, stencil: RankStencil, mass: float, geometry: LocalGeometry):
-        self.stencil = stencil
-        self.geometry = geometry
-        self.diag = float(mass) + 4.0
-        self._inv_diag = 1.0 / self.diag
-        self._g5_diag = gamma5_mul(np.full((4, 3), self.diag))
-        self._keep = (
-            geometry.parity_mask(0)[..., None, None],
-            geometry.parity_mask(1)[..., None, None],
-        )
-
-    def restrict(self, psi: np.ndarray, parity: int) -> np.ndarray:
-        return psi * self._keep[parity]
-
-    # -- serial mirrors (facade path, bitwise vs EvenOddWilson) ------------
-    def schur_apply(self, x: np.ndarray) -> np.ndarray:
-        t = self.stencil.hopping(x)
-        t = self.stencil.hopping(t / self.diag)
-        return self.restrict(self.diag * x - t, 0)
-
-    def schur_dagger_apply(self, x: np.ndarray) -> np.ndarray:
-        t = gamma5_mul(self.stencil.hopping(gamma5_mul(x)))
-        t = gamma5_mul(self.stencil.hopping(gamma5_mul(t / self.diag)))
-        return self.restrict(self.diag * x - t, 0)
-
-    def schur_normal_apply(self, x: np.ndarray) -> np.ndarray:
-        return self.schur_dagger_apply(self.schur_apply(x))
-
-    def prepare_rhs(self, b: np.ndarray) -> np.ndarray:
-        b_odd = self.restrict(b, 1)
-        b_even = self.restrict(b, 0)
-        return self.restrict(b_even - self.stencil.hopping(b_odd / self.diag), 0)
-
-    def reconstruct(self, x_even: np.ndarray, b: np.ndarray) -> np.ndarray:
-        b_odd = self.restrict(b, 1)
-        x_odd = self.restrict(b_odd - self.stencil.hopping(x_even), 1) / self.diag
-        return x_even + x_odd
-
-    # -- CG hot path --------------------------------------------------------
-    # Inputs are even-checkerboard-pure, so the hopping output's same-
-    # checkerboard half is exactly (+/-)0.0 and the trailing restrict is
-    # a value-level no-op: elide it.  gamma_5 pairs around 1/diag cancel
-    # exactly, leaving one fused sign-and-scale pass per dagger hop.
-    def schur_fast(self, x: np.ndarray) -> np.ndarray:
-        ws = self.stencil.kernel.workspace
-        t = self.stencil.hopping(x)
-        t *= self._inv_diag
-        t = self.stencil.hopping(t)
-        dx = ws.get("eo_diagx", x.shape)
-        np.multiply(x, self.diag, out=dx)
-        return np.subtract(dx, t, out=t)
-
-    def schur_dagger_fast(self, x: np.ndarray) -> np.ndarray:
-        # serial chain: g5 H g5 ((g5 H g5 x)/diag); the two inner g5's
-        # cancel exactly, leaving one sign flip at entry and one at exit.
-        # The closing diag*x is rebuilt from the private y = g5 x buffer
-        # (diag*x == (g5*diag)*y bitwise), because x may alias the
-        # stencil output slot the second hopping below reclaims — exactly
-        # what happens in the normal-equations chain dagger(schur(p)).
-        ws = self.stencil.kernel.workspace
-        y = ws.get("eo_g5x", x.shape)
-        gamma5_mul(x, out=y)
-        t = self.stencil.hopping(y)
-        t *= self._inv_diag
-        t = self.stencil.hopping(t)
-        gamma5_mul(t, out=t)
-        dx = ws.get("eo_diagx", x.shape)
-        np.multiply(y, self._g5_diag, out=dx)
-        return np.subtract(dx, t, out=t)
-
-    def schur_normal_fast(self, x: np.ndarray) -> np.ndarray:
-        return self.schur_dagger_fast(self.schur_fast(x))
-
-
-# ---------------------------------------------------------------------------
-# checkerboard-packed Schur fast path (the solver's half-volume kernels)
-# ---------------------------------------------------------------------------
-
-
-class CBStencil:
-    """Hopping on checkerboard-*packed* fields: half the sites, half the
-    work in every hot primitive.
-
-    Schur vectors live on one parity only, so the full-lattice stencil
-    wastes half of every projection/color-multiply/accumulate pass on
-    exact zeros.  This class stores one parity's sites contiguously by
-    folding the t-axis pairwise: site ``(x, y, z, t)`` of parity ``P``
-    lands at packed index ``(x, y, z, t // 2)`` — within one (x, y, z)
-    column the two t-slots split between the parities, so a parity array
-    has shape ``dims[:3] + (lt // 2,)``.
-
-    The payoff of packing along t:
-
-    * shifts along x, y, z are **plain rolls** between the parity arrays
-      (the packed t-index is unchanged: the neighbour's parity flip and
-      the t-slot convention cancel), so the partitioned directions keep
-      the exact roll-plus-halo-injection pattern of the full stencil —
-      and the faces halve along with the volume;
-    * only the t-shift itself needs a mask (whether a site's t-neighbour
-      sits in the same packed slot or the next one), and t is never
-      partitioned here, so the masked roll is rank-local.
-
-    Packed layouts splice seamlessly across rank boundaries whenever
-    every **global** extent is even (local extents may be odd): the
-    origin parity shift between neighbouring blocks exactly compensates
-    the parity flip of the crossing hop.  Eligibility is checked by
-    :attr:`_RankContext.cb`.
-
-    Packing is pure data movement and the per-site operation chain
-    (project -> shift -> color multiply -> accumulate, forward then
-    backward, links pre-folded by ``-1/2``) is the full stencil's, so
-    ``unpack(hopping(pack(x)))`` is bitwise identical to the full-field
-    ``hopping(x)`` on the nonzero parity — and the CG built on it stays
-    bitwise invariant under the rank count.  The color multiply always
-    uses the unrolled nine-MAC form (packed component planes), whatever
-    backend the full-field path tuned to.
-    """
-
-    _TP_AXIS = 4  # packed-t axis of a (n, x, y, z, tp, spin, color) field
-
-    def __init__(
-        self,
-        stencil: RankStencil,
-        u: np.ndarray,
-        u_dag: np.ndarray,
-        geometry: LocalGeometry,
-    ):
-        if geometry.dims[3] % 2:
-            raise ValueError(f"packing needs an even t extent, got {geometry.dims[3]}")
-        self.kernel = stencil.kernel
-        self.exchanger = stencil.exchanger
-        self.part = stencil.part
-        if 3 in self.part:
-            raise ValueError("the packed axis (t) must not be partitioned")
-        self._out_slot = 0
-        lx, ly, lz, _ = geometry.dims
-        s0 = sum(geometry.origin) % 2
-        cx, cy, cz = np.ix_(np.arange(lx), np.arange(ly), np.arange(lz))
-        par3 = (cx + cy + cz + s0) % 2  # global parity of the t=0 slot
-        # m[P] marks columns whose parity-P site occupies the *even* t-slot
-        self._mplane = tuple((par3 == P)[..., None] for P in (0, 1))
-        self._mfield = tuple((par3 == P)[..., None, None, None] for P in (0, 1))
-        fu, fud = -0.5 * u, -0.5 * u_dag  # value-exact fold, as in RankStencil
-        comp = lambda arr, mu, P: tuple(
-            tuple(self._pack_plane(arr[mu, ..., a, b], P) for b in range(3))
-            for a in range(3)
-        )
-        self._u_comp = tuple(
-            tuple(comp(fu, mu, P) for P in (0, 1)) for mu in range(4)
-        )
-        self._udag_comp = tuple(
-            tuple(comp(fud, mu, P) for P in (0, 1)) for mu in range(4)
-        )
-
-    # -- packing ------------------------------------------------------------
-    def _pack_plane(self, plane: np.ndarray, parity: int) -> np.ndarray:
-        """Pack one link-component plane ``(x, y, z, t)`` at one parity."""
-        m = self._mplane[parity]
-        packed = np.where(m, plane[..., 0::2], plane[..., 1::2])
-        return np.ascontiguousarray(packed)[..., None]
-
-    def pack(self, field: np.ndarray, parity: int) -> np.ndarray:
-        """Extract one parity of a full local field into a packed array."""
-        m = self._mfield[parity]
-        return np.where(m, field[..., 0::2, :, :], field[..., 1::2, :, :])
-
-    def unpack(self, p0: np.ndarray, p1: np.ndarray, out: np.ndarray) -> None:
-        """Interleave packed parities back into a full local field."""
-        m = self._mfield[0]
-        out[..., 0::2, :, :] = np.where(m, p0, p1)
-        out[..., 1::2, :, :] = np.where(m, p1, p0)
-
-    # -- primitives ---------------------------------------------------------
-    def _next_out(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Alternating output slots, same protocol as RankStencil."""
-        self._out_slot ^= 1
-        return self.kernel.workspace.get(f"cb_out{self._out_slot}", shape)
-
-    def _cmul(self, mu: int, dagger: bool, parity: int, h, out) -> None:
-        """Nine-MAC color multiply over packed component planes."""
-        comp = (self._udag_comp if dagger else self._u_comp)[mu][parity]
-        tmp = self.kernel.workspace.get("cb_cmul_tmp", h.shape[:-1])
-        for a in range(3):
-            oa = out[..., a]
-            np.multiply(comp[a][0], h[..., 0], out=oa)
-            np.multiply(comp[a][1], h[..., 1], out=tmp)
-            oa += tmp
-            np.multiply(comp[a][2], h[..., 2], out=tmp)
-            oa += tmp
-
-    # -- the packed stencil --------------------------------------------------
-    def hopping(self, xp: np.ndarray, parity: int) -> np.ndarray:
-        """``H x`` from packed parity-``parity`` input to the opposite
-        parity's packed sites (returned in an alternating workspace slot)."""
-        k = self.kernel
-        k.applications += 1
-        ws = k.workspace
-        q = 1 - parity
-        hshape = xp.shape[:-2] + (2, 3)
-        hf = ws.get("cb_hf", hshape)
-        hb = ws.get("cb_hb", hshape)
-        ub = ws.get("cb_ub", hshape)
-        hs = ws.get("cb_hs", hshape)
-        uh = ws.get("cb_uh", hshape)
-        rtmp = ws.get("cb_rt", hshape)
-        out = self._next_out(xp.shape)
-        for mu in range(4):
-            pf, pb = _FWD[mu], _BWD[mu]
-            k._project(xp, pf, hf)
-            k._project(xp, pb, hb)
-            self._cmul(mu, True, parity, hb, ub)
-            halos = None
-            if mu in self.part:
-                halos = self.exchanger.exchange(
-                    {("f", mu): hf[face_index(mu, LOW)],
-                     ("b", mu): ub[face_index(mu, HIGH)]}
-                )
-            # forward hop: psi(x + mu), landing on parity q
-            if mu == 3:
-                roll_into(hf, -1, self._TP_AXIS, hs)
-                np.copyto(hs, hf, where=self._mfield[q])  # even-slot columns
-            else:
-                roll_into(hf, -1, 1 + mu, hs)
-                if halos is not None:
-                    hs[face_index(mu, HIGH)] = halos[("f", mu)]
-            self._cmul(mu, False, q, hs, uh)
-            RankStencil._acc(out, uh, pf, rtmp, first=mu == 0)
-            # backward hop: U^H psi at x - mu, landing on parity q
-            if mu == 3:
-                roll_into(ub, +1, self._TP_AXIS, hs)
-                np.copyto(hs, ub, where=self._mfield[parity])  # odd-slot columns
-            else:
-                roll_into(ub, +1, 1 + mu, hs)
-                if halos is not None:
-                    hs[face_index(mu, LOW)] = halos[("b", mu)]
-            k._accumulate(out, hs, pb, rtmp)
-        return out
-
-
-class CBEvenOdd:
-    """Schur machinery on checkerboard-packed fields (the CG hot path).
-
-    Same exact-value shortcuts as the ``*_fast`` methods of
-    :class:`RankEvenOdd`, on arrays half the size.  The workspace-slot
-    aliasing protocol is identical; every method that consumes its input
-    before the second hopping reclaims the slot does so explicitly.
-    """
-
-    def __init__(self, st: CBStencil, mass: float):
-        self.st = st
-        self.diag = float(mass) + 4.0
-        self._inv_diag = 1.0 / self.diag
-        self._g5_diag = gamma5_mul(np.full((4, 3), self.diag))
-
-    def pack(self, field: np.ndarray, parity: int) -> np.ndarray:
-        return self.st.pack(field, parity)
-
-    def schur_fast(self, x: np.ndarray) -> np.ndarray:
-        ws = self.st.kernel.workspace
-        t = self.st.hopping(x, 0)
-        t *= self._inv_diag
-        t = self.st.hopping(t, 1)
-        dx = ws.get("cb_diagx", x.shape)
-        np.multiply(x, self.diag, out=dx)
-        return np.subtract(dx, t, out=t)
-
-    def schur_dagger_fast(self, x: np.ndarray) -> np.ndarray:
-        # y = g5 x is private, so the second hopping may reclaim the
-        # slot x lives in (see RankEvenOdd.schur_dagger_fast).
-        ws = self.st.kernel.workspace
-        y = ws.get("cb_g5x", x.shape)
-        gamma5_mul(x, out=y)
-        t = self.st.hopping(y, 0)
-        t *= self._inv_diag
-        t = self.st.hopping(t, 1)
-        gamma5_mul(t, out=t)
-        dx = ws.get("cb_diagx", x.shape)
-        np.multiply(y, self._g5_diag, out=dx)
-        return np.subtract(dx, t, out=t)
-
-    def schur_normal_fast(self, x: np.ndarray) -> np.ndarray:
-        return self.schur_dagger_fast(self.schur_fast(x))
-
-    def prepare_rhs_packed(self, pb_e: np.ndarray, pb_o: np.ndarray) -> np.ndarray:
-        """``b_e - H (b_o / diag)`` on packed sites; reuses ``pb_e``."""
-        ws = self.st.kernel.workspace
-        v = ws.get("cb_prep", pb_o.shape)
-        np.multiply(pb_o, self._inv_diag, out=v)
-        t = self.st.hopping(v, 1)
-        return np.subtract(pb_e, t, out=pb_e)
-
-    def reconstruct_packed(
-        self, x_e: np.ndarray, pb_o: np.ndarray, b: np.ndarray
-    ) -> np.ndarray:
-        """``x_o = (b_o - H x_e) / diag``, interleaved to the full field."""
-        t = self.st.hopping(x_e, 0)
-        x_o = np.subtract(pb_o, t, out=pb_o)
-        x_o *= self._inv_diag
-        out = np.empty_like(b)
-        self.st.unpack(x_e, x_o, out)
         return out
 
 
@@ -906,51 +400,33 @@ class _RankContext:
         self.mass = float(mass)
         self.engine = engine
         if engine == "compiled":
-            self.stencil = SoARankStencil(
-                u_local, u_dag, geometry, grid, rank, fabric, policy
-            )
+            kernel = SoAHalfSpinorKernel(u_local, u_dag, geometry)
+            self.stencil = SoARankStencil(kernel, grid, rank, fabric, policy)
         else:
-            self.stencil = RankStencil(
-                u_local, u_dag, geometry, grid, rank, fabric, policy, backend
+            kernel = make_kernel(backend, u_local, u_dag, geometry)
+            self.stencil = RankStencil(kernel, grid, rank, fabric, policy)
+        hop = self.stencil.hopping
+        #: the red-black chain on full-lattice local fields (field ops)
+        self.eo = WilsonSchur(lambda x, parity: hop(x), mass, *parity_fields(geometry))
+        #: the chain the solve runs: on checkerboard-packed fields where
+        #: the layout splices across ranks (t, the packed axis,
+        #: unpartitioned; every global extent even; the SoA tier has no
+        #: packed layout), else the full-lattice one
+        self.eo_solve = self.eo
+        if (
+            engine != "compiled"
+            and 3 not in grid.partitioned
+            and all(L % 2 == 0 for L in grid.global_dims)
+        ):
+            self.eo_solve = WilsonSchur(
+                hop, mass, lambda b: (kernel.pack(b, 0), kernel.pack(b, 1)), kernel.unpack
             )
-        self.eo = RankEvenOdd(self.stencil, mass, geometry)
-        self._geometry = geometry
-        self._u_local = u_local
-        self._u_dag = u_dag
-        self._grid = grid
-        self._fabric = fabric
-        self._rank = rank
-        self._reducer: SliceReducer | None = None
-        self._cb: CBEvenOdd | None | bool = False  # False: not built yet
+        self._reducer_args = (fabric, grid, rank)
 
-    @property
+    @cached_property
     def reducer(self) -> SliceReducer:
-        if self._reducer is None:
-            self._reducer = SliceReducer(self._fabric, self._grid, self._rank)
-        return self._reducer
-
-    @property
-    def cb(self) -> CBEvenOdd | None:
-        """Checkerboard-packed Schur fast path, where the grid allows it
-        (t unpartitioned, every global extent even); else ``None``."""
-        if self._cb is False:
-            # The compiled engine batches all sites through one SoA
-            # stencil; the t-packed half-volume trick is an interpreted-
-            # path optimization and does not apply.
-            ok = (
-                self.engine != "compiled"
-                and 3 not in self._grid.partitioned
-                and all(L % 2 == 0 for L in self._grid.global_dims)
-            )
-            self._cb = (
-                CBEvenOdd(
-                    CBStencil(self.stencil, self._u_local, self._u_dag, self._geometry),
-                    self.mass,
-                )
-                if ok
-                else None
-            )
-        return self._cb
+        """Built on first solve: only slab grids along x admit one."""
+        return SliceReducer(*self._reducer_args)
 
 
 #: The rank program's field operations, by wire code: ``fn(ctx, phi)``
@@ -977,44 +453,35 @@ def rank_solve(
 ) -> BatchedSolveResult:
     """The full propagator pipeline on one rank (collective throughout).
 
-    Prepares the even-site system (checkerboard-packed where ``ctx.cb``
-    allows: half the work everywhere), hands the normal system to the
-    *serial* solvers' own recurrence — :meth:`ConjugateGradient._run`,
-    or :meth:`ReliableUpdateCG._run` on single-precision Krylov storage
+    Prepares the even-site system (on ``ctx.eo_solve``'s fields:
+    checkerboard-packed where the grid allows, half the work
+    everywhere), hands the normal system to the *serial* solvers' own
+    recurrence — :meth:`ConjugateGradient._run`, or
+    :meth:`ReliableUpdateCG._run` on single-precision Krylov storage
     when ``reliable`` — with the collective ``SliceReducer.batch_dot``
     as the inner product, and reconstructs the full-lattice local
-    solution.  ``b`` must be caller-owned (never a workspace slot).
+    solution.
 
     Returns the solver's own result (identical on every rank) with ``x``
     this rank's block of the solution and ``final_relres`` the prepared
     even-site system's residual.
     """
-    eo, cb, dot = ctx.eo, ctx.cb, ctx.reducer.batch_dot
-    if cb is not None:
-        pb_o = cb.pack(b, 1)
-        b_prep = cb.prepare_rhs_packed(cb.pack(b, 0), pb_o)
-        rhs = np.array(cb.schur_dagger_fast(b_prep), copy=True)
-        normal, schur = cb.schur_normal_fast, cb.schur_fast
-    else:
-        b_prep = eo.prepare_rhs(b)
-        rhs = eo.schur_dagger_apply(b_prep)
-        normal, schur = eo.schur_normal_fast, eo.schur_apply
+    eo, dot = ctx.eo_solve, ctx.reducer.batch_dot
+    b_prep = eo.prepare_rhs(b)
+    rhs = eo.schur_dagger_apply(b_prep)
     if reliable:
         solver = ReliableUpdateCG(SinglePrecision(), tol=tol, delta=delta, max_iter=max_iter)
     else:
         solver = ConjugateGradient(tol=tol, max_iter=max_iter)
-    res = solver._run(normal, rhs, dot=dot)
+    res = solver._run(eo.schur_normal_apply, rhs, dot=dot)
     pnorm = np.sqrt(dot(b_prep, b_prep))
-    orig = b_prep - schur(res.x)
+    orig = b_prep - eo.schur_apply(res.x)
     res.final_relres = np.where(
         pnorm > 0.0,
         np.sqrt(dot(orig, orig)) / np.where(pnorm > 0.0, pnorm, 1.0),
         res.final_relres,
     )
-    if cb is not None:
-        res.x = cb.reconstruct_packed(res.x, pb_o, b)
-    else:
-        res.x = eo.reconstruct(res.x, b)
+    res.x = eo.reconstruct(res.x, b)
     return res
 
 
@@ -1027,7 +494,7 @@ def rank_stats(ctx: _RankContext) -> dict:
         "messages": ex.messages,
         "bytes_sent": ex.bytes_sent,
         "wait_seconds": ex.wait_seconds,
-        "interior_seconds": getattr(ctx.stencil, "interior_seconds", 0.0),
+        "interior_seconds": ctx.stencil.interior_seconds,
     }
 
 
@@ -1075,8 +542,7 @@ def worker_main(ctx: _RankContext, chan, io) -> None:
                 chan.send(("ok", rank_stats(ctx)))
                 continue
             if cmd == "cg":
-                b = np.array(io.get(payload), copy=True)
-                res = rank_solve(ctx, b, **payload["solve"])
+                res = rank_solve(ctx, io.get(payload), **payload["solve"])
                 chan.send(("ok", {**io.put(res.x), "result": replace(res, x=None)}))
                 continue
             if cmd not in RANK_OPS:
@@ -1198,6 +664,21 @@ def _normalize_engine(engine) -> str:
     )
 
 
+def _normalize_backend(backend, engine: str) -> str:
+    """The kernel an engine runs: the compiled one is ``numba_soa``, and
+    the interpreted one the half-spinor stencil — the only kernel with
+    spin-projected faces to exchange."""
+    if engine == "compiled":
+        return "numba_soa"
+    if backend in (None, "auto", "halfspinor"):
+        return "halfspinor"
+    raise ValueError(
+        f"unknown backend {backend!r} for the interpreted engine: the "
+        "distributed dslash runs the 'halfspinor' kernel (or pass "
+        "engine='compiled' for the SoA tier)"
+    )
+
+
 def flatten_stack(psi: np.ndarray, dims: tuple, max_rhs: int) -> np.ndarray:
     """A global field with any leading axes as one contiguous complex128
     ``(n,) + dims + (4, 3)`` stack the transport is sized for."""
@@ -1238,10 +719,9 @@ class DecompRuntime:
         stencil), ``"compiled"`` (SoA tier with the interior/surface
         split), or ``"auto"`` (compiled iff numba imported).
     backend:
-        Dslash kernel backend of the interpreted engine; ``None``/
-        ``"auto"`` resolves through ``tuner`` on the *local* volume when
-        given, else the registry default.  The compiled engine always
-        runs ``numba_soa``.
+        ``None``/``"auto"``/``"halfspinor"``: the interpreted engine runs
+        the half-spinor kernel and nothing else (``ValueError``
+        otherwise); the compiled engine always runs ``numba_soa``.
     max_rhs:
         Widest multi-RHS stack the transport is sized for.
     timeout:
@@ -1260,7 +740,6 @@ class DecompRuntime:
         policy="blocking",
         engine="interpreted",
         backend: str | None = None,
-        tuner=None,
         antiperiodic_t: bool = True,
         max_rhs: int = 12,
         timeout: float = 60.0,
@@ -1273,36 +752,14 @@ class DecompRuntime:
                 raise ValueError("pass either ranks= or grid=")
             grid = slab_grid(geom.dims, ranks)
         self.grid = RankGrid.make(geom.dims, tuple(grid))
+        self.engine = _normalize_engine(engine)
+        self.backend = _normalize_backend(backend, self.engine)
         self.transport = _normalize_transport(transport)
         self.policy = _normalize_policy(policy)
-        self.engine = _normalize_engine(engine)
         self.max_rhs = int(max_rhs)
 
         u = gauge.fermion_links(antiperiodic_t=antiperiodic_t)
         u_blocks = self.grid.scatter(u, site_axis=1)
-        if self.engine == "compiled":
-            backend = "numba_soa"
-        elif backend in (None, "auto"):
-            if tuner is not None:
-                from repro.dirac.kernels import select_backend
-
-                u0 = u_blocks[0]
-                backend = select_backend(
-                    tuner,
-                    u0,
-                    np.conjugate(np.swapaxes(u0, -1, -2)),
-                    self.grid.local_geometry(0),
-                    n_rhs=self.max_rhs,
-                    grid=self.grid.grid,
-                    policy=self.policy,
-                    transport=self.transport,
-                )
-            else:
-                from repro.dirac.kernels import DEFAULT_BACKEND
-
-                backend = DEFAULT_BACKEND
-        self.backend = backend
-
         self._spec = FabricSpec(
             n_ranks=self.grid.n_ranks,
             local_dims=self.grid.local_dims,
@@ -1509,17 +966,6 @@ class DecompRuntime:
         )
 
     # -- diagnostics --------------------------------------------------------
-    def comm_stats(self) -> dict:
-        """Aggregate message counters (driver-side estimate per apply)."""
-        return {
-            "transport": self.transport,
-            "policy": self.policy,
-            "engine": self.engine,
-            "ranks": self.grid.n_ranks,
-            "grid": self.grid.grid,
-            "backend": self.backend,
-        }
-
     def halo_stats(self) -> list:
         """Per-rank exchanger counters: rounds, off-rank messages/bytes,
         cumulative seconds blocked in :meth:`HaloExchanger.complete`

@@ -49,6 +49,7 @@ from repro.comm.decomp import RankGrid, slab_grid
 from repro.comm.distributed import (
     RANK_OPS,
     SliceReducer,
+    _normalize_backend,
     _normalize_engine,
     _normalize_policy,
     _RankContext,
@@ -421,13 +422,7 @@ class MpiRuntime:
         self.max_rhs = int(max_rhs)
         if self.policy == "overlap" and self.grid.partitioned:
             self.grid.check_overlap_feasible()
-        if self.engine == "compiled":
-            backend = "numba_soa"
-        elif backend in (None, "auto"):
-            from repro.dirac.kernels import DEFAULT_BACKEND
-
-            backend = DEFAULT_BACKEND
-        self.backend = backend
+        self.backend = _normalize_backend(backend, self.engine)
         self._spec = FabricSpec(
             n_ranks=self.grid.n_ranks,
             local_dims=self.grid.local_dims,
@@ -476,7 +471,7 @@ class MpiRuntime:
         keywords as :func:`repro.comm.distributed.rank_solve`."""
         if b.ndim < 7:
             raise ValueError("solve_cgne expects a stacked rhs (leading axes)")
-        res = rank_solve(self._ctx, np.array(self._local(b), copy=True), **solve)
+        res = rank_solve(self._ctx, self._local(b), **solve)
         res.x = self._gather(res.x, b.shape)
         return res
 

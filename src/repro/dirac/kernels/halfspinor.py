@@ -1,4 +1,4 @@
-"""Half-spinor (spin-projected) dslash backend.
+"""Half-spinor (spin-projected) dslash backend — the one NumPy stencil.
 
 QUDA's key flop optimization (Section IV): the hopping projectors
 ``(1 -+ gamma_mu)`` have rank two, so in the DeGrand-Rossi chiral basis —
@@ -19,24 +19,46 @@ appears anywhere in this backend.
 The 3x3 color multiply is unrolled into nine broadcast
 multiply-accumulates over contiguous per-component link planes, which
 sidesteps the per-site small-matrix overhead of ``einsum``/``matmul``.
+The hopping prefactor ``-1/2`` is folded into those planes once at
+construction — exact, because scaling by a power of two only decrements
+IEEE exponents and so commutes with every rounding in the
+multiply-accumulate chain.
 
-Workspace layout (QUDA's field order, Section IV): :meth:`HalfSpinorKernel.
-hopping` runs the primitives on buffers whose *memory* is component-major
-``(spin, colour, rhs, x, y, z, t)`` but whose *shape*, as the primitives
-see it, is the usual ``(rhs, x, y, z, t, spin, colour)`` — one transposing
-copy in, one out, and every ``[..., s, :]`` / ``[..., c]`` slice in between
-is a contiguous plane instead of a stride-12 / stride-3 gather.  The
-per-element operation chain does not depend on the layout, so the result
-is bitwise the one the array-of-structures path gives (the distributed
-stencils still run the same primitives on array-of-structures buffers).
-The RHS axis is processed in tiles of :data:`TILE_BYTES` of fermion field,
-so the workspace is bounded independently of the stack width, and
-steady-state applications allocate only the returned output field.
+One loop, three callers (QUDA has one dslash, Section IV-V):
+:meth:`HalfSpinorKernel.hopping` is the only place the eight hops
+(project -> shift -> colour-multiply -> accumulate, forward then
+backward, mu = 0..3) are sequenced.
+
+* *Serial is the no-ghost case.*  ``hopping(phi)`` shifts periodically.
+  A rank of a decomposed lattice passes ``ghosts`` — the dict a halo
+  exchange of :meth:`HalfSpinorKernel.faces` returns — and each
+  partitioned direction's wrapped plane is overwritten with the
+  neighbour's face after the local roll, which yields the bytes a global
+  ``np.roll`` would.  ``sites`` restricts the links to a sub-box, so the
+  same function recomputes a boundary slab (the overlap halo policy).
+* *Checkerboard-packed is a layout.*  ``hopping(xp, parity=p)`` maps one
+  parity's sites, folded pairwise along t (:meth:`HalfSpinorKernel.pack`),
+  to the other parity's: per-parity packed link planes, plain rolls along
+  x, y, z, and a column-masked roll along t.  Same loop, same ``ghosts``,
+  same ``sites``; half the sites in every pass of a red-black solve.
+
+Workspace layout (QUDA's field order, Section IV): the loop runs on
+buffers whose *memory* is component-major ``(spin, colour, rhs, x, y, z,
+t)`` but whose *shape*, as the primitives see it, is the usual ``(rhs,
+x, y, z, t, spin, colour)`` — one transposing copy in, one out, and every
+``[..., s, :]`` / ``[..., c]`` slice in between is a contiguous plane
+instead of a stride-12 / stride-3 gather.  Every primitive is
+elementwise, so neither the layout, the RHS tiling nor the site box
+changes a bit of the result.  The RHS axis is processed in tiles of
+:data:`TILE_BYTES` of fermion field, so the workspace is bounded
+independently of the stack width, and steady-state applications allocate
+only the returned output field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,27 +122,95 @@ def _aos_view(buf: np.ndarray, ncomp: int) -> np.ndarray:
     return buf.transpose(*range(ncomp, buf.ndim), *range(ncomp))
 
 
+def _face(mu: int, high: bool) -> tuple:
+    """Index of one boundary plane of site axis ``mu`` in a field stack
+    (the unit axis is kept)."""
+    return (slice(None),) * (1 + mu) + (slice(-1, None) if high else slice(0, 1),)
+
+
+def _cut(planes, sites: tuple | None):
+    """Nested tuples of site-indexed arrays (or ``None``), each restricted
+    to the site-axis slices ``sites``."""
+    if planes is None or sites is None:
+        return planes
+    if isinstance(planes, tuple):
+        return tuple(_cut(p, sites) for p in planes)
+    return planes[sites]
+
+
+def _planes(links: np.ndarray, fold=np.ascontiguousarray) -> tuple:
+    """``[mu][a][b]`` contiguous component planes of a link field, shaped
+    ``dims + (1,)`` so one plane broadcasts over the half-spinor axis."""
+    return tuple(
+        tuple(tuple(fold(links[mu, ..., a, b])[..., None] for b in range(3)) for a in range(3))
+        for mu in range(4)
+    )
+
+
 @register_backend("halfspinor")
 class HalfSpinorKernel(DslashKernel):
     """Spin-projected stencil with an unrolled broadcast color multiply.
 
     The links are pre-split into 18 contiguous component planes per
-    direction (9 for ``U``, 9 for ``U^H``), shaped ``dims + (1,)`` so one
-    plane broadcasts over the half field's spin axis.  The 3x3 multiply
-    is then nine vectorized multiply-accumulates over the whole lattice —
-    no per-site small-matrix dispatch at all.
+    direction (9 for ``-U/2``, 9 for ``-U^H/2``).  The 3x3 multiply is
+    then nine vectorized multiply-accumulates over the whole lattice — no
+    per-site small-matrix dispatch at all.  ``geometry`` may be a rank's
+    :class:`~repro.comm.decomp.LocalGeometry`: the packed layout reads the
+    *global* parity of its sites from it.
     """
 
     name = "halfspinor"
 
     def __init__(self, u, u_dag, geometry):
         super().__init__(u, u_dag, geometry)
-        split = lambda links, mu: tuple(
-            tuple(np.ascontiguousarray(links[mu, ..., a, b])[..., None] for b in range(3))
-            for a in range(3)
+        self._u = _planes(-0.5 * u)
+        self._udag = _planes(-0.5 * u_dag)
+
+    # -- the checkerboard-packed layout -------------------------------------
+    # Site (x, y, z, t) of parity P sits at packed index (x, y, z, t // 2):
+    # within one (x, y, z) column the two t-slots of a pair split between
+    # the parities.  Shifts along x, y, z are then plain rolls between the
+    # parity arrays (the neighbour's parity flip and the slot convention
+    # cancel) and only the t-shift needs the column mask; packed blocks
+    # splice across rank boundaries whenever every global extent is even.
+    @cached_property
+    def _packed(self) -> tuple:
+        """``(masks, u, udag)`` by parity: ``masks[P]`` marks the columns
+        whose parity-``P`` site occupies the even t-slot."""
+        if self.geometry.dims[3] % 2:
+            raise ValueError(f"packing needs an even t extent, got {self.geometry.dims[3]}")
+        even_slot = self.geometry.parity[..., 0, None]
+        masks = tuple((even_slot == P)[..., None, None] for P in (0, 1))
+        fold = lambda P: lambda c: np.ascontiguousarray(
+            np.where(even_slot == P, c[..., 0::2], c[..., 1::2])
         )
-        self._u_comp = tuple(split(u, mu) for mu in range(4))
-        self._udag_comp = tuple(split(u_dag, mu) for mu in range(4))
+        u, udag = (
+            tuple(_planes(links, fold(P)) for P in (0, 1))
+            for links in (-0.5 * self.u, -0.5 * self.u_dag)
+        )
+        return masks, u, udag
+
+    def pack(self, field: np.ndarray, parity: int) -> np.ndarray:
+        """One parity of a full field stack as a packed array."""
+        m = self._packed[0][parity]
+        return np.where(m, field[..., 0::2, :, :], field[..., 1::2, :, :])
+
+    def unpack(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+        """The full field stack whose two packed parities are given."""
+        m = self._packed[0][0]
+        out = np.empty(p0.shape[:4] + (2 * p0.shape[4], 4, 3), dtype=p0.dtype)
+        out[..., 0::2, :, :] = np.where(m, p0, p1)
+        out[..., 1::2, :, :] = np.where(m, p1, p0)
+        return out
+
+    def _layout(self, parity: int | None) -> tuple:
+        """Link planes of the forward hop (at the output site) and of the
+        backward hop (at the source site), and the t-shift masks of
+        each — for the full or the packed layout."""
+        if parity is None:
+            return self._u, self._udag, (None, None)
+        m, u, udag = self._packed
+        return u[1 - parity], udag[parity], (m[1 - parity], m[parity])
 
     # -- primitive steps ----------------------------------------------------
     @staticmethod
@@ -130,35 +220,19 @@ class HalfSpinorKernel(DslashKernel):
         out += phi[..., 0:2, :]
 
     @staticmethod
-    def _accumulate(out: np.ndarray, uh: np.ndarray, proj: _Proj, rtmp: np.ndarray) -> None:
-        """``out += (uh, R uh)`` given the pre-scaled half field ``uh``."""
-        out[..., 0:2, :] += uh
-        np.multiply(uh[..., proj.rsel, :], proj.rcoef, out=rtmp)
-        out[..., 2:4, :] += rtmp
+    def _shift(src, sign: int, mu: int, mask, out) -> None:
+        """``out(x) = src(x - sign * mu_hat)``, periodic in the local box.
+        In the packed layout (``mask`` given) a t-neighbour sits in the
+        same packed slot on the masked columns and in the next one on the
+        others."""
+        roll_into(src, sign, 1 + mu, out)
+        if mu == 3 and mask is not None:
+            np.copyto(out, src, where=mask)
 
-    def _color_mul(
-        self,
-        mu: int,
-        dagger: bool,
-        h: np.ndarray,
-        out: np.ndarray,
-        sites: tuple | None = None,
-        tmp: np.ndarray | None = None,
-    ) -> None:
-        """``out = U h`` (or ``U^H h``) on the half field.
-
-        ``sites`` optionally restricts the links to a sub-volume (a
-        4-tuple of site-axis slices) so the distributed overlap policy
-        can recompute boundary slabs; the per-element operation chain is
-        identical to the full-volume call, keeping slab recomputation
-        bitwise-consistent with it.  ``tmp`` is one colour plane of
-        scratch (default: a pooled array-of-structures buffer).
-        """
-        comp = (self._udag_comp if dagger else self._u_comp)[mu]
-        if sites is not None:
-            comp = tuple(tuple(c[sites] for c in row) for row in comp)
-        if tmp is None:
-            tmp = self.workspace.get("cmul_tmp", h.shape[:-1])
+    @staticmethod
+    def _color_mul(comp: tuple, h: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+        """``out = U h`` on the half field, ``comp`` the nine planes of
+        ``U`` and ``tmp`` one colour plane of scratch."""
         for a in range(3):
             oa = out[..., a]
             np.multiply(comp[a][0], h[..., 0], out=oa)
@@ -167,43 +241,94 @@ class HalfSpinorKernel(DslashKernel):
             np.multiply(comp[a][2], h[..., 2], out=tmp)
             oa += tmp
 
+    @staticmethod
+    def _accumulate(out, uh, proj: _Proj, rtmp, first: bool = False) -> None:
+        """``out += (uh, R uh)``; the ``first`` term is written instead
+        (value-exact against a zero fill: ``0 + x == x``)."""
+        np.multiply(uh[..., proj.rsel, :], proj.rcoef, out=rtmp)
+        if first:
+            out[..., 0:2, :] = uh
+            out[..., 2:4, :] = rtmp
+        else:
+            out[..., 0:2, :] += uh
+            out[..., 2:4, :] += rtmp
+
     # -- the stencil --------------------------------------------------------
-    def hopping(self, phi: np.ndarray) -> np.ndarray:
+    def faces(self, phi: np.ndarray, mu: int, parity: int | None = None) -> dict:
+        """Both halo faces of direction ``mu``, from ``phi``'s two boundary
+        slabs: ``("f", mu)`` the forward-projected low plane (the ``-mu``
+        neighbour's ``psi(x + mu)`` ghost), ``("b", mu)`` the
+        backward-projected, ``U^H``-multiplied high plane (the ``+mu``
+        neighbour's ghost; links never travel).  12 of 24 reals per site.
+        The chain is elementwise, so these are the bits the loop itself
+        computes on those planes."""
+        high = _face(mu, True)
+        udag = _cut(self._layout(parity)[1][mu], high[1:])
+        fwd = np.empty(phi[high].shape[:-2] + (2, 3), dtype=np.complex128)
+        h, bwd = np.empty_like(fwd), np.empty_like(fwd)
+        self._project(phi[_face(mu, False)], _FWD[mu], fwd)
+        self._project(phi[high], _BWD[mu], h)
+        self._color_mul(udag, h, bwd, np.empty(h.shape[:-1], dtype=np.complex128))
+        return {("f", mu): fwd, ("b", mu): bwd}
+
+    def hopping(
+        self,
+        phi: np.ndarray,
+        ghosts: dict | None = None,
+        sites: tuple | None = None,
+        parity: int | None = None,
+    ) -> np.ndarray:
+        """``H phi`` on a stack ``(n,) + box + (4, 3)``.
+
+        ``ghosts``
+            ``{("f" | "b", mu): face}`` for the whole stack — what a halo
+            exchange of :meth:`faces` returns; directions without an
+            entry wrap periodically inside the box.
+        ``sites``
+            Site-axis slices of the sub-box ``phi`` (and ``ghosts``)
+            cover, when that is not the kernel's whole block.
+        ``parity``
+            ``phi`` holds this parity's sites in the packed layout; the
+            result holds the other parity's.
+        """
         self.applications += 1
-        n, sites = phi.shape[0], phi.shape[1:-2]
+        u, udag, masks = _cut(self._layout(parity), sites)
+        n, box = phi.shape[0], phi.shape[1:-2]
         tile = min(n, max(1, TILE_BYTES // phi[0].nbytes))
         ws = self.workspace
-        src = _aos_view(ws.get("phi", (4, 3, tile) + sites), 2)
-        acc = _aos_view(ws.get("out", (4, 3, tile) + sites), 2)
-        tmp = _aos_view(ws.get("cmul_tmp", (2, tile) + sites), 1)
+        src = _aos_view(ws.get("phi", (4, 3, tile) + box), 2)
+        acc = _aos_view(ws.get("out", (4, 3, tile) + box), 2)
+        tmp = _aos_view(ws.get("cmul_tmp", (2, tile) + box), 1)
         out = np.empty(phi.shape, dtype=np.complex128)
         for lo in range(0, n, tile):
             k = min(tile, n - lo)
-            dst = out[lo : lo + k]
+            cols = slice(lo, lo + k)
+            dst = out[cols]
             # Until the closing transpose overwrites it, the output
             # tile's own memory is the two half-field scratch buffers.
-            h, hs = (_aos_view(half, 2) for half in dst.reshape((2, 2, 3, k) + sites))
-            self._hop_tile(phi[lo : lo + k], dst, src[:k], acc[:k], h, hs, tmp[:k])
+            h, hs = (_aos_view(half, 2) for half in dst.reshape((2, 2, 3, k) + box))
+            halo = {tag: face[cols] for tag, face in (ghosts or {}).items()}
+            self._hop_tile(phi[cols], dst, halo, u, udag, masks, src[:k], acc[:k], h, hs, tmp[:k])
         return out
 
-    def _hop_tile(self, phi_aos, out_aos, phi, out, h, hs, tmp) -> None:
+    def _hop_tile(self, phi_aos, out_aos, halo, u, udag, masks, phi, out, h, hs, tmp) -> None:
         """One RHS tile: transpose in, the eight hops, transpose out."""
         phi[...] = phi_aos
-        out.fill(0.0)
         for mu in range(4):
-            axis = 1 + mu  # site axes follow the flattened lead axis
             # forward hop: -(1/2) (1 - gamma_mu) U_mu(x) psi(x + mu)
             pf = _FWD[mu]
             self._project(phi, pf, h)
-            roll_into(h, -1, axis, hs)
-            self._color_mul(mu, False, hs, h, tmp=tmp)
-            h *= -0.5
-            self._accumulate(out, h, pf, hs)
+            self._shift(h, -1, mu, masks[0], hs)
+            if ("f", mu) in halo:
+                hs[_face(mu, True)] = halo["f", mu]
+            self._color_mul(u[mu], hs, h, tmp)
+            self._accumulate(out, h, pf, hs, first=mu == 0)
             # backward hop: -(1/2) (1 + gamma_mu) U_mu(x-mu)^H psi(x - mu)
             pb = _BWD[mu]
             self._project(phi, pb, h)
-            self._color_mul(mu, True, h, hs, tmp=tmp)
-            roll_into(hs, +1, axis, h)
-            h *= -0.5
+            self._color_mul(udag[mu], h, hs, tmp)
+            self._shift(hs, +1, mu, masks[1], h)
+            if ("b", mu) in halo:
+                h[_face(mu, False)] = halo["b", mu]
             self._accumulate(out, h, pb, hs)
         out_aos[...] = out

@@ -78,19 +78,13 @@ def pack_fermion(
     return out_re, out_im
 
 
-def unpack_fermion(
-    re: np.ndarray,
-    im: np.ndarray,
-    shape: tuple[int, ...],
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def unpack_fermion(re: np.ndarray, im: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """SoA ``(n, 4, 3, V)`` re/im pair -> freshly allocated AoS complex.
 
     ``shape`` is the original ``(n,) + dims + (4, 3)`` field shape.
     """
     n, volume = re.shape[0], re.shape[3]
-    if out is None:
-        out = np.empty(shape, dtype=np.complex128)
+    out = np.empty(shape, dtype=np.complex128)
     flat = out.reshape(n, volume, 4, 3)
     moved = np.moveaxis(flat, 1, 3)  # view into out
     moved.real[...] = re

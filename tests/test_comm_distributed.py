@@ -77,6 +77,37 @@ def test_hopping_parity_across_transports(transport, ranks):
     assert np.array_equal(got, serial.hopping(psi))
 
 
+@pytest.mark.parametrize("policy", ["blocking", "pairwise", "overlap"])
+def test_ghosts_follow_the_rhs_tile(monkeypatch, policy):
+    """The exchange happens once per hopping, for the whole stack; each
+    RHS tile of the stencil must then read its own columns of the ghosts.
+    Five columns in rank-side tiles of two (2 + 2 + 1), threads transport
+    so the ranks see the patched tile size: exact against the serial
+    operator, whose own tiling differs."""
+    from repro.dirac.kernels import halfspinor
+
+    gauge, _ = _background((8, 4, 2, 8))
+    rng = np.random.default_rng(8)
+    shape = (5,) + gauge.geometry.dims + (4, 3)
+    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    local_column = psi[0, :4].nbytes  # one column of a 2-rank block
+    monkeypatch.setattr(halfspinor, "TILE_BYTES", 2 * local_column)
+    serial = WilsonOperator(gauge, MASS, backend="halfspinor")
+    got = dist_fieldwise(
+        "hopping", gauge, MASS, psi, transport="threads", ranks=2, policy=policy
+    )
+    assert np.array_equal(got, serial.hopping(psi))
+
+
+def test_unknown_backend_rejected_by_the_driver(transport):
+    """The interpreted engine runs the half-spinor kernel only: anything
+    else is a ``ValueError`` from the driver's constructor, before any
+    rank is started, on every transport."""
+    gauge, _ = _background((4, 6, 2, 8))
+    with pytest.raises(ValueError, match="backend 'reference'"):
+        DecompRuntime(gauge, MASS, ranks=2, transport=transport, backend="reference")
+
+
 def test_schur_ops_parity_across_transports(transport):
     gauge, psi = _background((4, 6, 2, 8))
     eo = EvenOddWilson(WilsonOperator(gauge, MASS, backend="halfspinor"))
@@ -148,29 +179,28 @@ def test_cb_packed_path_bitwise(dims):
     """The checkerboard-packed hopping/Schur chain is pure data movement:
     bit-identical to the full-field chain on the nonzero parity."""
     ctx = _single_rank_context(dims)
-    cb = ctx.cb
-    assert cb is not None
+    kernel, full, packed = ctx.stencil.kernel, ctx.eo, ctx.eo_solve
+    assert packed is not full  # eligible grid: the solve runs packed
     rng = np.random.default_rng(3)
     shape = (2,) + dims + (4, 3)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     for parity in (0, 1):
-        xr = ctx.eo.restrict(x, parity)
+        xr = full.split(x)[parity]
         # pack/unpack roundtrip is exact
-        z = np.zeros_like(xr)
-        cb.st.unpack(cb.st.pack(xr, 0), cb.st.pack(xr, 1), z)
+        z = kernel.unpack(kernel.pack(xr, 0), kernel.pack(xr, 1))
         assert np.array_equal(z, xr)
         # hopping lands on the opposite parity, bit-identical
-        full = np.array(ctx.stencil.hopping(xr), copy=True)
-        hp = cb.st.hopping(cb.pack(xr, parity), parity)
-        assert np.array_equal(hp, cb.st.pack(full, 1 - parity))
+        hp = kernel.hopping(kernel.pack(xr, parity), parity=parity)
+        assert np.array_equal(hp, kernel.pack(kernel.hopping(xr), 1 - parity))
 
-    xe = ctx.eo.restrict(x, 0)
-    s_full = np.array(ctx.eo.schur_fast(xe), copy=True)
-    assert np.array_equal(cb.schur_fast(cb.pack(xe, 0)), cb.st.pack(s_full, 0))
-    d_full = np.array(ctx.eo.schur_dagger_fast(xe), copy=True)
+    xe = full.split(x)[0]
     assert np.array_equal(
-        cb.schur_dagger_fast(cb.pack(xe, 0)), cb.st.pack(d_full, 0)
+        packed.schur_apply(kernel.pack(xe, 0)), kernel.pack(full.schur_apply(xe), 0)
+    )
+    assert np.array_equal(
+        packed.schur_dagger_apply(kernel.pack(xe, 0)),
+        kernel.pack(full.schur_dagger_apply(xe), 0),
     )
 
 
@@ -194,4 +224,4 @@ def test_cb_ineligible_when_t_partitioned():
     ctx = _RankContext(
         0, grid, shared.make_fabric(0), blocks[0], MASS, "halfspinor", "blocking"
     )
-    assert ctx.cb is None
+    assert ctx.eo_solve is ctx.eo  # the solve falls back to the full layout

@@ -59,6 +59,51 @@ def test_cg_bitwise_invariant_under_ranks(dims):
         )
 
 
+def test_cg_obeys_the_halo_policy():
+    """The schedule serves the packed solve too: the three policies give
+    one answer (deterministic, same host — the exchange is data movement,
+    exact on any host, under an unchanged reduction order), and only
+    ``overlap`` opens the interior window, timed once in the shared
+    schedule for both engines."""
+    gauge, b = _sources((4, 4, 4, 8))
+    results, interior = {}, {}
+    for policy in ("blocking", "pairwise", "overlap"):
+        with DistributedEvenOddOperator(
+            gauge, MASS, ranks=2, policy=policy, timeout=60.0
+        ) as op:
+            results[policy] = DistributedCG(op, tol=TOL, max_iter=2000).solve_batched(b)
+            interior[policy] = [s["interior_seconds"] for s in op.runtime.halo_stats()]
+    assert results["blocking"].converged.all()
+    for policy in ("pairwise", "overlap"):
+        assert np.array_equal(results[policy].x, results["blocking"].x)
+        assert results[policy].iterations == results["blocking"].iterations
+        assert np.array_equal(
+            results[policy].column_iterations, results["blocking"].column_iterations
+        )
+    assert all(t > 0.0 for t in interior["overlap"])
+    assert interior["blocking"] == interior["pairwise"] == [0.0, 0.0]
+
+
+def test_cg_invariant_under_the_rhs_tile(monkeypatch):
+    """Exact on any host per stencil application, hence deterministic for
+    the solve: a stack spanning more than one tile of the packed stencil
+    (tiles of 2 + 1 columns, each reading its own columns of the ghosts)
+    is bit-equal, column by column, to the same solve in one tile."""
+    from repro.dirac.kernels import halfspinor
+
+    gauge, b = _sources((4, 4, 4, 8))
+    packed_column = b[0, :2].nbytes // 2  # one parity of a 2-rank block
+    results = {}
+    for tile_bytes in (halfspinor.TILE_BYTES, 2 * packed_column):
+        monkeypatch.setattr(halfspinor, "TILE_BYTES", tile_bytes)
+        with DistributedEvenOddOperator(gauge, MASS, ranks=2, timeout=60.0) as op:
+            results[tile_bytes] = DistributedCG(op, tol=TOL, max_iter=2000).solve_batched(b)
+    one_tile, tiled = results.values()
+    assert one_tile.converged.all()
+    assert np.array_equal(tiled.x, one_tile.x)
+    assert np.array_equal(tiled.column_iterations, one_tile.column_iterations)
+
+
 def test_cg_matches_legacy_serial_solver():
     gauge, b = _sources((4, 4, 4, 8))
     eo = EvenOddWilson(WilsonOperator(gauge, MASS, backend="halfspinor"))

@@ -6,9 +6,13 @@ tag codec, pre-posted receives, pooled buffers, fixed-order reductions —
 runs under the in-process :class:`~repro.comm.mpifabric.LoopbackComm`
 on hosts where ``import mpi4py`` fails.  These suites pin:
 
-* bitwise parity of the MPI rank program
+* parity of the MPI rank program
   (:class:`~repro.comm.mpifabric.MpiRuntime`) against the serial
-  operators and the thread-fabric decomposition runtime;
+  operators — *exact on any host*: the fabric only moves faces, the
+  stencil is the serial elementwise chain — and against the
+  thread-fabric decomposition runtime's solves — *deterministic, same
+  host*: ``allreduce_rows`` sums slice partials in one fixed order on
+  every transport, but each partial is a ``vdot``;
 * the :mod:`repro.comm.mpi_worker` job protocol end to end (field ops,
   CG, bench) over loopback SPMD ranks — no subprocess, no launcher;
 * graceful capability detection: every mpi-needing entry point degrades
@@ -127,7 +131,8 @@ def test_mpi_runtime_hopping_bitwise(ranks, policy):
 
 
 def test_mpi_runtime_cg_matches_thread_fabric():
-    """Same iterates, same bits: MPI fabric == thread fabric CGNE."""
+    """Same iterates, same bits (deterministic, same host): MPI fabric ==
+    thread fabric CGNE."""
     gauge, b = _background((4, 4, 4, 8), n_rhs=2, seed=7)
     with DecompRuntime(gauge, MASS, ranks=2, transport="threads") as rt:
         want = rt.solve_cgne(b, tol=1e-8, max_iter=2000)

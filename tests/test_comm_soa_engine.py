@@ -3,14 +3,21 @@
 The ``engine="compiled"`` tier routes every rank's stencil through the
 SoA interior/surface kernels with ghost-face pack/unpack (interpreted
 bodies where numba is absent — same expressions, so same bits).  These
-tests pin the engine's contract:
+tests pin the engine's contract, and each guarantee is one of the two
+kinds ``comm/distributed.py``'s module docstring names:
 
-* hopping is bitwise identical to the *serial* SoA kernel on every rank
-  grid and halo policy, including the minimal-overlap regime where the
-  local extent is exactly 2 along every partitioned axis;
-* Wilson apply and the Schur ops are bitwise invariant under the rank
-  grid (single-rank compiled == serial-compiled execution);
-* CG and reliable-update CG answers are bitwise invariant under ranks;
+* hopping equals the *serial* SoA kernel on every rank grid and halo
+  policy, including the minimal-overlap regime where the local extent
+  is exactly 2 along every partitioned axis — *exact on any host* (the
+  same per-site float chain, ghosts produced by the same expression
+  lines on the sender, no reduction);
+* Wilson apply and the Schur ops are invariant under the rank grid
+  (single-rank compiled == serial-compiled execution) — *exact on any
+  host*, they are elementwise passes around that hopping;
+* CG and reliable-update CG answers are invariant under ranks —
+  *deterministic, same host*: the fixed-order slice reduction makes the
+  iterates rank-count-invariant for any BLAS, but each partial is a
+  ``vdot``, so the bits differ between BLAS builds;
 * the overlap precondition raises one structured error — naming the
   offending axis — from both the construction-time and the
   ``set_policy`` code path;
@@ -75,8 +82,9 @@ def test_hopping_bitwise_vs_serial_soa(ranks, policy):
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_compiled_engine_parity_across_transports(transport, policy):
-    """The compiled SoA engine is bitwise serial-equal on every executed
-    transport — threads/shm/loopback/mpi all drive the same kernels."""
+    """The compiled SoA engine equals the serial kernel on every executed
+    transport (exact on any host) — threads/shm/loopback/mpi all drive
+    the same kernels."""
     gauge, psi = _background((8, 4, 2, 8))
     serial = _serial_soa(gauge)
     got = dist_fieldwise(
@@ -87,7 +95,8 @@ def test_compiled_engine_parity_across_transports(transport, policy):
 
 
 def test_multi_axis_grid_bitwise():
-    """Two partitioned axes: corner-free face exchange still exact."""
+    """Two partitioned axes: corner-free face exchange still exact (on
+    any host)."""
     gauge, psi = _background((4, 6, 2, 8))
     serial = _serial_soa(gauge)
     with DistributedWilsonOperator(
@@ -98,7 +107,8 @@ def test_multi_axis_grid_bitwise():
 
 
 def test_apply_and_schur_rank_invariant():
-    """Wilson apply and Schur ops: multi-rank == single-rank compiled."""
+    """Wilson apply and Schur ops: multi-rank == single-rank compiled
+    (exact on any host: elementwise around the hopping, no reduction)."""
     gauge, psi = _background((4, 6, 2, 8))
     geom = gauge.geometry
     mask = geom.parity_mask(0)[..., None, None]
@@ -150,6 +160,8 @@ def test_extent_two_every_partitioned_axis(engine, policy, n_rhs):
 
 # -- solver rank invariance --------------------------------------------------
 
+# Rank invariance of a solve is the *deterministic, same host* kind (every
+# decision hangs off a ``vdot``-built reduction whose order is fixed).
 # Without numba these solves run the interpreted fallback bodies of the
 # kernels — a correctness guard, not a tier, and 45 % of tier-1 wall time
 # at full size — so there one RHS on ranks (1, 2) is the guard; the
@@ -175,7 +187,8 @@ def test_cg_bitwise_invariant_under_ranks_compiled():
 
 def test_rucg_bitwise_invariant_under_ranks():
     """Reliable-update CG: sloppy storage, folds and restarts are all
-    collective decisions, so the answer is rank-count invariant too."""
+    collective decisions, so the answer is rank-count invariant too
+    (deterministic, same host)."""
     gauge, b = _background((4, 4, 4, 8), n_rhs=min(CG_NRHS, 2), seed=7)
     results = {}
     for ranks in (1, 2):

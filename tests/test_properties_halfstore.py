@@ -2,15 +2,18 @@
 
 The contracts the mixed-precision solver and the compiled kernel tier
 rest on, explored by hypothesis under the deterministic profiles of
-``tests/conftest.py``:
+``tests/conftest.py``.  Every equality here is *exact on any host*:
+the codec and the SoA layout are data movement plus elementwise
+arithmetic — no reduction, nothing a BLAS build could reorder:
 
-* ``Half16Codec``: ``decode(encode(x))`` is *bitwise* the dense
+* ``Half16Codec``: ``decode(encode(x))`` is, to the bit, the dense
   ``HalfPrecision.roundtrip`` (the identity that makes compressed and
   dense reliable-update solves produce identical iterates), the
   relative error per site is bounded by the fixed-point step, exact
   zeros survive, and the handle really is ~4x smaller;
-* SoA ``pack_fermion``/``unpack_fermion``: a bitwise round-trip for any
-  batch width and (even or odd) lattice dims.
+* SoA ``pack_fermion``/``unpack_fermion``: an exact round-trip (a
+  permutation of the reals) for any batch width and (even or odd)
+  lattice dims.
 """
 
 from __future__ import annotations

@@ -1,10 +1,17 @@
-"""Compressed-storage reliable-update CG: bitwise parity with dense.
+"""Compressed-storage reliable-update CG: exact parity with dense.
 
 The design invariant of ``ReliableUpdateCG(storage="compressed")`` is
 that persisting the inner Krylov vectors as int16 handles changes the
 *memory format* and nothing else: every float operation of the dense
 half path is executed identically, so iterates, iteration counts and
-final solutions agree bit for bit.  These tests assert exactly that —
+final solutions agree bit for bit.  The guarantee is *exact on any
+host*: the codec is data movement plus an elementwise chain, and the
+two solves hand identical inputs to identical operations — the
+``vdot``s included — so whatever BLAS computes them computes the same
+thing twice.  (That is the stronger kind; rank- and transport-invariance
+of a solve, where the reduction *order* is what is engineered, is
+*deterministic, same host* — see ``comm/distributed.py``.)  These tests
+assert exactly that —
 on a planted hermitian operator, on the real Wilson normal equations,
 in the batched path, and across a checkpoint/resume cycle — plus the
 validation and footprint contracts.
@@ -59,6 +66,8 @@ class TestValidation:
 
 
 class TestBitwiseParity:
+    """Dense vs compressed: exact on any host (see the module docstring)."""
+
     def test_scalar_solve_identical(self):
         mv, _, b = _hpd(3)
         dense, comp = _solvers(tol=1e-10)
