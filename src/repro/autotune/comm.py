@@ -140,7 +140,7 @@ class CommPolicyTuner:
         from repro.autotune.kernel import KernelAutotuner, TuneKey
         from repro.comm.decomp import slab_grid
         from repro.comm.distributed import DecompRuntime
-        from repro.comm.exchange import EXECUTED_POLICIES
+        from repro.comm.exchange import feasible_policies
         from repro.dirac.kernels.registry import _env_aux
         from repro.utils.rng import make_rng
 
@@ -204,13 +204,7 @@ class CommPolicyTuner:
                         timeout=timeout,
                     )
                     runtimes.append(rt)
-                    for schedule in EXECUTED_POLICIES:
-                        if (
-                            schedule == "overlap"
-                            and rt.grid.partitioned
-                            and rt.grid.min_partitioned_extent() < 2
-                        ):
-                            continue
+                    for schedule in feasible_policies(rt.grid):
 
                         def thunk(rt=rt, schedule=schedule):
                             if rt.policy != schedule:

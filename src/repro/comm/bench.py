@@ -62,14 +62,40 @@ def host_metadata() -> dict:
     }
 
 
-def _best_of(fn, repeats: int = REPEATS) -> float:
-    fn()  # warm-up: workspace allocation, einsum path resolution
-    best = np.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _race_policies(rt, psi, repeats: int, policies=None) -> dict:
+    """Race the halo schedules ``rt``'s grid can run on a stacked hopping.
+
+    Per policy: ``seconds`` is the best of ``repeats`` timed hoppings
+    after a warm-up (workspace allocation, einsum path resolution), and
+    ``halo_wait_s`` / ``interior_s`` the per-hopping halo wait and
+    overlap window, each the max over ranks of the cumulative counters'
+    growth between two ``halo_stats()`` reads around the timed calls.
+    """
+    from repro.comm.exchange import feasible_policies
+
+    rows: dict = {}
+    for policy in feasible_policies(rt.grid):
+        if policies is not None and policy not in policies:
+            continue
+        rt.set_policy(policy)
+        rt.hopping(psi)  # warm-up
+        before = rt.halo_stats()
+        best = np.inf
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            rt.hopping(psi)
+            best = min(best, time.perf_counter() - t0)
+        after = rt.halo_stats()
+
+        def growth(key: str) -> float:
+            return max(b[key] - a[key] for a, b in zip(before, after)) / repeats
+
+        rows[policy] = {
+            "seconds": best,
+            "halo_wait_s": growth("wait_seconds"),
+            "interior_s": growth("interior_seconds"),
+        }
+    return rows
 
 
 def bench_halo(
@@ -85,21 +111,18 @@ def bench_halo(
 ) -> dict:
     """Per-(ranks, transport, policy) stacked-hopping timings."""
     from repro.comm.distributed import DecompRuntime
-    from repro.comm.exchange import EXECUTED_POLICIES
     from repro.utils.rng import make_rng
 
     geom = gauge.geometry
     rng = make_rng(77)
     shape = (n_rhs,) + geom.dims + (4, 3)
     psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    policies = tuple(policies or EXECUTED_POLICIES)
 
     out: dict = {}
     for nr in ranks:
         per_rank: dict = {}
         for transport in transports:
-            per_transport: dict = {}
-            rt = DecompRuntime(
+            with DecompRuntime(
                 gauge,
                 mass,
                 ranks=nr,
@@ -107,22 +130,9 @@ def bench_halo(
                 policy="blocking",
                 max_rhs=n_rhs,
                 timeout=timeout,
-            )
-            try:
-                for policy in policies:
-                    if (
-                        policy == "overlap"
-                        and rt.grid.partitioned
-                        and rt.grid.min_partitioned_extent() < 2
-                    ):
-                        continue
-                    rt.set_policy(policy)
-                    per_transport[policy] = _best_of(
-                        lambda: rt.hopping(psi), repeats
-                    )
-            finally:
-                rt.close()
-            per_rank[transport] = per_transport
+            ) as rt:
+                rows = _race_policies(rt, psi, repeats, policies)
+            per_rank[transport] = {p: row["seconds"] for p, row in rows.items()}
         out[str(nr)] = per_rank
     return out
 
@@ -173,7 +183,7 @@ def bench_engines(
         for n_rhs in n_rhs_list:
             shape = (n_rhs,) + geom.dims + (4, 3)
             psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            rt = DecompRuntime(
+            with DecompRuntime(
                 gauge,
                 mass,
                 ranks=ranks,
@@ -182,47 +192,17 @@ def bench_engines(
                 engine=engine,
                 max_rhs=n_rhs,
                 timeout=timeout,
-            )
-            try:
-                for policy in EXECUTED_POLICIES:
-                    if (
-                        policy == "overlap"
-                        and rt.grid.partitioned
-                        and rt.grid.min_partitioned_extent() < 2
-                    ):
-                        skipped.append(
-                            f"{engine}/{policy}/rhs{n_rhs} (local extent < 2)"
-                        )
-                        continue
-                    rt.set_policy(policy)
-                    rt.hopping(psi)  # warm-up
-                    before = rt.halo_stats()
-                    best = np.inf
-                    for _ in range(repeats):
-                        t0 = time.perf_counter()
-                        rt.hopping(psi)
-                        best = min(best, time.perf_counter() - t0)
-                    after = rt.halo_stats()
-                    wait = max(
-                        b["wait_seconds"] - a["wait_seconds"]
-                        for a, b in zip(before, after)
-                    ) / repeats
-                    interior = max(
-                        b["interior_seconds"] - a["interior_seconds"]
-                        for a, b in zip(before, after)
-                    ) / repeats
-                    waits[(engine, n_rhs, policy)] = wait
-                    rows.append({
-                        "engine": engine,
-                        "ranks": ranks,
-                        "n_rhs": n_rhs,
-                        "policy": policy,
-                        "seconds": best,
-                        "halo_wait_s": wait,
-                        "interior_s": interior,
-                    })
-            finally:
-                rt.close()
+            ) as rt:
+                raced = _race_policies(rt, psi, repeats)
+            for policy in EXECUTED_POLICIES:
+                if policy not in raced:
+                    skipped.append(f"{engine}/{policy}/rhs{n_rhs} (local extent < 2)")
+                    continue
+                waits[(engine, n_rhs, policy)] = raced[policy]["halo_wait_s"]
+                rows.append(
+                    {"engine": engine, "ranks": ranks, "n_rhs": n_rhs,
+                     "policy": policy, **raced[policy]}
+                )
 
     efficiency: dict = {}
     for engine in engines:
@@ -266,7 +246,6 @@ def bench_transport_halo(
     counterpart of :class:`repro.comm.model.CommCostModel`.
     """
     from repro.comm.distributed import DecompRuntime
-    from repro.comm.exchange import EXECUTED_POLICIES
     from repro.comm.transports import TRANSPORTS, transport_available
     from repro.utils.rng import make_rng
 
@@ -329,36 +308,15 @@ def bench_transport_halo(
                 }
             out["transports"][transport] = entry
             continue
-        rt = DecompRuntime(
-            gauge, mass, ranks=ranks,
-            transport="processes" if transport == "shm" else transport,
+        with DecompRuntime(
+            gauge, mass, ranks=ranks, transport=transport,
             policy="blocking", engine=engine, max_rhs=n_rhs, timeout=timeout,
-        )
-        policies = {}
-        try:
-            for policy in EXECUTED_POLICIES:
-                if (
-                    policy == "overlap"
-                    and rt.grid.partitioned
-                    and rt.grid.min_partitioned_extent() < 2
-                ):
-                    continue
-                rt.set_policy(policy)
-                rt.hopping(psi)  # warm-up
-                before = rt.halo_stats()
-                best = np.inf
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    rt.hopping(psi)
-                    best = min(best, time.perf_counter() - t0)
-                after = rt.halo_stats()
-                wait = max(
-                    b["wait_seconds"] - a["wait_seconds"]
-                    for a, b in zip(before, after)
-                ) / repeats
-                policies[policy] = {"seconds": best, "halo_wait_s": wait}
-        finally:
-            rt.close()
+        ) as rt:
+            raced = _race_policies(rt, psi, repeats)
+        policies = {
+            p: {"seconds": row["seconds"], "halo_wait_s": row["halo_wait_s"]}
+            for p, row in raced.items()
+        }
         waits = {p: r["halo_wait_s"] for p, r in policies.items()}
         out["transports"][transport] = {
             "policies": policies,

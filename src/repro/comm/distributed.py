@@ -1,11 +1,18 @@
 """Rank-parallel Wilson/even-odd dslash and CG over executed transports.
 
-One worker per rank runs the *same* program (`worker_main`) against a
-:class:`~repro.comm.shm.Fabric`; the driver (`DecompRuntime`) scatters
-global fields into per-rank blocks, broadcasts commands, and gathers the
-results.  The facades at the bottom (:class:`DistributedWilsonOperator`,
-:class:`DistributedEvenOddOperator`, :class:`DistributedCG`) mirror the
-serial operator/solver APIs.
+Every rank runs the *same* program, :func:`rank_main`: a
+:class:`_RankContext` built from the :class:`RankPlan` all ranks share,
+serving ``(cmd, field, args)`` messages from a channel through one
+dispatch, :func:`rank_command`.  How ranks are started is a scheduling
+decision, never a second program: a *launcher* starts ``rank_main`` n
+times (threads, threads over the MPI fabric, spawned processes) and
+hands the driver its channel ends; the ``mpiexec`` job
+(:mod:`repro.comm.mpi_worker`) is the same context and dispatch fed one
+command from a job file.  The driver (:class:`DecompRuntime`) scatters
+global fields into per-rank blocks, sends a command down every channel
+and gathers the replies; how a field crosses that boundary is the
+channel's business alone.  The facades at the bottom mirror the serial
+operator/solver APIs.
 
 One stencil, one schedule, one Schur class
 ------------------------------------------
@@ -59,11 +66,12 @@ Both are engineered in, and the test suite pins both:
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import threading
 import time
 import traceback
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -154,17 +162,10 @@ class RankStencil:
         #: cumulative seconds of compute between ``begin`` and ``complete``
         #: under the overlap schedule — the window the halo wait hides behind
         self.interior_seconds = 0.0
-        self.policy = ""
         self.set_policy(policy)
 
     def set_policy(self, policy: str) -> None:
-        if policy not in EXECUTED_POLICIES:
-            raise ValueError(
-                f"unknown executed policy {policy!r}; have {EXECUTED_POLICIES}"
-            )
-        if policy == "overlap" and self.part:
-            self.grid.check_overlap_feasible()
-        self.policy = policy
+        self.policy = _normalize_policy(policy, self.grid)
 
     def _halo(self, faces, interior) -> tuple[dict, object]:
         """Move ``faces(mu)`` of every partitioned direction under the
@@ -175,7 +176,11 @@ class RankStencil:
             ghosts: dict = {}
             for mu in self.part:
                 got = ex.exchange(faces(mu))
-                if len(self.part) > 2:  # transport storage lasts two rounds
+                # Transport storage lasts until the slot's next round and only
+                # the barrier inside a round orders ranks: with two or more
+                # rounds per hopping, a peer's *next* hopping re-posts a slot
+                # while its ghosts are still being consumed here.
+                if len(self.part) > 1:
                     got = {tag: face.copy() for tag, face in got.items()}
                 ghosts.update(got)
             return ghosts, None
@@ -377,34 +382,131 @@ class SliceReducer:
 
 
 # ---------------------------------------------------------------------------
-# the per-rank worker program
+# the rank program: one plan, one context, one dispatch, one main loop
 # ---------------------------------------------------------------------------
+
+
+def _normalize_policy(policy, grid: RankGrid) -> str:
+    """The executed schedule a policy value names, checked runnable on
+    ``grid`` — by the driver before any rank, so construction and
+    ``set_policy`` raise the same structured error, not a rank's traceback."""
+    from repro.comm.policies import CommPolicy, HaloGranularity
+
+    if isinstance(policy, CommPolicy):
+        policy = policy.granularity
+    if isinstance(policy, HaloGranularity):
+        policy = policy.schedule
+    if policy not in EXECUTED_POLICIES:
+        raise ValueError(f"unknown halo policy {policy!r}; have {EXECUTED_POLICIES}")
+    if policy == "overlap":
+        grid.check_overlap_feasible()
+    return policy
+
+
+def _normalize_engine(engine) -> str:
+    from repro.dirac.kernels.numba_soa import NUMBA_AVAILABLE
+
+    if engine in (None, "auto"):
+        # compiled only where numba actually JITs: the interpreted
+        # execution of the SoA kernel body is a correctness vehicle, not
+        # a production engine.
+        return "compiled" if NUMBA_AVAILABLE else "interpreted"
+    if engine in ENGINES:
+        return engine
+    raise ValueError(
+        f"unknown dslash engine {engine!r}; have {ENGINES + ('auto',)}"
+    )
+
+
+def _normalize_backend(backend, engine: str) -> str:
+    """The kernel an engine runs: the compiled one is ``numba_soa``, and
+    the interpreted one the half-spinor stencil — the only kernel with
+    spin-projected faces to exchange."""
+    if engine == "compiled":
+        return "numba_soa"
+    if backend in (None, "auto", "halfspinor"):
+        return "halfspinor"
+    raise ValueError(
+        f"unknown backend {backend!r} for the interpreted engine: the "
+        "distributed dslash runs the 'halfspinor' kernel (or pass "
+        "engine='compiled' for the SoA tier)"
+    )
+
+
+@dataclass(frozen=True)
+class RankPlan:
+    """The validated, picklable value a run is built from, made once: the
+    driver, a spawned rank and an ``mpiexec`` rank hold the same plan, so
+    nothing is normalised or derived twice."""
+
+    grid: RankGrid
+    mass: float
+    policy: str  # the schedule ranks start under (``set_policy`` moves them)
+    engine: str
+    backend: str
+    max_rhs: int
+    timeout: float
+
+    @classmethod
+    def make(
+        cls, dims, mass, *, ranks=None, grid=None, policy="blocking",
+        engine="interpreted", backend=None, max_rhs=12, timeout=60.0,
+    ) -> "RankPlan":
+        """Normalise and check every knob of :class:`DecompRuntime` that
+        reaches a rank — ``ValueError`` here, before any rank is started."""
+        if grid is None:
+            if ranks is None:
+                raise ValueError("pass either ranks= or grid=")
+            grid = slab_grid(dims, ranks)
+        grid = RankGrid.make(dims, tuple(grid))
+        engine = _normalize_engine(engine)
+        backend = _normalize_backend(backend, engine)
+        policy = _normalize_policy(policy, grid)
+        return cls(grid, float(mass), policy, engine, backend, int(max_rhs), float(timeout))
+
+    @property
+    def spec(self) -> FabricSpec:
+        """The wire layout every fabric of this run is sized from."""
+        grid = self.grid
+        return FabricSpec(
+            n_ranks=grid.n_ranks,
+            local_dims=grid.local_dims,
+            partitioned=grid.partitioned,
+            n_max=self.max_rhs,
+            reduce_rows=grid.global_dims[SliceReducer.AXIS],
+            timeout=self.timeout,
+        )
+
+    def stack(self, psi: np.ndarray) -> np.ndarray:
+        """A global field with any leading axes as one contiguous complex128
+        ``(n,) + dims + (4, 3)`` stack the transport is sized for."""
+        tail = self.grid.global_dims + (4, 3)
+        if psi.shape[-6:] != tail:
+            raise ValueError(f"field tail {psi.shape[-6:]} != lattice {tail}")
+        phi = psi.reshape((-1,) + tail)
+        if phi.shape[0] > self.max_rhs:
+            raise ValueError(f"{phi.shape[0]} stacked fields exceed max_rhs={self.max_rhs}")
+        return np.ascontiguousarray(np.asarray(phi, dtype=np.complex128))
+
+    def block(self, arr: np.ndarray, rank: int) -> np.ndarray:
+        """``rank``'s contiguous block of a global links- or stack-shaped array."""
+        return np.ascontiguousarray(arr[(slice(None),) + self.grid.site_slices(rank)])
 
 
 class _RankContext:
     """Everything one rank needs, independent of the transport."""
 
-    def __init__(
-        self,
-        rank: int,
-        grid: RankGrid,
-        fabric: Fabric,
-        u_local: np.ndarray,
-        mass: float,
-        backend: str,
-        policy: str,
-        engine: str = "interpreted",
-    ):
+    def __init__(self, plan: RankPlan, rank: int, fabric: Fabric, u_local: np.ndarray):
+        grid, mass = plan.grid, plan.mass
         geometry = grid.local_geometry(rank)
         u_dag = np.conjugate(np.swapaxes(u_local, -1, -2))
-        self.mass = float(mass)
-        self.engine = engine
-        if engine == "compiled":
+        self.plan = plan
+        if plan.engine == "compiled":
             kernel = SoAHalfSpinorKernel(u_local, u_dag, geometry)
-            self.stencil = SoARankStencil(kernel, grid, rank, fabric, policy)
+            self.stencil = SoARankStencil(kernel, grid, rank, fabric, plan.policy)
         else:
-            kernel = make_kernel(backend, u_local, u_dag, geometry)
-            self.stencil = RankStencil(kernel, grid, rank, fabric, policy)
+            kernel = make_kernel(plan.backend, u_local, u_dag, geometry)
+            self.stencil = RankStencil(kernel, grid, rank, fabric, plan.policy)
         hop = self.stencil.hopping
         #: the red-black chain on full-lattice local fields (field ops)
         self.eo = WilsonSchur(lambda x, parity: hop(x), mass, *parity_fields(geometry))
@@ -414,7 +516,7 @@ class _RankContext:
         #: packed layout), else the full-lattice one
         self.eo_solve = self.eo
         if (
-            engine != "compiled"
+            plan.engine != "compiled"
             and 3 not in grid.partitioned
             and all(L % 2 == 0 for L in grid.global_dims)
         ):
@@ -430,12 +532,11 @@ class _RankContext:
 
 
 #: The rank program's field operations, by wire code: ``fn(ctx, phi)``
-#: on one rank's local block.  Every launcher (``worker_main``,
-#: ``MpiRuntime``, the ``mpi_worker`` job protocol) dispatches through
-#: this table, so an operation is added here and nowhere else.
+#: on one rank's local block.  :func:`rank_command` is their only
+#: caller, so an operation is added here and nowhere else.
 RANK_OPS = {
     "hopping": lambda ctx, phi: ctx.stencil.hopping(phi),
-    "apply": lambda ctx, phi: (ctx.mass + 4.0) * phi + ctx.stencil.hopping(phi),
+    "apply": lambda ctx, phi: (ctx.plan.mass + 4.0) * phi + ctx.stencil.hopping(phi),
     "schur": lambda ctx, phi: ctx.eo.schur_apply(phi),
     "schur_dagger": lambda ctx, phi: ctx.eo.schur_dagger_apply(phi),
     "schur_normal": lambda ctx, phi: ctx.eo.schur_normal_apply(phi),
@@ -485,79 +586,69 @@ def rank_solve(
     return res
 
 
-def rank_stats(ctx: _RankContext) -> dict:
-    """One rank's exchanger counters (the ``halo_stats`` row)."""
-    ex = ctx.stencil.exchanger
-    return {
-        "engine": ctx.engine,
-        "rounds": ex.rounds,
-        "messages": ex.messages,
-        "bytes_sent": ex.bytes_sent,
-        "wait_seconds": ex.wait_seconds,
-        "interior_seconds": ctx.stencil.interior_seconds,
-    }
+def rank_command(ctx: _RankContext, cmd: str, field, args) -> tuple:
+    """The one dispatch of the rank program: the ``(field, meta)`` reply
+    to a command, its local ``field`` block (or ``None``) and ``args``.
+    ``policy`` switches the halo schedule, ``stats`` is one ``halo_stats``
+    row, ``cg`` is :func:`rank_solve` (keywords in ``args``; the block of
+    ``x`` travels as the field, the rest of the result as meta), anything
+    else a :data:`RANK_OPS` code."""
+    if cmd == "policy":
+        ctx.stencil.set_policy(args)
+        return None, None
+    if cmd == "stats":
+        ex = ctx.stencil.exchanger
+        return None, {
+            "engine": ctx.plan.engine,
+            "rounds": ex.rounds,
+            "messages": ex.messages,
+            "bytes_sent": ex.bytes_sent,
+            "wait_seconds": ex.wait_seconds,
+            "interior_seconds": ctx.stencil.interior_seconds,
+        }
+    if cmd == "cg":
+        res = rank_solve(ctx, field, **args)
+        return res.x, replace(res, x=None)
+    if cmd not in RANK_OPS:
+        raise ValueError(f"unknown rank command {cmd!r}")
+    return RANK_OPS[cmd](ctx, field), None
 
 
-class _ThreadIO:
-    """Field transfer when driver and worker share an address space."""
-
-    def get(self, payload: dict) -> np.ndarray:
-        return payload["field"]
-
-    def put(self, arr: np.ndarray) -> dict:
-        return {"field": arr}
-
-
-class _ShmIO:
-    """Field transfer staged through the arena's per-rank regions."""
-
-    def __init__(self, arena: ShmArena, rank: int):
-        self.arena = arena
-        self.rank = rank
-
-    def get(self, payload: dict) -> np.ndarray:
-        return self.arena.view(("fin", self.rank), tuple(payload["shape"]))
-
-    def put(self, arr: np.ndarray) -> dict:
-        self.arena.view(("fout", self.rank), arr.shape)[...] = arr
-        return {"shape": arr.shape}
-
-
-def worker_main(ctx: _RankContext, chan, io) -> None:
-    """Command loop every rank runs until ``stop`` (or channel EOF)."""
+def rank_main(plan: RankPlan, rank: int, fabric: Fabric, u_local: np.ndarray, chan) -> None:
+    """What every launcher starts: answer each ``(cmd, field, args)`` on
+    ``chan`` with ``("ok", field, meta)`` or ``("err", None, traceback)``
+    until ``stop`` (or EOF).  A rank that cannot build its context says so
+    the same way; the driver reads it as the reply to its first command."""
+    try:
+        ctx = _RankContext(plan, rank, fabric, u_local)
+    except Exception:
+        chan.send(("err", None, traceback.format_exc()))
+        return
     while True:
         try:
-            cmd, payload = chan.recv()
+            cmd, field, args = chan.recv()
         except EOFError:
             return
+        if cmd == "stop":
+            return
         try:
-            if cmd == "stop":
-                chan.send(("ok", None))
-                return
-            if cmd == "policy":
-                ctx.stencil.set_policy(payload)
-                chan.send(("ok", None))
-                continue
-            if cmd == "stats":
-                chan.send(("ok", rank_stats(ctx)))
-                continue
-            if cmd == "cg":
-                res = rank_solve(ctx, io.get(payload), **payload["solve"])
-                chan.send(("ok", {**io.put(res.x), "result": replace(res, x=None)}))
-                continue
-            if cmd not in RANK_OPS:
-                raise ValueError(f"unknown worker command {cmd!r}")
-            chan.send(("ok", io.put(RANK_OPS[cmd](ctx, io.get(payload)))))
+            reply = ("ok", *rank_command(ctx, cmd, field, args))
         except Exception:
-            chan.send(("err", traceback.format_exc()))
+            reply = ("err", None, traceback.format_exc())
+        chan.send(reply)
 
 
+@dataclass
 class _QueueChannel:
-    """Worker end of a thread-transport command channel."""
+    """One end of an in-process channel: a message's field crosses by reference."""
 
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue):
-        self.inbox = inbox
-        self.outbox = outbox
+    inbox: queue.Queue
+    outbox: queue.Queue
+
+    @classmethod
+    def pair(cls) -> tuple["_QueueChannel", "_QueueChannel"]:
+        a, b = queue.Queue(), queue.Queue()
+        return cls(a, b), cls(b, a)
 
     def recv(self):
         return self.inbox.get()
@@ -566,44 +657,53 @@ class _QueueChannel:
         self.outbox.put(msg)
 
 
-class _PipeChannel:
-    """Worker end of a process-transport command channel."""
+@dataclass
+class _ArenaChannel:
+    """One end (either end) of a pipe whose fields are staged through the arena:
+    ``send`` copies the field into this end's region and puts its *shape*
+    on the pipe, ``recv`` returns a window onto the peer's region, valid
+    until the peer's next send — a rank computes on it before it replies,
+    and the driver consumes it in ``RankGrid.gather`` (a fresh array)."""
 
-    def __init__(self, conn):
-        self.conn = conn
+    conn: object
+    arena: ShmArena
+    out_key: tuple
+    in_key: tuple
 
     def recv(self):
-        return self.conn.recv()
+        head, shape, tail = self.conn.recv()
+        field = None if shape is None else self.arena.view(self.in_key, tuple(shape))
+        return head, field, tail
 
     def send(self, msg) -> None:
-        self.conn.send(msg)
+        head, field, tail = msg
+        if field is not None:
+            self.arena.view(self.out_key, field.shape)[...] = field
+            field = field.shape
+        self.conn.send((head, field, tail))
 
 
-def _shm_worker_entry(cfg: dict, shm_name: str, barrier, conn) -> None:
-    """Spawned-process entry: attach to the arena and serve commands."""
+def _spawned_rank(plan: RankPlan, rank: int, shm_name: str, barrier, conn) -> None:
+    """Spawned-process entry: attach the arena, take the links off the pipe, run."""
     arena = None
     try:
-        grid = RankGrid.make(cfg["global_dims"], cfg["grid"])
-        spec: FabricSpec = cfg["spec"]
-        rank: int = cfg["rank"]
-        arena = ShmArena(spec, name=shm_name)
-        fabric = ShmFabric(spec, rank, arena, barrier)
-        u_local = np.array(
-            arena.view(("links", rank), (4,) + grid.local_dims + (3, 3)), copy=True
-        )
-        ctx = _RankContext(
-            rank, grid, fabric, u_local, cfg["mass"], cfg["backend"],
-            cfg["policy"], cfg.get("engine", "interpreted"),
-        )
-        worker_main(ctx, _PipeChannel(conn), _ShmIO(arena, rank))
+        arena = ShmArena(plan.spec, name=shm_name)
+        fabric = ShmFabric(plan.spec, rank, arena, barrier)
+        chan = _ArenaChannel(conn, arena, ("fout", rank), ("fin", rank))
+        rank_main(plan, rank, fabric, conn.recv(), chan)
     except Exception:  # pragma: no cover - defensive: surfaced to the driver
-        try:
-            conn.send(("err", traceback.format_exc()))
-        except Exception:
-            pass
+        with contextlib.suppress(Exception):
+            conn.send(("err", None, traceback.format_exc()))
     finally:
         if arena is not None:
             arena.close()
+
+
+class _RankThread(threading.Thread):
+    """A rank in the driver's address space, closed like a process."""
+
+    def terminate(self) -> None:
+        """A wedged daemon thread cannot be killed; it is abandoned."""
 
 
 # ---------------------------------------------------------------------------
@@ -631,68 +731,14 @@ def _normalize_transport(transport) -> str:
         raise ValueError(
             "the mpi transport is launcher-driven (SPMD ranks under "
             "mpiexec/srun), not an in-process worker pool; dispatch "
-            "through repro.comm.transports.dist_fieldwise/dist_solve, or "
-            "run repro.comm.mpifabric.MpiRuntime inside the rank program"
+            "through repro.comm.transports.dist_fieldwise/dist_solve, "
+            "which run the rank program as a repro.comm.mpi_worker job"
         )
     raise ValueError(f"unknown transport {transport!r}")
 
 
-def _normalize_policy(policy) -> str:
-    from repro.comm.policies import CommPolicy, HaloGranularity
-
-    if isinstance(policy, CommPolicy):
-        policy = policy.granularity
-    if isinstance(policy, HaloGranularity):
-        return policy.schedule
-    if policy in EXECUTED_POLICIES:
-        return policy
-    raise ValueError(f"unknown halo policy {policy!r}; have {EXECUTED_POLICIES}")
-
-
-def _normalize_engine(engine) -> str:
-    from repro.dirac.kernels.numba_soa import NUMBA_AVAILABLE
-
-    if engine in (None, "auto"):
-        # compiled only where numba actually JITs: the interpreted
-        # execution of the SoA kernel body is a correctness vehicle, not
-        # a production engine.
-        return "compiled" if NUMBA_AVAILABLE else "interpreted"
-    if engine in ENGINES:
-        return engine
-    raise ValueError(
-        f"unknown dslash engine {engine!r}; have {ENGINES + ('auto',)}"
-    )
-
-
-def _normalize_backend(backend, engine: str) -> str:
-    """The kernel an engine runs: the compiled one is ``numba_soa``, and
-    the interpreted one the half-spinor stencil — the only kernel with
-    spin-projected faces to exchange."""
-    if engine == "compiled":
-        return "numba_soa"
-    if backend in (None, "auto", "halfspinor"):
-        return "halfspinor"
-    raise ValueError(
-        f"unknown backend {backend!r} for the interpreted engine: the "
-        "distributed dslash runs the 'halfspinor' kernel (or pass "
-        "engine='compiled' for the SoA tier)"
-    )
-
-
-def flatten_stack(psi: np.ndarray, dims: tuple, max_rhs: int) -> np.ndarray:
-    """A global field with any leading axes as one contiguous complex128
-    ``(n,) + dims + (4, 3)`` stack the transport is sized for."""
-    tail = tuple(dims) + (4, 3)
-    if psi.shape[-6:] != tail:
-        raise ValueError(f"field tail {psi.shape[-6:]} != lattice {tail}")
-    phi = psi.reshape((-1,) + tail)
-    if phi.shape[0] > max_rhs:
-        raise ValueError(f"{phi.shape[0]} stacked fields exceed max_rhs={max_rhs}")
-    return np.ascontiguousarray(np.asarray(phi, dtype=np.complex128))
-
-
 class DecompRuntime:
-    """Driver of one worker per rank over a chosen transport.
+    """Driver of one :func:`rank_main` per rank over a chosen transport.
 
     Parameters
     ----------
@@ -703,9 +749,9 @@ class DecompRuntime:
         reduction axis) or an explicit 4D process grid.
     transport:
         ``"threads"`` (shared address space — the zero-copy/CUDA-IPC
-        analogue), ``"processes"``/``"shm"`` (spawned workers over
+        analogue), ``"processes"``/``"shm"`` (spawned ranks over
         ``multiprocessing.shared_memory`` — the staged-CPU analogue) or
-        ``"loopback"`` (worker threads whose fabric is the MPI
+        ``"loopback"`` (rank threads whose fabric is the MPI
         :class:`~repro.comm.mpifabric.MpiFabric` over an in-process
         communicator — the testable tier of the launcher-driven
         ``"mpi"`` transport, which itself lives in
@@ -744,194 +790,116 @@ class DecompRuntime:
         max_rhs: int = 12,
         timeout: float = 60.0,
     ):
-        geom = gauge.geometry
-        self.geometry = geom
-        self.mass = float(mass)
-        if grid is None:
-            if ranks is None:
-                raise ValueError("pass either ranks= or grid=")
-            grid = slab_grid(geom.dims, ranks)
-        self.grid = RankGrid.make(geom.dims, tuple(grid))
-        self.engine = _normalize_engine(engine)
-        self.backend = _normalize_backend(backend, self.engine)
-        self.transport = _normalize_transport(transport)
-        self.policy = _normalize_policy(policy)
-        self.max_rhs = int(max_rhs)
-
-        u = gauge.fermion_links(antiperiodic_t=antiperiodic_t)
-        u_blocks = self.grid.scatter(u, site_axis=1)
-        self._spec = FabricSpec(
-            n_ranks=self.grid.n_ranks,
-            local_dims=self.grid.local_dims,
-            partitioned=self.grid.partitioned,
-            n_max=self.max_rhs,
-            reduce_rows=geom.dims[SliceReducer.AXIS],
-            timeout=float(timeout),
+        self.geometry = gauge.geometry
+        self._plan = plan = RankPlan.make(
+            self.geometry.dims, mass, ranks=ranks, grid=grid, policy=policy,
+            engine=engine, backend=backend, max_rhs=max_rhs, timeout=timeout,
         )
+        self.transport = _normalize_transport(transport)
+        self.grid, self.mass, self.max_rhs = plan.grid, plan.mass, plan.max_rhs
+        self.policy, self.engine, self.backend = plan.policy, plan.engine, plan.backend
         self._closed = False
-        self._chans: list = []
-        if self.policy == "overlap" and self.grid.partitioned:
-            self.grid.check_overlap_feasible()
-        if self.transport in ("threads", "loopback"):
-            self._start_threads(u_blocks)
-        else:
-            self._start_processes(u_blocks)
+        self._arena: ShmArena | None = None
+        self._chans, self._ranks = [], []
+        launch = self._spawn if self.transport == "processes" else self._thread
+        launch(gauge.fermion_links(antiperiodic_t=antiperiodic_t))
 
-    # -- worker startup -----------------------------------------------------
-    def _start_threads(self, u_blocks: list[np.ndarray]) -> None:
+    # -- launchers: start rank_main n times, keep the driver's channel ends ---
+    def _thread(self, u: np.ndarray) -> None:
+        """Ranks as daemon threads on queue channels."""
+        plan, ranks = self._plan, range(self.grid.n_ranks)
         if self.transport == "loopback":
-            # the MPI fabric over an in-process communicator: same
-            # worker threads, but every halo/reduce goes through
-            # Isend/Irecv/Ibarrier/allgather instead of shared state —
-            # this is how tier-1 keeps MpiFabric under test without
-            # mpi4py.
+            # same rank threads, but every halo/reduce goes through
+            # Isend/Irecv/Ibarrier/allgather on an in-process communicator:
+            # how tier-1 keeps MpiFabric under test without mpi4py.
             from repro.comm.mpifabric import LoopbackWorld, MpiFabric
 
-            world = LoopbackWorld(self.grid.n_ranks, timeout=self._spec.timeout)
-
-            def make_fabric(r: int):
-                return MpiFabric(self._spec, self.grid, world.comm(r))
-
+            world = LoopbackWorld(len(ranks), timeout=plan.timeout)
+            fabrics = [MpiFabric(plan.spec, plan.grid, world.comm(r)) for r in ranks]
         else:
-            shared = ThreadShared(self._spec)
-            make_fabric = shared.make_fabric
-        self._threads: list[threading.Thread] = []
-        self._procs: list = []
-        for r in range(self.grid.n_ranks):
-            inbox: queue.Queue = queue.Queue()
-            outbox: queue.Queue = queue.Queue()
-            ctx = _RankContext(
-                r,
-                self.grid,
-                make_fabric(r),
-                u_blocks[r],
-                self.mass,
-                self.backend,
-                self.policy,
-                self.engine,
+            fabrics = list(map(ThreadShared(plan.spec).make_fabric, ranks))
+        for r in ranks:
+            ours, theirs = _QueueChannel.pair()
+            rank = _RankThread(
+                target=rank_main, args=(plan, r, fabrics[r], plan.block(u, r), theirs),
+                name=f"rank{r}", daemon=True,
             )
-            t = threading.Thread(
-                target=worker_main,
-                args=(ctx, _QueueChannel(inbox, outbox), _ThreadIO()),
-                name=f"rank{r}",
-                daemon=True,
-            )
-            t.start()
-            self._threads.append(t)
-            self._chans.append(("queue", inbox, outbox))
+            rank.start()
+            self._chans.append(ours)
+            self._ranks.append(rank)
 
-    def _start_processes(self, u_blocks: list[np.ndarray]) -> None:
-        mpctx = spawn_context()
-        self._threads = []
-        self._procs = []
-        self._arena = ShmArena(self._spec)
-        for r, blk in enumerate(u_blocks):
-            self._arena.view(("links", r), blk.shape)[...] = blk
+    def _spawn(self, u: np.ndarray) -> None:
+        """Ranks as spawned processes on arena channels."""
+        plan, mpctx = self._plan, spawn_context()
+        arena = self._arena = ShmArena(plan.spec)
         # Keep the barrier referenced for the runtime's lifetime: its
         # named semaphores are unlinked on GC, and spawned children
         # rebuild them by name (possibly seconds later).
-        barrier = self._barrier = mpctx.Barrier(self.grid.n_ranks)
-        for r in range(self.grid.n_ranks):
-            parent, child = mpctx.Pipe()
-            cfg = {
-                "rank": r,
-                "global_dims": self.geometry.dims,
-                "grid": self.grid.grid,
-                "spec": self._spec,
-                "mass": self.mass,
-                "backend": self.backend,
-                "policy": self.policy,
-                "engine": self.engine,
-            }
-            p = mpctx.Process(
-                target=_shm_worker_entry,
-                args=(cfg, self._arena.name, barrier, child),
-                daemon=True,
+        barrier = self._barrier = mpctx.Barrier(plan.grid.n_ranks)
+        for r in range(plan.grid.n_ranks):
+            ours, theirs = mpctx.Pipe()
+            rank = mpctx.Process(
+                target=_spawned_rank, args=(plan, r, arena.name, barrier, theirs), daemon=True
             )
-            p.start()
-            child.close()
-            self._procs.append(p)
-            self._chans.append(("pipe", parent, None))
+            rank.start()
+            theirs.close()
+            self._chans.append(_ArenaChannel(ours, arena, ("fin", r), ("fout", r)))
+            self._ranks.append(rank)
+        # The link blocks follow down the pipes once every rank is starting:
+        # as a spawn argument, megabytes of links block ``start()`` until the
+        # child is up and reading, which serialises start-up across ranks.
+        for r, chan in enumerate(self._chans):
+            with contextlib.suppress(OSError):  # already gone: reported at the first command
+                chan.conn.send(plan.block(u, r))
 
     # -- command plumbing ---------------------------------------------------
-    def _send(self, r: int, msg) -> None:
-        kind, a, _ = self._chans[r]
-        if kind == "queue":
-            a.put(msg)
-        else:
-            a.send(msg)
-
-    def _recv(self, r: int):
-        kind, a, b = self._chans[r]
-        if kind == "queue":
-            return b.get()
-        return a.recv()
-
-    def _command(self, cmd: str, payloads: list) -> list:
+    def _command(self, cmd: str, fields=None, args=None) -> list:
+        """Send ``(cmd, fields[r], args)`` to every rank; the ``(field,
+        meta)`` replies in rank order.  Any failure closes the runtime."""
         if self._closed:
             raise RuntimeError("runtime is closed")
-        for r, payload in enumerate(payloads):
-            self._send(r, (cmd, payload))
-        replies = []
-        failures = []
-        for r in range(self.grid.n_ranks):
+        failures: dict[int, str] = {}
+        for r, chan in enumerate(self._chans):
             try:
-                status, meta = self._recv(r)
+                chan.send((cmd, None if fields is None else fields[r], args))
             except (EOFError, OSError) as e:
-                status, meta = "err", f"channel to rank {r} broke: {e!r}"
+                failures[r] = f"channel to rank {r} broke: {e!r}"
+        replies = []
+        for r, chan in enumerate(self._chans):
+            try:  # (a failed send is a closed pipe: its last words or EOF, at once)
+                status, field, meta = chan.recv()
+            except (EOFError, OSError) as e:
+                status, field, meta = "err", None, f"channel to rank {r} broke: {e!r}"
             if status != "ok":
-                failures.append(f"rank {r}:\n{meta}")
-            replies.append(meta)
+                failures[r] = meta
+            replies.append((field, meta))
         if failures:
             self.close()
-            raise RuntimeError("distributed command failed\n" + "\n".join(failures))
+            trail = "\n".join(f"rank {r}:\n{failures[r]}" for r in sorted(failures))
+            raise RuntimeError(f"distributed command failed\n{trail}")
         return replies
 
-    # -- field plumbing -----------------------------------------------------
-    def _field_payloads(self, phi: np.ndarray, extra: dict | None = None) -> list:
-        blocks = self.grid.scatter(phi, site_axis=1)
-        payloads = []
-        for r, blk in enumerate(blocks):
-            if self.transport in ("threads", "loopback"):
-                payload = {"field": blk}
-            else:
-                self._arena.view(("fin", r), blk.shape)[...] = blk
-                payload = {"shape": blk.shape}
-            if extra:
-                payload.update(extra)
-            payloads.append(payload)
-        return payloads
-
-    def _gather_fields(self, replies: list) -> np.ndarray:
-        if self.transport in ("threads", "loopback"):
-            blocks = [rep["field"] for rep in replies]
-        else:
-            blocks = [
-                np.array(self._arena.view(("fout", r), tuple(rep["shape"])), copy=True)
-                for r, rep in enumerate(replies)
-            ]
-        return self.grid.gather(blocks, site_axis=1)
+    def _field_command(self, cmd: str, psi: np.ndarray, args=None) -> tuple:
+        """Scatter a global field (stack), run ``cmd`` on every block and
+        gather: the result shaped like ``psi``, and rank 0's meta."""
+        blocks = self.grid.scatter(self._plan.stack(psi), site_axis=1)
+        replies = self._command(cmd, blocks, args)
+        out = self.grid.gather([field for field, _ in replies], site_axis=1)
+        return out.reshape(psi.shape), replies[0][1]
 
     # -- public operations --------------------------------------------------
     def fieldwise(self, op: str, psi: np.ndarray) -> np.ndarray:
         """One :data:`RANK_OPS` field operation on a global field (stack)."""
         if op not in RANK_OPS:
             raise ValueError(f"unknown field op {op!r}; have {sorted(RANK_OPS)}")
-        phi = flatten_stack(psi, self.geometry.dims, self.max_rhs)
-        replies = self._command(op, self._field_payloads(phi))
-        return self._gather_fields(replies).reshape(psi.shape)
+        return self._field_command(op, psi)[0]
 
     def hopping(self, psi: np.ndarray) -> np.ndarray:
         return self.fieldwise("hopping", psi)
 
     def set_policy(self, policy) -> None:
-        name = _normalize_policy(policy)
-        # Pre-check here so the driver raises the same structured error
-        # as construction time, instead of a RuntimeError wrapping the
-        # worker-side traceback of the identical check.
-        if name == "overlap" and self.grid.partitioned:
-            self.grid.check_overlap_feasible()
-        self._command("policy", [name] * self.grid.n_ranks)
+        name = _normalize_policy(policy, self.grid)
+        self._command("policy", args=name)
         self.policy = name
 
     def solve_cgne(
@@ -958,41 +926,32 @@ class DecompRuntime:
             "tol": float(tol), "max_iter": int(max_iter),
             "reliable": bool(reliable), "delta": float(delta),
         }
-        phi = flatten_stack(b, self.geometry.dims, self.max_rhs)
-        payloads = self._field_payloads(phi, extra={"solve": solve})
-        replies = self._command("cg", payloads)
-        return replace(
-            replies[0]["result"], x=self._gather_fields(replies).reshape(b.shape)
-        )
+        x, result = self._field_command("cg", b, solve)
+        return replace(result, x=x)
 
     # -- diagnostics --------------------------------------------------------
     def halo_stats(self) -> list:
         """Per-rank exchanger counters: rounds, off-rank messages/bytes,
         cumulative seconds blocked in :meth:`HaloExchanger.complete`
         (the halo wait), and interior-pass seconds under overlap."""
-        return self._command("stats", [None] * self.grid.n_ranks)
+        return [meta for _, meta in self._command("stats")]
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        for r in range(self.grid.n_ranks):
-            try:
-                self._send(r, ("stop", None))
-            except Exception:
-                pass
-        for t in getattr(self, "_threads", []):
-            t.join(timeout=5.0)
-        for p in getattr(self, "_procs", []):
-            p.join(timeout=10.0)
-            if p.is_alive():  # pragma: no cover - defensive teardown
-                p.terminate()
-                p.join(timeout=5.0)
-        arena = getattr(self, "_arena", None)
-        if arena is not None:
-            arena.close()
-            arena.unlink()
+        for chan in self._chans:
+            with contextlib.suppress(Exception):
+                chan.send(("stop", None, None))
+        for rank in self._ranks:
+            rank.join(timeout=10.0)
+            if rank.is_alive():  # pragma: no cover - defensive teardown
+                rank.terminate()
+                rank.join(timeout=5.0)
+        if self._arena is not None:
+            self._arena.close()
+            self._arena.unlink()
 
     def __enter__(self) -> "DecompRuntime":
         return self
@@ -1001,10 +960,8 @@ class DecompRuntime:
         self.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
+        with contextlib.suppress(Exception):
             self.close()
-        except Exception:
-            pass
 
 
 # ---------------------------------------------------------------------------

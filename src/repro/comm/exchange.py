@@ -33,10 +33,19 @@ from repro import obs
 from repro.comm.decomp import RankGrid
 from repro.comm.shm import Fabric, FaceTag
 
-__all__ = ["HaloExchanger", "face_index", "EXECUTED_POLICIES"]
+__all__ = ["HaloExchanger", "face_index", "EXECUTED_POLICIES", "feasible_policies"]
 
 #: Executed schedule names, in the order benchmarks report them.
 EXECUTED_POLICIES = ("blocking", "pairwise", "overlap")
+
+
+def feasible_policies(grid: RankGrid) -> tuple[str, ...]:
+    """The executed schedules ``grid`` can run: ``overlap`` needs local
+    extent >= 2 along every partitioned direction (the precondition
+    :meth:`RankGrid.check_overlap_feasible` raises on) — what a policy
+    race skips instead of failing."""
+    thin = bool(grid.partitioned) and grid.min_partitioned_extent() < 2
+    return tuple(p for p in EXECUTED_POLICIES if not (thin and p == "overlap"))
 
 
 def face_index(mu: int, side: int, lead: int = 1) -> tuple:

@@ -3,12 +3,16 @@
 The driver side (:mod:`repro.comm.mpilaunch`) serializes one *job* —
 operator background plus the operation to run — into an ``.npz`` file,
 launches this module under the machine's launcher (``mpiexec -n N ...``),
-and reads the result ``.npz`` back.  Every rank loads the same job,
-stands up an :class:`~repro.comm.mpifabric.MpiRuntime` over
-``MPI.COMM_WORLD`` and computes collectively; results are identical on
-every rank by construction, so rank 0 alone writes the output
-(atomically: temp file + rename, so a crashed worker never leaves a
-torn result for the driver to misread).
+and reads the result ``.npz`` back.  Every rank loads the same job and
+runs the rank program every other launcher starts
+(:mod:`repro.comm.distributed`): the same ``RankPlan``, the same
+``_RankContext`` — over an :class:`~repro.comm.mpifabric.MpiFabric` on
+``MPI.COMM_WORLD``, with its own slice of the links — and the same
+``rank_command`` dispatch, fed the job's one command instead of a
+channel.  Blocks are allgathered, so results are identical on every
+rank and rank 0 alone writes the output (atomically: temp file +
+rename, so a crashed worker never leaves a torn result for the driver
+to misread).
 
 Job fields (all optional except ``op``, ``u``, ``mass``):
 
@@ -20,7 +24,7 @@ Job fields (all optional except ``op``, ``u``, ``mass``):
 ``psi``
     Stacked input fields ``(n, X, Y, Z, T, 4, 3)`` (ops except bench).
 ``policy`` / ``engine`` / ``max_rhs`` / ``timeout`` / ``antiperiodic_t``
-    Forwarded to the runtime.
+    The plan's knobs, as :class:`~repro.comm.distributed.DecompRuntime`'s.
 ``tol`` / ``max_iter`` / ``reliable`` / ``delta``
     CG controls (op ``cg``).
 ``repeats`` / ``policies``
@@ -52,23 +56,33 @@ def _scalar(job, key, default=None):
     return v.item() if getattr(v, "ndim", 1) == 0 else v
 
 
-def _make_runtime(comm, job):
-    from repro.comm.mpifabric import MpiRuntime
+def _make_context(comm, job):
+    """This rank's context over ``comm``, on the plan the job describes."""
+    from repro.comm.distributed import RankPlan, _RankContext
+    from repro.comm.mpifabric import MpiFabric
     from repro.lattice.gauge import GaugeField
     from repro.lattice.geometry import Geometry
 
     u = np.asarray(job["u"], dtype=np.complex128)
     gauge = GaugeField(Geometry(*u.shape[1:5]), u)
-    return MpiRuntime(
-        gauge,
+    plan = RankPlan.make(
+        gauge.geometry.dims,
         float(_scalar(job, "mass")),
-        comm=comm,
+        ranks=comm.Get_size(),
         policy=str(_scalar(job, "policy", "blocking")),
         engine=str(_scalar(job, "engine", "interpreted")),
-        antiperiodic_t=bool(_scalar(job, "antiperiodic_t", True)),
         max_rhs=int(_scalar(job, "max_rhs", 12)),
         timeout=float(_scalar(job, "timeout", 120.0)),
     )
+    links = gauge.fermion_links(antiperiodic_t=bool(_scalar(job, "antiperiodic_t", True)))
+    rank = comm.Get_rank()
+    fabric = MpiFabric(plan.spec, plan.grid, comm)
+    return _RankContext(plan, rank, fabric, plan.block(links, rank))
+
+
+def _gathered(comm, plan, block: np.ndarray) -> np.ndarray:
+    """Every rank's block, assembled (the same global stack everywhere)."""
+    return plan.grid.gather(comm.allgather(np.ascontiguousarray(block)), site_axis=1)
 
 
 def _stats_payload(stats: list) -> dict:
@@ -109,44 +123,42 @@ def _pingpong(comm) -> dict:
     return out
 
 
-def _bench(comm, rt, job) -> dict:
+def _bench(comm, ctx, job) -> dict:
     """Per-schedule halo timings on a stacked hopping workload."""
-    from repro.comm.exchange import EXECUTED_POLICIES
+    from repro.comm.distributed import rank_command
+    from repro.comm.exchange import feasible_policies
 
+    plan = ctx.plan
     repeats = int(_scalar(job, "repeats", 3))
     n_rhs = int(_scalar(job, "n_rhs", 4))
+    feasible = feasible_policies(plan.grid)
     policies = _scalar(job, "policies", None)
-    policies = (
-        [str(p) for p in np.atleast_1d(policies)] if policies is not None
-        else list(EXECUTED_POLICIES)
-    )
+    policies = feasible if policies is None else [str(p) for p in np.atleast_1d(policies)]
     rng = np.random.default_rng(11)
-    dims = rt.geometry.dims
-    psi = rng.normal(size=(n_rhs,) + dims + (4, 3)) + 1j * rng.normal(
-        size=(n_rhs,) + dims + (4, 3)
-    )
+    shape = (n_rhs,) + plan.grid.global_dims + (4, 3)
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    local = plan.block(plan.stack(psi), comm.Get_rank())
+    ex = ctx.stencil.exchanger
+
+    def hopping() -> np.ndarray:
+        """What a driver's ``hopping`` costs: the stencil and the gather."""
+        return _gathered(comm, plan, rank_command(ctx, "hopping", local, None)[0])
+
     rows = {}
     for policy in policies:
-        if (
-            policy == "overlap"
-            and rt.grid.partitioned
-            and rt.grid.min_partitioned_extent() < 2
-        ):
+        if policy == "overlap" and policy not in feasible:
             continue
-        rt.set_policy(policy)
-        rt.hopping(psi)  # warm-up
-        wait0 = rt.halo_stats()[rt.rank]["wait_seconds"]
+        rank_command(ctx, "policy", None, policy)
+        hopping()  # warm-up
+        wait0 = ex.wait_seconds
         best = np.inf
         for _ in range(repeats):
             t0 = time.perf_counter()
-            rt.hopping(psi)
+            hopping()
             best = min(best, time.perf_counter() - t0)
-        stats = rt.halo_stats()
-        wait = (stats[rt.rank]["wait_seconds"] - wait0) / repeats
         # collective max: the halo wait that actually gates the stencil
-        wait = max(s for s in comm.allgather(wait))
+        wait = max(comm.allgather((ex.wait_seconds - wait0) / repeats))
         rows[policy] = {"seconds": best, "halo_wait_s": wait}
-    ex = rt._ctx.stencil.exchanger
     bytes_per_round = ex.bytes_sent / ex.rounds if ex.rounds else 0.0
     msgs_per_round = ex.messages / ex.rounds if ex.rounds else 0.0
     payload = {
@@ -163,43 +175,45 @@ def _bench(comm, rt, job) -> dict:
 
 def run_job(comm, job) -> dict:
     """Execute one job collectively; returns the output-npz payload."""
-    from repro.comm.distributed import RANK_OPS
+    from repro.comm.distributed import rank_command
 
     op = str(_scalar(job, "op"))
-    rt = _make_runtime(comm, job)
+    ctx = _make_context(comm, job)
+    plan = ctx.plan
     if op == "bench":
-        payload = _bench(comm, rt, job)
+        payload = _bench(comm, ctx, job)
         payload["n_ranks"] = np.int64(comm.Get_size())
         return payload
     psi = np.asarray(job["psi"], dtype=np.complex128)
+    args = None
     if op == "cg":
+        if psi.ndim < 7:
+            raise ValueError("solve_cgne expects a stacked rhs (leading axes)")
         solve = {k: _scalar(job, k) for k in ("tol", "max_iter", "reliable", "delta")}
-        res = rt.solve_cgne(psi, **{k: v for k, v in solve.items() if v is not None})
-        payload = {
-            "result": res.x,
-            "iterations": np.int64(res.iterations),
-            "converged": np.asarray(res.converged),
-            "relres": np.asarray(res.final_relres),
-            "reliable_updates": np.int64(res.reliable_updates),
-            "matvecs": np.int64(res.matvecs),
-        }
+        args = {k: v for k, v in solve.items() if v is not None}
+    block, res = rank_command(ctx, op, plan.block(plan.stack(psi), comm.Get_rank()), args)
+    payload = {"result": _gathered(comm, plan, block).reshape(psi.shape)}
+    if op == "cg":
+        payload.update(
+            iterations=np.int64(res.iterations),
+            converged=np.asarray(res.converged),
+            relres=np.asarray(res.final_relres),
+            reliable_updates=np.int64(res.reliable_updates),
+            matvecs=np.int64(res.matvecs),
+        )
         if res.column_iterations is not None:  # the reliable-update solve records none
             payload["column_iterations"] = res.column_iterations
-    elif op in RANK_OPS:
-        payload = {"result": rt.fieldwise(op, psi)}
-    else:
-        raise ValueError(f"unknown mpi_worker op {op!r}")
     payload["n_ranks"] = np.int64(comm.Get_size())
-    payload.update(_stats_payload(rt.halo_stats()))
+    payload.update(_stats_payload(comm.allgather(rank_command(ctx, "stats", None, None)[1])))
     return payload
 
 
 def _selftest(comm) -> int:
-    """Built-in parity checks: MPI hopping == serial hopping (exact), and
-    one 2-RHS ``cg`` job through :func:`run_job` == the same job on one
-    in-process rank — a broken op table or solver wiring fails here, in
-    seconds, before the suites start."""
-    from repro.comm.mpifabric import LoopbackWorld, MpiRuntime
+    """Built-in parity checks, two :func:`run_job` calls: a ``hopping`` job
+    == the serial hopping (exact), and a 2-RHS ``cg`` job == the same job
+    on one in-process rank — a broken op table or solver wiring fails
+    here, in seconds, before the suites start."""
+    from repro.comm.mpifabric import LoopbackWorld
     from repro.dirac.wilson import WilsonOperator
     from repro.lattice.gauge import GaugeField
     from repro.lattice.geometry import Geometry
@@ -212,11 +226,10 @@ def _selftest(comm) -> int:
     psi = rng.normal(size=(2,) + geom.dims + (4, 3)) + 1j * rng.normal(
         size=(2,) + geom.dims + (4, 3)
     )
-    rt = MpiRuntime(gauge, 0.1, comm=comm)
-    got = rt.hopping(psi)
+    job = {"op": "hopping", "u": gauge.u, "mass": 0.1, "psi": psi, "max_rhs": 2}
     want = WilsonOperator(gauge, mass=0.1).hopping(psi)
-    ok = np.array_equal(got, want)
-    job = {"op": "cg", "u": gauge.u, "mass": 0.1, "psi": psi, "max_rhs": 2, "tol": 1e-8}
+    ok = np.array_equal(run_job(comm, job)["result"], want)
+    job = {**job, "op": "cg", "tol": 1e-8}
     got, want = run_job(comm, job), run_job(LoopbackWorld(1).comm(0), job)
     ok = ok and bool(np.all(got["converged"]))
     ok = ok and int(got["iterations"]) == int(want["iterations"])

@@ -21,19 +21,15 @@ uses (``Get_rank``/``Get_size``/``Isend``/``Irecv``/``Ibarrier``/
 constructor argument.  That makes the logic testable without mpi4py:
 :class:`LoopbackComm` is an in-process stand-in implementing the same
 subset over queues and condition variables, so the tier-1 suite runs the
-full MPI rank program (``MpiRuntime`` over loopback comms in threads)
-on hosts where ``import mpi4py`` fails — the real binding is a thin
-attachment exercised by the ``mpi-parity`` CI job under ``mpiexec``.
+rank program over this fabric (``DecompRuntime(transport="loopback")``:
+rank threads, each on its own loopback communicator) on hosts where
+``import mpi4py`` fails — the real binding is a thin attachment
+exercised by the ``mpi-parity`` CI job under ``mpiexec``.
 
-:class:`MpiRuntime` is the SPMD counterpart of
-:class:`~repro.comm.distributed.DecompRuntime`: there is no driver —
-every rank constructs the runtime identically from the same (gauge,
-mass, decomposition) arguments, computes on its own block, and gathers
-results through the communicator, so all ranks return the same global
-arrays.  It reuses ``_RankContext``, the ``RANK_OPS`` table and
-``rank_solve`` unchanged: both dslash engines, all three halo schedules
-and the CG/RU-CG run over MPI exactly as they do over threads and
-shared memory.
+There is no MPI *runtime* class: a fabric is all a transport contributes.
+The rank program (:func:`repro.comm.distributed.rank_main` /
+``rank_command``) is the one every launcher starts, and under ``mpiexec``
+:mod:`repro.comm.mpi_worker` feeds it one command per launch.
 """
 
 from __future__ import annotations
@@ -45,18 +41,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.comm.decomp import RankGrid, slab_grid
-from repro.comm.distributed import (
-    RANK_OPS,
-    SliceReducer,
-    _normalize_backend,
-    _normalize_engine,
-    _normalize_policy,
-    _RankContext,
-    flatten_stack,
-    rank_solve,
-    rank_stats,
-)
+from repro.comm.decomp import RankGrid
 from repro.comm.shm import CommTimeoutError, Fabric, FabricSpec, FaceTag
 
 __all__ = [
@@ -65,8 +50,6 @@ __all__ = [
     "MpiFabric",
     "LoopbackWorld",
     "LoopbackComm",
-    "MpiRuntime",
-    "world_communicator",
 ]
 
 #: Whether ``mpi4py`` is importable in this process (checked without
@@ -79,15 +62,6 @@ def mpi4py_available() -> tuple[bool, str]:
     if MPI4PY_AVAILABLE:
         return True, ""
     return False, "mpi4py is not installed"
-
-
-def world_communicator():
-    """``mpi4py.MPI.COMM_WORLD`` (imported lazily; raises if unavailable)."""
-    if not MPI4PY_AVAILABLE:
-        raise RuntimeError("mpi4py is not installed; no world communicator")
-    from mpi4py import MPI
-
-    return MPI.COMM_WORLD
 
 
 def _encode_tag(slot: int, tag: FaceTag) -> int:
@@ -367,124 +341,3 @@ class LoopbackComm:
 
     def allgather(self, obj) -> list:
         return self.world._allgather(self.rank, obj)
-
-
-# ---------------------------------------------------------------------------
-# SPMD runtime: every rank runs this identically (no driver)
-# ---------------------------------------------------------------------------
-
-
-class MpiRuntime:
-    """The distributed runtime as seen from inside one MPI rank.
-
-    Mirrors the public operations of
-    :class:`~repro.comm.distributed.DecompRuntime` (``fieldwise`` over
-    the ``RANK_OPS`` table, ``hopping``, ``set_policy``, ``solve_cgne``,
-    ``halo_stats``) but with SPMD semantics: every rank passes the same *global* arrays,
-    computes its own block through the shared ``_RankContext`` rank
-    program, and the results are gathered through the communicator so
-    every rank returns identical global arrays.  Construction is itself
-    collective (the gauge field is sliced locally — no scatter traffic).
-    """
-
-    def __init__(
-        self,
-        gauge,
-        mass: float,
-        *,
-        comm=None,
-        ranks: int | None = None,
-        grid: tuple[int, int, int, int] | None = None,
-        policy: str = "blocking",
-        engine: str = "interpreted",
-        backend: str | None = None,
-        antiperiodic_t: bool = True,
-        max_rhs: int = 12,
-        timeout: float = 60.0,
-    ):
-        if comm is None:
-            comm = world_communicator()
-        self.comm = comm
-        self.rank = comm.Get_rank()
-        n_ranks = comm.Get_size() if ranks is None else int(ranks)
-        if n_ranks != comm.Get_size():
-            raise ValueError(
-                f"ranks={n_ranks} but the communicator has {comm.Get_size()}"
-            )
-        geom = gauge.geometry
-        self.geometry = geom
-        self.mass = float(mass)
-        if grid is None:
-            grid = slab_grid(geom.dims, n_ranks)
-        self.grid = RankGrid.make(geom.dims, tuple(grid))
-        self.policy = _normalize_policy(policy)
-        self.engine = _normalize_engine(engine)
-        self.max_rhs = int(max_rhs)
-        if self.policy == "overlap" and self.grid.partitioned:
-            self.grid.check_overlap_feasible()
-        self.backend = _normalize_backend(backend, self.engine)
-        self._spec = FabricSpec(
-            n_ranks=self.grid.n_ranks,
-            local_dims=self.grid.local_dims,
-            partitioned=self.grid.partitioned,
-            n_max=self.max_rhs,
-            reduce_rows=geom.dims[SliceReducer.AXIS],
-            timeout=float(timeout),
-        )
-        self.fabric = MpiFabric(self._spec, self.grid, comm)
-        u = gauge.fermion_links(antiperiodic_t=antiperiodic_t)
-        lead = (slice(None),)  # direction axis of the link field
-        u_local = np.ascontiguousarray(u[lead + self.grid.site_slices(self.rank)])
-        self._ctx = _RankContext(
-            self.rank, self.grid, self.fabric, u_local, self.mass,
-            self.backend, self.policy, self.engine,
-        )
-
-    # -- plumbing -----------------------------------------------------------
-    def _local(self, psi: np.ndarray) -> np.ndarray:
-        phi = flatten_stack(psi, self.geometry.dims, self.max_rhs)
-        lead = (slice(None),)
-        return np.ascontiguousarray(phi[lead + self.grid.site_slices(self.rank)])
-
-    def _gather(self, block: np.ndarray, shape) -> np.ndarray:
-        blocks = self.comm.allgather(np.ascontiguousarray(block))
-        return self.grid.gather(list(blocks), site_axis=1).reshape(shape)
-
-    # -- public operations (mirror DecompRuntime) ---------------------------
-    def fieldwise(self, op: str, psi: np.ndarray) -> np.ndarray:
-        """One :data:`~repro.comm.distributed.RANK_OPS` field operation,
-        gathered (identical on every rank)."""
-        return self._gather(RANK_OPS[op](self._ctx, self._local(psi)), psi.shape)
-
-    def hopping(self, psi: np.ndarray) -> np.ndarray:
-        return self.fieldwise("hopping", psi)
-
-    def set_policy(self, policy) -> None:
-        name = _normalize_policy(policy)
-        if name == "overlap" and self.grid.partitioned:
-            self.grid.check_overlap_feasible()
-        self._ctx.stencil.set_policy(name)
-        self.policy = name
-
-    def solve_cgne(self, b: np.ndarray, **solve):
-        """Collective batched CGNE (identical result on every rank);
-        keywords as :func:`repro.comm.distributed.rank_solve`."""
-        if b.ndim < 7:
-            raise ValueError("solve_cgne expects a stacked rhs (leading axes)")
-        res = rank_solve(self._ctx, self._local(b), **solve)
-        res.x = self._gather(res.x, b.shape)
-        return res
-
-    # -- diagnostics --------------------------------------------------------
-    def halo_stats(self) -> list:
-        """Per-rank exchanger counters, allgathered (same list everywhere)."""
-        return list(self.comm.allgather(rank_stats(self._ctx)))
-
-    def close(self) -> None:  # symmetry with DecompRuntime; nothing owned
-        pass
-
-    def __enter__(self) -> "MpiRuntime":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -6,10 +6,12 @@ This module bridges the two worlds: an operation on global arrays is
 serialized to a job ``.npz``, the machine's launcher
 (:mod:`repro.machines.launcher`) starts
 ``python -m repro.comm.mpi_worker`` on ``n`` ranks, and the result
-``.npz`` rank 0 wrote is loaded back.  Each helper mirrors one
-:class:`~repro.comm.distributed.DecompRuntime` operation, so the
-transport-parameterized suites and benchmarks call MPI through the same
-shapes as threads/shm.
+``.npz`` rank 0 wrote is loaded back.  :func:`run_mpi_job` is the whole
+bridge — :mod:`repro.comm.transports` writes the field-op and solve jobs
+next to the in-process runtime they mirror — and one private function
+launches the worker, so :meth:`Launcher.build_command
+<repro.machines.launcher.Launcher.build_command>` stays the only place a
+launcher's own argv is built.
 
 Capability detection is two-staged and never imports mpi4py into the
 driver: :func:`mpi_transport_available` answers (usable, reason) from
@@ -28,14 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.comm.mpifabric import MPI4PY_AVAILABLE
-from repro.machines.launcher import Launcher, detect_launcher, launcher_for
+from repro.machines.launcher import launcher_for
 
 __all__ = [
     "MpiLaunchError",
     "mpi_transport_available",
     "run_mpi_job",
-    "mpi_fieldwise",
-    "mpi_solve_cgne",
     "mpi_bench_halo",
     "mpi_selftest",
 ]
@@ -60,25 +60,24 @@ def mpi_transport_available(
     return True, ""
 
 
-def _worker_env() -> dict:
-    """Subprocess environment with the repro package importable."""
+def _launch_worker(
+    n_ranks: int, machine, args: list[str], timeout: float
+) -> subprocess.CompletedProcess:
+    """Run ``python -m repro.comm.mpi_worker <args>`` on ``n_ranks`` ranks
+    under the machine's launcher, with the repro package importable."""
     import repro
 
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parent.parent)
     parts = [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     env["PYTHONPATH"] = os.pathsep.join(parts)
-    return env
+    cmd = launcher_for(machine).build_command(
+        n_ranks, [sys.executable, "-m", "repro.comm.mpi_worker", *args]
+    )
+    return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=timeout)
 
 
-def run_mpi_job(
-    job: dict,
-    *,
-    n_ranks: int,
-    machine=None,
-    launcher: Launcher | None = None,
-    timeout: float = 600.0,
-) -> dict:
+def run_mpi_job(job: dict, *, n_ranks: int, machine=None, timeout: float = 600.0) -> dict:
     """Run one :mod:`repro.comm.mpi_worker` job; return the result arrays.
 
     ``job`` maps field names to arrays/scalars (see the worker module's
@@ -88,100 +87,25 @@ def run_mpi_job(
     ok, reason = mpi_transport_available(n_ranks, machine)
     if not ok:
         raise MpiLaunchError(f"mpi transport unavailable: {reason}")
-    if launcher is None:
-        launcher = launcher_for(machine) if machine is not None else detect_launcher()
     with tempfile.TemporaryDirectory(prefix="repro-mpi-") as tmp:
         job_path = os.path.join(tmp, "job.npz")
         out_path = os.path.join(tmp, "out.npz")
         np.savez(job_path, **job)
-        argv = [
-            sys.executable, "-m", "repro.comm.mpi_worker",
-            "--job", job_path, "--out", out_path,
-        ]
-        cmd = launcher.build_command(n_ranks, argv)
         try:
-            proc = subprocess.run(
-                cmd, env=_worker_env(), capture_output=True, text=True,
-                timeout=timeout,
+            proc = _launch_worker(
+                n_ranks, machine, ["--job", job_path, "--out", out_path], timeout
             )
         except subprocess.TimeoutExpired as e:
             raise MpiLaunchError(
-                f"mpi job timed out after {timeout}s: {' '.join(cmd)}"
+                f"mpi job timed out after {timeout}s: {' '.join(e.cmd)}"
             ) from e
         if proc.returncode != 0 or not os.path.exists(out_path):
             tail = "\n".join((proc.stderr or "").splitlines()[-25:])
             raise MpiLaunchError(
-                f"mpi job failed (exit {proc.returncode}): {' '.join(cmd)}\n{tail}"
+                f"mpi job failed (exit {proc.returncode}): {' '.join(proc.args)}\n{tail}"
             )
         with np.load(out_path) as data:
             return {k: np.array(data[k]) for k in data.files}
-
-
-def _base_job(gauge, mass: float, **kw) -> dict:
-    job = {"u": gauge.u, "mass": float(mass)}
-    job.update({k: v for k, v in kw.items() if v is not None})
-    return job
-
-
-def mpi_fieldwise(
-    op: str,
-    gauge,
-    mass: float,
-    psi: np.ndarray,
-    *,
-    ranks: int,
-    policy: str = "blocking",
-    engine: str = "interpreted",
-    machine=None,
-    timeout: float = 600.0,
-) -> np.ndarray:
-    """One field operation (hopping/apply/schur.../prepare_rhs) over MPI."""
-    out = run_mpi_job(
-        _base_job(
-            gauge, mass, op=op, psi=np.ascontiguousarray(psi),
-            policy=policy, engine=engine, max_rhs=max(1, psi.shape[0]),
-        ),
-        n_ranks=ranks, machine=machine, timeout=timeout,
-    )
-    return out["result"].reshape(psi.shape)
-
-
-def mpi_solve_cgne(
-    gauge,
-    mass: float,
-    b: np.ndarray,
-    *,
-    ranks: int,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    reliable: bool = False,
-    delta: float = 0.1,
-    policy: str = "blocking",
-    engine: str = "interpreted",
-    machine=None,
-    timeout: float = 600.0,
-):
-    """Batched CGNE over MPI, as a :class:`BatchedSolveResult`."""
-    from repro.solvers.cg import BatchedSolveResult
-
-    out = run_mpi_job(
-        _base_job(
-            gauge, mass, op="cg", psi=np.ascontiguousarray(b),
-            policy=policy, engine=engine, max_rhs=max(1, b.shape[0]),
-            tol=float(tol), max_iter=int(max_iter),
-            reliable=bool(reliable), delta=float(delta),
-        ),
-        n_ranks=ranks, machine=machine, timeout=timeout,
-    )
-    return BatchedSolveResult(
-        x=out["result"].reshape(b.shape),
-        converged=out["converged"],
-        iterations=int(out["iterations"]),
-        final_relres=out["relres"],
-        reliable_updates=int(out["reliable_updates"]),
-        matvecs=int(out["matvecs"]),
-        column_iterations=out.get("column_iterations"),  # absent from a reliable-update solve
-    )
 
 
 def mpi_bench_halo(
@@ -193,7 +117,6 @@ def mpi_bench_halo(
     repeats: int = 3,
     policies: tuple[str, ...] | None = None,
     engine: str = "interpreted",
-    machine=None,
     timeout: float = 600.0,
 ) -> dict:
     """Measured per-schedule halo costs + ping-pong link parameters.
@@ -204,13 +127,13 @@ def mpi_bench_halo(
     race *inside* the job, so launcher startup never pollutes the
     timings).
     """
-    job = _base_job(
-        gauge, mass, op="bench", engine=engine, n_rhs=int(n_rhs),
-        repeats=int(repeats), max_rhs=int(n_rhs),
-    )
+    job = {
+        "op": "bench", "u": gauge.u, "mass": float(mass), "engine": engine,
+        "n_rhs": int(n_rhs), "repeats": int(repeats), "max_rhs": int(n_rhs),
+    }
     if policies is not None:
         job["policies"] = np.array(list(policies))
-    out = run_mpi_job(job, n_ranks=ranks, machine=machine, timeout=timeout)
+    out = run_mpi_job(job, n_ranks=ranks, timeout=timeout)
     names = [str(p) for p in out["bench_policies"]]
     return {
         "times": dict(zip(names, out["bench_seconds"].astype(float))),
@@ -223,19 +146,13 @@ def mpi_bench_halo(
     }
 
 
-def mpi_selftest(n_ranks: int = 2, machine=None, timeout: float = 300.0) -> bool:
+def mpi_selftest(n_ranks: int = 2, timeout: float = 300.0) -> bool:
     """Run the worker's built-in parity check under the launcher."""
-    ok, _ = mpi_transport_available(n_ranks, machine)
+    ok, _ = mpi_transport_available(n_ranks)
     if not ok:
         return False
-    launcher = launcher_for(machine) if machine is not None else detect_launcher()
-    cmd = launcher.build_command(
-        n_ranks, [sys.executable, "-m", "repro.comm.mpi_worker", "--selftest"]
-    )
     try:
-        proc = subprocess.run(
-            cmd, env=_worker_env(), capture_output=True, text=True, timeout=timeout
-        )
+        proc = _launch_worker(n_ranks, None, ["--selftest"], timeout)
     except subprocess.TimeoutExpired:
         return False
     return proc.returncode == 0 and "MPI-SELFTEST-OK" in proc.stdout

@@ -95,10 +95,6 @@ class FabricSpec:
         return self.n_max * self.local_volume * 12 * 16
 
     @property
-    def links_nbytes(self) -> int:
-        return 4 * self.local_volume * 9 * 16
-
-    @property
     def reduce_nbytes(self) -> int:
         return 2 * self.reduce_rows * self.n_max * 8  # double-buffered f8
 
@@ -213,8 +209,8 @@ def _align(n: int) -> int:
 def _plan_layout(spec: FabricSpec) -> tuple[dict[tuple, tuple[int, int]], int]:
     """Deterministic region map ``key -> (offset, nbytes)`` plus total size.
 
-    Keys: ``("reduce",)``, ``("links", r)``, ``("fin", r)``,
-    ``("fout", r)`` and ``("mbox", dst, slot, d, mu)``.
+    Keys: ``("reduce",)``, ``("fin", r)``, ``("fout", r)`` and
+    ``("mbox", dst, slot, d, mu)``.
     """
     regions: dict[tuple, tuple[int, int]] = {}
     off = 0
@@ -226,7 +222,6 @@ def _plan_layout(spec: FabricSpec) -> tuple[dict[tuple, tuple[int, int]], int]:
 
     add(("reduce",), spec.reduce_nbytes)
     for r in range(spec.n_ranks):
-        add(("links", r), spec.links_nbytes)
         add(("fin", r), spec.field_nbytes)
         add(("fout", r), spec.field_nbytes)
     for dst in range(spec.n_ranks):

@@ -4,19 +4,19 @@ The transport-parameterized parity suites (and the campaign runtime's
 ``--transport`` plumbing) dispatch through this module so that *one*
 code path asserts ``serial == threads == shm == mpi``:
 
-``threads`` / ``shm``
-    The in-process :class:`~repro.comm.distributed.DecompRuntime`
-    driver (``shm`` is the ``processes`` transport's public name).
+``threads`` / ``shm`` / ``loopback``
+    A :class:`~repro.comm.distributed.DecompRuntime` for the call:
+    rank threads, spawned ranks (``shm`` is the ``processes``
+    transport's public name), or rank threads whose fabric is
+    :class:`~repro.comm.mpifabric.MpiFabric` over an in-process
+    :class:`~repro.comm.mpifabric.LoopbackComm` — the tier that keeps
+    the MPI fabric logic under test on hosts where ``import mpi4py``
+    fails.
 ``mpi``
-    A relaunch of the same rank program under the machine's launcher
+    One launch of the same rank program under the machine's launcher
     (``mpiexec -n N python -m repro.comm.mpi_worker`` via
-    :mod:`repro.comm.mpilaunch`) — real inter-process MPI traffic.
-``loopback``
-    The MPI rank program (:class:`~repro.comm.mpifabric.MpiRuntime`
-    over :class:`~repro.comm.mpifabric.MpiFabric`) run SPMD in threads
-    over an in-process :class:`~repro.comm.mpifabric.LoopbackComm` —
-    the tier that keeps the MPI fabric logic under test on hosts where
-    ``import mpi4py`` fails.
+    :func:`repro.comm.mpilaunch.run_mpi_job`) fed the operation as a
+    job file — real inter-process MPI traffic.
 
 :func:`transport_available` answers (usable, reason) so suites degrade
 to skip-with-reason instead of failing where a transport cannot run.
@@ -54,10 +54,11 @@ def transport_available(name: str, n_ranks: int = 2) -> tuple[bool, str]:
 def run_loopback_spmd(n_ranks: int, fn, timeout: float = 60.0) -> list:
     """Run ``fn(comm)`` on ``n_ranks`` loopback ranks in threads.
 
-    The SPMD harness behind the ``loopback`` transport: every thread is
-    one rank of a :class:`~repro.comm.mpifabric.LoopbackWorld`.  Returns
-    the per-rank results in rank order; the first rank exception is
-    re-raised in the caller.
+    The SPMD harness the suites drive ``mpi_worker.run_job`` and the
+    ``LoopbackComm`` primitives with, no ``mpi4py`` needed: every thread
+    is one rank of a :class:`~repro.comm.mpifabric.LoopbackWorld`.
+    Returns the per-rank results in rank order; the first rank
+    exception is re-raised in the caller.
     """
     from repro.comm.mpifabric import LoopbackWorld
 
@@ -95,24 +96,22 @@ def run_loopback_spmd(n_ranks: int, fn, timeout: float = 60.0) -> list:
     return results
 
 
-def _in_process(calls, gauge, mass, *, transport, ranks, **runtime):
-    """``calls(runtime)`` on an in-process runtime: the ``DecompRuntime``
-    driver, or — ``loopback`` — the MPI rank program run SPMD.  Both
-    expose the same ``fieldwise``/``solve_cgne`` surface."""
-    if transport == "loopback":
-        from repro.comm.mpifabric import MpiRuntime
+def _mpi_job(gauge, mass, psi, *, ranks, timeout, **job) -> dict:
+    """One ``mpi_worker`` job on the stack ``psi``; the result payload."""
+    from repro.comm.mpilaunch import run_mpi_job
 
-        def rank_program(comm):
-            return calls(MpiRuntime(gauge, mass, comm=comm, **runtime))
+    job.update(
+        u=gauge.u, mass=float(mass), psi=np.ascontiguousarray(psi),
+        max_rhs=max(1, int(psi.shape[0])),
+    )
+    return run_mpi_job(job, n_ranks=ranks, timeout=max(timeout, 300.0))
 
-        return run_loopback_spmd(ranks, rank_program, timeout=runtime["timeout"])[0]
+
+def _runtime(gauge, mass, psi, **knobs):
+    """The in-process runtime one call on the stack ``psi`` needs."""
     from repro.comm.distributed import DecompRuntime
 
-    with DecompRuntime(
-        gauge, mass, ranks=ranks,
-        transport="processes" if transport == "shm" else transport, **runtime,
-    ) as rt:
-        return calls(rt)
+    return DecompRuntime(gauge, mass, max_rhs=max(1, int(psi.shape[0])), **knobs)
 
 
 def dist_fieldwise(
@@ -137,18 +136,11 @@ def dist_fieldwise(
 
     if op not in RANK_OPS:
         raise ValueError(f"unknown field op {op!r}; have {sorted(RANK_OPS)}")
+    knobs = {"ranks": ranks, "policy": policy, "engine": engine, "timeout": timeout}
     if transport == "mpi":
-        from repro.comm.mpilaunch import mpi_fieldwise
-
-        return mpi_fieldwise(
-            op, gauge, mass, psi, ranks=ranks, policy=policy, engine=engine,
-            timeout=max(timeout, 300.0),
-        )
-    return _in_process(
-        lambda rt: rt.fieldwise(op, psi), gauge, mass, transport=transport,
-        ranks=ranks, policy=policy, engine=engine,
-        max_rhs=max(1, int(psi.shape[0])), timeout=timeout,
-    )
+        return _mpi_job(gauge, mass, psi, op=op, **knobs)["result"].reshape(psi.shape)
+    with _runtime(gauge, mass, psi, transport=transport, **knobs) as rt:
+        return rt.fieldwise(op, psi)
 
 
 def dist_solve(
@@ -167,16 +159,23 @@ def dist_solve(
     timeout: float = 60.0,
 ):
     """Distributed batched CGNE/RU-CG through the named transport."""
-    solve = {"tol": tol, "max_iter": max_iter, "reliable": reliable, "delta": delta}
-    if transport == "mpi":
-        from repro.comm.mpilaunch import mpi_solve_cgne
+    from repro.solvers.cg import BatchedSolveResult
 
-        return mpi_solve_cgne(
-            gauge, mass, b, ranks=ranks, policy=policy, engine=engine,
-            timeout=max(timeout, 300.0), **solve,
+    solve = {
+        "tol": float(tol), "max_iter": int(max_iter),
+        "reliable": bool(reliable), "delta": float(delta),
+    }
+    knobs = {"ranks": ranks, "policy": policy, "engine": engine, "timeout": timeout}
+    if transport == "mpi":
+        out = _mpi_job(gauge, mass, b, op="cg", **knobs, **solve)
+        return BatchedSolveResult(
+            x=out["result"].reshape(b.shape),
+            converged=out["converged"],
+            iterations=int(out["iterations"]),
+            final_relres=out["relres"],
+            reliable_updates=int(out["reliable_updates"]),
+            matvecs=int(out["matvecs"]),
+            column_iterations=out.get("column_iterations"),  # absent from a reliable-update solve
         )
-    return _in_process(
-        lambda rt: rt.solve_cgne(b, **solve), gauge, mass, transport=transport,
-        ranks=ranks, policy=policy, engine=engine,
-        max_rhs=max(1, int(b.shape[0])), timeout=timeout,
-    )
+    with _runtime(gauge, mass, b, transport=transport, **knobs) as rt:
+        return rt.solve_cgne(b, **solve)

@@ -15,14 +15,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm.decomp import RankGrid
 from repro.comm.distributed import (
     DecompRuntime,
     DistributedEvenOddOperator,
     DistributedWilsonOperator,
+    RankPlan,
     _RankContext,
 )
-from repro.comm.shm import FabricSpec, ThreadShared
+from repro.comm.shm import ThreadShared
 from repro.comm.transports import dist_fieldwise
 from repro.dirac.evenodd_wilson import EvenOddWilson
 from repro.dirac.wilson import WilsonOperator
@@ -146,6 +146,22 @@ def test_evenodd_schur_ops_bitwise():
         assert np.array_equal(op.prepare_rhs(psi), eo.prepare_rhs(psi))
 
 
+def test_pairwise_ghosts_outlive_the_next_hopping():
+    """Regression: on a grid with two partitioned directions ``pairwise``
+    runs two rounds per hopping, so a peer's *next* hopping re-posts a
+    mailbox slot this rank is still reading.  Shared-memory mailboxes are
+    overwritten in place: every op that hops twice came back wrong."""
+    gauge, psi = _background((4, 4, 2, 4))
+    eo = EvenOddWilson(WilsonOperator(gauge, MASS, backend="halfspinor"))
+    x = eo.restrict(psi, 0)
+    want = eo.schur_normal_apply(x)
+    with DecompRuntime(
+        gauge, MASS, grid=(2, 2, 1, 1), transport="shm", policy="pairwise", max_rhs=2
+    ) as rt:
+        for _ in range(5):
+            assert np.array_equal(rt.fieldwise("schur_normal", x), want)
+
+
 def test_overlap_needs_thick_slabs():
     gauge, _ = _background((8, 4, 2, 8))
     with pytest.raises(ValueError, match="local extent"):
@@ -155,30 +171,18 @@ def test_overlap_needs_thick_slabs():
 # -- checkerboard-packed Schur fast path ------------------------------------
 
 
-def _single_rank_context(dims):
-    geom = Geometry(*dims)
-    gauge = GaugeField.random(geom, make_rng(21), scale=0.35)
-    u = gauge.fermion_links(antiperiodic_t=True)
-    grid = RankGrid.make(dims, (1, 1, 1, 1))
-    spec = FabricSpec(
-        n_ranks=1,
-        local_dims=grid.local_dims,
-        partitioned=grid.partitioned,
-        n_max=4,
-        reduce_rows=dims[0],
-        timeout=30.0,
-    )
-    shared = ThreadShared(spec)
-    return _RankContext(
-        0, grid, shared.make_fabric(0), u, MASS, "halfspinor", "blocking"
-    )
+def _rank0_context(dims, grid):
+    gauge = GaugeField.random(Geometry(*dims), make_rng(21), scale=0.35)
+    plan = RankPlan.make(dims, MASS, grid=grid, max_rhs=4, timeout=30.0)
+    links = plan.block(gauge.fermion_links(antiperiodic_t=True), 0)
+    return _RankContext(plan, 0, ThreadShared(plan.spec).make_fabric(0), links)
 
 
 @pytest.mark.parametrize("dims", [(8, 8, 8, 16), (4, 6, 2, 8)])
 def test_cb_packed_path_bitwise(dims):
     """The checkerboard-packed hopping/Schur chain is pure data movement:
     bit-identical to the full-field chain on the nonzero parity."""
-    ctx = _single_rank_context(dims)
+    ctx = _rank0_context(dims, (1, 1, 1, 1))
     kernel, full, packed = ctx.stencil.kernel, ctx.eo, ctx.eo_solve
     assert packed is not full  # eligible grid: the solve runs packed
     rng = np.random.default_rng(3)
@@ -206,22 +210,49 @@ def test_cb_packed_path_bitwise(dims):
 
 def test_cb_ineligible_when_t_partitioned():
     """Packing along t requires t unpartitioned and even global extents."""
-    dims = (4, 6, 2, 8)
-    geom = Geometry(*dims)
-    gauge = GaugeField.random(geom, make_rng(21), scale=0.35)
-    u = gauge.fermion_links(antiperiodic_t=True)
-    grid = RankGrid.make(dims, (1, 1, 1, 2))
-    spec = FabricSpec(
-        n_ranks=2,
-        local_dims=grid.local_dims,
-        partitioned=grid.partitioned,
-        n_max=4,
-        reduce_rows=dims[0],
-        timeout=30.0,
-    )
-    shared = ThreadShared(spec)
-    blocks = grid.scatter(u, site_axis=1)
-    ctx = _RankContext(
-        0, grid, shared.make_fabric(0), blocks[0], MASS, "halfspinor", "blocking"
-    )
+    ctx = _rank0_context((4, 6, 2, 8), (1, 1, 1, 2))
     assert ctx.eo_solve is ctx.eo  # the solve falls back to the full layout
+
+
+# -- failure paths: a rank that raises, a rank that dies ----------------------
+
+
+@pytest.mark.parametrize("transport", ["threads", "shm", "loopback"])
+def test_rank_side_error_closes_the_runtime(transport):
+    """A command every rank fails comes back as one ``RuntimeError``
+    carrying each rank's traceback, and leaves the runtime closed.  (The
+    reducer refuses a grid that is not a slab along x before any
+    collective, so the ranks return at once.)"""
+    gauge, psi = _background((4, 4, 2, 4))
+    rt = DecompRuntime(gauge, MASS, grid=(1, 2, 1, 1), transport=transport, max_rhs=2)
+    with pytest.raises(RuntimeError, match="distributed command failed") as exc:
+        rt.solve_cgne(psi)
+    for r in (0, 1):
+        assert f"rank {r}:" in str(exc.value)
+    assert str(exc.value).count("need a slab grid along axis 0") == 2
+    with pytest.raises(RuntimeError, match="runtime is closed"):
+        rt.hopping(psi)
+
+
+def test_dead_rank_fails_the_send_and_closes_the_runtime():
+    """Regression: a spawned rank that died made the next command raise a
+    bare ``BrokenPipeError`` from the *send*, leaving the runtime open,
+    the surviving rank running and the arena linked."""
+    from multiprocessing.shared_memory import SharedMemory
+
+    gauge, psi = _background((4, 4, 2, 4))
+    rt = DecompRuntime(gauge, MASS, ranks=2, transport="shm", max_rhs=2, timeout=2.0)
+    try:
+        rt.halo_stats()  # returns once every rank is up
+        arena = rt._arena.name
+        rt._ranks[0].terminate()
+        rt._ranks[0].join(timeout=10.0)
+        with pytest.raises(RuntimeError, match="channel to rank 0 broke"):
+            rt.hopping(psi)
+        with pytest.raises(RuntimeError, match="runtime is closed"):
+            rt.hopping(psi)
+        assert not any(rank.is_alive() for rank in rt._ranks)
+        with pytest.raises(FileNotFoundError):
+            SharedMemory(name=arena)
+    finally:
+        rt.close()

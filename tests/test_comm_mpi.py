@@ -6,15 +6,18 @@ tag codec, pre-posted receives, pooled buffers, fixed-order reductions —
 runs under the in-process :class:`~repro.comm.mpifabric.LoopbackComm`
 on hosts where ``import mpi4py`` fails.  These suites pin:
 
-* parity of the MPI rank program
-  (:class:`~repro.comm.mpifabric.MpiRuntime`) against the serial
+* parity of the rank program over the MPI fabric
+  (``DecompRuntime(transport="loopback")``: the rank threads every
+  launcher starts, each on a loopback communicator) against the serial
   operators — *exact on any host*: the fabric only moves faces, the
   stencil is the serial elementwise chain — and against the
-  thread-fabric decomposition runtime's solves — *deterministic, same
-  host*: ``allreduce_rows`` sums slice partials in one fixed order on
-  every transport, but each partial is a ``vdot``;
+  thread-fabric runtime's solves — *deterministic, same host*:
+  ``allreduce_rows`` sums slice partials in one fixed order on every
+  transport, but each partial is a ``vdot``;
 * the :mod:`repro.comm.mpi_worker` job protocol end to end (field ops,
-  CG, bench) over loopback SPMD ranks — no subprocess, no launcher;
+  CG, bench) over loopback SPMD ranks — no subprocess, no launcher —
+  and the command line :mod:`repro.comm.mpilaunch` hands the launcher,
+  with nothing launched;
 * graceful capability detection: every mpi-needing entry point degrades
   to a skip/False/raise-with-reason where the stack is absent;
 * (mpi-capable hosts only) the measured halo cost sitting within a
@@ -28,12 +31,7 @@ import pytest
 
 from repro.comm.decomp import slab_grid
 from repro.comm.distributed import DecompRuntime
-from repro.comm.mpifabric import (
-    MPI4PY_AVAILABLE,
-    LoopbackWorld,
-    MpiRuntime,
-    _encode_tag,
-)
+from repro.comm.mpifabric import MPI4PY_AVAILABLE, LoopbackWorld, _encode_tag
 from repro.comm.transports import (
     TRANSPORTS,
     dist_fieldwise,
@@ -112,7 +110,7 @@ def test_loopback_spmd_reraises_rank_error():
         run_loopback_spmd(2, program, timeout=2.0)
 
 
-# -- MpiRuntime parity -------------------------------------------------------
+# -- the rank program over the MPI fabric -------------------------------------
 
 
 @pytest.mark.parametrize("ranks", [1, 2, 4])
@@ -120,14 +118,10 @@ def test_loopback_spmd_reraises_rank_error():
 def test_mpi_runtime_hopping_bitwise(ranks, policy):
     gauge, psi = _background((8, 4, 2, 8))
     serial = WilsonOperator(gauge, MASS, backend="halfspinor")
-    want = serial.hopping(psi)
-
-    def program(comm):
-        rt = MpiRuntime(gauge, MASS, comm=comm, policy=policy)
-        return rt.hopping(psi)
-
-    for got in run_loopback_spmd(ranks, program, timeout=60.0):
-        assert np.array_equal(got, want)
+    with DecompRuntime(
+        gauge, MASS, ranks=ranks, transport="loopback", policy=policy
+    ) as rt:
+        assert np.array_equal(rt.hopping(psi), serial.hopping(psi))
 
 
 def test_mpi_runtime_cg_matches_thread_fabric():
@@ -136,12 +130,8 @@ def test_mpi_runtime_cg_matches_thread_fabric():
     gauge, b = _background((4, 4, 4, 8), n_rhs=2, seed=7)
     with DecompRuntime(gauge, MASS, ranks=2, transport="threads") as rt:
         want = rt.solve_cgne(b, tol=1e-8, max_iter=2000)
-
-    def program(comm):
-        rt = MpiRuntime(gauge, MASS, comm=comm)
-        return rt.solve_cgne(b, tol=1e-8, max_iter=2000)
-
-    got = run_loopback_spmd(2, program, timeout=60.0)[0]
+    with DecompRuntime(gauge, MASS, ranks=2, transport="loopback") as rt:
+        got = rt.solve_cgne(b, tol=1e-8, max_iter=2000)
     assert got.converged.all()
     assert got.iterations == want.iterations
     assert np.array_equal(got.x, want.x)
@@ -149,13 +139,9 @@ def test_mpi_runtime_cg_matches_thread_fabric():
 
 def test_mpi_runtime_halo_stats_schema():
     gauge, psi = _background((8, 4, 2, 8))
-
-    def program(comm):
-        rt = MpiRuntime(gauge, MASS, comm=comm)
+    with DecompRuntime(gauge, MASS, ranks=2, transport="loopback") as rt:
         rt.hopping(psi)
-        return rt.halo_stats()
-
-    stats = run_loopback_spmd(2, program, timeout=60.0)[0]
+        stats = rt.halo_stats()
     assert len(stats) == 2
     for s in stats:
         assert s["rounds"] >= 1
@@ -220,7 +206,7 @@ def test_worker_job_bench_schema():
 
 def test_worker_job_unknown_op_raises():
     gauge, psi = _background((4, 6, 2, 8))
-    with pytest.raises(RuntimeError, match="unknown mpi_worker op"):
+    with pytest.raises(RuntimeError, match="unknown rank command 'frobnicate'"):
         _run_worker_job(
             {"op": "frobnicate", "u": gauge.u, "mass": MASS, "psi": psi},
             n_ranks=1,
@@ -274,6 +260,58 @@ def test_graceful_skip_paths_without_mpi4py():
     )
     assert proc.returncode == 2
     assert "mpi4py is not installed" in proc.stderr
+
+
+def test_mpi_launch_command_line(monkeypatch):
+    """What the launcher is handed, pinned without launching anything:
+    the argv ``Launcher.build_command`` wraps, the environment that makes
+    ``repro`` importable in the ranks, and the failure report."""
+    import os
+    import shutil
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+    from repro.comm import mpilaunch
+
+    calls: list = []
+    exit_code = 0
+
+    def fake_run(cmd, **kwargs):
+        calls.append((list(cmd), kwargs))
+        if "--job" in cmd:
+            with np.load(cmd[cmd.index("--job") + 1]) as job:
+                assert str(job["op"]) == "hopping"  # the job file is written first
+            np.savez(cmd[cmd.index("--out") + 1], result=np.arange(3.0))
+        return subprocess.CompletedProcess(
+            cmd, exit_code, stdout="MPI-SELFTEST-OK n_ranks=2\n", stderr="rank 1: boom\n"
+        )
+
+    monkeypatch.setattr(mpilaunch, "MPI4PY_AVAILABLE", True)
+    monkeypatch.setattr(
+        shutil, "which", lambda prog: f"/opt/bin/{prog}" if prog == "mpiexec" else None
+    )
+    monkeypatch.setattr(mpilaunch.subprocess, "run", fake_run)
+    worker = ["mpiexec", "-n", "2", sys.executable, "-m", "repro.comm.mpi_worker"]
+    src = str(Path(repro.__file__).resolve().parent.parent)
+
+    out = mpilaunch.run_mpi_job({"op": "hopping"}, n_ranks=2)
+    assert np.array_equal(out["result"], np.arange(3.0))
+    assert mpilaunch.mpi_selftest(2) is True
+    (job_cmd, job_kw), (self_cmd, self_kw) = calls
+    assert job_cmd[:6] == worker and job_cmd[6::2] == ["--job", "--out"]
+    assert [Path(p).name for p in job_cmd[7::2]] == ["job.npz", "out.npz"]
+    assert self_cmd == worker + ["--selftest"]
+    for kw, timeout in ((job_kw, 600.0), (self_kw, 300.0)):
+        assert kw["env"]["PYTHONPATH"].split(os.pathsep)[0] == src
+        assert kw["capture_output"] is True and kw["text"] is True
+        assert kw["timeout"] == timeout
+
+    exit_code = 3
+    with pytest.raises(mpilaunch.MpiLaunchError, match=r"exit 3[\s\S]*rank 1: boom"):
+        mpilaunch.run_mpi_job({"op": "hopping"}, n_ranks=2)
+    assert mpilaunch.mpi_selftest(2) is False
 
 
 def test_decomp_runtime_directs_mpi_to_launcher_path():
