@@ -79,14 +79,7 @@ import numpy as np
 from repro import obs
 from repro.comm.decomp import RankGrid, slab_grid
 from repro.comm.exchange import EXECUTED_POLICIES, HaloExchanger, face_index
-from repro.comm.shm import (
-    FabricSpec,
-    Fabric,
-    ShmArena,
-    ShmFabric,
-    ThreadShared,
-    spawn_context,
-)
+from repro.comm.shm import Fabric, FabricSpec, ShmArena, ShmFabric, ThreadShared
 from repro.dirac.evenodd_wilson import WilsonSchur, parity_fields
 from repro.dirac.kernels import make_kernel
 from repro.dirac.kernels.base import DslashKernel
@@ -102,6 +95,7 @@ from repro.lattice.gauge import GaugeField
 from repro.solvers.cg import BatchedSolveResult, ConjugateGradient
 from repro.solvers.multiprec import ReliableUpdateCG
 from repro.solvers.precision import SinglePrecision
+from repro.utils.spawn import spawn_context
 
 __all__ = [
     "ENGINES",

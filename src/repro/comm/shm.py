@@ -31,7 +31,6 @@ Both fabrics expose the same tiny contract to the rank program:
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import threading
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -310,13 +309,3 @@ class ShmFabric(Fabric):
             ("reduce",), (2, self.spec.reduce_rows, self.spec.n_max), np.float64
         )
         return table[slot]
-
-
-def spawn_context():
-    """The multiprocessing context used for worker ranks.
-
-    ``spawn`` (not fork): workers re-import the package and attach to the
-    arena by name, which is portable and keeps the driver's NumPy state
-    (threads, caches) out of the children.
-    """
-    return mp.get_context("spawn")

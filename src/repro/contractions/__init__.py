@@ -12,6 +12,8 @@ from repro.contractions.propagator import (
     compute_wilson_propagator,
     point_source,
     point_source_5d,
+    solve_column_stacks,
+    stack_width,
 )
 from repro.contractions.mesons import pion_correlator
 from repro.contractions.baryons import proton_correlator, proton_correlator_bilinear
@@ -29,6 +31,8 @@ __all__ = [
     "point_source_5d",
     "compute_propagator",
     "compute_wilson_propagator",
+    "solve_column_stacks",
+    "stack_width",
     "pion_correlator",
     "proton_correlator",
     "proton_correlator_bilinear",

@@ -28,6 +28,7 @@ from repro.dirac.wilson import WilsonOperator
 from repro.lattice.geometry import Geometry
 from repro.solvers.cg import (
     BatchedSolveResult,
+    CGState,
     ConjugateGradient,
     SolveResult,
     solve_normal_equations,
@@ -42,6 +43,8 @@ __all__ = [
     "compute_wilson_propagator",
     "solve_5d",
     "solve_5d_batched",
+    "stack_width",
+    "solve_column_stacks",
 ]
 
 
@@ -279,3 +282,68 @@ def compute_wilson_propagator(
         results.append(res)
         data[..., :, spin, :, color] = res.x
     return Propagator(data, site), results
+
+
+# Bytes of live solver workspace one column stack may hold.  A wider
+# stack buys interpreter overhead per stencil call (and fewer checkpoint
+# files), which saturates after a few columns; it costs ~12 live
+# column-sized arrays per column (x, r, p, tmp, the normal-system RHS,
+# the operator's results and the stencil's tile workspace: 11.0 by
+# tracemalloc inside the loop, 12.5 by worker RSS, at 4^3 x 8).  4 MiB
+# admits 3 columns of a 4^3 x 8 field (96 KiB each) and 1 of an 8^3 x 16
+# one (1.5 MiB), where a column already is a whole stencil tile and a
+# stack has nothing left to amortize (DESIGN section 11 has the table).
+_STACK_WORKSPACE_BYTES = 4 << 20
+_LIVE_ARRAYS_PER_COLUMN = 12
+
+
+def stack_width(column_nbytes: int, n_columns: int = 12) -> int:
+    """Columns per lock-step stack: the widest divisor of ``n_columns``
+    whose solver workspace fits the budget, and never less than 1."""
+    fits = _STACK_WORKSPACE_BYTES // (_LIVE_ARRAYS_PER_COLUMN * column_nbytes)
+    return max(
+        (w for w in range(1, n_columns + 1) if n_columns % w == 0 and w <= fits), default=1
+    )
+
+
+def solve_column_stacks(
+    apply_op: Callable[[np.ndarray], np.ndarray],
+    apply_dagger: Callable[[np.ndarray], np.ndarray],
+    b: np.ndarray,
+    solver: ConjugateGradient | None = None,
+    *,
+    deflation=None,
+    start: int = 0,
+    state: CGState | None = None,
+    checkpoint_every: int = 0,
+    on_checkpoint: Callable[[int, CGState], None] | None = None,
+):
+    """CGNE on the columns of ``b`` as consecutive lock-step stacks.
+
+    The columns keep independent Krylov spaces — each one's iterates are
+    exactly those of its own :func:`solve_normal_equations` — but are
+    scheduled :func:`stack_width` at a time through
+    :func:`solve_normal_equations_batched`, so a stencil call serves a
+    whole stack.  Yields ``(first_column, BatchedSolveResult)`` per
+    finished stack, in column order.
+
+    ``start`` / ``state`` resume at the stack beginning at column
+    ``start`` (a multiple of the width) from its stacked mid-solve
+    state; ``on_checkpoint(first_column, state)`` fires every
+    ``checkpoint_every`` stacked iterations of the stack in flight.
+    """
+    n, width = b.shape[0], stack_width(b[0].nbytes, b.shape[0])
+    if start % width or not 0 <= start <= n:
+        raise ValueError(f"resume column {start} is not a boundary of width-{width} stacks")
+    for lo in range(start, n, width):
+        resume = {}
+        if state is not None or on_checkpoint is not None:
+            resume = dict(
+                state=state,
+                checkpoint_every=checkpoint_every,
+                on_checkpoint=on_checkpoint and (lambda st, lo=lo: on_checkpoint(lo, st)),
+            )
+        yield lo, solve_normal_equations_batched(
+            apply_op, apply_dagger, b[lo : lo + width], solver, deflation=deflation, **resume
+        )
+        state = None

@@ -27,14 +27,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.contractions.propagator import Propagator
+from repro.contractions.propagator import Propagator, solve_column_stacks
 from repro.dirac import gamma as g
 from repro.dirac.wilson import WilsonOperator
-from repro.solvers.cg import (
-    ConjugateGradient,
-    solve_normal_equations,
-    solve_normal_equations_batched,
-)
+from repro.solvers.cg import ConjugateGradient, solve_normal_equations_batched
 
 __all__ = ["sequential_propagator", "pion_three_point", "pion_two_point_matrix"]
 
@@ -57,62 +53,58 @@ def sequential_propagator(
 
     ``deflation`` (a low-mode basis of this operator's ``D^H D``) seeds
     every column solve; ``mode`` is ``"percolumn"`` (12 independent
-    CGNE), ``"batched"`` (one lock-step stack) or ``"block"`` (one
+    CGNE Krylov spaces, scheduled as lock-step column stacks by
+    :func:`repro.contractions.propagator.solve_column_stacks`),
+    ``"batched"`` (one lock-step 12-stack) or ``"block"`` (one
     shared-Krylov block solve — pass a
     :class:`repro.solvers.blockcg.BlockCG` via ``solver``).  When
     ``stats`` is a dict, the accumulated ``iterations``/``matvecs``/
-    ``flops`` of the solves are added into it.
+    ``flops`` of the solves are added into it (``iterations`` is the
+    per-column sum under ``"percolumn"``, the stacked count otherwise).
     """
     geom = wilson.geometry
     if not 0 <= t_snk < geom.lt:
         raise ValueError(f"t_snk={t_snk} outside 0..{geom.lt - 1}")
-    if mode == "percolumn" and solver is None:
+    if mode not in ("percolumn", "batched", "block"):
+        raise ValueError(f"unknown sequential solve mode {mode!r}")
+    if solver is None:
         solver = ConjugateGradient(tol=1e-10, max_iter=6000)
-
-    def account(res) -> None:
-        if stats is not None:
-            stats["iterations"] = stats.get("iterations", 0) + res.iterations
-            stats["matvecs"] = stats.get("matvecs", 0) + res.matvecs
-            stats["flops"] = stats.get("flops", 0.0) + res.flops
 
     # Source: gamma_5 (S_d delta_{t, t_snk}) column by column.
     restricted = np.zeros_like(prop_d.data)
     restricted[:, :, :, t_snk] = prop_d.data[:, :, :, t_snk]
+    b = np.stack(
+        [
+            g.gamma5_mul(restricted[..., :, spin, :, color])
+            for spin in range(4)
+            for color in range(3)
+        ]
+    )
+    del restricted
     data = np.zeros_like(prop_d.data)
-    if mode in ("batched", "block"):
-        if solver is None:
-            solver = ConjugateGradient(tol=1e-10, max_iter=6000)
-        b = np.stack(
-            [
-                g.gamma5_mul(restricted[..., :, spin, :, color])
-                for spin in range(4)
-                for color in range(3)
-            ]
-        )
-        res = solve_normal_equations_batched(
+    if mode == "percolumn":
+        stacks = solve_column_stacks(
             wilson.apply, wilson.apply_dagger, b, solver, deflation=deflation
         )
-        account(res)
-        if not res.all_converged:
-            raise RuntimeError("sequential batched solve did not converge")
-        for col in range(12):
-            spin, color = divmod(col, 3)
-            data[..., :, spin, :, color] = g.gamma5_mul(res.x[col])
-    elif mode == "percolumn":
-        for spin in range(4):
-            for color in range(3):
-                b = g.gamma5_mul(restricted[..., :, spin, :, color])
-                res = solve_normal_equations(
-                    wilson.apply, wilson.apply_dagger, b, solver, deflation=deflation
-                )
-                account(res)
-                if not res.converged:
-                    raise RuntimeError(
-                        f"sequential solve (spin {spin}, colour {color}) did not converge"
-                    )
-                data[..., :, spin, :, color] = g.gamma5_mul(res.x)
     else:
-        raise ValueError(f"unknown sequential solve mode {mode!r}")
+        stacks = [
+            (0, solve_normal_equations_batched(
+                wilson.apply, wilson.apply_dagger, b, solver, deflation=deflation
+            ))
+        ]
+    for lo, res in stacks:
+        if stats is not None:
+            stats["iterations"] = stats.get("iterations", 0) + (
+                int(res.column_iterations.sum()) if mode == "percolumn" else res.iterations
+            )
+            stats["matvecs"] = stats.get("matvecs", 0) + res.matvecs
+            stats["flops"] = stats.get("flops", 0.0) + res.flops
+        if not res.all_converged:
+            bad = [lo + i for i in range(res.n_rhs) if not res.converged[i]]
+            raise RuntimeError(f"sequential {mode} solve: columns {bad} did not converge")
+        for i in range(res.n_rhs):
+            spin, color = divmod(lo + i, 3)
+            data[..., :, spin, :, color] = g.gamma5_mul(res.x[i])
     return Propagator(data, prop_d.source)
 
 

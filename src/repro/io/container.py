@@ -100,22 +100,24 @@ class FieldFile:
         """Write the container; returns bytes written."""
         entries = []
         offset = 0
-        blobs: list[bytes] = []
+        views: list[np.ndarray] = []
         for name in self.names():
             arr = self._arrays[name]
-            blob = arr.tobytes()
+            # the array's own buffer as bytes: checksummed and written in
+            # place, never copied (``add`` made it C-contiguous)
+            raw = arr.reshape(-1).view(np.uint8)
             entries.append(
                 {
                     "name": name,
                     "dtype": str(arr.dtype),
                     "shape": list(arr.shape),
                     "offset": offset,
-                    "nbytes": len(blob),
-                    "crc32": zlib.crc32(blob) & 0xFFFFFFFF,
+                    "nbytes": raw.nbytes,
+                    "crc32": zlib.crc32(raw) & 0xFFFFFFFF,
                 }
             )
-            blobs.append(blob)
-            offset += len(blob)
+            views.append(raw)
+            offset += raw.nbytes
         header = json.dumps({"metadata": self.metadata, "arrays": entries}).encode()
         path = Path(path)
         # Atomic rename-on-write: assemble in a same-directory temp file
@@ -129,8 +131,8 @@ class FieldFile:
                 f.write(len(header).to_bytes(8, "little"))
                 f.write((zlib.crc32(header) & 0xFFFFFFFF).to_bytes(4, "little"))
                 f.write(header)
-                for blob in blobs:
-                    f.write(blob)
+                for raw in views:
+                    f.write(raw)
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, path)

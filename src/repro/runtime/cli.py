@@ -195,11 +195,15 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--solver-mode",
                        choices=["percolumn", "batched", "block", "distributed"],
                        default="percolumn",
-                       help="how the 12-source solves run: independent "
-                       "checkpointed columns, lock-step batch, true "
-                       "shared-Krylov block CG, or the rank-parallel "
-                       "decomposition runtime (compiled SoA engine where "
-                       "numba imports)")
+                       help="how the 12-source solves run. percolumn: 12 "
+                       "independent Krylov spaces scheduled as lock-step "
+                       "column stacks sized by the solver's workspace "
+                       "budget, checkpointed mid-solve (work at risk <= "
+                       "--checkpoint-every stacked iterations). batched: "
+                       "the whole 12-stack in one single-shot lock-step "
+                       "solve. block: true shared-Krylov block CG. "
+                       "distributed: the rank-parallel decomposition "
+                       "runtime (compiled SoA engine where numba imports)")
     p_run.add_argument("--dist-ranks", type=int, default=2,
                        help="rank count for --solver-mode distributed")
     p_run.add_argument("--dist-transport",

@@ -17,11 +17,13 @@ Task kinds (the paper's Fig. 2 menu):
 ``smear_sources``   12 covariantly smeared point sources -> ``sources``
 ``eigenbasis``      per-configuration Lanczos low modes of ``D^H D``
                     -> ``eigen`` (shared by every deflated solve below)
-``propagator``      12-column Wilson CGNE solve, checkpointed -> ``prop``;
-                    optionally deflated (``eigen`` param) and batched or
-                    block-solved (``solver_mode`` param)
+``propagator``      12-column Wilson CGNE solve -> ``prop``: by default
+                    (``solver_mode="percolumn"``) 12 independent Krylov
+                    spaces run as checkpointed lock-step column stacks;
+                    optionally deflated (``eigen`` param), or one
+                    single-shot 12-stack / block / rank-parallel solve
 ``seq_solve``       through-the-sink sequential solve -> ``prop`` (same
-                    deflation/mode knobs)
+                    deflation/mode knobs, no mid-solve checkpoint)
 ``multishift_prop`` one shifted-CG family ``(D^H D + sigma_i)`` per
                     source column -> ``shifted`` (all shifts for the
                     cost of the smallest)
@@ -197,15 +199,15 @@ def _exec_smear_sources(params: dict, ctx: ExecContext) -> dict[str, str]:
         alpha=float(params.get("alpha", 0.25)),
         n_iter=int(params.get("n_iter", 6)),
     )
-    stack = np.stack(
-        [
-            smear.apply(point_source(geom, site, spin, color))
-            for spin in range(4)
-            for color in range(3)
-        ]
+    # all 12 columns through one smearing pass: the kernel is diagonal in
+    # everything between the site axes and colour, so the column index
+    # rides there and each column gets the arithmetic of its own call
+    columns = np.stack(
+        [point_source(geom, site, spin, color) for spin in range(4) for color in range(3)],
+        axis=4,
     )
     ff = FieldFile({"site": list(site)})
-    ff.add("sources", stack)
+    ff.add("sources", np.moveaxis(smear.apply(columns), 4, 0))
     return {"sources": ctx.store.save(ctx.task_id, "sources", ff)}
 
 
@@ -257,72 +259,67 @@ def _exec_eigenbasis(params: dict, ctx: ExecContext) -> dict[str, str]:
     return {"eigen": ref}
 
 
-def _prop_ckpt_save(
-    ctx: ExecContext,
-    data: np.ndarray,
-    column: int,
-    cg_state,
-    totals: dict[str, float],
+_STATE_ARRAYS = ("x", "r", "p", "rsq", "bnorm", "column_iterations")
+
+
+def _stack_ckpt_save(
+    ctx: ExecContext, data: np.ndarray, column: int, width: int, cg_state, totals: dict
 ) -> None:
-    """One atomic file holding the partial propagator + in-flight CG state."""
+    """One atomic file: the finished columns + the in-flight stack's CG state.
+
+    ``column`` is the first column of the stack in flight (every column
+    before it is final in ``data``), ``width`` the stack width the file
+    was written under, ``cg_state`` the stacked mid-solve
+    :class:`repro.solvers.cg.CGState` (None at a stack boundary).
+    """
     ff = FieldFile(
         {
-            "kind": "prop_ckpt",
+            "kind": "prop_stack_ckpt",
             "column": column,
-            "iterations": totals["iterations"],
-            "matvecs": totals.get("matvecs", 0),
-            "flops": totals["flops"],
-            "has_state": cg_state is not None,
-            "state_scalars": (
-                {
-                    "rsq": cg_state.rsq,
-                    "bnorm": cg_state.bnorm,
-                    "iteration": cg_state.iteration,
-                    "flops": cg_state.flops,
-                }
-                if cg_state is not None
-                else {}
-            ),
+            "width": width,
+            "totals": totals,
+            "state": cg_state and {"iteration": cg_state.iteration, "flops": cg_state.flops},
         }
     )
     ff.add("data", data)
     if cg_state is not None:
-        ff.add("state_x", cg_state.x)
-        ff.add("state_r", cg_state.r)
-        ff.add("state_p", cg_state.p)
+        for name in _STATE_ARRAYS:
+            ff.add(f"state_{name}", getattr(cg_state, name))
         ff.add("state_history", np.asarray(cg_state.history, dtype=np.float64))
     ff.save(ctx.ckpt.path_for(ctx.task_id))
 
 
-def _prop_ckpt_load(ctx: ExecContext, shape: tuple[int, ...]):
-    """(partial data, next column, resume CGState | None, totals)."""
+def _stack_ckpt_load(ctx: ExecContext, shape: tuple[int, ...], width: int):
+    """(partial data, first column of the stack to run, CGState | None, totals).
+
+    None unless the file is a stack checkpoint of *this* task's shape:
+    any other kind (the one-column ``prop_ckpt`` of earlier versions
+    included), a column that is not a boundary of width-``width``
+    stacks, or arrays of another lattice are ignored whole and the task
+    recomputes — a checkpoint is never half-loaded.
+    """
     from repro.solvers.cg import CGState
 
     ff = ctx.ckpt.load_fieldfile(ctx.task_id)
-    if ff is None or ff.metadata.get("kind") != "prop_ckpt":
+    if ff is None or ff.metadata.get("kind") != "prop_stack_ckpt":
         return None
     md = ff.metadata
-    data = ff["data"].reshape(shape)
-    state = None
-    if md.get("has_state"):
-        sc = md["state_scalars"]
-        vec_shape = shape[:4] + (4, 3)
-        state = CGState(
-            x=ff["state_x"].reshape(vec_shape),
-            r=ff["state_r"].reshape(vec_shape),
-            p=ff["state_p"].reshape(vec_shape),
-            rsq=float(sc["rsq"]),
-            bnorm=float(sc["bnorm"]),
-            iteration=int(sc["iteration"]),
-            flops=float(sc["flops"]),
-            history=[float(h) for h in ff["state_history"]],
-        )
-    totals = {
-        "iterations": int(md["iterations"]),
-        "matvecs": int(md.get("matvecs", 0)),
-        "flops": float(md["flops"]),
-    }
-    return data, int(md["column"]), state, totals
+    column, scalars = int(md["column"]), md["state"]
+    if (
+        int(md["width"]) != width
+        or column % width
+        or not 0 <= column < 12
+        or ff["data"].shape != shape
+        or (scalars and ff["state_x"].shape != (width,) + shape[:4] + (4, 3))
+    ):
+        return None
+    state = scalars and CGState(
+        **{name: ff[f"state_{name}"] for name in _STATE_ARRAYS},
+        iteration=int(scalars["iteration"]),
+        flops=float(scalars["flops"]),
+        history=list(ff["state_history"]),
+    )
+    return ff["data"], column, state, dict(md["totals"])
 
 
 def _solve_distributed(params: dict, gauge, sources, tol: float, max_iter: int):
@@ -351,11 +348,20 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
     ``solver_mode`` selects how the 12 columns are solved:
 
     ``percolumn`` (default)
-        One CGNE per column with mid-solve checkpointing — the
-        fault-tolerant production path.
+        The fault-tolerant production path.  Every column keeps its own
+        Krylov space — its bits are those of a one-column CGNE — but the
+        columns are *scheduled* as consecutive lock-step stacks
+        (:func:`repro.contractions.propagator.solve_column_stacks`; the
+        width comes from its workspace budget: 3 columns at 4^3 x 8, 1
+        at 8^3 x 16), so a stencil call serves a whole stack.  The stacked
+        CG state is checkpointed every ``checkpoint_every`` stacked
+        iterations and at each stack boundary, and a retry resumes from
+        it bit-exactly: work at risk is at most ``checkpoint_every``
+        stacked iterations.
     ``batched``
         All 12 columns in one lock-step batched CGNE (shared operator
-        applications, per-column Krylov spaces).
+        applications, per-column Krylov spaces), single shot: the whole
+        12-stack is the workspace and the retry unit.
     ``block``
         All 12 columns in one true block CGNE (shared Krylov space).
     ``distributed``
@@ -373,16 +379,15 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
     per-configuration low-mode basis, in any mode except
     ``distributed`` (the rank-local solver has no deflation hook).
     Batched/block/distributed modes are single-shot (no mid-solve
-    checkpoint); the retry unit is the whole task.
+    checkpoint); the retry unit is the whole task.  ``solve_done``
+    reports ``iterations`` as the per-column sum under ``percolumn``
+    (what twelve one-column solves count) and as the stacked count
+    otherwise.
     """
-    from repro.contractions import Propagator, point_source
+    from repro.contractions import Propagator, point_source, solve_column_stacks, stack_width
     from repro.dirac.wilson import WilsonOperator
     from repro.solvers.blockcg import BlockCG
-    from repro.solvers.cg import (
-        ConjugateGradient,
-        solve_normal_equations,
-        solve_normal_equations_batched,
-    )
+    from repro.solvers.cg import ConjugateGradient, solve_normal_equations_batched
 
     gauge = _load_gauge(ctx, params["gauge"])
     geom = gauge.geometry
@@ -449,9 +454,10 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
             )
     elif mode == "percolumn":
         solver = ConjugateGradient(tol=tol, max_iter=max_iter)
+        width = stack_width(sources[0].nbytes)
         start_col = 0
         resume_state = None
-        restored = _prop_ckpt_load(ctx, shape)
+        restored = _stack_ckpt_load(ctx, shape, width)
         if restored is not None:
             data, start_col, resume_state, totals = restored
             ctx.emit(
@@ -461,37 +467,36 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
                 iteration=0 if resume_state is None else resume_state.iteration,
             )
 
-        for col in range(start_col, 12):
-            spin, color = divmod(col, 3)
+        def on_checkpoint(lo, st):
+            _stack_ckpt_save(ctx, data, lo, width, st, totals)
+            ctx.checkpoint_saved()
 
-            def on_checkpoint(st, col=col):
-                _prop_ckpt_save(ctx, data, col, st, totals)
-                ctx.checkpoint_saved()
-
-            res = solve_normal_equations(
-                wilson.apply,
-                wilson.apply_dagger,
-                sources[col],
-                solver,
-                deflation=eigen,
-                state=resume_state,
-                checkpoint_every=ck_every,
-                on_checkpoint=on_checkpoint if ck_every else None,
-            )
-            resume_state = None
-            if not res.converged:
+        for lo, res in solve_column_stacks(
+            wilson.apply,
+            wilson.apply_dagger,
+            sources,
+            solver,
+            deflation=eigen,
+            start=start_col,
+            state=resume_state,
+            checkpoint_every=ck_every,
+            on_checkpoint=on_checkpoint if ck_every else None,
+        ):
+            if not res.all_converged:
+                bad = [lo + i for i in range(res.n_rhs) if not res.converged[i]]
                 raise RuntimeError(
-                    f"{ctx.task_id}: column {col} did not converge "
-                    f"(relres {res.final_relres:.2e})"
+                    f"{ctx.task_id}: columns {bad} did not converge "
+                    f"(worst relres {float(np.max(res.final_relres)):.2e})"
                 )
-            data[..., :, spin, :, color] = res.x
-            totals["iterations"] += res.iterations
+            for i in range(res.n_rhs):
+                spin, color = divmod(lo + i, 3)
+                data[..., :, spin, :, color] = res.x[i]
+            totals["iterations"] += int(res.column_iterations.sum())
             totals["matvecs"] += res.matvecs
             totals["flops"] += res.flops
-            if ck_every and col < 11:
-                # Column-boundary checkpoint: completed columns never re-solve.
-                _prop_ckpt_save(ctx, data, col + 1, None, totals)
-                ctx.checkpoint_saved()
+            if ck_every and lo + res.n_rhs < 12:
+                # Stack-boundary checkpoint: finished columns never re-solve.
+                on_checkpoint(lo + res.n_rhs, None)
     else:
         raise ValueError(f"{ctx.task_id}: unknown solver_mode {mode!r}")
 

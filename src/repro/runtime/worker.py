@@ -1,8 +1,8 @@
 """Worker pools: real processes (or threads) executing campaign tasks.
 
 The process pool is the production fabric: one OS process per worker,
-started through the same ``spawn`` multiprocessing context as the PR 3
-shared-memory rank fabric (:func:`repro.comm.shm.spawn_context`), fed
+started through the same ``spawn`` multiprocessing context as the
+shared-memory rank fabric (:func:`repro.utils.spawn.spawn_context`), fed
 through a per-worker task queue and a shared result queue.  A worker
 that dies mid-task — including the deliberately injected ``os._exit``
 kill — simply never reports; the driver notices the corpse via
@@ -30,11 +30,11 @@ from pathlib import Path
 from typing import Any
 
 from repro import obs
-from repro.comm.shm import spawn_context
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.exec_tasks import ArtifactStore, ExecContext, execute_task
 from repro.runtime.faults import FaultSpec, WorkerKilled
 from repro.runtime.telemetry import TelemetryWriter
+from repro.utils.spawn import spawn_context
 
 __all__ = ["worker_main", "ProcessWorkerPool", "ThreadWorkerPool", "make_pool"]
 

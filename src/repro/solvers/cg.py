@@ -55,6 +55,9 @@ class CGState:
 
     ``meta`` is free-form provenance (task id, source column, tolerance);
     it rides along through :func:`save_state`/:func:`load_state`.
+    ``column_iterations`` (stacked form only) is what each system had
+    counted when the state was taken, so a resumed stack reports the
+    uninterrupted count for systems that froze before it.
     """
 
     x: np.ndarray
@@ -66,6 +69,7 @@ class CGState:
     flops: float
     history: list[float] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    column_iterations: np.ndarray | None = None
 
 
 def save_state(state: CGState, path: str | Path) -> None:
@@ -330,7 +334,7 @@ class ConjugateGradient:
         return result
 
     def solve_batched(
-        self, matvec: MatVec, b: np.ndarray, x0: np.ndarray | None = None
+        self, matvec: MatVec, b: np.ndarray, x0: np.ndarray | None = None, **resume
     ) -> BatchedSolveResult:
         """Solve ``A x_i = b_i`` for a stack of right-hand sides.
 
@@ -339,12 +343,15 @@ class ConjugateGradient:
         axes pass through the stencil, so the gauge field is read once
         per stacked application).  Systems converge and freeze
         individually; the iteration stops when all are done.
+        ``resume`` is :meth:`solve`'s ``state`` / ``checkpoint_every`` /
+        ``on_checkpoint``, speaking :class:`CGState` in stacked form (the
+        cadence counts stacked iterations; the resume is bit-exact).
 
         Runs inside one ``cg.solve_batched`` observability span
         (attributed with the full-stack model flops and batch width).
         """
         with obs.span("cg.solve_batched", cat="solver", n_rhs=int(np.shape(b)[0])) as sp:
-            result = self._run(matvec, b, x0)
+            result = self._run(matvec, b, x0, **resume)
             _record(sp, result)
         return result
 
@@ -417,6 +424,8 @@ class ConjugateGradient:
         # zero residual.
         active = rsq > target
         column_iterations = np.full(k, iterations, dtype=np.int64)
+        if state is not None and state.column_iterations is not None:
+            column_iterations[:] = state.column_iterations
         tmp = np.empty_like(r)
         while bool(active.any()) and iterations < self.max_iter:
             ap = matvec(p)
@@ -449,7 +458,8 @@ class ConjugateGradient:
             ):
                 on_checkpoint(
                     CGState(
-                        x.copy(), r.copy(), p.copy(), rsq, bnorm, iterations, flops, list(history)
+                        x.copy(), r.copy(), p.copy(), rsq, bnorm, iterations, flops, list(history),
+                        column_iterations=column_iterations.copy(),
                     )
                 )
 
@@ -547,6 +557,7 @@ def solve_normal_equations_batched(
     x0: np.ndarray | None = None,
     *,
     deflation=None,
+    **resume,
 ) -> BatchedSolveResult:
     """Multi-RHS CGNE on a stack of right-hand sides (leading axis).
 
@@ -556,6 +567,9 @@ def solve_normal_equations_batched(
 
     ``deflation`` (a :class:`repro.solvers.lanczos.LanczosResult` on the
     normal operator) seeds the whole stack with its low-mode solutions.
+    ``resume`` (``state`` / ``checkpoint_every`` / ``on_checkpoint``, the
+    stacked state of the *normal* system) reaches ``solver.solve_batched``
+    only when given: a solver without checkpoints is called as before.
     """
     return _cgne(
         (solver or ConjugateGradient()).solve_batched,
@@ -565,4 +579,5 @@ def solve_normal_equations_batched(
         b,
         x0,
         deflation,
+        **resume,
     )

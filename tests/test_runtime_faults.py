@@ -215,3 +215,126 @@ class TestDistributedSolverMode:
                   and e["task"] == "prop_m0"]
         assert solves and solves[0]["solver_mode"] == "distributed"
         assert solves[0]["iterations"] > 0 and solves[0]["flops"] > 0
+
+
+class TestColumnStackCheckpoints:
+    """``percolumn`` solves run as lock-step column stacks (3 columns at
+    4^3 x 8): the checkpoint holds the finished columns plus the stacked
+    CG state of the stack in flight, and nothing else is ever loaded."""
+
+    def test_kill_inside_second_stack_resumes_at_that_stack(self, tmp_path,
+                                                            reference):
+        # a stack takes ~58 iterations here: 5 mid-solve checkpoints and
+        # its boundary, so the 8th save is the second stack's 2nd
+        faults = FaultPlan({"prop_m0": FaultSpec(kind="kill_worker",
+                                                 at_checkpoint=8)})
+        rt, res = _campaign(tmp_path, pool="thread", faults=faults, workers=1)
+        assert res.all_done
+        assert res.worker_deaths == 1
+        assert _final_bytes(rt) == reference
+
+        events = load_events(tmp_path)
+        restored = [e for e in events if e["ev"] == "checkpoint_restored"]
+        assert len(restored) == 1
+        # resumed mid-solve in the second stack, first stack's columns kept
+        assert restored[0]["column"] == 3
+        assert restored[0]["iteration"] > 0
+
+    def test_solve_done_iterations_is_the_per_column_sum(self, tmp_path):
+        """Telemetry keeps counting what twelve one-column solves would
+        (not stacked iterations), fault or no fault, for both solve
+        kinds."""
+        import numpy as np
+
+        from repro.contractions import Propagator, sequential_propagator
+        from repro.dirac.wilson import WilsonOperator
+        from repro.lattice import GaugeField, Geometry
+        from repro.solvers import ConjugateGradient, solve_normal_equations
+
+        kwargs = dict(CAMPAIGN, include_seq=True)
+        rt, res = _campaign(tmp_path / "plain", pool="thread", workers=1,
+                            spec_kwargs=kwargs)
+        assert res.all_done
+        counted = {e["task"]: e["iterations"]
+                   for e in load_events(tmp_path / "plain")
+                   if e["ev"] == "solve_done"}
+
+        links = rt.store.load("gaugefix:links")
+        dims = tuple(links.metadata["dims"])
+        gauge = GaugeField(Geometry(*dims),
+                           links["links"].reshape((4,) + dims + (3, 3)))
+        wilson = WilsonOperator(gauge, mass=0.5)
+        solver = ConjugateGradient(tol=CAMPAIGN["tol"], max_iter=4000)
+        sources = rt.store.load("smear:sources")["sources"]
+        assert counted["prop_m0"] == sum(
+            solve_normal_equations(wilson.apply, wilson.apply_dagger, b,
+                                   solver).iterations
+            for b in sources
+        )
+        stats: dict = {}
+        prop = rt.store.load("prop_m0:prop")
+        seq = sequential_propagator(
+            wilson, Propagator(prop["data"], tuple(prop.metadata["source"])),
+            dims[3] // 2, solver=solver, stats=stats)
+        assert counted["seq_m0"] == stats["iterations"]
+        assert np.array_equal(seq.data, rt.store.load("seq_m0:prop")["data"])
+
+        # a resumed stack reports the same sum: columns that froze before
+        # the checkpoint keep their own count
+        faults = FaultPlan({"prop_m0": FaultSpec(kind="kill_worker",
+                                                 at_checkpoint=8)})
+        _campaign(tmp_path / "killed", pool="thread", faults=faults,
+                  workers=1, spec_kwargs=kwargs)
+        recounted = {e["task"]: e["iterations"]
+                     for e in load_events(tmp_path / "killed")
+                     if e["ev"] == "solve_done"}
+        assert recounted == counted
+
+    @pytest.mark.parametrize("planted", [
+        "one_column_kind", "other_width", "off_boundary_column",
+        "other_lattice_data", "other_lattice_state",
+    ])
+    def test_foreign_checkpoint_is_ignored_whole(self, tmp_path, reference,
+                                                 planted):
+        """A checkpoint this task could not have written — the
+        one-column ``prop_ckpt`` of earlier versions, another stack
+        width, a column that is no stack boundary, arrays of another
+        lattice — is never half-loaded: the task recomputes."""
+        import numpy as np
+
+        from repro.io.container import FieldFile
+
+        shape = (4, 4, 4, 8, 4, 4, 3, 3)
+        md = {"kind": "prop_stack_ckpt", "column": 3, "width": 3,
+              "totals": {"iterations": 170, "matvecs": 174, "flops": 0.0},
+              "state": None}
+        arrays = {"data": np.ones(shape, dtype=np.complex128)}
+        if planted == "one_column_kind":
+            md = {"kind": "prop_ckpt", "column": 3, "iterations": 170,
+                  "matvecs": 174, "flops": 0.0, "has_state": False,
+                  "state_scalars": {}}
+        elif planted == "other_width":
+            md["width"], md["column"] = 4, 4
+        elif planted == "off_boundary_column":
+            md["column"] = 4
+        elif planted == "other_lattice_data":
+            arrays["data"] = np.ones((2, 2, 2, 4, 4, 4, 3, 3), dtype=complex)
+        elif planted == "other_lattice_state":
+            md["state"] = {"iteration": 10, "flops": 0.0}
+            wrong = (3, 2, 2, 2, 4, 4, 3)
+            for name in ("state_x", "state_r", "state_p"):
+                arrays[name] = np.ones(wrong, dtype=np.complex128)
+            arrays["state_rsq"] = arrays["state_bnorm"] = np.ones(3)
+            arrays["state_history"] = np.ones((10, 3))
+            arrays["state_column_iterations"] = np.full(3, 10)
+        ff = FieldFile(md)
+        for name, arr in arrays.items():
+            ff.add(name, arr)
+        (tmp_path / "checkpoints").mkdir(parents=True)
+        ff.save(tmp_path / "checkpoints" / "prop_m0.ckpt.lq")
+
+        rt, res = _campaign(tmp_path, pool="thread", workers=1)
+        assert res.all_done
+        assert _final_bytes(rt) == reference
+        events = load_events(tmp_path)
+        assert not [e for e in events if e["ev"] == "checkpoint_restored"]

@@ -212,3 +212,54 @@ class TestFaults:
         back = FaultPlan.from_json(json.loads(json.dumps(plan.to_json())))
         assert back.get("a") == plan.get("a")
         assert back.get("missing") is None
+
+
+class TestExecutors:
+    def test_smear_sources_equals_twelve_single_column_smearings(self, tmp_path):
+        """The executor smears all 12 point sources in one pass with the
+        column index as a spectator axis; every column carries the bits
+        of its own ``GaussianSmearing.apply`` call."""
+        import numpy as np
+
+        from repro.contractions import GaussianSmearing, point_source
+        from repro.io.container import FieldFile
+        from repro.lattice import GaugeField, Geometry
+        from repro.runtime.checkpoint import CheckpointManager
+        from repro.runtime.exec_tasks import ArtifactStore, ExecContext, execute_task
+        from repro.utils.rng import make_rng
+
+        geom = Geometry(4, 4, 2, 4)
+        gauge = GaugeField.random(geom, make_rng(11), scale=0.35)
+        store = ArtifactStore(tmp_path / "artifacts")
+        links = FieldFile({"dims": list(geom.dims)})
+        links.add("links", gauge.u)
+        store.save("gaugefix", "links", links)
+        ctx = ExecContext("smear", 1, store, CheckpointManager(tmp_path / "checkpoints"))
+        site = (1, 0, 1, 2)
+        refs = execute_task(
+            "smear_sources", {"gauge": "gaugefix:links", "site": list(site), "n_iter": 5}, ctx
+        )
+        got = store.load(refs["sources"])["sources"]
+
+        smear = GaussianSmearing(gauge, alpha=0.25, n_iter=5)
+        want = np.stack(
+            [smear.apply(point_source(geom, site, s, c)) for s in range(4) for c in range(3)]
+        )
+        assert got.shape == want.shape == (12,) + geom.dims + (4, 3)
+        assert np.array_equal(got, want)
+
+
+def test_importing_the_runtime_leaves_the_physics_packages_out():
+    """The driver and every spawned worker import ``repro.runtime`` before
+    their first task; the lattice, Dirac and communication stacks load
+    inside the executors that need them, not at import."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repro.runtime, repro.runtime.worker\n"
+        "heavy = [m for m in ('repro.comm', 'repro.dirac', 'repro.lattice') if m in sys.modules]\n"
+        "sys.exit(', '.join(heavy) or 0)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, f"imported at start-up: {proc.stderr[-2000:]}"

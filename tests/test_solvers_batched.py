@@ -270,3 +270,141 @@ class TestPerColumnIterations:
             assert stacked.iterations == alone.iterations
             assert stacked.reliable_updates == alone.reliable_updates
             assert np.array_equal(stacked.x[0], alone.x)
+
+
+class TestColumnStacks:
+    """``solve_column_stacks``: independent per-column Krylov spaces,
+    scheduled a budgeted number of columns at a time."""
+
+    def test_width_rule(self):
+        from repro.contractions import stack_width
+
+        column = lambda *dims: int(np.prod(dims)) * 12 * 16  # noqa: E731  complex128 bytes
+        assert stack_width(column(4, 4, 4, 8)) == 3
+        assert stack_width(column(8, 8, 8, 16)) == 1
+        assert stack_width(column(2, 2, 2, 4)) == 12
+        for sites in (1, 7, 64, 256, 500, 512, 700, 1024, 4096, 1 << 20):
+            w = stack_width(sites * 192)
+            assert w >= 1 and 12 % w == 0
+            assert w == 1 or w * 12 * sites * 192 <= 4 << 20
+
+    @pytest.fixture(scope="class")
+    def golden_wilson(self):
+        from repro.lattice import GaugeField, Geometry
+        from repro.utils.rng import make_rng
+        from tests.data import regenerate_golden as golden
+
+        geom = Geometry(*golden.DIMS)
+        gauge = GaugeField.random(geom, make_rng(golden.SEED), scale=golden.SCALE)
+        return WilsonOperator(gauge, mass=golden.MASS)
+
+    def test_columns_equal_their_own_solves_on_the_golden_workload(self, golden_wilson):
+        """Exact on any host, for propagator sources and for the
+        sequential (through-the-sink) sources built from the result: the
+        stack schedule changes which call computes a column, not one bit
+        of it."""
+        from repro.contractions import Propagator, sequential_propagator, solve_column_stacks
+        from repro.contractions.propagator import point_source
+        from repro.dirac import gamma as g
+        from repro.solvers import solve_normal_equations
+
+        w = golden_wilson
+        geom = w.geometry
+        solver = ConjugateGradient(tol=1e-8, max_iter=4000)
+        sources = np.stack(
+            [point_source(geom, (0, 0, 0, 0), s, c) for s in range(4) for c in range(3)]
+        )
+        data = np.zeros(geom.dims + (4, 4, 3, 3), dtype=np.complex128)
+        seen = []
+        for lo, res in solve_column_stacks(w.apply, w.apply_dagger, sources, solver):
+            assert res.n_rhs == 3 and res.all_converged
+            seen.append(lo)
+            for i in range(res.n_rhs):
+                alone = solve_normal_equations(w.apply, w.apply_dagger, sources[lo + i], solver)
+                assert np.array_equal(res.x[i], alone.x), f"column {lo + i}"
+                assert int(res.column_iterations[i]) == alone.iterations
+                spin, color = divmod(lo + i, 3)
+                data[..., :, spin, :, color] = res.x[i]
+        assert seen == [0, 3, 6, 9]
+
+        prop = Propagator(data, (0, 0, 0, 0))
+        t_snk = geom.lt // 2
+        stats: dict = {}
+        seq = sequential_propagator(w, prop, t_snk, solver=solver, stats=stats)
+        restricted = np.zeros_like(data)
+        restricted[:, :, :, t_snk] = data[:, :, :, t_snk]
+        iterations = 0
+        for col in range(12):
+            spin, color = divmod(col, 3)
+            alone = solve_normal_equations(
+                w.apply, w.apply_dagger, g.gamma5_mul(restricted[..., :, spin, :, color]), solver
+            )
+            iterations += alone.iterations
+            assert np.array_equal(seq.data[..., :, spin, :, color], g.gamma5_mul(alone.x))
+        assert stats["iterations"] == iterations
+
+    def test_resumes_mid_stack_bitwise(self, golden_wilson):
+        """Kill inside the second stack: the finished stack is kept, the
+        stack in flight resumes from its stacked state, same bits."""
+        from repro.contractions import solve_column_stacks
+        from repro.contractions.propagator import point_source
+
+        w = golden_wilson
+        solver = ConjugateGradient(tol=1e-6, max_iter=4000)
+        sources = np.stack(
+            [point_source(w.geometry, (0, 0, 0, 0), s, c) for s in range(2) for c in range(3)]
+        )
+        ref = dict(solve_column_stacks(w.apply, w.apply_dagger, sources, solver))
+        assert sorted(ref) == [0, 3]
+
+        saved = []
+        dict(solve_column_stacks(
+            w.apply, w.apply_dagger, sources, solver,
+            checkpoint_every=10, on_checkpoint=lambda lo, st: saved.append((lo, st)),
+        ))
+        lo, st = next((lo, st) for lo, st in saved if lo == 3)
+        assert st.x.shape == (3,) + sources.shape[1:] and st.iteration == 10
+        resumed = dict(solve_column_stacks(
+            w.apply, w.apply_dagger, sources, solver, start=lo, state=st
+        ))
+        assert sorted(resumed) == [3]
+        assert np.array_equal(resumed[3].x, ref[3].x)
+        assert np.array_equal(resumed[3].column_iterations, ref[3].column_iterations)
+
+        with pytest.raises(ValueError, match="not a boundary"):
+            next(solve_column_stacks(w.apply, w.apply_dagger, sources, solver, start=2))
+
+    def test_deflated_stack_matches_columns_to_solver_tolerance(self, gauge_tiny):
+        """The deflated initial guess of a stack is one GEMM over the
+        stack and of a column a GEMV, which BLAS may round differently,
+        so this contract is *portable*, not exact.  Both solve the
+        normal system ``A x = D^H b`` to a true residual of at most
+        ``4 tol |D^H b|`` (the solver's convergence rule), so they
+        differ by at most ``8 tol |D^H b| / lambda_min(A)``."""
+        from repro.contractions import solve_column_stacks
+        from repro.contractions.propagator import point_source
+        from repro.solvers import solve_normal_equations
+        from repro.solvers.lanczos import lanczos_lowest
+
+        w = WilsonOperator(gauge_tiny, mass=0.3)
+        geom = gauge_tiny.geometry
+        tol = 1e-9
+        solver = ConjugateGradient(tol=tol, max_iter=2000)
+        eigen = lanczos_lowest(
+            w.apply_normal, np.zeros(geom.dims + (4, 3), dtype=np.complex128), 6, rng=1
+        )
+        lambda_min = float(eigen.eigenvalues[0])
+        sources = np.stack(
+            [point_source(geom, (0, 0, 0, 0), s, c) for s in range(4) for c in range(3)]
+        )
+        for lo, res in solve_column_stacks(
+            w.apply, w.apply_dagger, sources, solver, deflation=eigen
+        ):
+            assert res.all_converged
+            for i in range(res.n_rhs):
+                b = sources[lo + i]
+                alone = solve_normal_equations(
+                    w.apply, w.apply_dagger, b, solver, deflation=eigen
+                )
+                bound = 8 * tol * np.linalg.norm(w.apply_dagger(b).ravel()) / lambda_min
+                assert np.linalg.norm((res.x[i] - alone.x).ravel()) <= bound

@@ -109,6 +109,43 @@ class TestCGCheckpoint:
             assert resumed.iterations == int(whole.column_iterations[i])
             assert np.array_equal(resumed.x, whole.x[i])
 
+    def test_stacked_resume_is_bitwise_identical(self):
+        """``solve_batched`` checkpoints and resumes in stacked form: a
+        width-3 stack resumed from a mid-solve state is the
+        uninterrupted stack, including the iteration count of a system
+        that had frozen before the checkpoint was taken."""
+        a, _ = _spd_system(13)
+        rng = np.random.default_rng(14)
+        n = len(a)
+        stack = rng.normal(size=(3, n, 1, 1)) + 1j * rng.normal(size=(3, n, 1, 1))
+        # system 1 lives in a 3-dimensional invariant subspace: it
+        # converges in 3 iterations and rides along frozen afterwards
+        vecs = np.linalg.eigh(a)[1]
+        stack[1] = (vecs[:, [0, n // 2, n - 1]] @ np.array([1.0, 2.0, -1.0])).reshape(n, 1, 1)
+        solver = ConjugateGradient(tol=1e-10, max_iter=500)
+        matvec = lambda v: np.stack([_matvec(a)(col) for col in v])  # noqa: E731
+        ref = solver.solve_batched(matvec, stack)
+        assert ref.all_converged
+        assert ref.column_iterations[1] < 7 < min(ref.column_iterations[[0, 2]])
+
+        states = []
+        ckpt = solver.solve_batched(
+            matvec, stack, checkpoint_every=7, on_checkpoint=states.append
+        )
+        assert len(states) >= 2
+        assert np.array_equal(ckpt.x, ref.x)
+        for st in states[:2]:
+            assert st.x.shape == stack.shape and st.rsq.shape == (3,)
+            resumed = solver.solve_batched(matvec, stack, state=st)
+            assert np.array_equal(resumed.x, ref.x)
+            assert resumed.iterations == ref.iterations
+            assert np.array_equal(resumed.column_iterations, ref.column_iterations)
+            assert np.array_equal(resumed.final_relres, ref.final_relres)
+            assert all(
+                np.array_equal(h, g)
+                for h, g in zip(resumed.residual_history, ref.residual_history, strict=True)
+            )
+
     def test_checkpoint_state_is_a_snapshot(self):
         """Saved arrays must not alias the solver's live iterates."""
         a, x_true = _spd_system(6)

@@ -177,6 +177,29 @@ class TestFieldFile:
         assert path.read_bytes() == before
         assert not list(tmp_path.glob(".*.tmp.*")), "temp file left behind"
 
+    def test_file_bytes_are_pinned(self, tmp_path):
+        """``save`` checksums and writes each array's own buffer; the
+        file is byte-for-byte what the copying writer produced (digest
+        taken from it), for a strided view, a Fortran-ordered array and
+        a zero-size array too."""
+        import hashlib
+
+        big = np.arange(120, dtype=np.float64).reshape(6, 5, 4) * (1.0 + 0.5j)
+        ff = FieldFile({"kind": "digest", "n": 3})
+        ff.add("strided", big[::2, :, 1::2])
+        ff.add("transposed", big.real.T)
+        ff.add("empty", np.zeros((0, 3), dtype=np.complex128))
+        ff.add("ints", np.arange(7, dtype=np.int32))
+        path = tmp_path / "pinned.lq"
+        assert ff.save(path) == 1964
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "765ab43dbb690362cf64e537f91746237dc91dcea151828db83813f359e99e38"
+        )
+        back = FieldFile.load(path)
+        np.testing.assert_array_equal(back["strided"], big[::2, :, 1::2])
+        np.testing.assert_array_equal(back["transposed"], big.real.T)
+        assert back["empty"].shape == (0, 3)
+
     def test_v1_files_still_load(self, tmp_path):
         """Format v1 (REPROLQ1, no header CRC) remains readable."""
         import json as _json
