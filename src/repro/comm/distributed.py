@@ -514,9 +514,7 @@ class _RankContext:
             and 3 not in grid.partitioned
             and all(L % 2 == 0 for L in grid.global_dims)
         ):
-            self.eo_solve = WilsonSchur(
-                hop, mass, lambda b: (kernel.pack(b, 0), kernel.pack(b, 1)), kernel.unpack
-            )
+            self.eo_solve = WilsonSchur.packed(kernel, hop, mass)
         self._reducer_args = (fabric, grid, rank)
 
     @cached_property

@@ -8,6 +8,8 @@ einsum contractions over spin and colour.
 
 from repro.contractions.propagator import (
     Propagator,
+    SchurColumnStacks,
+    column_relres,
     compute_propagator,
     compute_wilson_propagator,
     point_source,
@@ -33,6 +35,8 @@ __all__ = [
     "compute_wilson_propagator",
     "solve_column_stacks",
     "stack_width",
+    "SchurColumnStacks",
+    "column_relres",
     "pion_correlator",
     "proton_correlator",
     "proton_correlator_bilinear",

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.dirac import gamma as g
 from repro.dirac.evenodd import EvenOddMobius
+from repro.dirac.evenodd_wilson import EvenOddWilson, WilsonSchur
 from repro.dirac.mobius import MobiusOperator
 from repro.dirac.wilson import WilsonOperator
 from repro.lattice.geometry import Geometry
@@ -45,6 +46,8 @@ __all__ = [
     "solve_5d_batched",
     "stack_width",
     "solve_column_stacks",
+    "SchurColumnStacks",
+    "column_relres",
 ]
 
 
@@ -313,6 +316,7 @@ def solve_column_stacks(
     solver: ConjugateGradient | None = None,
     *,
     deflation=None,
+    width: int | None = None,
     start: int = 0,
     state: CGState | None = None,
     checkpoint_every: int = 0,
@@ -322,7 +326,7 @@ def solve_column_stacks(
 
     The columns keep independent Krylov spaces — each one's iterates are
     exactly those of its own :func:`solve_normal_equations` — but are
-    scheduled :func:`stack_width` at a time through
+    scheduled ``width`` (default: :func:`stack_width`) at a time through
     :func:`solve_normal_equations_batched`, so a stencil call serves a
     whole stack.  Yields ``(first_column, BatchedSolveResult)`` per
     finished stack, in column order.
@@ -332,7 +336,8 @@ def solve_column_stacks(
     state; ``on_checkpoint(first_column, state)`` fires every
     ``checkpoint_every`` stacked iterations of the stack in flight.
     """
-    n, width = b.shape[0], stack_width(b[0].nbytes, b.shape[0])
+    n = b.shape[0]
+    width = width or stack_width(b[0].nbytes, n)
     if start % width or not 0 <= start <= n:
         raise ValueError(f"resume column {start} is not a boundary of width-{width} stacks")
     for lo in range(start, n, width):
@@ -347,3 +352,55 @@ def solve_column_stacks(
             apply_op, apply_dagger, b[lo : lo + width], solver, deflation=deflation, **resume
         )
         state = None
+
+
+def column_relres(apply_op: Callable[[np.ndarray], np.ndarray], b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-column ``|b - D x| / |b|`` of a stack (0 for a zero column).
+    One column at a time: a check made once per solve must not size the
+    stencil's workspace or the task's peak memory."""
+    rnorm = np.array([np.linalg.norm((bi - apply_op(xi)).ravel()) for bi, xi in zip(b, x)])
+    bnorm = np.linalg.norm(b.reshape(b.shape[0], -1), axis=1)
+    return rnorm / np.where(bnorm > 0.0, bnorm, 1.0)
+
+
+class SchurColumnStacks:
+    """:func:`solve_column_stacks` on the red-black preconditioned system
+    of a serial Wilson operator — the paper's solver, and the 1-rank case
+    of ``repro.comm.distributed.rank_solve``.
+
+    The even-site system lives in the cheapest field space the active
+    kernel has: checkerboard-packed (half the sites in every stencil
+    pass and solver array) when it has the layout, else masked
+    full-lattice fields (the iteration count alone).  ``width`` defaults
+    to the workspace budget's answer for an *even-site* column, and the
+    right-hand sides are prepared a stack at a time, so every hop of a
+    task has one shape and the kernel pools one workspace.
+    """
+
+    def __init__(self, wilson: WilsonOperator, b: np.ndarray, width: int | None = None):
+        kernel = wilson.kernel
+        if hasattr(kernel, "pack"):
+            self.eo = WilsonSchur.packed(kernel, wilson.hopping, wilson.mass)
+        else:
+            self.eo = EvenOddWilson(wilson)
+        self.wilson, self.b = wilson, b
+        n, column = b.shape[0], self.eo.split(b[:1])[0]
+        self.width = width or stack_width(column.nbytes, n)
+        self.rhs = np.concatenate(
+            [self.eo.prepare_rhs(b[lo : lo + self.width]) for lo in range(0, n, self.width)]
+        )
+        #: shape of the stack in flight — what a resume ``state`` must have
+        self.stack_shape = (self.width,) + self.rhs.shape[1:]
+
+    def solve(self, solver: ConjugateGradient | None = None, **resume):
+        """Yields what :func:`solve_column_stacks` does, each finished
+        stack reconstructed to full-lattice columns and ``final_relres``
+        the residual of the *full* system (:func:`column_relres`)."""
+        eo = self.eo
+        for lo, res in solve_column_stacks(
+            eo.schur_apply, eo.schur_dagger_apply, self.rhs, solver, width=self.width, **resume
+        ):
+            cols = self.b[lo : lo + res.n_rhs]
+            res.x = eo.reconstruct(res.x, cols)
+            res.final_relres = column_relres(self.wilson.apply, cols, res.x)
+            yield lo, res

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.contractions.propagator import Propagator, solve_column_stacks
+from repro.contractions.propagator import Propagator, SchurColumnStacks, solve_column_stacks
 from repro.dirac import gamma as g
 from repro.dirac.wilson import WilsonOperator
-from repro.solvers.cg import ConjugateGradient, solve_normal_equations_batched
+from repro.solvers.cg import ConjugateGradient
 
 __all__ = ["sequential_propagator", "pion_three_point", "pion_two_point_matrix"]
 
@@ -51,16 +51,19 @@ def sequential_propagator(
     propagator: ``sigma(z)^{ab}_{alpha beta} = sum_x [S_u(x;z)^H
     S_d(x;0)]`` restricted to ``t_x = t_snk``.
 
-    ``deflation`` (a low-mode basis of this operator's ``D^H D``) seeds
-    every column solve; ``mode`` is ``"percolumn"`` (12 independent
-    CGNE Krylov spaces, scheduled as lock-step column stacks by
-    :func:`repro.contractions.propagator.solve_column_stacks`),
-    ``"batched"`` (one lock-step 12-stack) or ``"block"`` (one
-    shared-Krylov block solve — pass a
-    :class:`repro.solvers.blockcg.BlockCG` via ``solver``).  When
-    ``stats`` is a dict, the accumulated ``iterations``/``matvecs``/
-    ``flops`` of the solves are added into it (``iterations`` is the
-    per-column sum under ``"percolumn"``, the stacked count otherwise).
+    ``mode`` is a schedule of 12 independent CGNE Krylov spaces —
+    ``"percolumn"`` (lock-step column stacks of the budgeted width,
+    :func:`repro.contractions.propagator.solve_column_stacks`) or
+    ``"batched"`` (one 12-stack) — or ``"block"`` (one shared-Krylov
+    block solve — pass a :class:`repro.solvers.blockcg.BlockCG` via
+    ``solver``).  The two schedules solve the red-black preconditioned
+    system (:class:`repro.contractions.propagator.SchurColumnStacks`)
+    unless ``deflation`` (a low-mode basis of this operator's ``D^H D``,
+    seeding every column) is given.  When ``stats`` is a dict, the
+    accumulated ``iterations``/``matvecs``/``flops`` of the solves are
+    added into it (``iterations`` is the per-column sum under
+    ``"percolumn"``, the stacked count otherwise) and ``true_relres`` is
+    the worst column's ``|b - D x| / |b|`` on the full operator.
     """
     geom = wilson.geometry
     if not 0 <= t_snk < geom.lt:
@@ -82,18 +85,17 @@ def sequential_propagator(
     )
     del restricted
     data = np.zeros_like(prop_d.data)
-    if mode == "percolumn":
-        stacks = solve_column_stacks(
-            wilson.apply, wilson.apply_dagger, b, solver, deflation=deflation
-        )
+    width = None if mode == "percolumn" else b.shape[0]
+    if deflation is None and mode != "block":
+        stacks = SchurColumnStacks(wilson, b, width).solve(solver)
     else:
-        stacks = [
-            (0, solve_normal_equations_batched(
-                wilson.apply, wilson.apply_dagger, b, solver, deflation=deflation
-            ))
-        ]
+        # full operator: the basis is of D^H D; BlockCG shares one Krylov space
+        stacks = solve_column_stacks(
+            wilson.apply, wilson.apply_dagger, b, solver, deflation=deflation, width=width
+        )
     for lo, res in stacks:
         if stats is not None:
+            stats["true_relres"] = max(stats.get("true_relres", 0.0), float(res.final_relres.max()))
             stats["iterations"] = stats.get("iterations", 0) + (
                 int(res.column_iterations.sum()) if mode == "percolumn" else res.iterations
             )

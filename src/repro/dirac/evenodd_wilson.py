@@ -79,6 +79,14 @@ class WilsonSchur:
         self._inv_diag = 1.0 / self.diag
         self._g5_diag = gamma5_mul(np.full((4, 3), self.diag))
 
+    @classmethod
+    def packed(cls, kernel, hop: Callable[[np.ndarray, int], np.ndarray], mass: float) -> "WilsonSchur":
+        """The chain on ``kernel``'s checkerboard-packed fields
+        (``kernel.pack`` / ``kernel.unpack``): half the sites in every
+        pass.  ``hop(x, parity)`` is the packed hopping term — a serial
+        operator's or a rank's halo schedule around the same kernel."""
+        return cls(hop, mass, lambda b: (kernel.pack(b, 0), kernel.pack(b, 1)), kernel.unpack)
+
     # -- Schur complement ---------------------------------------------------
     def _hop_inv_hop(self, x: np.ndarray) -> np.ndarray:
         """``H A^{-1} H x`` (even -> odd -> even)."""

@@ -99,8 +99,10 @@ class WilsonOperator:
         return self._kernel
 
     # -- shape handling ------------------------------------------------------
-    def _flatten(self, psi: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    def _flatten(self, psi: np.ndarray, packed: bool = False) -> tuple[np.ndarray, tuple[int, ...]]:
         dims = self.geometry.dims
+        if packed:  # one checkerboard, folded pairwise along t
+            dims = dims[:3] + (dims[3] // 2,)
         expected_tail = dims + (4, 3)
         if psi.shape[-6:] != expected_tail:
             raise ValueError(
@@ -110,25 +112,32 @@ class WilsonOperator:
         return psi.reshape((-1,) + expected_tail), lead
 
     # -- the stencil -----------------------------------------------------------
-    def hopping(self, psi: np.ndarray) -> np.ndarray:
+    def hopping(self, psi: np.ndarray, parity: int | None = None) -> np.ndarray:
         """The pure hopping term ``H psi`` (no mass/diagonal piece).
 
         ``H`` strictly couples opposite checkerboard parities — the
-        property exploited by the red-black preconditioning.
+        property exploited by the red-black preconditioning.  With
+        ``parity``, ``psi`` holds that parity's sites in the active
+        kernel's checkerboard-packed layout (``kernel.pack``) and the
+        result the other parity's: half the sites per application.
 
         Every application opens an :mod:`repro.obs` span attributed
         with the LQCD-convention flop count (1320/site/RHS) and the
-        bytes of one stencil pass (field in + out once per RHS, both
-        link copies once per application).
+        bytes of one stencil pass (field in + out once per RHS, the
+        links of the sites visited once per application).
         """
-        phi, _ = self._flatten(psi)
+        phi, _ = self._flatten(psi, packed=parity is not None)
+        links = self.u.nbytes + self.u_dag.nbytes
         with obs.span(
             f"dslash.{self._kernel.name}",
-            flops=float(phi.shape[0] * self.geometry.volume * wilson_dslash_flops_per_site()),
-            nbytes=float(2 * phi.nbytes + self.u.nbytes + self.u_dag.nbytes),
+            flops=float(phi.size // 12 * wilson_dslash_flops_per_site()),
+            nbytes=float(2 * phi.nbytes + (links if parity is None else links // 2)),
             lead=phi.shape[0],
         ):
-            out = self._kernel.hopping(phi)
+            if parity is None:
+                out = self._kernel.hopping(phi)
+            else:
+                out = self._kernel.hopping(phi, parity=parity)
         return out.reshape(psi.shape)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:

@@ -195,15 +195,19 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--solver-mode",
                        choices=["percolumn", "batched", "block", "distributed"],
                        default="percolumn",
-                       help="how the 12-source solves run. percolumn: 12 "
-                       "independent Krylov spaces scheduled as lock-step "
-                       "column stacks sized by the solver's workspace "
-                       "budget, checkpointed mid-solve (work at risk <= "
-                       "--checkpoint-every stacked iterations). batched: "
-                       "the whole 12-stack in one single-shot lock-step "
-                       "solve. block: true shared-Krylov block CG. "
-                       "distributed: the rank-parallel decomposition "
-                       "runtime (compiled SoA engine where numba imports)")
+                       help="how the 12-source solves run. percolumn, "
+                       "batched and distributed are schedules of one "
+                       "system, red-black (Schur) preconditioned CGNE on "
+                       "checkerboard-packed fields (full operator under "
+                       "--deflate). percolumn: 12 independent Krylov "
+                       "spaces as lock-step column stacks sized by the "
+                       "solver's workspace budget, checkpointed mid-solve "
+                       "(work at risk <= --checkpoint-every stacked "
+                       "iterations). batched: the whole 12-stack, single "
+                       "shot. distributed: the rank-parallel decomposition "
+                       "runtime (compiled SoA engine where numba imports). "
+                       "block: true shared-Krylov block CG on the full "
+                       "operator")
     p_run.add_argument("--dist-ranks", type=int, default=2,
                        help="rank count for --solver-mode distributed")
     p_run.add_argument("--dist-transport",

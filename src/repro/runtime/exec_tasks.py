@@ -19,8 +19,9 @@ Task kinds (the paper's Fig. 2 menu):
                     -> ``eigen`` (shared by every deflated solve below)
 ``propagator``      12-column Wilson CGNE solve -> ``prop``: by default
                     (``solver_mode="percolumn"``) 12 independent Krylov
-                    spaces run as checkpointed lock-step column stacks;
-                    optionally deflated (``eigen`` param), or one
+                    spaces of the red-black preconditioned system run
+                    as checkpointed lock-step column stacks; optionally
+                    deflated (``eigen`` param, full operator), or one
                     single-shot 12-stack / block / rank-parallel solve
 ``seq_solve``       through-the-sink sequential solve -> ``prop`` (same
                     deflation/mode knobs, no mid-solve checkpoint)
@@ -263,20 +264,21 @@ _STATE_ARRAYS = ("x", "r", "p", "rsq", "bnorm", "column_iterations")
 
 
 def _stack_ckpt_save(
-    ctx: ExecContext, data: np.ndarray, column: int, width: int, cg_state, totals: dict
+    ctx: ExecContext, data: np.ndarray, column: int, stack_shape: tuple, cg_state, totals: dict
 ) -> None:
     """One atomic file: the finished columns + the in-flight stack's CG state.
 
     ``column`` is the first column of the stack in flight (every column
-    before it is final in ``data``), ``width`` the stack width the file
-    was written under, ``cg_state`` the stacked mid-solve
-    :class:`repro.solvers.cg.CGState` (None at a stack boundary).
+    before it is final in ``data``), ``stack_shape`` the shape of a stack
+    of the linear system the file was written under, ``cg_state`` the
+    stacked mid-solve :class:`repro.solvers.cg.CGState` (None at a stack
+    boundary).
     """
     ff = FieldFile(
         {
             "kind": "prop_stack_ckpt",
             "column": column,
-            "width": width,
+            "stack": list(stack_shape),
             "totals": totals,
             "state": cg_state and {"iteration": cg_state.iteration, "flops": cg_state.flops},
         }
@@ -289,13 +291,15 @@ def _stack_ckpt_save(
     ff.save(ctx.ckpt.path_for(ctx.task_id))
 
 
-def _stack_ckpt_load(ctx: ExecContext, shape: tuple[int, ...], width: int):
+def _stack_ckpt_load(ctx: ExecContext, shape: tuple[int, ...], stack_shape: tuple[int, ...]):
     """(partial data, first column of the stack to run, CGState | None, totals).
 
-    None unless the file is a stack checkpoint of *this* task's shape:
-    any other kind (the one-column ``prop_ckpt`` of earlier versions
-    included), a column that is not a boundary of width-``width``
-    stacks, or arrays of another lattice are ignored whole and the task
+    None unless the file is a stack checkpoint of *this* task's solve,
+    whose stacks have ``stack_shape``: any other kind (the one-column
+    ``prop_ckpt`` of earlier versions included), the stacks of another
+    width, lattice or linear system (the full-lattice ones written
+    before the solve was red-black preconditioned name no ``stack``), or
+    a column that is not a stack boundary are ignored whole and the task
     recomputes — a checkpoint is never half-loaded.
     """
     from repro.solvers.cg import CGState
@@ -306,11 +310,11 @@ def _stack_ckpt_load(ctx: ExecContext, shape: tuple[int, ...], width: int):
     md = ff.metadata
     column, scalars = int(md["column"]), md["state"]
     if (
-        int(md["width"]) != width
-        or column % width
+        md.get("stack") != list(stack_shape)
+        or column % stack_shape[0]
         or not 0 <= column < 12
         or ff["data"].shape != shape
-        or (scalars and ff["state_x"].shape != (width,) + shape[:4] + (4, 3))
+        or (scalars and ff["state_x"].shape != stack_shape)
     ):
         return None
     state = scalars and CGState(
@@ -320,6 +324,20 @@ def _stack_ckpt_load(ctx: ExecContext, shape: tuple[int, ...], width: int):
         history=list(ff["state_history"]),
     )
     return ff["data"], column, state, dict(md["totals"])
+
+
+def _model_flops(volume: int, schur: bool) -> dict:
+    """Solver keywords charging model flops per right-hand side, one
+    formula for every schedule (Table I: explicit counts): a normal
+    application is four half-volume Wilson hops (red-black) or two full
+    ones, the BLAS-1 of an iteration runs on the sites a Krylov vector
+    occupies."""
+    from repro.dirac.flops import cg_blas_flops_per_site, wilson_dslash_flops_per_site
+
+    return dict(
+        flops_per_matvec=float(2 * volume * wilson_dslash_flops_per_site()),
+        blas_flops_per_iter=cg_blas_flops_per_site() * (volume // 2 if schur else volume),
+    )
 
 
 def _solve_distributed(params: dict, gauge, sources, tol: float, max_iter: int):
@@ -345,49 +363,57 @@ def _solve_distributed(params: dict, gauge, sources, tol: float, max_iter: int):
 def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
     """12-column Wilson CGNE propagator.
 
-    ``solver_mode`` selects how the 12 columns are solved:
+    ``percolumn``, ``batched`` and ``distributed`` are three schedules of
+    one linear system — the red-black (Schur) preconditioned normal
+    equations on checkerboard-packed fields, 12 independent Krylov
+    spaces (:class:`repro.contractions.propagator.SchurColumnStacks`;
+    ``distributed`` is the same chain per rank):
 
     ``percolumn`` (default)
-        The fault-tolerant production path.  Every column keeps its own
-        Krylov space — its bits are those of a one-column CGNE — but the
-        columns are *scheduled* as consecutive lock-step stacks
-        (:func:`repro.contractions.propagator.solve_column_stacks`; the
-        width comes from its workspace budget: 3 columns at 4^3 x 8, 1
-        at 8^3 x 16), so a stencil call serves a whole stack.  The stacked
-        CG state is checkpointed every ``checkpoint_every`` stacked
-        iterations and at each stack boundary, and a retry resumes from
-        it bit-exactly: work at risk is at most ``checkpoint_every``
-        stacked iterations.
+        The fault-tolerant production path: consecutive lock-step stacks
+        whose width comes from the workspace budget (6 packed columns at
+        4^3 x 8, 1 at 8^3 x 16), so a stencil call serves a whole stack
+        and a column's bits are those of its own one-column solve.  The
+        stacked CG state of the even-site system is checkpointed every
+        ``checkpoint_every`` stacked iterations and at each stack
+        boundary, and a retry resumes from it bit-exactly: work at risk
+        is at most ``checkpoint_every`` stacked iterations.
     ``batched``
-        All 12 columns in one lock-step batched CGNE (shared operator
-        applications, per-column Krylov spaces), single shot: the whole
-        12-stack is the workspace and the retry unit.
-    ``block``
-        All 12 columns in one true block CGNE (shared Krylov space).
+        The same columns as one 12-stack, single shot: the whole stack
+        is the workspace and the retry unit.
     ``distributed``
-        All 12 columns through the rank-parallel decomposition runtime
-        (:func:`repro.comm.transports.dist_solve`) — the serial batched
-        CGNE's own recurrence on a collective reducer, deterministic for
-        any rank count.  ``dist_ranks``/``dist_engine``/``dist_policy``/
-        ``dist_transport`` select the decomposition; the compiled SoA
-        engine is picked automatically where numba imports.
-        ``dist_transport`` accepts ``threads``/``shm``/``loopback``
-        (in-process) and ``mpi`` (the whole solve relaunched under the
-        machine's launcher).
+        The 12-stack through the rank-parallel decomposition runtime
+        (:func:`repro.comm.transports.dist_solve`) on a collective
+        reducer, deterministic for any rank count.  ``dist_ranks``/
+        ``dist_engine``/``dist_policy``/``dist_transport`` select the
+        decomposition; the compiled SoA engine is picked automatically
+        where numba imports.  ``dist_transport`` accepts ``threads``/
+        ``shm``/``loopback`` (in-process) and ``mpi`` (the whole solve
+        relaunched under the machine's launcher).
+    ``block``
+        All 12 columns in one true block CGNE (shared Krylov space) on
+        the full operator.
 
     An optional ``eigen`` artifact ref deflates every solve with the
     per-configuration low-mode basis, in any mode except
-    ``distributed`` (the rank-local solver has no deflation hook).
-    Batched/block/distributed modes are single-shot (no mid-solve
-    checkpoint); the retry unit is the whole task.  ``solve_done``
-    reports ``iterations`` as the per-column sum under ``percolumn``
-    (what twelve one-column solves count) and as the stacked count
-    otherwise.
+    ``distributed`` (the rank-local solver has no deflation hook); the
+    basis is of the full ``D^H D``, so a deflated solve keeps the full
+    operator.  Batched/block/distributed modes are single-shot (no
+    mid-solve checkpoint); the retry unit is the whole task.
+    ``solve_done`` reports ``iterations`` as the per-column sum under
+    ``percolumn`` (what twelve one-column solves count) and as the
+    stacked count otherwise, model ``flops`` on one formula for the three
+    schedules (:func:`_model_flops`) and ``true_relres``, the worst
+    column's ``|b - D x| / |b|`` on the full operator.
     """
-    from repro.contractions import Propagator, point_source, solve_column_stacks, stack_width
+    from functools import partial
+
+    from repro.contractions import (
+        Propagator, SchurColumnStacks, column_relres, point_source, solve_column_stacks, stack_width,
+    )
     from repro.dirac.wilson import WilsonOperator
     from repro.solvers.blockcg import BlockCG
-    from repro.solvers.cg import ConjugateGradient, solve_normal_equations_batched
+    from repro.solvers.cg import ConjugateGradient
 
     gauge = _load_gauge(ctx, params["gauge"])
     geom = gauge.geometry
@@ -413,53 +439,46 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
 
     shape = geom.dims + (4, 4, 3, 3)
     data = np.zeros(shape, dtype=np.complex128)
-    totals = {"iterations": 0, "matvecs": 0, "flops": 0.0}
+    totals = {"iterations": 0, "matvecs": 0, "flops": 0.0, "true_relres": 0.0}
+    if mode not in ("percolumn", "batched", "block", "distributed"):
+        raise ValueError(f"{ctx.task_id}: unknown solver_mode {mode!r}")
+    schur = eigen is None and mode != "block"
+    checkpointing = mode == "percolumn" and ck_every > 0
+    model = _model_flops(geom.volume, schur)
+    solver = (BlockCG if mode == "block" else ConjugateGradient)(tol=tol, max_iter=max_iter, **model)
 
-    if mode in ("batched", "block", "distributed"):
-        if mode == "distributed":
-            if eigen is not None:
-                raise ValueError(
-                    f"{ctx.task_id}: solver_mode 'distributed' does not support "
-                    "deflation (drop the eigen ref or use batched/block)"
-                )
-            res = _solve_distributed(params, gauge, sources, tol, max_iter)
+    if mode == "distributed":
+        if eigen is not None:
+            raise ValueError(
+                f"{ctx.task_id}: solver_mode 'distributed' does not support "
+                "deflation (drop the eigen ref or use batched/block)"
+            )
+        res = _solve_distributed(params, gauge, sources, tol, max_iter)
+        # the rank solver charges no model flops and reports the
+        # even-site system's residual
+        res.flops = (
+            res.matvecs * model["flops_per_matvec"]
+            + (res.matvecs - 12) * model["blas_flops_per_iter"]
+        )
+        res.final_relres = column_relres(wilson.apply, sources, res.x)
+        stacks = [(0, res)]
+    else:
+        width = None if mode == "percolumn" else 12
+        if schur:
+            system = SchurColumnStacks(wilson, sources, width)
+            solve, stack_shape = system.solve, system.stack_shape
         else:
-            solver = (
-                BlockCG(tol=tol, max_iter=max_iter)
-                if mode == "block"
-                else ConjugateGradient(tol=tol, max_iter=max_iter)
+            # full operator: the basis is of D^H D; BlockCG shares one Krylov space
+            solve = partial(
+                solve_column_stacks, wilson.apply, wilson.apply_dagger, sources,
+                deflation=eigen, width=width,
             )
-            res = solve_normal_equations_batched(
-                wilson.apply, wilson.apply_dagger, sources, solver, deflation=eigen
-            )
-        if not res.all_converged:
-            bad = [i for i in range(12) if not res.converged[i]]
-            raise RuntimeError(
-                f"{ctx.task_id}: columns {bad} did not converge "
-                f"(worst relres {float(np.max(res.final_relres)):.2e})"
-            )
-        for col in range(12):
-            spin, color = divmod(col, 3)
-            data[..., :, spin, :, color] = res.x[col]
-        totals["iterations"] = res.iterations
-        totals["matvecs"] = res.matvecs
-        totals["flops"] = res.flops
-        if mode == "distributed":
-            # the rank solver charges no model flops; a matvec is one
-            # normal-operator application = 2 Schur applies = 4 hoppings
-            from repro.dirac.flops import wilson_dslash_flops_per_site
-
-            totals["flops"] = float(
-                4 * res.matvecs * geom.volume * wilson_dslash_flops_per_site()
-            )
-    elif mode == "percolumn":
-        solver = ConjugateGradient(tol=tol, max_iter=max_iter)
-        width = stack_width(sources[0].nbytes)
-        start_col = 0
-        resume_state = None
-        restored = _stack_ckpt_load(ctx, shape, width)
+            stack_shape = (width or stack_width(sources[0].nbytes),) + sources.shape[1:]
+        resume = {}
+        restored = _stack_ckpt_load(ctx, shape, stack_shape) if mode == "percolumn" else None
         if restored is not None:
             data, start_col, resume_state, totals = restored
+            resume = dict(start=start_col, state=resume_state)
             ctx.emit(
                 "checkpoint_restored",
                 task=ctx.task_id,
@@ -468,37 +487,32 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
             )
 
         def on_checkpoint(lo, st):
-            _stack_ckpt_save(ctx, data, lo, width, st, totals)
+            _stack_ckpt_save(ctx, data, lo, stack_shape, st, totals)
             ctx.checkpoint_saved()
 
-        for lo, res in solve_column_stacks(
-            wilson.apply,
-            wilson.apply_dagger,
-            sources,
-            solver,
-            deflation=eigen,
-            start=start_col,
-            state=resume_state,
-            checkpoint_every=ck_every,
-            on_checkpoint=on_checkpoint if ck_every else None,
-        ):
-            if not res.all_converged:
-                bad = [lo + i for i in range(res.n_rhs) if not res.converged[i]]
-                raise RuntimeError(
-                    f"{ctx.task_id}: columns {bad} did not converge "
-                    f"(worst relres {float(np.max(res.final_relres)):.2e})"
-                )
-            for i in range(res.n_rhs):
-                spin, color = divmod(lo + i, 3)
-                data[..., :, spin, :, color] = res.x[i]
-            totals["iterations"] += int(res.column_iterations.sum())
-            totals["matvecs"] += res.matvecs
-            totals["flops"] += res.flops
-            if ck_every and lo + res.n_rhs < 12:
-                # Stack-boundary checkpoint: finished columns never re-solve.
-                on_checkpoint(lo + res.n_rhs, None)
-    else:
-        raise ValueError(f"{ctx.task_id}: unknown solver_mode {mode!r}")
+        if checkpointing:
+            resume.update(checkpoint_every=ck_every, on_checkpoint=on_checkpoint)
+        stacks = solve(solver, **resume)
+
+    for lo, res in stacks:
+        if not res.all_converged:
+            bad = [lo + i for i in range(res.n_rhs) if not res.converged[i]]
+            raise RuntimeError(
+                f"{ctx.task_id}: columns {bad} did not converge "
+                f"(worst relres {float(np.max(res.final_relres)):.2e})"
+            )
+        for i in range(res.n_rhs):
+            spin, color = divmod(lo + i, 3)
+            data[..., :, spin, :, color] = res.x[i]
+        totals["iterations"] += (
+            int(res.column_iterations.sum()) if mode == "percolumn" else res.iterations
+        )
+        totals["matvecs"] += res.matvecs
+        totals["flops"] += res.flops
+        totals["true_relres"] = max(totals["true_relres"], float(res.final_relres.max()))
+        if checkpointing and lo + res.n_rhs < 12:
+            # Stack-boundary checkpoint: finished columns never re-solve.
+            on_checkpoint(lo + res.n_rhs, None)
 
     prop = Propagator(data, site)
     ref = _save_prop(ctx, "prop", prop)
@@ -506,9 +520,7 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
     ctx.emit(
         "solve_done",
         task=ctx.task_id,
-        iterations=totals["iterations"],
-        matvecs=totals["matvecs"],
-        flops=totals["flops"],
+        **totals,
         solver_mode=mode,
         deflated=eigen is not None,
     )
@@ -533,10 +545,10 @@ def _exec_seq_solve(params: dict, ctx: ExecContext) -> dict[str, str]:
         # lock-step batched mode is the closest executable ladder rung
         mode = "batched"
     eigen = _load_eigen(ctx, params["eigen"]) if params.get("eigen") else None
-    solver = (
-        BlockCG(tol=tol, max_iter=max_iter)
-        if mode == "block"
-        else ConjugateGradient(tol=tol, max_iter=max_iter)
+    solver = (BlockCG if mode == "block" else ConjugateGradient)(
+        tol=tol,
+        max_iter=max_iter,
+        **_model_flops(gauge.geometry.volume, eigen is None and mode != "block"),
     )
     stats: dict = {}
     seq = sequential_propagator(
@@ -554,6 +566,7 @@ def _exec_seq_solve(params: dict, ctx: ExecContext) -> dict[str, str]:
         iterations=int(stats.get("iterations", 0)),
         matvecs=int(stats.get("matvecs", 0)),
         flops=float(stats.get("flops", 0.0)),
+        true_relres=float(stats.get("true_relres", 0.0)),
         solver_mode=mode,
         deflated=eigen is not None,
     )

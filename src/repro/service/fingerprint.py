@@ -41,6 +41,14 @@ __all__ = [
 ]
 
 
+#: Executors are pure functions of (params, dependency artifacts) *within
+#: one revision of their arithmetic*: a kind whose bytes changed for the
+#: same inputs (1: red-black preconditioned solves) names it here, so a
+#: store written before serves none of its entries to the new executor.
+#: Kinds not listed keep their keys; spec fingerprints do not see this.
+EXECUTOR_REVISION = {"propagator": 1, "seq_solve": 1}
+
+
 class SpecError(ValueError):
     """A submitted campaign spec that cannot be validated or built."""
 
@@ -108,17 +116,17 @@ def _resolve_refs(value: Any, fps: dict[str, str]) -> Any:
 def task_fingerprints(graph: TaskGraph) -> dict[str, str]:
     """Content fingerprint per task, computed in dependency order.
 
-    Only ``kind`` and the ref-resolved ``params`` enter the hash; task
-    ids, priorities, duration estimates and retry budgets are scheduling
-    metadata that cannot change an executor's output and must not
-    fragment the cache.
+    Only ``kind``, its :data:`EXECUTOR_REVISION` (if any) and the
+    ref-resolved ``params`` enter the hash; task ids, priorities,
+    duration estimates and retry budgets are scheduling metadata that
+    cannot change an executor's output and must not fragment the cache.
     """
     fps: dict[str, str] = {}
     for tid in graph.topo_order():
         task = graph[tid]
-        blob = json.dumps(
-            {"kind": task.kind, "params": _resolve_refs(task.params, fps)},
-            sort_keys=True,
-        ).encode()
+        keyed = {"kind": task.kind, "params": _resolve_refs(task.params, fps)}
+        if task.kind in EXECUTOR_REVISION:
+            keyed["rev"] = EXECUTOR_REVISION[task.kind]
+        blob = json.dumps(keyed, sort_keys=True).encode()
         fps[tid] = hashlib.sha256(blob).hexdigest()[:32]
     return fps

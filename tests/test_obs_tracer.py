@@ -145,6 +145,36 @@ def test_wilson_hopping_emits_attributed_kernel_span(tmp_path, gauge_tiny):
     assert rec["bytes"] > 0
 
 
+def test_packed_hopping_is_the_kernels_and_a_half_volume_span(tmp_path, gauge_tiny):
+    """``WilsonOperator.hopping(xp, parity=p)`` is the active kernel's
+    packed hop behind the same span: one ``dslash.*`` record per call,
+    charged half the sites' flops and link bytes."""
+    from repro.dirac import WilsonOperator
+    from repro.dirac.flops import wilson_dslash_flops_per_site
+
+    op = WilsonOperator(gauge_tiny, mass=0.1)
+    kernel, geom = op.kernel, gauge_tiny.geometry
+    rng = np.random.default_rng(8)
+    psi = rng.normal(size=(3,) + geom.dims + (4, 3)) + 0j
+    for parity in (0, 1):
+        xp = kernel.pack(psi, parity)
+        want = kernel.hopping(xp, parity=parity)
+        obs.enable(tmp_path / str(parity))
+        got = op.hopping(xp, parity=parity)
+        full = op.hopping(psi)
+        obs.disable()
+        assert np.array_equal(got, want)
+        # the packed hop is the full one restricted to the other parity
+        assert np.array_equal(got, kernel.pack(full, 1 - parity))
+        half, whole = obs.load_spans(tmp_path / str(parity))
+        assert half["name"] == whole["name"] == f"dslash.{op.backend}"
+        assert half["flops"] == 3 * (geom.volume // 2) * wilson_dslash_flops_per_site()
+        assert 2 * half["flops"] == whole["flops"]
+        assert 2 * half["bytes"] == whole["bytes"]
+    with pytest.raises(ValueError, match="field tail"):
+        op.hopping(psi, parity=0)  # a full-lattice field is not a packed one
+
+
 def test_cg_solver_span_carries_flops_and_outcome(tmp_path):
     from repro.solvers.cg import ConjugateGradient
 

@@ -218,17 +218,20 @@ class TestDistributedSolverMode:
 
 
 class TestColumnStackCheckpoints:
-    """``percolumn`` solves run as lock-step column stacks (3 columns at
-    4^3 x 8): the checkpoint holds the finished columns plus the stacked
-    CG state of the stack in flight, and nothing else is ever loaded."""
+    """``percolumn`` solves run as lock-step column stacks of the
+    red-black preconditioned system (6 packed columns at 4^3 x 8): the
+    checkpoint holds the finished columns plus the stacked CG state of
+    the stack in flight, and nothing else is ever loaded."""
 
     def test_kill_inside_second_stack_resumes_at_that_stack(self, tmp_path,
                                                             reference):
-        # a stack takes ~58 iterations here: 5 mid-solve checkpoints and
-        # its boundary, so the 8th save is the second stack's 2nd
+        # a stack takes 22 iterations here: at checkpoint_every=5 that is
+        # 4 mid-solve checkpoints and its boundary, so the 7th save is
+        # the second stack's 2nd (checkpointing never perturbs the bytes)
         faults = FaultPlan({"prop_m0": FaultSpec(kind="kill_worker",
-                                                 at_checkpoint=8)})
-        rt, res = _campaign(tmp_path, pool="thread", faults=faults, workers=1)
+                                                 at_checkpoint=7)})
+        rt, res = _campaign(tmp_path, pool="thread", faults=faults, workers=1,
+                            spec_kwargs=dict(CAMPAIGN, checkpoint_every=5))
         assert res.all_done
         assert res.worker_deaths == 1
         assert _final_bytes(rt) == reference
@@ -237,8 +240,8 @@ class TestColumnStackCheckpoints:
         restored = [e for e in events if e["ev"] == "checkpoint_restored"]
         assert len(restored) == 1
         # resumed mid-solve in the second stack, first stack's columns kept
-        assert restored[0]["column"] == 3
-        assert restored[0]["iteration"] > 0
+        assert restored[0]["column"] == 6
+        assert restored[0]["iteration"] == 10
 
     def test_solve_done_iterations_is_the_per_column_sum(self, tmp_path):
         """Telemetry keeps counting what twelve one-column solves would
@@ -246,7 +249,8 @@ class TestColumnStackCheckpoints:
         kinds."""
         import numpy as np
 
-        from repro.contractions import Propagator, sequential_propagator
+        from repro.contractions import (
+            Propagator, SchurColumnStacks, sequential_propagator)
         from repro.dirac.wilson import WilsonOperator
         from repro.lattice import GaugeField, Geometry
         from repro.solvers import ConjugateGradient, solve_normal_equations
@@ -266,10 +270,13 @@ class TestColumnStackCheckpoints:
         wilson = WilsonOperator(gauge, mass=0.5)
         solver = ConjugateGradient(tol=CAMPAIGN["tol"], max_iter=4000)
         sources = rt.store.load("smear:sources")["sources"]
+        # twelve one-column solves of the red-black system the task runs
+        system = SchurColumnStacks(wilson, sources)
+        eo = system.eo
         assert counted["prop_m0"] == sum(
-            solve_normal_equations(wilson.apply, wilson.apply_dagger, b,
+            solve_normal_equations(eo.schur_apply, eo.schur_dagger_apply, b,
                                    solver).iterations
-            for b in sources
+            for b in system.rhs
         )
         stats: dict = {}
         prop = rt.store.load("prop_m0:prop")
@@ -282,7 +289,7 @@ class TestColumnStackCheckpoints:
         # a resumed stack reports the same sum: columns that froze before
         # the checkpoint keep their own count
         faults = FaultPlan({"prop_m0": FaultSpec(kind="kill_worker",
-                                                 at_checkpoint=8)})
+                                                 at_checkpoint=4)})
         _campaign(tmp_path / "killed", pool="thread", faults=faults,
                   workers=1, spec_kwargs=kwargs)
         recounted = {e["task"]: e["iterations"]
@@ -293,13 +300,18 @@ class TestColumnStackCheckpoints:
     @pytest.mark.parametrize("planted", [
         "one_column_kind", "other_width", "off_boundary_column",
         "other_lattice_data", "other_lattice_state",
+        "parent_full_lattice_stack", "packed_off_boundary_column",
+        "full_lattice_state_in_packed_stack",
     ])
     def test_foreign_checkpoint_is_ignored_whole(self, tmp_path, reference,
                                                  planted):
         """A checkpoint this task could not have written — the
         one-column ``prop_ckpt`` of earlier versions, another stack
         width, a column that is no stack boundary, arrays of another
-        lattice — is never half-loaded: the task recomputes."""
+        lattice, and since the solve is red-black preconditioned the
+        full-lattice stacks of the version before (its finished columns
+        solved another linear system) — is never half-loaded: the task
+        recomputes."""
         import numpy as np
 
         from repro.io.container import FieldFile
@@ -327,6 +339,27 @@ class TestColumnStackCheckpoints:
             arrays["state_rsq"] = arrays["state_bnorm"] = np.ones(3)
             arrays["state_history"] = np.ones((10, 3))
             arrays["state_column_iterations"] = np.full(3, 10)
+        else:
+            # what this version writes is keyed by the stack's shape
+            packed = [6, 4, 4, 4, 4, 4, 3]
+            width, column, state, named = {
+                "parent_full_lattice_stack": (3, 3, (3, 4, 4, 4, 8, 4, 3), None),
+                "packed_off_boundary_column": (6, 3, None, packed),
+                "full_lattice_state_in_packed_stack": (6, 6, (6, 4, 4, 4, 8, 4, 3), packed),
+            }[planted]
+            md["column"] = column
+            if named is None:
+                md["width"] = width  # the parent's key; it names no stack
+            else:
+                del md["width"]
+                md["stack"] = named
+            if state is not None:
+                md["state"] = {"iteration": 10, "flops": 0.0}
+                for name in ("state_x", "state_r", "state_p"):
+                    arrays[name] = np.ones(state, dtype=np.complex128)
+                arrays["state_rsq"] = arrays["state_bnorm"] = np.ones(width)
+                arrays["state_history"] = np.ones((10, width))
+                arrays["state_column_iterations"] = np.full(width, 10)
         ff = FieldFile(md)
         for name, arr in arrays.items():
             ff.add(name, arr)

@@ -249,6 +249,59 @@ class TestExecutors:
         assert np.array_equal(got, want)
 
 
+    def test_three_schedules_of_one_system_report_one_flop_formula(self, tmp_path):
+        """``percolumn``, ``batched`` and ``distributed`` solve the same
+        red-black system on the benchmark's spec (4^3 x 8, mass 0.35, tol
+        1e-4): ``solve_done`` charges each the same model flops per
+        operator application and iteration, and ``true_relres`` — the
+        full operator's residual — stays within 10 tol."""
+        import numpy as np
+
+        from repro.dirac.flops import cg_blas_flops_per_site, wilson_dslash_flops_per_site
+        from repro.io.container import FieldFile
+        from repro.lattice import GaugeField, Geometry
+        from repro.runtime.checkpoint import CheckpointManager
+        from repro.runtime.exec_tasks import ArtifactStore, ExecContext, execute_task
+        from repro.utils.rng import make_rng
+
+        geom = Geometry(4, 4, 4, 8)
+        gauge = GaugeField.random(geom, make_rng(2026), scale=0.3)
+        store = ArtifactStore(tmp_path / "artifacts")
+        links = FieldFile({"dims": list(geom.dims)})
+        links.add("links", gauge.u)
+        store.save("gaugefix", "links", links)
+        tol = 1e-4
+        half = geom.volume // 2
+        per_matvec = 4 * half * wilson_dslash_flops_per_site()
+        per_iter = cg_blas_flops_per_site() * half
+
+        done, props = {}, {}
+        for mode in ("percolumn", "batched", "distributed"):
+            events = []
+            ctx = ExecContext(
+                f"prop_{mode}", 1, store, CheckpointManager(tmp_path / "checkpoints"),
+                emit=lambda ev, **kw: events.append((ev, kw)),
+            )
+            refs = execute_task(
+                "propagator",
+                {"gauge": "gaugefix:links", "mass": 0.35, "tol": tol, "solver_mode": mode},
+                ctx,
+            )
+            (done[mode],) = [kw for ev, kw in events if ev == "solve_done"]
+            props[mode] = store.load(refs["prop"])["data"]
+
+        for mode, ev in done.items():
+            assert ev["flops"] == ev["matvecs"] * per_matvec + (ev["matvecs"] - 12) * per_iter, mode
+            assert 0.0 < ev["true_relres"] <= 10 * tol, mode
+        # one linear system: the schedule moves no bit of a column, and
+        # the rank program's reducer only the rounding of its dot products
+        assert np.array_equal(props["percolumn"], props["batched"])
+        assert done["batched"]["iterations"] == done["distributed"]["iterations"]
+        assert done["batched"]["matvecs"] == done["distributed"]["matvecs"]
+        scale = np.abs(props["batched"]).max()
+        assert np.allclose(props["distributed"], props["batched"], rtol=0, atol=1e-12 * scale)
+
+
 def test_importing_the_runtime_leaves_the_physics_packages_out():
     """The driver and every spawned worker import ``repro.runtime`` before
     their first task; the lattice, Dirac and communication stacks load

@@ -126,3 +126,41 @@ class TestTaskFingerprints:
         fps = task_fingerprints(g)
         assert set(fps) == set(g.tasks)
         assert all(len(v) == 32 for v in fps.values())
+
+    def test_executor_revision_misses_a_store_keyed_before_it(self, tmp_path):
+        """A propagator solved by the full-operator executor must not be
+        served to the red-black one under the same key: the kinds whose
+        arithmetic changed, and everything downstream of them, get new
+        keys; the upstream cone keeps the keys an older store holds."""
+        import hashlib
+        import json
+
+        from repro.io.container import FieldFile
+        from repro.runtime.exec_tasks import ArtifactStore
+        from repro.service.cache import ArtifactCAS
+        from repro.service.fingerprint import EXECUTOR_REVISION, _resolve_refs
+
+        assert set(EXECUTOR_REVISION) == {"propagator", "seq_solve"}
+        g, _, _ = normalize_spec({"builder": "ga", "kwargs": {"include_seq": True}})
+        old: dict[str, str] = {}  # the keys of the version before any revision
+        for tid in g.topo_order():
+            blob = json.dumps(
+                {"kind": g[tid].kind, "params": _resolve_refs(g[tid].params, old)},
+                sort_keys=True,
+            ).encode()
+            old[tid] = hashlib.sha256(blob).hexdigest()[:32]
+        new = task_fingerprints(g)
+        moved = {tid for tid in g.tasks if new[tid] != old[tid]}
+        assert {"gauge", "gaugefix", "smear"}.isdisjoint(moved)
+        assert {t for t in g.tasks if g[t].kind in EXECUTOR_REVISION} <= moved
+        assert "assemble" in moved and any(g[t].kind == "contraction" for t in moved)
+        assert all(g[t].kind != "make_gauge" for t in moved)
+
+        store = ArtifactStore(tmp_path / "artifacts")
+        ff = FieldFile({"source": [0, 0, 0, 0]})
+        store.save("prop_m0", "prop", ff)
+        cas = ArtifactCAS(tmp_path / "cas")
+        cas.put(old["prop_m0"], store, {"prop": "prop_m0:prop"})
+        fresh = ArtifactStore(tmp_path / "fresh")
+        assert cas.materialize(new["prop_m0"], fresh, "prop_m0") is None
+        assert cas.materialize(old["prop_m0"], fresh, "prop_m0") == {"prop": "prop_m0:prop"}

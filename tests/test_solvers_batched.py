@@ -302,30 +302,51 @@ class TestColumnStacks:
         """Exact on any host, for propagator sources and for the
         sequential (through-the-sink) sources built from the result: the
         stack schedule changes which call computes a column, not one bit
-        of it."""
-        from repro.contractions import Propagator, sequential_propagator, solve_column_stacks
+        of it.  The system is the red-black preconditioned one the
+        executor runs; its solution is the full operator's to the
+        tolerance that defines either (portable)."""
+        from repro.contractions import Propagator, SchurColumnStacks, sequential_propagator
         from repro.contractions.propagator import point_source
         from repro.dirac import gamma as g
         from repro.solvers import solve_normal_equations
 
         w = golden_wilson
         geom = w.geometry
-        solver = ConjugateGradient(tol=1e-8, max_iter=4000)
+        tol = 1e-8
+        solver = ConjugateGradient(tol=tol, max_iter=4000)
+
+        def own_solves(b):
+            """Each column through its own one-column solves: the Schur
+            system's (iterations, full-lattice x) and the full operator's x."""
+            system = SchurColumnStacks(w, b)
+            eo = system.eo
+            for i in range(12):
+                alone = solve_normal_equations(
+                    eo.schur_apply, eo.schur_dagger_apply, system.rhs[i], solver
+                )
+                full = solve_normal_equations(w.apply, w.apply_dagger, b[i], solver)
+                yield alone.iterations, eo.reconstruct(alone.x[None], b[i : i + 1])[0], full.x
+
         sources = np.stack(
             [point_source(geom, (0, 0, 0, 0), s, c) for s in range(4) for c in range(3)]
         )
+        system = SchurColumnStacks(w, sources)
+        assert system.stack_shape == (6,) + geom.dims[:3] + (geom.lt // 2, 4, 3)
+        alone = list(own_solves(sources))
         data = np.zeros(geom.dims + (4, 4, 3, 3), dtype=np.complex128)
         seen = []
-        for lo, res in solve_column_stacks(w.apply, w.apply_dagger, sources, solver):
-            assert res.n_rhs == 3 and res.all_converged
+        for lo, res in system.solve(solver):
+            assert res.n_rhs == 6 and res.all_converged
             seen.append(lo)
             for i in range(res.n_rhs):
-                alone = solve_normal_equations(w.apply, w.apply_dagger, sources[lo + i], solver)
-                assert np.array_equal(res.x[i], alone.x), f"column {lo + i}"
-                assert int(res.column_iterations[i]) == alone.iterations
+                iterations, x, x_full = alone[lo + i]
+                assert np.array_equal(res.x[i], x), f"column {lo + i}"
+                assert int(res.column_iterations[i]) == iterations
+                scale = np.abs(x_full).max()
+                assert np.allclose(res.x[i], x_full, rtol=10 * tol, atol=10 * tol * scale)
                 spin, color = divmod(lo + i, 3)
                 data[..., :, spin, :, color] = res.x[i]
-        assert seen == [0, 3, 6, 9]
+        assert seen == [0, 6]
 
         prop = Propagator(data, (0, 0, 0, 0))
         t_snk = geom.lt // 2
@@ -333,15 +354,19 @@ class TestColumnStacks:
         seq = sequential_propagator(w, prop, t_snk, solver=solver, stats=stats)
         restricted = np.zeros_like(data)
         restricted[:, :, :, t_snk] = data[:, :, :, t_snk]
-        iterations = 0
-        for col in range(12):
+        b_seq = np.stack(
+            [g.gamma5_mul(restricted[..., :, s, :, c]) for s in range(4) for c in range(3)]
+        )
+        total = 0
+        for col, (iterations, x, x_full) in enumerate(own_solves(b_seq)):
             spin, color = divmod(col, 3)
-            alone = solve_normal_equations(
-                w.apply, w.apply_dagger, g.gamma5_mul(restricted[..., :, spin, :, color]), solver
-            )
-            iterations += alone.iterations
-            assert np.array_equal(seq.data[..., :, spin, :, color], g.gamma5_mul(alone.x))
-        assert stats["iterations"] == iterations
+            total += iterations
+            got = seq.data[..., :, spin, :, color]
+            assert np.array_equal(got, g.gamma5_mul(x))
+            scale = np.abs(x_full).max()
+            assert np.allclose(got, g.gamma5_mul(x_full), rtol=10 * tol, atol=10 * tol * scale)
+        assert stats["iterations"] == total
+        assert stats["true_relres"] <= 10 * tol
 
     def test_resumes_mid_stack_bitwise(self, golden_wilson):
         """Kill inside the second stack: the finished stack is kept, the
@@ -408,3 +433,152 @@ class TestColumnStacks:
                 )
                 bound = 8 * tol * np.linalg.norm(w.apply_dagger(b).ravel()) / lambda_min
                 assert np.linalg.norm((res.x[i] - alone.x).ravel()) <= bound
+
+
+class TestSchurColumnStacks:
+    """``SchurColumnStacks``: the executor's propagator and sequential
+    solves run the red-black preconditioned system, and the serial
+    instance of it is the 1-rank case of the rank program's solve."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        from repro.contractions.propagator import point_source
+        from repro.lattice import GaugeField, Geometry
+        from repro.utils.rng import make_rng
+        from tests.data import regenerate_golden as golden
+
+        geom = Geometry(*golden.DIMS)
+        gauge = GaugeField.random(geom, make_rng(golden.SEED), scale=golden.SCALE)
+        points = np.stack(
+            [point_source(geom, (0, 0, 0, 0), s, c) for s in range(4) for c in range(3)]
+        )
+        return gauge, golden.MASS, points
+
+    @staticmethod
+    def _sink_sources(points, x):
+        """Through-the-sink sources from a solved point-source stack."""
+        from repro.dirac import gamma as g
+
+        t_snk = points.shape[4] // 2
+        restricted = np.zeros_like(x)
+        restricted[:, :, :, :, t_snk] = x[:, :, :, :, t_snk]
+        return g.gamma5_mul(restricted)
+
+    def test_serial_is_the_one_rank_case(self, golden):
+        """*Deterministic, same host.*  Run on the rank program's reducer
+        (per-x-slice partials summed in a fixed order), the serial packed
+        chain gives the bits ``DecompRuntime.solve_cgne`` gives on 1 and
+        2 ranks; on its own reducer (rows of ``np.vdot`` — what makes a
+        column of a stack its one-column solve on any host) the 12-wide
+        stack takes the same iterations and differs by rounding only."""
+        from repro.comm.distributed import DecompRuntime
+        from repro.contractions import SchurColumnStacks
+
+        gauge, mass, b = golden
+        tol = 1e-8
+        system = SchurColumnStacks(WilsonOperator(gauge, mass=mass), b, 12)
+        assert system.stack_shape[0] == 12
+        eo = system.eo
+
+        def slice_dot(u, v):
+            rows = [[np.vdot(u[i, j], v[i, j]).real for i in range(len(u))]
+                    for j in range(u.shape[1])]
+            return np.sum(np.array(rows), axis=0)
+
+        on_slices = ConjugateGradient(tol=tol, max_iter=10_000)._run(
+            eo.schur_normal_apply, eo.schur_dagger_apply(system.rhs), dot=slice_dot
+        )
+        ((lo, own),) = system.solve(ConjugateGradient(tol=tol, max_iter=10_000))
+        assert lo == 0 and own.all_converged
+        for ranks in (1, 2):
+            rt = DecompRuntime(gauge, mass, ranks=ranks, transport="threads")
+            try:
+                dist = rt.solve_cgne(b, tol=tol)
+            finally:
+                rt.close()
+            assert np.array_equal(dist.x, eo.reconstruct(on_slices.x, b))
+            for res in (on_slices, own):
+                assert dist.iterations == res.iterations
+                assert np.array_equal(dist.column_iterations, res.column_iterations)
+            assert np.allclose(own.x, dist.x, rtol=0, atol=1e-12 * np.abs(dist.x).max())
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8])
+    def test_true_residual_of_the_full_system(self, golden, tol):
+        """Convergence is judged on the even-site normal system; what the
+        caller is owed is ``|b - D x| / |b|`` on the full operator."""
+        from repro.contractions import SchurColumnStacks, column_relres
+
+        gauge, mass, points = golden
+        w = WilsonOperator(gauge, mass=mass)
+        solver = ConjugateGradient(tol=tol, max_iter=4000)
+        b = points
+        for kind in ("point", "sequential"):
+            x = np.empty_like(b)
+            for lo, res in SchurColumnStacks(w, b).solve(solver):
+                assert res.all_converged
+                x[lo : lo + res.n_rhs] = res.x
+                # reported = recomputed, per column
+                assert np.array_equal(
+                    res.final_relres, column_relres(w.apply, b[lo : lo + res.n_rhs], res.x)
+                )
+            assert column_relres(w.apply, b, x).max() <= 10 * tol, kind
+            b = self._sink_sources(points, x)
+
+    def test_falls_back_to_masked_fields_without_the_packed_layout(self, golden):
+        """A kernel without ``pack`` / ``unpack`` (the ``reference``
+        backend) runs the same chain on masked full-lattice fields: the
+        stacks are full-lattice sized, the answer the same to tolerance."""
+        from repro.contractions import SchurColumnStacks, column_relres
+
+        gauge, mass, b = golden
+        tol = 1e-8
+        solver = ConjugateGradient(tol=tol, max_iter=4000)
+        packed = SchurColumnStacks(WilsonOperator(gauge, mass=mass), b[:3])
+        masked = SchurColumnStacks(WilsonOperator(gauge, mass=mass, backend="reference"), b[:3])
+        assert packed.stack_shape == (3,) + b.shape[1:4] + (b.shape[4] // 2, 4, 3)
+        assert masked.stack_shape == (3,) + b.shape[1:]
+        ((_, got),) = masked.solve(solver)
+        ((_, want),) = packed.solve(solver)
+        assert got.all_converged
+        assert column_relres(masked.wilson.apply, b[:3], got.x).max() <= 10 * tol
+        assert np.array_equal(got.column_iterations, want.column_iterations)
+        assert np.allclose(got.x, want.x, rtol=0, atol=10 * tol * np.abs(want.x).max())
+
+    def test_resumes_mid_stack_bitwise(self, golden):
+        """Width 6, killed inside the second stack: from a *dense* state
+        (every column still live) and from a *half-finished* one (the
+        quick columns frozen, the rest in flight) the resumed stack is
+        the uninterrupted one to the bit, reconstruction included."""
+        from repro.contractions import SchurColumnStacks
+
+        gauge, mass, points = golden
+        w = WilsonOperator(gauge, mass=mass)
+        # second stack: three wall sources (slow) and three point sources
+        wall = np.zeros((3,) + points.shape[1:], dtype=np.complex128)
+        for c in range(3):
+            wall[c, ..., 0, c] = 1.0
+        b = np.concatenate([points[:6], wall, points[9:]])
+        solver = ConjugateGradient(tol=1e-6, max_iter=4000)
+        system = SchurColumnStacks(w, b)
+        assert system.stack_shape[0] == 6
+        ref = dict(system.solve(solver))
+        assert sorted(ref) == [0, 6]
+        iters = ref[6].column_iterations
+        assert iters[3:].max() + 1 < iters[:3].min()
+
+        saved = []
+        dict(system.solve(solver, checkpoint_every=1,
+                          on_checkpoint=lambda lo, st: saved.append((lo, st))))
+        second = [st for lo, st in saved if lo == 6]
+        dense = next(st for st in second if st.iteration == 5)
+        half = next(st for st in second if st.iteration == iters[3:].max() + 1)
+        assert (dense.column_iterations == 5).all()
+        assert (half.column_iterations[3:] < half.iteration).all()
+        assert (half.column_iterations[:3] == half.iteration).all()
+        for st in (dense, half):
+            assert st.x.shape == system.stack_shape
+            resumed = dict(SchurColumnStacks(w, b).solve(solver, start=6, state=st))
+            assert sorted(resumed) == [6]
+            assert np.array_equal(resumed[6].x, ref[6].x)
+            assert np.array_equal(resumed[6].column_iterations, iters)
+            assert np.array_equal(resumed[6].final_relres, ref[6].final_relres)
