@@ -472,15 +472,15 @@ class RankPlan:
         )
 
     def stack(self, psi: np.ndarray) -> np.ndarray:
-        """A global field with any leading axes as one contiguous complex128
-        ``(n,) + dims + (4, 3)`` stack the transport is sized for."""
+        """A global field with any leading axes as one contiguous ``(n,) +
+        dims + (4, 3)`` stack the transport is sized for (complex64 kept)."""
         tail = self.grid.global_dims + (4, 3)
         if psi.shape[-6:] != tail:
             raise ValueError(f"field tail {psi.shape[-6:]} != lattice {tail}")
         phi = psi.reshape((-1,) + tail)
         if phi.shape[0] > self.max_rhs:
             raise ValueError(f"{phi.shape[0]} stacked fields exceed max_rhs={self.max_rhs}")
-        return np.ascontiguousarray(np.asarray(phi, dtype=np.complex128))
+        return np.ascontiguousarray(phi, dtype=np.result_type(phi.dtype, np.complex64))
 
     def block(self, arr: np.ndarray, rank: int) -> np.ndarray:
         """``rank``'s contiguous block of a global links- or stack-shaped array."""
@@ -541,19 +541,20 @@ def rank_solve(
     b: np.ndarray,
     tol: float = 1e-10,
     max_iter: int = 10_000,
-    reliable: bool = False,
-    delta: float = 0.1,
+    reliable: bool = True,
+    delta: float | None = None,
 ) -> BatchedSolveResult:
     """The full propagator pipeline on one rank (collective throughout).
 
     Prepares the even-site system (on ``ctx.eo_solve``'s fields:
     checkerboard-packed where the grid allows, half the work
     everywhere), hands the normal system to the *serial* solvers' own
-    recurrence — :meth:`ConjugateGradient._run`, or
-    :meth:`ReliableUpdateCG._run` on single-precision Krylov storage
-    when ``reliable`` — with the collective ``SliceReducer.batch_dot``
-    as the inner product, and reconstructs the full-lattice local
-    solution.
+    recurrence — by default the paper's double-single solver,
+    :meth:`ReliableUpdateCG._run` with a complex64 inner loop (stencil,
+    halo faces, Krylov vectors) and double refreshes at ``delta``
+    (``None``: ``sqrt(epsilon_single)``), else all-double
+    :meth:`ConjugateGradient._run` — with the collective reducer as the
+    inner product, and reconstructs the full-lattice local solution.
 
     Returns the solver's own result (identical on every rank) with ``x``
     this rank's block of the solution and ``final_relres`` the prepared
@@ -563,6 +564,7 @@ def rank_solve(
     b_prep = eo.prepare_rhs(b)
     rhs = eo.schur_dagger_apply(b_prep)
     if reliable:
+        delta = np.sqrt(SinglePrecision().epsilon()) if delta is None else delta
         solver = ReliableUpdateCG(SinglePrecision(), tol=tol, delta=delta, max_iter=max_iter)
     else:
         solver = ConjugateGradient(tol=tol, max_iter=max_iter)
@@ -599,7 +601,7 @@ def rank_command(ctx: _RankContext, cmd: str, field, args) -> tuple:
             "interior_seconds": ctx.stencil.interior_seconds,
         }
     if cmd == "cg":
-        res = rank_solve(ctx, field, **args)
+        res = rank_solve(ctx, field.astype(np.complex128, copy=False), **args)  # b is double
         return res.x, replace(res, x=None)
     if cmd not in RANK_OPS:
         raise ValueError(f"unknown rank command {cmd!r}")
@@ -652,8 +654,8 @@ class _QueueChannel:
 @dataclass
 class _ArenaChannel:
     """One end (either end) of a pipe whose fields are staged through the arena:
-    ``send`` copies the field into this end's region and puts its *shape*
-    on the pipe, ``recv`` returns a window onto the peer's region, valid
+    ``send`` copies the field into this end's region and puts its *shape
+    and dtype* on the pipe, ``recv`` returns a window onto the peer's region, valid
     until the peer's next send — a rank computes on it before it replies,
     and the driver consumes it in ``RankGrid.gather`` (a fresh array)."""
 
@@ -663,15 +665,15 @@ class _ArenaChannel:
     in_key: tuple
 
     def recv(self):
-        head, shape, tail = self.conn.recv()
-        field = None if shape is None else self.arena.view(self.in_key, tuple(shape))
+        head, spec, tail = self.conn.recv()
+        field = None if spec is None else self.arena.view(self.in_key, *spec)
         return head, field, tail
 
     def send(self, msg) -> None:
         head, field, tail = msg
         if field is not None:
-            self.arena.view(self.out_key, field.shape)[...] = field
-            field = field.shape
+            self.arena.view(self.out_key, field.shape, field.dtype)[...] = field
+            field = (field.shape, field.dtype)
         self.conn.send((head, field, tail))
 
 
@@ -899,15 +901,16 @@ class DecompRuntime:
         b: np.ndarray,
         tol: float = 1e-10,
         max_iter: int = 10_000,
-        reliable: bool = False,
-        delta: float = 0.1,
+        reliable: bool = True,
+        delta: float | None = None,
     ) -> BatchedSolveResult:
         """Rank-parallel batched CGNE propagator solve on the full lattice.
 
         ``b`` must carry at least one leading (right-hand-side) axis.
-        ``reliable=True`` runs :class:`ReliableUpdateCG` on single-
-        precision Krylov storage with double residual refreshes
-        triggered at ``delta`` (see :func:`rank_solve`).  Returns a
+        The default is the paper's red-black double-single solver —
+        :class:`ReliableUpdateCG`, complex64 inner loop, double refreshes
+        triggered at ``delta`` (see :func:`rank_solve`) — and
+        ``reliable=False`` all-double CG.  Returns a
         :class:`BatchedSolveResult` whose ``final_relres`` is the
         prepared even-site system's residual, matching
         ``solve_normal_equations_batched``.
@@ -916,7 +919,7 @@ class DecompRuntime:
             raise ValueError("solve_cgne expects a stacked rhs (leading axes)")
         solve = {
             "tol": float(tol), "max_iter": int(max_iter),
-            "reliable": bool(reliable), "delta": float(delta),
+            "reliable": bool(reliable), "delta": None if delta is None else float(delta),
         }
         x, result = self._field_command("cg", b, solve)
         return replace(result, x=x)
@@ -1047,15 +1050,9 @@ class DistributedCG:
         delta: float = 0.1,
     ):
         self.op = op
-        self.tol = float(tol)
-        self.max_iter = int(max_iter)
-        self.reliable = bool(reliable)
-        self.delta = float(delta)
+        self._solve = {"tol": tol, "max_iter": max_iter, "reliable": reliable, "delta": delta}
 
     def solve_batched(self, b: np.ndarray) -> BatchedSolveResult:
         """Solve ``D x = b`` for a stack of sources; returns full-lattice
         solutions (prepare + even-site CGNE + reconstruct, all in-rank)."""
-        return self.op.runtime.solve_cgne(
-            b, tol=self.tol, max_iter=self.max_iter,
-            reliable=self.reliable, delta=self.delta,
-        )
+        return self.op.runtime.solve_cgne(b, **self._solve)

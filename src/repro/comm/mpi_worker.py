@@ -184,7 +184,7 @@ def run_job(comm, job) -> dict:
         payload = _bench(comm, ctx, job)
         payload["n_ranks"] = np.int64(comm.Get_size())
         return payload
-    psi = np.asarray(job["psi"], dtype=np.complex128)
+    psi = np.asarray(job["psi"])  # plan.stack keeps complex64, else complex128
     args = None
     if op == "cg":
         if psi.ndim < 7:
@@ -200,6 +200,7 @@ def run_job(comm, job) -> dict:
             relres=np.asarray(res.final_relres),
             reliable_updates=np.int64(res.reliable_updates),
             matvecs=np.int64(res.matvecs),
+            inner=np.str_(res.inner),
         )
         if res.column_iterations is not None:  # the reliable-update solve records none
             payload["column_iterations"] = res.column_iterations

@@ -161,10 +161,7 @@ def dist_solve(
     """Distributed batched CGNE/RU-CG through the named transport."""
     from repro.solvers.cg import BatchedSolveResult
 
-    solve = {
-        "tol": float(tol), "max_iter": int(max_iter),
-        "reliable": bool(reliable), "delta": float(delta),
-    }
+    solve = {"tol": tol, "max_iter": max_iter, "reliable": reliable, "delta": delta}
     knobs = {"ranks": ranks, "policy": policy, "engine": engine, "timeout": timeout}
     if transport == "mpi":
         out = _mpi_job(gauge, mass, b, op="cg", **knobs, **solve)
@@ -175,6 +172,7 @@ def dist_solve(
             final_relres=out["relres"],
             reliable_updates=int(out["reliable_updates"]),
             matvecs=int(out["matvecs"]),
+            inner=str(out["inner"]),
             column_iterations=out.get("column_iterations"),  # absent from a reliable-update solve
         )
     with _runtime(gauge, mass, b, transport=transport, **knobs) as rt:

@@ -105,7 +105,7 @@ class WilsonSchur:
         t = self._hop_inv_hop(y)
         gamma5_mul(t, out=t)
         # diag * x == (gamma_5 diag) * (gamma_5 x), to the bit
-        np.multiply(y, self._g5_diag, out=y)
+        np.multiply(y, self._g5_diag.astype(y.real.dtype), out=y)
         return self._even(np.subtract(y, t, out=t))
 
     def schur_normal_apply(self, x_even: np.ndarray) -> np.ndarray:

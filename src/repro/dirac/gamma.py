@@ -116,8 +116,9 @@ def spin_mul(mat: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.einsum("st,...tc->...sc", mat, psi, optimize=_SPIN_MUL_PATH)
 
 
-#: diag(gamma_5) spread over the trailing ``(spin, colour)`` axes.
-_GAMMA5_SIGNS = np.repeat(np.diag(GAMMA5).real, 3).reshape(4, 3)
+#: diag(gamma_5) spread over the trailing ``(spin, colour)`` axes — float32,
+#: so the sign pass returns the dtype it is given (``+-1`` is exact in any).
+_GAMMA5_SIGNS = np.repeat(np.diag(GAMMA5).real, 3).reshape(4, 3).astype(np.float32)
 
 
 def gamma5_mul(psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

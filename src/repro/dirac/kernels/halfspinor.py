@@ -41,6 +41,11 @@ backward, mu = 0..3) are sequenced.
   to the other parity's: per-parity packed link planes, plain rolls along
   x, y, z, and a column-masked roll along t.  Same loop, same ``ghosts``,
   same ``sites``; half the sites in every pass of a red-black solve.
+* *Precision is a dtype.*  ``hopping`` / ``faces`` compute and answer in
+  ``phi``'s dtype — complex128, or complex64 at half the bytes per site
+  (the paper's bandwidth lever): link planes are cast once per dtype from
+  the double ``-U/2`` ones, the workspace is keyed on it, faces travel in
+  it.  Same loop; the complex128 bits are unchanged.
 
 Workspace layout (QUDA's field order, Section IV): the loop runs on
 buffers whose *memory* is component-major ``(spin, colour, rhs, x, y, z,
@@ -90,8 +95,9 @@ class _Proj:
     rcoef: np.ndarray
 
 
-def _build_tables() -> tuple[tuple[_Proj, ...], tuple[_Proj, ...]]:
-    """Derive projection/reconstruction tables from the gamma basis."""
+def _build_tables(dtype) -> tuple[tuple[_Proj, ...], tuple[_Proj, ...]]:
+    """Derive projection/reconstruction tables from the gamma basis, their
+    ``+-1``/``+-i`` coefficients held in ``dtype``."""
     fwd: list[_Proj] = []
     bwd: list[_Proj] = []
     rows = np.arange(2)
@@ -101,8 +107,8 @@ def _build_tables() -> tuple[tuple[_Proj, ...], tuple[_Proj, ...]]:
             r = sign * g.GAMMA[mu][2:4, 0:2]
             aidx = np.argmax(np.abs(a), axis=1)
             ridx = np.argmax(np.abs(r), axis=1)
-            acoef = np.ascontiguousarray(a[rows, aidx].reshape(2, 1))
-            rcoef = np.ascontiguousarray(r[rows, ridx].reshape(2, 1))
+            acoef = np.ascontiguousarray(a[rows, aidx].reshape(2, 1), dtype=dtype)
+            rcoef = np.ascontiguousarray(r[rows, ridx].reshape(2, 1), dtype=dtype)
             lower = slice(2, 4) if aidx[0] == 0 else slice(3, 1, -1)
             rsel = slice(0, 2) if ridx[0] == 0 else slice(1, None, -1)
             # Exactness guard: the projector really factors this way.
@@ -113,7 +119,9 @@ def _build_tables() -> tuple[tuple[_Proj, ...], tuple[_Proj, ...]]:
     return tuple(fwd), tuple(bwd)
 
 
-_FWD, _BWD = _build_tables()
+#: ``(forward, backward)`` projector tables by the dtype a hop computes in.
+_TABLES = {np.dtype(t): _build_tables(t) for t in (np.complex128, np.complex64)}
+_FWD, _BWD = _TABLES[np.dtype(np.complex128)]
 
 
 def _aos_view(buf: np.ndarray, ncomp: int) -> np.ndarray:
@@ -128,14 +136,16 @@ def _face(mu: int, high: bool) -> tuple:
     return (slice(None),) * (1 + mu) + (slice(-1, None) if high else slice(0, 1),)
 
 
-def _cut(planes, sites: tuple | None):
-    """Nested tuples of site-indexed arrays (or ``None``), each restricted
-    to the site-axis slices ``sites``."""
-    if planes is None or sites is None:
-        return planes
+def _each(planes, fn):
+    """Nested tuples of site-indexed arrays (or ``None``), ``fn`` of each."""
     if isinstance(planes, tuple):
-        return tuple(_cut(p, sites) for p in planes)
-    return planes[sites]
+        return tuple(_each(p, fn) for p in planes)
+    return None if planes is None else fn(planes)
+
+
+def _cut(planes, sites: tuple | None):
+    """``planes``, each restricted to the site-axis slices ``sites``."""
+    return planes if sites is None else _each(planes, lambda p: p[sites])
 
 
 def _planes(links: np.ndarray, fold=np.ascontiguousarray) -> tuple:
@@ -165,6 +175,7 @@ class HalfSpinorKernel(DslashKernel):
         super().__init__(u, u_dag, geometry)
         self._u = _planes(-0.5 * u)
         self._udag = _planes(-0.5 * u_dag)
+        self._layouts: dict = {}
 
     # -- the checkerboard-packed layout -------------------------------------
     # Site (x, y, z, t) of parity P sits at packed index (x, y, z, t // 2):
@@ -203,14 +214,19 @@ class HalfSpinorKernel(DslashKernel):
         out[..., 1::2, :, :] = np.where(m, p1, p0)
         return out
 
-    def _layout(self, parity: int | None) -> tuple:
+    def _layout(self, parity: int | None, dtype: np.dtype) -> tuple:
         """Link planes of the forward hop (at the output site) and of the
-        backward hop (at the source site), and the t-shift masks of
-        each — for the full or the packed layout."""
-        if parity is None:
-            return self._u, self._udag, (None, None)
-        m, u, udag = self._packed
-        return u[1 - parity], udag[parity], (m[1 - parity], m[parity])
+        backward hop (at the source site) in ``dtype`` — cast once, on
+        first use, from the double ``-U/2`` planes — and the t-shift masks
+        of each, for the full or the packed layout."""
+        if (parity, dtype) not in self._layouts:
+            u, udag, masks = self._u, self._udag, (None, None)
+            if parity is not None:
+                m, pu, pudag = self._packed
+                u, udag, masks = pu[1 - parity], pudag[parity], (m[1 - parity], m[parity])
+            cast = lambda p: p.astype(dtype, copy=False)  # the double planes are themselves
+            self._layouts[parity, dtype] = _each(u, cast), _each(udag, cast), masks
+        return self._layouts[parity, dtype]
 
     # -- primitive steps ----------------------------------------------------
     @staticmethod
@@ -263,12 +279,14 @@ class HalfSpinorKernel(DslashKernel):
         The chain is elementwise, so these are the bits the loop itself
         computes on those planes."""
         high = _face(mu, True)
-        udag = _cut(self._layout(parity)[1][mu], high[1:])
-        fwd = np.empty(phi[high].shape[:-2] + (2, 3), dtype=np.complex128)
+        dtype = np.result_type(phi.dtype, np.complex64)
+        pf, pb = _TABLES[dtype]
+        udag = _cut(self._layout(parity, dtype)[1][mu], high[1:])
+        fwd = np.empty(phi[high].shape[:-2] + (2, 3), dtype=dtype)
         h, bwd = np.empty_like(fwd), np.empty_like(fwd)
-        self._project(phi[_face(mu, False)], _FWD[mu], fwd)
-        self._project(phi[high], _BWD[mu], h)
-        self._color_mul(udag, h, bwd, np.empty(h.shape[:-1], dtype=np.complex128))
+        self._project(phi[_face(mu, False)], pf[mu], fwd)
+        self._project(phi[high], pb[mu], h)
+        self._color_mul(udag, h, bwd, np.empty(h.shape[:-1], dtype=dtype))
         return {("f", mu): fwd, ("b", mu): bwd}
 
     def hopping(
@@ -292,14 +310,15 @@ class HalfSpinorKernel(DslashKernel):
             result holds the other parity's.
         """
         self.applications += 1
-        u, udag, masks = _cut(self._layout(parity), sites)
+        dtype = np.result_type(phi.dtype, np.complex64)
+        u, udag, masks = _cut(self._layout(parity, dtype), sites)
         n, box = phi.shape[0], phi.shape[1:-2]
         tile = min(n, max(1, TILE_BYTES // phi[0].nbytes))
         ws = self.workspace
-        src = _aos_view(ws.get("phi", (4, 3, tile) + box), 2)
-        acc = _aos_view(ws.get("out", (4, 3, tile) + box), 2)
-        tmp = _aos_view(ws.get("cmul_tmp", (2, tile) + box), 1)
-        out = np.empty(phi.shape, dtype=np.complex128)
+        src = _aos_view(ws.get("phi", (4, 3, tile) + box, dtype), 2)
+        acc = _aos_view(ws.get("out", (4, 3, tile) + box, dtype), 2)
+        tmp = _aos_view(ws.get("cmul_tmp", (2, tile) + box, dtype), 1)
+        out = np.empty(phi.shape, dtype=dtype)
         for lo in range(0, n, tile):
             k = min(tile, n - lo)
             cols = slice(lo, lo + k)
@@ -314,9 +333,10 @@ class HalfSpinorKernel(DslashKernel):
     def _hop_tile(self, phi_aos, out_aos, halo, u, udag, masks, phi, out, h, hs, tmp) -> None:
         """One RHS tile: transpose in, the eight hops, transpose out."""
         phi[...] = phi_aos
+        fwd, bwd = _TABLES[phi.dtype]
         for mu in range(4):
             # forward hop: -(1/2) (1 - gamma_mu) U_mu(x) psi(x + mu)
-            pf = _FWD[mu]
+            pf = fwd[mu]
             self._project(phi, pf, h)
             self._shift(h, -1, mu, masks[0], hs)
             if ("f", mu) in halo:
@@ -324,7 +344,7 @@ class HalfSpinorKernel(DslashKernel):
             self._color_mul(u[mu], hs, h, tmp)
             self._accumulate(out, h, pf, hs, first=mu == 0)
             # backward hop: -(1/2) (1 + gamma_mu) U_mu(x-mu)^H psi(x - mu)
-            pb = _BWD[mu]
+            pb = bwd[mu]
             self._project(phi, pb, h)
             self._color_mul(udag[mu], h, hs, tmp)
             self._shift(hs, +1, mu, masks[1], h)

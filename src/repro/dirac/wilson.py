@@ -124,20 +124,23 @@ class WilsonOperator:
         Every application opens an :mod:`repro.obs` span attributed
         with the LQCD-convention flop count (1320/site/RHS) and the
         bytes of one stencil pass (field in + out once per RHS, the
-        links of the sites visited once per application).
+        links of the sites visited once per application, in the dtype
+        the kernel answered in: complex64 planes are half the double
+        ones).  The result has ``psi``'s dtype where the kernel has a
+        complex64 path, else double.
         """
         phi, _ = self._flatten(psi, packed=parity is not None)
-        links = self.u.nbytes + self.u_dag.nbytes
         with obs.span(
             f"dslash.{self._kernel.name}",
             flops=float(phi.size // 12 * wilson_dslash_flops_per_site()),
-            nbytes=float(2 * phi.nbytes + (links if parity is None else links // 2)),
             lead=phi.shape[0],
-        ):
+        ) as sp:
             if parity is None:
                 out = self._kernel.hopping(phi)
             else:
                 out = self._kernel.hopping(phi, parity=parity)
+            links = (self.u.nbytes + self.u_dag.nbytes) * out.itemsize // self.u.itemsize
+            sp.add_bytes(phi.nbytes + out.nbytes + (links if parity is None else links // 2))
         return out.reshape(psi.shape)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:

@@ -523,6 +523,8 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
         **totals,
         solver_mode=mode,
         deflated=eigen is not None,
+        inner=res.inner,  # of the last stack: every stack runs the one solver
+        reliable_updates=res.reliable_updates,
     )
     return {"prop": ref}
 

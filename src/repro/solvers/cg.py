@@ -171,7 +171,7 @@ class BatchedSolveResult:
     already accounts for the full stack width.  ``column_iterations``
     (when the solver records it) is the iteration at which each system
     froze — what :meth:`ConjugateGradient.solve` would have counted for
-    that column alone.
+    that column alone; ``inner``, the dtype the recurrence ran in.
     """
 
     x: np.ndarray
@@ -183,6 +183,7 @@ class BatchedSolveResult:
     reliable_updates: int = 0
     matvecs: int = 0
     column_iterations: np.ndarray | None = None
+    inner: str = "complex128"
 
     @property
     def n_rhs(self) -> int:
@@ -228,7 +229,7 @@ def _batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     reduce it alone, so a column of a stacked solve is *exact on any
     host* against its own one-column solve.
     """
-    return np.array([np.vdot(a[i], b[i]).real for i in range(a.shape[0])])
+    return np.array([np.vdot(a[i], b[i]).real for i in range(a.shape[0])], dtype=np.float64)
 
 
 def _batch_norm(a: np.ndarray) -> np.ndarray:

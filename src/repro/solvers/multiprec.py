@@ -6,13 +6,15 @@ using 16-bit precision fixed-point storage (utilizing single-precision
 computation) with occasional reliable updates to full double precision"
 — Section IV.
 
-The emulation is faithful at the level that matters numerically: every
-Krylov vector passes through the low-precision *storage* format
-(:class:`repro.solvers.precision.HalfPrecision` round-trip) once per
-iteration, arithmetic runs in float32 where the paper uses
-single-precision compute, and the accumulated solution and true residual
-are refreshed in double precision whenever the inner residual has dropped
-by the reliable-update factor ``delta``.
+Single precision is *executed*: the Krylov vectors are complex64 arrays,
+``matvec`` is called on them and answers in them (what an operator
+without a complex64 path answers is stored as complex64) — half the
+bytes per site, the paper's lever.  16-bit fixed point is *emulated*
+(numpy has no arithmetic on it): complex128 vectors pass through the
+:class:`HalfPrecision` storage round-trip once per iteration, the
+operator's answer through a complex64 cast.  Either way solution and
+true residual are refreshed in double whenever the inner residual has
+dropped by ``delta``, and convergence is only declared on a refresh.
 
 With ``storage="compressed"`` the inner-loop Krylov vectors (residual,
 search direction, partial solution) are additionally *persisted* between
@@ -52,7 +54,7 @@ from repro.solvers.cg import (
     _width_one,
 )
 from repro.solvers.halfstore import Half16Codec
-from repro.solvers.precision import DoublePrecision, HalfPrecision, Precision
+from repro.solvers.precision import DoublePrecision, HalfPrecision, Precision, SinglePrecision
 
 __all__ = ["ReliableUpdateCG", "RUCGState", "save_ru_state", "load_ru_state"]
 
@@ -131,16 +133,17 @@ class ReliableUpdateCG:
     Parameters
     ----------
     inner_precision:
-        Storage format for the inner-loop Krylov vectors (``half`` for
-        the paper's double-half solver; ``double`` makes this degenerate
-        to plain CG).
+        Format of the inner-loop Krylov vectors: ``half`` (emulated
+        storage, the paper's double-half solver), ``single`` (executed:
+        complex64 vectors and operator) or ``double`` (plain CG).
     tol:
         Target *double-precision* relative residual.
     delta:
         Reliable-update trigger: when the inner recurrence residual falls
         below ``delta`` times the residual at the last reliable update,
         recompute the true residual in double precision and restart the
-        recurrence from it.
+        recurrence from it (0.1 suits half; ``rank_solve`` runs single
+        at ``sqrt(epsilon)``).
     max_iter:
         Total operator-application cap across all cycles.
     flops_per_matvec, blas_flops_per_iter:
@@ -172,27 +175,31 @@ class ReliableUpdateCG:
             raise ValueError(
                 f"storage must be 'dense' or 'compressed', got {self.storage!r}"
             )
+        self._codec: Half16Codec | None = None
         if self.storage == "compressed":
             if not isinstance(self.inner_precision, HalfPrecision):
                 raise ValueError(
                     "compressed storage requires a HalfPrecision inner format; "
                     f"got {type(self.inner_precision).__name__}"
                 )
-            self._codec: Half16Codec | None = Half16Codec(self.inner_precision)
-        else:
-            self._codec = None
+            self._codec = Half16Codec(self.inner_precision)
+        #: dtype the cycle's arithmetic runs in: single precision is executed
+        single = isinstance(self.inner_precision, SinglePrecision)
+        self._dtype = np.dtype(np.complex64 if single else np.complex128)
         #: resident bytes of the persisted inner Krylov triplet (r, p, x)
         #: in the most recent inner cycle — reported on solve spans
         self._last_storage_nbytes = 0
 
     def _truncate(self, v: np.ndarray) -> np.ndarray:
-        """One storage round-trip through the inner format."""
+        """One storage round-trip (executed single: the complex64 array)."""
+        if self._dtype == np.complex64:
+            return np.asarray(v, dtype=np.complex64)
         return self.inner_precision.roundtrip(v)
 
     def _persist(self, v: np.ndarray):
         """Store a vector in the inner format, returning its handle.
 
-        Dense mode: the handle *is* the round-tripped complex128 array.
+        Dense mode: the handle *is* the round-tripped array.
         Compressed mode: the handle is a :class:`Half16Field`; decoding
         it yields exactly the values the dense round-trip would.
         """
@@ -201,16 +208,16 @@ class ReliableUpdateCG:
         return self._truncate(v)
 
     def _use(self, h) -> np.ndarray:
-        """Materialize a persisted handle as a complex128 array."""
+        """Materialize a persisted handle as the array arithmetic runs on."""
         if self._codec is not None:
             return self._codec.decode(h)
         return h
 
     def _compute(self, v: np.ndarray) -> np.ndarray:
-        """Model single-precision arithmetic for non-double inner formats."""
+        """Single-precision arithmetic (half's emulation casts it back)."""
         if isinstance(self.inner_precision, DoublePrecision):
             return v
-        return v.astype(np.complex64).astype(np.complex128)
+        return np.asarray(v, dtype=np.complex64).astype(self._dtype, copy=False)
 
     def solve(
         self,
@@ -224,8 +231,7 @@ class ReliableUpdateCG:
     ) -> SolveResult:
         """Solve ``A x = b`` — the width-1 call of :meth:`_run`;
         ``matvec`` is always evaluated on the dequantized, unstacked
-        vector (the stencil itself runs in the compute precision, which
-        the storage round-trip already bounds).
+        vector.
 
         ``state`` resumes from a reliable-update-boundary checkpoint;
         with ``checkpoint_every > 0``, ``on_checkpoint`` receives an
@@ -271,6 +277,7 @@ class ReliableUpdateCG:
             sp,
             result,
             reliable_updates=result.reliable_updates,
+            inner=self._dtype.name,
             storage=self.storage,
             storage_nbytes=self._last_storage_nbytes,
         )
@@ -300,7 +307,8 @@ class ReliableUpdateCG:
         """
         b = np.asarray(b, dtype=np.complex128)
         k = b.shape[0]
-        lead = (k,) + (1,) * (b.ndim - 1)
+        real = np.finfo(self._dtype).dtype  # per-system scalars must not widen an update
+        col = lambda s: s.reshape((k,) + (1,) * (b.ndim - 1)).astype(real)
         cost = k * self.flops_per_matvec  # one stacked application
         if state is not None:
             bnorm = np.asarray(state.bnorm, dtype=np.float64)
@@ -336,8 +344,8 @@ class ReliableUpdateCG:
         while iterations < self.max_iter and not bool(converged.all()):
             # --- start (or restart) an inner low-precision cycle -------
             # Krylov vectors live as storage handles between iterations:
-            # dense complex128 round-trips or compressed Half16Fields,
-            # decoding to identical values either way.
+            # complex64 arrays, or dense complex128 round-trips / compressed
+            # Half16Fields decoding to identical values.
             prev_anchor = anchor
             r_s = self._persist(r_true)
             p_s = r_s.copy()
@@ -349,7 +357,7 @@ class ReliableUpdateCG:
 
             while iterations < self.max_iter:
                 p = self._use(p_s)
-                ap = self._compute(matvec(self.inner_precision.roundtrip(p)))
+                ap = self._compute(matvec(self._truncate(p)))
                 iterations += 1
                 matvecs += k
                 flops += k * (self.flops_per_matvec + self.blas_flops_per_iter)
@@ -358,15 +366,15 @@ class ReliableUpdateCG:
                 if not bool(ok.any()):
                     break
                 alpha = np.where(ok, rsq / np.where(p_ap > 0.0, p_ap, 1.0), 0.0)
-                x_s = self._persist(self._use(x_s) + alpha.reshape(lead) * p)
-                r_s = self._persist(r - alpha.reshape(lead) * ap)
+                x_s = self._persist(self._use(x_s) + col(alpha) * p)
+                r_s = self._persist(r - col(alpha) * ap)
                 r = self._use(r_s)
                 new_rsq = dot(r, r)
                 rnorm = np.sqrt(new_rsq)
                 history.append(rnorm / safe_bnorm)
                 beta = np.where(ok, new_rsq / np.where(rsq > 0.0, rsq, 1.0), 0.0)
                 rsq = new_rsq
-                p_s = self._persist(r + beta.reshape(lead) * p)
+                p_s = self._persist(r + col(beta) * p)
                 active = ok & (rnorm > self.delta * anchor) & (rnorm > target)
                 if not bool(active.any()):
                     break
@@ -396,14 +404,9 @@ class ReliableUpdateCG:
             if bool(np.all(anchor[~converged] >= prev_anchor[~converged])):
                 break  # no unconverged system made progress: breakdown
 
-        resid = b - matvec(x)
+        # x is untouched since the last refresh: anchor is |b - A x|
         return BatchedSolveResult(
-            x=x,
-            converged=converged,
-            iterations=iterations,
-            final_relres=np.sqrt(dot(resid, resid)) / safe_bnorm,
-            flops=flops + cost,
-            residual_history=history,
-            reliable_updates=reliable_updates,
-            matvecs=matvecs + k,
+            x=x, converged=converged, iterations=iterations, final_relres=anchor / safe_bnorm,
+            flops=flops, residual_history=history, reliable_updates=reliable_updates,
+            matvecs=matvecs, inner=self._dtype.name,
         )

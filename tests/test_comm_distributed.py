@@ -77,6 +77,46 @@ def test_hopping_parity_across_transports(transport, ranks):
     assert np.array_equal(got, serial.hopping(psi))
 
 
+@pytest.mark.parametrize(
+    "ranks,policy",
+    [(1, "blocking"), (2, "blocking"), (2, "pairwise"), (2, "overlap"), (4, "overlap")],
+)
+def test_complex64_ops_bitwise(transport, ranks, policy):
+    """Precision is a dtype of the one stencil: given complex64 fields the
+    rank ops compute and answer in complex64, their halo faces travel in
+    it, and — no reduction involved — they equal the serial complex64
+    chain on any rank count, transport and schedule (exact on any host)."""
+    gauge, psi = _background((8, 4, 2, 8))
+    psi = psi.astype(np.complex64)
+    serial = WilsonOperator(gauge, MASS, backend="halfspinor")
+    eo = EvenOddWilson(serial)
+    x = eo.restrict(psi, 0)
+    knobs = dict(transport=transport, ranks=ranks, policy=policy)
+    for op, arg, want in (
+        ("apply", psi, serial.apply(psi)),
+        ("schur_normal", x, eo.schur_normal_apply(x)),
+    ):
+        got = dist_fieldwise(op, gauge, MASS, arg, **knobs)
+        assert want.dtype == got.dtype == np.complex64, op
+        assert np.array_equal(got, want), op
+
+
+def test_complex64_faces_halve_the_halo_bytes():
+    """The exchanger carries ``(shape, dtype)``: a complex64 hop sends
+    half the bytes of a complex128 one, in as many rounds and messages."""
+    gauge, psi = _background((8, 4, 2, 8))
+    with DecompRuntime(gauge, MASS, ranks=2, max_rhs=2) as rt:
+        marks = [rt.halo_stats()[0]]
+        for field in (psi, psi.astype(np.complex64)):
+            rt.hopping(field)
+            marks.append(rt.halo_stats()[0])
+    double, single = (
+        {k: b[k] - a[k] for k in ("rounds", "messages", "bytes_sent")}
+        for a, b in zip(marks, marks[1:])
+    )
+    assert single == {**double, "bytes_sent": double["bytes_sent"] // 2}
+
+
 @pytest.mark.parametrize("policy", ["blocking", "pairwise", "overlap"])
 def test_ghosts_follow_the_rhs_tile(monkeypatch, policy):
     """The exchange happens once per hopping, for the whole stack; each

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm.distributed import DistributedCG, DistributedEvenOddOperator
+from repro.comm.distributed import DecompRuntime, DistributedCG, DistributedEvenOddOperator
 from repro.comm.transports import dist_solve
 from repro.dirac.evenodd_wilson import EvenOddWilson
 from repro.dirac.wilson import WilsonOperator
@@ -178,6 +178,92 @@ def test_rucg_parity_across_transports(transport):
     assert np.array_equal(got.x, want.x)
     assert got.converged.all()
     assert got.final_relres.max() < 10 * TOL
+
+
+# -- the default: the paper's red-black double-single solver -------------------
+
+SQRT_EPS_SINGLE = float(np.sqrt(np.finfo(np.float32).eps))
+
+
+def _true_relres(gauge, b, x):
+    r = b - WilsonOperator(gauge, MASS).apply(x)
+    axes = tuple(range(1, r.ndim))
+    return np.sqrt(np.sum(np.abs(r) ** 2, axis=axes) / np.sum(np.abs(b) ** 2, axis=axes))
+
+
+def test_default_solve_bitwise_invariant_under_ranks_and_policies():
+    """Deterministic, same host: the complex64 inner loop keeps the
+    collective reducer and the serial stencil's per-site chain, so the
+    default solve gives identical bits on 1, 2 and 4 ranks under every
+    halo schedule."""
+    gauge, b = _sources((4, 4, 4, 8))
+    runs = [(1, "blocking"), (2, "blocking"), (2, "pairwise"), (2, "overlap"), (4, "blocking")]
+    results = []
+    for ranks, policy in runs:
+        with DecompRuntime(gauge, MASS, ranks=ranks, policy=policy) as rt:
+            results.append(rt.solve_cgne(b, tol=TOL, max_iter=2000))
+    want = results[0]
+    assert want.converged.all() and want.inner == "complex64"
+    for run, got in zip(runs[1:], results[1:]):
+        assert (got.iterations, got.reliable_updates, got.matvecs) == (
+            want.iterations, want.reliable_updates, want.matvecs), run
+        assert np.array_equal(got.x, want.x), run
+        assert np.array_equal(got.final_relres, want.final_relres), run
+
+
+def test_default_solve_parity_across_transports(transport):
+    """The default is ``reliable=True`` at ``delta = sqrt(eps_single)``:
+    spelled out through every transport it gives the threaded default's
+    bits (deterministic, same host)."""
+    gauge, b = _sources((4, 4, 4, 8), n_rhs=2)
+    with DecompRuntime(gauge, MASS, ranks=2, max_rhs=2) as rt:
+        want = rt.solve_cgne(b, tol=TOL)
+    got = dist_solve(
+        gauge, MASS, b, transport=transport, ranks=2, tol=TOL,
+        reliable=True, delta=SQRT_EPS_SINGLE,
+    )
+    assert got.inner == want.inner == "complex64"
+    assert (got.iterations, got.reliable_updates) == (want.iterations, want.reliable_updates)
+    assert np.array_equal(got.x, want.x)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-8, 1e-10])
+def test_default_solve_meets_the_double_tolerance(tol):
+    """Single-precision work, double-precision answer: every column
+    converges on a double refresh and the *full* system's true residual
+    (serial operator) is within 10 tol, also below eps_single — where one
+    refresh cannot be enough.  ``reliable=False`` is still the all-double
+    chain ``DistributedCG`` pins, to the bit."""
+    gauge, b = _sources((4, 4, 4, 8))
+    with DistributedEvenOddOperator(gauge, MASS, ranks=2) as op:
+        mixed = op.runtime.solve_cgne(b, tol=tol, max_iter=2000)
+        double = op.runtime.solve_cgne(b, tol=tol, max_iter=2000, reliable=False)
+        pinned = DistributedCG(op, tol=tol, max_iter=2000).solve_batched(b)
+    assert mixed.converged.all() and mixed.inner == "complex64"
+    assert mixed.reliable_updates >= (2 if tol < np.finfo(np.float32).eps else 1)
+    assert mixed.matvecs == b.shape[0] * (mixed.iterations + mixed.reliable_updates)
+    assert (double.inner, double.reliable_updates) == ("complex128", 0)
+    assert np.array_equal(double.x, pinned.x)
+    for res in (mixed, double):
+        assert _true_relres(gauge, b, res.x).max() <= 10 * tol
+    assert np.abs(mixed.x - double.x).max() <= 10 * tol * np.abs(double.x).max()
+
+
+def test_delta_none_is_sqrt_eps_and_explicit_delta_is_honoured():
+    """At tol 1e-3 the inner loop reaches the target before a
+    ``sqrt(eps_single)`` trigger fires — one double refresh, the
+    all-double solve's iteration count; QUDA's half-precision heuristic
+    0.1 pays three."""
+    gauge, b = _sources((4, 4, 4, 8))
+    with DecompRuntime(gauge, MASS, ranks=2) as rt:
+        default = rt.solve_cgne(b, tol=1e-3)
+        spelled = rt.solve_cgne(b, tol=1e-3, delta=SQRT_EPS_SINGLE)
+        half = rt.solve_cgne(b, tol=1e-3, delta=0.1)
+        double = rt.solve_cgne(b, tol=1e-3, reliable=False)
+    assert np.array_equal(default.x, spelled.x)
+    assert (default.reliable_updates, half.reliable_updates) == (1, 3)
+    assert default.iterations == double.iterations
+    assert half.converged.all() and half.matvecs > default.matvecs == double.matvecs
 
 
 def test_mpi_worker_selftest_over_loopback():

@@ -207,6 +207,25 @@ def test_rucg_bitwise_invariant_under_ranks():
     assert results[1].final_relres.max() < 1e-7
 
 
+def test_default_solve_through_the_compiled_engine():
+    """The SoA tier has no complex64 path: it takes the cast at its
+    boundary, answers in double, and the cycle stores that in complex64 —
+    the default solve is correct there (not faster), rank-invariant, and
+    meets the same tolerance."""
+    from repro.dirac.wilson import WilsonOperator
+
+    gauge, b = _background((4, 4, 2, 4), n_rhs=1, seed=7)
+    results = {}
+    for ranks in (1, 2):
+        with DecompRuntime(gauge, MASS, ranks=ranks, engine="compiled", max_rhs=1) as rt:
+            results[ranks] = rt.solve_cgne(b, tol=1e-6)
+    res = results[1]
+    assert res.converged.all() and res.inner == "complex64" and res.reliable_updates >= 1
+    assert np.array_equal(results[2].x, res.x)
+    r = b - WilsonOperator(gauge, MASS).apply(res.x)
+    assert np.linalg.norm(r) <= 1e-5 * np.linalg.norm(b)
+
+
 def test_halo_stats_reports_engine_and_overlap_window():
     gauge, psi = _background((8, 4, 2, 8))
     with DistributedWilsonOperator(

@@ -172,6 +172,84 @@ class TestTiledWorkspace:
         assert kernel.workspace.nbytes <= untiled + slack
 
 
+class TestComplex64Stencil:
+    """Precision is a dtype of the one stencil: a complex64 field is
+    computed on (and answered) in complex64, within single rounding of
+    the complex128 result; complex128 stays the reference."""
+
+    DIMS = (4, 6, 2, 8)
+
+    @classmethod
+    def _wilson(cls):
+        gauge = GaugeField.random(Geometry(*cls.DIMS), make_rng(3), scale=0.3)
+        return WilsonOperator(gauge, mass=0.3, backend="halfspinor")
+
+    @staticmethod
+    def _close(got, want):
+        assert got.dtype == np.complex64
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    def test_full_and_packed_hops_agree_with_double(self, rng):
+        w = self._wilson()
+        k = w.kernel
+        psi = random_fermion(rng, (3,) + self.DIMS + (4, 3))
+        psi32 = psi.astype(np.complex64)
+        self._close(k.hopping(psi32), k.hopping(psi))
+        self._close(w.apply_dagger(psi32), w.apply_dagger(psi))
+        for parity in (0, 1):
+            packed = k.pack(psi32, parity)
+            assert packed.dtype == np.complex64
+            self._close(
+                w.hopping(packed, parity=parity), w.hopping(k.pack(psi, parity), parity=parity)
+            )
+        assert k.unpack(k.pack(psi32, 0), k.pack(psi32, 1)).dtype == np.complex64
+        assert np.array_equal(k.unpack(k.pack(psi32, 0), k.pack(psi32, 1)), psi32)
+
+    @pytest.mark.parametrize("parity", [None, 0, 1])
+    def test_ghosts_and_site_boxes(self, rng, parity):
+        """A box whose neighbour is itself: its own faces are its ghosts
+        (exactly the periodic wrap), and a two-plane ``sites`` slab
+        recomputes a boundary plane to the bit — in complex64 as in
+        complex128 — with faces that travel in complex64."""
+        k = self._wilson().kernel
+        psi = random_fermion(rng, (2,) + self.DIMS + (4, 3)).astype(np.complex64)
+        phi = psi if parity is None else k.pack(psi, parity)
+        want = k.hopping(phi, parity=parity)
+        for mu in (0, 1):
+            ghosts = k.faces(phi, mu, parity)
+            assert all(f.dtype == np.complex64 for f in ghosts.values())
+            assert np.array_equal(k.hopping(phi, ghosts, parity=parity), want)
+            box = (slice(None),) * (1 + mu) + (slice(0, 2),)
+            slab = k.hopping(
+                phi[box], {t: f[box] for t, f in ghosts.items()}, box[1:], parity
+            )
+            low = (slice(None),) * (1 + mu) + (slice(0, 1),)
+            assert slab.dtype == np.complex64
+            assert np.array_equal(slab[low], want[low])
+
+    def test_multi_tile_stack_is_its_columns(self, rng, monkeypatch):
+        """Tile boundaries (two complex64 columns per tile here) change no
+        bit, as in complex128."""
+        from repro.dirac.kernels import halfspinor
+
+        k = self._wilson().kernel
+        stack = random_fermion(rng, (5,) + self.DIMS + (4, 3)).astype(np.complex64)
+        alone = [k.hopping(stack[i : i + 1])[0] for i in range(5)]
+        monkeypatch.setattr(halfspinor, "TILE_BYTES", 2 * stack[0].nbytes)
+        batched = k.hopping(stack)
+        for i in range(5):
+            assert np.array_equal(batched[i], alone[i]), i
+
+    def test_kernels_without_a_complex64_path_stay_correct(self, gauge_tiny, rng):
+        """The reference stencil multiplies by its double links whatever
+        it is given: correct to single rounding, not faster, no
+        capability flag."""
+        psi = random_fermion(rng, gauge_tiny.geometry.dims + (4, 3))
+        w = WilsonOperator(gauge_tiny, mass=0.2, backend="reference")
+        got, want = w.hopping(psi.astype(np.complex64)), w.hopping(psi)
+        assert np.abs(got - want).max() <= 2e-6 * np.abs(want).max()
+
+
 class TestWorkspace:
     def test_buffers_reused_by_shape(self):
         ws = Workspace()

@@ -175,6 +175,38 @@ def test_packed_hopping_is_the_kernels_and_a_half_volume_span(tmp_path, gauge_ti
         op.hopping(psi, parity=0)  # a full-lattice field is not a packed one
 
 
+def test_spans_say_which_precision_ran(tmp_path, gauge_tiny):
+    """``dslash.*`` charges the field in and out plus the link planes in
+    the dtype the kernel answered in (complex64 planes are half the double
+    ones); ``rucg.*`` names the dtype its inner loop ran in."""
+    from repro.dirac import WilsonOperator
+    from repro.dirac.evenodd_wilson import EvenOddWilson
+    from repro.solvers import PRECISIONS, ReliableUpdateCG
+
+    op = WilsonOperator(gauge_tiny, mass=0.3, backend="halfspinor")
+    rng = np.random.default_rng(9)
+    psi = rng.normal(size=(1,) + gauge_tiny.geometry.dims + (4, 3)) + 0j
+    links = op.u.nbytes + op.u_dag.nbytes
+    obs.enable(tmp_path / "hop")
+    op.hopping(psi)
+    op.hopping(psi.astype(np.complex64))
+    op.hopping(op.kernel.pack(psi.astype(np.complex64), 0), parity=0)
+    obs.disable()
+    assert [s["bytes"] for s in obs.load_spans(tmp_path / "hop")] == [
+        2 * psi.nbytes + links, psi.nbytes + links // 2, psi.nbytes // 2 + links // 4
+    ]
+
+    eo = EvenOddWilson(op)
+    rhs = eo.schur_dagger_apply(eo.prepare_rhs(psi))
+    for name, dtype in (("single", "complex64"), ("half", "complex128")):
+        obs.enable(tmp_path / name)
+        res = ReliableUpdateCG(PRECISIONS[name], tol=1e-6).solve_batched(eo.schur_normal_apply, rhs)
+        obs.disable()
+        (sp,) = [s for s in obs.load_spans(tmp_path / name) if s["name"] == "rucg.solve_batched"]
+        assert res.inner == sp["args"]["inner"] == dtype
+        assert sp["args"]["reliable_updates"] == res.reliable_updates >= 1
+
+
 def test_cg_solver_span_carries_flops_and_outcome(tmp_path):
     from repro.solvers.cg import ConjugateGradient
 

@@ -493,7 +493,7 @@ class TestSchurColumnStacks:
         for ranks in (1, 2):
             rt = DecompRuntime(gauge, mass, ranks=ranks, transport="threads")
             try:
-                dist = rt.solve_cgne(b, tol=tol)
+                dist = rt.solve_cgne(b, tol=tol, reliable=False)
             finally:
                 rt.close()
             assert np.array_equal(dist.x, eo.reconstruct(on_slices.x, b))

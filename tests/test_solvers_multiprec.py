@@ -92,6 +92,57 @@ class TestReliableUpdates:
         assert mp.iterations <= 2.0 * cg.iterations + 10
 
 
+class TestSingleIsExecuted:
+    """``SinglePrecision`` is a dtype the cycle runs in, not a round trip."""
+
+    @staticmethod
+    def _system(gauge, rng, backend):
+        from repro.dirac import EvenOddWilson, WilsonOperator
+
+        eo = EvenOddWilson(WilsonOperator(gauge, mass=0.3, backend=backend))
+        b = random_fermion(rng, (2,) + gauge.geometry.dims + (4, 3))
+        return eo, b, eo.schur_dagger_apply(eo.prepare_rhs(b))
+
+    def test_inner_loop_never_leaves_complex64(self, gauge_tiny, rng):
+        """Every inner application is handed the complex64 Krylov vector
+        itself and answers in complex64; the operator sees complex128
+        exactly once per reliable update (the refresh), and the exit
+        reuses that refresh instead of applying it again."""
+        eo, _, rhs = self._system(gauge_tiny, rng, "halfspinor")
+        seen = []
+
+        def matvec(v):
+            out = eo.schur_normal_apply(v)
+            seen.append((v.dtype, out.dtype))
+            return out
+
+        solver = ReliableUpdateCG(PRECISIONS["single"], tol=1e-10, delta=1e-3)
+        res = solver.solve_batched(matvec, rhs)
+        assert res.converged.all() and res.reliable_updates >= 2
+        assert res.inner == "complex64"
+        single = [pair for pair in seen if pair[0] == np.complex64]
+        assert single == [(np.complex64, np.complex64)] * res.iterations
+        assert len(seen) - len(single) == res.reliable_updates
+        assert res.matvecs == rhs.shape[0] * len(seen)
+        resid = rhs - eo.schur_normal_apply(res.x)
+        norm = lambda a: np.sqrt([np.vdot(c, c).real for c in a])
+        want = norm(resid) / norm(rhs)  # what the parent's extra application computed
+        assert np.array_equal(res.final_relres, want)
+
+    def test_operator_without_a_complex64_path(self, gauge_tiny, rng):
+        """``backend="reference"`` multiplies in double whatever it is
+        given; the cycle stores what it gets in complex64 and reaches the
+        same tolerance on the full system."""
+        eo, b, rhs = self._system(gauge_tiny, rng, "reference")
+        res = ReliableUpdateCG(PRECISIONS["single"], tol=1e-9, delta=1e-3).solve_batched(
+            eo.schur_normal_apply, rhs
+        )
+        assert res.converged.all()
+        x = eo.reconstruct(res.x, b)
+        r = b - eo.wilson.apply(x)
+        assert np.linalg.norm(r) <= 1e-7 * np.linalg.norm(b)
+
+
 class TestOnMobius:
     def test_double_half_on_preconditioned_dwf(self, gauge_tiny, rng):
         """The paper's solver on the paper's operator (tiny volume)."""
