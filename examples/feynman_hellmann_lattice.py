@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.contractions import proton_correlator
-from repro.contractions.propagator import Propagator, point_source
+from repro.contractions.propagator import Propagator, point_sources, solve_columns
 from repro.core.feynman_hellmann import (
     SPIN_POLARIZED_PROJ,
     AxialInsertion4D,
@@ -25,7 +25,7 @@ from repro.core.feynman_hellmann import (
 )
 from repro.dirac import WilsonOperator
 from repro.lattice import GaugeField, Geometry, HeatbathUpdater
-from repro.solvers import ConjugateGradient, solve_normal_equations
+from repro.solvers import ConjugateGradient
 from repro.utils.rng import make_rng
 from repro.utils.tables import format_table
 
@@ -33,13 +33,8 @@ from repro.utils.tables import format_table
 def perturbed_propagator(wilson, geom, solver, lam):
     """All 12 columns of (D - lam Gamma)^{-1} at the origin."""
     pert = PerturbedOperator(wilson, AxialInsertion4D(), lam)
-    data = np.zeros(geom.dims + (4, 4, 3, 3), dtype=np.complex128)
-    for spin in range(4):
-        for color in range(3):
-            b = point_source(geom, (0, 0, 0, 0), spin, color)
-            res = solve_normal_equations(pert.apply, pert.apply_dagger, b, solver)
-            data[..., :, spin, :, color] = res.x
-    return Propagator(data, (0, 0, 0, 0))
+    x, _ = solve_columns(pert, point_sources(geom, (0, 0, 0, 0)), solver, schur=False)
+    return Propagator.from_columns(x, (0, 0, 0, 0))
 
 
 def main() -> None:

@@ -9,12 +9,15 @@ einsum contractions over spin and colour.
 from repro.contractions.propagator import (
     Propagator,
     SchurColumnStacks,
+    collect_columns,
     column_relres,
     compute_propagator,
     compute_wilson_propagator,
     point_source,
-    point_source_5d,
+    point_sources,
+    point_sources_5d,
     solve_column_stacks,
+    solve_columns,
     stack_width,
 )
 from repro.contractions.mesons import pion_correlator
@@ -30,13 +33,16 @@ from repro.contractions.sequential import (
 __all__ = [
     "Propagator",
     "point_source",
-    "point_source_5d",
+    "point_sources",
+    "point_sources_5d",
     "compute_propagator",
     "compute_wilson_propagator",
     "solve_column_stacks",
     "stack_width",
     "SchurColumnStacks",
     "column_relres",
+    "collect_columns",
+    "solve_columns",
     "pion_correlator",
     "proton_correlator",
     "proton_correlator_bilinear",

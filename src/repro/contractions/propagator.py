@@ -12,12 +12,19 @@ wall source ``B(s) = delta_{s,Ls-1} P_- eta + delta_{s,0} P_+ eta`` and
 projecting the solution back onto the walls.  (We omit the Mobius
 ``D_-`` contact-term factor; it affects only contact terms and overall
 normalization, which cancel in the correlator ratios used for ``g_A``.)
+
+Every 12-column solve is written here once: the sources
+(:func:`point_sources`), column stacks of the red-black system
+(:class:`SchurColumnStacks`) or the full operator
+(:func:`solve_column_stacks`), and their one consumer
+(:func:`collect_columns`) — :func:`solve_columns` chains them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -32,22 +39,23 @@ from repro.solvers.cg import (
     CGState,
     ConjugateGradient,
     SolveResult,
-    solve_normal_equations,
     solve_normal_equations_batched,
 )
 
 __all__ = [
     "Propagator",
     "point_source",
-    "point_source_5d",
+    "point_sources",
+    "point_sources_5d",
+    "boundary_project",
     "compute_propagator",
     "compute_wilson_propagator",
-    "solve_5d",
-    "solve_5d_batched",
     "stack_width",
     "solve_column_stacks",
     "SchurColumnStacks",
     "column_relres",
+    "collect_columns",
+    "solve_columns",
 ]
 
 
@@ -77,6 +85,11 @@ class Propagator:
         each ``dims + (snk spin, snk colour)``."""
         cols = x.reshape((4, 3) + x.shape[1:])
         return cls(np.ascontiguousarray(np.moveaxis(cols, (0, 1), (-3, -1))), source)
+
+    def columns(self) -> np.ndarray:
+        """The 12 columns as a fresh stack — the inverse of :meth:`from_columns`."""
+        cols = np.moveaxis(self.data, (-3, -1), (0, 1))
+        return cols.reshape((12,) + cols.shape[2:])
 
     @property
     def geometry_dims(self) -> tuple[int, ...]:
@@ -108,23 +121,25 @@ def point_source(geometry: Geometry, site: tuple[int, int, int, int], spin: int,
     return src
 
 
-def point_source_5d(mobius: MobiusOperator, site: tuple[int, int, int, int], spin: int, color: int) -> np.ndarray:
-    """Wall source for a 4D point source through the 5th dimension."""
-    eta = point_source(mobius.geometry, site, spin, color)
-    src = np.zeros(mobius.field_shape, dtype=np.complex128)
-    src[-1] = g.proj_minus(eta)
-    src[0] += g.proj_plus(eta)
+def point_sources(geometry: Geometry, site: tuple[int, int, int, int]) -> np.ndarray:
+    """The 12 point sources at ``site`` as one stack, column ``3 * spin +
+    color`` (the order :meth:`Propagator.from_columns` reads)."""
+    return np.stack([point_source(geometry, site, *divmod(k, 3)) for k in range(12)])
+
+
+def point_sources_5d(mobius: MobiusOperator, site: tuple[int, int, int, int]) -> np.ndarray:
+    """The 12 wall sources of :func:`point_sources` through the 5th dimension."""
+    eta = point_sources(mobius.geometry, site)
+    src = np.zeros((12,) + mobius.field_shape, dtype=np.complex128)
+    src[:, -1] = g.proj_minus(eta)
+    src[:, 0] += g.proj_plus(eta)
     return src
 
 
-def _boundary_project(psi5: np.ndarray) -> np.ndarray:
-    """Physical 4D quark field from a 5D solution."""
-    return g.proj_minus(psi5[0]) + g.proj_plus(psi5[-1])
-
-
-def _boundary_project_batched(psi5: np.ndarray) -> np.ndarray:
-    """Boundary projection of a ``(n_rhs, Ls, ...)`` solution stack."""
-    return g.proj_minus(psi5[:, 0]) + g.proj_plus(psi5[:, -1])
+def boundary_project(psi5: np.ndarray) -> np.ndarray:
+    """Physical 4D quark field of 5D fields (any leading axes)."""
+    walls = np.moveaxis(psi5, MobiusOperator.S_AXIS, 0)
+    return g.proj_minus(walls[0]) + g.proj_plus(walls[-1])
 
 
 def compute_propagator(
@@ -133,7 +148,6 @@ def compute_propagator(
     solver: ConjugateGradient | None = None,
     use_evenodd: bool = True,
     source_transform: Callable[[np.ndarray], np.ndarray] | None = None,
-    batched: bool = False,
 ) -> tuple[Propagator, list[SolveResult]]:
     """Solve the 12 spin-colour systems for one domain-wall propagator.
 
@@ -148,102 +162,20 @@ def compute_propagator(
     use_evenodd:
         Solve the red-black preconditioned system (the production path).
     source_transform:
-        Optional map applied to each 5D wall source before solving —
-        used by the Feynman-Hellmann machinery to build sequential-style
-        sources.
-    batched:
-        Stack the 12 spin-colour sources on a leading axis and solve
-        them in one lock-step multi-RHS CG, so each iteration reads the
-        gauge field once for all columns.
+        Optional map applied to each 5D wall source before solving.
 
     Returns
     -------
     (propagator, solve_results):
-        The assembled 4D propagator and the per-column solver stats
-        (per-RHS views of the batched result when ``batched=True``).
+        The assembled 4D propagator and the per-column solver stats (each
+        ``x`` the column's 5D solution).
     """
     solver = solver or ConjugateGradient(tol=1e-8, max_iter=5000)
-    geom = mobius.geometry
-    data = np.zeros(geom.dims + (4, 4, 3, 3), dtype=np.complex128)
-    eo = EvenOddMobius(mobius) if use_evenodd else None
-
-    if batched:
-        sources = []
-        for spin in range(4):
-            for color in range(3):
-                b = point_source_5d(mobius, site, spin, color)
-                if source_transform is not None:
-                    b = source_transform(b)
-                sources.append(b)
-        stack = np.stack(sources, axis=0)
-        psi5, batch_res = solve_5d_batched(mobius, stack, solver, eo)
-        return Propagator.from_columns(_boundary_project_batched(psi5), site), batch_res.split()
-
-    results: list[SolveResult] = []
-    for spin in range(4):
-        for color in range(3):
-            b = point_source_5d(mobius, site, spin, color)
-            if source_transform is not None:
-                b = source_transform(b)
-            psi5, res = solve_5d(mobius, b, solver, eo)
-            results.append(res)
-            q = _boundary_project(psi5)
-            data[..., :, spin, :, color] = q
-    return Propagator(data, site), results
-
-
-def solve_5d(
-    mobius: MobiusOperator,
-    b: np.ndarray,
-    solver: ConjugateGradient,
-    eo: EvenOddMobius | None = None,
-) -> tuple[np.ndarray, SolveResult]:
-    """Solve ``D psi = b`` (optionally red-black preconditioned)."""
-    if eo is None:
-        res = solve_normal_equations(mobius.apply, mobius.apply_dagger, b, solver)
-        return res.x, res
-    rhs_e = eo.prepare_rhs(b)
-    res = solve_normal_equations(eo.schur_apply, eo.schur_dagger_apply, rhs_e, solver)
-    x = eo.reconstruct(res.x, b)
-    # Report the residual of the full unpreconditioned system.
-    bnorm = float(np.linalg.norm(b.ravel()))
-    if bnorm > 0.0:
-        res.final_relres = float(
-            np.linalg.norm((b - mobius.apply(x)).ravel()) / bnorm
-        )
-    res.x = x
-    return x, res
-
-
-def solve_5d_batched(
-    mobius: MobiusOperator,
-    b: np.ndarray,
-    solver: ConjugateGradient,
-    eo: EvenOddMobius | None = None,
-) -> tuple[np.ndarray, BatchedSolveResult]:
-    """Multi-RHS ``D psi_i = b_i`` on a leading-axis source stack.
-
-    Every operator application acts on the whole stack, so the gauge
-    field and fifth-dimension machinery are traversed once per iteration
-    regardless of the number of right-hand sides.
-    """
-    if eo is None:
-        res = solve_normal_equations_batched(
-            mobius.apply, mobius.apply_dagger, b, solver
-        )
-        return res.x, res
-    rhs_e = eo.prepare_rhs(b)
-    res = solve_normal_equations_batched(
-        eo.schur_apply, eo.schur_dagger_apply, rhs_e, solver
-    )
-    x = eo.reconstruct(res.x, b)
-    # Report per-RHS residuals of the full unpreconditioned system.
-    k = b.shape[0]
-    bnorm = np.linalg.norm(b.reshape(k, -1), axis=1)
-    rnorm = np.linalg.norm((b - mobius.apply(x)).reshape(k, -1), axis=1)
-    res.final_relres = np.where(bnorm > 0.0, rnorm / np.where(bnorm > 0.0, bnorm, 1.0), res.final_relres)
-    res.x = x
-    return x, res
+    sources = point_sources_5d(mobius, site)
+    if source_transform is not None:
+        sources = np.stack([source_transform(b) for b in sources])
+    x, results = solve_columns(mobius, sources, solver, schur=use_evenodd)
+    return Propagator.from_columns(boundary_project(x), site), results
 
 
 def compute_wilson_propagator(
@@ -251,40 +183,19 @@ def compute_wilson_propagator(
     site: tuple[int, int, int, int] = (0, 0, 0, 0),
     solver: ConjugateGradient | None = None,
     source_transform: Callable[[np.ndarray], np.ndarray] | None = None,
-    batched: bool = False,
 ) -> tuple[Propagator, list[SolveResult]]:
     """Wilson-fermion analogue of :func:`compute_propagator` (no 5th dim).
 
     Cheaper by a factor ``Ls`` — the workhorse for exactness tests of the
-    contraction and Feynman-Hellmann machinery.  ``batched=True`` solves
-    all 12 spin-colour columns in one lock-step multi-RHS CG.
+    contraction and Feynman-Hellmann machinery.  Solves the full operator,
+    so each column is that of its own :func:`solve_normal_equations`.
     """
     solver = solver or ConjugateGradient(tol=1e-8, max_iter=5000)
-    geom = wilson.geometry
-    data = np.zeros(geom.dims + (4, 4, 3, 3), dtype=np.complex128)
-
-    sources = []
-    for spin in range(4):
-        for color in range(3):
-            b = point_source(geom, site, spin, color)
-            if source_transform is not None:
-                b = source_transform(b)
-            sources.append(b)
-
-    if batched:
-        stack = np.stack(sources, axis=0)
-        batch_res = solve_normal_equations_batched(
-            wilson.apply, wilson.apply_dagger, stack, solver
-        )
-        return Propagator.from_columns(batch_res.x, site), batch_res.split()
-
-    results: list[SolveResult] = []
-    for idx, b in enumerate(sources):
-        spin, color = divmod(idx, 3)
-        res = solve_normal_equations(wilson.apply, wilson.apply_dagger, b, solver)
-        results.append(res)
-        data[..., :, spin, :, color] = res.x
-    return Propagator(data, site), results
+    sources = point_sources(wilson.geometry, site)
+    if source_transform is not None:
+        sources = np.stack([source_transform(b) for b in sources])
+    x, results = solve_columns(wilson, sources, solver, schur=False)
+    return Propagator.from_columns(x, site), results
 
 
 # Bytes of live solver workspace one column stack may hold.  A wider
@@ -365,25 +276,28 @@ def column_relres(apply_op: Callable[[np.ndarray], np.ndarray], b: np.ndarray, x
 
 class SchurColumnStacks:
     """:func:`solve_column_stacks` on the red-black preconditioned system
-    of a serial Wilson operator — the paper's solver, and the 1-rank case
-    of ``repro.comm.distributed.rank_solve``.
+    of a serial operator — the paper's solver, and (for Wilson) the
+    1-rank case of ``repro.comm.distributed.rank_solve``.
 
-    The even-site system lives in the cheapest field space the active
-    kernel has: checkerboard-packed (half the sites in every stencil
-    pass and solver array) when it has the layout, else masked
-    full-lattice fields (the iteration count alone).  ``width`` defaults
-    to the workspace budget's answer for an *even-site* column, and the
-    right-hand sides are prepared a stack at a time, so every hop of a
-    task has one shape and the kernel pools one workspace.
+    ``op`` is a :class:`WilsonOperator` or a :class:`MobiusOperator`.  The
+    even-site system lives in the cheapest field space its chain has:
+    checkerboard-packed (half the sites in every stencil pass and solver
+    array) for a Wilson kernel with the layout, else masked full-lattice
+    fields (:class:`EvenOddWilson`, :class:`EvenOddMobius` — the
+    iteration count alone).  ``width`` defaults to the workspace budget's
+    answer for an *even-site* column, and the right-hand sides are
+    prepared a stack at a time, so every hop of a task has one shape and
+    the kernel pools one workspace.
     """
 
-    def __init__(self, wilson: WilsonOperator, b: np.ndarray, width: int | None = None):
-        kernel = wilson.kernel
-        if hasattr(kernel, "pack"):
-            self.eo = WilsonSchur.packed(kernel, wilson.hopping, wilson.mass)
+    def __init__(self, op, b: np.ndarray, width: int | None = None):
+        if isinstance(op, MobiusOperator):
+            self.eo = EvenOddMobius(op)
+        elif hasattr(op.kernel, "pack"):
+            self.eo = WilsonSchur.packed(op.kernel, op.hopping, op.mass)
         else:
-            self.eo = EvenOddWilson(wilson)
-        self.wilson, self.b = wilson, b
+            self.eo = EvenOddWilson(op)
+        self.op, self.b = op, b
         n, column = b.shape[0], self.eo.split(b[:1])[0]
         self.width = width or stack_width(column.nbytes, n)
         self.rhs = np.concatenate(
@@ -402,5 +316,68 @@ class SchurColumnStacks:
         ):
             cols = self.b[lo : lo + res.n_rhs]
             res.x = eo.reconstruct(res.x, cols)
-            res.final_relres = column_relres(self.wilson.apply, cols, res.x)
+            res.final_relres = column_relres(self.op.apply, cols, res.x)
             yield lo, res
+
+
+def collect_columns(
+    stacks: Iterable[tuple[int, BatchedSolveResult]],
+    x: np.ndarray,
+    totals: dict | None = None,
+    *,
+    percolumn: bool = True,
+    label: str = "propagator solve",
+    on_stack: Callable[[int, BatchedSolveResult], None] | None = None,
+) -> list[SolveResult]:
+    """The one consumer of ``(first_column, BatchedSolveResult)`` stacks.
+
+    A stack with an unconverged column raises ``RuntimeError`` naming the
+    columns; otherwise its columns are written once into ``x`` and, when
+    ``totals`` is a dict, added into its ``iterations`` (the per-column
+    sum when ``percolumn`` — what one-column solves count — else the
+    stacked count), ``matvecs`` and ``flops``, with ``true_relres`` the
+    worst column's ``final_relres`` so far.  ``on_stack(end, result)``
+    runs after each stack, ``end`` the first column not yet solved.
+    Returns the per-column results, each ``x`` its column of ``x``.
+    """
+    results: list[SolveResult] = []
+    for lo, res in stacks:
+        if not res.all_converged:
+            bad = [lo + i for i in range(res.n_rhs) if not res.converged[i]]
+            raise RuntimeError(
+                f"{label}: columns {bad} did not converge "
+                f"(worst relres {float(np.max(res.final_relres)):.2e})"
+            )
+        x[lo : lo + res.n_rhs] = res.x
+        if totals is not None:
+            its = int(res.column_iterations.sum()) if percolumn else res.iterations
+            for key, value in (("iterations", its), ("matvecs", res.matvecs), ("flops", res.flops)):
+                totals[key] = totals.get(key, 0) + value
+            worst = float(res.final_relres.max())
+            totals["true_relres"] = max(totals.get("true_relres", 0.0), worst)
+        for i, r in enumerate(res.split()):
+            r.x = x[lo + i]
+            results.append(r)
+        if on_stack is not None:
+            on_stack(lo + res.n_rhs, res)
+    return results
+
+
+def solve_columns(
+    op, b: np.ndarray, solver: ConjugateGradient | None = None, *, schur: bool = True,
+    width: int | None = None,
+) -> tuple[np.ndarray, list[SolveResult]]:
+    """``D x = b`` for every column of ``b``: the red-black system of
+    ``op`` (:class:`SchurColumnStacks`) or, with ``schur=False``, CGNE on
+    any operator with ``apply`` / ``apply_dagger``
+    (:func:`solve_column_stacks`), gathered by :func:`collect_columns`.
+    Returns the solutions and the per-column results."""
+    if schur:
+        stacks = SchurColumnStacks(op, b, width).solve(solver)
+    else:
+        stacks = solve_column_stacks(op.apply, op.apply_dagger, b, solver, width=width)
+    # the solutions are allocated once the first stack's workspace is
+    # freed, so a single-stack solve peaks no higher than the solver does
+    first = next(stacks)
+    x = np.empty_like(b)
+    return x, collect_columns(itertools.chain([first], stacks), x)

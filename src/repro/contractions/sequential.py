@@ -27,9 +27,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.contractions.propagator import Propagator, SchurColumnStacks, solve_column_stacks
+from repro.contractions.propagator import (
+    Propagator,
+    SchurColumnStacks,
+    collect_columns,
+    solve_column_stacks,
+)
 from repro.dirac import gamma as g
 from repro.dirac.wilson import WilsonOperator
+from repro.solvers.blockcg import BlockCG
 from repro.solvers.cg import ConjugateGradient
 
 __all__ = ["sequential_propagator", "pion_three_point", "pion_two_point_matrix"]
@@ -54,60 +60,45 @@ def sequential_propagator(
     ``mode`` is a schedule of 12 independent CGNE Krylov spaces —
     ``"percolumn"`` (lock-step column stacks of the budgeted width,
     :func:`repro.contractions.propagator.solve_column_stacks`) or
-    ``"batched"`` (one 12-stack) — or ``"block"`` (one shared-Krylov
-    block solve — pass a :class:`repro.solvers.blockcg.BlockCG` via
-    ``solver``).  The two schedules solve the red-black preconditioned
-    system (:class:`repro.contractions.propagator.SchurColumnStacks`)
+    ``"batched"`` (one 12-stack) — on the red-black preconditioned
+    system (:class:`repro.contractions.propagator.SchurColumnStacks`),
     unless ``deflation`` (a low-mode basis of this operator's ``D^H D``,
-    seeding every column) is given.  When ``stats`` is a dict, the
-    accumulated ``iterations``/``matvecs``/``flops`` of the solves are
-    added into it (``iterations`` is the per-column sum under
-    ``"percolumn"``, the stacked count otherwise) and ``true_relres`` is
-    the worst column's ``|b - D x| / |b|`` on the full operator.
+    seeding every column) is given.  The solver's type decides the
+    rest: a :class:`repro.solvers.blockcg.BlockCG` shares one Krylov
+    space across all 12 columns of the full operator, whatever ``mode``
+    says.  When ``stats`` is a dict, the accumulated
+    ``iterations``/``matvecs``/``flops`` of the solves are added into it
+    (``iterations`` is the per-column sum under ``"percolumn"``, the
+    stacked count otherwise) and ``true_relres`` is the worst column's
+    ``|b - D x| / |b|`` on the full operator.
     """
     geom = wilson.geometry
     if not 0 <= t_snk < geom.lt:
         raise ValueError(f"t_snk={t_snk} outside 0..{geom.lt - 1}")
-    if mode not in ("percolumn", "batched", "block"):
+    if mode not in ("percolumn", "batched"):
         raise ValueError(f"unknown sequential solve mode {mode!r}")
     if solver is None:
         solver = ConjugateGradient(tol=1e-10, max_iter=6000)
 
     # Source: gamma_5 (S_d delta_{t, t_snk}) column by column.
-    restricted = np.zeros_like(prop_d.data)
-    restricted[:, :, :, t_snk] = prop_d.data[:, :, :, t_snk]
-    b = np.stack(
-        [
-            g.gamma5_mul(restricted[..., :, spin, :, color])
-            for spin in range(4)
-            for color in range(3)
-        ]
-    )
-    del restricted
-    data = np.zeros_like(prop_d.data)
-    width = None if mode == "percolumn" else b.shape[0]
-    if deflation is None and mode != "block":
+    b = prop_d.columns()
+    b[:, :, :, :, np.arange(geom.lt) != t_snk] = 0.0
+    g.gamma5_mul(b, out=b)
+    block = isinstance(solver, BlockCG)
+    width = b.shape[0] if block or mode == "batched" else None
+    if deflation is None and not block:
         stacks = SchurColumnStacks(wilson, b, width).solve(solver)
     else:
         # full operator: the basis is of D^H D; BlockCG shares one Krylov space
         stacks = solve_column_stacks(
             wilson.apply, wilson.apply_dagger, b, solver, deflation=deflation, width=width
         )
-    for lo, res in stacks:
-        if stats is not None:
-            stats["true_relres"] = max(stats.get("true_relres", 0.0), float(res.final_relres.max()))
-            stats["iterations"] = stats.get("iterations", 0) + (
-                int(res.column_iterations.sum()) if mode == "percolumn" else res.iterations
-            )
-            stats["matvecs"] = stats.get("matvecs", 0) + res.matvecs
-            stats["flops"] = stats.get("flops", 0.0) + res.flops
-        if not res.all_converged:
-            bad = [lo + i for i in range(res.n_rhs) if not res.converged[i]]
-            raise RuntimeError(f"sequential {mode} solve: columns {bad} did not converge")
-        for i in range(res.n_rhs):
-            spin, color = divmod(lo + i, 3)
-            data[..., :, spin, :, color] = g.gamma5_mul(res.x[i])
-    return Propagator(data, prop_d.source)
+    x = np.empty_like(b)
+    collect_columns(
+        stacks, x, stats, percolumn=mode == "percolumn" and not block,
+        label=f"sequential {'block' if block else mode} solve",
+    )
+    return Propagator.from_columns(g.gamma5_mul(x, out=x), prop_d.source)
 
 
 def pion_three_point(

@@ -42,15 +42,15 @@ import numpy as np
 from repro.contractions.baryons import proton_correlator_bilinear
 from repro.contractions.propagator import (
     Propagator,
-    point_source,
-    point_source_5d,
-    solve_5d,
+    boundary_project,
+    point_sources,
+    point_sources_5d,
+    solve_columns,
 )
 from repro.dirac import gamma as g
-from repro.dirac.evenodd import EvenOddMobius
 from repro.dirac.mobius import MobiusOperator
 from repro.dirac.wilson import WilsonOperator
-from repro.solvers.cg import ConjugateGradient, SolveResult, solve_normal_equations_batched
+from repro.solvers.cg import ConjugateGradient, SolveResult
 
 __all__ = [
     "SPIN_POLARIZED_PROJ",
@@ -86,23 +86,27 @@ class AxialInsertion4D:
 class AxialInsertion5D:
     """The same current on the physical (wall-projected) domain-wall quark.
 
-    Acts only on the two 5th-dimension boundaries; see module docstring.
+    Acts only on the two 5th-dimension boundaries (axis
+    :attr:`MobiusOperator.S_AXIS`, so a stack of fields is acted on field
+    by field); see module docstring.
     """
 
     _M0: np.ndarray = g.P_PLUS @ g.AXIAL_GAMMA3 @ g.P_MINUS
     _M1: np.ndarray = g.P_MINUS @ g.AXIAL_GAMMA3 @ g.P_PLUS
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _on_walls(m0: np.ndarray, m1: np.ndarray, psi: np.ndarray) -> np.ndarray:
         out = np.zeros_like(psi)
-        out[0] = g.spin_mul(self._M0, psi[0])
-        out[-1] = g.spin_mul(self._M1, psi[-1])
+        walls, src = (np.moveaxis(a, MobiusOperator.S_AXIS, 0) for a in (out, psi))
+        walls[0] = g.spin_mul(m0, src[0])
+        walls[-1] = g.spin_mul(m1, src[-1])
         return out
 
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        return self._on_walls(self._M0, self._M1, psi)
+
     def apply_dagger(self, psi: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(psi)
-        out[0] = g.spin_mul(self._M0.conj().T, psi[0])
-        out[-1] = g.spin_mul(self._M1.conj().T, psi[-1])
-        return out
+        return self._on_walls(self._M0.conj().T, self._M1.conj().T, psi)
 
 
 @dataclass
@@ -135,25 +139,16 @@ def compute_fh_wilson_pair(
 
     Returns ``(S, S_FH, stats)`` where ``S_FH = D^{-1} Gamma S`` column by
     column — two solves per spin-colour instead of one; ``stats`` holds
-    the 12 standard then the 12 FH per-column results.
+    the 12 standard then the 12 FH per-column results.  The FH source of
+    column k depends only on solution k, so each set is one 12-wide stack
+    of the full operator (the pinned reference of ``GAPipeline``).
     """
     solver = solver or ConjugateGradient(tol=1e-8, max_iter=5000)
     insertion = insertion or AxialInsertion4D()
-    geom = wilson.geometry
-    sources = np.stack(
-        [point_source(geom, site, spin, color) for spin in range(4) for color in range(3)]
-    )
-    # The FH source of column k depends only on solution k: two 12-wide
-    # stacked solves instead of 24 one-column ones.
-    res = solve_normal_equations_batched(wilson.apply, wilson.apply_dagger, sources, solver)
-    res_fh = solve_normal_equations_batched(
-        wilson.apply, wilson.apply_dagger, insertion.apply(res.x), solver
-    )
-    return (
-        Propagator.from_columns(res.x, site),
-        Propagator.from_columns(res_fh.x, site),
-        res.split() + res_fh.split(),
-    )
+    sources = point_sources(wilson.geometry, site)
+    x, stats = solve_columns(wilson, sources, solver, schur=False, width=12)
+    x_fh, stats_fh = solve_columns(wilson, insertion.apply(x), solver, schur=False, width=12)
+    return Propagator.from_columns(x, site), Propagator.from_columns(x_fh, site), stats + stats_fh
 
 
 def compute_fh_mobius_pair(
@@ -166,27 +161,20 @@ def compute_fh_mobius_pair(
     """Standard + Feynman-Hellmann domain-wall propagators.
 
     The FH source is ``Gamma_5D psi_5`` built from the full 5D solution
-    (not its boundary projection), keeping the theorem exact.
+    (not its boundary projection), keeping the theorem exact.  Two
+    stacked solves, like :func:`compute_fh_wilson_pair` (``stats`` holds
+    the 12 standard then the 12 FH per-column results), of the red-black
+    system unless ``use_evenodd`` is false.
     """
     solver = solver or ConjugateGradient(tol=1e-8, max_iter=5000)
     insertion = insertion or AxialInsertion5D()
-    geom = mobius.geometry
-    eo = EvenOddMobius(mobius) if use_evenodd else None
-    data = np.zeros(geom.dims + (4, 4, 3, 3), dtype=np.complex128)
-    data_fh = np.zeros_like(data)
-    stats: list[SolveResult] = []
-    for spin in range(4):
-        for color in range(3):
-            b = point_source_5d(mobius, site, spin, color)
-            psi5, res = solve_5d(mobius, b, solver, eo)
-            stats.append(res)
-            psi5_fh, res_fh = solve_5d(mobius, insertion.apply(psi5), solver, eo)
-            stats.append(res_fh)
-            data[..., :, spin, :, color] = g.proj_minus(psi5[0]) + g.proj_plus(psi5[-1])
-            data_fh[..., :, spin, :, color] = (
-                g.proj_minus(psi5_fh[0]) + g.proj_plus(psi5_fh[-1])
-            )
-    return Propagator(data, site), Propagator(data_fh, site), stats
+    psi5, stats = solve_columns(mobius, point_sources_5d(mobius, site), solver, schur=use_evenodd)
+    psi5_fh, stats_fh = solve_columns(mobius, insertion.apply(psi5), solver, schur=use_evenodd)
+    return (
+        Propagator.from_columns(boundary_project(psi5), site),
+        Propagator.from_columns(boundary_project(psi5_fh), site),
+        stats + stats_fh,
+    )
 
 
 def fh_correlator(

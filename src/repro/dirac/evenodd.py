@@ -136,6 +136,11 @@ class EvenOddMobius:
         """
         return psi * self._keep[parity]
 
+    def split(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(b_even, b_odd)`` — the field space of the chain is masked
+        full-lattice fields."""
+        return self.restrict(b, 0), self.restrict(b, 1)
+
     # -- Schur complement --------------------------------------------------------------
     def schur_apply(self, x_even: np.ndarray) -> np.ndarray:
         """``S x = A x - B_eo A^{-1} B_oe x`` on the even checkerboard.

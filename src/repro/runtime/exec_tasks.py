@@ -17,17 +17,15 @@ Task kinds (the paper's Fig. 2 menu):
 ``smear_sources``   12 covariantly smeared point sources -> ``sources``
 ``eigenbasis``      per-configuration Lanczos low modes of ``D^H D``
                     -> ``eigen`` (shared by every deflated solve below)
-``propagator``      12-column Wilson CGNE solve -> ``prop``: by default
-                    (``solver_mode="percolumn"``) 12 independent Krylov
-                    spaces of the red-black preconditioned system run
-                    as checkpointed lock-step column stacks; optionally
-                    deflated (``eigen`` param, full operator), or one
-                    single-shot 12-stack / block / rank-parallel solve
-``seq_solve``       through-the-sink sequential solve -> ``prop`` (same
-                    deflation/mode knobs, no mid-solve checkpoint)
+``propagator``      12-column Wilson CGNE solve -> ``prop``, gathered by
+                    ``contractions.collect_columns``: by default
+                    (``solver_mode="percolumn"``) checkpointed lock-step
+                    ``SchurColumnStacks``; optionally deflated (``eigen``,
+                    full operator), or one 12-stack / block / rank-parallel
+``seq_solve``       ``sequential_propagator`` -> ``prop`` (same system
+                    rule and modes, no mid-solve checkpoint)
 ``multishift_prop`` one shifted-CG family ``(D^H D + sigma_i)`` per
-                    source column -> ``shifted`` (all shifts for the
-                    cost of the smallest)
+                    column of the same sources -> ``shifted``
 ``contraction``     pion/proton/FH correlators (CPU-cheap) -> ``corr``
 ``assemble``        gather all correlators into one container
 ``sleep``/``poison``  scheduling/fault-path test stubs (no physics)
@@ -190,7 +188,7 @@ def _exec_gauge_fix(params: dict, ctx: ExecContext) -> dict[str, str]:
 
 
 def _exec_smear_sources(params: dict, ctx: ExecContext) -> dict[str, str]:
-    from repro.contractions import GaussianSmearing, point_source
+    from repro.contractions import GaussianSmearing, point_sources
 
     gauge = _load_gauge(ctx, params["gauge"])
     geom = gauge.geometry
@@ -203,10 +201,7 @@ def _exec_smear_sources(params: dict, ctx: ExecContext) -> dict[str, str]:
     # all 12 columns through one smearing pass: the kernel is diagonal in
     # everything between the site axes and colour, so the column index
     # rides there and each column gets the arithmetic of its own call
-    columns = np.stack(
-        [point_source(geom, site, spin, color) for spin in range(4) for color in range(3)],
-        axis=4,
-    )
+    columns = np.ascontiguousarray(np.moveaxis(point_sources(geom, site), 0, 4))
     ff = FieldFile({"site": list(site)})
     ff.add("sources", np.moveaxis(smear.apply(columns), 4, 0))
     return {"sources": ctx.store.save(ctx.task_id, "sources", ff)}
@@ -326,18 +321,36 @@ def _stack_ckpt_load(ctx: ExecContext, shape: tuple[int, ...], stack_shape: tupl
     return ff["data"], column, state, dict(md["totals"])
 
 
-def _model_flops(volume: int, schur: bool) -> dict:
-    """Solver keywords charging model flops per right-hand side, one
-    formula for every schedule (Table I: explicit counts): a normal
-    application is four half-volume Wilson hops (red-black) or two full
-    ones, the BLAS-1 of an iteration runs on the sites a Krylov vector
-    occupies."""
-    from repro.dirac.flops import cg_blas_flops_per_site, wilson_dslash_flops_per_site
+def _wilson_solve(params: dict, ctx: ExecContext):
+    """``(gauge, operator, solver_mode, eigenbasis | None, solver)`` of a
+    12-column Wilson solve task.
 
-    return dict(
+    The system is the red-black one unless the solve is deflated (the
+    basis is of the full ``D^H D``) or ``block`` (a
+    :class:`repro.solvers.blockcg.BlockCG`, one Krylov space for the 12
+    columns of the full operator).  The solver charges model flops per
+    right-hand side on one formula for every schedule (Table I: explicit
+    counts): a normal application is four half-volume Wilson hops
+    (red-black) or two full ones, the BLAS-1 of an iteration runs on the
+    sites a Krylov vector occupies.
+    """
+    from repro.dirac.flops import cg_blas_flops_per_site, wilson_dslash_flops_per_site
+    from repro.dirac.wilson import WilsonOperator
+    from repro.solvers.blockcg import BlockCG
+    from repro.solvers.cg import ConjugateGradient
+
+    gauge = _load_gauge(ctx, params["gauge"])
+    mode = str(params.get("solver_mode", "percolumn"))
+    eigen = _load_eigen(ctx, params["eigen"]) if params.get("eigen") else None
+    volume = gauge.geometry.volume
+    schur = eigen is None and mode != "block"
+    solver = (BlockCG if mode == "block" else ConjugateGradient)(
+        tol=float(params.get("tol", 1e-8)),
+        max_iter=int(params.get("max_iter", 4000)),
         flops_per_matvec=float(2 * volume * wilson_dslash_flops_per_site()),
         blas_flops_per_iter=cg_blas_flops_per_site() * (volume // 2 if schur else volume),
     )
+    return gauge, WilsonOperator(gauge, mass=float(params["mass"])), mode, eigen, solver
 
 
 def _solve_distributed(params: dict, gauge, sources, tol: float, max_iter: int):
@@ -358,6 +371,15 @@ def _solve_distributed(params: dict, gauge, sources, tol: float, max_iter: int):
         policy=str(params.get("dist_policy", "blocking")),
         engine=str(params.get("dist_engine", "auto")),
     )
+
+
+def _load_sources(params: dict, ctx: ExecContext, geom) -> np.ndarray:
+    """The 12 source columns: the ``sources`` artifact, else point sources at ``site``."""
+    from repro.contractions import point_sources
+
+    if params.get("sources"):
+        return ctx.store.load(params["sources"])["sources"].reshape((12,) + geom.dims + (4, 3))
+    return point_sources(geom, tuple(params.get("site", (0, 0, 0, 0))))
 
 
 def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
@@ -396,56 +418,31 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
 
     An optional ``eigen`` artifact ref deflates every solve with the
     per-configuration low-mode basis, in any mode except
-    ``distributed`` (the rank-local solver has no deflation hook); the
-    basis is of the full ``D^H D``, so a deflated solve keeps the full
-    operator.  Batched/block/distributed modes are single-shot (no
-    mid-solve checkpoint); the retry unit is the whole task.
-    ``solve_done`` reports ``iterations`` as the per-column sum under
-    ``percolumn`` (what twelve one-column solves count) and as the
-    stacked count otherwise, model ``flops`` on one formula for the three
-    schedules (:func:`_model_flops`) and ``true_relres``, the worst
-    column's ``|b - D x| / |b|`` on the full operator.
+    ``distributed`` (the rank-local solver has no deflation hook), on
+    the full operator (:func:`_wilson_solve`).  Batched/block/distributed
+    modes are single-shot (no mid-solve checkpoint); the retry unit is
+    the whole task.  ``solve_done`` carries the totals of
+    :func:`repro.contractions.propagator.collect_columns` — ``iterations``
+    the per-column sum under ``percolumn`` (what twelve one-column solves
+    count), the stacked count otherwise.
     """
     from functools import partial
 
     from repro.contractions import (
-        Propagator, SchurColumnStacks, column_relres, point_source, solve_column_stacks, stack_width,
+        Propagator, SchurColumnStacks, collect_columns, column_relres, solve_column_stacks,
+        stack_width,
     )
-    from repro.dirac.wilson import WilsonOperator
-    from repro.solvers.blockcg import BlockCG
-    from repro.solvers.cg import ConjugateGradient
 
-    gauge = _load_gauge(ctx, params["gauge"])
-    geom = gauge.geometry
-    wilson = WilsonOperator(gauge, mass=float(params["mass"]))
-    site = tuple(params.get("site", (0, 0, 0, 0)))
-    tol = float(params.get("tol", 1e-8))
-    max_iter = int(params.get("max_iter", 4000))
-    mode = str(params.get("solver_mode", "percolumn"))
-    ck_every = int(params.get("checkpoint_every", 0))
-    eigen = _load_eigen(ctx, params["eigen"]) if params.get("eigen") else None
-
-    if "sources" in params and params["sources"]:
-        src_ff = ctx.store.load(params["sources"])
-        sources = src_ff["sources"].reshape((12,) + geom.dims + (4, 3))
-    else:
-        sources = np.stack(
-            [
-                point_source(geom, site, spin, color)
-                for spin in range(4)
-                for color in range(3)
-            ]
-        )
-
-    shape = geom.dims + (4, 4, 3, 3)
-    data = np.zeros(shape, dtype=np.complex128)
-    totals = {"iterations": 0, "matvecs": 0, "flops": 0.0, "true_relres": 0.0}
+    gauge, wilson, mode, eigen, solver = _wilson_solve(params, ctx)
     if mode not in ("percolumn", "batched", "block", "distributed"):
         raise ValueError(f"{ctx.task_id}: unknown solver_mode {mode!r}")
-    schur = eigen is None and mode != "block"
+    geom = gauge.geometry
+    site = tuple(params.get("site", (0, 0, 0, 0)))
+    ck_every = int(params.get("checkpoint_every", 0))
     checkpointing = mode == "percolumn" and ck_every > 0
-    model = _model_flops(geom.volume, schur)
-    solver = (BlockCG if mode == "block" else ConjugateGradient)(tol=tol, max_iter=max_iter, **model)
+    sources = _load_sources(params, ctx, geom)
+    x = np.zeros_like(sources)
+    totals = {"iterations": 0, "matvecs": 0, "flops": 0.0, "true_relres": 0.0}
 
     if mode == "distributed":
         if eigen is not None:
@@ -453,31 +450,33 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
                 f"{ctx.task_id}: solver_mode 'distributed' does not support "
                 "deflation (drop the eigen ref or use batched/block)"
             )
-        res = _solve_distributed(params, gauge, sources, tol, max_iter)
+        res = _solve_distributed(params, gauge, sources, solver.tol, solver.max_iter)
         # the rank solver charges no model flops and reports the
         # even-site system's residual
         res.flops = (
-            res.matvecs * model["flops_per_matvec"]
-            + (res.matvecs - 12) * model["blas_flops_per_iter"]
+            res.matvecs * solver.flops_per_matvec + (res.matvecs - 12) * solver.blas_flops_per_iter
         )
         res.final_relres = column_relres(wilson.apply, sources, res.x)
         stacks = [(0, res)]
     else:
         width = None if mode == "percolumn" else 12
-        if schur:
+        if eigen is None and mode != "block":
             system = SchurColumnStacks(wilson, sources, width)
             solve, stack_shape = system.solve, system.stack_shape
         else:
-            # full operator: the basis is of D^H D; BlockCG shares one Krylov space
             solve = partial(
                 solve_column_stacks, wilson.apply, wilson.apply_dagger, sources,
                 deflation=eigen, width=width,
             )
             stack_shape = (width or stack_width(sources[0].nbytes),) + sources.shape[1:]
         resume = {}
-        restored = _stack_ckpt_load(ctx, shape, stack_shape) if mode == "percolumn" else None
+        restored = (
+            _stack_ckpt_load(ctx, geom.dims + (4, 4, 3, 3), stack_shape)
+            if mode == "percolumn" else None
+        )
         if restored is not None:
             data, start_col, resume_state, totals = restored
+            x = Propagator(data, site).columns()
             resume = dict(start=start_col, state=resume_state)
             ctx.emit(
                 "checkpoint_restored",
@@ -487,6 +486,7 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
             )
 
         def on_checkpoint(lo, st):
+            data = Propagator.from_columns(x, site).data
             _stack_ckpt_save(ctx, data, lo, stack_shape, st, totals)
             ctx.checkpoint_saved()
 
@@ -494,84 +494,47 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
             resume.update(checkpoint_every=ck_every, on_checkpoint=on_checkpoint)
         stacks = solve(solver, **resume)
 
-    for lo, res in stacks:
-        if not res.all_converged:
-            bad = [lo + i for i in range(res.n_rhs) if not res.converged[i]]
-            raise RuntimeError(
-                f"{ctx.task_id}: columns {bad} did not converge "
-                f"(worst relres {float(np.max(res.final_relres)):.2e})"
-            )
-        for i in range(res.n_rhs):
-            spin, color = divmod(lo + i, 3)
-            data[..., :, spin, :, color] = res.x[i]
-        totals["iterations"] += (
-            int(res.column_iterations.sum()) if mode == "percolumn" else res.iterations
-        )
-        totals["matvecs"] += res.matvecs
-        totals["flops"] += res.flops
-        totals["true_relres"] = max(totals["true_relres"], float(res.final_relres.max()))
-        if checkpointing and lo + res.n_rhs < 12:
-            # Stack-boundary checkpoint: finished columns never re-solve.
-            on_checkpoint(lo + res.n_rhs, None)
+    last = {}
 
-    prop = Propagator(data, site)
-    ref = _save_prop(ctx, "prop", prop)
+    def on_stack(end, res):
+        last.update(inner=res.inner, reliable_updates=res.reliable_updates)
+        if checkpointing and end < 12:
+            # Stack-boundary checkpoint: finished columns never re-solve.
+            on_checkpoint(end, None)
+
+    collect_columns(
+        stacks, x, totals, percolumn=mode == "percolumn", label=ctx.task_id, on_stack=on_stack
+    )
+    ref = _save_prop(ctx, "prop", Propagator.from_columns(x, site))
     ctx.ckpt.discard(ctx.task_id)
+    # inner / reliable_updates of the last stack: every stack runs the one solver
     ctx.emit(
-        "solve_done",
-        task=ctx.task_id,
-        **totals,
-        solver_mode=mode,
-        deflated=eigen is not None,
-        inner=res.inner,  # of the last stack: every stack runs the one solver
-        reliable_updates=res.reliable_updates,
+        "solve_done", task=ctx.task_id, **totals, solver_mode=mode, deflated=eigen is not None,
+        **last,
     )
     return {"prop": ref}
 
 
 def _exec_seq_solve(params: dict, ctx: ExecContext) -> dict[str, str]:
     from repro.contractions import sequential_propagator
-    from repro.dirac.wilson import WilsonOperator
-    from repro.solvers.blockcg import BlockCG
-    from repro.solvers.cg import ConjugateGradient
 
-    gauge = _load_gauge(ctx, params["gauge"])
-    prop = _load_prop(ctx, params["prop"])
-    wilson = WilsonOperator(gauge, mass=float(params["mass"]))
-    tol = float(params.get("tol", 1e-8))
-    max_iter = int(params.get("max_iter", 4000))
-    mode = str(params.get("solver_mode", "percolumn"))
+    _, wilson, mode, eigen, solver = _wilson_solve(params, ctx)
     if mode == "distributed":
         # sequential sink solves stay in-process: the through-the-sink
         # source is built from an already-gathered propagator, so the
         # lock-step batched mode is the closest executable ladder rung
         mode = "batched"
-    eigen = _load_eigen(ctx, params["eigen"]) if params.get("eigen") else None
-    solver = (BlockCG if mode == "block" else ConjugateGradient)(
-        tol=tol,
-        max_iter=max_iter,
-        **_model_flops(gauge.geometry.volume, eigen is None and mode != "block"),
-    )
     stats: dict = {}
     seq = sequential_propagator(
         wilson,
-        prop,
+        _load_prop(ctx, params["prop"]),
         int(params["t_snk"]),
         solver=solver,
         deflation=eigen,
-        mode=mode,
+        mode="percolumn" if mode == "percolumn" else "batched",  # "block": the solver's type
         stats=stats,
     )
-    ctx.emit(
-        "solve_done",
-        task=ctx.task_id,
-        iterations=int(stats.get("iterations", 0)),
-        matvecs=int(stats.get("matvecs", 0)),
-        flops=float(stats.get("flops", 0.0)),
-        true_relres=float(stats.get("true_relres", 0.0)),
-        solver_mode=mode,
-        deflated=eigen is not None,
-    )
+    ctx.emit("solve_done", task=ctx.task_id, **stats, solver_mode=mode, deflated=eigen is not None)
     return {"prop": _save_prop(ctx, "prop", seq)}
 
 
@@ -586,7 +549,6 @@ def _exec_multishift_prop(params: dict, ctx: ExecContext) -> dict[str, str]:
     with the base residual), so this task is the one solver family
     deflation cannot seed; its amortization is the shift axis itself.
     """
-    from repro.contractions import point_source
     from repro.dirac.wilson import WilsonOperator
     from repro.solvers.multishift import MultiShiftCG
 
@@ -599,21 +561,9 @@ def _exec_multishift_prop(params: dict, ctx: ExecContext) -> dict[str, str]:
         tol=float(params.get("tol", 1e-8)),
         max_iter=int(params.get("max_iter", 4000)),
     )
+    sources = _load_sources(params, ctx, geom)
 
-    if "sources" in params and params["sources"]:
-        src_ff = ctx.store.load(params["sources"])
-        sources = src_ff["sources"].reshape((12,) + geom.dims + (4, 3))
-    else:
-        sources = np.stack(
-            [
-                point_source(geom, site, spin, color)
-                for spin in range(4)
-                for color in range(3)
-            ]
-        )
-
-    shape = (len(shifts), 12) + geom.dims + (4, 3)
-    data = np.zeros(shape, dtype=np.complex128)
+    data = np.zeros((len(shifts), 12) + geom.dims + (4, 3), dtype=np.complex128)
     totals = {"iterations": 0, "matvecs": 0, "flops": 0.0}
     for col in range(12):
         rhs = wilson.apply_dagger(sources[col])
@@ -623,30 +573,16 @@ def _exec_multishift_prop(params: dict, ctx: ExecContext) -> dict[str, str]:
                 f"{ctx.task_id}: column {col} shifted family did not converge "
                 f"(worst relres {max(res.final_relres):.2e})"
             )
-        for si in range(len(shifts)):
-            data[si, col] = res.solutions[si]
-        totals["iterations"] += res.iterations
-        totals["matvecs"] += res.matvecs
-        totals["flops"] += res.flops
+        data[:, col] = res.solutions
+        for key in totals:
+            totals[key] += getattr(res, key)
 
-    ff = FieldFile(
-        {
-            "shifts": shifts,
-            "site": list(site),
-            "iterations": totals["iterations"],
-            "matvecs": totals["matvecs"],
-        }
-    )
+    ff = FieldFile({"shifts": shifts, "site": list(site), "iterations": totals["iterations"],
+                    "matvecs": totals["matvecs"]})
     ff.add("data", data)
     ref = ctx.store.save(ctx.task_id, "shifted", ff)
     ctx.emit(
-        "solve_done",
-        task=ctx.task_id,
-        iterations=totals["iterations"],
-        matvecs=totals["matvecs"],
-        flops=totals["flops"],
-        solver_mode="multishift",
-        n_shifts=len(shifts),
+        "solve_done", task=ctx.task_id, **totals, solver_mode="multishift", n_shifts=len(shifts)
     )
     return {"shifted": ref}
 

@@ -116,6 +116,8 @@ def test_loopback_spmd_reraises_rank_error():
 @pytest.mark.parametrize("ranks", [1, 2, 4])
 @pytest.mark.parametrize("policy", ["blocking", "pairwise", "overlap"])
 def test_mpi_runtime_hopping_bitwise(ranks, policy):
+    """The loopback MPI fabric only moves faces: hopping equals the
+    serial kernel's (exact on any host)."""
     gauge, psi = _background((8, 4, 2, 8))
     serial = WilsonOperator(gauge, MASS, backend="halfspinor")
     with DecompRuntime(

@@ -69,6 +69,8 @@ def test_engines_constant():
 @pytest.mark.parametrize("ranks", [2, 4])
 @pytest.mark.parametrize("policy", POLICIES)
 def test_hopping_bitwise_vs_serial_soa(ranks, policy):
+    """Every rank grid and halo policy gives the serial SoA kernel's
+    hopping to the bit (exact on any host: no reduction)."""
     gauge, psi = _background((8, 4, 2, 8))
     serial = _serial_soa(gauge)
     with DistributedWilsonOperator(
@@ -172,6 +174,8 @@ CG_NRHS = 3 if NUMBA_AVAILABLE else 1
 
 
 def test_cg_bitwise_invariant_under_ranks_compiled():
+    """Same iterates and bits on every rank count (deterministic, same
+    host: the slice partials are ``vdot``s summed in one fixed order)."""
     gauge, b = _background((4, 4, 4, 8), n_rhs=CG_NRHS, seed=7)
     results = {}
     for ranks in CG_RANKS:

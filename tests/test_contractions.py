@@ -11,7 +11,7 @@ from repro.contractions import (
     compute_wilson_propagator,
     pion_correlator,
     point_source,
-    point_source_5d,
+    point_sources_5d,
     proton_correlator,
     proton_correlator_bilinear,
 )
@@ -49,7 +49,7 @@ class TestSources:
 
     def test_wall_source_chiral_structure(self, gauge_tiny):
         mob = MobiusOperator(gauge_tiny, ls=4, mass=0.1)
-        src = point_source_5d(mob, (0, 0, 0, 0), 0, 0)
+        src = point_sources_5d(mob, (0, 0, 0, 0))[0]
         # spin 0 is chirality +: only the s=0 wall is populated.
         assert np.abs(src[0]).sum() > 0
         assert np.abs(src[1:-1]).sum() == 0.0

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from repro.contractions import proton_correlator
-from repro.contractions.propagator import Propagator, point_source
+from repro.contractions.propagator import (
+    Propagator,
+    boundary_project,
+    point_sources,
+    point_sources_5d,
+    solve_columns,
+)
 from repro.core.feynman_hellmann import (
     SPIN_POLARIZED_PROJ,
     AxialInsertion4D,
@@ -23,9 +29,8 @@ from repro.core.feynman_hellmann import (
     fh_correlator,
 )
 from repro.dirac import MobiusOperator, WilsonOperator
-from repro.dirac import gamma as g
 from repro.lattice import GaugeField, Geometry
-from repro.solvers import ConjugateGradient, solve_normal_equations
+from repro.solvers import ConjugateGradient
 from repro.utils.rng import make_rng
 from tests.conftest import random_fermion
 
@@ -42,13 +47,8 @@ def setup():
 
 def _perturbed_prop(wilson, geom, solver, lam) -> Propagator:
     pert = PerturbedOperator(wilson, AxialInsertion4D(), lam)
-    data = np.zeros(geom.dims + (4, 4, 3, 3), dtype=np.complex128)
-    for spin in range(4):
-        for color in range(3):
-            b = point_source(geom, (0, 0, 0, 0), spin, color)
-            res = solve_normal_equations(pert.apply, pert.apply_dagger, b, solver)
-            data[..., :, spin, :, color] = res.x
-    return Propagator(data, (0, 0, 0, 0))
+    x, _ = solve_columns(pert, point_sources(geom, (0, 0, 0, 0)), solver, schur=False)
+    return Propagator.from_columns(x, (0, 0, 0, 0))
 
 
 class TestInsertions:
@@ -123,18 +123,10 @@ class TestFHTheoremMobius:
         ins = AxialInsertion5D()
 
         def prop_for(lamval):
-            from repro.contractions.propagator import point_source_5d
-
             pert = PerturbedOperator(mob, ins, lamval)
-            geom = mob.geometry
-            data = np.zeros(geom.dims + (4, 4, 3, 3), dtype=np.complex128)
-            for spin in range(4):
-                for color in range(3):
-                    b = point_source_5d(mob, (0, 0, 0, 0), spin, color)
-                    res = solve_normal_equations(pert.apply, pert.apply_dagger, b, solver)
-                    q = g.proj_minus(res.x[0]) + g.proj_plus(res.x[-1])
-                    data[..., :, spin, :, color] = q
-            return Propagator(data, (0, 0, 0, 0))
+            b = point_sources_5d(mob, (0, 0, 0, 0))
+            x, _ = solve_columns(pert, b, solver, schur=False)
+            return Propagator.from_columns(boundary_project(x), (0, 0, 0, 0))
 
         u_p, u_m = prop_for(+lam), prop_for(-lam)
         c_plus = proton_correlator(u_p, u_m, projector=SPIN_POLARIZED_PROJ)

@@ -42,6 +42,7 @@ def _field(seed: int, shape: tuple[int, ...], scale_decades: int = 0) -> np.ndar
 
 @given(seed=seeds, scale=scales)
 def test_codec_roundtrip_is_bitwise_the_dense_roundtrip(seed, scale):
+    """``decode(encode(x))`` equals the dense round-trip (exact on any host)."""
     prec = HalfPrecision()
     codec = Half16Codec(prec)
     x = _field(seed, (3, 2, 2, 4, 3), scale)
@@ -86,6 +87,7 @@ def test_codec_handle_is_compact(seed, n):
 
 @given(seed=seeds, n=n_rhss, d=dims)
 def test_soa_pack_unpack_roundtrip_is_bitwise(seed, n, d):
+    """A permutation of the reals, undone exactly (exact on any host)."""
     phi = _field(seed, (n,) + d + (4, 3))
     re, im = pack_fermion(phi)
     np.testing.assert_array_equal(unpack_fermion(re, im, phi.shape), phi)

@@ -1,5 +1,5 @@
 """Multi-RHS lock-step solves: batched CG, batched CGNE, batched
-reliable-update CG, and the batched propagator paths."""
+reliable-update CG, and the column stacks every propagator solve runs."""
 
 from __future__ import annotations
 
@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from repro.contractions.propagator import (
+    boundary_project,
     compute_propagator,
     compute_wilson_propagator,
-    point_source_5d,
-    solve_5d,
-    solve_5d_batched,
+    point_sources,
+    point_sources_5d,
 )
 from repro.dirac import EvenOddMobius, MobiusOperator, WilsonOperator
 from repro.solvers import (
@@ -19,8 +19,10 @@ from repro.solvers import (
     ConjugateGradient,
     HalfPrecision,
     ReliableUpdateCG,
+    solve_normal_equations,
     solve_normal_equations_batched,
 )
+from tests.conftest import random_fermion
 
 
 def _spd_system(seed: int, n: int = 30, cond: float = 100.0):
@@ -173,44 +175,113 @@ class TestBatchedReliableUpdate:
         assert res.iterations == 0
 
 
-class TestBatchedPropagators:
-    def test_wilson_batched_equals_scalar(self, gauge_tiny):
+class TestPropagatorColumns:
+    """Every library propagator is the column-stack path: a column is
+    what its own one-column solve gives."""
+
+    @staticmethod
+    def _own_schur_solve(mobius, b, solver):
+        """One 5D column through its own red-black solve: (x, iterations)."""
+        eo = EvenOddMobius(mobius)
+        res = solve_normal_equations(
+            eo.schur_apply, eo.schur_dagger_apply, eo.prepare_rhs(b), solver
+        )
+        return eo.reconstruct(res.x, b), res.iterations
+
+    @staticmethod
+    def _assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.fixture(scope="class")
+    def mobius_columns(self):
+        """A Mobius operator on the tiny lattice, its solver and source
+        site, and the 12 point-source columns each solved alone."""
+        from repro.lattice import GaugeField, Geometry
+        from repro.utils.rng import make_rng
+
+        gauge = GaugeField.random(Geometry(2, 2, 2, 4), make_rng(12345), scale=0.4)
+        m = MobiusOperator(gauge, ls=4, mass=0.3, m5=1.0)
+        solver = ConjugateGradient(tol=1e-8, max_iter=2000)
+        site = (0, 1, 0, 1)
+        own = [self._own_schur_solve(m, b, solver) for b in point_sources_5d(m, site)]
+        return m, solver, site, own
+
+    def test_wilson_columns_equal_their_own_solves(self, gauge_tiny):
+        """Exact on any host: the full operator's stack schedule changes
+        which call computes a column, not one bit of it."""
         w = WilsonOperator(gauge_tiny, mass=0.3)
         solver = ConjugateGradient(tol=1e-9, max_iter=2000)
-        p_scalar, r_scalar = compute_wilson_propagator(w, (1, 0, 1, 2), solver)
-        p_batch, r_batch = compute_wilson_propagator(
-            w, (1, 0, 1, 2), solver, batched=True
-        )
-        assert len(r_batch) == 12
-        assert all(r.converged for r in r_batch)
-        np.testing.assert_allclose(p_batch.data, p_scalar.data, atol=1e-7)
+        site = (1, 0, 1, 2)
+        prop, results = compute_wilson_propagator(w, site, solver)
+        assert len(results) == 12
+        for k, b in enumerate(point_sources(w.geometry, site)):
+            alone = solve_normal_equations(w.apply, w.apply_dagger, b, solver)
+            assert np.array_equal(prop.columns()[k], alone.x), f"column {k}"
+            assert results[k].iterations == alone.iterations
+            assert results[k].final_relres == alone.final_relres
 
-    def test_mobius_batched_equals_scalar(self, gauge_tiny):
-        m = MobiusOperator(gauge_tiny, ls=4, mass=0.1, m5=1.4)
-        solver = ConjugateGradient(tol=1e-9, max_iter=2000)
-        p_scalar, _ = compute_propagator(m, (0, 1, 0, 1), solver)
-        p_batch, r_batch = compute_propagator(m, (0, 1, 0, 1), solver, batched=True)
-        assert all(r.converged for r in r_batch)
-        np.testing.assert_allclose(p_batch.data, p_scalar.data, atol=1e-7)
+    def test_mobius_propagator_matches_per_column_solves(self, mobius_columns):
+        """Portable: the masked 5D chain rounds a stack like a column up
+        to the order of its fifth-dimension contraction."""
+        m, solver, site, own = mobius_columns
+        prop, results = compute_propagator(m, site, solver)
+        for k, (x, iterations) in enumerate(own):
+            assert results[k].converged and results[k].iterations == iterations
+            self._assert_close(results[k].x, x)
+            self._assert_close(prop.columns()[k], boundary_project(x))
 
-    def test_solve_5d_batched_matches_scalar(self, gauge_tiny, rng):
-        m = MobiusOperator(gauge_tiny, ls=4, mass=0.1, m5=1.4)
-        eo = EvenOddMobius(m)
+    def test_fh_mobius_pair_matches_per_column_solves(self, mobius_columns):
+        """Two stacked solves; column k's FH source is ``Gamma_5D`` of its
+        own 5D solution, so each column matches its pair of one-column
+        solves (standard, then FH)."""
+        from repro.core.feynman_hellmann import AxialInsertion5D, compute_fh_mobius_pair
+
+        m, solver, site, own = mobius_columns
+        u, u_fh, stats = compute_fh_mobius_pair(m, site, solver)
+        assert len(stats) == 24
+        for k, (x, iterations) in enumerate(own):
+            x_fh, iterations_fh = self._own_schur_solve(m, AxialInsertion5D().apply(x), solver)
+            assert (stats[k].iterations, stats[12 + k].iterations) == (iterations, iterations_fh)
+            self._assert_close(u.columns()[k], boundary_project(x))
+            self._assert_close(u_fh.columns()[k], boundary_project(x_fh))
+
+    def test_wall_helpers_act_field_by_field_on_a_stack(self, gauge_tiny, rng):
+        """The 5D insertion and the wall projection index the fifth
+        dimension (``MobiusOperator.S_AXIS``), not the stack axis."""
+        from repro.core.feynman_hellmann import AxialInsertion5D
+
+        m = MobiusOperator(gauge_tiny, ls=4, mass=0.1)
+        psi = random_fermion(rng, (3,) + m.field_shape)
+        ins = AxialInsertion5D()
+        for f in (ins.apply, ins.apply_dagger, boundary_project):
+            want = np.stack([f(p) for p in psi])
+            np.testing.assert_allclose(f(psi), want, rtol=0, atol=1e-15 * np.abs(want).max())
+
+    def test_the_solver_type_decides_the_sequential_system(self, gauge_tiny):
+        """``mode`` names a schedule and nothing else: ``"block"`` is not
+        one, and a ``BlockCG`` runs one 12-wide block solve of the full
+        operator whatever the schedule says."""
+        from repro.contractions import sequential_propagator, solve_column_stacks
+        from repro.dirac import gamma as g
+        from repro.solvers.blockcg import BlockCG
+
+        w = WilsonOperator(gauge_tiny, mass=0.3)
         solver = ConjugateGradient(tol=1e-9, max_iter=2000)
-        sources = np.stack(
-            [point_source_5d(m, (0, 0, 0, t), t % 4, t % 3) for t in range(3)]
-        )
-        x_batch, res = solve_5d_batched(m, sources, solver, eo)
-        assert res.all_converged
-        for i in range(3):
-            x_i, _ = solve_5d(m, sources[i], solver, eo)
-            np.testing.assert_allclose(x_batch[i], x_i, atol=1e-7)
-        # reported residuals are for the full unpreconditioned system
-        for i in range(3):
-            direct = np.linalg.norm(
-                (sources[i] - m.apply(x_batch[i])).ravel()
-            ) / np.linalg.norm(sources[i].ravel())
-            assert res.final_relres[i] == pytest.approx(direct, rel=1e-6, abs=1e-12)
+        prop, _ = compute_wilson_propagator(w, solver=solver)
+        t_snk = 2
+        with pytest.raises(ValueError, match="unknown sequential solve mode"):
+            sequential_propagator(w, prop, t_snk, solver, mode="block")
+
+        cols = prop.columns()
+        b = np.zeros_like(cols)
+        b[:, :, :, :, t_snk] = cols[:, :, :, :, t_snk]
+        block = BlockCG(tol=1e-9, max_iter=2000)
+        ((_, want),) = solve_column_stacks(w.apply, w.apply_dagger, g.gamma5_mul(b), block, width=12)
+        for mode in ("percolumn", "batched"):
+            stats: dict = {}
+            seq = sequential_propagator(w, prop, t_snk, block, mode=mode, stats=stats)
+            assert np.array_equal(seq.columns(), g.gamma5_mul(want.x)), mode
+            assert stats["iterations"] == want.iterations
 
 
 class TestPerColumnIterations:
@@ -540,7 +611,7 @@ class TestSchurColumnStacks:
         ((_, got),) = masked.solve(solver)
         ((_, want),) = packed.solve(solver)
         assert got.all_converged
-        assert column_relres(masked.wilson.apply, b[:3], got.x).max() <= 10 * tol
+        assert column_relres(masked.op.apply, b[:3], got.x).max() <= 10 * tol
         assert np.array_equal(got.column_iterations, want.column_iterations)
         assert np.allclose(got.x, want.x, rtol=0, atol=10 * tol * np.abs(want.x).max())
 
