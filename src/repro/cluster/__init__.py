@@ -7,12 +7,14 @@ everything the schedulers in :mod:`repro.jobmgr` need to show their
 effect on utilization and sustained performance.
 """
 
-from repro.cluster.simulator import ClusterSim, NodeState, Task, TaskState
+from repro.cluster.simulator import ClusterSim, Dispatch, NodeState, Task, TaskState, first_fit
 from repro.cluster.naive import NaiveBundler
 from repro.cluster.workload import WorkloadSpec, make_propagator_workload
 
 __all__ = [
     "ClusterSim",
+    "Dispatch",
+    "first_fit",
     "NodeState",
     "Task",
     "TaskState",

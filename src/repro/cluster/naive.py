@@ -14,67 +14,28 @@ nodes turns directly into idle GPUs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
-from repro.cluster.simulator import ClusterSim, Task
+from repro.cluster.simulator import ClusterSim, Dispatch, Task, first_fit
+from repro.runtime.policies import POLICIES
 
 __all__ = ["NaiveBundler"]
 
 
 @dataclass
 class NaiveBundler:
-    """Batch-synchronous execution of a task list.
-
-    Parameters
-    ----------
-    sim:
-        The cluster to run on.
-    """
+    """Batch-synchronous execution of a task list on ``sim``: the ``naive``
+    policy, first-fit on the free nodes."""
 
     sim: ClusterSim
     bundles_run: int = field(default=0, init=False)
 
     def run(self, tasks: list[Task]) -> float:
         """Execute all tasks bundle by bundle; returns the makespan."""
-        queue = [t.clone() for t in tasks]
-        sim = self.sim
-
-        def launch_bundle() -> None:
-            if not queue:
-                return
-            self.bundles_run += 1
-            # First-fit pack tasks onto currently free nodes.
-            started: list[Task] = []
-            remaining = {"count": 0}
-            while queue:
-                task = queue[0]
-                placement = _first_fit(sim, task)
-                if placement is None:
-                    break
-                queue.pop(0)
-                remaining["count"] += 1
-
-                def done(_t: Task) -> None:
-                    remaining["count"] -= 1
-                    # Barrier: only when the whole bundle drained do we
-                    # launch the next one.
-                    if remaining["count"] == 0:
-                        launch_bundle()
-
-                sim.start_task(task, placement, on_complete=done)
-                started.append(task)
-            if not started and queue:
-                raise RuntimeError(
-                    f"task {queue[0].name} cannot fit on an empty allocation"
-                )
-
-        launch_bundle()
-        sim.run()
-        return sim.now
-
-
-def _first_fit(sim: ClusterSim, task: Task) -> list[int] | None:
-    """First nodes (in index order) that can host the task, or None."""
-    free = sim.free_nodes(task.gpus_per_node, task.cpus_per_node)
-    if len(free) < task.n_nodes:
-        return None
-    return free[: task.n_nodes]
+        starts: set[float] = set()  # a bundle's members start together
+        makespan = Dispatch(
+            self.sim, POLICIES["naive"], partial(first_fit, self.sim),
+            on_start=lambda task, _end: starts.add(task.start_time),
+        ).run(tasks)
+        self.bundles_run += len(starts)
+        return makespan

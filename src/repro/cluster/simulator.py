@@ -5,7 +5,9 @@ Nodes own GPUs and CPU slots; tasks request ``n_nodes x (gpus_per_node,
 cpus_per_node)`` and run for ``work / slowest-node-speed x
 placement_penalty`` seconds.  Per-node performance jitter models the
 real-machine variance that makes naive bundling idle 20-25% of the
-allocation (Section V).
+allocation (Section V).  :class:`Dispatch` runs an executed scheduling
+policy (:mod:`repro.runtime.policies`) on this virtual clock; the job
+managers supply only where a task goes.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from repro.utils.rng import make_rng
 
-__all__ = ["NodeState", "Task", "TaskState", "ClusterSim"]
+__all__ = ["NodeState", "Task", "TaskState", "ClusterSim", "Dispatch", "first_fit"]
 
 
 @dataclass
@@ -97,13 +99,15 @@ class Task:
         if self.work <= 0:
             raise ValueError(f"{self.name}: work must be positive")
 
-    @property
-    def duration_hint(self) -> float:
-        return self.work
+    # The scheduling policies' vocabulary (repro.runtime.policies).  The
+    # model has no duration estimate: ``work`` is the true duration, which
+    # no real job manager knows, so every modeled task ranks the same.
+    priority = 0
+    est_seconds = 0.0
 
     @property
-    def is_gpu(self) -> bool:
-        return self.gpus_per_node > 0
+    def cpu_only(self) -> bool:
+        return self.gpus_per_node == 0
 
     def clone(self) -> "Task":
         """Fresh PENDING copy (schedulers clone so a task list can be
@@ -279,3 +283,80 @@ class ClusterSim:
         if span <= 0:
             return 0.0
         return sum(t.flops for t in self.completed) / span / 1e15
+
+
+Placement = tuple[list[int], float]  # (node ids, placement penalty)
+
+
+def first_fit(sim: ClusterSim, task: Task) -> Placement | None:
+    """The first free nodes (in index order) that can host the task."""
+    free = sim.free_nodes(task.gpus_per_node, task.cpus_per_node)
+    return (free[: task.n_nodes], 1.0) if len(free) >= task.n_nodes else None
+
+
+@dataclass
+class Dispatch:
+    """One scheduling loop on the virtual clock: ``policy.assign``
+    (:mod:`repro.runtime.policies`) decides what starts, ``place(task)``
+    where (or ``None``), and the launched copy runs ``overhead`` seconds
+    longer (per-task ``mpirun`` / spawn).  ``on_start(task, end)`` and
+    ``on_done(task)`` see the launched copy; every completion pumps."""
+
+    sim: ClusterSim
+    policy: object
+    place: Callable[[Task], Placement | None]
+    overhead: float = 0.0
+    on_start: Callable[[Task, float], None] | None = None
+    on_done: Callable[[Task], None] | None = None
+    ready: list[Task] = field(default_factory=list, init=False)
+    running: dict[Task, Task] = field(default_factory=dict, init=False)  # launched -> queued
+
+    def submit(self, task: Task) -> None:
+        self.ready.append(task.clone())
+
+    def pump(self) -> None:
+        """Start everything the policy allows that fits right now."""
+        # Launches only consume resources, so a shape that missed once
+        # cannot fit later in the same pass.
+        missed: set[tuple[int, int, int]] = set()
+
+        def place(task: Task) -> Placement | None:
+            shape = (task.n_nodes, task.gpus_per_node, task.cpus_per_node)
+            where = None if shape in missed else self.place(task)
+            if where is None:
+                missed.add(shape)
+            return where
+
+        for task, (nodes, penalty) in self.policy.assign(self.ready, len(self.running), place):
+            self.ready.remove(task)  # assign iterates its own ordered copy
+            launched = task.clone()
+            launched.work = task.work + self.overhead
+            self.running[launched] = task
+            end = self.sim.start_task(launched, nodes, self._done, placement_penalty=penalty)
+            if self.on_start is not None:
+                self.on_start(launched, end)
+
+    def _done(self, launched: Task) -> None:
+        del self.running[launched]
+        if self.on_done is not None:
+            self.on_done(launched)
+        self.pump()
+
+    def kill(self, launched: Task) -> None:
+        """Abort a running launch; its queued task goes back on the queue."""
+        self.sim.kill_task(launched)
+        self.ready.append(self.running.pop(launched).clone())
+
+    def run(self, tasks: list[Task], start_at: float | None = None) -> float:
+        """Queue the tasks, pump now (or after ``start_at`` seconds), run
+        the clock dry; returns the makespan."""
+        for task in tasks:
+            self.submit(task)
+        if start_at is None:
+            self.pump()
+        else:
+            self.sim.after(start_at, self.pump)
+        self.sim.run()
+        if self.ready:
+            raise RuntimeError(f"{len(self.ready)} tasks never fit (first: {self.ready[0].name})")
+        return self.sim.now

@@ -56,7 +56,7 @@ def render_gantt(sim: ClusterSim, width: int = 60, max_nodes: int = 24) -> str:
         hi = np.searchsorted(edges, task.end_time, side="left")
         for node in task.nodes:
             if node < n_nodes:
-                grid[node, max(lo, 0) : min(hi + 1, width)] = True
+                grid[node, max(lo, 0) : min(hi, width)] = True
     lines = []
     for node in range(n_nodes):
         row = "".join("#" if cell else "." for cell in grid[node])

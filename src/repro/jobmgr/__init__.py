@@ -11,6 +11,10 @@ DPM) subdivided into *blocks* (contiguous node groups sized to the jobs)
 that prevent fragmentation; CPU-only tasks co-schedule onto the idle
 cores of GPU nodes; and the partitioned startup brings thousands of
 nodes up in minutes.
+
+Both are placement only: *what* starts is the executed runtime's policy
+(:mod:`repro.runtime.policies`), run on the simulator's virtual clock by
+:class:`repro.cluster.Dispatch`; *where* is each manager's ``_place``.
 """
 
 from repro.jobmgr.metaq import METAQ, MetaqStats

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster.simulator import ClusterSim, Task
+from repro.cluster.simulator import ClusterSim, Dispatch, Placement, Task, first_fit
+from repro.runtime.policies import POLICIES
 
 __all__ = ["METAQ", "MetaqStats"]
 
@@ -34,7 +35,8 @@ class MetaqStats:
 
 @dataclass
 class METAQ:
-    """Backfilling executor over a :class:`ClusterSim` allocation.
+    """Backfilling executor over a :class:`ClusterSim` allocation: the
+    ``metaq`` policy, placed on the first free nodes.
 
     Parameters
     ----------
@@ -66,70 +68,26 @@ class METAQ:
 
     def run(self, tasks: list[Task]) -> float:
         """Execute all tasks with backfilling; returns the makespan."""
-        queue: list[Task] = [t.clone() for t in tasks]
-        sim = self.sim
+        return Dispatch(
+            self.sim, POLICIES["metaq"], self._place, overhead=self.mpirun_overhead
+        ).run(tasks)
 
-        def contiguity(nodes: list[int]) -> float:
-            span = max(nodes) - min(nodes) + 1
-            return len(nodes) / span
-
-        def try_launch() -> None:
-            # Scan the queue in order, launching everything that fits —
-            # exactly METAQ's directory scan.  Free-node lists are
-            # computed lazily per resource signature and reused across
-            # the pass, keeping each scan near O(queue + nodes).
-            free_lists: dict[tuple[int, int], list[int]] = {}
-            i = 0
-            while i < len(queue):
-                task = queue[i]
-                key = (task.gpus_per_node, task.cpus_per_node)
-                if key not in free_lists:
-                    free_lists[key] = sim.free_nodes(*key)
-                free = free_lists[key]
-                if len(free) >= task.n_nodes:
-                    nodes = free[: task.n_nodes]
-                    # The launch below mutates node state; drop the
-                    # cached lists so the next fit re-reads the truth.
-                    free_lists.clear()
-                    c = contiguity(nodes)
-                    if task.n_nodes <= 1:
-                        penalty = 1.0
-                    elif self.topology is not None:
-                        penalty = self.topology.placement_penalty(
-                            nodes, sensitivity=self.comm_sensitivity
-                        )
-                    else:
-                        penalty = 1.0 + self.frag_penalty * (1.0 - c)
-                    queue.pop(i)
-                    self.stats.tasks_launched += 1
-                    self.stats.mpirun_invocations += 1
-                    if c < 1.0 and task.n_nodes > 1:
-                        self.stats.fragmented_launches += 1
-                        self.stats.worst_contiguity = min(self.stats.worst_contiguity, c)
-                    padded = Task(
-                        name=task.name,
-                        n_nodes=task.n_nodes,
-                        gpus_per_node=task.gpus_per_node,
-                        cpus_per_node=task.cpus_per_node,
-                        work=task.work + self.mpirun_overhead,
-                        flops=task.flops,
-                        tags=task.tags,
-                    )
-                    sim.start_task(
-                        padded,
-                        nodes,
-                        on_complete=lambda _t: try_launch(),
-                        placement_penalty=penalty,
-                    )
-                else:
-                    i += 1
-
-        try_launch()
-        if self.stats.tasks_launched == 0 and queue:
-            raise RuntimeError(
-                f"no task fits the allocation (first: {queue[0].name})"
+    def _place(self, task: Task) -> Placement | None:
+        """The first free nodes, wherever they are, and what that costs."""
+        placed = first_fit(self.sim, task)
+        if placed is None:
+            return None
+        nodes = placed[0]
+        contiguity = len(nodes) / (max(nodes) - min(nodes) + 1)
+        if task.n_nodes > 1 and self.topology is not None:
+            penalty = self.topology.placement_penalty(
+                nodes, sensitivity=self.comm_sensitivity
             )
-        sim.run()
-        if queue:
-            raise RuntimeError(f"{len(queue)} tasks never fit the allocation")
-        return sim.now
+        else:
+            penalty = 1.0 + self.frag_penalty * (1.0 - contiguity)
+        self.stats.tasks_launched += 1
+        self.stats.mpirun_invocations += 1
+        if contiguity < 1.0 and task.n_nodes > 1:
+            self.stats.fragmented_launches += 1
+            self.stats.worst_contiguity = min(self.stats.worst_contiguity, contiguity)
+        return nodes, penalty

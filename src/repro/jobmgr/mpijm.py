@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.cluster.simulator import ClusterSim, Task
+from repro.cluster.simulator import ClusterSim, Dispatch, Placement, Task, TaskState
 from repro.comm.mpi import MPI_IMPLEMENTATIONS, MPIImplementation
+from repro.runtime.policies import POLICIES
 
 __all__ = ["MpiJmConfig", "MpiJmStats", "MpiJm", "startup_time"]
 
@@ -113,7 +114,8 @@ def startup_time(
 
 
 class MpiJm:
-    """The scheduler, driving a :class:`ClusterSim`.
+    """The scheduler, driving a :class:`ClusterSim`: the ``mpijm`` policy,
+    placed in blocks, with lump aborts around it.
 
     Parameters
     ----------
@@ -144,60 +146,34 @@ class MpiJm:
 
     # -- topology ------------------------------------------------------------
     def _build_blocks(self, lump_failure_prob: float) -> None:
-        cfg = self.config
-        n = self.sim.n_nodes
-        node_ids = list(range(n))
-        lumps = [
-            node_ids[i : i + cfg.lump_size] for i in range(0, n, cfg.lump_size)
-        ]
+        sim, size = self.sim, self.config.block_size
+        step = self.config.lump_size
+        lumps = [list(range(i, min(i + step, sim.n_nodes))) for i in range(0, sim.n_nodes, step)]
         self.stats.lumps = len(lumps)
-        self._node_lump = {
-            node: li for li, lump in enumerate(lumps) for node in lump
-        }
-        healthy: list[list[int]] = []
+        self._node_lump = {node: li for li, lump in enumerate(lumps) for node in lump}
         for lump in lumps:
-            if lump_failure_prob > 0 and self.sim.rng.random() < lump_failure_prob:
+            if lump_failure_prob > 0 and sim.rng.random() < lump_failure_prob:
                 self.stats.lumps_failed += 1
                 for i in lump:
-                    self.sim.fail_node(i)
-                continue
-            healthy.append(lump)
-        for lump in healthy:
-            for j in range(0, len(lump), cfg.block_size):
-                block = lump[j : j + cfg.block_size]
-                if len(block) == cfg.block_size:
-                    self._blocks.append(block)
+                    sim.fail_node(i)
+            else:  # whole blocks only
+                self._blocks += [lump[j : j + size] for j in range(0, len(lump) - size + 1, size)]
         self.stats.blocks = len(self._blocks)
 
-    def _free_block_nodes(self, task: Task) -> list[int] | None:
-        """Contiguous nodes for a GPU task, confined to one block."""
-        for block in self._blocks:
-            candidates = [
+    def _place(self, task: Task) -> Placement | None:
+        """GPU work goes inside one block; ``cpu_only`` work overlays any
+        node with free cores, whether or not its GPUs are busy."""
+        nodes = self.sim.nodes
+        for group in (range(len(nodes)),) if task.cpu_only else self._blocks:
+            free = [
                 i
-                for i in block
-                if not self.sim.nodes[i].failed
-                and self.sim.nodes[i].gpus_free >= task.gpus_per_node
-                and self.sim.nodes[i].cpus_free >= task.cpus_per_node
+                for i in group
+                if not nodes[i].failed
+                and nodes[i].gpus_free >= task.gpus_per_node
+                and nodes[i].cpus_free >= task.cpus_per_node
             ]
-            if len(candidates) >= task.n_nodes:
-                return candidates[: task.n_nodes]
-        return None
-
-    def _free_cpu_nodes(self, task: Task) -> list[int] | None:
-        """Any nodes with free CPU slots — GPUs may be busy (overlay).
-
-        Tasks that also demand GPUs (the exclusive, non-overlaid
-        baseline) are matched on both resources.
-        """
-        free = [
-            n.index
-            for n in self.sim.nodes
-            if not n.failed
-            and n.cpus_free >= task.cpus_per_node
-            and n.gpus_free >= task.gpus_per_node
-        ]
-        if len(free) >= task.n_nodes:
-            return free[: task.n_nodes]
+            if len(free) >= task.n_nodes:
+                return free[: task.n_nodes], 1.0
         return None
 
     # -- execution ----------------------------------------------------------------
@@ -213,7 +189,8 @@ class MpiJm:
         Parameters
         ----------
         gpu_tasks, cpu_tasks:
-            Initially-ready work.
+            Initially-ready work (placed by shape: GPU tasks in blocks,
+            CPU-only tasks on the overlay).
         on_gpu_complete:
             Optional callback ``task -> list[Task]`` returning CPU tasks
             *released* by a GPU task's completion (the Fig. 2 dependency:
@@ -225,87 +202,53 @@ class MpiJm:
             (in violation of the MPI standard), but fortunately not the
             entire system": every job running in the lump is killed and
             requeued, and the abort is consumed (the retry succeeds).
-            This is why production used relatively small lump sizes.
+            A job killed before its abort point never calls it.  This is
+            why production used relatively small lump sizes.
         """
         cfg = self.config
-        gpu_queue = [t.clone() for t in gpu_tasks]
-        cpu_queue = [t.clone() for t in (cpu_tasks or [])]
-        aborts = dict(abort_spec or {})
-        running_in_lump: dict[int, dict[Task, Task]] = {}
-        for t in gpu_queue:
+        for t in gpu_tasks:
             if t.n_nodes > cfg.block_size:
                 raise ValueError(
                     f"{t.name} spans {t.n_nodes} nodes > block size {cfg.block_size}"
                 )
         sim = self.sim
+        aborts = dict(abort_spec or {})
 
-        def pump() -> None:
-            launched = True
-            while launched:
-                launched = False
-                for queue, finder, is_gpu in (
-                    (gpu_queue, self._free_block_nodes, True),
-                    (cpu_queue, self._free_cpu_nodes, False),
-                ):
-                    while queue:
-                        # FIFO semantics: the scheduler hands out ready
-                        # jobs in order; if the head does not fit, later
-                        # equal-or-larger jobs will not either (keeps the
-                        # pump O(blocks) instead of O(queue x blocks)).
-                        task = queue[0]
-                        nodes = finder(task)
-                        if nodes is None:
-                            break
-                        queue.pop(0)
-                        self.stats.spawns += 1
-                        if is_gpu:
-                            self.stats.gpu_tasks += 1
-                        else:
-                            self.stats.cpu_tasks += 1
-                        spawned = task.clone()
-                        spawned.work = task.work + cfg.spawn_overhead_s
-                        lump = self._node_lump[nodes[0]]
+        def started(task: Task, end: float) -> None:
+            self.stats.spawns += 1
+            self.stats.gpu_tasks += not task.cpu_only
+            self.stats.cpu_tasks += task.cpu_only
+            frac = aborts.pop(task.name, None)
+            if frac is not None:
+                if not 0.0 < frac <= 1.0:
+                    raise ValueError(f"abort fraction for {task.name} must be in (0, 1]")
+                sim.at(sim.now + frac * (end - sim.now), lambda: abort_lump(task))
 
-                        def completed(done_task: Task, was_gpu: bool = is_gpu, li: int = lump) -> None:
-                            running_in_lump.get(li, {}).pop(done_task, None)
-                            if was_gpu and on_gpu_complete is not None:
-                                for released in on_gpu_complete(done_task):
-                                    cpu_queue.append(released.clone())
-                            pump()
-
-                        end = sim.start_task(spawned, nodes, on_complete=completed)
-                        running_in_lump.setdefault(lump, {})[spawned] = task
-                        launched = True
-
-                        if task.name in aborts:
-                            frac = aborts.pop(task.name)
-                            if not 0.0 < frac <= 1.0:
-                                raise ValueError(
-                                    f"abort fraction for {task.name} must be in (0, 1]"
-                                )
-                            abort_at = sim.now + frac * (end - sim.now)
-                            sim.at(abort_at, lambda li=lump: abort_lump(li))
-
-        def abort_lump(lump: int) -> None:
-            """MPI_Abort takes the whole lump down; requeue its jobs."""
-            victims = running_in_lump.pop(lump, {})
-            if not victims:
-                return
+        def abort_lump(caller: Task) -> None:
+            """MPI_Abort takes the caller's whole lump down; requeue its jobs."""
+            if caller.state != TaskState.RUNNING:
+                return  # killed before its abort point: it never calls it
             self.stats.aborts_observed += 1
-            for spawned, original in victims.items():
-                sim.kill_task(spawned)
+            lump = self._node_lump[caller.nodes[0]]
+            for victim in [t for t in dispatch.running if self._node_lump[t.nodes[0]] == lump]:
+                dispatch.kill(victim)
                 self.stats.tasks_killed_by_abort += 1
-                (gpu_queue if original.is_gpu else cpu_queue).append(original.clone())
-            pump()
+            dispatch.pump()
 
-        startup = 0.0
+        def done(task: Task) -> None:
+            if not task.cpu_only and on_gpu_complete is not None:
+                for released in on_gpu_complete(task):
+                    dispatch.submit(released)
+
+        dispatch = Dispatch(
+            sim,
+            POLICIES["mpijm"],
+            self._place,
+            overhead=cfg.spawn_overhead_s,
+            on_start=started,
+            on_done=done,
+        )
         if self.include_startup:
-            startup = startup_time(sim.n_nodes, cfg.lump_size, cfg.mpi)
-            self.stats.startup_seconds = startup
-        sim.after(startup, pump)
-        sim.run()
-        if gpu_queue or cpu_queue:
-            raise RuntimeError(
-                f"{len(gpu_queue)} GPU / {len(cpu_queue)} CPU tasks never fit"
-            )
-        return sim.now
+            self.stats.startup_seconds = startup_time(sim.n_nodes, cfg.lump_size, cfg.mpi)
+        tasks = [*gpu_tasks, *(cpu_tasks or [])]
+        return dispatch.run(tasks, start_at=self.stats.startup_seconds)

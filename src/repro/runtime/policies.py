@@ -1,27 +1,30 @@
-"""Executed scheduling policies: naive bundling, METAQ, mpi_jm.
+"""Scheduling policies — naive bundling, METAQ, mpi_jm — one decision, two clocks.
 
-These decide which ready task an *idle real worker* receives next — the
-executed counterparts of the modeled schedulers in
-:mod:`repro.jobmgr`.  The Section V story maps directly:
+A policy decides which ready task starts next, for the executed runtime
+(idle real workers, :meth:`SchedulingPolicy.select`) and for the modeled
+job managers (free nodes of a :class:`repro.cluster.ClusterSim` on a
+virtual clock, :class:`repro.cluster.Dispatch`).  Each policy says only
+the start ``order`` and the ``lane`` a task that does not fit holds back;
+:meth:`SchedulingPolicy.assign` is the rest.  Section V maps directly:
 
 ``naive``
-    Batch-synchronous bundling: a wave of tasks is dispatched only when
-    *every* worker is idle, then the driver waits for the whole wave.
-    Duration variance between heterogeneous tasks turns straight into
-    idle workers — the measured analogue of the paper's 20-25% waste.
+    Bundle-and-wait: a wave starts only when *nothing* runs, and a task
+    that does not fit ends the wave.  Duration variance turns straight
+    into idle workers — the paper's 20-25% waste.
 ``metaq``
-    Backfilling: the moment any worker goes idle it receives the first
-    ready task in FIFO (topological) order — METAQ's task-directory
-    scan, executed.
+    Backfilling: free resources take the first ready task that fits, in
+    FIFO (topological) order — METAQ's task-directory scan.
 ``mpijm``
-    Priority/resource-shape scheduling: ready tasks sorted by priority
-    then longest-estimated-first (so big solves start early and small
-    contractions backfill the tail), with CPU-cheap tasks used as
-    co-scheduled filler — the lump/block manager's placement logic
-    reduced to the single-node worker pool.
+    GPU work first, then priority and longest estimate (big solves start
+    early, small contractions backfill the tail); CPU-only tasks are
+    co-scheduled filler that a stuck GPU task does not hold back.
+    Modeled tasks carry no estimate, so on the virtual clock this is
+    FIFO within each lane.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Hashable, Iterator
 
 from repro.runtime.tasks import CampaignTask
 
@@ -36,16 +39,33 @@ __all__ = [
 
 
 class SchedulingPolicy:
-    """Assign ready tasks to idle workers.
-
-    ``select`` receives the ready tasks (dependency order preserved),
-    the idle worker ids, and the number of currently running tasks; it
-    returns ``(worker_id, task_id)`` pairs to dispatch now.  It is
-    called again after every state change, so policies never need to
-    plan more than one step ahead.
-    """
+    """Start ready tasks where there is room, one step at a time.  Tasks
+    (executed or modeled) need ``cpu_only``, ``priority`` and ``est_seconds``."""
 
     name = "base"
+
+    def order(self, ready: list, n_running: int) -> list:
+        """A new list: the order to try ``ready`` (dependency-ordered) in."""
+        return list(ready)
+
+    def lane(self, task) -> Hashable | None:
+        """What a task that does not fit holds back: every later task in
+        the same lane waits this pass; ``None`` holds nothing (backfill)."""
+        return None
+
+    def assign(self, ready: list, n_running: int, place: Callable) -> Iterator[tuple]:
+        """Yield ``(task, where)`` to start now (``place(task)`` is ``None`` if it
+        does not fit); the caller starts each before the next is placed."""
+        held = set()
+        for task in self.order(ready, n_running):
+            lane = self.lane(task)
+            if lane is not None and lane in held:
+                continue
+            where = place(task)
+            if where is not None:
+                yield task, where
+            elif lane is not None:
+                held.add(lane)
 
     def select(
         self,
@@ -53,7 +73,12 @@ class SchedulingPolicy:
         idle_workers: list[int],
         n_running: int,
     ) -> list[tuple[int, str]]:
-        raise NotImplementedError
+        """Worker-pool placement: ``(worker_id, task_id)`` pairs to dispatch now."""
+        idle = iter(idle_workers)
+        return [
+            (w, t.task_id)
+            for t, w in self.assign(ready, n_running, lambda _t: next(idle, None))
+        ]
 
 
 class NaiveWavePolicy(SchedulingPolicy):
@@ -61,19 +86,17 @@ class NaiveWavePolicy(SchedulingPolicy):
 
     name = "naive"
 
-    def select(self, ready, idle_workers, n_running):
-        if n_running > 0:
-            return []  # the wave barrier: wait for the slowest member
-        return [(w, t.task_id) for w, t in zip(idle_workers, ready)]
+    def order(self, ready, n_running):
+        return [] if n_running > 0 else list(ready)  # wait for the slowest member
+
+    def lane(self, task):
+        return "wave"
 
 
 class MetaqBackfillPolicy(SchedulingPolicy):
-    """FIFO backfill: any idle worker takes the first ready task."""
+    """FIFO backfill: free resources take the first ready task that fits."""
 
     name = "metaq"
-
-    def select(self, ready, idle_workers, n_running):
-        return [(w, t.task_id) for w, t in zip(idle_workers, ready)]
 
 
 class MpiJmPolicy(SchedulingPolicy):
@@ -81,20 +104,14 @@ class MpiJmPolicy(SchedulingPolicy):
 
     name = "mpijm"
 
-    def select(self, ready, idle_workers, n_running):
+    def order(self, ready, n_running):
         # GPU-shaped (expensive) work first, longest first, so the tail
         # of the campaign is made of small backfillable contractions;
-        # ties broken by the deterministic ready order.
-        order = sorted(
-            range(len(ready)),
-            key=lambda i: (
-                ready[i].cpu_only,
-                -ready[i].priority,
-                -ready[i].est_seconds,
-                i,
-            ),
-        )
-        return [(w, ready[i].task_id) for w, i in zip(idle_workers, order)]
+        # the stable sort breaks ties by the deterministic ready order.
+        return sorted(ready, key=lambda t: (t.cpu_only, -t.priority, -t.est_seconds))
+
+    def lane(self, task):
+        return task.cpu_only
 
 
 POLICIES = {

@@ -7,12 +7,11 @@ Two consumers:
   from telemetry, and a Gantt-style span listing.
 * ``repro-report --section campaign`` runs the cross-validation: the
   same heterogeneous task mix is executed on a real worker pool under
-  the naive and METAQ policies *and* pushed through the PR 1 event
-  simulator (:class:`repro.cluster.NaiveBundler` vs
-  :class:`repro.jobmgr.METAQ`), then the two idle-fraction rankings are
-  compared.  The simulator's Section V claim — bundling wastes workers,
-  backfilling recovers them — is only trustworthy once the executed
-  runtime reproduces the ordering with real processes and real clocks.
+  the naive and METAQ policies *and*, the same policy objects, on the
+  simulator's virtual clock (:class:`repro.cluster.Dispatch`), then the
+  two idle-fraction rankings are compared.  The Section V claim —
+  bundling wastes workers, backfilling recovers them — holds only once
+  real processes on real clocks reproduce the modeled ordering.
 """
 
 from __future__ import annotations
@@ -128,33 +127,27 @@ def modeled_policy_comparison(
     short_s: float = 0.05,
     seed: int = 11,
 ) -> dict[str, dict[str, float]]:
-    """The same duration mix through the PR 1 event simulator."""
-    from repro.cluster import ClusterSim, NaiveBundler, Task
-    from repro.jobmgr import METAQ
+    """The same duration mix and the same policy objects, on the virtual
+    clock of the event simulator."""
+    from functools import partial
+
+    from repro.cluster import ClusterSim, Dispatch, Task, first_fit
     from repro.runtime.builder import sleep_durations
+    from repro.runtime.policies import POLICIES
 
     long_durs, short_durs = sleep_durations(n_long, n_short, long_s, short_s)
-
-    def mix() -> list[Task]:
-        return [
-            Task(name=f"t{i}", n_nodes=1, gpus_per_node=1, cpus_per_node=1,
-                 work=dur)
-            for i, dur in enumerate(long_durs + short_durs)
-        ]
-
+    mix = [
+        Task(name=f"t{i}", n_nodes=1, gpus_per_node=1, cpus_per_node=1, work=dur)
+        for i, dur in enumerate(long_durs + short_durs)
+    ]
     out: dict[str, dict[str, float]] = {}
-    sim = ClusterSim(workers, gpus_per_node=1, cpus_per_node=1, rng=seed)
-    makespan = NaiveBundler(sim).run(mix())
-    out["naive"] = {
-        "makespan": makespan,
-        "idle_fraction": 1.0 - sim.gpu_utilization(makespan),
-    }
-    sim = ClusterSim(workers, gpus_per_node=1, cpus_per_node=1, rng=seed)
-    makespan = METAQ(sim, mpirun_overhead=0.0).run(mix())
-    out["metaq"] = {
-        "makespan": makespan,
-        "idle_fraction": 1.0 - sim.gpu_utilization(makespan),
-    }
+    for policy in ("naive", "metaq"):
+        sim = ClusterSim(workers, gpus_per_node=1, cpus_per_node=1, rng=seed)
+        makespan = Dispatch(sim, POLICIES[policy], partial(first_fit, sim)).run(mix)
+        out[policy] = {
+            "makespan": makespan,
+            "idle_fraction": 1.0 - sim.gpu_utilization(makespan),
+        }
     return out
 
 

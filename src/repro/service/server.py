@@ -47,6 +47,11 @@ _REASONS = {200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
             500: "Internal Server Error"}
 
 
+class _HTTPError(Exception):
+    """``(code, message)``: a request refused before its body is read (the
+    connection closes after the answer, as on every error)."""
+
+
 class CampaignServer:
     """Bind a :class:`CampaignService` to an HTTP port."""
 
@@ -91,8 +96,9 @@ class CampaignServer:
         except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
             pass  # early disconnect: the client's problem, not ours
         except Exception as e:  # defensive: one bad request must not kill the server
+            code, msg = e.args if isinstance(e, _HTTPError) else (500, f"{type(e).__name__}: {e}")
             try:
-                await self._respond(writer, 500, {"error": f"{type(e).__name__}: {e}"})
+                await self._respond(writer, code, {"error": msg})
             except ConnectionError:
                 pass
         finally:
@@ -119,9 +125,12 @@ class CampaignServer:
                 break
             name, _, value = h.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        declared = headers.get("content-length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _HTTPError(400, f"bad Content-Length {declared!r}")
+        length = int(declared)
         if length > _MAX_BODY:
-            raise ValueError("request body too large")
+            raise _HTTPError(413, f"request body over {_MAX_BODY} bytes")
         raw = await reader.readexactly(length) if length else b""
         body: Any = None
         if raw:

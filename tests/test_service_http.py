@@ -108,6 +108,29 @@ class TestRequestResponse:
             run_sync(client._json("PUT", "/campaigns"))
         assert e.value.code == 405
 
+    @pytest.mark.parametrize(
+        "declared, code",
+        [("999999999", 413), ("abc", 400), ("-5", 400), ("1_0", 400)],
+    )
+    def test_bad_content_length_refused_before_the_body(self, server, client, declared, code):
+        async def flow():
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                writer.write(
+                    f"POST /campaigns HTTP/1.1\r\nHost: x\r\n"
+                    f"Content-Length: {declared}\r\n\r\n".encode()
+                )
+                await writer.drain()
+                # The server answers and closes: the body is never read.
+                head = await asyncio.wait_for(reader.read(), 10)
+                return int(head.split()[1])
+            finally:
+                writer.close()
+                await writer.wait_closed()
+
+        assert run_sync(flow()) == code
+        assert run_sync(client.healthz())["ok"] is True
+
     def test_stats_and_list(self, client):
         stats = run_sync(client.stats())
         assert stats["submissions"] >= 1
