@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterator
 
-__all__ = ["iter_shard", "load_spans", "shard_paths"]
+__all__ = ["iter_records", "iter_shard", "load_spans", "shard_paths"]
 
 #: Keys every well-formed span record carries.
 REQUIRED_KEYS = ("name", "t0", "dur")
@@ -31,12 +31,13 @@ def shard_paths(trace_dir: str | Path, prefix: str = "trace") -> list[Path]:
     return sorted(Path(trace_dir).glob(f"{prefix}-*.jsonl"))
 
 
-def iter_shard(path: str | Path) -> Iterator[dict[str, Any]]:
-    """Yield the well-formed span records of one shard.
+def iter_records(path: str | Path) -> Iterator[dict[str, Any]]:
+    """Yield the JSON objects of one JSONL file, in file order.
 
-    Blank lines, torn (non-JSON) lines and records missing required
-    keys are skipped — a shard can only be damaged at its tail, so
-    skipping loses at most the span that was being written at death.
+    The one line reader behind trace shards, telemetry shards and the
+    write-ahead ledger: blank lines and torn (non-JSON) lines are
+    skipped — a one-writer file can only be damaged at its tail, so
+    skipping loses at most the record that was being written at death.
     """
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if not line.strip():
@@ -44,10 +45,17 @@ def iter_shard(path: str | Path) -> Iterator[dict[str, Any]]:
         try:
             rec = json.loads(line)
         except json.JSONDecodeError:
-            continue  # torn tail of a killed writer's shard
-        if not isinstance(rec, dict) or any(k not in rec for k in REQUIRED_KEYS):
-            continue
-        yield rec
+            continue  # torn tail of a killed writer's file
+        if isinstance(rec, dict):
+            yield rec
+
+
+def iter_shard(path: str | Path) -> Iterator[dict[str, Any]]:
+    """Yield the well-formed span records of one shard (records missing
+    a required key are skipped)."""
+    for rec in iter_records(path):
+        if all(k in rec for k in REQUIRED_KEYS):
+            yield rec
 
 
 def load_spans(trace_dir: str | Path, prefix: str = "trace") -> list[dict[str, Any]]:

@@ -18,8 +18,8 @@ Layout::
     exec_tasks.py  the physics executors (run inside workers)
     checkpoint.py  per-task solver checkpoint files
     faults.py      deterministic scripted fault injection
-    ledger.py      fsynced write-ahead ledger + replay
-    telemetry.py   JSONL event streams + utilization summaries
+    ledger.py      fsynced write-ahead ledger (the driver's one log) + replay
+    telemetry.py   worker shards; ledger + shards -> utilization summaries
     core.py        the pure scheduling state machine (retry, backoff,
                    quarantine, worker loss) shared with repro.service
     campaign.py    its single-campaign shell: pool, ledger, the driver loop

@@ -5,9 +5,9 @@ scheduling state machine itself — which task an idle worker takes,
 retry with backoff after a worker death or a task timeout, quarantine
 of a poison task and everything downstream of it — is
 :mod:`repro.runtime.core`; this module is its single-campaign shell:
-one worker pool, one write-ahead ledger every transition is recorded in
-*before* it is acted on, one telemetry stream, and the loop that feeds
-the machine the pool's results and the clock.
+one worker pool, one write-ahead ledger every transition and fault is
+recorded in *before* it is acted on (the driver's only log), and the
+loop that feeds the machine the pool's results and the clock.
 
 A campaign killed outright (allocation timeout, driver crash) resumes
 with ``resume=True``: the ledger replay skips every completed task whose
@@ -39,7 +39,7 @@ from repro.runtime.faults import FaultPlan
 from repro.runtime.ledger import TaskLedger, replay_ledger
 from repro.runtime.policies import make_policy
 from repro.runtime.tasks import TaskGraph, TaskStatus
-from repro.runtime.telemetry import TelemetryWriter, summarize
+from repro.runtime.telemetry import summarize
 from repro.runtime.worker import make_pool
 
 __all__ = [
@@ -50,38 +50,6 @@ __all__ = [
     "LedgerMismatchError",
     "WorkerStormError",
 ]
-
-# Ledger event -> the telemetry event (and fields) that mirrors it.
-_MIRROR = {
-    "campaign_start": ("campaign_start", ("policy", "workers")),
-    "submit": ("task_queued", ("task",)),
-    "start": ("task_start", ("task", "worker", "attempt")),
-    "done": None,  # telemetry says how: task_finish or task_cached
-    "fail": None,
-    "retry": ("task_retry", ("task", "attempt", "backoff_s")),
-    "quarantine": ("task_quarantined", ("task", "reason")),
-    "skip": ("task_skipped", ("task", "blocked_by")),
-    "campaign_finish": ("campaign_finish", ()),
-}
-
-
-def journal(ledger: TaskLedger, tele: TelemetryWriter):
-    """The ``log(ev, **fields)`` a campaign's state machine writes to.
-
-    Ledger events are made durable first and then mirrored to
-    telemetry; everything else is telemetry alone.
-    """
-
-    def log(ev: str, **fields) -> None:
-        if ev not in _MIRROR:
-            tele.emit(ev, **fields)
-            return
-        ledger.record(ev, **fields)
-        if _MIRROR[ev]:
-            name, keys = _MIRROR[ev]
-            tele.emit(name, **{k: fields[k] for k in keys})
-
-    return log
 
 
 def replace_workers(pool, lost: list[Lost], log) -> None:
@@ -148,9 +116,9 @@ class CampaignRuntime:
     Parameters
     ----------
     workdir:
-        Campaign home: ``ledger.jsonl``, ``telemetry*.jsonl``,
-        ``artifacts/``, ``checkpoints/`` all live here; it is the unit
-        of resume.
+        Campaign home: ``ledger.jsonl``, the workers'
+        ``telemetry-w<N>.jsonl``, ``artifacts/``, ``checkpoints/`` all
+        live here; it is the unit of resume.
     config:
         Scheduling and fault-handling knobs.
     spec:
@@ -204,10 +172,8 @@ class CampaignRuntime:
         policy = make_policy(cfg.policy)
         self._cancel.clear()  # one runtime may run / cancel / resume repeatedly
         path = self.workdir / "ledger.jsonl"
-        with TaskLedger(path) as ledger, TelemetryWriter(
-            self.workdir / "telemetry.jsonl", source="driver"
-        ) as tele:
-            log = journal(ledger, tele)
+        with TaskLedger(path) as ledger:
+            log = ledger.record
             machine = TaskMachine(graph, log, cfg)
             if resume:
                 machine.restore(
@@ -228,9 +194,6 @@ class CampaignRuntime:
 
             try:
                 pool.start()
-                for w in range(cfg.workers):
-                    log("worker_spawn", worker=w, respawn=False)
-
                 while not machine.settled():
                     if self._cancel.is_set():
                         result.cancelled = True
@@ -258,7 +221,8 @@ class CampaignRuntime:
                 machine.finish()
             except _Interrupted as e:
                 # A simulated (or policy-mandated) allocation loss: leave the
-                # ledger exactly as it stands — that is what resume replays.
+                # task records exactly as they stand — that is what resume
+                # replays; the closing record only bounds this run.
                 log("campaign_interrupted", reason=str(e))
                 result.interrupted = True
             finally:
@@ -272,7 +236,7 @@ class CampaignRuntime:
         return result
 
     def summarize(self):
-        """Telemetry roll-up for this campaign's workdir."""
+        """Utilization roll-up of this workdir's latest run."""
         return summarize(self.workdir)
 
 

@@ -239,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     p_st.add_argument("--workdir", required=True)
     p_st.set_defaults(fn=_cmd_status)
 
-    p_rep = sub.add_parser("report", help="full telemetry report")
+    p_rep = sub.add_parser("report", help="full report: outcomes, utilization, faults")
     p_rep.add_argument("--workdir", required=True)
     p_rep.add_argument("--json", action="store_true")
     p_rep.set_defaults(fn=_cmd_report)

@@ -15,11 +15,11 @@ and :class:`repro.service.driver.CampaignService` with many:
 
 Nothing here touches a file, a thread, a process or a clock.  Time
 arrives as a ``now`` argument; every log record leaves through the
-injected ``log(ev, **fields)`` callable (the shells route ledger events
-to the write-ahead ledger and mirror them to telemetry); pool actions —
-the message to dispatch, the workers to kill and spawn — are return
-values.  That is what lets a test drive every interleaving of results,
-deaths and timeouts on a synthetic clock.
+injected ``log(ev, **fields)`` callable (both shells pass the campaign's
+write-ahead ``TaskLedger.record``, its one log); pool actions — the
+message to dispatch, the workers to kill and spawn — are return values.
+That is what lets a test drive every interleaving of results, deaths
+and timeouts on a synthetic clock.
 """
 
 from __future__ import annotations
@@ -156,17 +156,11 @@ class TaskMachine:
             "fault": fault,
         }
 
-    def done(
-        self, tid: str, artifacts: dict[str, str], cached: bool = False, **finish: Any
-    ) -> None:
-        """Complete a task: from a worker's report (``finish`` carries
-        its telemetry) or, ``cached``, from artifacts already on disk."""
+    def done(self, tid: str, artifacts: dict[str, str], cached: bool = False) -> None:
+        """Complete a task: from a worker's report or, ``cached``, from
+        artifacts already on disk."""
         self.artifacts[tid] = artifacts
         self.record("done", task=tid, artifacts=artifacts, **({"cached": True} if cached else {}))
-        if cached:
-            self.record("task_cached", task=tid)
-        else:
-            self.record("task_finish", task=tid, ok=True, **finish)
         self.status[tid] = TaskStatus.DONE
 
     def failed(self, tid: str, reason: str, now: float) -> None:
@@ -255,15 +249,8 @@ class WorkerSlots:
         self.held[w] = None
         machine, tid, _ = held
         if res["ok"]:
-            machine.done(
-                tid,
-                dict(res["artifacts"]),
-                worker=w,
-                elapsed=res.get("elapsed"),
-                checkpoints=res.get("checkpoints", 0),
-            )
+            machine.done(tid, dict(res["artifacts"]))
         else:
-            machine.record("task_finish", task=tid, worker=w, ok=False)
             machine.failed(tid, res.get("error", "unknown error"), now)
         return machine, tid
 

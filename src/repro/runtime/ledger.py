@@ -5,7 +5,11 @@ per line, flushed and fsynced *before* the driver acts on it — so a
 campaign killed at any instant (power loss, allocation timeout, an
 ``MPI_Abort`` taking the whole lump down) can be resumed by replaying
 the file.  The production analogue is METAQ's task directory, whose
-``todo/working/done`` moves are exactly a filesystem-backed WAL.
+``todo/working/done`` moves are exactly a filesystem-backed WAL.  It is
+the driver's only log: the faults it sees (``worker_death``,
+``task_timeout``, a respawn's ``worker_spawn``, ``campaign_interrupted``)
+are records here too, which replay passes over and
+:func:`repro.runtime.telemetry.summarize` counts.
 
 Replay tolerates a truncated final line (the torn write of the crash
 itself) and reduces the event stream to per-task facts: status, attempt
@@ -33,6 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.obs.readers import iter_records
 from repro.runtime.tasks import TaskStatus
 
 __all__ = [
@@ -166,15 +171,9 @@ def replay_ledger(path: str | Path, campaign: str | None = None) -> LedgerState:
     path = Path(path)
     if not path.exists():
         return st
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            # A torn final line is the expected signature of a crash
-            # mid-append; everything before it is intact and fsynced.
-            continue
+    # A torn final line is the expected signature of a crash mid-append;
+    # everything before it is intact and fsynced.
+    for rec in iter_records(path):
         if campaign is not None and rec.get("campaign", campaign) != campaign:
             continue
         st.events += 1

@@ -3,8 +3,8 @@
 Two consumers:
 
 * ``repro-campaign report <workdir>`` renders one executed campaign —
-  task outcomes from the ledger, worker utilization and fault counters
-  from telemetry, and a Gantt-style span listing.
+  task outcomes, worker utilization and fault counters, all read from
+  its ledger (checkpoint counts from the worker shards).
 * ``repro-report --section campaign`` runs the cross-validation: the
   same heterogeneous task mix is executed on a real worker pool under
   the naive and METAQ policies *and*, the same policy objects, on the
@@ -92,7 +92,7 @@ def run_policy_comparison(
     """Execute the same sleep-task campaign under each policy.
 
     Returns per-policy ``{"makespan": ..., "idle_fraction": ...}`` from
-    real telemetry.  Thread pool by default: the tasks are pure sleeps,
+    the executed ledger.  Thread pool by default: the tasks are pure sleeps,
     so process spawn cost would swamp the scheduling signal.
     """
     from repro.runtime.builder import build_sleep_campaign

@@ -1,16 +1,21 @@
-"""Structured campaign telemetry: JSON-lines events and their analysis.
+"""Campaign event streams and their analysis.
 
-Two writers exist per campaign: the driver emits scheduling events
-(queue/start/finish/retry, worker lifecycle) to ``telemetry.jsonl``, and
-every worker process appends execution events (checkpoint saves,
-execution spans) to its own shard ``telemetry-w<N>.jsonl`` — one writer
-per file, so no cross-process interleaving can tear a record.  The
-reader merges all shards by timestamp.
+A campaign has one driver log, the write-ahead ledger
+(:mod:`repro.runtime.ledger`): every scheduling transition and fault the
+driver sees — ``start`` / ``done`` / ``fail`` / ``retry`` /
+``quarantine``, ``worker_death``, ``task_timeout``, a respawn's
+``worker_spawn``, ``campaign_interrupted`` — is one fsynced line of
+``ledger.jsonl``.  What only a worker can see (checkpoint saves and
+restores, solve statistics, injected faults, gauge fixing) each worker
+process appends to its own shard ``telemetry-w<N>.jsonl`` through a
+:class:`TelemetryWriter` — one writer per file, so no cross-process
+interleaving can tear a record.  The reader merges the ledger and all
+shards by timestamp.
 
 From the merged stream :class:`TelemetrySummary` derives the numbers the
 paper's Section V argues about: per-worker busy fractions, the campaign
 idle fraction (the 20-25% naive bundling wastes), retry/checkpoint
-counts, and per-task spans for the Gantt-style report.
+counts, and the per-attempt spans the benchmark splits busy time by.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
+
+from repro.obs.readers import iter_records
 
 __all__ = ["TelemetryWriter", "TelemetrySummary", "load_events", "summarize"]
 
@@ -70,17 +77,10 @@ class TelemetryWriter:
 
 
 def load_events(workdir: str | Path) -> list[dict[str, Any]]:
-    """Merge the driver stream and all worker shards, oldest first."""
+    """Merge the ledger and every telemetry shard, oldest first."""
     workdir = Path(workdir)
-    events: list[dict[str, Any]] = []
-    for path in sorted(workdir.glob("telemetry*.jsonl")):
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue  # torn tail of a killed worker's shard
+    paths = [workdir / "ledger.jsonl", *sorted(workdir.glob("telemetry*.jsonl"))]
+    events = [rec for path in paths if path.exists() for rec in iter_records(path)]
     events.sort(key=lambda r: r.get("t", 0.0))
     return events
 
@@ -120,85 +120,78 @@ class TelemetrySummary:
         }
 
 
+def _latest_run(events: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """The events of the last run in a workdir: from its
+    ``campaign_start`` to its ``campaign_finish`` or
+    ``campaign_interrupted`` (or the last event if there is neither).
+    Earlier runs of a resumed campaign, and worker records that land
+    after the driver stopped, are not part of it."""
+    starts = [i for i, r in enumerate(events) if r.get("ev") == "campaign_start"]
+    run = events[starts[-1]:] if starts else events
+    for i, rec in enumerate(run):
+        if rec.get("ev") in ("campaign_finish", "campaign_interrupted"):
+            return run[: i + 1]
+    return run
+
+
 def summarize(workdir: str | Path) -> TelemetrySummary:
-    """Reduce a campaign's telemetry to utilization numbers.
+    """Reduce a campaign's latest run to utilization numbers.
 
-    Busy time is measured from the driver's dispatch/finish pairs —
-    including failed attempts and the span between dispatch and a
-    detected worker death (a dead worker's slot is unavailable, so it
-    counts as occupied until the driver reclaims it, matching how an
-    allocation bleeds node-hours in production).
+    Busy time is measured from the ledger's ``start`` records to the
+    ``done`` or ``fail`` that ends the attempt — including failed
+    attempts and the span between dispatch and a detected worker death
+    or timeout (a dead worker's slot is unavailable, so it counts as
+    occupied until the driver reclaims it, matching how an allocation
+    bleeds node-hours in production).
     """
-    events = load_events(workdir)
+    events = _latest_run(load_events(workdir))
     s = TelemetrySummary()
-    t0 = t1 = None
-    open_spans: dict[int, dict[str, Any]] = {}
-    workers: set[int] = set()
+    if not events:
+        return s
+    open_spans: dict[str, dict[str, Any]] = {}  # task -> its attempt in flight
 
-    def close_span(w: int, t: float, outcome: str) -> None:
-        span = open_spans.pop(w, None)
+    def close_span(tid: str | None, t: float, outcome: str) -> bool:
+        span = open_spans.pop(tid, None)
         if span is None:
-            return
-        dur = max(0.0, t - span["t0"])
-        s.busy_seconds[w] = s.busy_seconds.get(w, 0.0) + dur
-        s.spans.append(
-            {
-                "task": span["task"],
-                "worker": w,
-                "start": span["t0"],
-                "end": t,
-                "outcome": outcome,
-                "attempt": span.get("attempt", 1),
-            }
-        )
+            return False
+        w = span["worker"]
+        s.busy_seconds[w] = s.busy_seconds.get(w, 0.0) + max(0.0, t - span["start"])
+        s.spans.append({"task": tid, **span, "end": t, "outcome": outcome})
+        return True
 
     for rec in events:
         ev, t = rec.get("ev"), float(rec.get("t", 0.0))
         if ev == "campaign_start":
-            t0 = t
-        elif ev == "campaign_finish":
-            t1 = t
-        elif ev == "worker_spawn":
-            workers.add(int(rec["worker"]))
-        elif ev == "task_start":
-            w = int(rec["worker"])
-            workers.add(w)
-            open_spans[w] = {
-                "task": rec["task"],
-                "t0": t,
+            s.n_workers = int(rec.get("workers", 0))
+        elif ev == "start":
+            open_spans[rec["task"]] = {
+                "worker": int(rec["worker"]),
+                "start": t,
                 "attempt": rec.get("attempt", 1),
             }
-        elif ev == "task_finish":
-            w = int(rec["worker"])
-            ok = bool(rec.get("ok", True))
-            close_span(w, t, "done" if ok else "failed")
-            if ok:
-                s.tasks_done += 1
-            else:
-                s.tasks_failed += 1
-        elif ev == "task_retry":
+        elif ev == "done":
+            s.tasks_done += close_span(rec["task"], t, "done")
+        elif ev == "fail":
+            s.tasks_failed += close_span(rec["task"], t, "failed")
+        elif ev == "retry":
             s.retries += 1
         elif ev == "task_timeout":
             s.timeouts += 1
-            close_span(int(rec["worker"]), t, "timeout")
+            close_span(rec["task"], t, "timeout")
         elif ev == "worker_death":
             s.worker_deaths += 1
-            close_span(int(rec["worker"]), t, "worker_death")
-        elif ev == "task_quarantined":
+            close_span(rec.get("task"), t, "worker_death")
+        elif ev == "quarantine":
             s.quarantined += 1
         elif ev == "checkpoint_saved":
             s.checkpoints += 1
 
-    if t0 is None and events:
-        t0 = events[0]["t"]
-    if t1 is None and events:
-        t1 = events[-1]["t"]
-    for w, span in list(open_spans.items()):
-        close_span(w, t1 if t1 is not None else span["t0"], "open")
-    s.n_workers = len(workers)
-    if t0 is not None and t1 is not None and t1 > t0:
+    t0, t1 = float(events[0].get("t", 0.0)), float(events[-1].get("t", 0.0))
+    for tid in list(open_spans):
+        close_span(tid, t1, "open")
+    if t1 > t0:
         s.makespan = t1 - t0
-        for w in workers:
+        for w in range(s.n_workers):
             s.utilization[w] = min(1.0, s.busy_seconds.get(w, 0.0) / s.makespan)
         if s.n_workers:
             s.idle_fraction = 1.0 - sum(s.utilization.values()) / s.n_workers

@@ -57,7 +57,12 @@ def worker_main(
     the campaign *service* multiplexes many campaigns over one pool, so
     each task routes to its own campaign's artifact/checkpoint stores
     while the worker keeps a single telemetry shard at the pool root,
-    tagging every event and result with the owning campaign.
+    tagging every result and task span with the owning campaign.
+
+    The shard holds only what the driver cannot see — checkpoint saves
+    and restores, solve statistics, injected faults, gauge fixing; the
+    attempt itself is the driver's ``start`` … ``done`` / ``fail`` in
+    the ledger.
     """
     wd = Path(workdir)
     stores: dict[str, tuple[ArtifactStore, CheckpointManager]] = {}
@@ -101,14 +106,13 @@ def worker_main(
                 emit=tele.emit,
                 die=die,
             )
-            tele.emit(
-                "exec_start",
-                task=msg["task"],
-                attempt=msg["attempt"],
-                worker=worker_id,
-                **tag,
-            )
             t0 = time.monotonic()
+            report = {
+                "type": "result",
+                "worker": worker_id,
+                "task": msg["task"],
+                "campaign": campaign,
+            }
             try:
                 # The span survives worker death only as a torn shard
                 # line (tolerated by the trace reader) — a real kill
@@ -122,49 +126,14 @@ def worker_main(
                     worker=worker_id,
                     **tag,
                 ):
-                    artifacts = execute_task(msg["kind"], msg["params"], ctx)
+                    report["artifacts"] = execute_task(msg["kind"], msg["params"], ctx)
+                report["ok"] = True
             except WorkerKilled:
                 raise
             except Exception as e:  # real failure: report and keep serving
-                tele.emit(
-                    "exec_fail",
-                    task=msg["task"],
-                    worker=worker_id,
-                    error=f"{type(e).__name__}: {e}",
-                    **tag,
-                )
-                result_q.put(
-                    {
-                        "type": "result",
-                        "worker": worker_id,
-                        "task": msg["task"],
-                        "campaign": campaign,
-                        "ok": False,
-                        "error": f"{type(e).__name__}: {e}",
-                        "elapsed": time.monotonic() - t0,
-                        "checkpoints": ctx.n_checkpoints,
-                    }
-                )
-                continue
-            tele.emit(
-                "exec_done",
-                task=msg["task"],
-                worker=worker_id,
-                elapsed=time.monotonic() - t0,
-                **tag,
-            )
-            result_q.put(
-                {
-                    "type": "result",
-                    "worker": worker_id,
-                    "task": msg["task"],
-                    "campaign": campaign,
-                    "ok": True,
-                    "artifacts": artifacts,
-                    "elapsed": time.monotonic() - t0,
-                    "checkpoints": ctx.n_checkpoints,
-                }
-            )
+                report.update(ok=False, error=f"{type(e).__name__}: {e}")
+            report["elapsed"] = time.monotonic() - t0
+            result_q.put(report)
     except WorkerKilled:
         return  # thread fabric: the "dead" worker just stops serving
     finally:

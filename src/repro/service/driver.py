@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Any
 
 from repro import obs
-from repro.runtime.campaign import journal, replace_workers
+from repro.runtime.campaign import replace_workers
 from repro.runtime.core import LedgerMismatchError, TaskMachine, WorkerSlots, WorkerStormError
 from repro.runtime.exec_tasks import ArtifactStore, verify_artifacts
 from repro.runtime.ledger import TaskLedger, open_campaign_ledger, replay_ledger
@@ -121,7 +121,6 @@ class CampaignEntry:
     machine: TaskMachine | None = None
     store: ArtifactStore | None = None
     ledger: TaskLedger | None = None
-    tele: TelemetryWriter | None = None
     cache_hits: int = 0  # tasks satisfied from the CAS
     tasks_reused: int = 0  # tasks replayed from this campaign's own ledger
     attached: int = 1  # total submissions deduplicated into this entry
@@ -472,10 +471,7 @@ class CampaignService:
             meta={"spec": entry.spec, "tenant": entry.tenant},
         )
         entry.store = store = ArtifactStore(entry.workdir / "artifacts")
-        entry.tele = TelemetryWriter(entry.workdir / "telemetry.jsonl", source="driver")
-        m = entry.machine = TaskMachine(
-            entry.graph, journal(entry.ledger, entry.tele), cfg, campaign=entry.cid
-        )
+        m = entry.machine = TaskMachine(entry.graph, entry.ledger.record, cfg, campaign=entry.cid)
         prior = replay_ledger(entry.workdir / "ledger.jsonl", campaign=entry.cid)
         m.restore(prior, lambda arts: verify_artifacts(store, arts))
         for tid, arts in m.artifacts.items():
@@ -603,9 +599,6 @@ class CampaignService:
         if entry.ledger is not None:
             entry.ledger.close()
             entry.ledger = None
-        if entry.tele is not None:
-            entry.tele.close()
-            entry.tele = None
         if self._tele is not None and not self._tele.closed:
             self._tele.emit("campaign_terminal", campaign=entry.cid, state=state)
         with obs.span("service.complete", cat="service", campaign=entry.cid, state=state):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.readers import iter_records
 from repro.runtime import (
     CampaignConfig,
     CampaignRuntime,
@@ -175,6 +176,24 @@ class TestLedgerResume:
         assert res2.attempts == {"ok": 0, "bad": 0, "downstream": 0}
         assert res2.quarantined == ["bad"] and res2.skipped == ["downstream"]
 
+    def test_summary_covers_the_latest_run(self, tmp_path):
+        """After abort and resume the summary is the resumed run's alone:
+        no busy time of the interrupted run, no reused task counted, and
+        the interrupted run ends at its ``campaign_interrupted`` record,
+        not when its abandoned attempt finally returns."""
+        kwargs = dict(n_long=4, n_short=4, long_s=0.2, short_s=0.02)
+        graph, spec = build_sleep_campaign(**kwargs)
+        rt, res = _run(tmp_path, graph, spec, workers=2, abort_after=4)
+        assert res.interrupted
+        assert summarize(tmp_path).makespan <= res.makespan + rt.config.poll_interval_s
+
+        graph2, _ = build_sleep_campaign(**kwargs)
+        rt2, res2 = _run(tmp_path, graph2, spec, workers=2, resume=True)
+        assert res2.all_done
+        s = summarize(tmp_path)
+        assert all(busy <= s.makespan for busy in s.busy_seconds.values())
+        assert s.tasks_done == len(graph2) - res2.tasks_reused
+
     def test_resume_refuses_different_graph(self, tmp_path):
         graph, spec = build_sleep_campaign(n_long=2, n_short=2,
                                            long_s=0.02, short_s=0.01)
@@ -300,3 +319,24 @@ class TestEmbeddableRuntime:
         res = rt.run(graph)
         assert res.all_done
         assert not res.cancelled
+
+
+class TestOneEventLog:
+    def test_ledger_is_the_only_driver_log(self, tmp_path):
+        """The driver writes no telemetry of its own and the workers no
+        attempt records: every span of the summary is a ledger ``start``
+        and the ``done`` that ends it, on the ledger's timestamps."""
+        graph, spec = build_sleep_campaign(n_long=2, n_short=4,
+                                           long_s=0.03, short_s=0.01)
+        rt, res = _run(tmp_path, graph, spec, workers=2)
+        assert res.all_done
+        assert not (tmp_path / "telemetry.jsonl").exists()
+        shard_events = [r["ev"] for p in tmp_path.glob("telemetry-w*.jsonl")
+                        for r in iter_records(p)]
+        assert not [ev for ev in shard_events if ev.startswith("exec_")]
+        ledger = list(iter_records(tmp_path / "ledger.jsonl"))
+        starts = sorted((r["task"], r["t"]) for r in ledger if r["ev"] == "start")
+        dones = {r["task"]: r["t"] for r in ledger if r["ev"] == "done"}
+        spans = summarize(tmp_path).spans
+        assert sorted((sp["task"], sp["start"]) for sp in spans) == starts
+        assert all(sp["end"] == dones[sp["task"]] for sp in spans)

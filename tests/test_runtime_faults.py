@@ -21,7 +21,8 @@ from repro.runtime import (
     build_ga_campaign,
     build_sleep_campaign,
 )
-from repro.runtime.telemetry import load_events
+from repro.obs.readers import iter_records
+from repro.runtime.telemetry import load_events, summarize
 
 # One light campaign: single mass, no sequential solve, checkpoint often
 # enough that a mid-solve kill has state to resume from.
@@ -75,6 +76,20 @@ class TestWorkerKill:
         events = load_events(tmp_path)
         restored = [e for e in events if e["ev"] == "checkpoint_restored"]
         assert restored, "retry did not load the checkpoint"
+
+    def test_worker_death_is_a_ledger_record(self, tmp_path, reference):
+        """The driver's view of a kill lands in the ledger, in the order
+        it acted: the death, the failed attempt, the retry."""
+        faults = FaultPlan({"prop_m0": FaultSpec(kind="kill_worker",
+                                                 at_checkpoint=2)})
+        rt, res = _campaign(tmp_path, pool="thread", faults=faults)
+        assert res.all_done and _final_bytes(rt) == reference
+        ledger = [(r["ev"], r.get("task"))
+                  for r in iter_records(tmp_path / "ledger.jsonl")]
+        i = ledger.index(("worker_death", "prop_m0"))
+        assert ledger[i + 1:i + 3] == [("fail", "prop_m0"), ("retry", "prop_m0")]
+        s = summarize(tmp_path)
+        assert s.worker_deaths == 1 and s.retries == 1
 
     def test_allocation_loss_then_ledger_resume_bitwise(self, tmp_path,
                                                         reference):

@@ -159,17 +159,14 @@ class TestLedger:
 
 class TestTelemetry:
     def test_summarize_computes_utilization(self, tmp_path):
-        drv = TelemetryWriter(tmp_path / "telemetry.jsonl", source="driver")
-        drv.emit("campaign_start", policy="metaq", workers=2)
-        drv.emit("worker_spawn", worker=0)
-        drv.emit("worker_spawn", worker=1)
-        drv.emit("task_start", task="a", worker=0, attempt=1)
-        drv.emit("task_finish", task="a", worker=0, ok=True)
-        drv.emit("task_start", task="b", worker=1, attempt=1)
-        drv.emit("task_finish", task="b", worker=1, ok=False)
-        drv.emit("task_retry", task="b", attempt=1, backoff_s=0.1)
-        drv.emit("campaign_finish")
-        drv.close()
+        with TaskLedger(tmp_path / "ledger.jsonl") as led:
+            led.record("campaign_start", policy="metaq", workers=2)
+            led.record("start", task="a", worker=0, attempt=1)
+            led.record("done", task="a", artifacts={})
+            led.record("start", task="b", worker=1, attempt=1)
+            led.record("fail", task="b", attempt=1, reason="boom")
+            led.record("retry", task="b", attempt=1, backoff_s=0.1)
+            led.record("campaign_finish")
         s = summarize(tmp_path)
         assert s.n_workers == 2
         assert s.tasks_done == 1 and s.tasks_failed == 1 and s.retries == 1

@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.obs.readers import iter_shard, load_spans
+from repro.runtime.ledger import TaskLedger
 from repro.runtime.telemetry import TelemetryWriter, load_events, summarize
 
 
@@ -90,16 +91,13 @@ class TestTelemetryReader:
         assert [e["t"] for e in load_events(tmp_path)] == [3.0, 5.0, 7.0, 9.0]
 
     def test_summary_survives_torn_worker_shard(self, tmp_path):
-        _write_lines(
-            tmp_path / "telemetry.jsonl",
-            [
-                json.dumps({"ev": "campaign_start", "t": 0.0}),
-                json.dumps({"ev": "worker_spawn", "t": 0.0, "worker": 0}),
-                json.dumps({"ev": "task_start", "t": 1.0, "worker": 0, "task": "a"}),
-                json.dumps({"ev": "task_finish", "t": 2.0, "worker": 0, "ok": True}),
-                json.dumps({"ev": "campaign_finish", "t": 4.0}),
-            ],
-        )
+        # the driver's records, on a fixed clock (a ``t`` field wins over
+        # the ledger's own timestamp)
+        with TaskLedger(tmp_path / "ledger.jsonl") as ledger:
+            ledger.record("campaign_start", t=0.0, workers=1)
+            ledger.record("start", t=1.0, task="a", worker=0, attempt=1)
+            ledger.record("done", t=2.0, task="a", artifacts={})
+            ledger.record("campaign_finish", t=4.0)
         # A worker killed mid-write leaves a torn line; the summary must
         # still account the driver's complete record.
         (tmp_path / "telemetry-w0.jsonl").write_text(
