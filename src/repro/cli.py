@@ -344,82 +344,6 @@ def _perf() -> str:
     return table + "\n" + note
 
 
-def _solvers() -> str:
-    """Algorithmic speed: deflated and block solves on a live operator.
-
-    Races the solver family on the seeded weak-coupling operator whose
-    low temporal shells dominate the condition number — the regime the
-    campaign-level headline in ``BENCH_solvers.json`` is measured in —
-    and prints that headline when the benchmark artifact exists.
-    """
-    import json
-    from pathlib import Path
-
-    import numpy as np
-
-    from repro.dirac import WilsonOperator
-    from repro.lattice import GaugeField, Geometry
-    from repro.solvers import BlockCG, ConjugateGradient, lanczos_lowest
-    from repro.solvers.cg import solve_normal_equations_batched
-    from repro.utils.rng import make_rng
-
-    geom = Geometry(2, 2, 2, 16)
-    gauge = GaugeField.random(geom, make_rng(7), scale=0.05)
-    wilson = WilsonOperator(gauge, mass=0.02)
-    shape = geom.dims + (4, 3)
-    eigen = lanczos_lowest(
-        wilson.apply_normal,
-        np.zeros(shape, dtype=np.complex128),
-        48,
-        n_krylov=100,
-        rng=7,
-        poly_degree=24,
-        poly_window=(0.6, 66.0),
-    )
-    rng = make_rng(11)
-    b = np.stack(
-        [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(4)]
-    )
-    cg = ConjugateGradient(tol=1e-7, max_iter=30000)
-    block = BlockCG(tol=1e-7, max_iter=30000)
-    rows = []
-    for label, solver, defl in (
-        ("batched CG (baseline)", cg, None),
-        ("block CG (BCGrQ)", block, None),
-        ("deflated batched CG", cg, eigen),
-        ("deflated block CG", block, eigen),
-    ):
-        res = solve_normal_equations_batched(
-            wilson.apply, wilson.apply_dagger, b, solver, deflation=defl
-        )
-        rows.append((label, res.iterations, res.matvecs,
-                     "yes" if res.all_converged else "NO"))
-    base_mv = rows[0][2]
-    rows = [(lbl, it, mv, f"{base_mv / mv:.2f}x", conv)
-            for lbl, it, mv, conv in rows]
-    table = format_table(
-        ["solver", "iters", "matvecs", "vs baseline", "converged"],
-        rows,
-        title="Solver race: 4 RHS of the seeded 2^3x16 m=0.02 operator "
-        "(tol 1e-7)",
-    )
-    note = (
-        f"eigenbasis: {eigen.n_eigen} Chebyshev-accelerated Lanczos modes, "
-        f"max residual {eigen.residuals.max():.1e}, "
-        f"setup {eigen.matvecs} matvecs (amortized over the campaign)"
-    )
-    bench = Path(__file__).resolve().parents[2] / "BENCH_solvers.json"
-    if bench.exists():
-        h = json.loads(bench.read_text())["headline"]
-        note += (
-            f"\ncampaign headline (BENCH_solvers.json): "
-            f"{h['ratio_matvecs']:.2f}x fewer solve matvecs "
-            f"({h['baseline_matvecs']} -> {h['deflated_matvecs']}; "
-            f"{h['ratio_incl_setup']:.2f}x incl. basis setup)"
-        )
-    return table + "\n" + note
-
-
 def _campaign() -> str:
     """Executed-vs-modeled scheduling cross-validation (Section V)."""
     from repro.runtime.report import campaign_section
@@ -496,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
         "--section",
         choices=[
             "all", "table1", "table2", "table3", "headlines",
-            "memory", "backends", "kernels", "comm", "perf", "solvers",
+            "memory", "backends", "kernels", "comm", "perf",
             "campaign", "service", "tts",
         ],
         default="all",
@@ -514,7 +438,6 @@ def main(argv: list[str] | None = None) -> int:
         "kernels": _kernels,
         "comm": _comm,
         "perf": _perf,
-        "solvers": _solvers,
         "campaign": _campaign,
         "service": _service,
         "tts": _tts,

@@ -37,7 +37,7 @@ class WorkloadSpec:
         Mean CG iterations per solve (sets the work).
     duration_sigma:
         Lognormal sigma of the per-task duration spread (iteration-count
-        and deflation variance between sources/configurations).
+        variance between sources/configurations).
     contraction_fraction:
         CPU contraction work as a fraction of propagator work (~3%).
     """

@@ -226,7 +226,6 @@ def solve_column_stacks(
     b: np.ndarray,
     solver: ConjugateGradient | None = None,
     *,
-    deflation=None,
     width: int | None = None,
     start: int = 0,
     state: CGState | None = None,
@@ -260,7 +259,7 @@ def solve_column_stacks(
                 on_checkpoint=on_checkpoint and (lambda st, lo=lo: on_checkpoint(lo, st)),
             )
         yield lo, solve_normal_equations_batched(
-            apply_op, apply_dagger, b[lo : lo + width], solver, deflation=deflation, **resume
+            apply_op, apply_dagger, b[lo : lo + width], solver, **resume
         )
         state = None
 
@@ -334,11 +333,13 @@ def collect_columns(
     A stack with an unconverged column raises ``RuntimeError`` naming the
     columns; otherwise its columns are written once into ``x`` and, when
     ``totals`` is a dict, added into its ``iterations`` (the per-column
-    sum when ``percolumn`` — what one-column solves count — else the
-    stacked count), ``matvecs`` and ``flops``, with ``true_relres`` the
-    worst column's ``final_relres`` so far.  ``on_stack(end, result)``
-    runs after each stack, ``end`` the first column not yet solved.
-    Returns the per-column results, each ``x`` its column of ``x``.
+    sum of :meth:`BatchedSolveResult.split` when ``percolumn`` — what
+    one-column solves count — else the stacked count), ``matvecs``,
+    ``flops`` and ``reliable_updates``, with ``true_relres`` the worst
+    column's ``final_relres`` so far and ``inner`` the recurrence's
+    dtype.  ``on_stack(end, result)`` runs after each stack, ``end`` the
+    first column not yet solved.  Returns the per-column results, each
+    ``x`` its column of ``x``.
     """
     results: list[SolveResult] = []
     for lo, res in stacks:
@@ -349,13 +350,18 @@ def collect_columns(
                 f"(worst relres {float(np.max(res.final_relres)):.2e})"
             )
         x[lo : lo + res.n_rhs] = res.x
+        columns = res.split()
         if totals is not None:
-            its = int(res.column_iterations.sum()) if percolumn else res.iterations
-            for key, value in (("iterations", its), ("matvecs", res.matvecs), ("flops", res.flops)):
+            its = sum(r.iterations for r in columns) if percolumn else res.iterations
+            for key, value in (
+                ("iterations", its), ("matvecs", res.matvecs), ("flops", res.flops),
+                ("reliable_updates", res.reliable_updates),
+            ):
                 totals[key] = totals.get(key, 0) + value
             worst = float(res.final_relres.max())
             totals["true_relres"] = max(totals.get("true_relres", 0.0), worst)
-        for i, r in enumerate(res.split()):
+            totals["inner"] = res.inner
+        for i, r in enumerate(columns):
             r.x = x[lo + i]
             results.append(r)
         if on_stack is not None:

@@ -27,15 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.contractions.propagator import (
-    Propagator,
-    SchurColumnStacks,
-    collect_columns,
-    solve_column_stacks,
-)
+from repro.contractions.propagator import Propagator, SchurColumnStacks, collect_columns
 from repro.dirac import gamma as g
 from repro.dirac.wilson import WilsonOperator
-from repro.solvers.blockcg import BlockCG
 from repro.solvers.cg import ConjugateGradient
 
 __all__ = ["sequential_propagator", "pion_three_point", "pion_two_point_matrix"]
@@ -47,7 +41,6 @@ def sequential_propagator(
     t_snk: int,
     solver: ConjugateGradient | None = None,
     *,
-    deflation=None,
     mode: str = "percolumn",
     stats: dict | None = None,
 ) -> Propagator:
@@ -57,18 +50,16 @@ def sequential_propagator(
     propagator: ``sigma(z)^{ab}_{alpha beta} = sum_x [S_u(x;z)^H
     S_d(x;0)]`` restricted to ``t_x = t_snk``.
 
-    ``mode`` is a schedule of 12 independent CGNE Krylov spaces —
-    ``"percolumn"`` (lock-step column stacks of the budgeted width,
-    :func:`repro.contractions.propagator.solve_column_stacks`) or
-    ``"batched"`` (one 12-stack) — on the red-black preconditioned
-    system (:class:`repro.contractions.propagator.SchurColumnStacks`),
-    unless ``deflation`` (a low-mode basis of this operator's ``D^H D``,
-    seeding every column) is given.  The solver's type decides the
-    rest: a :class:`repro.solvers.blockcg.BlockCG` shares one Krylov
-    space across all 12 columns of the full operator, whatever ``mode``
-    says.  When ``stats`` is a dict, the accumulated
-    ``iterations``/``matvecs``/``flops`` of the solves are added into it
-    (``iterations`` is the per-column sum under ``"percolumn"``, the
+    The system is always the red-black preconditioned one
+    (:class:`repro.contractions.propagator.SchurColumnStacks`).
+    ``mode`` picks the stack width — ``"percolumn"`` (lock-step column
+    stacks of the budgeted width) or ``"batched"`` (one 12-stack) — and
+    the solver picks the algorithm: a :class:`repro.solvers.cg.
+    ConjugateGradient` keeps one Krylov space per column, a
+    :class:`repro.solvers.blockcg.BlockCG` shares one across the stack.
+    When ``stats`` is a dict, the totals of
+    :func:`repro.contractions.propagator.collect_columns` are added into
+    it (``iterations`` is the per-column sum under ``"percolumn"``, the
     stacked count otherwise) and ``true_relres`` is the worst column's
     ``|b - D x| / |b|`` on the full operator.
     """
@@ -84,19 +75,11 @@ def sequential_propagator(
     b = prop_d.columns()
     b[:, :, :, :, np.arange(geom.lt) != t_snk] = 0.0
     g.gamma5_mul(b, out=b)
-    block = isinstance(solver, BlockCG)
-    width = b.shape[0] if block or mode == "batched" else None
-    if deflation is None and not block:
-        stacks = SchurColumnStacks(wilson, b, width).solve(solver)
-    else:
-        # full operator: the basis is of D^H D; BlockCG shares one Krylov space
-        stacks = solve_column_stacks(
-            wilson.apply, wilson.apply_dagger, b, solver, deflation=deflation, width=width
-        )
+    width = b.shape[0] if mode == "batched" else None
+    stacks = SchurColumnStacks(wilson, b, width).solve(solver)
     x = np.empty_like(b)
     collect_columns(
-        stacks, x, stats, percolumn=mode == "percolumn" and not block,
-        label=f"sequential {'block' if block else mode} solve",
+        stacks, x, stats, percolumn=mode == "percolumn", label=f"sequential {mode} solve"
     )
     return Propagator.from_columns(g.gamma5_mul(x, out=x), prop_d.source)
 

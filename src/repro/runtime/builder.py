@@ -39,10 +39,6 @@ def build_ga_campaign(
     include_seq: bool = True,
     t_snk: int | None = None,
     scale: float = 0.35,
-    n_eigen: int = 0,
-    n_krylov: int = 0,
-    poly_degree: int = 0,
-    poly_window: tuple[float, float] = (),
     solver_mode: str = "percolumn",
     dist_ranks: int = 2,
     dist_transport: str = "threads",
@@ -50,12 +46,9 @@ def build_ga_campaign(
 ) -> tuple[TaskGraph, dict]:
     """One configuration's worth of the gA production chain.
 
-    With ``n_eigen > 0`` a per-mass ``eigenbasis`` task computes the
-    Lanczos low modes of ``D^H D`` once and every propagator and
-    sequential solve at that mass deflates with it (new DAG edges:
-    ``eigen_m* -> prop_m* -> seq_m*``).  ``solver_mode`` selects
-    per-column / lock-step-batched / true-block / rank-parallel
-    distributed solves for all 12-source tasks; with
+    ``solver_mode`` selects per-column / lock-step-batched / true-block
+    / rank-parallel distributed solves of the red-black system for all
+    12-source tasks; with
     ``solver_mode="distributed"``, ``dist_ranks`` and ``dist_transport``
     (``threads``/``shm``/``loopback``/``mpi`` — ``mpi`` relaunches each
     solve under the machine's launcher) pick the decomposition and the
@@ -64,12 +57,10 @@ def build_ga_campaign(
     task on the base mass solving the whole shifted family
     ``(D^H D + sigma_i)`` in one Krylov sweep.
 
-    The defaults reproduce the historical undeflated per-column campaign
-    bit-for-bit (identical graph fingerprint).
+    The defaults reproduce the historical per-column campaign
+    bit-for-bit.
     """
     masses = tuple(float(m) for m in masses)
-    if poly_degree and len(poly_window) != 2:
-        raise ValueError("poly_degree > 0 requires poly_window=(lo, hi)")
     if t_snk is None:
         t_snk = dims[3] // 2
     spec = {
@@ -84,10 +75,6 @@ def build_ga_campaign(
             "include_seq": bool(include_seq),
             "t_snk": int(t_snk),
             "scale": float(scale),
-            "n_eigen": int(n_eigen),
-            "n_krylov": int(n_krylov),
-            "poly_degree": int(poly_degree),
-            "poly_window": [float(w) for w in poly_window],
             "solver_mode": str(solver_mode),
             "shifts": list(float(s) for s in shifts),
         },
@@ -128,37 +115,7 @@ def build_ga_campaign(
     for i, mass in enumerate(masses):
         tag = _mass_tag(i, mass)
         prop_id, seq_id, corr_id = f"prop_{tag}", f"seq_{tag}", f"corr_{tag}"
-        eigen_id = f"eigen_{tag}"
         solve_extra: dict = {}
-        solve_deps: tuple[str, ...] = ()
-        if n_eigen > 0:
-            # The basis is the expensive setup every solve at this mass
-            # amortizes: high priority so it never gates the heavy solves.
-            eigen_params: dict = {
-                "gauge": "gaugefix:links",
-                "mass": mass,
-                "n_eigen": int(n_eigen),
-                "seed": int(seed),
-            }
-            if n_krylov:
-                eigen_params["n_krylov"] = int(n_krylov)
-            if poly_degree:
-                # Chebyshev-accelerated Lanczos: needed whenever the
-                # wanted modes cluster (weak-coupling temporal shells).
-                eigen_params["poly_degree"] = int(poly_degree)
-                eigen_params["poly_window"] = [float(w) for w in poly_window]
-            tasks.append(
-                CampaignTask(
-                    task_id=eigen_id,
-                    kind="eigenbasis",
-                    params=eigen_params,
-                    deps=("gaugefix",),
-                    est_seconds=2.0 / mass,
-                    priority=9,
-                )
-            )
-            solve_extra["eigen"] = f"{eigen_id}:eigen"
-            solve_deps = (eigen_id,)
         if solver_mode != "percolumn":
             solve_extra["solver_mode"] = solver_mode
         if solver_mode == "distributed":
@@ -179,7 +136,7 @@ def build_ga_campaign(
                     "checkpoint_every": checkpoint_every,
                     **solve_extra,
                 },
-                deps=("gaugefix", "smear") + solve_deps,
+                deps=("gaugefix", "smear"),
                 est_seconds=4.0 / mass,
                 priority=8,
             )
@@ -198,7 +155,7 @@ def build_ga_campaign(
                         "max_iter": max_iter,
                         **solve_extra,
                     },
-                    deps=("gaugefix", prop_id) + solve_deps,
+                    deps=("gaugefix", prop_id),
                     est_seconds=4.0 / mass,
                     priority=7,
                 )
@@ -350,7 +307,7 @@ def build_from_spec(spec: dict) -> tuple[TaskGraph, dict]:
     if name not in _BUILDERS:
         raise ValueError(f"unknown campaign builder {name!r}")
     kwargs = dict(spec.get("kwargs", {}))
-    for key in ("dims", "masses", "shifts", "poly_window"):
+    for key in ("dims", "masses", "shifts"):
         if key in kwargs:
             kwargs[key] = tuple(kwargs[key])
     return _BUILDERS[name](**kwargs)

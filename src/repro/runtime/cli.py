@@ -93,10 +93,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         tol=args.tol,
         checkpoint_every=args.checkpoint_every,
         include_seq=not args.no_seq,
-        n_eigen=args.deflate,
-        n_krylov=args.n_krylov,
-        poly_degree=args.poly_degree,
-        poly_window=tuple(args.poly_window),
         solver_mode=args.solver_mode,
         dist_ranks=args.dist_ranks,
         dist_transport=args.dist_transport,
@@ -175,39 +171,26 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--seed", type=int, default=7)
     p_run.add_argument("--scale", type=float, default=0.35,
                        help="gauge-field disorder scale (weak coupling "
-                       "~0.05 is the deflation-friendly regime)")
+                       "~0.05 is the ill-conditioned regime)")
     p_run.add_argument("--tol", type=float, default=1e-7)
     p_run.add_argument("--checkpoint-every", type=int, default=20)
     p_run.add_argument("--no-seq", action="store_true",
                        help="skip the Feynman-Hellmann sequential solves")
-    p_run.add_argument("--deflate", type=int, default=0, metavar="N_EIGEN",
-                       help="compute an N_EIGEN-mode Lanczos basis per mass "
-                       "and deflate every propagator/sequential solve (0 = off)")
-    p_run.add_argument("--n-krylov", type=int, default=0,
-                       help="Lanczos Krylov dimension (0 = auto)")
-    p_run.add_argument("--poly-degree", type=int, default=0,
-                       help="Chebyshev filter degree for the Lanczos "
-                       "basis (0 = plain Lanczos); requires --poly-window")
-    p_run.add_argument("--poly-window", type=float, nargs=2,
-                       default=[], metavar=("LO", "HI"),
-                       help="Chebyshev damping window: LO just above the "
-                       "wanted modes, HI above the spectral radius")
     p_run.add_argument("--solver-mode",
                        choices=["percolumn", "batched", "block", "distributed"],
                        default="percolumn",
-                       help="how the 12-source solves run. percolumn, "
-                       "batched and distributed are schedules of one "
-                       "system, red-black (Schur) preconditioned CGNE on "
-                       "checkerboard-packed fields (full operator under "
-                       "--deflate). percolumn: 12 independent Krylov "
+                       help="how the 12-source solves of the one system, "
+                       "red-black (Schur) preconditioned CGNE on "
+                       "checkerboard-packed fields, run. percolumn: 12 "
+                       "independent Krylov "
                        "spaces as lock-step column stacks sized by the "
                        "solver's workspace budget, checkpointed mid-solve "
                        "(work at risk <= --checkpoint-every stacked "
                        "iterations). batched: the whole 12-stack, single "
                        "shot. distributed: the rank-parallel decomposition "
                        "runtime (compiled SoA engine where numba imports). "
-                       "block: true shared-Krylov block CG on the full "
-                       "operator")
+                       "block: the 12-stack in one true shared-Krylov "
+                       "block CG")
     p_run.add_argument("--dist-ranks", type=int, default=2,
                        help="rank count for --solver-mode distributed")
     p_run.add_argument("--dist-transport",

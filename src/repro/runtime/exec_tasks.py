@@ -15,15 +15,13 @@ Task kinds (the paper's Fig. 2 menu):
 ``make_gauge``      seeded weak-field configuration -> ``links``
 ``gauge_fix``       Coulomb gauge relaxation -> ``links``
 ``smear_sources``   12 covariantly smeared point sources -> ``sources``
-``eigenbasis``      per-configuration Lanczos low modes of ``D^H D``
-                    -> ``eigen`` (shared by every deflated solve below)
-``propagator``      12-column Wilson CGNE solve -> ``prop``, gathered by
+``propagator``      12-column red-black Wilson CGNE solve -> ``prop``, on
+                    ``contractions.SchurColumnStacks`` gathered by
                     ``contractions.collect_columns``: by default
                     (``solver_mode="percolumn"``) checkpointed lock-step
-                    ``SchurColumnStacks``; optionally deflated (``eigen``,
-                    full operator), or one 12-stack / block / rank-parallel
-``seq_solve``       ``sequential_propagator`` -> ``prop`` (same system
-                    rule and modes, no mid-solve checkpoint)
+                    stacks, or one 12-stack / block / rank-parallel
+``seq_solve``       ``sequential_propagator`` -> ``prop`` (same system and
+                    modes, no mid-solve checkpoint)
 ``multishift_prop`` one shifted-CG family ``(D^H D + sigma_i)`` per
                     column of the same sources -> ``shifted``
 ``contraction``     pion/proton/FH correlators (CPU-cheap) -> ``corr``
@@ -145,13 +143,6 @@ def _load_prop(ctx: ExecContext, ref: str):
     return Propagator(ff["data"], tuple(ff.metadata["source"]))
 
 
-def _load_eigen(ctx: ExecContext, ref: str):
-    """Load a persisted eigenbasis artifact (fingerprint-checked)."""
-    from repro.solvers.lanczos import load_eigenbasis
-
-    return load_eigenbasis(ctx.store.path(ref))
-
-
 # -- executors --------------------------------------------------------------
 
 
@@ -205,54 +196,6 @@ def _exec_smear_sources(params: dict, ctx: ExecContext) -> dict[str, str]:
     ff = FieldFile({"site": list(site)})
     ff.add("sources", np.moveaxis(smear.apply(columns), 4, 0))
     return {"sources": ctx.store.save(ctx.task_id, "sources", ff)}
-
-
-def _exec_eigenbasis(params: dict, ctx: ExecContext) -> dict[str, str]:
-    """Per-configuration Lanczos low modes of the normal operator.
-
-    Computed once and cached in the artifact store; every deflated
-    propagator / sequential solve downstream shares this basis.  The
-    basis is seeded from params, so retries and resumed campaigns
-    rebuild the bit-identical basis (its content fingerprint pins the
-    deflated solves and their checkpoints to it).
-    """
-    from repro.dirac.wilson import WilsonOperator
-    from repro.solvers.lanczos import lanczos_lowest, save_eigenbasis
-
-    gauge = _load_gauge(ctx, params["gauge"])
-    wilson = WilsonOperator(gauge, mass=float(params["mass"]))
-    tmpl = np.zeros(gauge.geometry.dims + (4, 3), dtype=np.complex128)
-    window = params.get("poly_window")
-    eigen = lanczos_lowest(
-        wilson.apply_normal,
-        tmpl,
-        int(params["n_eigen"]),
-        n_krylov=int(params["n_krylov"]) if params.get("n_krylov") else None,
-        rng=int(params.get("seed", 0)),
-        poly_degree=int(params.get("poly_degree", 0)),
-        poly_window=(float(window[0]), float(window[1])) if window else None,
-    )
-    ref = f"{ctx.task_id}:eigen"
-    save_eigenbasis(
-        eigen,
-        ctx.store.path(ref),
-        meta={
-            "gauge": params["gauge"],
-            "mass": float(params["mass"]),
-            "poly_degree": int(params.get("poly_degree", 0)),
-            "poly_window": [float(w) for w in window] if window else [],
-        },
-    )
-    ctx.emit(
-        "eigen_done",
-        task=ctx.task_id,
-        n_eigen=eigen.n_eigen,
-        matvecs=eigen.matvecs,
-        fingerprint=eigen.fingerprint,
-        lambda_min=float(eigen.eigenvalues[0]),
-        lambda_max=float(eigen.eigenvalues[-1]),
-    )
-    return {"eigen": ref}
 
 
 _STATE_ARRAYS = ("x", "r", "p", "rsq", "bnorm", "column_iterations")
@@ -322,17 +265,16 @@ def _stack_ckpt_load(ctx: ExecContext, shape: tuple[int, ...], stack_shape: tupl
 
 
 def _wilson_solve(params: dict, ctx: ExecContext):
-    """``(gauge, operator, solver_mode, eigenbasis | None, solver)`` of a
-    12-column Wilson solve task.
+    """``(gauge, operator, solver_mode, solver)`` of a 12-column Wilson
+    solve task.
 
-    The system is the red-black one unless the solve is deflated (the
-    basis is of the full ``D^H D``) or ``block`` (a
-    :class:`repro.solvers.blockcg.BlockCG`, one Krylov space for the 12
-    columns of the full operator).  The solver charges model flops per
-    right-hand side on one formula for every schedule (Table I: explicit
-    counts): a normal application is four half-volume Wilson hops
-    (red-black) or two full ones, the BLAS-1 of an iteration runs on the
-    sites a Krylov vector occupies.
+    The system is always the red-black one; ``block`` picks a
+    :class:`repro.solvers.blockcg.BlockCG` (one Krylov space shared by
+    the 12 columns), every other mode a CG.  The solver charges model
+    flops per right-hand side on one formula for every schedule (Table
+    I: explicit counts): a normal application is four half-volume Wilson
+    hops, and the BLAS-1 of an iteration runs on the even sites a Krylov
+    vector occupies.
     """
     from repro.dirac.flops import cg_blas_flops_per_site, wilson_dslash_flops_per_site
     from repro.dirac.wilson import WilsonOperator
@@ -341,16 +283,14 @@ def _wilson_solve(params: dict, ctx: ExecContext):
 
     gauge = _load_gauge(ctx, params["gauge"])
     mode = str(params.get("solver_mode", "percolumn"))
-    eigen = _load_eigen(ctx, params["eigen"]) if params.get("eigen") else None
     volume = gauge.geometry.volume
-    schur = eigen is None and mode != "block"
     solver = (BlockCG if mode == "block" else ConjugateGradient)(
         tol=float(params.get("tol", 1e-8)),
         max_iter=int(params.get("max_iter", 4000)),
         flops_per_matvec=float(2 * volume * wilson_dslash_flops_per_site()),
-        blas_flops_per_iter=cg_blas_flops_per_site() * (volume // 2 if schur else volume),
+        blas_flops_per_iter=cg_blas_flops_per_site() * (volume // 2),
     )
-    return gauge, WilsonOperator(gauge, mass=float(params["mass"])), mode, eigen, solver
+    return gauge, WilsonOperator(gauge, mass=float(params["mass"])), mode, solver
 
 
 def _solve_distributed(params: dict, gauge, sources, tol: float, max_iter: int):
@@ -385,11 +325,11 @@ def _load_sources(params: dict, ctx: ExecContext, geom) -> np.ndarray:
 def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
     """12-column Wilson CGNE propagator.
 
-    ``percolumn``, ``batched`` and ``distributed`` are three schedules of
-    one linear system — the red-black (Schur) preconditioned normal
-    equations on checkerboard-packed fields, 12 independent Krylov
-    spaces (:class:`repro.contractions.propagator.SchurColumnStacks`;
-    ``distributed`` is the same chain per rank):
+    Every mode solves one linear system — the red-black (Schur)
+    preconditioned normal equations on checkerboard-packed fields
+    (:class:`repro.contractions.propagator.SchurColumnStacks`;
+    ``distributed`` is the same chain per rank) — with 12 independent
+    Krylov spaces except under ``block``:
 
     ``percolumn`` (default)
         The fault-tolerant production path: consecutive lock-step stacks
@@ -413,27 +353,19 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
         ``shm``/``loopback`` (in-process) and ``mpi`` (the whole solve
         relaunched under the machine's launcher).
     ``block``
-        All 12 columns in one true block CGNE (shared Krylov space) on
-        the full operator.
+        The 12-stack in one true block CGNE (a Krylov space shared by
+        the 12 columns).
 
-    An optional ``eigen`` artifact ref deflates every solve with the
-    per-configuration low-mode basis, in any mode except
-    ``distributed`` (the rank-local solver has no deflation hook), on
-    the full operator (:func:`_wilson_solve`).  Batched/block/distributed
-    modes are single-shot (no mid-solve checkpoint); the retry unit is
-    the whole task.  ``solve_done`` carries the totals of
+    Batched/block/distributed modes are single-shot (no mid-solve
+    checkpoint); the retry unit is the whole task.  ``solve_done``
+    carries the totals of
     :func:`repro.contractions.propagator.collect_columns` — ``iterations``
     the per-column sum under ``percolumn`` (what twelve one-column solves
     count), the stacked count otherwise.
     """
-    from functools import partial
+    from repro.contractions import Propagator, SchurColumnStacks, collect_columns, column_relres
 
-    from repro.contractions import (
-        Propagator, SchurColumnStacks, collect_columns, column_relres, solve_column_stacks,
-        stack_width,
-    )
-
-    gauge, wilson, mode, eigen, solver = _wilson_solve(params, ctx)
+    gauge, wilson, mode, solver = _wilson_solve(params, ctx)
     if mode not in ("percolumn", "batched", "block", "distributed"):
         raise ValueError(f"{ctx.task_id}: unknown solver_mode {mode!r}")
     geom = gauge.geometry
@@ -445,11 +377,6 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
     totals = {"iterations": 0, "matvecs": 0, "flops": 0.0, "true_relres": 0.0}
 
     if mode == "distributed":
-        if eigen is not None:
-            raise ValueError(
-                f"{ctx.task_id}: solver_mode 'distributed' does not support "
-                "deflation (drop the eigen ref or use batched/block)"
-            )
         res = _solve_distributed(params, gauge, sources, solver.tol, solver.max_iter)
         # the rank solver charges no model flops and reports the
         # even-site system's residual
@@ -459,19 +386,10 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
         res.final_relres = column_relres(wilson.apply, sources, res.x)
         stacks = [(0, res)]
     else:
-        width = None if mode == "percolumn" else 12
-        if eigen is None and mode != "block":
-            system = SchurColumnStacks(wilson, sources, width)
-            solve, stack_shape = system.solve, system.stack_shape
-        else:
-            solve = partial(
-                solve_column_stacks, wilson.apply, wilson.apply_dagger, sources,
-                deflation=eigen, width=width,
-            )
-            stack_shape = (width or stack_width(sources[0].nbytes),) + sources.shape[1:]
+        system = SchurColumnStacks(wilson, sources, None if mode == "percolumn" else 12)
         resume = {}
         restored = (
-            _stack_ckpt_load(ctx, geom.dims + (4, 4, 3, 3), stack_shape)
+            _stack_ckpt_load(ctx, geom.dims + (4, 4, 3, 3), system.stack_shape)
             if mode == "percolumn" else None
         )
         if restored is not None:
@@ -487,17 +405,14 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
 
         def on_checkpoint(lo, st):
             data = Propagator.from_columns(x, site).data
-            _stack_ckpt_save(ctx, data, lo, stack_shape, st, totals)
+            _stack_ckpt_save(ctx, data, lo, system.stack_shape, st, totals)
             ctx.checkpoint_saved()
 
         if checkpointing:
             resume.update(checkpoint_every=ck_every, on_checkpoint=on_checkpoint)
-        stacks = solve(solver, **resume)
-
-    last = {}
+        stacks = system.solve(solver, **resume)
 
     def on_stack(end, res):
-        last.update(inner=res.inner, reliable_updates=res.reliable_updates)
         if checkpointing and end < 12:
             # Stack-boundary checkpoint: finished columns never re-solve.
             on_checkpoint(end, None)
@@ -507,18 +422,14 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
     )
     ref = _save_prop(ctx, "prop", Propagator.from_columns(x, site))
     ctx.ckpt.discard(ctx.task_id)
-    # inner / reliable_updates of the last stack: every stack runs the one solver
-    ctx.emit(
-        "solve_done", task=ctx.task_id, **totals, solver_mode=mode, deflated=eigen is not None,
-        **last,
-    )
+    ctx.emit("solve_done", task=ctx.task_id, **totals, solver_mode=mode)
     return {"prop": ref}
 
 
 def _exec_seq_solve(params: dict, ctx: ExecContext) -> dict[str, str]:
     from repro.contractions import sequential_propagator
 
-    _, wilson, mode, eigen, solver = _wilson_solve(params, ctx)
+    _, wilson, mode, solver = _wilson_solve(params, ctx)
     if mode == "distributed":
         # sequential sink solves stay in-process: the through-the-sink
         # source is built from an already-gathered propagator, so the
@@ -530,11 +441,10 @@ def _exec_seq_solve(params: dict, ctx: ExecContext) -> dict[str, str]:
         _load_prop(ctx, params["prop"]),
         int(params["t_snk"]),
         solver=solver,
-        deflation=eigen,
         mode="percolumn" if mode == "percolumn" else "batched",  # "block": the solver's type
         stats=stats,
     )
-    ctx.emit("solve_done", task=ctx.task_id, **stats, solver_mode=mode, deflated=eigen is not None)
+    ctx.emit("solve_done", task=ctx.task_id, **stats, solver_mode=mode)
     return {"prop": _save_prop(ctx, "prop", seq)}
 
 
@@ -546,8 +456,8 @@ def _exec_multishift_prop(params: dict, ctx: ExecContext) -> dict[str, str]:
     for (almost) the cost of the smallest, the rational-HMC trick
     applied to the campaign's multi-mass analysis.  Multishift CG
     requires a zero initial guess (shifted residuals must stay collinear
-    with the base residual), so this task is the one solver family
-    deflation cannot seed; its amortization is the shift axis itself.
+    with the base residual), so no initial guess can seed it; its
+    amortization is the shift axis itself.
     """
     from repro.dirac.wilson import WilsonOperator
     from repro.solvers.multishift import MultiShiftCG
@@ -640,7 +550,6 @@ EXECUTORS: dict[str, Callable[[dict, ExecContext], dict[str, str]]] = {
     "make_gauge": _exec_make_gauge,
     "gauge_fix": _exec_gauge_fix,
     "smear_sources": _exec_smear_sources,
-    "eigenbasis": _exec_eigenbasis,
     "propagator": _exec_propagator,
     "seq_solve": _exec_seq_solve,
     "multishift_prop": _exec_multishift_prop,

@@ -43,10 +43,11 @@ __all__ = [
 
 #: Executors are pure functions of (params, dependency artifacts) *within
 #: one revision of their arithmetic*: a kind whose bytes changed for the
-#: same inputs (1: red-black preconditioned solves) names it here, so a
-#: store written before serves none of its entries to the new executor.
-#: Kinds not listed keep their keys; spec fingerprints do not see this.
-EXECUTOR_REVISION = {"propagator": 1, "seq_solve": 1}
+#: same inputs (1: red-black preconditioned solves; 2: ``block`` on the
+#: red-black system too) names it here, so a store written before serves
+#: none of its entries to the new executor.  Kinds not listed keep their
+#: keys; spec fingerprints do not see this.
+EXECUTOR_REVISION = {"propagator": 2, "seq_solve": 2}
 
 
 class SpecError(ValueError):

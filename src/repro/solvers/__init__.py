@@ -33,38 +33,13 @@ from repro.solvers.multiprec import (
     load_ru_state,
     save_ru_state,
 )
-from repro.solvers.bicgstab import BiCGStab
 from repro.solvers.blockcg import BlockCG
 from repro.solvers.multishift import MultiShiftCG, MultiShiftResult
-from repro.solvers.lanczos import (
-    DeflatedCG,
-    DeflatedCGState,
-    LanczosResult,
-    deflate_guess,
-    deflation_flops,
-    chebyshev_op,
-    lanczos_lowest,
-    load_deflated_state,
-    load_eigenbasis,
-    save_deflated_state,
-    save_eigenbasis,
-)
 
 __all__ = [
     "MultiShiftCG",
     "MultiShiftResult",
     "BlockCG",
-    "DeflatedCG",
-    "DeflatedCGState",
-    "LanczosResult",
-    "deflate_guess",
-    "deflation_flops",
-    "chebyshev_op",
-    "lanczos_lowest",
-    "save_eigenbasis",
-    "load_eigenbasis",
-    "save_deflated_state",
-    "load_deflated_state",
     "Precision",
     "DoublePrecision",
     "SinglePrecision",
@@ -74,7 +49,6 @@ __all__ = [
     "PRECISIONS",
     "ConjugateGradient",
     "ReliableUpdateCG",
-    "BiCGStab",
     "SolveResult",
     "BatchedSolveResult",
     "CGState",

@@ -6,10 +6,10 @@ still builds its own Krylov space, so iteration counts match the
 single-RHS solver.  Block CG goes further: all right-hand sides search
 one shared block-Krylov space, so information any source extracts about
 the low end of the spectrum accelerates every other source.  On the
-campaign's 12-source workload this cuts iterations *on top of* what
-low-mode deflation already removes — the direction of the multi-RHS
-solvers deployed with the stochastic Feynman-Hellmann method (Gambhir et
-al., PAPERS.md).
+campaign's 12 sources of the red-black system it needs about half the
+stacked iterations of the lock-step solver — the direction of the
+multi-RHS solvers deployed with the stochastic Feynman-Hellmann method
+(Gambhir et al., PAPERS.md).
 
 This is the numerically stabilized BCGrQ variant (Dubrulle, ETNA 12
 (2001) 216): the residual block is kept as an orthonormal factor ``Q``

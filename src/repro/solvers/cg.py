@@ -146,10 +146,9 @@ class SolveResult:
     matvecs:
         Actual operator applications performed by this call, counted per
         right-hand side (a stacked application on ``k`` sides counts
-        ``k``).  This is the campaign cost metric the deflation/block
-        benchmarks and the iteration-count regression harness compare —
-        unlike ``iterations`` it is directly comparable across
-        per-column, lock-step-batched and block solvers.
+        ``k``).  This is the cost metric the iteration-count regression
+        harness pins — unlike ``iterations`` it is directly comparable
+        across per-column, lock-step-batched and block solvers.
     """
 
     x: np.ndarray
@@ -482,7 +481,7 @@ class ConjugateGradient:
         )
 
 
-def _cgne(solve, lift, apply_op, apply_dagger, b, x0, deflation, **resume):
+def _cgne(solve, lift, apply_op, apply_dagger, b, x0, **resume):
     """CGNE around a solver entry point, one column or a stack.
 
     ``solve`` is the solver's ``solve`` or ``solve_batched``; ``lift``
@@ -491,12 +490,7 @@ def _cgne(solve, lift, apply_op, apply_dagger, b, x0, deflation, **resume):
     *original* system — convergence is judged on the normal system (the
     quantity CG controls).
     """
-    rhs = apply_dagger(b)
-    if deflation is not None and x0 is None and resume.get("state") is None:
-        from repro.solvers.lanczos import deflate_guess
-
-        x0 = deflate_guess(deflation, rhs)
-    result = solve(lambda v: apply_dagger(apply_op(v)), rhs, x0=x0, **resume)
+    result = solve(lambda v: apply_dagger(apply_op(v)), apply_dagger(b), x0=x0, **resume)
     bnorm = _batch_norm(lift(b))
     result.final_relres = np.where(
         bnorm > 0.0,
@@ -513,7 +507,6 @@ def solve_normal_equations(
     solver: ConjugateGradient | None = None,
     x0: np.ndarray | None = None,
     *,
-    deflation=None,
     state: CGState | None = None,
     checkpoint_every: int = 0,
     on_checkpoint: Callable[[CGState], None] | None = None,
@@ -526,13 +519,6 @@ def solve_normal_equations(
     ``|b - D x| / |b|``.  Checkpoint arguments pass through to
     :meth:`ConjugateGradient.solve`; the state describes the *normal*
     system, which is all a resume needs.
-
-    ``deflation`` is an optional :class:`repro.solvers.lanczos.
-    LanczosResult` holding low modes of the *normal* operator; when
-    given (and no explicit ``x0``/``state``), the initial guess is the
-    low-mode solution of the normal system — the campaign's shared
-    per-configuration deflation.  The Krylov recurrence after the guess
-    is plain CG, so checkpoint/resume stays bit-exact.
     """
     result = _cgne(
         (solver or ConjugateGradient()).solve,
@@ -541,7 +527,6 @@ def solve_normal_equations(
         apply_dagger,
         b,
         x0,
-        deflation,
         state=state,
         checkpoint_every=checkpoint_every,
         on_checkpoint=on_checkpoint,
@@ -556,8 +541,6 @@ def solve_normal_equations_batched(
     b: np.ndarray,
     solver: ConjugateGradient | None = None,
     x0: np.ndarray | None = None,
-    *,
-    deflation=None,
     **resume,
 ) -> BatchedSolveResult:
     """Multi-RHS CGNE on a stack of right-hand sides (leading axis).
@@ -566,8 +549,6 @@ def solve_normal_equations_batched(
     field is read once per iteration for the whole stack — the
     Feynman-Hellmann many-sources-per-configuration pattern.
 
-    ``deflation`` (a :class:`repro.solvers.lanczos.LanczosResult` on the
-    normal operator) seeds the whole stack with its low-mode solutions.
     ``resume`` (``state`` / ``checkpoint_every`` / ``on_checkpoint``, the
     stacked state of the *normal* system) reaches ``solver.solve_batched``
     only when given: a solver without checkpoints is called as before.
@@ -579,6 +560,5 @@ def solve_normal_equations_batched(
         apply_dagger,
         b,
         x0,
-        deflation,
         **resume,
     )

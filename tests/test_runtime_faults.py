@@ -27,10 +27,6 @@ from repro.runtime.telemetry import load_events, summarize
 # One light campaign: single mass, no sequential solve, checkpoint often
 # enough that a mid-solve kill has state to resume from.
 CAMPAIGN = dict(masses=(0.5,), tol=1e-7, checkpoint_every=10, include_seq=False)
-# The same campaign with low-mode deflation: the eigenbasis task gates
-# the solve, every checkpoint is a DeflatedCGState pinned to the basis
-# fingerprint, and resume must restore both bit-exactly.
-DEFLATED = dict(CAMPAIGN, n_eigen=8, n_krylov=40)
 
 
 def _campaign(workdir, pool="process", faults=None, resume=False,
@@ -105,49 +101,6 @@ class TestWorkerKill:
         assert res2.all_done
         assert res2.tasks_reused >= 1
         assert _final_bytes(rt2) == reference
-
-
-@pytest.fixture(scope="module")
-def deflated_reference(tmp_path_factory):
-    """Fault-free deflated run (thread pool, same deterministic bytes)."""
-    wd = tmp_path_factory.mktemp("defl-ref")
-    rt, res = _campaign(wd, pool="thread", spec_kwargs=DEFLATED)
-    assert res.all_done
-    return _final_bytes(rt)
-
-
-class TestDeflatedSolves:
-    """The fault-tolerance contract survives deflation: checkpoints wrap
-    DeflatedCGState, resume validates the eigenbasis fingerprint, and
-    the interrupted campaign still lands bitwise on the reference."""
-
-    def test_kill_mid_deflated_solve_resumes_from_checkpoint(
-            self, tmp_path, deflated_reference):
-        faults = FaultPlan({"prop_m0": FaultSpec(kind="kill_worker",
-                                                 at_checkpoint=2)})
-        rt, res = _campaign(tmp_path, faults=faults, spec_kwargs=DEFLATED)
-        assert res.all_done
-        assert res.worker_deaths == 1
-        assert _final_bytes(rt) == deflated_reference
-        events = load_events(tmp_path)
-        restored = [e for e in events if e["ev"] == "checkpoint_restored"]
-        assert restored, "retry did not load the deflated checkpoint"
-        solves = [e for e in events if e["ev"] == "solve_done"]
-        assert solves and all(e.get("deflated") for e in solves)
-
-    def test_allocation_loss_then_resume_deflated_bitwise(
-            self, tmp_path, deflated_reference):
-        faults = FaultPlan({"prop_m0": FaultSpec(kind="kill_worker",
-                                                 at_checkpoint=2)})
-        rt, res = _campaign(tmp_path, faults=faults,
-                            abort_on_worker_death=True,
-                            spec_kwargs=DEFLATED)
-        assert res.interrupted
-
-        rt2, res2 = _campaign(tmp_path, resume=True, spec_kwargs=DEFLATED)
-        assert res2.all_done
-        assert res2.tasks_reused >= 1
-        assert _final_bytes(rt2) == deflated_reference
 
 
 class TestCorruptCheckpoint:
@@ -230,6 +183,55 @@ class TestDistributedSolverMode:
                   and e["task"] == "prop_m0"]
         assert solves and solves[0]["solver_mode"] == "distributed"
         assert solves[0]["iterations"] > 0 and solves[0]["flops"] > 0
+
+
+# The ill-conditioned regime (weak coupling, light mass, Lt = 16) in
+# which block CG's shared Krylov space pays.
+WEAK = dict(dims=(2, 2, 2, 16), masses=(0.02,), seed=7, tol=1e-7,
+            max_iter=30000, scale=0.05, include_seq=True)
+
+
+@pytest.fixture(scope="module")
+def weak_campaigns(tmp_path_factory):
+    """The weak-coupling campaign as ``batched`` and as ``block``."""
+    out = {}
+    for mode in ("batched", "block"):
+        wd = tmp_path_factory.mktemp(mode)
+        rt, res = _campaign(wd, pool="thread", workers=1,
+                            spec_kwargs=dict(WEAK, solver_mode=mode))
+        assert res.all_done
+        solves = {e["task"]: e for e in load_events(wd)
+                  if e["ev"] == "solve_done"}
+        out[mode] = rt.store.load("assemble:correlators"), solves
+    return out
+
+
+class TestOneLinearSystem:
+    """Every mode solves the red-black system: ``block`` is BlockCG on
+    the 12-wide ``SchurColumnStacks`` the ``batched`` CG runs."""
+
+    def test_block_shares_the_krylov_space_of_the_red_black_system(
+            self, weak_campaigns):
+        import numpy as np
+
+        corr_batched, batched = weak_campaigns["batched"]
+        corr_block, block = weak_campaigns["block"]
+        for task in ("prop_m0", "seq_m0"):
+            assert block[task]["iterations"] < batched[task]["iterations"], task
+        assert corr_block.names() == corr_batched.names()
+        for name in corr_batched.names():
+            want = corr_batched[name]
+            assert np.abs(corr_block[name] - want).max() <= 1e-5 * np.abs(want).max(), name
+
+    def test_every_solve_done_has_one_schema(self, weak_campaigns):
+        """Propagator and sequential solves report the same keys in
+        every mode: the totals of ``collect_columns`` plus the mode."""
+        keys = {(mode, task): frozenset(ev)
+                for mode, (_, solves) in weak_campaigns.items()
+                for task, ev in solves.items()}
+        assert len(keys) == 4
+        assert len(set(keys.values())) == 1, keys
+        assert {"inner", "reliable_updates"} <= next(iter(keys.values()))
 
 
 class TestColumnStackCheckpoints:

@@ -25,7 +25,7 @@ from repro.service.fingerprint import (
 # The seeded Fig. 2 campaign (build_ga_campaign defaults). Changing this
 # value invalidates every content-addressed cache in existence — bump it
 # only with a deliberate cache-format migration.
-FIG2_FINGERPRINT = "b5ebcae63d1c326e71bb1f85"
+FIG2_FINGERPRINT = "d5750f1ce599bd09fdf5174b"
 
 
 class TestSpecCanonicalization:
@@ -82,7 +82,8 @@ class TestSpecValidation:
             {"builder": "ga", "kwargs": {"bogus_knob": 1}},
             {"builder": "ga", "kwargs": []},
             {"builder": "ga", "kwargs": {}, "extra": 1},
-            {"builder": "ga", "kwargs": {"poly_degree": 4}},  # needs poly_window
+            {"builder": "ga", "kwargs": {"poly_degree": 4}},  # not a builder knob
+            {"builder": "ga", "kwargs": {"n_eigen": 8}},  # deflation was removed
         ],
     )
     def test_invalid_specs_raise_spec_error(self, bad):

@@ -258,10 +258,12 @@ class TestPropagatorColumns:
             np.testing.assert_allclose(f(psi), want, rtol=0, atol=1e-15 * np.abs(want).max())
 
     def test_the_solver_type_decides_the_sequential_system(self, gauge_tiny):
-        """``mode`` names a schedule and nothing else: ``"block"`` is not
-        one, and a ``BlockCG`` runs one 12-wide block solve of the full
-        operator whatever the schedule says."""
-        from repro.contractions import sequential_propagator, solve_column_stacks
+        """``mode`` names a stack width and nothing else (``"block"`` is
+        not one), the solver names the algorithm, and the system is
+        always the red-black one: ``"batched"`` with a ``BlockCG`` is
+        one 12-wide block solve of ``SchurColumnStacks``, bit for bit,
+        and ``"percolumn"`` runs it on budget-width Schur stacks."""
+        from repro.contractions import SchurColumnStacks, sequential_propagator
         from repro.dirac import gamma as g
         from repro.solvers.blockcg import BlockCG
 
@@ -276,12 +278,18 @@ class TestPropagatorColumns:
         b = np.zeros_like(cols)
         b[:, :, :, :, t_snk] = cols[:, :, :, :, t_snk]
         block = BlockCG(tol=1e-9, max_iter=2000)
-        ((_, want),) = solve_column_stacks(w.apply, w.apply_dagger, g.gamma5_mul(b), block, width=12)
-        for mode in ("percolumn", "batched"):
-            stats: dict = {}
-            seq = sequential_propagator(w, prop, t_snk, block, mode=mode, stats=stats)
-            assert np.array_equal(seq.columns(), g.gamma5_mul(want.x)), mode
-            assert stats["iterations"] == want.iterations
+        ((_, want),) = SchurColumnStacks(w, g.gamma5_mul(b), 12).solve(block)
+        stats: dict = {}
+        seq = sequential_propagator(w, prop, t_snk, block, mode="batched", stats=stats)
+        assert np.array_equal(seq.columns(), g.gamma5_mul(want.x))
+        assert stats["iterations"] == want.iterations
+
+        stats = {}
+        narrow = sequential_propagator(w, prop, t_snk, block, mode="percolumn", stats=stats)
+        assert stats["iterations"] >= want.iterations  # a column counts its stack's iterations
+        assert stats["true_relres"] <= 10 * block.tol
+        scale = np.abs(seq.data).max()
+        np.testing.assert_allclose(narrow.data, seq.data, rtol=0, atol=1e-6 * scale)
 
 
 class TestPerColumnIterations:
@@ -469,41 +477,6 @@ class TestColumnStacks:
 
         with pytest.raises(ValueError, match="not a boundary"):
             next(solve_column_stacks(w.apply, w.apply_dagger, sources, solver, start=2))
-
-    def test_deflated_stack_matches_columns_to_solver_tolerance(self, gauge_tiny):
-        """The deflated initial guess of a stack is one GEMM over the
-        stack and of a column a GEMV, which BLAS may round differently,
-        so this contract is *portable*, not exact.  Both solve the
-        normal system ``A x = D^H b`` to a true residual of at most
-        ``4 tol |D^H b|`` (the solver's convergence rule), so they
-        differ by at most ``8 tol |D^H b| / lambda_min(A)``."""
-        from repro.contractions import solve_column_stacks
-        from repro.contractions.propagator import point_source
-        from repro.solvers import solve_normal_equations
-        from repro.solvers.lanczos import lanczos_lowest
-
-        w = WilsonOperator(gauge_tiny, mass=0.3)
-        geom = gauge_tiny.geometry
-        tol = 1e-9
-        solver = ConjugateGradient(tol=tol, max_iter=2000)
-        eigen = lanczos_lowest(
-            w.apply_normal, np.zeros(geom.dims + (4, 3), dtype=np.complex128), 6, rng=1
-        )
-        lambda_min = float(eigen.eigenvalues[0])
-        sources = np.stack(
-            [point_source(geom, (0, 0, 0, 0), s, c) for s in range(4) for c in range(3)]
-        )
-        for lo, res in solve_column_stacks(
-            w.apply, w.apply_dagger, sources, solver, deflation=eigen
-        ):
-            assert res.all_converged
-            for i in range(res.n_rhs):
-                b = sources[lo + i]
-                alone = solve_normal_equations(
-                    w.apply, w.apply_dagger, b, solver, deflation=eigen
-                )
-                bound = 8 * tol * np.linalg.norm(w.apply_dagger(b).ravel()) / lambda_min
-                assert np.linalg.norm((res.x[i] - alone.x).ravel()) <= bound
 
 
 class TestSchurColumnStacks:

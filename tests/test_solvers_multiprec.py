@@ -7,11 +7,9 @@ import pytest
 
 from repro.dirac import EvenOddMobius, MobiusOperator
 from repro.solvers import (
-    BiCGStab,
     ConjugateGradient,
     PRECISIONS,
     ReliableUpdateCG,
-    solve_normal_equations,
 )
 from tests.conftest import random_fermion
 
@@ -157,30 +155,3 @@ class TestOnMobius:
         x = eo.reconstruct(res.x, b)
         resid = np.linalg.norm((mob.apply(x) - b).ravel()) / np.linalg.norm(b.ravel())
         assert resid < 1e-6
-
-
-class TestBiCGStab:
-    def test_solves_nonhermitian_dense(self):
-        rng = np.random.default_rng(6)
-        n = 30
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) + 5.0 * np.eye(n)
-        x_true = rng.normal(size=(n, 1, 1)) + 0j
-        b = (a @ x_true.reshape(n)).reshape(x_true.shape)
-        res = BiCGStab(tol=1e-10, max_iter=500).solve(_matvec(a), b)
-        assert res.converged
-        np.testing.assert_allclose(res.x, x_true, atol=1e-7)
-
-    def test_zero_rhs(self):
-        res = BiCGStab().solve(lambda v: v, np.zeros((5, 1, 1), dtype=complex))
-        assert res.converged
-
-    def test_stagnates_on_domain_wall(self, gauge_tiny, rng):
-        """Documented domain behaviour: BiCGStab fails for DWF — the
-        reason the paper solves the normal equations with CG instead."""
-        mob = MobiusOperator(gauge_tiny, ls=4, mass=0.1)
-        b = random_fermion(rng, mob.field_shape)
-        res = BiCGStab(tol=1e-10, max_iter=150).solve(mob.apply, b)
-        cg = solve_normal_equations(
-            mob.apply, mob.apply_dagger, b, ConjugateGradient(tol=1e-10, max_iter=150)
-        )
-        assert cg.final_relres < res.final_relres
