@@ -35,7 +35,7 @@ def _setup():
 def test_mixed_precision_cg(benchmark, report):
     mob, eo, b, rhs_n = _setup()
     flops_matvec = eo.flops_per_normal_apply()
-    blas = cg_blas_flops_per_site() * mob.n_5d_sites
+    blas = cg_blas_flops_per_site() * (mob.n_5d_sites // 2)  # even sites only
     tol = 1e-8
 
     results = {}

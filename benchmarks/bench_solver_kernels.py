@@ -44,9 +44,9 @@ def test_wilson_dslash_throughput(benchmark, setup, report):
 
 def test_mobius_normal_op_throughput(benchmark, setup, report):
     geom, gauge, mob, eo, psi4, psi5 = setup
-    xe = eo.restrict(psi5, 0)
+    xe = eo.split(psi5)[0]
     result = benchmark(eo.schur_normal_apply, xe)
-    assert result.shape == psi5.shape
+    assert result.shape == xe.shape == psi5.shape[:4] + (psi5.shape[4] // 2, 4, 3)
     gflops = eo.flops_per_normal_apply() / benchmark.stats["mean"] / 1e9
     report(
         "Python kernel throughput: Mobius normal op",

@@ -32,7 +32,7 @@ def main() -> None:
     rhs_e = eo.prepare_rhs(b)
     rhs_n = eo.schur_dagger_apply(rhs_e)
     flops_matvec = eo.flops_per_normal_apply()
-    blas = cg_blas_flops_per_site() * mobius.n_5d_sites
+    blas = cg_blas_flops_per_site() * (mobius.n_5d_sites // 2)  # even sites only
 
     rows = []
     solutions = {}

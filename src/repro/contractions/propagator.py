@@ -146,10 +146,10 @@ def compute_propagator(
     mobius: MobiusOperator,
     site: tuple[int, int, int, int] = (0, 0, 0, 0),
     solver: ConjugateGradient | None = None,
-    use_evenodd: bool = True,
     source_transform: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[Propagator, list[SolveResult]]:
-    """Solve the 12 spin-colour systems for one domain-wall propagator.
+    """Solve the 12 spin-colour systems for one domain-wall propagator
+    on the red-black system (:class:`SchurColumnStacks`).
 
     Parameters
     ----------
@@ -159,8 +159,6 @@ def compute_propagator(
         4D source position.
     solver:
         CG configuration; a sensible default is used when omitted.
-    use_evenodd:
-        Solve the red-black preconditioned system (the production path).
     source_transform:
         Optional map applied to each 5D wall source before solving.
 
@@ -174,7 +172,7 @@ def compute_propagator(
     sources = point_sources_5d(mobius, site)
     if source_transform is not None:
         sources = np.stack([source_transform(b) for b in sources])
-    x, results = solve_columns(mobius, sources, solver, schur=use_evenodd)
+    x, results = solve_columns(mobius, sources, solver)
     return Propagator.from_columns(boundary_project(x), site), results
 
 
@@ -279,14 +277,14 @@ class SchurColumnStacks:
     1-rank case of ``repro.comm.distributed.rank_solve``.
 
     ``op`` is a :class:`WilsonOperator` or a :class:`MobiusOperator`.  The
-    even-site system lives in the cheapest field space its chain has:
-    checkerboard-packed (half the sites in every stencil pass and solver
-    array) for a Wilson kernel with the layout, else masked full-lattice
-    fields (:class:`EvenOddWilson`, :class:`EvenOddMobius` — the
-    iteration count alone).  ``width`` defaults to the workspace budget's
-    answer for an *even-site* column, and the right-hand sides are
-    prepared a stack at a time, so every hop of a task has one shape and
-    the kernel pools one workspace.
+    even-site system lives on checkerboard-packed fields (half the sites
+    in every stencil pass and solver array): :meth:`WilsonSchur.packed`
+    and :class:`EvenOddMobius` share that one field space.  Only a Wilson
+    kernel without the layout falls back to masked full-lattice fields
+    (:class:`EvenOddWilson` — the iteration count alone).  ``width``
+    defaults to the workspace budget's answer for an *even-site* column,
+    and the right-hand sides are prepared a stack at a time, so every hop
+    of a task has one shape and the kernel pools one workspace.
     """
 
     def __init__(self, op, b: np.ndarray, width: int | None = None):

@@ -156,7 +156,6 @@ def compute_fh_mobius_pair(
     site: tuple[int, int, int, int] = (0, 0, 0, 0),
     solver: ConjugateGradient | None = None,
     insertion: AxialInsertion5D | None = None,
-    use_evenodd: bool = True,
 ) -> tuple[Propagator, Propagator, list[SolveResult]]:
     """Standard + Feynman-Hellmann domain-wall propagators.
 
@@ -164,12 +163,12 @@ def compute_fh_mobius_pair(
     (not its boundary projection), keeping the theorem exact.  Two
     stacked solves, like :func:`compute_fh_wilson_pair` (``stats`` holds
     the 12 standard then the 12 FH per-column results), of the red-black
-    system unless ``use_evenodd`` is false.
+    system.
     """
     solver = solver or ConjugateGradient(tol=1e-8, max_iter=5000)
     insertion = insertion or AxialInsertion5D()
-    psi5, stats = solve_columns(mobius, point_sources_5d(mobius, site), solver, schur=use_evenodd)
-    psi5_fh, stats_fh = solve_columns(mobius, insertion.apply(psi5), solver, schur=use_evenodd)
+    psi5, stats = solve_columns(mobius, point_sources_5d(mobius, site), solver)
+    psi5_fh, stats_fh = solve_columns(mobius, insertion.apply(psi5), solver)
     return (
         Propagator.from_columns(boundary_project(psi5), site),
         Propagator.from_columns(boundary_project(psi5_fh), site),

@@ -87,7 +87,8 @@ class GAPipeline:
                 gauge, ls=self.ls, mass=self.mass, m5=self.m5, b5=self.b5, c5=self.c5
             )
             flops_per_matvec = op.flops_per_normal_apply()
-            blas = cg_blas_flops_per_site() * op.n_5d_sites
+            # BLAS-1 on the even sites a Krylov vector of the Schur system holds
+            blas = cg_blas_flops_per_site() * (op.n_5d_sites // 2)
             solver = ConjugateGradient(
                 tol=self.tol,
                 max_iter=self.max_iter,

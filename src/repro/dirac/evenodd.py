@@ -12,22 +12,25 @@ complement on the even checkerboard is
 ``S = A - B_eo A^{-1} B_oe``.
 
 ``A`` acts only in the fifth dimension and spin chirality, so its inverse
-is two dense ``Ls x Ls`` matrices (one per chirality) computed once —
-the analogue of QUDA's fused ``m5inv`` kernel.  The preconditioned system
-has roughly half the iteration count at half the size, which is where the
-paper's solver spends 97% of its runtime.
+is one ``Ls x Ls`` table of real weights per chirality, computed once and
+applied as an elementwise accumulate over ``s`` — the analogue of QUDA's
+fused ``m5inv`` kernel.  The preconditioned system has roughly half the
+iteration count at half the size, which is where the paper's solver
+spends 97% of its runtime.
 
-Implementation note: fields remain full-lattice arrays and checkerboards
-are selected by parity masks.  This costs a redundant factor of ~2 in
-memory traffic relative to packed half-lattices but keeps every operator
-a pure function on one array layout; the performance model (not the
-Python kernels) carries the machine-efficiency story.
+The chain runs on the half-spinor kernel's checkerboard-packed fields
+(:func:`repro.dirac.evenodd_wilson.packed_fields`, the field space of
+every packed Schur chain): ``H`` is ``WilsonOperator.hopping(x,
+parity=p)`` with the fifth dimension a leading axis, so every pass
+touches half the sites.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.dirac.evenodd_wilson import packed_fields
+from repro.dirac.gamma import gamma5_mul
 from repro.dirac.mobius import MobiusOperator
 
 __all__ = ["EvenOddMobius"]
@@ -39,126 +42,92 @@ class EvenOddMobius:
     Parameters
     ----------
     mobius:
-        The full operator to precondition.
+        The full operator to precondition; its Wilson kernel must have
+        the checkerboard-packed layout (``kernel.pack``).
+
+    ``split(b) -> (b_even, b_odd)`` packs a full 5D field (any leading
+    axes) and ``join`` unpacks; ``b_apply(x, p)`` / ``b_dagger_apply(x,
+    p)`` take a field on parity ``p``'s sites to the other parity's.
     """
 
     def __init__(self, mobius: MobiusOperator):
+        kernel = mobius.wilson.kernel
+        if not hasattr(kernel, "pack"):
+            raise ValueError(
+                f"the even-odd Mobius chain needs a checkerboard-packed kernel; "
+                f"backend {mobius.backend!r} has none"
+            )
         self.mobius = mobius
-        geom = mobius.geometry
-        self.even = geom.parity_mask(0)
-        self.odd = geom.parity_mask(1)
-        # Broadcastable keep-masks (site axes at -6:-2 for any leading
-        # axes — fifth dimension and/or a multi-RHS stack).
-        self._keep = (
-            self.even[..., None, None],
-            self.odd[..., None, None],
-        )
+        self.split, self.join = packed_fields(kernel)
         self.alpha = (4.0 - mobius.m5) * mobius.b5 + 1.0
         self.beta = (4.0 - mobius.m5) * mobius.c5 - 1.0
-        self._m_plus, self._m_minus = self._build_a_blocks()
-        self._minv_plus = np.linalg.inv(self._m_plus)
-        self._minv_minus = np.linalg.inv(self._m_minus)
+        self._inv = self._a_inv_weights()
+        self._inv_dagger = np.roll(self._inv, 2, axis=-2)
 
     # -- the A = alpha + beta L block ---------------------------------------
-    def _build_a_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense ``Ls x Ls`` matrices of ``A`` per spin chirality.
+    def _a_inv_weights(self) -> np.ndarray:
+        """``w[t, s]`` (per spin) with ``(A^{-1} psi)(s) = sum_t w[t, s] psi(t)``.
 
-        For chirality ``+`` (upper spin components) ``L`` shifts ``s-1``
-        with the ``-m`` boundary wrap; for chirality ``-`` it shifts
-        ``s+1``.
+        On chirality ``+`` (upper spin components) ``A = alpha (1 - kappa
+        S)``, ``S`` the ``s-1`` shift of ``L`` with ``S^Ls = -m``, so
+        ``A^{-1} = sum_{j<Ls} (kappa S)^j / (alpha (1 + m kappa^Ls))``;
+        chirality ``-`` shifts ``s+1``, the transpose.  Real weights, so
+        ``A^{-H}`` swaps the two chiralities' tables.
         """
         ls, m = self.mobius.ls, self.mobius.mass
-        eye = np.eye(ls, dtype=np.complex128)
-        shift_down = np.zeros((ls, ls), dtype=np.complex128)  # psi(s-1)
-        shift_up = np.zeros((ls, ls), dtype=np.complex128)  # psi(s+1)
-        for s in range(ls):
-            shift_down[s, (s - 1) % ls] = 1.0
-            shift_up[s, (s + 1) % ls] = 1.0
-        shift_down[0, ls - 1] *= -m
-        shift_up[ls - 1, 0] *= -m
-        m_plus = self.alpha * eye + self.beta * shift_down
-        m_minus = self.alpha * eye + self.beta * shift_up
-        return m_plus, m_minus
+        kappa = -self.beta / self.alpha
+        s, t = np.ogrid[:ls, :ls]
+        c = kappa ** ((s - t) % ls) * np.where(t > s, -m, 1.0)
+        c /= self.alpha * (1.0 + m * kappa**ls)
+        w = np.empty((ls, ls, 4))
+        w[..., :2] = c.T[..., None]
+        w[..., 2:] = c[..., None]
+        return w.reshape((ls, ls, 1, 1, 1, 1, 4, 1))
 
-    def _apply_s_matrix(self, mat_plus: np.ndarray, mat_minus: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """Apply per-chirality ``Ls x Ls`` matrices along the 5th axis."""
-        out = np.empty_like(psi)
-        if psi.ndim == 7:  # no extra leading axes: fast tensordot path
-            # upper two spin components: chirality +
-            out[..., :2, :] = np.tensordot(mat_plus, psi[..., :2, :], axes=(1, 0))
-            out[..., 2:, :] = np.tensordot(mat_minus, psi[..., 2:, :], axes=(1, 0))
-            return out
-        s_axis = MobiusOperator.S_AXIS
-        for chi, mat in ((slice(0, 2), mat_plus), (slice(2, 4), mat_minus)):
-            x = np.moveaxis(psi[..., chi, :], s_axis, -1)
-            y = np.einsum("st,...t->...s", mat, x)
-            out[..., chi, :] = np.moveaxis(y, -1, s_axis)
+    @staticmethod
+    def _s_sum(w: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """``out(s) = sum_t w[t, s] psi(t)``: one elementwise multiply-add
+        per ``t``, so a stack rounds exactly like each of its columns."""
+        out = np.zeros_like(psi)
+        tmp = np.empty_like(psi)
+        for t in range(w.shape[0]):
+            out += np.multiply(w[t], psi[MobiusOperator._at_s(slice(t, t + 1))], out=tmp)
         return out
 
     def a_apply(self, psi: np.ndarray) -> np.ndarray:
-        """``A psi`` (parity-diagonal block)."""
-        return self._apply_s_matrix(self._m_plus, self._m_minus, psi)
+        """``A psi = alpha psi + beta L psi`` (parity-diagonal block)."""
+        return self.alpha * psi + self.beta * self.mobius.hop5(psi)
+
+    def a_dagger_apply(self, psi: np.ndarray) -> np.ndarray:
+        return self.alpha * psi + self.beta * self.mobius.hop5_dagger(psi)
 
     def a_inv_apply(self, psi: np.ndarray) -> np.ndarray:
         """``A^{-1} psi`` — the fused ``m5inv`` kernel."""
-        return self._apply_s_matrix(self._minv_plus, self._minv_minus, psi)
-
-    def a_dagger_apply(self, psi: np.ndarray) -> np.ndarray:
-        return self._apply_s_matrix(
-            self._m_plus.conj().T, self._m_minus.conj().T, psi
-        )
+        return self._s_sum(self._inv, psi)
 
     def a_inv_dagger_apply(self, psi: np.ndarray) -> np.ndarray:
-        return self._apply_s_matrix(
-            self._minv_plus.conj().T, self._minv_minus.conj().T, psi
-        )
+        return self._s_sum(self._inv_dagger, psi)
 
     # -- off-diagonal blocks -----------------------------------------------------
-    def b_apply(self, psi: np.ndarray) -> np.ndarray:
-        """``B psi = H D5_plus psi`` (flips checkerboard parity)."""
-        return self.mobius.wilson.hopping(self.mobius.d5_plus(psi))
+    def b_apply(self, psi: np.ndarray, parity: int) -> np.ndarray:
+        """``B psi = H D5_plus psi`` from ``parity``'s sites to the other's."""
+        return self.mobius.wilson.hopping(self.mobius.d5_plus(psi), parity=parity)
 
-    def b_dagger_apply(self, psi: np.ndarray) -> np.ndarray:
-        """``B^H psi = D5_plus^H H^H psi``."""
-        from repro.dirac import gamma as g
-
-        # H^H = gamma_5 H gamma_5
-        h_dag = self.mobius.wilson.hopping(g.gamma5_mul(psi))
-        g.gamma5_mul(h_dag, out=h_dag)
-        return self.mobius.d5_plus_dagger(h_dag)
-
-    # -- checkerboard restriction ---------------------------------------------------
-    def restrict(self, psi: np.ndarray, parity: int) -> np.ndarray:
-        """Zero out the opposite checkerboard (parity 0 = even).
-
-        Works for any leading axes (fifth dimension, multi-RHS stacks):
-        the keep-mask broadcasts against the trailing site axes.
-        """
-        return psi * self._keep[parity]
-
-    def split(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(b_even, b_odd)`` — the field space of the chain is masked
-        full-lattice fields."""
-        return self.restrict(b, 0), self.restrict(b, 1)
+    def b_dagger_apply(self, psi: np.ndarray, parity: int) -> np.ndarray:
+        """``B^H psi = D5_plus^H gamma_5 H gamma_5 psi``, likewise."""
+        h = self.mobius.wilson.hopping(gamma5_mul(psi), parity=parity)
+        return self.mobius.d5_plus_dagger(gamma5_mul(h, out=h))
 
     # -- Schur complement --------------------------------------------------------------
     def schur_apply(self, x_even: np.ndarray) -> np.ndarray:
-        """``S x = A x - B_eo A^{-1} B_oe x`` on the even checkerboard.
-
-        Input and output live on even sites (odd entries must be, and
-        stay, zero).
-        """
-        t = self.b_apply(x_even)  # -> odd
-        t = self.a_inv_apply(t)
-        t = self.b_apply(t)  # -> even
-        return self.restrict(self.a_apply(x_even) - t, 0)
+        """``S x = A x - B_eo A^{-1} B_oe x`` on the even checkerboard."""
+        t = self.b_apply(self.a_inv_apply(self.b_apply(x_even, 0)), 1)
+        return np.subtract(self.a_apply(x_even), t, out=t)
 
     def schur_dagger_apply(self, x_even: np.ndarray) -> np.ndarray:
         """``S^H x = A^H x - B^H A^{-H} B^H x`` on the even checkerboard."""
-        t = self.b_dagger_apply(x_even)  # -> odd
-        t = self.a_inv_dagger_apply(t)
-        t = self.b_dagger_apply(t)  # -> even
-        return self.restrict(self.a_dagger_apply(x_even) - t, 0)
+        t = self.b_dagger_apply(self.a_inv_dagger_apply(self.b_dagger_apply(x_even, 0)), 1)
+        return np.subtract(self.a_dagger_apply(x_even), t, out=t)
 
     def schur_normal_apply(self, x_even: np.ndarray) -> np.ndarray:
         """``S^H S x`` — the hermitian system handed to CG."""
@@ -167,26 +136,17 @@ class EvenOddMobius:
     # -- full-system solve plumbing -----------------------------------------------------
     def prepare_rhs(self, b: np.ndarray) -> np.ndarray:
         """Even-checkerboard right-hand side ``b_e - B_eo A^{-1} b_o``."""
-        b_odd = self.restrict(b, 1)
-        b_even = self.restrict(b, 0)
-        return self.restrict(b_even - self.b_apply(self.a_inv_apply(b_odd)), 0)
+        b_even, b_odd = self.split(b)
+        t = self.b_apply(self.a_inv_apply(b_odd), 1)
+        return np.subtract(b_even, t, out=t)
 
     def reconstruct(self, x_even: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Recover the odd checkerboard: ``x_o = A^{-1} (b_o - B_oe x_e)``."""
-        b_odd = self.restrict(b, 1)
-        x_odd = self.a_inv_apply(self.restrict(b_odd - self.b_apply(x_even), 1))
-        return x_even + x_odd
+        """The full solution: ``x_o = A^{-1} (b_o - B_oe x_e)`` joined to ``x_e``."""
+        t = self.b_apply(x_even, 0)
+        x_odd = self.a_inv_apply(np.subtract(self.split(b)[1], t, out=t))
+        return self.join(x_even, x_odd)
 
     # -- accounting ---------------------------------------------------------------------
     def flops_per_normal_apply(self) -> float:
         """Model flops per ``schur_normal_apply`` (paper convention)."""
         return self.mobius.flops_per_normal_apply()
-
-    # -- backend routing ----------------------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """Dslash backend of the underlying Wilson kernel."""
-        return self.mobius.backend
-
-    def set_backend(self, name: str) -> None:
-        self.mobius.set_backend(name)

@@ -25,7 +25,7 @@ import numpy as np
 from repro.dirac.gamma import gamma5_mul
 from repro.dirac.wilson import WilsonOperator
 
-__all__ = ["WilsonSchur", "EvenOddWilson", "parity_fields"]
+__all__ = ["WilsonSchur", "EvenOddWilson", "parity_fields", "packed_fields"]
 
 
 def parity_fields(geometry) -> tuple[Callable, Callable, Callable]:
@@ -39,6 +39,13 @@ def parity_fields(geometry) -> tuple[Callable, Callable, Callable]:
         return x
 
     return (lambda b: (b * keep[0], b * keep[1])), np.add, to_even
+
+
+def packed_fields(kernel) -> tuple[Callable, Callable]:
+    """``(split, join)`` for ``kernel``'s checkerboard-packed fields
+    (``kernel.pack`` / ``kernel.unpack``, any leading axes): the field
+    space of every packed Schur chain, Wilson and Mobius alike."""
+    return (lambda b: (kernel.pack(b, 0), kernel.pack(b, 1)), kernel.unpack)
 
 
 class WilsonSchur:
@@ -85,7 +92,7 @@ class WilsonSchur:
         (``kernel.pack`` / ``kernel.unpack``): half the sites in every
         pass.  ``hop(x, parity)`` is the packed hopping term — a serial
         operator's or a rank's halo schedule around the same kernel."""
-        return cls(hop, mass, lambda b: (kernel.pack(b, 0), kernel.pack(b, 1)), kernel.unpack)
+        return cls(hop, mass, *packed_fields(kernel))
 
     # -- Schur complement ---------------------------------------------------
     def _hop_inv_hop(self, x: np.ndarray) -> np.ndarray:
@@ -138,15 +145,6 @@ class EvenOddWilson(WilsonSchur):
         super().__init__(
             lambda x, parity: wilson.hopping(x), wilson.mass, *parity_fields(geom)
         )
-
-    # -- backend routing -----------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """Dslash backend of the underlying Wilson kernel."""
-        return self.wilson.backend
-
-    def set_backend(self, name: str) -> None:
-        self.wilson.set_backend(name)
 
     def restrict(self, psi: np.ndarray, parity: int) -> np.ndarray:
         """Zero the opposite checkerboard; supports leading RHS axes."""

@@ -202,14 +202,14 @@ class HalfSpinorKernel(DslashKernel):
         return masks, u, udag
 
     def pack(self, field: np.ndarray, parity: int) -> np.ndarray:
-        """One parity of a full field stack as a packed array."""
+        """One parity of a full field (any leading axes) as a packed array."""
         m = self._packed[0][parity]
         return np.where(m, field[..., 0::2, :, :], field[..., 1::2, :, :])
 
     def unpack(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-        """The full field stack whose two packed parities are given."""
+        """The full field (any leading axes) whose two packed parities are given."""
         m = self._packed[0][0]
-        out = np.empty(p0.shape[:4] + (2 * p0.shape[4], 4, 3), dtype=p0.dtype)
+        out = np.empty(p0.shape[:-3] + (2 * p0.shape[-3], 4, 3), dtype=p0.dtype)
         out[..., 0::2, :, :] = np.where(m, p0, p1)
         out[..., 1::2, :, :] = np.where(m, p1, p0)
         return out

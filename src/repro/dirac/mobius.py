@@ -23,7 +23,9 @@ so :meth:`MobiusOperator.apply_dagger` builds the exact adjoint from the
 adjoints of the factors instead (adjoint consistency
 ``<phi, D psi> == <D^H phi, psi>`` is tested for all coefficients).
 
-Fields have shape ``(Ls, Lx, Ly, Lz, Lt, 4, 3)``; arbitrary extra
+Fields have shape ``(Ls, Lx, Ly, Lz, Lt, 4, 3)``, or ``Lt / 2`` in
+place of ``Lt`` for one checkerboard-packed parity (the fifth-dimension
+parts ``hop5`` / ``d5_plus`` act site by site on either); arbitrary extra
 leading axes (e.g. a stack of right-hand sides in the multi-RHS solver
 path) are supported — the fifth dimension is always axis ``-7``.
 """
@@ -108,10 +110,9 @@ class MobiusOperator:
     S_AXIS = -7
 
     def _check(self, psi: np.ndarray) -> None:
-        if psi.shape[self.S_AXIS:] != self.field_shape:
-            raise ValueError(
-                f"field tail shape {psi.shape[self.S_AXIS:]} != {self.field_shape}"
-            )
+        tail, full = psi.shape[self.S_AXIS:], self.field_shape
+        if tail not in (full, full[:4] + (full[4] // 2,) + full[5:]):
+            raise ValueError(f"field tail shape {tail} != {full} or its packed checkerboard")
 
     @staticmethod
     def _at_s(s: int) -> tuple:

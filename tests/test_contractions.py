@@ -14,7 +14,9 @@ from repro.contractions import (
     point_sources_5d,
     proton_correlator,
     proton_correlator_bilinear,
+    solve_columns,
 )
+from repro.contractions.propagator import boundary_project
 from repro.dirac import MobiusOperator, WilsonOperator
 from repro.lattice import GaugeField, Geometry
 from repro.lattice.su3 import random_su3
@@ -199,6 +201,8 @@ class TestMobiusPropagator:
     def test_evenodd_matches_full_solve(self, gauge_tiny):
         mob = MobiusOperator(gauge_tiny, ls=4, mass=0.2)
         solver = ConjugateGradient(tol=1e-10, max_iter=4000)
-        p_eo, _ = compute_propagator(mob, solver=solver, use_evenodd=True)
-        p_full, _ = compute_propagator(mob, solver=solver, use_evenodd=False)
+        site = (0, 0, 0, 0)
+        p_eo, _ = compute_propagator(mob, site, solver=solver)
+        x_full, _ = solve_columns(mob, point_sources_5d(mob, site), solver, schur=False)
+        p_full = Propagator.from_columns(boundary_project(x_full), site)
         np.testing.assert_allclose(p_eo.data, p_full.data, atol=1e-7)

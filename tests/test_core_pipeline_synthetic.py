@@ -32,12 +32,31 @@ class TestGAPipeline:
         assert measurement.solver_iterations > 0
         assert measurement.solver_flops > 0
 
-    def test_mobius_mode(self):
+    def test_mobius_mode(self, monkeypatch):
+        """The red-black solve charges its BLAS-1 on the sites a Krylov
+        vector occupies, ``n_5d_sites / 2`` (the campaign executor's rule)."""
+        from repro.core import pipeline
+        from repro.dirac.flops import cg_blas_flops_per_site
+
+        seen = {}
+        fh_pair = pipeline.compute_fh_mobius_pair
+
+        def spy(op, **kw):
+            seen.update(op=op, solver=kw["solver"])
+            return fh_pair(op, **kw)
+
+        monkeypatch.setattr(pipeline, "compute_fh_mobius_pair", spy)
         geom = Geometry(2, 2, 2, 4)
         gauge = GaugeField.random(geom, make_rng(81), scale=0.3)
         pipe = GAPipeline(fermion="mobius", ls=4, mass=0.2, tol=1e-8)
         m = pipe.measure(gauge)
         assert np.all(m.pion > 0)
+        op, solver = seen["op"], seen["solver"]
+        per_iter = op.flops_per_normal_apply() + cg_blas_flops_per_site() * op.n_5d_sites / 2
+        assert solver.flops_per_matvec + solver.blas_flops_per_iter == per_iter
+        # every column iteration is charged; lock-step stacks and the
+        # closing true-residual applications add the rest
+        assert m.solver_iterations * per_iter <= m.solver_flops
 
     def test_bad_fermion_rejected(self):
         with pytest.raises(ValueError):

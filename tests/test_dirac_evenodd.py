@@ -1,4 +1,5 @@
-"""Red-black preconditioning: block identities and Schur solves."""
+"""Red-black preconditioning: block identities and Schur solves, on the
+checkerboard-packed fields the chain works in."""
 
 from __future__ import annotations
 
@@ -20,49 +21,62 @@ def eo(mobius):
     return EvenOddMobius(mobius)
 
 
+def _parities(eo, mobius, rng):
+    """A random full 5D field's two packed checkerboards."""
+    return eo.split(random_fermion(rng, mobius.field_shape))
+
+
+def _assert_blocks(eo, mobius, xe, xo):
+    """``D join(xe, xo) == join(A xe + B xo, A xo + B xe)``: ``A`` keeps a
+    checkerboard, ``B`` takes it to the other."""
+    lhs = mobius.apply(eo.join(xe, xo))
+    rhs = eo.join(eo.a_apply(xe) + eo.b_apply(xo, 1), eo.a_apply(xo) + eo.b_apply(xe, 0))
+    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
 class TestBlockStructure:
     def test_full_operator_is_a_plus_b(self, eo, mobius, rng):
-        psi = random_fermion(rng, mobius.field_shape)
-        lhs = mobius.apply(psi)
-        rhs = eo.a_apply(psi) + eo.b_apply(psi)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+        _assert_blocks(eo, mobius, *_parities(eo, mobius, rng))
 
     def test_a_preserves_parity(self, eo, mobius, rng):
-        psi = random_fermion(rng, mobius.field_shape)
-        even = eo.restrict(psi, 0)
-        out = eo.a_apply(even)
-        assert np.abs(eo.restrict(out, 1)).max() < 1e-14
+        xe, xo = _parities(eo, mobius, rng)
+        _assert_blocks(eo, mobius, xe, np.zeros_like(xo))
 
     def test_b_flips_parity(self, eo, mobius, rng):
-        psi = random_fermion(rng, mobius.field_shape)
-        even = eo.restrict(psi, 0)
-        out = eo.b_apply(even)
-        assert np.abs(eo.restrict(out, 0)).max() < 1e-14
+        xe, xo = _parities(eo, mobius, rng)
+        _assert_blocks(eo, mobius, np.zeros_like(xe), xo)
 
     def test_a_inverse(self, eo, mobius, rng):
-        psi = random_fermion(rng, mobius.field_shape)
+        psi = _parities(eo, mobius, rng)[0]
         np.testing.assert_allclose(eo.a_inv_apply(eo.a_apply(psi)), psi, atol=1e-11)
         np.testing.assert_allclose(eo.a_apply(eo.a_inv_apply(psi)), psi, atol=1e-11)
 
     def test_a_adjoint(self, eo, mobius, rng):
-        psi = random_fermion(rng, mobius.field_shape)
-        phi = random_fermion(rng, mobius.field_shape)
+        psi = _parities(eo, mobius, rng)[0]
+        phi = _parities(eo, mobius, rng)[0]
         lhs = np.vdot(phi, eo.a_apply(psi))
         rhs = np.vdot(eo.a_dagger_apply(phi), psi)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_b_adjoint(self, eo, mobius, rng):
-        psi = random_fermion(rng, mobius.field_shape)
-        phi = random_fermion(rng, mobius.field_shape)
-        lhs = np.vdot(phi, eo.b_apply(psi))
-        rhs = np.vdot(eo.b_dagger_apply(phi), psi)
-        assert lhs == pytest.approx(rhs, rel=1e-11)
+        """``B(., p)`` pairs with ``B^H(., 1 - p)``."""
+        for parity in (0, 1):
+            psi = _parities(eo, mobius, rng)[parity]
+            phi = _parities(eo, mobius, rng)[1 - parity]
+            lhs = np.vdot(phi, eo.b_apply(psi, parity))
+            rhs = np.vdot(eo.b_dagger_apply(phi, 1 - parity), psi)
+            assert lhs == pytest.approx(rhs, rel=1e-11)
+
+    def test_needs_the_packed_layout(self, gauge_tiny):
+        mob = MobiusOperator(gauge_tiny, ls=4, mass=0.1, backend="reference")
+        with pytest.raises(ValueError, match="'reference'"):
+            EvenOddMobius(mob)
 
 
 class TestSchur:
     def test_schur_adjoint(self, eo, mobius, rng):
-        xe = eo.restrict(random_fermion(rng, mobius.field_shape), 0)
-        ye = eo.restrict(random_fermion(rng, mobius.field_shape), 0)
+        xe = _parities(eo, mobius, rng)[0]
+        ye = _parities(eo, mobius, rng)[0]
         lhs = np.vdot(ye, eo.schur_apply(xe))
         rhs = np.vdot(eo.schur_dagger_apply(ye), xe)
         assert lhs == pytest.approx(rhs, rel=1e-11)
@@ -71,13 +85,13 @@ class TestSchur:
         x_true = random_fermion(rng, mobius.field_shape)
         b = mobius.apply(x_true)
         rhs_e = eo.prepare_rhs(b)
-        res = eo.schur_apply(eo.restrict(x_true, 0)) - rhs_e
+        res = eo.schur_apply(eo.split(x_true)[0]) - rhs_e
         assert np.abs(res).max() < 1e-12 * np.abs(b).max()
 
     def test_reconstruction_recovers_full_solution(self, eo, mobius, rng):
         x_true = random_fermion(rng, mobius.field_shape)
         b = mobius.apply(x_true)
-        x = eo.reconstruct(eo.restrict(x_true, 0), b)
+        x = eo.reconstruct(eo.split(x_true)[0], b)
         np.testing.assert_allclose(x, x_true, atol=1e-11)
 
     def test_preconditioned_solve_matches_unpreconditioned(self, eo, mobius, rng):

@@ -188,10 +188,6 @@ class TestPropagatorColumns:
         )
         return eo.reconstruct(res.x, b), res.iterations
 
-    @staticmethod
-    def _assert_close(got, want):
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
     @pytest.fixture(scope="class")
     def mobius_columns(self):
         """A Mobius operator on the tiny lattice, its solver and source
@@ -221,19 +217,20 @@ class TestPropagatorColumns:
             assert results[k].final_relres == alone.final_relres
 
     def test_mobius_propagator_matches_per_column_solves(self, mobius_columns):
-        """Portable: the masked 5D chain rounds a stack like a column up
-        to the order of its fifth-dimension contraction."""
+        """Exact on any host: the packed 5D chain is elementwise along the
+        stack axis (``A^{-1}`` an elementwise accumulate over ``s``, no
+        BLAS contraction), so a stack rounds like each of its columns."""
         m, solver, site, own = mobius_columns
         prop, results = compute_propagator(m, site, solver)
         for k, (x, iterations) in enumerate(own):
             assert results[k].converged and results[k].iterations == iterations
-            self._assert_close(results[k].x, x)
-            self._assert_close(prop.columns()[k], boundary_project(x))
+            assert np.array_equal(results[k].x, x)
+            assert np.array_equal(prop.columns()[k], boundary_project(x))
 
     def test_fh_mobius_pair_matches_per_column_solves(self, mobius_columns):
         """Two stacked solves; column k's FH source is ``Gamma_5D`` of its
-        own 5D solution, so each column matches its pair of one-column
-        solves (standard, then FH)."""
+        own 5D solution, so each column equals, to the bit, its pair of
+        one-column solves (standard, then FH)."""
         from repro.core.feynman_hellmann import AxialInsertion5D, compute_fh_mobius_pair
 
         m, solver, site, own = mobius_columns
@@ -242,8 +239,8 @@ class TestPropagatorColumns:
         for k, (x, iterations) in enumerate(own):
             x_fh, iterations_fh = self._own_schur_solve(m, AxialInsertion5D().apply(x), solver)
             assert (stats[k].iterations, stats[12 + k].iterations) == (iterations, iterations_fh)
-            self._assert_close(u.columns()[k], boundary_project(x))
-            self._assert_close(u_fh.columns()[k], boundary_project(x_fh))
+            assert np.array_equal(u.columns()[k], boundary_project(x))
+            assert np.array_equal(u_fh.columns()[k], boundary_project(x_fh))
 
     def test_wall_helpers_act_field_by_field_on_a_stack(self, gauge_tiny, rng):
         """The 5D insertion and the wall projection index the fifth
