@@ -34,8 +34,8 @@ def shard_paths(trace_dir: str | Path, prefix: str = "trace") -> list[Path]:
 def iter_records(path: str | Path) -> Iterator[dict[str, Any]]:
     """Yield the JSON objects of one JSONL file, in file order.
 
-    The one line reader behind trace shards, telemetry shards and the
-    write-ahead ledger: blank lines and torn (non-JSON) lines are
+    The one line reader behind trace shards and the write-ahead ledger:
+    blank lines and torn (non-JSON) lines are
     skipped — a one-writer file can only be damaged at its tail, so
     skipping loses at most the record that was being written at death.
     """

@@ -7,11 +7,11 @@ possible here: instrumented code opens *spans* (nestable, named, with
 per-span flop/byte attribution), and every completed span becomes one
 JSON line in a shard file.
 
-Sharding follows the one-writer-per-file discipline of the campaign
-workers' telemetry shards: each ``(process, thread)`` pair appends
-to its own ``trace-p<pid>-t<tid>.jsonl``, so no lock is held on the hot
-path and a killed worker can at worst tear the final line of its own
-shard (which the reader tolerates).  The merge across shards happens at
+Sharding follows a one-writer-per-file discipline: each
+``(process, thread)`` pair appends to its own
+``trace-p<pid>-t<tid>.jsonl``, so no lock is held on the hot path and a
+killed worker can at worst tear the final line of its own shard (which
+the reader tolerates).  The merge across shards happens at
 read time (:mod:`repro.obs.readers`).
 
 Tracing is **disabled by default** and zero-cost when disabled: the

@@ -18,8 +18,8 @@ Layout::
     exec_tasks.py  the physics executors (run inside workers)
     checkpoint.py  per-task solver checkpoint files
     faults.py      deterministic scripted fault injection
-    ledger.py      fsynced write-ahead ledger (the driver's one log) + replay
-    telemetry.py   worker shards; ledger + shards -> utilization summaries
+    ledger.py      fsynced write-ahead ledger (the campaign's one log) + replay
+    telemetry.py   ledger -> utilization summaries
     core.py        the pure scheduling state machine (retry, backoff,
                    quarantine, worker loss) shared with repro.service
     campaign.py    its single-campaign shell: pool, ledger, the driver loop
@@ -46,7 +46,7 @@ from repro.runtime.ledger import (
 )
 from repro.runtime.policies import POLICIES, make_policy
 from repro.runtime.tasks import CampaignTask, TaskGraph, TaskStatus
-from repro.runtime.telemetry import TelemetrySummary, TelemetryWriter, summarize
+from repro.runtime.telemetry import TelemetrySummary, summarize
 
 __all__ = [
     "CampaignTask",
@@ -71,7 +71,6 @@ __all__ = [
     "replay_ledger",
     "POLICIES",
     "make_policy",
-    "TelemetryWriter",
     "TelemetrySummary",
     "summarize",
 ]

@@ -6,8 +6,10 @@ retry with backoff after a worker death or a task timeout, quarantine
 of a poison task and everything downstream of it — is
 :mod:`repro.runtime.core`; this module is its single-campaign shell:
 one worker pool, one write-ahead ledger every transition and fault is
-recorded in *before* it is acted on (the driver's only log), and the
-loop that feeds the machine the pool's results and the clock.
+recorded in *before* it is acted on (the campaign's only log — the
+workers' facts arrive on their result reports and are recorded there
+too), and the loop that feeds the machine the pool's results and the
+clock.
 
 A campaign killed outright (allocation timeout, driver crash) resumes
 with ``resume=True``: the ledger replay skips every completed task whose
@@ -116,9 +118,9 @@ class CampaignRuntime:
     Parameters
     ----------
     workdir:
-        Campaign home: ``ledger.jsonl``, the workers'
-        ``telemetry-w<N>.jsonl``, ``artifacts/``, ``checkpoints/`` all
-        live here; it is the unit of resume.
+        Campaign home: ``ledger.jsonl`` (its one event file),
+        ``artifacts/`` and ``checkpoints/`` all live here; it is the
+        unit of resume.
     config:
         Scheduling and fault-handling knobs.
     spec:

@@ -16,7 +16,8 @@ and :class:`repro.service.driver.CampaignService` with many:
 Nothing here touches a file, a thread, a process or a clock.  Time
 arrives as a ``now`` argument; every log record leaves through the
 injected ``log(ev, **fields)`` callable (both shells pass the campaign's
-write-ahead ``TaskLedger.record``, its one log); pool actions — the
+write-ahead ``TaskLedger.record``, its one log — a worker's facts reach
+it on the result report); pool actions — the
 message to dispatch, the workers to kill and spawn — are return values.
 That is what lets a test drive every interleaving of results, deaths
 and timeouts on a synthetic clock.
@@ -241,13 +242,17 @@ class WorkerSlots:
 
     def result(self, res: dict, now: float) -> tuple[TaskMachine, str] | None:
         """Apply a worker's report to its campaign; ``None`` for a stale
-        report from a worker already written off."""
+        report from a worker already written off (its facts are dropped
+        with it).  The attempt's ``facts`` — what only the worker saw —
+        are logged before the ``done`` / ``fail`` they precede."""
         w = int(res["worker"])
         held = self.held.get(w)
         if not held or (held[0].campaign, held[1]) != (res.get("campaign"), res["task"]):
             return None
         self.held[w] = None
         machine, tid, _ = held
+        for fact in res.get("facts", ()):
+            machine.record(**fact)
         if res["ok"]:
             machine.done(tid, dict(res["artifacts"]))
         else:

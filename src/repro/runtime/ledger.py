@@ -6,9 +6,10 @@ campaign killed at any instant (power loss, allocation timeout, an
 ``MPI_Abort`` taking the whole lump down) can be resumed by replaying
 the file.  The production analogue is METAQ's task directory, whose
 ``todo/working/done`` moves are exactly a filesystem-backed WAL.  It is
-the driver's only log: the faults it sees (``worker_death``,
+the campaign's only log: the faults the driver sees (``worker_death``,
 ``task_timeout``, a respawn's ``worker_spawn``, ``campaign_interrupted``)
-are records here too, which replay passes over and
+and the facts a worker reports with its result (``checkpoint_saved``,
+``solve_done``, …) are records here too, which replay passes over and
 :func:`repro.runtime.telemetry.summarize` counts.
 
 Replay tolerates a truncated final line (the torn write of the crash
@@ -23,7 +24,7 @@ campaign's ledger lives in its own namespaced directory behind an
 ID-collision guard (:func:`open_campaign_ledger`) — two campaigns can
 never interleave writes into one file, and a reused campaign id is
 refused unless it refers to the same graph.  Records carry an optional
-``campaign`` tag so :func:`replay_ledger` can also filter a shard that
+``campaign`` tag so :func:`replay_ledger` can also filter a file that
 *does* contain interleaved campaigns (e.g. a hand-merged archive).
 """
 
@@ -164,7 +165,7 @@ def replay_ledger(path: str | Path, campaign: str | None = None) -> LedgerState:
     """Reduce a ledger file to per-task facts (crash-tolerant).
 
     With ``campaign`` set, records tagged with a *different* campaign id
-    are skipped — the reader side of surviving interleaved shards.
+    are skipped — the reader side of surviving interleaved records.
     Untagged records (pre-service ledgers) always count.
     """
     st = LedgerState()

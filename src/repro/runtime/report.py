@@ -3,8 +3,8 @@
 Two consumers:
 
 * ``repro-campaign report <workdir>`` renders one executed campaign —
-  task outcomes, worker utilization and fault counters, all read from
-  its ledger (checkpoint counts from the worker shards).
+  task outcomes, worker utilization, fault and checkpoint counters, all
+  read from its ledger.
 * ``repro-report --section campaign`` runs the cross-validation: the
   same heterogeneous task mix is executed on a real worker pool under
   the naive and METAQ policies *and*, the same policy objects, on the

@@ -1,18 +1,16 @@
 """Campaign event streams and their analysis.
 
-A campaign has one driver log, the write-ahead ledger
+A campaign has one event log, the write-ahead ledger
 (:mod:`repro.runtime.ledger`): every scheduling transition and fault the
 driver sees — ``start`` / ``done`` / ``fail`` / ``retry`` /
 ``quarantine``, ``worker_death``, ``task_timeout``, a respawn's
 ``worker_spawn``, ``campaign_interrupted`` — is one fsynced line of
 ``ledger.jsonl``.  What only a worker can see (checkpoint saves and
-restores, solve statistics, injected faults, gauge fixing) each worker
-process appends to its own shard ``telemetry-w<N>.jsonl`` through a
-:class:`TelemetryWriter` — one writer per file, so no cross-process
-interleaving can tear a record.  The reader merges the ledger and all
-shards by timestamp.
+restores, solve statistics, injected faults, gauge fixing) rides the
+worker's result report as ``facts`` and is recorded there too, just
+before the ``done`` / ``fail`` of its attempt.
 
-From the merged stream :class:`TelemetrySummary` derives the numbers the
+From that stream :class:`TelemetrySummary` derives the numbers the
 paper's Section V argues about: per-worker busy fractions, the campaign
 idle fraction (the 20-25% naive bundling wastes), retry/checkpoint
 counts, and the per-attempt spans the benchmark splits busy time by.
@@ -20,69 +18,19 @@ counts, and the per-attempt spans the benchmark splits busy time by.
 
 from __future__ import annotations
 
-import json
-import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro.obs.readers import iter_records
 
-__all__ = ["TelemetryWriter", "TelemetrySummary", "load_events", "summarize"]
-
-
-class TelemetryWriter:
-    """Line-buffered JSONL event emitter (one writer per file).
-
-    Usable as a context manager; :meth:`close` is idempotent (workers
-    close once on fault-injected death and again in their ``finally``),
-    and :meth:`emit` after close raises rather than silently writing to
-    a dead handle.  Emits are thread-safe — the service driver and its
-    API threads share one writer per campaign.
-    """
-
-    def __init__(self, path: str | Path, source: str):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.source = source
-        self._lock = threading.Lock()
-        self._f = self.path.open("a", encoding="utf-8")
-
-    def emit(self, ev: str, **fields: Any) -> None:
-        rec = {"ev": ev, "t": time.time(), "src": self.source, **fields}
-        line = json.dumps(rec, sort_keys=True) + "\n"
-        with self._lock:
-            if self._f is None:
-                raise RuntimeError(f"TelemetryWriter({self.path.name}) is closed")
-            self._f.write(line)
-            self._f.flush()
-
-    @property
-    def closed(self) -> bool:
-        return self._f is None
-
-    def close(self) -> None:
-        with self._lock:
-            if self._f is not None:
-                if not self._f.closed:
-                    self._f.close()
-                self._f = None
-
-    def __enter__(self) -> "TelemetryWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+__all__ = ["TelemetrySummary", "load_events", "summarize"]
 
 
 def load_events(workdir: str | Path) -> list[dict[str, Any]]:
-    """Merge the ledger and every telemetry shard, oldest first."""
-    workdir = Path(workdir)
-    paths = [workdir / "ledger.jsonl", *sorted(workdir.glob("telemetry*.jsonl"))]
-    events = [rec for path in paths if path.exists() for rec in iter_records(path)]
-    events.sort(key=lambda r: r.get("t", 0.0))
-    return events
+    """The records of ``workdir``'s ledger, in write order."""
+    path = Path(workdir) / "ledger.jsonl"
+    return list(iter_records(path)) if path.exists() else []
 
 
 @dataclass
@@ -124,8 +72,7 @@ def _latest_run(events: list[dict[str, Any]]) -> list[dict[str, Any]]:
     """The events of the last run in a workdir: from its
     ``campaign_start`` to its ``campaign_finish`` or
     ``campaign_interrupted`` (or the last event if there is neither).
-    Earlier runs of a resumed campaign, and worker records that land
-    after the driver stopped, are not part of it."""
+    Earlier runs of a resumed campaign are not part of it."""
     starts = [i for i, r in enumerate(events) if r.get("ev") == "campaign_start"]
     run = events[starts[-1]:] if starts else events
     for i, rec in enumerate(run):

@@ -17,7 +17,8 @@ the process pool; injected kills are simulated by unwinding the worker
 loop with :class:`repro.runtime.faults.WorkerKilled`.
 
 Messages are plain JSON-able dicts; artifacts travel by reference
-(files on disk), never through queues.
+(files on disk), never through queues.  A worker writes no event file:
+what only it can see rides its result report (:func:`worker_main`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro import obs
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.exec_tasks import ArtifactStore, ExecContext, execute_task
 from repro.runtime.faults import FaultSpec, WorkerKilled
-from repro.runtime.telemetry import TelemetryWriter
 from repro.utils.spawn import spawn_context
 
 __all__ = ["worker_main", "ProcessWorkerPool", "ThreadWorkerPool", "make_pool"]
@@ -55,16 +55,16 @@ def worker_main(
 
     A message may carry a ``workdir`` override (and a ``campaign`` tag):
     the campaign *service* multiplexes many campaigns over one pool, so
-    each task routes to its own campaign's artifact/checkpoint stores
-    while the worker keeps a single telemetry shard at the pool root,
-    tagging every result and task span with the owning campaign.
+    each task routes to its own campaign's artifact/checkpoint stores,
+    and every result and task span is tagged with the owning campaign.
 
-    The shard holds only what the driver cannot see — checkpoint saves
-    and restores, solve statistics, injected faults, gauge fixing; the
-    attempt itself is the driver's ``start`` … ``done`` / ``fail`` in
-    the ledger.
+    Each report carries the attempt's ``facts`` — the ``{"ev": …}``
+    records of what only the worker can see (checkpoint saves and
+    restores, solve statistics, injected faults, gauge fixing), on ``ok``
+    and error reports alike; the attempt itself is the driver's
+    ``start`` … ``done`` / ``fail`` in the ledger.  A killed attempt never
+    reports, so its facts die with it.
     """
-    wd = Path(workdir)
     stores: dict[str, tuple[ArtifactStore, CheckpointManager]] = {}
 
     def stores_for(path: str) -> tuple[ArtifactStore, CheckpointManager]:
@@ -76,12 +76,7 @@ def worker_main(
             )
         return stores[path]
 
-    tele = TelemetryWriter(
-        wd / f"telemetry-w{worker_id}.jsonl", source=f"worker-{worker_id}"
-    )
-
     def die() -> None:
-        tele.close()
         if pool_kind == "process":
             os._exit(_KILL_EXIT_CODE)
         raise WorkerKilled(f"worker {worker_id} killed by fault injection")
@@ -97,13 +92,14 @@ def worker_main(
             store, ckpt = stores_for(msg.get("workdir") or workdir)
             campaign = msg.get("campaign")
             tag = {"campaign": campaign} if campaign else {}
+            facts: list[dict[str, Any]] = []
             ctx = ExecContext(
                 task_id=msg["task"],
                 attempt=int(msg["attempt"]),
                 store=store,
                 ckpt=ckpt,
                 fault=fault,
-                emit=tele.emit,
+                emit=lambda ev, **fields: facts.append({"ev": ev, **fields}),
                 die=die,
             )
             t0 = time.monotonic()
@@ -112,10 +108,11 @@ def worker_main(
                 "worker": worker_id,
                 "task": msg["task"],
                 "campaign": campaign,
+                "facts": facts,
             }
             try:
-                # The span survives worker death only as a torn shard
-                # line (tolerated by the trace reader) — a real kill
+                # The span survives worker death only as a torn trace
+                # shard line (tolerated by the trace reader) — a real kill
                 # never reaches the span exit, exactly like the paper's
                 # lost node-hours.
                 with obs.span(
@@ -136,8 +133,6 @@ def worker_main(
             result_q.put(report)
     except WorkerKilled:
         return  # thread fabric: the "dead" worker just stops serving
-    finally:
-        tele.close()
 
 
 class _PoolBase:

@@ -50,7 +50,6 @@ from repro.runtime.exec_tasks import ArtifactStore, verify_artifacts
 from repro.runtime.ledger import TaskLedger, open_campaign_ledger, replay_ledger
 from repro.runtime.policies import make_policy
 from repro.runtime.tasks import TaskGraph, TaskStatus
-from repro.runtime.telemetry import TelemetryWriter
 from repro.runtime.worker import make_pool
 from repro.service.cache import ArtifactCAS
 from repro.service.fingerprint import normalize_spec, task_fingerprints
@@ -132,7 +131,12 @@ class CampaignEntry:
 
 
 class CampaignService:
-    """The long-running multi-tenant campaign driver."""
+    """The long-running multi-tenant campaign driver.
+
+    Its own log — start and stop, submissions, admissions, workers that
+    died idle and their respawns, terminal states — is
+    ``<workdir>/ledger.jsonl``, a :class:`TaskLedger` like each campaign's.
+    """
 
     def __init__(self, workdir: str | Path, config: ServiceConfig | None = None):
         self.workdir = Path(workdir)
@@ -147,7 +151,7 @@ class CampaignService:
         self._pool = None
         self._policy = make_policy(self.config.policy)
         self._slots: WorkerSlots | None = None
-        self._tele: TelemetryWriter | None = None
+        self._log: TaskLedger | None = None  # the service's own ledger.jsonl
         self._tenant_busy: dict[str, float] = {}
         self._tenant_done: dict[str, int] = {}
         self._tenant_submitted: dict[str, int] = {}
@@ -163,9 +167,9 @@ class CampaignService:
         cfg = self.config
         self._pool = make_pool(cfg.pool, cfg.workers, self.workdir)
         self._pool.start()
-        self._tele = TelemetryWriter(self.workdir / "telemetry.jsonl", source="service")
-        self._slots = WorkerSlots(cfg, self._pool.kind, self._tele.emit)
-        self._tele.emit("service_start", workers=cfg.workers, pool=cfg.pool)
+        self._log = TaskLedger(self.workdir / "ledger.jsonl")
+        self._slots = WorkerSlots(cfg, self._pool.kind, self._log.record)
+        self._log.record("service_start", workers=cfg.workers, pool=cfg.pool)
         self._stop.clear()
         self._thread = threading.Thread(
             target=self._loop, name="campaign-service", daemon=True
@@ -184,9 +188,9 @@ class CampaignService:
                 if entry.state not in CampaignState.TERMINAL:
                     self._finalize(entry, CampaignState.CANCELLED)
         self._pool.shutdown()
-        if self._tele is not None:
-            self._tele.emit("service_stop")
-            self._tele.close()
+        self._log.record("service_stop")
+        self._log.close()
+        self._log = None
 
     def __enter__(self) -> "CampaignService":
         return self.start()
@@ -238,8 +242,8 @@ class CampaignService:
                     entry.error = None
                     entry.done_event.clear()
                     reenqueued = True
-            if self._tele is not None:
-                self._tele.emit(
+            if self._log is not None:
+                self._log.record(
                     "submit",
                     campaign=entry.cid,
                     tenant=tenant,
@@ -424,13 +428,12 @@ class CampaignService:
                         # Drain whatever else already landed before sleeping.
                         res = self._pool.poll_result(0.0)
                     lost = self._slots.sweep(self._pool.alive, time.monotonic())
-                    replace_workers(self._pool, lost, self._tele.emit)
+                    replace_workers(self._pool, lost, self._log.record)
                     self._settle()
         except WorkerStormError as e:
             with self._lock:
                 self._error = str(e)
-                if self._tele is not None:
-                    self._tele.emit("service_error", error=str(e))
+                self._log.record("service_error", error=str(e))
                 for entry in list(self._entries.values()):
                     if entry.state not in CampaignState.TERMINAL:
                         entry.error = str(e)
@@ -482,14 +485,13 @@ class CampaignService:
         m.open(spec=entry.spec, resume=resume, tenant=entry.tenant)
         entry.state = CampaignState.ACTIVE
         entry.started = time.monotonic()
-        if self._tele is not None:
-            self._tele.emit(
-                "admit",
-                campaign=entry.cid,
-                tenant=entry.tenant,
-                resume=resume,
-                reused=entry.tasks_reused,
-            )
+        self._log.record(
+            "admit",
+            campaign=entry.cid,
+            tenant=entry.tenant,
+            resume=resume,
+            reused=entry.tasks_reused,
+        )
         with obs.span("service.admit", cat="service", campaign=entry.cid):
             pass
 
@@ -599,8 +601,8 @@ class CampaignService:
         if entry.ledger is not None:
             entry.ledger.close()
             entry.ledger = None
-        if self._tele is not None and not self._tele.closed:
-            self._tele.emit("campaign_terminal", campaign=entry.cid, state=state)
+        if self._log is not None:
+            self._log.record("campaign_terminal", campaign=entry.cid, state=state)
         with obs.span("service.complete", cat="service", campaign=entry.cid, state=state):
             pass
         entry.done_event.set()

@@ -42,9 +42,10 @@ from repro.service.fingerprint import SpecError
 __all__ = ["CampaignServer", "ServerThread"]
 
 _MAX_BODY = 8 * 1024 * 1024
+_MAX_HEADER = 16 * 1024  # bytes of header lines after the request line
 _REASONS = {200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
-            500: "Internal Server Error"}
+            431: "Request Header Fields Too Large", 500: "Internal Server Error"}
 
 
 class _HTTPError(Exception):
@@ -119,10 +120,14 @@ class CampaignServer:
         except ValueError:
             return None
         headers: dict[str, str] = {}
+        size = 0
         while True:
             h = await reader.readline()
             if h in (b"\r\n", b"\n", b""):
                 break
+            size += len(h)
+            if size > _MAX_HEADER:
+                raise _HTTPError(431, f"request header over {_MAX_HEADER} bytes")
             name, _, value = h.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         declared = headers.get("content-length") or "0"

@@ -21,18 +21,11 @@ from repro.solvers.cg import (
     CGState,
     ConjugateGradient,
     SolveResult,
-    load_state,
-    save_state,
     solve_normal_equations,
     solve_normal_equations_batched,
 )
 from repro.solvers.halfstore import Half16Codec, Half16Field
-from repro.solvers.multiprec import (
-    ReliableUpdateCG,
-    RUCGState,
-    load_ru_state,
-    save_ru_state,
-)
+from repro.solvers.multiprec import ReliableUpdateCG, RUCGState
 from repro.solvers.blockcg import BlockCG
 from repro.solvers.multishift import MultiShiftCG, MultiShiftResult
 
@@ -53,10 +46,6 @@ __all__ = [
     "BatchedSolveResult",
     "CGState",
     "RUCGState",
-    "save_state",
-    "load_state",
-    "save_ru_state",
-    "load_ru_state",
     "solve_normal_equations",
     "solve_normal_equations_batched",
 ]

@@ -22,7 +22,6 @@ reducer as its inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -34,8 +33,6 @@ __all__ = [
     "BatchedSolveResult",
     "CGState",
     "ConjugateGradient",
-    "save_state",
-    "load_state",
     "solve_normal_equations",
     "solve_normal_equations_batched",
 ]
@@ -53,8 +50,6 @@ class CGState:
     campaign runtime checkpoints these to disk every ``checkpoint_every``
     iterations and resumes killed solves from the last checkpoint.
 
-    ``meta`` is free-form provenance (task id, source column, tolerance);
-    it rides along through :func:`save_state`/:func:`load_state`.
     ``column_iterations`` (stacked form only) is what each system had
     counted when the state was taken, so a resumed stack reports the
     uninterrupted count for systems that froze before it.
@@ -68,57 +63,7 @@ class CGState:
     iteration: int
     flops: float
     history: list[float] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
     column_iterations: np.ndarray | None = None
-
-
-def save_state(state: CGState, path: str | Path) -> None:
-    """Write a :class:`CGState` to disk (atomic, checksummed).
-
-    Uses the :class:`repro.io.container.FieldFile` container, so a
-    truncated or bit-flipped checkpoint is detected at load time rather
-    than silently resuming from garbage.
-    """
-    from repro.io.container import FieldFile
-
-    ff = FieldFile(
-        {
-            "kind": "cg_state",
-            "rsq": state.rsq,
-            "bnorm": state.bnorm,
-            "iteration": state.iteration,
-            "flops": state.flops,
-            "shape": list(state.x.shape),
-            "meta": state.meta,
-        }
-    )
-    ff.add("x", state.x)
-    ff.add("r", state.r)
-    ff.add("p", state.p)
-    ff.add("history", np.asarray(state.history, dtype=np.float64))
-    ff.save(path)
-
-
-def load_state(path: str | Path) -> CGState:
-    """Read a :class:`CGState`; raises ``ValueError`` on corruption."""
-    from repro.io.container import FieldFile
-
-    ff = FieldFile.load(path)
-    md = ff.metadata
-    if md.get("kind") != "cg_state":
-        raise ValueError(f"{path}: not a CG checkpoint (kind={md.get('kind')!r})")
-    shape = tuple(md["shape"])
-    return CGState(
-        x=ff["x"].reshape(shape),
-        r=ff["r"].reshape(shape),
-        p=ff["p"].reshape(shape),
-        rsq=float(md["rsq"]),
-        bnorm=float(md["bnorm"]),
-        iteration=int(md["iteration"]),
-        flops=float(md["flops"]),
-        history=[float(h) for h in ff["history"]],
-        meta=dict(md.get("meta", {})),
-    )
 
 
 @dataclass
@@ -240,9 +185,9 @@ def _width_one(run, vectors, scalars, matvec, b, x0, state, checkpoint_every, on
     """One column through a stacked core ``run``.
 
     ``matvec`` sees the unstacked vector, so it need not accept a stack,
-    and checkpoints keep the one-column form callers and the on-disk
-    format see: ``vectors``/``scalars`` name the state fields that carry
-    the stack axis inside the core (history entries always do).
+    and checkpoints keep the one-column form callers see: ``vectors`` /
+    ``scalars`` name the state fields that carry the stack axis inside
+    the core (history entries always do).
     """
 
     def reform(st, vec, num):

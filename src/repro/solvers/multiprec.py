@@ -39,7 +39,6 @@ host).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -56,7 +55,7 @@ from repro.solvers.cg import (
 from repro.solvers.halfstore import Half16Codec
 from repro.solvers.precision import DoublePrecision, HalfPrecision, Precision, SinglePrecision
 
-__all__ = ["ReliableUpdateCG", "RUCGState", "save_ru_state", "load_ru_state"]
+__all__ = ["ReliableUpdateCG", "RUCGState"]
 
 
 @dataclass
@@ -79,51 +78,6 @@ class RUCGState:
     reliable_updates: int
     flops: float
     history: list[float] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-
-
-def save_ru_state(state: RUCGState, path: str | Path) -> None:
-    """Write an :class:`RUCGState` (atomic, checksummed container)."""
-    from repro.io.container import FieldFile
-
-    ff = FieldFile(
-        {
-            "kind": "rucg_state",
-            "r_anchor": state.r_anchor,
-            "bnorm": state.bnorm,
-            "iteration": state.iteration,
-            "reliable_updates": state.reliable_updates,
-            "flops": state.flops,
-            "shape": list(state.x.shape),
-            "meta": state.meta,
-        }
-    )
-    ff.add("x", state.x)
-    ff.add("r_true", state.r_true)
-    ff.add("history", np.asarray(state.history, dtype=np.float64))
-    ff.save(path)
-
-
-def load_ru_state(path: str | Path) -> RUCGState:
-    """Read an :class:`RUCGState`; raises ``ValueError`` on corruption."""
-    from repro.io.container import FieldFile
-
-    ff = FieldFile.load(path)
-    md = ff.metadata
-    if md.get("kind") != "rucg_state":
-        raise ValueError(f"{path}: not a reliable-update checkpoint")
-    shape = tuple(md["shape"])
-    return RUCGState(
-        x=ff["x"].reshape(shape),
-        r_true=ff["r_true"].reshape(shape),
-        r_anchor=float(md["r_anchor"]),
-        bnorm=float(md["bnorm"]),
-        iteration=int(md["iteration"]),
-        reliable_updates=int(md["reliable_updates"]),
-        flops=float(md["flops"]),
-        history=[float(h) for h in ff["history"]],
-        meta=dict(md.get("meta", {})),
-    )
 
 
 @dataclass

@@ -7,17 +7,18 @@ import json
 import pytest
 
 from repro.runtime import (
+    CampaignConfig,
     CampaignTask,
     FaultPlan,
     FaultSpec,
     TaskGraph,
     TaskLedger,
     TaskStatus,
-    TelemetryWriter,
     replay_ledger,
     summarize,
 )
 from repro.runtime.builder import build_from_spec, build_ga_campaign
+from repro.runtime.core import TaskMachine, WorkerSlots
 
 
 def _diamond() -> TaskGraph:
@@ -173,17 +174,25 @@ class TestTelemetry:
         assert len(s.spans) == 2
         assert 0.0 <= s.idle_fraction <= 1.0
 
-    def test_worker_shards_merged(self, tmp_path):
-        drv = TelemetryWriter(tmp_path / "telemetry.jsonl", source="driver")
-        drv.emit("campaign_start")
-        w0 = TelemetryWriter(tmp_path / "telemetry-w0.jsonl", source="worker-0")
-        w0.emit("checkpoint_saved", task="a", n=1)
-        w0.emit("checkpoint_saved", task="a", n=2)
-        drv.emit("campaign_finish")
-        drv.close()
-        w0.close()
-        s = summarize(tmp_path)
-        assert s.checkpoints == 2
+    def test_reported_facts_precede_done(self, tmp_path):
+        """A worker's facts ride its result report into the ledger, just
+        before the ``done`` they precede; a stale report's facts are
+        dropped with it."""
+        cfg = CampaignConfig(workers=2, pool="thread")
+        facts = [{"ev": "checkpoint_saved", "task": "a", "n": n} for n in (1, 2)]
+        report = {"task": "a", "campaign": None, "ok": True, "artifacts": {}, "facts": facts}
+        with TaskLedger(tmp_path / "ledger.jsonl") as led:
+            machine = TaskMachine(_diamond(), led.record, cfg)
+            slots = WorkerSlots(cfg, "thread", led.record)
+            machine.open()
+            slots.assign(0, machine, "a", now=0.0)
+            assert slots.result({**report, "worker": 1}, now=1.0) is None  # stale
+            assert slots.result({**report, "worker": 0}, now=1.0) == (machine, "a")
+            machine.finish()
+        lines = (tmp_path / "ledger.jsonl").read_text().splitlines()
+        evs = [json.loads(line)["ev"] for line in lines]
+        assert evs[-4:] == ["checkpoint_saved", "checkpoint_saved", "done", "campaign_finish"]
+        assert summarize(tmp_path).checkpoints == 2
 
 
 class TestFaults:

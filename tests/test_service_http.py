@@ -10,7 +10,9 @@ server staying healthy when clients vanish mid-response.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import socket
 
 import pytest
 
@@ -129,6 +131,18 @@ class TestRequestResponse:
                 await writer.wait_closed()
 
         assert run_sync(flow()) == code
+        assert run_sync(client.healthz())["ok"] is True
+
+    def test_oversize_header_block_refused_431(self, server, client):
+        """10 000 header lines are answered 431 and the connection is
+        closed without reading the rest; the server stays healthy."""
+        pad = "".join(f"X-Pad-{i:05d}: y\r\n" for i in range(10_000))
+        request = f"GET /healthz HTTP/1.1\r\nHost: x\r\n{pad}\r\n".encode()
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            with contextlib.suppress(ConnectionError):
+                sock.sendall(request)  # the server may close before the end
+            status = sock.recv(64)
+        assert status.split()[1] == b"431"
         assert run_sync(client.healthz())["ok"] is True
 
     def test_stats_and_list(self, client):

@@ -10,16 +10,8 @@ operators.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.solvers import (
-    ConjugateGradient,
-    ReliableUpdateCG,
-    load_ru_state,
-    load_state,
-    save_ru_state,
-    save_state,
-)
+from repro.solvers import ConjugateGradient, ReliableUpdateCG
 from repro.solvers.precision import PRECISIONS
 
 
@@ -65,24 +57,6 @@ class TestCGCheckpoint:
         assert ref.iterations == resumed.iterations
         assert ref.residual_history == resumed.residual_history
         assert ref.final_relres == resumed.final_relres
-
-    def test_state_roundtrips_through_disk(self, tmp_path):
-        a, x_true = _spd_system(5)
-        b = _matvec(a)(x_true)
-        solver = ConjugateGradient(tol=1e-10, max_iter=500)
-        ref = solver.solve(_matvec(a), b)
-
-        states = []
-        solver.solve(_matvec(a), b, checkpoint_every=6, on_checkpoint=states.append)
-        path = tmp_path / "cg.state.lq"
-        save_state(states[0], path)
-        restored = load_state(path)
-        assert restored.iteration == states[0].iteration
-        assert np.array_equal(restored.x, states[0].x)
-        assert np.array_equal(restored.p, states[0].p)
-        resumed = solver.solve(_matvec(a), b, state=restored)
-        assert np.array_equal(ref.x, resumed.x)
-        assert ref.residual_history == resumed.residual_history
 
     def test_resumed_solve_is_a_column_of_the_stacked_solve(self):
         """Scalar resume and the stacked core are one recurrence: a
@@ -176,23 +150,6 @@ class TestRUCGCheckpoint:
         assert np.array_equal(ref.x, resumed.x)
         assert ref.iterations == resumed.iterations
 
-    def test_state_roundtrips_through_disk(self, tmp_path):
-        a, x_true = _spd_system(8, cond=500.0)
-        b = _matvec(a)(x_true)
-        solver = ReliableUpdateCG(
-            inner_precision=PRECISIONS["half"], tol=1e-9, max_iter=2000
-        )
-        ref = solver.solve(_matvec(a), b)
-
-        states = []
-        solver.solve(_matvec(a), b, checkpoint_every=10, on_checkpoint=states.append)
-        path = tmp_path / "rucg.state.lq"
-        save_ru_state(states[0], path)
-        restored = load_ru_state(path)
-        assert restored.iteration == states[0].iteration
-        resumed = solver.solve(_matvec(a), b, state=restored)
-        assert np.array_equal(ref.x, resumed.x)
-
     def test_wilson_cgne_resume_bitwise(self, gauge_tiny):
         """The production path: checkpointed CGNE on the Wilson operator."""
         from repro.contractions import point_source
@@ -230,12 +187,3 @@ class TestValidation:
         res = ConjugateGradient(tol=1e-10).solve(_matvec(a), b, checkpoint_every=5)
         assert res.converged
 
-    def test_load_state_rejects_wrong_kind(self, tmp_path):
-        from repro.io.container import FieldFile
-
-        ff = FieldFile({"kind": "something_else"})
-        ff.add("x", np.zeros(3, dtype=complex))
-        path = tmp_path / "bogus.lq"
-        ff.save(path)
-        with pytest.raises(ValueError):
-            load_state(path)

@@ -1,11 +1,11 @@
-"""Hardening of the JSONL readers and the TelemetryWriter lifecycle.
+"""Hardening of the JSONL readers.
 
-The shard discipline is one-writer-per-file, so damage is bounded: a
-killed writer can tear *its own final line* and nothing else.  These
-tests pin the reader behavior for every such case — torn tail, empty
-shard, cross-shard timestamp interleaving — for both the campaign
-telemetry reader and the PR 5 trace reader, plus the writer's
-context-manager/duplicate-close contract.
+Every event file has one writer, so damage is bounded: a killed writer
+can tear *its own final line* and nothing else.  These tests pin the
+reader behavior for every such case — torn tail, empty file, and (for
+the trace reader's per-thread shards) cross-shard timestamp
+interleaving — for both the campaign ledger reader and the trace
+reader.
 """
 
 from __future__ import annotations
@@ -16,94 +16,41 @@ import pytest
 
 from repro.obs.readers import iter_shard, load_spans
 from repro.runtime.ledger import TaskLedger
-from repro.runtime.telemetry import TelemetryWriter, load_events, summarize
+from repro.runtime.telemetry import load_events, summarize
 
 
 def _write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-class TestTelemetryWriterLifecycle:
-    def test_context_manager_closes(self, tmp_path):
-        with TelemetryWriter(tmp_path / "telemetry.jsonl", source="drv") as w:
-            w.emit("campaign_start")
-            assert not w.closed
-        assert w.closed
-        events = load_events(tmp_path)
-        assert [e["ev"] for e in events] == ["campaign_start"]
-        assert events[0]["src"] == "drv"
-
-    def test_duplicate_close_is_idempotent(self, tmp_path):
-        w = TelemetryWriter(tmp_path / "telemetry.jsonl", source="drv")
-        w.emit("campaign_start")
-        w.close()
-        w.close()  # the worker dies-then-finally path closes twice
-        with w:  # re-entering a closed writer must not resurrect it
-            pass
-        assert w.closed
-
-    def test_emit_after_close_raises(self, tmp_path):
-        w = TelemetryWriter(tmp_path / "telemetry.jsonl", source="drv")
-        w.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            w.emit("too_late")
-
-    def test_close_after_exception_in_with_block(self, tmp_path):
-        with pytest.raises(ValueError):
-            with TelemetryWriter(tmp_path / "telemetry.jsonl", source="drv") as w:
-                w.emit("campaign_start")
-                raise ValueError("boom")
-        assert w.closed
-
-
 class TestTelemetryReader:
     def test_torn_final_line_is_skipped(self, tmp_path):
-        good = json.dumps({"ev": "task_start", "t": 1.0, "worker": 0, "task": "a"})
-        (tmp_path / "telemetry-w0.jsonl").write_text(
-            good + '\n{"ev": "task_finish", "t": 2.0, "wor', encoding="utf-8"
+        good = json.dumps({"ev": "start", "t": 1.0, "worker": 0, "task": "a"})
+        (tmp_path / "ledger.jsonl").write_text(
+            good + '\n{"ev": "done", "t": 2.0, "tas', encoding="utf-8"
         )
         events = load_events(tmp_path)
-        assert [e["ev"] for e in events] == ["task_start"]
+        assert [e["ev"] for e in events] == ["start"]
 
-    def test_empty_shard_contributes_nothing(self, tmp_path):
-        (tmp_path / "telemetry-w0.jsonl").write_text("", encoding="utf-8")
-        _write_lines(
-            tmp_path / "telemetry.jsonl",
-            [json.dumps({"ev": "campaign_start", "t": 1.0})],
-        )
-        assert len(load_events(tmp_path)) == 1
+    def test_empty_or_missing_ledger_contributes_nothing(self, tmp_path):
+        assert load_events(tmp_path) == []
+        (tmp_path / "ledger.jsonl").write_text("", encoding="utf-8")
+        assert load_events(tmp_path) == []
+        assert summarize(tmp_path).tasks_done == 0
 
-    def test_out_of_order_timestamps_across_shards_merge_sorted(self, tmp_path):
-        _write_lines(
-            tmp_path / "telemetry-w0.jsonl",
-            [
-                json.dumps({"ev": "exec_start", "t": 5.0}),
-                json.dumps({"ev": "exec_done", "t": 9.0}),
-            ],
-        )
-        _write_lines(
-            tmp_path / "telemetry-w1.jsonl",
-            [
-                json.dumps({"ev": "exec_start", "t": 3.0}),
-                json.dumps({"ev": "exec_done", "t": 7.0}),
-            ],
-        )
-        assert [e["t"] for e in load_events(tmp_path)] == [3.0, 5.0, 7.0, 9.0]
-
-    def test_summary_survives_torn_worker_shard(self, tmp_path):
+    def test_summary_survives_torn_ledger_tail(self, tmp_path):
         # the driver's records, on a fixed clock (a ``t`` field wins over
-        # the ledger's own timestamp)
+        # the ledger's own timestamp); a worker's fact precedes its done
         with TaskLedger(tmp_path / "ledger.jsonl") as ledger:
             ledger.record("campaign_start", t=0.0, workers=1)
             ledger.record("start", t=1.0, task="a", worker=0, attempt=1)
+            ledger.record("checkpoint_saved", t=1.5, task="a", n=1)
             ledger.record("done", t=2.0, task="a", artifacts={})
             ledger.record("campaign_finish", t=4.0)
-        # A worker killed mid-write leaves a torn line; the summary must
-        # still account the driver's complete record.
-        (tmp_path / "telemetry-w0.jsonl").write_text(
-            '{"ev": "checkpoint_saved", "t": 1.5}\n{"ev": "exec_do',
-            encoding="utf-8",
-        )
+        # A driver killed mid-append leaves a torn line; the summary must
+        # still account every complete record before it.
+        with (tmp_path / "ledger.jsonl").open("a", encoding="utf-8") as f:
+            f.write('{"ev": "campaign_sta')
         s = summarize(tmp_path)
         assert s.tasks_done == 1
         assert s.checkpoints == 1
@@ -145,7 +92,7 @@ class TestTraceReader:
         assert [s["name"] for s in load_spans(tmp_path)] == ["c", "a", "d", "b"]
 
     def test_non_trace_files_ignored(self, tmp_path):
-        (tmp_path / "telemetry.jsonl").write_text(
+        (tmp_path / "ledger.jsonl").write_text(
             json.dumps({"ev": "campaign_start", "t": 0.0}) + "\n", encoding="utf-8"
         )
         _write_lines(
