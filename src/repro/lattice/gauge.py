@@ -61,15 +61,6 @@ class GaugeField:
     def copy(self) -> "GaugeField":
         return GaugeField(self.geometry, self.u.copy())
 
-    # -- link access -------------------------------------------------------
-    def link(self, mu: int) -> np.ndarray:
-        """Links in direction ``mu``: shape ``dims + (3, 3)``."""
-        return self.u[mu]
-
-    def shifted_link(self, mu: int, nu: int, sign: int) -> np.ndarray:
-        """``U_mu`` gathered from ``x + sign*nu_hat``."""
-        return self.geometry.shift(self.u[mu], nu, sign)
-
     # -- observables --------------------------------------------------------
     def plaquette_field(self, mu: int, nu: int) -> np.ndarray:
         """The ``mu``-``nu`` plaquette at every site (untraced).

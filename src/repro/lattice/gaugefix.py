@@ -6,17 +6,28 @@ divergence of the gauge field vanishes.  The local maximization is done
 exactly within the three SU(2) subgroups (Cabibbo-Marinari style, with
 quaternion-angle overrelaxation), which avoids the residual floor of a
 naive polar-projection update.
+
+Layout: the relaxation runs on parity-packed, component-major links.
+``planes[mu, p]`` is a ``(3, 3, V/2)`` array of ``U_mu`` on the parity-``p``
+sites (lexicographic order), so a 3x3 product is three broadcast
+multiply-adds of contiguous colour planes; neighbours are packed indices
+into the other parity, one table per ``(mu, parity)``.  A half-sweep builds
+``w`` on the updated parity only, rotates the two rows each subgroup
+touches, and multiplies each link once: ``U_mu(x) <- g(x) U_mu(x)`` on the
+updated parity, ``U_mu(y) <- U_mu(y) g(y+mu)^H`` on the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from repro.lattice.gauge import GaugeField
-from repro.lattice.heatbath import _SUBGROUPS, _quat_to_su2, _su2_extract
-from repro.lattice.su3 import NC, dagger
+from repro.lattice.geometry import Geometry
+from repro.lattice.heatbath import _SUBGROUPS
+from repro.lattice.su3 import NC, project_traceless_antihermitian
 
 __all__ = ["GaugeFixer", "GaugeFixResult"]
 
@@ -31,22 +42,35 @@ class GaugeFixResult:
     residual: float  # max-norm of the driving force at exit
 
 
-def _quat_power(q: np.ndarray, omega: float) -> np.ndarray:
-    """``u^omega`` for unit quaternions: scale the rotation angle."""
-    a0 = np.clip(q[..., 0], -1.0, 1.0)
-    vec = q[..., 1:]
-    vnorm = np.linalg.norm(vec, axis=-1)
-    theta = np.arctan2(vnorm, a0)
-    new_theta = omega * theta
-    out = np.empty_like(q)
-    out[..., 0] = np.cos(new_theta)
-    safe = np.maximum(vnorm, 1e-300)
-    out[..., 1:] = vec / safe[..., None] * np.sin(new_theta)[..., None]
-    # zero-rotation sites: identity
-    zero = vnorm < 1e-14
-    out[zero, 0] = 1.0
-    out[zero, 1:] = 0.0
-    return out
+@lru_cache(maxsize=8)
+def _tables(geom: Geometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sites, fwd, bwd)``: ``sites[p]`` are the flat indices of the
+    parity-``p`` sites, ``fwd[mu, p]`` / ``bwd[mu, p]`` the packed
+    (other-parity) indices of their ``x + mu`` / ``x - mu`` neighbours."""
+    flat = np.arange(geom.volume).reshape(geom.dims)
+    sites = np.stack([np.flatnonzero(geom.parity == p) for p in (0, 1)])
+    packed = np.empty(geom.volume, dtype=np.intp)
+    packed[sites] = np.arange(geom.half_volume)
+    hop = [[packed[geom.shift(flat, mu, s).ravel()[sites]] for mu in range(4)] for s in (1, -1)]
+    return sites, np.array(hop[0]), np.array(hop[1])
+
+
+def _pack(gauge: GaugeField) -> np.ndarray:
+    """Links as ``(4, 2, 3, 3, V/2)`` component planes per direction and parity."""
+    u = gauge.u.reshape(4, -1, NC, NC)[:, _tables(gauge.geometry)[0]]
+    return np.ascontiguousarray(u.transpose(0, 1, 3, 4, 2))
+
+
+def _store(gauge: GaugeField, planes: np.ndarray) -> None:
+    """Write packed planes back as ``gauge.u``."""
+    u = np.empty(gauge.u.shape, dtype=np.complex128)
+    u.reshape(4, -1, NC, NC)[:, _tables(gauge.geometry)[0]] = planes.transpose(0, 1, 4, 2, 3)
+    gauge.u = u
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a b`` for component-major ``(..., 3, 3, n)`` matrices (leading axes broadcast)."""
+    return sum(a[..., :, k, None, :] * b[..., k, None, :, :] for k in range(NC))
 
 
 @dataclass
@@ -89,64 +113,67 @@ class GaugeFixer:
             total += float(np.trace(gauge.u[mu], axis1=-2, axis2=-1).real.sum())
         return total / (NC * len(self.directions) * gauge.geometry.volume)
 
-    def _local_w(self, gauge: GaugeField) -> np.ndarray:
-        """``w(x) = sum_mu [U_mu(x) + U_mu(x-mu)^H]`` — the matrix each
-        site's rotation wants to align with the identity."""
-        geom = gauge.geometry
-        w = np.zeros(geom.dims + (NC, NC), dtype=np.complex128)
-        for mu in self.directions:
-            w += gauge.u[mu]
-            w += dagger(geom.shift(gauge.u[mu], mu, -1))
-        return w
+    def _local_w(self, planes: np.ndarray, bwd: np.ndarray, p: int) -> np.ndarray:
+        """``w(x) = sum_mu [U_mu(x) + U_mu(x-mu)^H]`` on the parity-``p`` sites:
+        the matrix each site's rotation wants to align with the identity."""
+        d = list(self.directions)
+        back = np.take_along_axis(planes[d, 1 - p], bwd[d, p, None, None], axis=-1)
+        return (planes[d, p] + back.conj().transpose(0, 2, 1, 3)).sum(axis=0)
+
+    def _residual(self, planes: np.ndarray, bwd: np.ndarray) -> float:
+        ws = (self._local_w(planes, bwd, p).transpose(2, 0, 1) for p in (0, 1))
+        return max(float(np.abs(project_traceless_antihermitian(w)).max()) for w in ws)
 
     def residual(self, gauge: GaugeField) -> float:
         """Max-norm of the traceless antihermitian part of ``w`` (the
         lattice gauge-divergence condition)."""
-        w = self._local_w(gauge)
-        ah = 0.5 * (w - dagger(w))
-        tr = np.trace(ah, axis1=-2, axis2=-1)[..., None, None] / NC
-        return float(np.max(np.abs(ah - tr * np.eye(NC))))
+        return self._residual(_pack(gauge), _tables(gauge.geometry)[2])
+
+    def _relax(self, planes: np.ndarray, fwd: np.ndarray, bwd: np.ndarray) -> None:
+        """One sweep (both parities) on packed planes, in place."""
+        for p in (0, 1):
+            w = self._local_w(planes, bwd, p)
+            g = np.eye(NC, dtype=np.complex128)[:, :, None].repeat(w.shape[-1], axis=2)
+            for (i, j) in _SUBGROUPS:
+                # su2 projection of the (i, j) block: quaternion x, |x| = k
+                x0 = 0.5 * (w[i, i].real + w[j, j].real)
+                x1 = 0.5 * (w[i, j].imag + w[j, i].imag)
+                x2 = 0.5 * (w[i, j].real - w[j, i].real)
+                x3 = 0.5 * (w[i, i].imag - w[j, j].imag)
+                kinv = 1.0 / np.maximum(np.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3), 1e-300)
+                # The maximizer is V^H = (x0, -x_vec)/k; overrelax its angle.
+                vnorm = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3) * kinv
+                theta = self.overrelax * np.arctan2(vnorm, np.clip(x0 * kinv, -1.0, 1.0))
+                zero = vnorm < 1e-14  # zero rotation: identity
+                c = np.where(zero, 1.0, np.cos(theta))
+                s = np.where(zero, 0.0, -np.sin(theta) / np.maximum(vnorm, 1e-300) * kinv)
+                u1, u2, u3 = x1 * s, x2 * s, x3 * s
+                g00, g01, g10, g11 = c + 1j * u3, u2 + 1j * u1, -u2 + 1j * u1, c - 1j * u3
+                for m in (w, g):  # rotate the two rows the subgroup touches
+                    mi, mj = m[i].copy(), m[j]
+                    m[i] = g00 * mi + g01 * mj
+                    m[j] = g10 * mi + g11 * mj
+            planes[:, p] = _mul(g, planes[:, p])
+            gh = g.conj()[:, :, fwd[:, 1 - p]].transpose(2, 1, 0, 3)  # g(y+mu)^H
+            planes[:, 1 - p] = _mul(planes[:, 1 - p], gh)
 
     def _sweep(self, gauge: GaugeField) -> None:
-        geom = gauge.geometry
-        eye = np.eye(NC, dtype=np.complex128)
-        for parity in (0, 1):
-            mask = geom.parity_mask(parity)
-            w = self._local_w(gauge)[mask]
-            n = w.shape[0]
-            g_total = np.broadcast_to(eye, (n, NC, NC)).copy()
-            for (i, j) in _SUBGROUPS:
-                sub = w[:, (i, j)][:, :, (i, j)]
-                x = _su2_extract(sub)
-                k = np.sqrt(np.einsum("nq,nq->n", x, x))
-                v = x / np.maximum(k, 1e-300)[:, None]
-                # Maximizer within the subgroup is V^H; overrelax it.
-                v[:, 1:] *= -1.0  # conjugate
-                u = _quat_power(v, self.overrelax)
-                g2 = _quat_to_su2(u)
-                g3 = np.zeros((n, NC, NC), dtype=np.complex128)
-                g3[:, i, i] = g2[:, 0, 0]
-                g3[:, i, j] = g2[:, 0, 1]
-                g3[:, j, i] = g2[:, 1, 0]
-                g3[:, j, j] = g2[:, 1, 1]
-                other = 3 - i - j
-                g3[:, other, other] = 1.0
-                w = g3 @ w
-                g_total = g3 @ g_total
-            g_field = np.broadcast_to(eye, geom.dims + (NC, NC)).copy()
-            g_field[mask] = g_total
-            gauge.u = gauge.gauge_transform(g_field).u
+        planes = _pack(gauge)
+        self._relax(planes, *_tables(gauge.geometry)[1:])
+        _store(gauge, planes)
 
     def fix(self, gauge: GaugeField) -> GaugeFixResult:
         """Iteratively gauge-fix in place; returns convergence info."""
+        _sites, fwd, bwd = _tables(gauge.geometry)
+        planes, converged = _pack(gauge), False
         for sweep in range(1, self.max_iter + 1):
-            self._sweep(gauge)
+            self._relax(planes, fwd, bwd)
             if sweep % 5 == 0 or sweep == 1:
-                res = self.residual(gauge)
-                if res < self.tol:
-                    gauge.reunitarize()
-                    return GaugeFixResult(True, sweep, self.functional(gauge), res)
+                res = self._residual(planes, bwd)
+                if converged := res < self.tol:
+                    break
+        _store(gauge, planes)
         gauge.reunitarize()
-        return GaugeFixResult(
-            False, self.max_iter, self.functional(gauge), self.residual(gauge)
-        )
+        if not converged:
+            sweep, res = self.max_iter, self.residual(gauge)
+        return GaugeFixResult(converged, sweep, self.functional(gauge), res)

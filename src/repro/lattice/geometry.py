@@ -65,10 +65,6 @@ class Geometry:
         """Number of sites on one time slice."""
         return self.lx * self.ly * self.lz
 
-    @property
-    def ndim(self) -> int:
-        return 4
-
     @classmethod
     def from_shape(cls, shape: tuple[int, int, int, int]) -> "Geometry":
         """Build from a ``(Lx, Ly, Lz, Lt)`` tuple."""

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.lattice.gauge import GaugeField
-from repro.lattice.su3 import NC, dagger, project_traceless_antihermitian, su3_expm
-from repro.lattice.su3 import random_algebra
+from repro.lattice.su3 import NC, project_traceless_antihermitian, random_algebra, su3_expm
 from repro.utils.rng import make_rng
 
 __all__ = ["PureGaugeHMC", "HMCResult"]

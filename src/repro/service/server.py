@@ -31,6 +31,7 @@ service and every other connection are unaffected.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import threading
 from typing import Any
@@ -49,8 +50,15 @@ _REASONS = {200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
 
 
 class _HTTPError(Exception):
-    """``(code, message)``: a request refused before its body is read (the
-    connection closes after the answer, as on every error)."""
+    """``(code, message)``: a refused request; the connection closes after the answer."""
+
+
+def _query_number(query: dict, name: str, default: Any, cast: type, limit: float) -> Any:
+    """``cast(query[name])`` (``default`` if absent) when in ``[0, limit]``; else 400."""
+    with contextlib.suppress(ValueError):
+        if 0 <= (value := cast(query.get(name, default))) <= limit:  # never for nan
+            return value
+    raise _HTTPError(400, f"bad {name} {query[name]!r}: want a number in [0, {limit}]")
 
 
 class CampaignServer:
@@ -189,19 +197,16 @@ class CampaignServer:
                 )
             if len(segs) >= 2:
                 cid = segs[1]
+                call = None
                 if method == "DELETE" and len(segs) == 2:
-                    out = await loop.run_in_executor(None, svc.cancel, cid)
-                    if out is None:
-                        return await self._respond(writer, 404, {"error": "unknown campaign"})
-                    return await self._respond(writer, 200, out)
-                if method == "GET" and segs[2:] == ["status"]:
-                    out = await loop.run_in_executor(None, svc.status, cid)
-                    if out is None:
-                        return await self._respond(writer, 404, {"error": "unknown campaign"})
-                    return await self._respond(writer, 200, out)
-                if method == "GET" and segs[2:] == ["result"]:
-                    timeout = float(query.get("timeout", 300.0))
-                    out = await loop.run_in_executor(None, svc.result, cid, timeout)
+                    call = lambda: svc.cancel(cid)
+                elif method == "GET" and segs[2:] == ["status"]:
+                    call = lambda: svc.status(cid)
+                elif method == "GET" and segs[2:] == ["result"]:
+                    timeout = _query_number(query, "timeout", 300.0, float, threading.TIMEOUT_MAX)
+                    call = lambda: svc.result(cid, timeout)
+                if call is not None:
+                    out = await loop.run_in_executor(None, call)
                     if out is None:
                         return await self._respond(writer, 404, {"error": "unknown campaign"})
                     return await self._respond(writer, 200, out)
@@ -235,7 +240,7 @@ class CampaignServer:
         """
         loop = asyncio.get_running_loop()
         svc = self.service
-        offset = int(query.get("offset", 0) or 0)
+        offset = _query_number(query, "offset", 0, int, 2**63 - 1)  # the largest file offset
         follow = query.get("follow", "1") not in ("0", "false", "no")
         if await loop.run_in_executor(None, svc.status, cid) is None:
             return await self._respond(writer, 404, {"error": "unknown campaign"})
@@ -254,11 +259,9 @@ class CampaignServer:
                 blob = ("\n".join(lines) + "\n").encode()
                 writer.write(f"{len(blob):x}\r\n".encode() + blob + b"\r\n")
                 await writer.drain()
-            if terminal and not lines:
-                break
-            if not follow and not lines:
-                break
             if not lines:
+                if terminal or not follow:
+                    break
                 await asyncio.sleep(0.05)
         writer.write(b"0\r\n\r\n")
         await writer.drain()

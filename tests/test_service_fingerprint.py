@@ -130,9 +130,10 @@ class TestTaskFingerprints:
 
     def test_executor_revision_misses_a_store_keyed_before_it(self, tmp_path):
         """A propagator solved by the full-operator executor must not be
-        served to the red-black one under the same key: the kinds whose
-        arithmetic changed, and everything downstream of them, get new
-        keys; the upstream cone keeps the keys an older store holds."""
+        served to the red-black one under the same key, nor links fixed by
+        the dense relaxation to the packed one: the kinds whose arithmetic
+        changed, and everything downstream of them, get new keys; the
+        upstream cone keeps the keys an older store holds."""
         import hashlib
         import json
 
@@ -141,7 +142,7 @@ class TestTaskFingerprints:
         from repro.service.cache import ArtifactCAS
         from repro.service.fingerprint import EXECUTOR_REVISION, _resolve_refs
 
-        assert set(EXECUTOR_REVISION) == {"propagator", "seq_solve"}
+        assert set(EXECUTOR_REVISION) == {"gauge_fix", "propagator", "seq_solve"}
         g, _, _ = normalize_spec({"builder": "ga", "kwargs": {"include_seq": True}})
         old: dict[str, str] = {}  # the keys of the version before any revision
         for tid in g.topo_order():
@@ -152,7 +153,7 @@ class TestTaskFingerprints:
             old[tid] = hashlib.sha256(blob).hexdigest()[:32]
         new = task_fingerprints(g)
         moved = {tid for tid in g.tasks if new[tid] != old[tid]}
-        assert {"gauge", "gaugefix", "smear"}.isdisjoint(moved)
+        assert "gauge" not in moved and {"gaugefix", "smear"} <= moved
         assert {t for t in g.tasks if g[t].kind in EXECUTOR_REVISION} <= moved
         assert "assemble" in moved and any(g[t].kind == "contraction" for t in moved)
         assert all(g[t].kind != "make_gauge" for t in moved)
@@ -165,3 +166,8 @@ class TestTaskFingerprints:
         fresh = ArtifactStore(tmp_path / "fresh")
         assert cas.materialize(new["prop_m0"], fresh, "prop_m0") is None
         assert cas.materialize(old["prop_m0"], fresh, "prop_m0") == {"prop": "prop_m0:prop"}
+
+        store.save("gaugefix", "links", FieldFile({"source": [0, 0, 0, 0]}))
+        cas.put(old["gaugefix"], store, {"links": "gaugefix:links"})
+        assert cas.materialize(new["gaugefix"], fresh, "gaugefix") is None
+        assert cas.materialize(old["gaugefix"], fresh, "gaugefix") == {"links": "gaugefix:links"}

@@ -145,6 +145,32 @@ class TestRequestResponse:
         assert status.split()[1] == b"431"
         assert run_sync(client.healthz())["ok"] is True
 
+    @pytest.mark.parametrize(
+        "route, query",
+        [
+            ("result", "timeout=abc"),
+            ("result", "timeout=inf"),
+            ("result", "timeout=nan"),
+            ("result", "timeout=-1"),
+            ("result", "timeout=1e300"),
+            ("events", "offset=abc"),
+            ("events", "offset=-3"),
+            ("events", "offset=1.5"),
+            ("events", "offset=99999999999999999999"),
+        ],
+    )
+    def test_bad_numeric_query_refused_400(self, server, client, route, query):
+        """A timeout that is not a number >= 0 that a wait accepts, or an
+        offset that is not an integer >= 0 that a seek accepts, is the
+        client's error, on a live campaign."""
+        cid = run_sync(client.submit(sleep_spec(0.01), tenant="numbers"))["id"]
+        request = f"GET /campaigns/{cid}/{route}?{query} HTTP/1.1\r\nHost: x\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(request.encode())
+            status = sock.recv(64)
+        assert status.split()[1] == b"400"
+        assert run_sync(client.healthz())["ok"] is True
+
     def test_stats_and_list(self, client):
         stats = run_sync(client.stats())
         assert stats["submissions"] >= 1
