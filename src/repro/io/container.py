@@ -17,6 +17,11 @@ destination (the tunecache v3 pattern), so readers only ever observe a
 complete old or complete new file — never a torn mix of two writers.
 
 Format v1 (``REPROLQ1``, no header CRC) is still read.
+
+:class:`ArtifactStore` is the campaign runtime's directory of such
+containers, addressed by ``task_id:name`` refs: the driver verifies what
+it holds (:func:`verify_artifacts`) without importing the executors that
+write it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["FieldFile", "link_or_copy"]
+__all__ = ["ArtifactStore", "FieldFile", "link_or_copy", "verify_artifacts"]
 
 _MAGIC = b"REPROLQ2"
 _MAGIC_V1 = b"REPROLQ1"
@@ -174,3 +179,38 @@ class FieldFile:
             arr = np.frombuffer(blob, dtype=ent["dtype"]).reshape(ent["shape"]).copy()
             out._arrays[ent["name"]] = arr
         return out
+
+
+class ArtifactStore:
+    """Flat artifact directory addressed by ``task_id:name`` refs."""
+
+    def __init__(self, root: str | Path):
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+
+    def path(self, ref: str) -> Path:
+        if ":" not in ref:
+            raise ValueError(f"artifact ref {ref!r} is not 'task_id:name'")
+        task_id, name = ref.split(":", 1)
+        return self.root / f"{task_id}.{name}.lq"
+
+    def save(self, task_id: str, name: str, ff: FieldFile) -> str:
+        ref = f"{task_id}:{name}"
+        ff.save(self.path(ref))
+        return ref
+
+    def load(self, ref: str) -> FieldFile:
+        return FieldFile.load(self.path(ref))
+
+    def exists(self, ref: str) -> bool:
+        return self.path(ref).exists()
+
+
+def verify_artifacts(store: ArtifactStore, artifacts: dict[str, str]) -> bool:
+    """True when every artifact exists and passes its checksums."""
+    for ref in artifacts.values():
+        try:
+            store.load(ref)
+        except (ValueError, KeyError, OSError):
+            return False
+    return True

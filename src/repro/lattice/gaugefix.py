@@ -26,10 +26,12 @@ import numpy as np
 
 from repro.lattice.gauge import GaugeField
 from repro.lattice.geometry import Geometry
-from repro.lattice.heatbath import _SUBGROUPS
 from repro.lattice.su3 import NC, project_traceless_antihermitian
 
 __all__ = ["GaugeFixer", "GaugeFixResult"]
+
+#: The three SU(2) subgroups of SU(3) used by Cabibbo-Marinari.
+_SUBGROUPS = ((0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,16 @@ def _store(gauge: GaugeField, planes: np.ndarray) -> None:
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a b`` for component-major ``(..., 3, 3, n)`` matrices (leading axes broadcast)."""
     return sum(a[..., :, k, None, :] * b[..., k, None, :, :] for k in range(NC))
+
+
+def _rotate_rows(ms, i: int, j: int, q) -> None:
+    """``m <- g m`` in place, ``g = q0 + i q_vec.sigma`` embedded in subgroup ``(i, j)``."""
+    a0, a1, a2, a3 = q
+    g00, g01, g10, g11 = a0 + 1j * a3, a2 + 1j * a1, -a2 + 1j * a1, a0 - 1j * a3
+    for m in ms:
+        mi, mj = m[i].copy(), m[j]
+        m[i] = g00 * mi + g01 * mj
+        m[j] = g10 * mi + g11 * mj
 
 
 @dataclass
@@ -147,12 +159,7 @@ class GaugeFixer:
                 zero = vnorm < 1e-14  # zero rotation: identity
                 c = np.where(zero, 1.0, np.cos(theta))
                 s = np.where(zero, 0.0, -np.sin(theta) / np.maximum(vnorm, 1e-300) * kinv)
-                u1, u2, u3 = x1 * s, x2 * s, x3 * s
-                g00, g01, g10, g11 = c + 1j * u3, u2 + 1j * u1, -u2 + 1j * u1, c - 1j * u3
-                for m in (w, g):  # rotate the two rows the subgroup touches
-                    mi, mj = m[i].copy(), m[j]
-                    m[i] = g00 * mi + g01 * mj
-                    m[j] = g10 * mi + g11 * mj
+                _rotate_rows((w, g), i, j, (c, x1 * s, x2 * s, x3 * s))
             planes[:, p] = _mul(g, planes[:, p])
             gh = g.conj()[:, :, fwd[:, 1 - p]].transpose(2, 1, 0, 3)  # g(y+mu)^H
             planes[:, 1 - p] = _mul(planes[:, 1 - p], gh)

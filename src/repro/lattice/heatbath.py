@@ -16,13 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.lattice.gauge import GaugeField
-from repro.lattice.su3 import NC, dagger
+from repro.lattice.gaugefix import _SUBGROUPS, _mul, _pack, _rotate_rows, _store, _tables
+from repro.lattice.su3 import NC
 from repro.utils.rng import make_rng
 
 __all__ = ["HeatbathUpdater"]
-
-#: The three SU(2) subgroups of SU(3) used by Cabibbo-Marinari.
-_SUBGROUPS = ((0, 1), (0, 2), (1, 2))
 
 
 def _su2_extract(w: np.ndarray) -> np.ndarray:
@@ -183,47 +181,42 @@ class HeatbathUpdater:
 
     # -- internals -----------------------------------------------------------
     def _sweep(self, gauge: GaugeField, mode: str) -> None:
-        geom = gauge.geometry
+        """One sweep on gaugefix's packed planes: parity-local staples, two-row rotations."""
+        (_, fwd, bwd), planes = _tables(gauge.geometry), _pack(gauge)
         for mu in range(4):
             for parity in (0, 1):
-                mask = geom.parity_mask(parity)
-                staple = gauge.staple(mu)
-                u = gauge.u[mu]
-                w = u[mask] @ staple[mask]  # (n, 3, 3)
+                u = planes[mu, parity]  # (3, 3, n) view: updated in place
+                w = _mul(u, _staple(planes, fwd, bwd, mu, parity))
                 for (i, j) in _SUBGROUPS:
-                    sub = w[:, (i, j)][:, :, (i, j)]  # (n, 2, 2)
-                    x = _su2_extract(sub)
+                    x = _su2_extract(w[(i, j),][:, (i, j)].transpose(2, 0, 1))
                     k = np.sqrt(np.einsum("nq,nq->n", x, x))
-                    safe_k = np.maximum(k, 1e-300)
-                    v = x / safe_k[:, None]  # V quaternion
+                    vc = _quat_conj(x / np.maximum(k, 1e-300)[:, None])  # V^H quaternion
                     if mode == "heatbath":
-                        alpha = 2.0 * self.beta * k / NC
-                        a0 = _kennedy_pendleton(alpha, self.rng)
-                        radial = np.sqrt(np.maximum(0.0, 1.0 - a0**2))
+                        a0 = _kennedy_pendleton(2.0 * self.beta * k / NC, self.rng)
+                        radial = np.sqrt(np.maximum(0.0, 1.0 - a0**2))[:, None]
                         direction = _random_unit_vector(a0.shape, self.rng)
-                        u_prime = np.concatenate(
-                            [a0[:, None], radial[:, None] * direction], axis=-1
-                        )
-                        u_new = _quat_mul(u_prime, _quat_conj(v))
+                        u_new = _quat_mul(np.concatenate([a0[:, None], radial * direction], -1), vc)
                     else:
                         # Overrelaxation: the subgroup update multiplies the
                         # link from the left, so the "current element" is the
                         # identity and the action-preserving reflection about
                         # the staple direction V is g = (V^H)^2:
                         # Re tr((V^H)^2 V) = Re tr(V^H) = Re tr(V).
-                        vc = _quat_conj(v)
                         u_new = _quat_mul(vc, vc)
-                    g2 = _quat_to_su2(u_new)
-                    # Embed into 3x3 and update both the link and W = U A.
-                    g3 = np.zeros((g2.shape[0], NC, NC), dtype=np.complex128)
-                    g3[:, i, i] = g2[:, 0, 0]
-                    g3[:, i, j] = g2[:, 0, 1]
-                    g3[:, j, i] = g2[:, 1, 0]
-                    g3[:, j, j] = g2[:, 1, 1]
-                    other = 3 - i - j
-                    g3[:, other, other] = 1.0
-                    w = g3 @ w
-                    masked = u[mask]
-                    u[mask] = g3 @ masked
-            # Periodic reunitarization controls roundoff drift.
-        gauge.reunitarize()
+                    # rotate both the link and W = U A
+                    _rotate_rows((w, u), i, j, u_new.T)
+        _store(gauge, planes)
+        gauge.reunitarize()  # periodic reunitarization controls roundoff drift
+
+
+def _staple(planes: np.ndarray, fwd: np.ndarray, bwd: np.ndarray, mu: int, p: int) -> np.ndarray:
+    """:meth:`GaugeField.staple` ``(mu)`` on the parity-``p`` sites of packed planes:
+    the three ``nu != mu`` ride a leading axis, each with its own hop table."""
+    q, nus, u_mu = 1 - p, [nu for nu in range(4) if nu != mu], planes[mu, 1 - p][None]
+    hop = lambda m, idx: np.take_along_axis(m, idx[:, None, None], axis=-1)
+    dag = lambda m: m.conj().swapaxes(-3, -2)
+    # upper: U_nu(x+mu) [U_nu(x) U_mu(x+nu)]^H, lower: [U_mu(x-nu) U_nu(x+mu-nu)]^H U_nu(x-nu)
+    upper = _mul(planes[nus, q][..., fwd[mu, p]], dag(_mul(planes[nus, p], hop(u_mu, fwd[nus, p]))))
+    lower = _mul(dag(_mul(hop(u_mu, bwd[nus, p]), hop(planes[nus, p], bwd[nus, q][:, fwd[mu, p]]))),
+                 hop(planes[nus, q], bwd[nus, p]))
+    return (upper + lower).sum(axis=0)

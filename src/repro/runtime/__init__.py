@@ -15,7 +15,8 @@ Layout::
     builder.py     the gA workflow as a graph (and test graphs)
     policies.py    naive / metaq / mpijm scheduling policies
     worker.py      process & thread worker pools
-    exec_tasks.py  the physics executors (run inside workers)
+    exec_tasks.py  the physics executors (workers import them at boot,
+                   the driver never)
     checkpoint.py  per-task solver checkpoint files
     faults.py      deterministic scripted fault injection
     ledger.py      fsynced write-ahead ledger (the campaign's one log) + replay

@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.io.container import ArtifactStore, verify_artifacts
 from repro.runtime.core import (
     DIED,
     SETTLED,
@@ -36,7 +37,6 @@ from repro.runtime.core import (
     WorkerSlots,
     WorkerStormError,
 )
-from repro.runtime.exec_tasks import ArtifactStore, verify_artifacts
 from repro.runtime.faults import FaultPlan
 from repro.runtime.ledger import TaskLedger, replay_ledger
 from repro.runtime.policies import make_policy

@@ -9,6 +9,15 @@ was retried, or whether a solve resumed from a checkpoint (the
 is what lets the campaign-level tests demand bitwise-equal final
 correlators across fault-free, fault-injected and ledger-resumed runs.
 
+The physics the executors run is imported here, at module top, and a
+process worker imports this module before it takes its first message
+(:func:`repro.runtime.worker.worker_main`): the import cost is paid at
+boot, off the campaign's critical path.  Only the modes that pull in a
+further subsystem (``distributed``: :mod:`repro.comm`; ``multishift_prop``:
+its solver) import it locally.  The campaign driver never imports this
+module — it would pay the physics' memory for nothing; the artifact store
+it verifies lives in :mod:`repro.io.container`.
+
 Task kinds (the paper's Fig. 2 menu):
 
 ==================  ======================================================
@@ -34,14 +43,34 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from repro.io.container import FieldFile
+from repro.contractions import (
+    GaussianSmearing,
+    Propagator,
+    SchurColumnStacks,
+    collect_columns,
+    column_relres,
+    pion_correlator,
+    pion_three_point,
+    pion_two_point_matrix,
+    point_sources,
+    proton_correlator,
+    sequential_propagator,
+)
+from repro.dirac.flops import cg_blas_flops_per_site, wilson_dslash_flops_per_site
+from repro.dirac.gamma import GAMMA, GAMMA5
+from repro.dirac.wilson import WilsonOperator
+from repro.io.container import ArtifactStore, FieldFile, verify_artifacts
+from repro.lattice import GaugeField, Geometry
+from repro.lattice.gaugefix import GaugeFixer
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.faults import FaultSpec
+from repro.solvers.blockcg import BlockCG
+from repro.solvers.cg import CGState, ConjugateGradient
+from repro.utils.rng import make_rng
 
 __all__ = [
     "ExecContext",
@@ -50,31 +79,6 @@ __all__ = [
     "verify_artifacts",
     "EXECUTORS",
 ]
-
-
-class ArtifactStore:
-    """Flat artifact directory addressed by ``task_id:name`` refs."""
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def path(self, ref: str) -> Path:
-        if ":" not in ref:
-            raise ValueError(f"artifact ref {ref!r} is not 'task_id:name'")
-        task_id, name = ref.split(":", 1)
-        return self.root / f"{task_id}.{name}.lq"
-
-    def save(self, task_id: str, name: str, ff: FieldFile) -> str:
-        ref = f"{task_id}:{name}"
-        ff.save(self.path(ref))
-        return ref
-
-    def load(self, ref: str) -> FieldFile:
-        return FieldFile.load(self.path(ref))
-
-    def exists(self, ref: str) -> bool:
-        return self.path(ref).exists()
 
 
 @dataclass
@@ -123,8 +127,6 @@ def _save_gauge(ctx: ExecContext, name: str, gauge) -> str:
 
 
 def _load_gauge(ctx: ExecContext, ref: str):
-    from repro.lattice import GaugeField, Geometry
-
     ff = ctx.store.load(ref)
     dims = tuple(ff.metadata["dims"])
     return GaugeField(Geometry(*dims), ff["links"].reshape((4,) + dims + (3, 3)))
@@ -137,8 +139,6 @@ def _save_prop(ctx: ExecContext, name: str, prop) -> str:
 
 
 def _load_prop(ctx: ExecContext, ref: str):
-    from repro.contractions import Propagator
-
     ff = ctx.store.load(ref)
     return Propagator(ff["data"], tuple(ff.metadata["source"]))
 
@@ -147,9 +147,6 @@ def _load_prop(ctx: ExecContext, ref: str):
 
 
 def _exec_make_gauge(params: dict, ctx: ExecContext) -> dict[str, str]:
-    from repro.lattice import GaugeField, Geometry
-    from repro.utils.rng import make_rng
-
     geom = Geometry(*params["dims"])
     gauge = GaugeField.random(
         geom, make_rng(int(params["seed"])), scale=float(params.get("scale", 0.35))
@@ -158,8 +155,6 @@ def _exec_make_gauge(params: dict, ctx: ExecContext) -> dict[str, str]:
 
 
 def _exec_gauge_fix(params: dict, ctx: ExecContext) -> dict[str, str]:
-    from repro.lattice.gaugefix import GaugeFixer
-
     gauge = _load_gauge(ctx, params["gauge"])
     fixer = GaugeFixer(
         gauge_type=params.get("gauge_type", "coulomb"),
@@ -179,8 +174,6 @@ def _exec_gauge_fix(params: dict, ctx: ExecContext) -> dict[str, str]:
 
 
 def _exec_smear_sources(params: dict, ctx: ExecContext) -> dict[str, str]:
-    from repro.contractions import GaussianSmearing, point_sources
-
     gauge = _load_gauge(ctx, params["gauge"])
     geom = gauge.geometry
     site = tuple(params.get("site", (0, 0, 0, 0)))
@@ -240,8 +233,6 @@ def _stack_ckpt_load(ctx: ExecContext, shape: tuple[int, ...], stack_shape: tupl
     a column that is not a stack boundary are ignored whole and the task
     recomputes — a checkpoint is never half-loaded.
     """
-    from repro.solvers.cg import CGState
-
     ff = ctx.ckpt.load_fieldfile(ctx.task_id)
     if ff is None or ff.metadata.get("kind") != "prop_stack_ckpt":
         return None
@@ -276,11 +267,6 @@ def _wilson_solve(params: dict, ctx: ExecContext):
     hops, and the BLAS-1 of an iteration runs on the even sites a Krylov
     vector occupies.
     """
-    from repro.dirac.flops import cg_blas_flops_per_site, wilson_dslash_flops_per_site
-    from repro.dirac.wilson import WilsonOperator
-    from repro.solvers.blockcg import BlockCG
-    from repro.solvers.cg import ConjugateGradient
-
     gauge = _load_gauge(ctx, params["gauge"])
     mode = str(params.get("solver_mode", "percolumn"))
     volume = gauge.geometry.volume
@@ -315,8 +301,6 @@ def _solve_distributed(params: dict, gauge, sources, tol: float, max_iter: int):
 
 def _load_sources(params: dict, ctx: ExecContext, geom) -> np.ndarray:
     """The 12 source columns: the ``sources`` artifact, else point sources at ``site``."""
-    from repro.contractions import point_sources
-
     if params.get("sources"):
         return ctx.store.load(params["sources"])["sources"].reshape((12,) + geom.dims + (4, 3))
     return point_sources(geom, tuple(params.get("site", (0, 0, 0, 0))))
@@ -363,8 +347,6 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
     the per-column sum under ``percolumn`` (what twelve one-column solves
     count), the stacked count otherwise.
     """
-    from repro.contractions import Propagator, SchurColumnStacks, collect_columns, column_relres
-
     gauge, wilson, mode, solver = _wilson_solve(params, ctx)
     if mode not in ("percolumn", "batched", "block", "distributed"):
         raise ValueError(f"{ctx.task_id}: unknown solver_mode {mode!r}")
@@ -427,8 +409,6 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
 
 
 def _exec_seq_solve(params: dict, ctx: ExecContext) -> dict[str, str]:
-    from repro.contractions import sequential_propagator
-
     _, wilson, mode, solver = _wilson_solve(params, ctx)
     if mode == "distributed":
         # sequential sink solves stay in-process: the through-the-sink
@@ -459,7 +439,6 @@ def _exec_multishift_prop(params: dict, ctx: ExecContext) -> dict[str, str]:
     with the base residual), so no initial guess can seed it; its
     amortization is the shift axis itself.
     """
-    from repro.dirac.wilson import WilsonOperator
     from repro.solvers.multishift import MultiShiftCG
 
     gauge = _load_gauge(ctx, params["gauge"])
@@ -498,14 +477,6 @@ def _exec_multishift_prop(params: dict, ctx: ExecContext) -> dict[str, str]:
 
 
 def _exec_contraction(params: dict, ctx: ExecContext) -> dict[str, str]:
-    from repro.contractions import (
-        pion_correlator,
-        pion_three_point,
-        pion_two_point_matrix,
-        proton_correlator,
-    )
-    from repro.dirac import gamma as g
-
     ff = FieldFile({"label": params.get("label", ctx.task_id)})
     if "prop" in params:
         prop = _load_prop(ctx, params["prop"])
@@ -520,7 +491,7 @@ def _exec_contraction(params: dict, ctx: ExecContext) -> dict[str, str]:
         prop = _load_prop(ctx, params["prop"])
         ff.add(
             "axial_3pt",
-            np.asarray(pion_three_point(seq, prop, g.GAMMA[2] @ g.GAMMA5)),
+            np.asarray(pion_three_point(seq, prop, GAMMA[2] @ GAMMA5)),
         )
     return {"corr": ctx.store.save(ctx.task_id, "corr", ff)}
 
@@ -574,12 +545,3 @@ def execute_task(kind: str, params: dict, ctx: ExecContext) -> dict[str, str]:
             raise RuntimeError(f"injected fault on {ctx.task_id}")
     return EXECUTORS[kind](params, ctx)
 
-
-def verify_artifacts(store: ArtifactStore, artifacts: dict[str, str]) -> bool:
-    """True when every artifact exists and passes its checksums."""
-    for ref in artifacts.values():
-        try:
-            store.load(ref)
-        except (ValueError, KeyError, OSError, FileNotFoundError):
-            return False
-    return True

@@ -23,6 +23,7 @@ what only it can see rides its result report (:func:`worker_main`).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import queue as queue_mod
 import threading
@@ -31,14 +32,15 @@ from pathlib import Path
 from typing import Any
 
 from repro import obs
+from repro.io.container import ArtifactStore
 from repro.runtime.checkpoint import CheckpointManager
-from repro.runtime.exec_tasks import ArtifactStore, ExecContext, execute_task
 from repro.runtime.faults import FaultSpec, WorkerKilled
 from repro.utils.spawn import spawn_context
 
 __all__ = ["worker_main", "ProcessWorkerPool", "ThreadWorkerPool", "make_pool"]
 
 _KILL_EXIT_CODE = 23  # distinguishable from a Python traceback's exit 1
+_ORPHAN_POLL_S = 1.0  # an idle process worker checks its driver is alive this often
 
 
 def worker_main(
@@ -64,7 +66,18 @@ def worker_main(
     and error reports alike; the attempt itself is the driver's
     ``start`` … ``done`` / ``fail`` in the ledger.  A killed attempt never
     reports, so its facts die with it.
+
+    Lifecycle of a process worker: it imports the executors (and the
+    physics they run) before it takes its first message, so no task pays
+    an import; it waits on its queue with a timeout and exits once its
+    driver is gone, so a killed driver leaves no orphan behind; and at the
+    sentinel it flushes its result queue and leaves with ``os._exit(0)``,
+    skipping an interpreter teardown nobody waits for.  A thread worker
+    returns at the sentinel.
     """
+    from repro.runtime.exec_tasks import ExecContext, execute_task
+
+    parent = multiprocessing.parent_process() if pool_kind == "process" else None
     stores: dict[str, tuple[ArtifactStore, CheckpointManager]] = {}
 
     def stores_for(path: str) -> tuple[ArtifactStore, CheckpointManager]:
@@ -83,7 +96,12 @@ def worker_main(
 
     try:
         while True:
-            msg = task_q.get()
+            try:
+                msg = task_q.get(timeout=_ORPHAN_POLL_S) if parent else task_q.get()
+            except queue_mod.Empty:
+                if parent.is_alive():
+                    continue
+                os._exit(0)  # orphaned: no sentinel will ever come
             if msg is None:
                 break
             fault = (
@@ -133,6 +151,10 @@ def worker_main(
             result_q.put(report)
     except WorkerKilled:
         return  # thread fabric: the "dead" worker just stops serving
+    if parent:
+        result_q.close()
+        result_q.join_thread()  # every report is in the pipe
+        os._exit(0)
 
 
 class _PoolBase:

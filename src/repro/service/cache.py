@@ -32,8 +32,7 @@ import json
 import os
 from pathlib import Path
 
-from repro.io.container import link_or_copy
-from repro.runtime.exec_tasks import ArtifactStore, verify_artifacts
+from repro.io.container import ArtifactStore, link_or_copy, verify_artifacts
 
 __all__ = ["ArtifactCAS"]
 

@@ -44,9 +44,9 @@ from pathlib import Path
 from typing import Any
 
 from repro import obs
+from repro.io.container import ArtifactStore, verify_artifacts
 from repro.runtime.campaign import replace_workers
 from repro.runtime.core import LedgerMismatchError, TaskMachine, WorkerSlots, WorkerStormError
-from repro.runtime.exec_tasks import ArtifactStore, verify_artifacts
 from repro.runtime.ledger import TaskLedger, open_campaign_ledger, replay_ledger
 from repro.runtime.policies import make_policy
 from repro.runtime.tasks import TaskGraph, TaskStatus

@@ -309,9 +309,10 @@ class TestExecutors:
 
 
 def test_importing_the_runtime_leaves_the_physics_packages_out():
-    """The driver and every spawned worker import ``repro.runtime`` before
-    their first task; the lattice, Dirac and communication stacks load
-    inside the executors that need them, not at import."""
+    """The driver imports ``repro.runtime`` and the worker module without
+    the physics: the lattice and Dirac stacks load when a worker boots
+    (``worker_main`` imports the executors), the communication stack
+    inside the one executor mode that needs it."""
     import subprocess
     import sys
 
