@@ -1,6 +1,7 @@
-"""Wall-clock race of the dslash kernel backends, per volume.
+"""Wall-clock timing of the dslash kernel backends, per volume.
 
-Runs every registered hopping-term backend on a ladder of local volumes
+Runs both registered hopping-term backends (the production
+``halfspinor`` kernel and its ``reference`` oracle) on a ladder of local volumes
 and emits ``BENCH_dslash.json`` (next to this file) with per-backend
 timings and model GFlop/s, plus the multi-RHS amortization factor of the
 batched path — the perf trajectory future PRs compare against.
@@ -26,7 +27,6 @@ import numpy as np
 
 from repro.comm.bench import host_metadata
 from repro.dirac import WilsonOperator, available_backends
-from repro.dirac.kernels import NUMBA_AVAILABLE, SOA_LAYOUT_VERSION
 from repro.lattice import GaugeField, Geometry
 from repro.perfmodel.roofline import host_roofline
 from repro.utils.rng import make_rng
@@ -60,7 +60,7 @@ def run(
     ranks: int = 1,
     policy: str = "blocking",
 ) -> dict:
-    """Race the backends; ``ranks > 1`` additionally times the stacked
+    """Time the backends; ``ranks > 1`` additionally times the stacked
     hopping through the decomposition runtime under ``policy``."""
     roofline = host_roofline()
     results: dict = {
@@ -69,8 +69,6 @@ def run(
         "repeats": repeats,
         "ranks": ranks,
         "policy": policy,
-        "numba_available": NUMBA_AVAILABLE,
-        "soa_layout_version": SOA_LAYOUT_VERSION,
         "roofline": {
             "peak_gflops": roofline.peak_gflops,
             "peak_bw_gbs": roofline.peak_bw_gbs,
@@ -103,20 +101,7 @@ def run(
                 "gflops": gflops,
                 "arithmetic_intensity": ai,
                 "fraction_of_roofline": gflops / roofline.predict_gflops(ai),
-                "compiled": bool(getattr(w.kernel, "compiled", False)),
             }
-            kern = w.kernel
-            if hasattr(kern, "pack_seconds"):
-                # layout-conversion tax of the SoA tier, as a fraction of
-                # total hopping wall-clock over the whole timed run
-                apps = max(kern.applications, 1)
-                per_backend[name]["pack_overhead"] = {
-                    "pack_s_per_apply": kern.pack_seconds / apps,
-                    "unpack_s_per_apply": kern.unpack_seconds / apps,
-                    "fraction_of_apply": (kern.pack_seconds + kern.unpack_seconds)
-                    / apps
-                    / t,
-                }
 
         # Multi-RHS amortization on the default backend: one stacked
         # application vs N_RHS single ones.
@@ -128,11 +113,6 @@ def run(
         entry = {
             "backends": per_backend,
             "speedup_halfspinor_vs_reference": ref / half,
-            "speedup_numba_soa_vs_halfspinor": (
-                half / per_backend["numba_soa"]["time_s"]
-                if "numba_soa" in per_backend
-                else None
-            ),
             "batched": {
                 "backend": w.backend,
                 "time_s_stacked": t_stacked,
@@ -183,35 +163,8 @@ def test_halfspinor_beats_reference(report):
             f"{label:>10s}  halfspinor vs reference: "
             f"{vol['speedup_halfspinor_vs_reference']:.2f}x"
         )
-        if vol["speedup_numba_soa_vs_halfspinor"] is not None:
-            lines.append(
-                f"{label:>10s}  numba_soa vs halfspinor: "
-                f"{vol['speedup_numba_soa_vs_halfspinor']:.2f}x"
-            )
     report("Dslash backend race (wrote BENCH_dslash.json)", "\n".join(lines))
     assert results["volumes"]["8x8x8x16"]["speedup_halfspinor_vs_reference"] >= 1.5
-
-
-def test_numba_soa_beats_halfspinor(report):
-    """Compiled-tier headline: ≥5x over the best NumPy backend at 8³x16.
-
-    Only meaningful where the tier actually compiled — on numpy-only
-    hosts the backend is unregistered and this check skips (the parity
-    suite still exercises the interpreted stencil there).
-    """
-    import pytest
-
-    if not NUMBA_AVAILABLE:
-        pytest.skip("numba not importable: compiled tier unregistered")
-    results = json.loads(OUTPUT.read_text()) if OUTPUT.exists() else write_report()
-    if not results.get("numba_available"):
-        results = write_report()
-    speedup = results["volumes"]["8x8x8x16"]["speedup_numba_soa_vs_halfspinor"]
-    report(
-        "Compiled SoA tier headline",
-        f"numba_soa vs halfspinor at 8x8x8x16: {speedup:.2f}x (target >=5x)",
-    )
-    assert speedup is not None and speedup >= 5.0
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ within five minutes, nearly all nodes were performing real work."
 
 from __future__ import annotations
 
-from repro.comm.mpi import MPI_IMPLEMENTATIONS
+from repro.machines.mpi import MPI_IMPLEMENTATIONS
 from repro.jobmgr import startup_time
 from repro.utils.tables import format_table
 

@@ -70,12 +70,12 @@ class TuneEntry:
 
 @dataclass
 class BackendEntry:
-    """Cached winner of a *real* backend race for one :class:`TuneKey`.
+    """Cached winner of a *real* race for one :class:`TuneKey`.
 
     Unlike :class:`TuneEntry` (which tunes launch parameters against the
-    GPU performance model), a backend race wall-clock-times every
-    registered implementation of a kernel on the actual local volume and
-    remembers which one won.
+    GPU performance model), a race wall-clock-times every executed
+    candidate — here the halo-exchange policies of the decomposition
+    runtime — and remembers which one won.
     """
 
     backend: str
@@ -116,7 +116,6 @@ class KernelAutotuner:
         self.noise = noise
         self.launches = launches_per_candidate
         self._cache: dict[TuneKey, TuneEntry] = {}
-        self._backend_cache: dict[TuneKey, BackendEntry] = {}
         self._comm_cache: dict[TuneKey, BackendEntry] = {}
         self.tune_calls = 0
         self.lookup_hits = 0
@@ -198,41 +197,27 @@ class KernelAutotuner:
         entry = self.tune(key, model)
         return model.default_time() / model.time(entry.params)
 
-    # -- real backend races -------------------------------------------------
-    def tune_backend(
+    # -- measured communication policies -----------------------------------
+    def tune_comm_policy(
         self, key: TuneKey, candidates: Mapping[str, Callable[[], Any]]
     ) -> BackendEntry:
-        """Race real kernel implementations; cache and return the winner.
+        """Race executed halo-exchange policies; cache and return the winner.
 
-        ``candidates`` maps backend names to zero-argument thunks that
-        run the actual kernel on a representative field.  Each candidate
-        gets one untimed warm-up launch (workspace allocation, einsum
-        path resolution — QUDA likewise discards the first launch) and
-        then ``launches_per_candidate`` timed launches, keeping the
-        minimum.  The winner is cached under ``key`` and persists
-        through :meth:`save`/:meth:`load`, so a fresh process that
-        loaded the tunecache never re-times anything.
+        ``candidates`` maps names like ``"threads/blocking"`` to
+        zero-argument thunks that run one stacked hopping under that
+        policy — the executed counterpart of the modeled
+        :class:`repro.autotune.comm.CommPolicyTuner` ranking.  Each
+        candidate gets one untimed warm-up launch (workspace allocation —
+        QUDA likewise discards the first launch) and then
+        ``launches_per_candidate`` timed launches, keeping the minimum.
+        The winner is cached under ``key`` and persists through
+        :meth:`save`/:meth:`load`, so a fresh process that loaded the
+        tunecache never re-times anything.
         """
-        return self._race(self._backend_cache, key, candidates)
-
-    def _race(
-        self,
-        cache: dict[TuneKey, BackendEntry],
-        key: TuneKey,
-        candidates: Mapping[str, Callable[[], Any]],
-        extra_times: Mapping[str, float] | None = None,
-    ) -> BackendEntry:
-        """Shared best-of-k wall-clock race behind one of the caches.
-
-        ``extra_times`` holds externally measured candidates (e.g. the
-        MPI transport, timed inside one launcher-started rank program so
-        process startup never pollutes the race) that compete for the
-        winner alongside the in-process thunks.
-        """
-        if key in cache:
+        if key in self._comm_cache:
             self.lookup_hits += 1
-            return cache[key]
-        if not candidates and not extra_times:
+            return self._comm_cache[key]
+        if not candidates:
             raise ValueError("need at least one candidate to race")
         self.tune_calls += 1
         times: dict[str, float] = {}
@@ -244,8 +229,6 @@ class KernelAutotuner:
                 thunk()
                 best = min(best, time.perf_counter() - t0)
             times[name] = float(best)
-        if extra_times:
-            times.update({str(n): float(t) for n, t in extra_times.items()})
         winner = min(times, key=times.__getitem__)
         entry = BackendEntry(
             backend=winner,
@@ -253,31 +236,8 @@ class KernelAutotuner:
             times=times,
             n_candidates=len(times),
         )
-        cache[key] = entry
+        self._comm_cache[key] = entry
         return entry
-
-    def backend_choice(self, key: TuneKey) -> str | None:
-        """Cached backend winner for ``key`` (``None`` if never raced)."""
-        entry = self._backend_cache.get(key)
-        return entry.backend if entry is not None else None
-
-    # -- measured communication policies -----------------------------------
-    def tune_comm_policy(
-        self,
-        key: TuneKey,
-        candidates: Mapping[str, Callable[[], Any]],
-        extra_times: Mapping[str, float] | None = None,
-    ) -> BackendEntry:
-        """Race executed halo-exchange policies; cache under ``"comm"``.
-
-        Identical mechanics to :meth:`tune_backend` (warm-up, best-of-k,
-        persisted winner) over candidate names like
-        ``"threads/blocking"`` — the executed counterpart of the modeled
-        :class:`repro.autotune.comm.CommPolicyTuner` ranking.
-        ``extra_times`` merges externally measured candidates (the MPI
-        transport's in-job schedule timings) into the same race.
-        """
-        return self._race(self._comm_cache, key, candidates, extra_times=extra_times)
 
     def comm_choice(self, key: TuneKey) -> str | None:
         """Cached measured comm-policy winner (``None`` if never raced)."""
@@ -285,10 +245,10 @@ class KernelAutotuner:
         return entry.backend if entry is not None else None
 
     def __contains__(self, key: TuneKey) -> bool:
-        return key in self._cache or key in self._backend_cache or key in self._comm_cache
+        return key in self._cache or key in self._comm_cache
 
     def __len__(self) -> int:
-        return len(self._cache) + len(self._backend_cache) + len(self._comm_cache)
+        return len(self._cache) + len(self._comm_cache)
 
     # -- persistence ----------------------------------------------------------------
     #: a lock file untouched for this long is considered abandoned by a
@@ -300,10 +260,11 @@ class KernelAutotuner:
     def save(self, path: str | Path) -> None:
         """Write the tunecache as JSON (QUDA's profile file analogue).
 
-        Format version 3: launch-parameter entries under ``"kernels"``,
-        backend-race winners under ``"backends"`` and measured
-        comm-policy winners under ``"comm"``.  Version-2 files and
-        version-1 files (a flat key-to-entry map) are still readable.
+        Format version 3: launch-parameter entries under ``"kernels"`` and
+        measured comm-policy winners under ``"comm"``.  Older files are
+        still readable: version 1 is a flat key-to-entry map, and the
+        ``"backends"`` section of earlier version-2/3 files (dslash
+        backend-race winners) is ignored.
 
         The write is process-safe: the payload lands in a temporary file
         that is atomically renamed over the target (readers never see a
@@ -315,7 +276,6 @@ class KernelAutotuner:
         payload = {
             "version": 3,
             "kernels": {k.as_string(): asdict(v) for k, v in self._cache.items()},
-            "backends": {k.as_string(): asdict(v) for k, v in self._backend_cache.items()},
             "comm": {k.as_string(): asdict(v) for k, v in self._comm_cache.items()},
         }
         path = Path(path)
@@ -366,14 +326,11 @@ class KernelAutotuner:
         payload = json.loads(Path(path).read_text())
         if "version" in payload:
             kernels = payload.get("kernels", {})
-            backends = payload.get("backends", {})
             comm = payload.get("comm", {})
         else:  # legacy flat format
-            kernels, backends, comm = payload, {}, {}
+            kernels, comm = payload, {}
         for ks, ent in kernels.items():
             self._cache[TuneKey.from_string(ks)] = TuneEntry(**ent)
-        for ks, ent in backends.items():
-            self._backend_cache[TuneKey.from_string(ks)] = BackendEntry(**ent)
         for ks, ent in comm.items():
             self._comm_cache[TuneKey.from_string(ks)] = BackendEntry(**ent)
-        return len(kernels) + len(backends) + len(comm)
+        return len(kernels) + len(comm)

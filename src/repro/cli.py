@@ -89,45 +89,12 @@ def _memory() -> str:
     )
 
 
-def _backends() -> str:
-    """Race the dslash backends on a small lattice, QUDA-tuning style."""
-    import json
-
-    from repro.autotune import KernelAutotuner
-    from repro.dirac import WilsonOperator, dslash_tune_key
-    from repro.lattice import GaugeField, Geometry
-    from repro.utils.rng import make_rng
-
-    geom = Geometry(4, 4, 4, 8)
-    gauge = GaugeField.random(geom, make_rng(55), scale=0.35)
-    tuner = KernelAutotuner(launches_per_candidate=1)
-    wilson = WilsonOperator(gauge, mass=0.1, backend="auto", tuner=tuner)
-    key = dslash_tune_key(geom)
-    entry = tuner._backend_cache[key]
-    rows = [
-        (name, f"{t * 1e3:.2f}", "<- selected" if name == entry.backend else "")
-        for name, t in sorted(entry.times.items(), key=lambda kv: kv[1])
-    ]
-    table = format_table(
-        ["backend", "ms/hopping (4^3x8)", ""],
-        rows,
-        title="Dslash backend autotuning (first-encounter race)",
-    )
-    cache_note = (
-        f"winner cached under '{key.as_string()}';\n"
-        f"tunecache JSON round-trip: "
-        f"{len(json.dumps({key.as_string(): entry.backend}))} bytes, "
-        f"operator uses backend '{wilson.backend}'"
-    )
-    return table + "\n" + cache_note
-
-
 def _kernels() -> str:
-    """Compiled-tier report: backend GF/s vs roofline, SoA layout tax.
+    """Dslash kernels: halfspinor vs its reference oracle, GF/s vs roofline.
 
     Prefers the committed ``BENCH_dslash.json`` artifact (the full
     ladder, refreshed by ``benchmarks/bench_dslash_backends.py``); when
-    it is absent, falls back to a quick live race at 4^3x8 so the
+    it is absent, falls back to a quick live timing at 4^3x8 so the
     section always renders.
     """
     import json
@@ -135,7 +102,6 @@ def _kernels() -> str:
     from pathlib import Path
 
     from repro.dirac import WilsonOperator, available_backends
-    from repro.dirac.kernels import NUMBA_AVAILABLE, SOA_LAYOUT_VERSION
     from repro.lattice import GaugeField, Geometry
     from repro.perfmodel import host_roofline
     from repro.utils.rng import make_rng
@@ -147,28 +113,17 @@ def _kernels() -> str:
         data = json.loads(bench.read_text())
         for label, vol in sorted(data["volumes"].items()):
             for name, e in sorted(vol["backends"].items()):
-                pk = e.get("pack_overhead")
                 rows.append(
-                    (
-                        label,
-                        name,
-                        "yes" if e.get("compiled") else "no",
-                        f"{e['gflops']:.3f}",
-                        f"{100 * e['fraction_of_roofline']:.1f}%"
-                        if "fraction_of_roofline" in e
-                        else "-",
-                        f"{100 * pk['fraction_of_apply']:.1f}%" if pk else "-",
-                    )
+                    (label, name, f"{e['gflops']:.3f}", f"{100 * e['fraction_of_roofline']:.1f}%")
                 )
-            s = vol.get("speedup_numba_soa_vs_halfspinor")
-            if s is not None:
-                notes.append(f"{label}: numba_soa {s:.2f}x over halfspinor")
+            notes.append(
+                f"{label}: halfspinor {vol['speedup_halfspinor_vs_reference']:.2f}x "
+                "over reference"
+            )
         rl = data.get("roofline", {})
         notes.append(
             f"artifact: BENCH_dslash.json "
-            f"(numba_available={data.get('numba_available')}, "
-            f"soa layout v{data.get('soa_layout_version')}, "
-            f"roofline {rl.get('peak_gflops', 0):.0f} GF/s "
+            f"(roofline {rl.get('peak_gflops', 0):.0f} GF/s "
             f"/ {rl.get('peak_bw_gbs', 0):.0f} GB/s)"
         )
     else:
@@ -189,32 +144,15 @@ def _kernels() -> str:
             flops = w.flops_per_apply(psi.shape)
             ai = flops / (2 * psi.nbytes + w.u.nbytes + w.u_dag.nbytes)
             gflops = flops / best / 1e9
-            kern = w.kernel
-            pack = (
-                f"{100 * (kern.pack_seconds + kern.unpack_seconds) / max(kern.applications, 1) / best:.1f}%"
-                if hasattr(kern, "pack_seconds")
-                else "-"
-            )
             rows.append(
-                (
-                    "4x4x4x8",
-                    name,
-                    "yes" if getattr(kern, "compiled", False) else "no",
-                    f"{gflops:.3f}",
-                    f"{100 * gflops / roofline.predict_gflops(ai):.1f}%",
-                    pack,
-                )
+                ("4x4x4x8", name, f"{gflops:.3f}",
+                 f"{100 * gflops / roofline.predict_gflops(ai):.1f}%")
             )
-        notes.append("live race (no BENCH_dslash.json found)")
-    notes.append(
-        f"this host: numba {'importable' if NUMBA_AVAILABLE else 'NOT importable'} "
-        f"(compiled tier {'registered' if NUMBA_AVAILABLE else 'skipped'}), "
-        f"SoA layout v{SOA_LAYOUT_VERSION}"
-    )
+        notes.append("live timing (no BENCH_dslash.json found)")
     table = format_table(
-        ["volume", "backend", "compiled", "GF/s", "% roofline", "pack+unpack"],
+        ["volume", "backend", "GF/s", "% roofline"],
         rows,
-        title="Dslash kernel tiers: sustained GF/s vs host roofline",
+        title="Dslash kernels: sustained GF/s vs host roofline",
     )
     return table + "\n" + "\n".join(notes)
 
@@ -256,41 +194,7 @@ def _comm() -> str:
         f"measured winner: {measured.best.name} "
         f"({measured.speedup_vs_worst:.2f}x vs worst, source={measured.source})"
     )
-    return model_table + "\n\n" + meas_table + "\n" + note + "\n" + _comm_mpi(gauge)
-
-
-def _comm_mpi(gauge) -> str:
-    """Executed-MPI line of the comm section.
-
-    Where the MPI stack is present, reports the measured blocking halo
-    wait next to the latency+bandwidth prediction built from the same
-    job's ping-pong link parameters (the executed counterpart of the
-    modeled staged-cpu policy); degrades to a one-line skip reason on
-    hosts without mpi4py or a launcher.
-    """
-    from repro.comm.transports import transport_available
-
-    ok, reason = transport_available("mpi", n_ranks=2)
-    if not ok:
-        return f"mpi transport: skipped ({reason})"
-    from repro.comm.mpilaunch import MpiLaunchError, mpi_bench_halo
-
-    try:
-        bench = mpi_bench_halo(gauge, 0.1, ranks=2, n_rhs=2, repeats=2)
-    except MpiLaunchError as e:
-        return f"mpi transport: skipped ({e})"
-    wait = bench["halo_wait_s"].get("blocking", 0.0)
-    predicted = (
-        bench["messages_per_round"] * bench["latency_s"]
-        + bench["bytes_per_round"] / max(bench["bandwidth_gbs"], 1e-9) / 1e9
-    )
-    return (
-        f"mpi transport ({bench['n_ranks']} ranks): measured blocking halo wait "
-        f"{wait * 1e6:.1f} us/round vs latency+bandwidth prediction "
-        f"{predicted * 1e6:.1f} us/round "
-        f"(link: {bench['latency_s'] * 1e6:.1f} us, "
-        f"{bench['bandwidth_gbs']:.2f} GB/s)"
-    )
+    return model_table + "\n\n" + meas_table + "\n" + note
 
 
 def _perf() -> str:
@@ -420,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         "--section",
         choices=[
             "all", "table1", "table2", "table3", "headlines",
-            "memory", "backends", "kernels", "comm", "perf",
+            "memory", "kernels", "comm", "perf",
             "campaign", "service", "tts",
         ],
         default="all",
@@ -434,7 +338,6 @@ def main(argv: list[str] | None = None) -> int:
         "table3": _table3,
         "headlines": _headlines,
         "memory": _memory,
-        "backends": _backends,
         "kernels": _kernels,
         "comm": _comm,
         "perf": _perf,

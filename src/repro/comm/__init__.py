@@ -1,4 +1,4 @@
-"""Communication substrate: halo exchange policies and MPI traits.
+"""Communication substrate: halo exchange policies, modeled and executed.
 
 Models the multi-process stencil communication options of Section V —
 CPU-staged MPI, zero-copy, GPU Direct RDMA, CUDA IPC within the node,
@@ -22,7 +22,6 @@ from repro.comm.policies import (
 )
 from repro.comm.halo import Decomposition, best_decomposition, halo_message_bytes
 from repro.comm.model import CommCostModel
-from repro.comm.mpi import MPI_IMPLEMENTATIONS, MPIImplementation
 from repro.comm.decomp import LocalGeometry, RankGrid, slab_grid
 from repro.comm.exchange import EXECUTED_POLICIES, HaloExchanger
 from repro.comm.shm import CommTimeoutError
@@ -42,8 +41,6 @@ __all__ = [
     "best_decomposition",
     "halo_message_bytes",
     "CommCostModel",
-    "MPIImplementation",
-    "MPI_IMPLEMENTATIONS",
     "LocalGeometry",
     "RankGrid",
     "slab_grid",

@@ -10,11 +10,9 @@ reproduction scale: a 12-RHS even-odd CGNE solve at 8^3x16 must run at
 least 1.5x faster through the rank-parallel runtime than through the
 serial batched solver, bit-for-bit reproducing its answer.
 
-``bench_engines`` adds per-engine rows (interpreted vs compiled SoA,
-per policy, per RHS width) with halo-wait accounting and the fraction
-of the halo wait the overlap schedule hides; ``bench_cg_engine_race``
-races the compiled SoA engine against the interpreted fused engine on
-the 12-RHS CG acceptance point (numba-enabled hosts only).
+``bench_transport_halo`` adds per-transport rows (threads / shm, per
+policy) with halo-wait accounting and the fraction of the halo wait
+the overlap schedule hides.
 """
 
 from __future__ import annotations
@@ -31,10 +29,8 @@ import numpy as np
 __all__ = [
     "host_metadata",
     "bench_halo",
-    "bench_engines",
     "bench_transport_halo",
     "bench_cg_headline",
-    "bench_cg_engine_race",
     "run",
     "main",
 ]
@@ -137,90 +133,6 @@ def bench_halo(
     return out
 
 
-def bench_engines(
-    gauge,
-    mass: float,
-    *,
-    ranks: int,
-    n_rhs_list: tuple[int, ...] = (1, N_RHS),
-    repeats: int = REPEATS,
-    engines: tuple[str, ...] | None = None,
-    transport: str = "threads",
-    timeout: float = 300.0,
-) -> dict:
-    """Per-(engine, n_rhs, policy) hopping rows with halo-wait accounting.
-
-    Each row carries the best-of-k wall time plus the per-hopping halo
-    wait and (overlap schedule only) the interior-compute window, both
-    taken as the max over ranks of the workers' cumulative counters.
-    The ``overlap_efficiency`` summary is the fraction of the blocking
-    schedule's halo wait that the overlap schedule hides:
-    ``1 - wait_overlap / wait_blocking``.
-
-    Without numba the compiled tier executes its interpreted per-site
-    fallback bodies — correct but not a performance row — so compiled
-    rows default to numba-enabled hosts only; dropped coverage is
-    recorded under ``"skipped"`` rather than silently omitted.
-    """
-    from repro.comm.distributed import ENGINES, DecompRuntime
-    from repro.comm.exchange import EXECUTED_POLICIES
-    from repro.dirac.kernels import NUMBA_AVAILABLE
-    from repro.utils.rng import make_rng
-
-    if engines is None:
-        engines = ENGINES if NUMBA_AVAILABLE else ("interpreted",)
-    geom = gauge.geometry
-    rng = make_rng(77)
-    rows: list[dict] = []
-    skipped: list[str] = []
-    if "compiled" not in engines:
-        skipped.append(
-            "compiled engine rows (numba unavailable: the interpreted "
-            "fallback bodies are not a performance tier)"
-        )
-    waits: dict = {}
-    for engine in engines:
-        for n_rhs in n_rhs_list:
-            shape = (n_rhs,) + geom.dims + (4, 3)
-            psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            with DecompRuntime(
-                gauge,
-                mass,
-                ranks=ranks,
-                transport=transport,
-                policy="blocking",
-                engine=engine,
-                max_rhs=n_rhs,
-                timeout=timeout,
-            ) as rt:
-                raced = _race_policies(rt, psi, repeats)
-            for policy in EXECUTED_POLICIES:
-                if policy not in raced:
-                    skipped.append(f"{engine}/{policy}/rhs{n_rhs} (local extent < 2)")
-                    continue
-                waits[(engine, n_rhs, policy)] = raced[policy]["halo_wait_s"]
-                rows.append(
-                    {"engine": engine, "ranks": ranks, "n_rhs": n_rhs,
-                     "policy": policy, **raced[policy]}
-                )
-
-    efficiency: dict = {}
-    for engine in engines:
-        for n_rhs in n_rhs_list:
-            wb = waits.get((engine, n_rhs, "blocking"))
-            wo = waits.get((engine, n_rhs, "overlap"))
-            if wb and wo is not None and wb > 0:
-                efficiency.setdefault(engine, {})[str(n_rhs)] = 1.0 - wo / wb
-    return {
-        "volume": "x".join(map(str, geom.dims)),
-        "ranks": ranks,
-        "transport": transport,
-        "rows": rows,
-        "overlap_efficiency": efficiency,
-        "skipped": skipped,
-    }
-
-
 def bench_transport_halo(
     gauge,
     mass: float,
@@ -229,24 +141,18 @@ def bench_transport_halo(
     n_rhs: int = 4,
     repeats: int = REPEATS,
     transports: tuple[str, ...] | None = None,
-    engine: str = "interpreted",
     timeout: float = 300.0,
 ) -> dict:
     """Per-transport halo rows: measured wait + overlap efficiency.
 
-    One entry per transport (``threads``/``shm``/``loopback``/``mpi``):
+    One entry per transport (``threads``/``shm``):
     ``{"policies": {policy: {"seconds", "halo_wait_s"}},
-    "overlap_efficiency"}``.  A transport that cannot run here (the MPI
-    stack absent, a launch failure) degrades to ``{"skipped": reason}``
-    instead of failing the benchmark.  The MPI entry additionally
-    carries the measured link parameters (ping-pong latency/bandwidth,
-    face bytes and messages per halo round) and a ``model_check``
-    cross-validating the measured blocking halo wait against the
-    latency+bandwidth prediction for the same traffic — the executed
-    counterpart of :class:`repro.comm.model.CommCostModel`.
+    "overlap_efficiency"}``, the latter ``1 - wait_overlap /
+    wait_blocking`` — the fraction of the blocking schedule's halo wait
+    the overlap schedule hides.
     """
     from repro.comm.distributed import DecompRuntime
-    from repro.comm.transports import TRANSPORTS, transport_available
+    from repro.comm.transports import TRANSPORTS
     from repro.utils.rng import make_rng
 
     geom = gauge.geometry
@@ -256,7 +162,6 @@ def bench_transport_halo(
     out: dict = {
         "volume": "x".join(map(str, geom.dims)),
         "ranks": ranks,
-        "engine": engine,
         "transports": {},
     }
 
@@ -265,52 +170,9 @@ def bench_transport_halo(
         return 1.0 - wo / wb if wb and wo is not None and wb > 0 else None
 
     for transport in transports or TRANSPORTS:
-        ok, reason = transport_available(transport, n_ranks=ranks)
-        if not ok:
-            out["transports"][transport] = {"skipped": reason}
-            continue
-        if transport == "mpi":
-            from repro.comm.mpilaunch import MpiLaunchError, mpi_bench_halo
-
-            try:
-                bench = mpi_bench_halo(
-                    gauge, mass, ranks=ranks, n_rhs=n_rhs, repeats=repeats,
-                    engine=engine, timeout=max(timeout, 600.0),
-                )
-            except MpiLaunchError as e:
-                out["transports"][transport] = {"skipped": str(e)}
-                continue
-            policies = {
-                p: {"seconds": bench["times"][p], "halo_wait_s": bench["halo_wait_s"][p]}
-                for p in bench["times"]
-            }
-            waits = {p: r["halo_wait_s"] for p, r in policies.items()}
-            entry: dict = {
-                "policies": policies,
-                "overlap_efficiency": efficiency(waits),
-                "latency_s": bench["latency_s"],
-                "bandwidth_gbs": bench["bandwidth_gbs"],
-                "bytes_per_round": bench["bytes_per_round"],
-                "messages_per_round": bench["messages_per_round"],
-            }
-            # latency+bandwidth prediction for the measured traffic,
-            # from the same job's ping-pong link parameters
-            if bench["bandwidth_gbs"] > 0 and "blocking" in waits:
-                predicted = (
-                    bench["messages_per_round"] * bench["latency_s"]
-                    + bench["bytes_per_round"] / (bench["bandwidth_gbs"] * 1e9)
-                )
-                measured = waits["blocking"]
-                entry["model_check"] = {
-                    "predicted_s": predicted,
-                    "measured_s": measured,
-                    "ratio": measured / predicted if predicted > 0 else None,
-                }
-            out["transports"][transport] = entry
-            continue
         with DecompRuntime(
             gauge, mass, ranks=ranks, transport=transport,
-            policy="blocking", engine=engine, max_rhs=n_rhs, timeout=timeout,
+            policy="blocking", max_rhs=n_rhs, timeout=timeout,
         ) as rt:
             raced = _race_policies(rt, psi, repeats)
         policies = {
@@ -374,7 +236,6 @@ def bench_cg_headline(
         gauge,
         mass,
         ranks=ranks,
-        backend="halfspinor",
         policy=policy,
         timeout=timeout,
     ) as op:
@@ -399,59 +260,6 @@ def bench_cg_headline(
             np.allclose(dist.x, x_serial, rtol=1e-5, atol=1e-8)
         ),
     }
-
-
-def bench_cg_engine_race(
-    *,
-    ranks: int = 4,
-    n_rhs: int = N_RHS,
-    tol: float = 1e-8,
-    max_iter: int = 600,
-    mass: float = 0.12,
-    timeout: float = 600.0,
-) -> dict:
-    """Batched 12-RHS distributed CGNE: compiled SoA engine (overlap
-    schedule) vs the interpreted fused engine (blocking) at the
-    acceptance volume.  Only meaningful where numba imports — the
-    caller gates on :data:`~repro.dirac.kernels.NUMBA_AVAILABLE`."""
-    from repro.comm.distributed import DistributedCG, DistributedEvenOddOperator
-    from repro.lattice import GaugeField, Geometry
-    from repro.utils.rng import make_rng
-
-    geom = Geometry(*CG_VOLUME)
-    gauge = GaugeField.random(geom, make_rng(21), scale=0.35)
-    rng = make_rng(9)
-    shape = (n_rhs,) + geom.dims + (4, 3)
-    b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-    out: dict = {
-        "volume": "x".join(map(str, CG_VOLUME)),
-        "n_rhs": n_rhs,
-        "ranks": ranks,
-    }
-    answers = {}
-    for engine, policy in (("interpreted", "blocking"), ("compiled", "overlap")):
-        with DistributedEvenOddOperator(
-            gauge, mass, ranks=ranks, engine=engine, policy=policy,
-            timeout=timeout,
-        ) as op:
-            solver = DistributedCG(op, tol=tol, max_iter=max_iter)
-            solver.solve_batched(b[:1])  # warm-up
-            t0 = time.perf_counter()
-            res = solver.solve_batched(b)
-            out[engine] = {
-                "seconds": time.perf_counter() - t0,
-                "policy": policy,
-                "iterations": int(res.iterations),
-                "converged": bool(res.converged.all()),
-            }
-            answers[engine] = res.x
-    out["speedup"] = out["interpreted"]["seconds"] / out["compiled"]["seconds"]
-    out["allclose"] = bool(
-        np.allclose(answers["interpreted"], answers["compiled"],
-                    rtol=1e-5, atol=1e-8)
-    )
-    return out
 
 
 def run(
@@ -502,20 +310,11 @@ def run(
         "ranks": race_ranks,
         "source": res.source,
         "best": res.best.name,
-        "best_engine": res.best_engine,
         "ranking": [[p.name, t] for p, t in res.ranking()],
         "speedup_vs_worst": res.speedup_vs_worst,
     }
 
-    # per-engine rows (interpreted vs compiled, per policy, per nrhs)
-    # with the overlap-hiding fraction, on the acceptance volume
-    results["engine_rows"] = bench_engines(
-        gauge, mass, ranks=race_ranks, n_rhs_list=(1, N_RHS), repeats=repeats
-    )
-
-    # per-transport halo rows (threads/shm/loopback/mpi) on the small
-    # ladder volume; transports the host cannot run degrade to a
-    # skip-with-reason entry rather than failing the benchmark
+    # per-transport halo rows (threads/shm) on the small ladder volume
     label, dims = HALO_VOLUMES[0]
     geom = Geometry(*dims)
     results["transport_halo"] = bench_transport_halo(
@@ -528,17 +327,6 @@ def run(
 
     if cg_ranks is not None:
         results["cg_headline"] = bench_cg_headline(ranks=cg_ranks, mass=mass)
-        from repro.dirac.kernels import NUMBA_AVAILABLE
-
-        if NUMBA_AVAILABLE:
-            results["cg_engine_race"] = bench_cg_engine_race(
-                ranks=cg_ranks, mass=mass
-            )
-        else:
-            results["cg_engine_race"] = {
-                "skipped": "numba unavailable: the compiled engine would "
-                "race its interpreted fallback bodies"
-            }
     return results
 
 

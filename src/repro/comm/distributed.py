@@ -5,10 +5,8 @@ Every rank runs the *same* program, :func:`rank_main`: a
 serving ``(cmd, field, args)`` messages from a channel through one
 dispatch, :func:`rank_command`.  How ranks are started is a scheduling
 decision, never a second program: a *launcher* starts ``rank_main`` n
-times (threads, threads over the MPI fabric, spawned processes) and
-hands the driver its channel ends; the ``mpiexec`` job
-(:mod:`repro.comm.mpi_worker`) is the same context and dispatch fed one
-command from a job file.  The driver (:class:`DecompRuntime`) scatters
+times (threads or spawned processes) and hands the driver its channel
+ends.  The driver (:class:`DecompRuntime`) scatters
 global fields into per-rank blocks, sends a command down every channel
 and gathers the replies; how a field crosses that boundary is the
 channel's business alone.  The facades at the bottom mirror the serial
@@ -81,16 +79,8 @@ from repro.comm.decomp import RankGrid, slab_grid
 from repro.comm.exchange import EXECUTED_POLICIES, HaloExchanger, face_index
 from repro.comm.shm import Fabric, FabricSpec, ShmArena, ShmFabric, ThreadShared
 from repro.dirac.evenodd_wilson import WilsonSchur, parity_fields
-from repro.dirac.kernels import make_kernel
+from repro.dirac.kernels import HalfSpinorKernel
 from repro.dirac.kernels.base import DslashKernel
-from repro.dirac.kernels.numba_soa import SoAHalfSpinorKernel
-from repro.dirac.kernels.soa import pack_fermion, unpack_fermion
-from repro.dirac.kernels.soa_dist import (
-    _HOPPING_DIST,
-    _PACK_FACES,
-    EMPTY_GHOST,
-    distributed_tables,
-)
 from repro.lattice.gauge import GaugeField
 from repro.solvers.cg import BatchedSolveResult, ConjugateGradient
 from repro.solvers.multiprec import ReliableUpdateCG
@@ -98,21 +88,13 @@ from repro.solvers.precision import SinglePrecision
 from repro.utils.spawn import spawn_context
 
 __all__ = [
-    "ENGINES",
     "RankStencil",
-    "SoARankStencil",
     "SliceReducer",
     "DecompRuntime",
     "DistributedWilsonOperator",
     "DistributedEvenOddOperator",
     "DistributedCG",
 ]
-
-#: Executed dslash engines: ``interpreted`` is the NumPy half-spinor
-#: stencil (:class:`RankStencil`), ``compiled`` the SoA kernel tier
-#: (:class:`SoARankStencil`, numba-JIT where numba imports and the same
-#: kernel body interpreted where it does not).
-ENGINES = ("interpreted", "compiled")
 
 LOW, HIGH = 0, 1
 
@@ -209,135 +191,6 @@ class RankStencil:
         return out
 
 
-# ---------------------------------------------------------------------------
-# rank-side stencil, compiled SoA engine
-# ---------------------------------------------------------------------------
-
-
-class SoARankStencil(RankStencil):
-    """The Wilson hopping term on one rank's block, over the SoA tier.
-
-    The execution engine is the batched SoA stencil of
-    :mod:`repro.dirac.kernels.soa_dist` — numba-JIT where numba imports,
-    the identical body interpreted where it does not.  The distributed
-    neighbour tables encode ghost reads directly (``-(slot) - 1``
-    entries), so the kernel consumes received faces in place with no
-    halo-padded copy of the field.
-
-    The SoA kernel body carries the ``-1/2`` in its accumulate lines, so
-    the per-site float64 operation chain is *identical* to the serial
-    ``numba_soa`` backend — distributed output is bitwise equal to the
-    serial kernel for every rank grid and policy.
-
-    The schedule is :class:`RankStencil`'s; what runs inside it differs.
-    The interior/surface split gives true comm/compute overlap: under
-    the ``overlap`` policy the interior site list (no ghost reads) runs
-    between :meth:`HaloExchanger.begin` and ``complete``, then the
-    surface list consumes the ghosts.  Since both lists partition the
-    site set and each site's chain never depends on the other list,
-    overlap output is bitwise equal to blocking.
-    """
-
-    def __init__(
-        self,
-        kernel: SoAHalfSpinorKernel,
-        grid: RankGrid,
-        rank: int,
-        fabric: Fabric,
-        policy: str = "blocking",
-    ):
-        super().__init__(kernel, grid, rank, fabric, policy)
-        self._dist = distributed_tables(kernel.geometry.dims, self.part)
-
-    # -- face pack / ghost fill ---------------------------------------------
-    def _pack_mu(self, mu: int, n: int, phi_re, phi_im) -> dict:
-        """SoA face buffers for one direction: projected low face and
-        ``U^H``-multiplied high face, 12 reals per site per RHS."""
-        k = self.kernel
-        ws = k.workspace
-        dt = self._dist
-        t = k._tables
-        F = dt.face_volume[mu]
-        fbuf = ws.get(f"dx_face_f{mu}", (2, n, 2, 3, F), np.float64)
-        bbuf = ws.get(f"dx_face_b{mu}", (2, n, 2, 3, F), np.float64)
-        _PACK_FACES(fbuf, phi_re, phi_im, k._ud_re, k._ud_im,
-                    dt.face_sites[(mu, LOW)], mu, 0,
-                    t.a_idx, t.a_re, t.a_im)
-        _PACK_FACES(bbuf, phi_re, phi_im, k._ud_re, k._ud_im,
-                    dt.face_sites[(mu, HIGH)], mu, 1,
-                    t.a_idx, t.a_re, t.a_im)
-        return {("f", mu): fbuf, ("b", mu): bbuf}
-
-    def _fill_ghosts(self, halos: dict, ghosts) -> None:
-        """Copy received faces into the per-direction ghost segments."""
-        gf_re, gf_im, gb_re, gb_im = ghosts
-        dt = self._dist
-        for mu in self.part:
-            off = dt.ghost_offset[mu]
-            F = dt.face_volume[mu]
-            f = halos[("f", mu)]
-            gf_re[:, :, :, off:off + F] = f[0]
-            gf_im[:, :, :, off:off + F] = f[1]
-            b = halos[("b", mu)]
-            gb_re[:, :, :, off:off + F] = b[0]
-            gb_im[:, :, :, off:off + F] = b[1]
-
-    def _stencil(self, sites, phi_re, phi_im, out_re, out_im, ghosts) -> None:
-        k = self.kernel
-        t = k._tables
-        dt = self._dist
-        gf_re, gf_im, gb_re, gb_im = ghosts
-        _HOPPING_DIST(
-            out_re, out_im,
-            phi_re, phi_im,
-            k._u_re, k._u_im,
-            k._ud_re, k._ud_im,
-            dt.nbr_fwd, dt.nbr_bwd,
-            gf_re, gf_im, gb_re, gb_im,
-            sites,
-            t.a_idx, t.a_re, t.a_im,
-            t.r_row, t.r_re, t.r_im,
-        )
-
-    def hopping(self, phi: np.ndarray) -> np.ndarray:
-        """``H phi`` on the local block ``(n,) + local_dims + (4, 3)``."""
-        k = self.kernel
-        k.applications += 1
-        n = phi.shape[0]
-        sshape = (n, 4, 3, k.geometry.volume)
-        ws = k.workspace
-        phi_re = ws.get("phi_re", sshape, np.float64)
-        phi_im = ws.get("phi_im", sshape, np.float64)
-        out_re = ws.get("out_re", sshape, np.float64)
-        out_im = ws.get("out_im", sshape, np.float64)
-        t0 = time.perf_counter()
-        with obs.span("soa.pack", cat="layout", lead=n):
-            pack_fermion(phi, out_re=phi_re, out_im=phi_im)
-        k.pack_seconds += time.perf_counter() - t0
-        dt = self._dist
-        sites, ghosts = dt.all_sites, (EMPTY_GHOST,) * 4
-        if self.part:
-            gshape = (n, 2, 3, max(dt.n_ghost, 1))
-            ghosts = tuple(
-                ws.get(tag, gshape, np.float64)
-                for tag in ("dx_gf_re", "dx_gf_im", "dx_gb_re", "dx_gb_im")
-            )
-            halos, _ = self._halo(
-                lambda mu: self._pack_mu(mu, n, phi_re, phi_im),
-                lambda: self._stencil(dt.interior_sites, phi_re, phi_im,
-                                      out_re, out_im, ghosts),
-            )
-            self._fill_ghosts(halos, ghosts)
-            if self.policy == "overlap":
-                sites = dt.surface_sites
-        self._stencil(sites, phi_re, phi_im, out_re, out_im, ghosts)
-        t1 = time.perf_counter()
-        with obs.span("soa.unpack", cat="layout", lead=n):
-            out = unpack_fermion(out_re, out_im, phi.shape)
-        k.unpack_seconds += time.perf_counter() - t1
-        return out
-
-
 class SliceReducer:
     """Decomposition-invariant batched inner products.
 
@@ -397,54 +250,22 @@ def _normalize_policy(policy, grid: RankGrid) -> str:
     return policy
 
 
-def _normalize_engine(engine) -> str:
-    from repro.dirac.kernels.numba_soa import NUMBA_AVAILABLE
-
-    if engine in (None, "auto"):
-        # compiled only where numba actually JITs: the interpreted
-        # execution of the SoA kernel body is a correctness vehicle, not
-        # a production engine.
-        return "compiled" if NUMBA_AVAILABLE else "interpreted"
-    if engine in ENGINES:
-        return engine
-    raise ValueError(
-        f"unknown dslash engine {engine!r}; have {ENGINES + ('auto',)}"
-    )
-
-
-def _normalize_backend(backend, engine: str) -> str:
-    """The kernel an engine runs: the compiled one is ``numba_soa``, and
-    the interpreted one the half-spinor stencil — the only kernel with
-    spin-projected faces to exchange."""
-    if engine == "compiled":
-        return "numba_soa"
-    if backend in (None, "auto", "halfspinor"):
-        return "halfspinor"
-    raise ValueError(
-        f"unknown backend {backend!r} for the interpreted engine: the "
-        "distributed dslash runs the 'halfspinor' kernel (or pass "
-        "engine='compiled' for the SoA tier)"
-    )
-
-
 @dataclass(frozen=True)
 class RankPlan:
     """The validated, picklable value a run is built from, made once: the
-    driver, a spawned rank and an ``mpiexec`` rank hold the same plan, so
-    nothing is normalised or derived twice."""
+    driver and a spawned rank hold the same plan, so nothing is normalised
+    or derived twice."""
 
     grid: RankGrid
     mass: float
     policy: str  # the schedule ranks start under (``set_policy`` moves them)
-    engine: str
-    backend: str
     max_rhs: int
     timeout: float
 
     @classmethod
     def make(
         cls, dims, mass, *, ranks=None, grid=None, policy="blocking",
-        engine="interpreted", backend=None, max_rhs=12, timeout=60.0,
+        max_rhs=12, timeout=60.0,
     ) -> "RankPlan":
         """Normalise and check every knob of :class:`DecompRuntime` that
         reaches a rank — ``ValueError`` here, before any rank is started."""
@@ -453,10 +274,8 @@ class RankPlan:
                 raise ValueError("pass either ranks= or grid=")
             grid = slab_grid(dims, ranks)
         grid = RankGrid.make(dims, tuple(grid))
-        engine = _normalize_engine(engine)
-        backend = _normalize_backend(backend, engine)
         policy = _normalize_policy(policy, grid)
-        return cls(grid, float(mass), policy, engine, backend, int(max_rhs), float(timeout))
+        return cls(grid, float(mass), policy, int(max_rhs), float(timeout))
 
     @property
     def spec(self) -> FabricSpec:
@@ -495,25 +314,16 @@ class _RankContext:
         geometry = grid.local_geometry(rank)
         u_dag = np.conjugate(np.swapaxes(u_local, -1, -2))
         self.plan = plan
-        if plan.engine == "compiled":
-            kernel = SoAHalfSpinorKernel(u_local, u_dag, geometry)
-            self.stencil = SoARankStencil(kernel, grid, rank, fabric, plan.policy)
-        else:
-            kernel = make_kernel(plan.backend, u_local, u_dag, geometry)
-            self.stencil = RankStencil(kernel, grid, rank, fabric, plan.policy)
+        kernel = HalfSpinorKernel(u_local, u_dag, geometry)
+        self.stencil = RankStencil(kernel, grid, rank, fabric, plan.policy)
         hop = self.stencil.hopping
         #: the red-black chain on full-lattice local fields (field ops)
         self.eo = WilsonSchur(lambda x, parity: hop(x), mass, *parity_fields(geometry))
         #: the chain the solve runs: on checkerboard-packed fields where
         #: the layout splices across ranks (t, the packed axis,
-        #: unpartitioned; every global extent even; the SoA tier has no
-        #: packed layout), else the full-lattice one
+        #: unpartitioned; every global extent even), else the full-lattice one
         self.eo_solve = self.eo
-        if (
-            plan.engine != "compiled"
-            and 3 not in grid.partitioned
-            and all(L % 2 == 0 for L in grid.global_dims)
-        ):
+        if 3 not in grid.partitioned and all(L % 2 == 0 for L in grid.global_dims):
             self.eo_solve = WilsonSchur.packed(kernel, hop, mass)
         self._reducer_args = (fabric, grid, rank)
 
@@ -593,7 +403,6 @@ def rank_command(ctx: _RankContext, cmd: str, field, args) -> tuple:
     if cmd == "stats":
         ex = ctx.stencil.exchanger
         return None, {
-            "engine": ctx.plan.engine,
             "rounds": ex.rounds,
             "messages": ex.messages,
             "bytes_sent": ex.bytes_sent,
@@ -719,15 +528,8 @@ def _normalize_transport(transport) -> str:
                 "substrate (GPU Direct RDMA needs NIC support)"
             )
         return name
-    if transport in ("threads", "processes", "shm", "loopback"):
+    if transport in ("threads", "processes", "shm"):
         return "processes" if transport == "shm" else transport
-    if transport == "mpi":
-        raise ValueError(
-            "the mpi transport is launcher-driven (SPMD ranks under "
-            "mpiexec/srun), not an in-process worker pool; dispatch "
-            "through repro.comm.transports.dist_fieldwise/dist_solve, "
-            "which run the rank program as a repro.comm.mpi_worker job"
-        )
     raise ValueError(f"unknown transport {transport!r}")
 
 
@@ -743,25 +545,17 @@ class DecompRuntime:
         reduction axis) or an explicit 4D process grid.
     transport:
         ``"threads"`` (shared address space — the zero-copy/CUDA-IPC
-        analogue), ``"processes"``/``"shm"`` (spawned ranks over
-        ``multiprocessing.shared_memory`` — the staged-CPU analogue) or
-        ``"loopback"`` (rank threads whose fabric is the MPI
-        :class:`~repro.comm.mpifabric.MpiFabric` over an in-process
-        communicator — the testable tier of the launcher-driven
-        ``"mpi"`` transport, which itself lives in
-        :mod:`repro.comm.transports`).  :class:`TransferPath` values
-        are accepted.
+        analogue) or ``"processes"``/``"shm"`` (spawned ranks over
+        ``multiprocessing.shared_memory`` — the staged-CPU analogue).
+        :class:`TransferPath` values are accepted.
     policy:
         Executed halo policy (``"blocking"``/``"pairwise"``/``"overlap"``,
         or a :class:`CommPolicy`/:class:`HaloGranularity`).
     engine:
-        Dslash execution engine: ``"interpreted"`` (NumPy half-spinor
-        stencil), ``"compiled"`` (SoA tier with the interior/surface
-        split), or ``"auto"`` (compiled iff numba imported).
-    backend:
-        ``None``/``"auto"``/``"halfspinor"``: the interpreted engine runs
-        the half-spinor kernel and nothing else (``ValueError``
-        otherwise); the compiled engine always runs ``numba_soa``.
+        Only ``"interpreted"`` (the half-spinor stencil every rank runs);
+        anything else is a ``ValueError``.  The keyword is held only for
+        the end-to-end benchmark's ``prop12_dist_r2`` workload, which
+        passes it.
     max_rhs:
         Widest multi-RHS stack the transport is sized for.
     timeout:
@@ -779,19 +573,20 @@ class DecompRuntime:
         transport="threads",
         policy="blocking",
         engine="interpreted",
-        backend: str | None = None,
         antiperiodic_t: bool = True,
         max_rhs: int = 12,
         timeout: float = 60.0,
     ):
+        if engine != "interpreted":
+            raise ValueError(f"unknown dslash engine {engine!r}; the only one is 'interpreted'")
         self.geometry = gauge.geometry
         self._plan = plan = RankPlan.make(
             self.geometry.dims, mass, ranks=ranks, grid=grid, policy=policy,
-            engine=engine, backend=backend, max_rhs=max_rhs, timeout=timeout,
+            max_rhs=max_rhs, timeout=timeout,
         )
         self.transport = _normalize_transport(transport)
         self.grid, self.mass, self.max_rhs = plan.grid, plan.mass, plan.max_rhs
-        self.policy, self.engine, self.backend = plan.policy, plan.engine, plan.backend
+        self.policy = plan.policy
         self._closed = False
         self._arena: ShmArena | None = None
         self._chans, self._ranks = [], []
@@ -802,16 +597,7 @@ class DecompRuntime:
     def _thread(self, u: np.ndarray) -> None:
         """Ranks as daemon threads on queue channels."""
         plan, ranks = self._plan, range(self.grid.n_ranks)
-        if self.transport == "loopback":
-            # same rank threads, but every halo/reduce goes through
-            # Isend/Irecv/Ibarrier/allgather on an in-process communicator:
-            # how tier-1 keeps MpiFabric under test without mpi4py.
-            from repro.comm.mpifabric import LoopbackWorld, MpiFabric
-
-            world = LoopbackWorld(len(ranks), timeout=plan.timeout)
-            fabrics = [MpiFabric(plan.spec, plan.grid, world.comm(r)) for r in ranks]
-        else:
-            fabrics = list(map(ThreadShared(plan.spec).make_fabric, ranks))
+        fabrics = list(map(ThreadShared(plan.spec).make_fabric, ranks))
         for r in ranks:
             ours, theirs = _QueueChannel.pair()
             rank = _RankThread(
@@ -977,14 +763,6 @@ class DistributedWilsonOperator:
         self.runtime = DecompRuntime(gauge, mass, **kwargs)
         self.geometry = self.runtime.geometry
         self.mass = self.runtime.mass
-
-    @property
-    def backend(self) -> str:
-        return self.runtime.backend
-
-    @property
-    def engine(self) -> str:
-        return self.runtime.engine
 
     @property
     def policy(self) -> str:

@@ -175,18 +175,10 @@ class CommPolicy:
 
     @classmethod
     def from_executed(cls, transport: str, schedule: str) -> "CommPolicy":
-        """The modeled policy corresponding to an executed combination.
-
-        The launcher-driven ``mpi`` transport (and its in-process
-        ``loopback`` test tier) maps to ``staged-cpu`` — the modeled
-        path that stages through host memory and ships bytes with
-        regular MPI is exactly what the executed MPI fabric does — so
-        measured MPI rankings land on the same modeled axis as the
-        staged shm transport.
-        """
+        """The modeled policy corresponding to an executed combination
+        (``shm`` is the ``processes`` transport's public name)."""
         paths = {t: p for p, t in _EXECUTED_TRANSPORT.items()}
-        paths["mpi"] = TransferPath.STAGED_CPU
-        paths["loopback"] = TransferPath.STAGED_CPU
+        paths["shm"] = TransferPath.STAGED_CPU
         grans = {s: g for g, s in _EXECUTED_SCHEDULE.items()}
         if transport not in paths or schedule not in grans:
             raise ValueError(f"no modeled policy for {transport}/{schedule}")

@@ -83,9 +83,7 @@ class FabricSpec:
 
     def face_nbytes(self, mu: int) -> int:
         # full-spinor worst case (12 complex per site) so the same
-        # mailbox serves half-spinor stencil faces, SoA float64 ghost
-        # faces (12 reals per site, half this budget) and whole-field
-        # tests
+        # mailbox serves half-spinor stencil faces and whole-field tests
         sites = self.local_volume // self.local_dims[mu]
         return self.n_max * sites * 12 * 16
 

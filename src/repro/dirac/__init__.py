@@ -11,11 +11,9 @@ from repro.dirac.gamma import GAMMA, GAMMA5, P_MINUS, P_PLUS, proj_minus, proj_p
 from repro.dirac.kernels import (
     DEFAULT_BACKEND,
     available_backends,
-    dslash_tune_key,
     get_backend,
     make_kernel,
     register_backend,
-    select_backend,
 )
 from repro.dirac.wilson import WilsonOperator
 from repro.dirac.mobius import MobiusOperator
@@ -29,11 +27,9 @@ from repro.dirac.flops import (
 __all__ = [
     "DEFAULT_BACKEND",
     "available_backends",
-    "dslash_tune_key",
     "get_backend",
     "make_kernel",
     "register_backend",
-    "select_backend",
     "GAMMA",
     "GAMMA5",
     "P_MINUS",

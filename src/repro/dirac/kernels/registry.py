@@ -1,50 +1,29 @@
-"""Backend registry and autotuner-driven backend selection.
-
-Mirrors QUDA's policy tuning: every hopping-term implementation registers
-itself under a short name; at operator construction the caller either
-pins a backend explicitly or hands over a :class:`KernelAutotuner`, which
-times each registered backend **on the actual local volume** the first
-time the (kernel, volume, precision, backends) tune key is met and caches
-the winner in the persistent JSON tunecache.
+"""Backend registry: every hopping-term implementation registers itself
+under a short name, and an operator instantiates one by that name.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from repro.dirac.kernels.base import DslashKernel
 from repro.lattice.geometry import Geometry
-from repro.utils.rng import make_rng
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.autotune.kernel import KernelAutotuner, TuneKey
 
 __all__ = [
     "DEFAULT_BACKEND",
-    "ORACLE_RTOL",
-    "ORACLE_ATOL",
     "register_backend",
     "get_backend",
     "available_backends",
     "make_kernel",
-    "dslash_tune_key",
-    "select_backend",
-    "verify_backends",
 ]
-
-#: Promotion gate: a backend may only enter the autotuner race if its
-#: output matches the ``reference`` oracle within these bounds (a few
-#: hundred ulp of double precision — summation-order slack only).
-ORACLE_RTOL = 1e-10
-ORACLE_ATOL = 1e-12
 
 _REGISTRY: dict[str, type[DslashKernel]] = {}
 
-#: Backend used when no autotuner is supplied.  The half-spinor kernel is
-#: algebraically identical to the reference stencil (same stencil, spin
-#: work halved), so it is the safe-and-fast default.
+#: The production backend.  The half-spinor kernel is algebraically
+#: identical to the reference stencil (same stencil, spin work halved);
+#: ``reference`` is kept as the test oracle.
 DEFAULT_BACKEND = "halfspinor"
 
 
@@ -79,144 +58,3 @@ def available_backends() -> tuple[str, ...]:
 def make_kernel(name: str, u: np.ndarray, u_dag: np.ndarray, geometry: Geometry) -> DslashKernel:
     """Instantiate a registered backend on a gauge background."""
     return get_backend(name)(u, u_dag, geometry)
-
-
-def _env_aux() -> str:
-    """Import-availability + layout fingerprint of this process.
-
-    Read at call time (not import time) so a tunecache written on a
-    numba-enabled host is invalidated — not silently replayed — on a
-    host where numba cannot be imported, and vice versa.  The SoA layout
-    version rides along for the same reason: repacking the compiled
-    tier's memory layout re-races every cached winner.
-    """
-    from repro.comm.mpifabric import MPI4PY_AVAILABLE
-    from repro.dirac.kernels import numba_soa
-    from repro.dirac.kernels.soa import SOA_LAYOUT_VERSION
-
-    return (
-        f"numba={int(numba_soa.NUMBA_AVAILABLE)};soa=v{SOA_LAYOUT_VERSION};"
-        f"mpi4py={int(MPI4PY_AVAILABLE)}"
-    )
-
-
-def dslash_tune_key(
-    geometry: Geometry,
-    precision: str = "double",
-    n_rhs: int = 1,
-    storage: str = "double",
-    grid: tuple | None = None,
-    policy: str | None = None,
-    engine: str | None = None,
-    transport: str | None = None,
-) -> "TuneKey":
-    """The tune key under which a backend choice is cached.
-
-    Keyed exactly like QUDA's kernel tuning: local volume, precision and
-    an aux string carrying the multi-RHS batch width, the compute dtype,
-    the Krylov-vector *storage* precision (``double`` or ``half`` — the
-    reliable-update sloppy tier tunes separately from the outer solve),
-    the import-availability/SoA-layout fingerprint of this process, and
-    the candidate set (so adding a backend later invalidates stale
-    cached winners).
-
-    Distributed entries additionally carry the rank-grid shape, the
-    executed halo policy, the dslash engine and the halo *transport*:
-    the fastest backend on a rank's *local* volume depends on the grid's
-    surface-to-volume shape, on whether the compiled SoA tier drives the
-    stencil, and on what the rank pays per halo round (shared-memory
-    mailboxes vs executed MPI messages), so those choices must never
-    replay across a different decomposition — a winner recorded under
-    the shm transport is re-raced, not replayed, under MPI.
-    """
-    from repro.autotune.kernel import TuneKey
-
-    aux = (
-        f"nrhs={n_rhs};dtype=complex128;storage={storage};{_env_aux()};"
-        f"backends={','.join(available_backends())}"
-    )
-    if grid is not None:
-        aux += f";grid={'x'.join(str(g) for g in grid)}"
-    if policy is not None:
-        aux += f";policy={policy}"
-    if engine is not None:
-        aux += f";engine={engine}"
-    if transport is not None:
-        aux += f";transport={transport}"
-    return TuneKey("wilson_hopping", geometry.volume, precision, aux)
-
-
-def verify_backends(
-    kernels: dict[str, DslashKernel],
-    sample: np.ndarray,
-    rtol: float = ORACLE_RTOL,
-    atol: float = ORACLE_ATOL,
-) -> tuple[dict[str, DslashKernel], list[str]]:
-    """Oracle gate for backend promotion.
-
-    Applies every kernel once to ``sample`` and compares against the
-    ``reference`` kernel's output; returns ``(verified, rejected)``
-    where only verified backends may enter the autotuner race.  A
-    backend whose stencil has drifted from the oracle (a miscompiled or
-    layout-corrupted tier) is thereby *never* promoted to production
-    solves, no matter how fast it runs.
-    """
-    ref = kernels.get("reference")
-    if ref is None:  # degenerate registry: nothing to verify against
-        return dict(kernels), []
-    oracle = ref.hopping(sample)
-    verified: dict[str, DslashKernel] = {"reference": ref}
-    rejected: list[str] = []
-    for name, kernel in kernels.items():
-        if name == "reference":
-            continue
-        if np.allclose(kernel.hopping(sample), oracle, rtol=rtol, atol=atol):
-            verified[name] = kernel
-        else:
-            rejected.append(name)
-    return verified, rejected
-
-
-def select_backend(
-    tuner: "KernelAutotuner",
-    u: np.ndarray,
-    u_dag: np.ndarray,
-    geometry: Geometry,
-    precision: str = "double",
-    n_rhs: int = 1,
-    storage: str = "double",
-    grid: tuple | None = None,
-    policy: str | None = None,
-    engine: str | None = None,
-    transport: str | None = None,
-) -> str:
-    """Resolve the fastest backend for this volume via the autotuner.
-
-    On first encounter every registered backend runs on a deterministic
-    random fermion stack of the given batch width, is verified against
-    the reference oracle (:func:`verify_backends` — promotion is gated
-    on bitwise/ulp-bounded agreement), and the winner of the race over
-    the verified set is cached under :func:`dslash_tune_key` (and
-    persists through the tuner's JSON tunecache).  Subsequent calls —
-    including in fresh processes that loaded the tunecache — are pure
-    lookups.
-    """
-    from repro import obs
-
-    key = dslash_tune_key(
-        geometry, precision=precision, n_rhs=n_rhs, storage=storage,
-        grid=grid, policy=policy, engine=engine, transport=transport,
-    )
-    cached = tuner.backend_choice(key)
-    if cached is not None and cached in _REGISTRY:
-        return cached
-    rng = make_rng(geometry.volume)
-    shape = (n_rhs,) + geometry.dims + (4, 3)
-    sample = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    kernels = {name: make_kernel(name, u, u_dag, geometry) for name in available_backends()}
-    verified, rejected = verify_backends(kernels, sample)
-    candidates = {name: (lambda k=k: k.hopping(sample)) for name, k in verified.items()}
-    with obs.span("dslash.tune", cat="tune", key=key.as_string()) as sp:
-        entry = tuner.tune_backend(key, candidates)
-        sp.set(winner=entry.backend, rejected=",".join(rejected))
-    return entry.backend

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.dirac import gamma as g
 from repro.dirac.flops import mobius_dslash_flops_per_5d_site
+from repro.dirac.kernels import DEFAULT_BACKEND
 from repro.dirac.wilson import WilsonOperator
 from repro.lattice.gauge import GaugeField
 
@@ -60,8 +61,8 @@ class MobiusOperator:
         Mobius coefficients; ``b5 - c5 = 1`` keeps the approach to the
         continuum 5th dimension Shamir-like while ``b5 + c5`` scales the
         effective ``Ls``.
-    backend, tuner:
-        Dslash backend selection for the 4D Wilson kernel, forwarded to
+    backend:
+        Dslash backend of the 4D Wilson kernel, forwarded to
         :class:`repro.dirac.wilson.WilsonOperator`.
     """
 
@@ -74,8 +75,7 @@ class MobiusOperator:
         b5: float = 1.5,
         c5: float = 0.5,
         antiperiodic_t: bool = True,
-        backend: str = "auto",
-        tuner=None,
+        backend: str = DEFAULT_BACKEND,
     ):
         if ls < 2:
             raise ValueError(f"ls must be >= 2, got {ls}")
@@ -88,7 +88,7 @@ class MobiusOperator:
         self.b5 = float(b5)
         self.c5 = float(c5)
         self.wilson = WilsonOperator(
-            gauge, mass=-m5, antiperiodic_t=antiperiodic_t, backend=backend, tuner=tuner
+            gauge, mass=-m5, antiperiodic_t=antiperiodic_t, backend=backend
         )
 
     @property

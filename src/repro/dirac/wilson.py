@@ -14,9 +14,8 @@ solver path); the four site axes are always the last six axes minus spin
 and colour, i.e. shape ``(..., Lx, Ly, Lz, Lt, 4, 3)``.
 
 The hopping term itself is computed by a pluggable *kernel backend*
-(:mod:`repro.dirac.kernels`): the ``reference`` einsum stencil, the
-spin-projected ``halfspinor`` kernels, or whichever backend a
-:class:`repro.autotune.KernelAutotuner` measured fastest on this volume.
+(:mod:`repro.dirac.kernels`): the spin-projected ``halfspinor`` kernel,
+or the ``reference`` einsum stencil the tests hold it against.
 """
 
 from __future__ import annotations
@@ -47,14 +46,8 @@ class WilsonOperator:
         Apply antiperiodic temporal boundary conditions (default, the
         physical choice for fermions at finite temporal extent).
     backend:
-        Dslash backend name, or ``"auto"``: resolve through ``tuner``
-        when one is supplied, else use the registry default
-        (:data:`repro.dirac.kernels.DEFAULT_BACKEND`).
-    tuner:
-        Optional :class:`repro.autotune.KernelAutotuner`.  With
-        ``backend="auto"`` every registered backend is timed on this
-        volume at first encounter and the winner is cached in the
-        tuner's persistent tunecache.
+        Dslash backend name (:data:`repro.dirac.kernels.DEFAULT_BACKEND`
+        unless a test pins the ``reference`` oracle).
     """
 
     def __init__(
@@ -62,19 +55,13 @@ class WilsonOperator:
         gauge: GaugeField,
         mass: float,
         antiperiodic_t: bool = True,
-        backend: str = "auto",
-        tuner=None,
+        backend: str = _kernels.DEFAULT_BACKEND,
     ):
         self.geometry = gauge.geometry
         self.mass = float(mass)
         self.u = gauge.fermion_links(antiperiodic_t=antiperiodic_t)
         self.u_dag = np.conjugate(np.swapaxes(self.u, -1, -2))
         self._kernels: dict[str, _kernels.DslashKernel] = {}
-        if backend == "auto":
-            if tuner is not None:
-                backend = _kernels.select_backend(tuner, self.u, self.u_dag, self.geometry)
-            else:
-                backend = _kernels.DEFAULT_BACKEND
         self.set_backend(backend)
 
     # -- backend routing -----------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.simulator import ClusterSim, Dispatch, Placement, Task, TaskState
-from repro.comm.mpi import MPI_IMPLEMENTATIONS, MPIImplementation
+from repro.machines.mpi import MPI_IMPLEMENTATIONS, MPIImplementation
 from repro.runtime.policies import POLICIES
 
 __all__ = ["MpiJmConfig", "MpiJmStats", "MpiJm", "startup_time"]

@@ -16,6 +16,7 @@ from repro.machines.registry import (
     GPU_V100,
 )
 from repro.machines.attributes import PERFORMANCE_ATTRIBUTES
+from repro.machines.mpi import MPI_IMPLEMENTATIONS, MPIImplementation
 from repro.machines.software import SOFTWARE_STACK, SoftwarePackage
 
 __all__ = [
@@ -27,6 +28,8 @@ __all__ = [
     "GPU_P100",
     "GPU_V100",
     "PERFORMANCE_ATTRIBUTES",
+    "MPI_IMPLEMENTATIONS",
+    "MPIImplementation",
     "SOFTWARE_STACK",
     "SoftwarePackage",
 ]

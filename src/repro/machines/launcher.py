@@ -3,8 +3,9 @@
 One campaign spec must run laptop → multi-node unchanged: the machine
 registry (Table II) — or, off-registry, the host's ``PATH`` — picks how
 rank programs are started.  A :class:`Launcher` knows only how to turn
-``(n_ranks, argv)`` into a command line; everything else (job files,
-environment, result collection) lives in :mod:`repro.comm.mpilaunch`.
+``(n_ranks, argv)`` into a command line.  Nothing here starts a process:
+the launchers are the modeled Table II starters, and mpi_jm's lumped
+launches (:mod:`repro.jobmgr.mpijm`) read their DPM gating from here.
 
 Three runners cover the space:
 
@@ -16,13 +17,12 @@ Three runners cover the space:
     class) where jobs run inside an allocation.
 ``no_mpi``
     The degenerate single-rank runner: ``build_command(1, argv)`` is
-    ``argv`` itself, and any wider request raises — the graceful-skip
-    path every suite degrades to when no MPI stack is present.
+    ``argv`` itself, and any wider request raises — what a host
+    without an MPI stack gets.
 
-DPM capability rides along from :mod:`repro.comm.mpi`: machines whose
+DPM capability rides along from :mod:`repro.machines.mpi`: machines whose
 MPI stack lacks ``MPI_Comm_spawn_multiple`` (SpectrumMPI) cannot host
-``mpi_jm``-style lumped launches, which the scheduler models and the
-launcher now reports executably.
+``mpi_jm``-style lumped launches, which the scheduler models.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import shutil
 from dataclasses import dataclass
 
-from repro.comm.mpi import MPI_IMPLEMENTATIONS, MPIImplementation
+from repro.machines.mpi import MPI_IMPLEMENTATIONS, MPIImplementation
 from repro.machines.registry import MachineSpec
 
 __all__ = [
@@ -85,7 +85,7 @@ LAUNCHERS: dict[str, Launcher] = {
 #: registry launches through ``mpiexec``.
 _SRUN_MACHINES = frozenset({"sierra"})
 
-#: ``MachineSpec.mpi`` prefix -> :data:`repro.comm.mpi.MPI_IMPLEMENTATIONS`
+#: ``MachineSpec.mpi`` prefix -> :data:`repro.machines.mpi.MPI_IMPLEMENTATIONS`
 #: key (Cray MPICH has no modeled entry — its traits never fed Fig. 5).
 _MPI_PREFIXES = {
     "spectrum": "spectrum",

@@ -22,7 +22,19 @@ from __future__ import annotations
 
 from repro.runtime.tasks import CampaignTask, TaskGraph
 
-__all__ = ["build_ga_campaign", "build_sleep_campaign", "build_from_spec"]
+__all__ = [
+    "SOLVER_MODES",
+    "DIST_TRANSPORTS",
+    "build_ga_campaign",
+    "build_sleep_campaign",
+    "build_from_spec",
+]
+
+#: How a 12-source task solves its red-black system (``exec_tasks``).
+SOLVER_MODES = ("percolumn", "batched", "block", "distributed")
+#: :data:`repro.comm.transports.TRANSPORTS`, spelled out so that building
+#: (and so admitting) a spec never imports the comm stack into a driver.
+DIST_TRANSPORTS = ("threads", "shm")
 
 
 def _mass_tag(i: int, mass: float) -> str:
@@ -50,16 +62,22 @@ def build_ga_campaign(
     / rank-parallel distributed solves of the red-black system for all
     12-source tasks; with
     ``solver_mode="distributed"``, ``dist_ranks`` and ``dist_transport``
-    (``threads``/``shm``/``loopback``/``mpi`` — ``mpi`` relaunches each
-    solve under the machine's launcher) pick the decomposition and the
-    executed halo transport.  A non-empty ``shifts`` tuple adds one
-    ``multishift_prop``
-    task on the base mass solving the whole shifted family
+    (``threads``/``shm``) pick the decomposition and the executed halo
+    transport.  An unknown mode or transport, or fewer than one rank, is
+    a ``ValueError`` here, before any task runs.  A non-empty ``shifts``
+    tuple adds one ``multishift_prop`` task on the base mass solving the
+    whole shifted family
     ``(D^H D + sigma_i)`` in one Krylov sweep.
 
     The defaults reproduce the historical per-column campaign
     bit-for-bit.
     """
+    if solver_mode not in SOLVER_MODES:
+        raise ValueError(f"unknown solver_mode {solver_mode!r}; have {SOLVER_MODES}")
+    if solver_mode == "distributed" and dist_transport not in DIST_TRANSPORTS:
+        raise ValueError(f"unknown dist_transport {dist_transport!r}; have {DIST_TRANSPORTS}")
+    if solver_mode == "distributed" and int(dist_ranks) < 1:
+        raise ValueError(f"dist_ranks must be >= 1, got {dist_ranks}")
     masses = tuple(float(m) for m in masses)
     if t_snk is None:
         t_snk = dims[3] // 2

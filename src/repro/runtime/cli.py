@@ -19,7 +19,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.runtime.builder import build_from_spec, build_ga_campaign
+from repro.runtime.builder import (
+    DIST_TRANSPORTS,
+    SOLVER_MODES,
+    build_from_spec,
+    build_ga_campaign,
+)
 from repro.runtime.campaign import CampaignConfig, CampaignRuntime
 from repro.runtime.faults import FaultPlan, FaultSpec
 from repro.runtime.ledger import replay_ledger
@@ -177,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--no-seq", action="store_true",
                        help="skip the Feynman-Hellmann sequential solves")
     p_run.add_argument("--solver-mode",
-                       choices=["percolumn", "batched", "block", "distributed"],
+                       choices=SOLVER_MODES,
                        default="percolumn",
                        help="how the 12-source solves of the one system, "
                        "red-black (Schur) preconditioned CGNE on "
@@ -188,19 +193,17 @@ def main(argv: list[str] | None = None) -> int:
                        "(work at risk <= --checkpoint-every stacked "
                        "iterations). batched: the whole 12-stack, single "
                        "shot. distributed: the rank-parallel decomposition "
-                       "runtime (compiled SoA engine where numba imports). "
+                       "runtime. "
                        "block: the 12-stack in one true shared-Krylov "
                        "block CG")
     p_run.add_argument("--dist-ranks", type=int, default=2,
                        help="rank count for --solver-mode distributed")
     p_run.add_argument("--dist-transport",
-                       choices=["threads", "shm", "loopback", "mpi"],
+                       choices=DIST_TRANSPORTS,
                        default="threads",
                        help="halo transport for --solver-mode distributed: "
-                       "in-process thread fabric, shared-memory worker "
-                       "processes, the in-process MPI-fabric loopback, or "
-                       "real launcher-spawned mpi4py ranks (one mpiexec/"
-                       "srun launch per solve; needs the mpi extra)")
+                       "in-process thread fabric or shared-memory worker "
+                       "processes")
     p_run.add_argument("--shifts", type=float, nargs="*", default=[],
                        help="add a multishift_prop task solving "
                        "(D^H D + sigma_i) for this shift family on the "

@@ -66,6 +66,7 @@ from repro.dirac.wilson import WilsonOperator
 from repro.io.container import ArtifactStore, FieldFile, verify_artifacts
 from repro.lattice import GaugeField, Geometry
 from repro.lattice.gaugefix import GaugeFixer
+from repro.runtime.builder import SOLVER_MODES
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.faults import FaultSpec
 from repro.solvers.blockcg import BlockCG
@@ -281,9 +282,6 @@ def _wilson_solve(params: dict, ctx: ExecContext):
 
 def _solve_distributed(params: dict, gauge, sources, tol: float, max_iter: int):
     """The 12-column solve through the rank-parallel decomposition runtime."""
-    # dist_transport="mpi" is launcher-driven: the whole CG runs inside
-    # one rank program (one subprocess per task, not one per operator
-    # apply); every other transport is an in-process worker pool
     from repro.comm.transports import dist_solve
 
     return dist_solve(
@@ -295,7 +293,6 @@ def _solve_distributed(params: dict, gauge, sources, tol: float, max_iter: int):
         tol=tol,
         max_iter=max_iter,
         policy=str(params.get("dist_policy", "blocking")),
-        engine=str(params.get("dist_engine", "auto")),
     )
 
 
@@ -331,11 +328,8 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
         The 12-stack through the rank-parallel decomposition runtime
         (:func:`repro.comm.transports.dist_solve`) on a collective
         reducer, deterministic for any rank count.  ``dist_ranks``/
-        ``dist_engine``/``dist_policy``/``dist_transport`` select the
-        decomposition; the compiled SoA engine is picked automatically
-        where numba imports.  ``dist_transport`` accepts ``threads``/
-        ``shm``/``loopback`` (in-process) and ``mpi`` (the whole solve
-        relaunched under the machine's launcher).
+        ``dist_policy``/``dist_transport`` (``threads``/``shm``) select
+        the decomposition.
     ``block``
         The 12-stack in one true block CGNE (a Krylov space shared by
         the 12 columns).
@@ -348,7 +342,7 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
     count), the stacked count otherwise.
     """
     gauge, wilson, mode, solver = _wilson_solve(params, ctx)
-    if mode not in ("percolumn", "batched", "block", "distributed"):
+    if mode not in SOLVER_MODES:
         raise ValueError(f"{ctx.task_id}: unknown solver_mode {mode!r}")
     geom = gauge.geometry
     site = tuple(params.get("site", (0, 0, 0, 0)))

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.cluster.simulator import ClusterSim, Task
 from repro.cluster.workload import WorkloadSpec, make_propagator_workload
-from repro.comm.mpi import MPI_IMPLEMENTATIONS
+from repro.machines.mpi import MPI_IMPLEMENTATIONS
 from repro.jobmgr.metaq import METAQ
 from repro.jobmgr.mpijm import MpiJm, MpiJmConfig
 from repro.machines.registry import MachineSpec

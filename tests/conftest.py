@@ -41,25 +41,14 @@ except ImportError:  # pragma: no cover - hypothesis is a test extra
     pass
 
 
-@pytest.fixture(params=("threads", "shm", "loopback", "mpi"))
+@pytest.fixture(params=("threads", "shm"))
 def transport(request) -> str:
-    """Every executed distributed transport, skip-with-reason gated.
+    """Every executed distributed transport.
 
     The distributed parity suites parameterize over this fixture so
-    ``serial == threads == shm == loopback == mpi`` is asserted from one
-    source of truth.  Transports the host cannot run (mpi4py absent, no
-    launcher on PATH) skip with the capability probe's reason instead of
-    failing; the ``mpi`` case relaunches each operation as an SPMD rank
-    program under the machine's launcher (``mpiexec -n N``) through
-    :mod:`repro.comm.mpilaunch`.
+    ``serial == threads == shm`` is asserted from one source of truth.
     """
-    from repro.comm.transports import transport_available
-
-    name = request.param
-    ok, reason = transport_available(name)
-    if not ok:
-        pytest.skip(f"transport {name!r} unavailable: {reason}")
-    return name
+    return request.param
 
 
 @pytest.fixture

@@ -33,12 +33,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "min V100 GPUs" in out
 
-    def test_backends_section(self, capsys):
-        assert main(["--section", "backends"]) == 0
+    def test_kernels_section(self, capsys):
+        """The kernel tiers are the production stencil and its oracle."""
+        assert main(["--section", "kernels"]) == 0
         out = capsys.readouterr().out
-        assert "Dslash backend autotuning" in out
-        assert "<- selected" in out
-        assert "wilson_hopping|v512" in out
+        assert "Dslash kernels" in out
+        assert "halfspinor" in out and "reference" in out
+        assert "numba" not in out and "SoA" not in out
 
     def test_comm_section_reports_both_rankings(self, capsys):
         assert main(["--section", "comm"]) == 0

@@ -12,13 +12,12 @@ from repro.comm import (
     CommPolicy,
     Decomposition,
     HaloGranularity,
-    MPI_IMPLEMENTATIONS,
     TransferPath,
     available_policies,
     best_decomposition,
     halo_message_bytes,
 )
-from repro.machines import get_machine
+from repro.machines import MPI_IMPLEMENTATIONS, get_machine
 
 
 class TestDecomposition:

@@ -6,8 +6,7 @@ operators bit for bit on any rank grid, any transport, any policy —
 *exact on any host*, because the rank stencils keep the serial kernel's
 per-site operation chain and no reduction is involved.  The
 ``transport`` fixture (``tests/conftest.py``) parameterizes the parity
-assertions over threads/shm/loopback/mpi from one source of truth, with
-unavailable transports skipping with the capability probe's reason.
+assertions over threads/shm from one source of truth.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ def test_hopping_and_apply_bitwise(dims, ranks):
     gauge, psi = _background(dims)
     serial = WilsonOperator(gauge, MASS, backend="halfspinor")
     with DistributedWilsonOperator(
-        gauge, MASS, ranks=ranks, backend="halfspinor", timeout=60.0
+        gauge, MASS, ranks=ranks, timeout=60.0
     ) as op:
         assert np.array_equal(op.runtime.hopping(psi), serial.hopping(psi))
         assert np.array_equal(op.apply(psi), serial.apply(psi))
@@ -57,7 +56,7 @@ def test_hopping_and_apply_bitwise(dims, ranks):
 
 @pytest.mark.parametrize("policy", ["blocking", "pairwise", "overlap"])
 def test_policies_all_bitwise(transport, policy):
-    """serial == threads == shm == loopback == mpi, every schedule."""
+    """serial == threads == shm, every schedule."""
     gauge, psi = _background((4, 6, 2, 8))
     serial = WilsonOperator(gauge, MASS, backend="halfspinor")
     got = dist_fieldwise(
@@ -139,13 +138,22 @@ def test_ghosts_follow_the_rhs_tile(monkeypatch, policy):
     assert np.array_equal(got, serial.hopping(psi))
 
 
-def test_unknown_backend_rejected_by_the_driver(transport):
-    """The interpreted engine runs the half-spinor kernel only: anything
-    else is a ``ValueError`` from the driver's constructor, before any
-    rank is started, on every transport."""
+def test_dist_fieldwise_rejects_unknown_op():
+    gauge, psi = _background((4, 6, 2, 8))
+    with pytest.raises(ValueError, match="unknown field op"):
+        dist_fieldwise("frob", gauge, MASS, psi, transport="threads", ranks=2)
+
+
+@pytest.mark.parametrize(
+    "knob", [{"transport": "mpi"}, {"transport": "loopback"}, {"engine": "compiled"}]
+)
+def test_one_engine_two_transports(knob):
+    """The half-spinor stencil over threads or shm is all there is: any
+    other engine or transport is a ``ValueError`` from the driver's
+    constructor, before any rank is started."""
     gauge, _ = _background((4, 6, 2, 8))
-    with pytest.raises(ValueError, match="backend 'reference'"):
-        DecompRuntime(gauge, MASS, ranks=2, transport=transport, backend="reference")
+    with pytest.raises(ValueError, match="unknown"):
+        DecompRuntime(gauge, MASS, ranks=2, **knob)
 
 
 def test_schur_ops_parity_across_transports(transport):
@@ -166,7 +174,7 @@ def test_overlap_equals_blocking_bitwise():
     """Regression: the interior/boundary split must change nothing."""
     gauge, psi = _background((8, 4, 2, 8))
     with DistributedWilsonOperator(
-        gauge, MASS, ranks=4, backend="halfspinor", policy="blocking", timeout=60.0
+        gauge, MASS, ranks=4, policy="blocking", timeout=60.0
     ) as op:
         blocking = op.apply(psi)
         op.runtime.set_policy("overlap")
@@ -179,7 +187,7 @@ def test_evenodd_schur_ops_bitwise():
     eo = EvenOddWilson(WilsonOperator(gauge, MASS, backend="halfspinor"))
     x = eo.restrict(psi, 0)
     with DistributedEvenOddOperator(
-        gauge, MASS, ranks=4, backend="halfspinor", timeout=60.0
+        gauge, MASS, ranks=4, timeout=60.0
     ) as op:
         assert np.array_equal(op.schur_apply(x), eo.schur_apply(x))
         assert np.array_equal(op.schur_dagger_apply(x), eo.schur_dagger_apply(x))
@@ -257,7 +265,7 @@ def test_cb_ineligible_when_t_partitioned():
 # -- failure paths: a rank that raises, a rank that dies ----------------------
 
 
-@pytest.mark.parametrize("transport", ["threads", "shm", "loopback"])
+@pytest.mark.parametrize("transport", ["threads", "shm"])
 def test_rank_side_error_closes_the_runtime(transport):
     """A command every rank fails comes back as one ``RuntimeError``
     carrying each rank's traceback, and leaves the runtime closed.  (The

@@ -3,7 +3,7 @@
 Global reductions go through the fixed-order per-x-slice table, so the
 solver's iterates — and therefore its answers and iteration counts — are
 invariant under the rank grid and, through the ``transport`` fixture,
-under threads/shm/loopback/mpi as well.  The guarantee is
+under threads/shm as well.  The guarantee is
 *deterministic, same host*: it holds for any BLAS because
 ``allreduce_rows`` sums in a fixed order, but the bits themselves differ
 between BLAS builds (each slice partial is a ``vdot``).
@@ -43,7 +43,7 @@ def test_cg_bitwise_invariant_under_ranks(dims):
     results = {}
     for ranks in (1, 2, 4):
         with DistributedEvenOddOperator(
-            gauge, MASS, ranks=ranks, backend="halfspinor", timeout=60.0
+            gauge, MASS, ranks=ranks, timeout=60.0
         ) as op:
             results[ranks] = DistributedCG(op, tol=TOL, max_iter=2000).solve_batched(b)
     assert results[1].converged.all()
@@ -64,7 +64,7 @@ def test_cg_obeys_the_halo_policy():
     one answer (deterministic, same host — the exchange is data movement,
     exact on any host, under an unchanged reduction order), and only
     ``overlap`` opens the interior window, timed once in the shared
-    schedule for both engines."""
+    schedule."""
     gauge, b = _sources((4, 4, 4, 8))
     results, interior = {}, {}
     for policy in ("blocking", "pairwise", "overlap"):
@@ -115,7 +115,7 @@ def test_cg_matches_legacy_serial_solver():
     )
     x_legacy = eo.reconstruct(legacy.x, b)
     with DistributedEvenOddOperator(
-        gauge, MASS, ranks=2, backend="halfspinor", timeout=60.0
+        gauge, MASS, ranks=2, timeout=60.0
     ) as op:
         dist = DistributedCG(op, tol=TOL, max_iter=2000).solve_batched(b)
     assert dist.converged.all()
@@ -128,7 +128,7 @@ def test_cg_true_residual_small():
     gauge, b = _sources((4, 4, 4, 8))
     serial = WilsonOperator(gauge, MASS, backend="halfspinor")
     with DistributedEvenOddOperator(
-        gauge, MASS, ranks=2, backend="halfspinor", timeout=60.0
+        gauge, MASS, ranks=2, timeout=60.0
     ) as op:
         res = DistributedCG(op, tol=TOL, max_iter=2000).solve_batched(b)
     r = b - serial.apply(res.x)
@@ -142,7 +142,7 @@ def test_cg_parity_across_transports(transport):
     counts, same final residuals."""
     gauge, b = _sources((4, 4, 4, 8), n_rhs=2)
     with DistributedEvenOddOperator(
-        gauge, MASS, ranks=2, backend="halfspinor", timeout=60.0
+        gauge, MASS, ranks=2, timeout=60.0
     ) as op:
         want = DistributedCG(op, tol=TOL, max_iter=2000).solve_batched(b)
     got = dist_solve(
@@ -163,7 +163,7 @@ def test_rucg_parity_across_transports(transport):
     same bits on one host) — and the answer solves the system."""
     gauge, b = _sources((4, 4, 4, 8), n_rhs=2)
     with DistributedEvenOddOperator(
-        gauge, MASS, ranks=2, backend="halfspinor", timeout=60.0
+        gauge, MASS, ranks=2, timeout=60.0
     ) as op:
         want = DistributedCG(
             op, tol=TOL, max_iter=2000, reliable=True, delta=0.1
@@ -264,12 +264,3 @@ def test_delta_none_is_sqrt_eps_and_explicit_delta_is_honoured():
     assert (default.reliable_updates, half.reliable_updates) == (1, 3)
     assert default.iterations == double.iterations
     assert half.converged.all() and half.matvecs > default.matvecs == double.matvecs
-
-
-def test_mpi_worker_selftest_over_loopback():
-    """The ``mpi-parity`` leg's pre-suite smoke (hopping parity plus one
-    ``cg`` job against its 1-rank answer), run where mpi4py is absent."""
-    from repro.comm.mpi_worker import _selftest
-    from repro.comm.transports import run_loopback_spmd
-
-    assert run_loopback_spmd(2, _selftest, timeout=60.0) == [0, 0]

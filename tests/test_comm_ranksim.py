@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm import DistributedWilsonOperator, RankGrid, halo_message_bytes
+from repro.comm import DecompRuntime, DistributedWilsonOperator, RankGrid, halo_message_bytes
 from repro.dirac import WilsonOperator
 from repro.lattice import GaugeField, Geometry
 from repro.utils.rng import make_rng
@@ -115,3 +115,56 @@ class TestDistributedWilson:
         with DistributedWilsonOperator(gauge, 0.2, grid=(2, 1, 1, 1), timeout=60.0) as op:
             with pytest.raises(ValueError):
                 op.apply(np.zeros((2, 2, 2, 2, 4, 3), dtype=complex))
+
+
+# -- minimal-overlap regime and the overlap precondition ----------------------
+
+MASS = 0.12
+
+
+def _background(dims, n_rhs=2, seed=21):
+    geom = Geometry(*dims)
+    gauge = GaugeField.random(geom, make_rng(seed), scale=0.35)
+    rng = np.random.default_rng(5)
+    shape = (n_rhs,) + geom.dims + (4, 3)
+    return gauge, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("policy", ["blocking", "pairwise", "overlap"])
+@pytest.mark.parametrize("n_rhs", [1, 12])
+def test_extent_two_every_partitioned_axis(policy, n_rhs):
+    """(4, 4, 2, 8) on a (2, 2, 1, 1) grid: local block (2, 2, 2, 8) —
+    every partitioned axis sits at the minimal overlap-legal extent, so
+    no site is interior and the boundary recompute does all the work.
+    Both parities, 1 and 12 RHS, every policy."""
+    gauge, psi = _background((4, 4, 2, 8), n_rhs=n_rhs)
+    geom = gauge.geometry
+    serial = WilsonOperator(gauge, MASS)
+    with DistributedWilsonOperator(
+        gauge, MASS, grid=(2, 2, 1, 1), policy=policy, max_rhs=n_rhs, timeout=60.0
+    ) as op:
+        for parity in (0, 1):
+            x = psi * geom.parity_mask(parity)[..., None, None]
+            got = np.array(op.hopping(x), copy=True)
+            assert np.allclose(got, serial.hopping(x), rtol=1e-12, atol=1e-13)
+
+
+def test_overlap_error_identical_both_paths():
+    """One structured error, naming the offending axis, from the
+    constructor and from ``set_policy`` alike."""
+    gauge, _ = _background((8, 4, 2, 8))
+    with pytest.raises(ValueError, match=r"offending axes: x \(extent 1\)") as ctor:
+        DecompRuntime(gauge, MASS, ranks=8, policy="overlap")
+    with DecompRuntime(gauge, MASS, ranks=8, policy="blocking") as rt:
+        with pytest.raises(ValueError, match=r"offending axes: x \(extent 1\)") as setp:
+            rt.set_policy("overlap")
+        assert rt.policy == "blocking"  # failed switch leaves policy alone
+        assert str(ctor.value) == str(setp.value)
+
+
+def test_overlap_error_names_every_thin_axis():
+    gauge, _ = _background((4, 4, 2, 8))
+    with pytest.raises(ValueError) as exc:
+        DecompRuntime(gauge, MASS, grid=(4, 4, 1, 1), policy="overlap")
+    msg = str(exc.value)
+    assert "x (extent 1)" in msg and "y (extent 1)" in msg

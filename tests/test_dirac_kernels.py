@@ -1,23 +1,20 @@
 """Dslash kernel backends: registry, parity with the reference stencil,
-multi-RHS batching, and autotuner-driven backend selection."""
+and multi-RHS batching."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.autotune import KernelAutotuner
 from repro.dirac import WilsonOperator, MobiusOperator
 from repro.dirac import gamma as g
 from repro.dirac.kernels import (
     DEFAULT_BACKEND,
     Workspace,
     available_backends,
-    dslash_tune_key,
     get_backend,
     make_kernel,
     register_backend,
-    select_backend,
 )
 from repro.lattice import GaugeField, Geometry
 from repro.utils.rng import make_rng
@@ -262,170 +259,3 @@ class TestWorkspace:
         assert ws.nbytes > 0
         ws.clear()
         assert len(ws) == 0
-
-
-class TestAutotunedSelection:
-    def test_auto_selection_races_all_backends(self, gauge_tiny):
-        tuner = KernelAutotuner(rng=0, launches_per_candidate=1)
-        w = WilsonOperator(gauge_tiny, mass=0.2, backend="auto", tuner=tuner)
-        assert w.backend in BACKENDS
-        key = dslash_tune_key(gauge_tiny.geometry)
-        assert tuner.backend_choice(key) == w.backend
-        entry = tuner._backend_cache[key]
-        assert entry.n_candidates == len(BACKENDS)
-        assert set(entry.times) == set(BACKENDS)
-
-    def test_second_operator_is_pure_lookup(self, gauge_tiny):
-        tuner = KernelAutotuner(rng=0, launches_per_candidate=1)
-        WilsonOperator(gauge_tiny, mass=0.2, backend="auto", tuner=tuner)
-        calls = tuner.tune_calls
-        w2 = WilsonOperator(gauge_tiny, mass=0.5, backend="auto", tuner=tuner)
-        assert tuner.tune_calls == calls  # same volume: cache hit
-        assert w2.backend in BACKENDS
-
-    def test_choice_roundtrips_through_json_tunecache(self, gauge_tiny, tmp_path):
-        tuner = KernelAutotuner(rng=0, launches_per_candidate=1)
-        w = WilsonOperator(gauge_tiny, mass=0.2, backend="auto", tuner=tuner)
-        path = tmp_path / "tunecache.json"
-        tuner.save(path)
-
-        fresh = KernelAutotuner(rng=1, launches_per_candidate=1)
-        assert fresh.load(path) >= 1
-        choice = select_backend(
-            fresh, w.u, w.u_dag, gauge_tiny.geometry
-        )
-        assert choice == w.backend
-        assert fresh.tune_calls == 0  # served entirely from the loaded cache
-
-    def test_tune_key_encodes_volume_and_batch(self, gauge_tiny, geom_small):
-        k1 = dslash_tune_key(gauge_tiny.geometry)
-        k2 = dslash_tune_key(geom_small)
-        k3 = dslash_tune_key(gauge_tiny.geometry, n_rhs=12)
-        assert k1 != k2 and k1 != k3
-        assert "nrhs=12" in k3.aux
-
-    def test_tune_key_encodes_environment_and_storage(self, geom_tiny):
-        from repro.dirac.kernels import NUMBA_AVAILABLE, SOA_LAYOUT_VERSION
-
-        key = dslash_tune_key(geom_tiny)
-        assert "dtype=complex128" in key.aux
-        assert "storage=double" in key.aux
-        assert f"numba={int(NUMBA_AVAILABLE)}" in key.aux
-        assert f"soa=v{SOA_LAYOUT_VERSION}" in key.aux
-        half = dslash_tune_key(geom_tiny, storage="half")
-        assert "storage=half" in half.aux
-        assert half != key
-
-    def test_tune_key_encodes_decomposition(self, geom_tiny):
-        """Distributed entries carry grid shape, halo policy and engine:
-        a winner tuned on one decomposition never replays on another."""
-        serial = dslash_tune_key(geom_tiny)
-        dist = dslash_tune_key(
-            geom_tiny, grid=(2, 2, 1, 1), policy="overlap", engine="compiled"
-        )
-        assert "grid=2x2x1x1" in dist.aux
-        assert "policy=overlap" in dist.aux
-        assert "engine=compiled" in dist.aux
-        for fragment in ("grid=", "policy=", "engine="):
-            assert fragment not in serial.aux
-        other_grid = dslash_tune_key(
-            geom_tiny, grid=(4, 1, 1, 1), policy="overlap", engine="compiled"
-        )
-        other_policy = dslash_tune_key(
-            geom_tiny, grid=(2, 2, 1, 1), policy="blocking", engine="compiled"
-        )
-        other_engine = dslash_tune_key(
-            geom_tiny, grid=(2, 2, 1, 1), policy="overlap", engine="interpreted"
-        )
-        assert len({dist, other_grid, other_policy, other_engine, serial}) == 5
-
-    def test_tune_key_encodes_transport(self, geom_tiny):
-        """A winner tuned under the shm transport never replays under
-        MPI: halo-round costs differ, so the aux carries the transport
-        (and the env fingerprint carries mpi4py availability)."""
-        shm = dslash_tune_key(
-            geom_tiny, grid=(2, 1, 1, 1), policy="blocking",
-            engine="interpreted", transport="shm",
-        )
-        mpi = dslash_tune_key(
-            geom_tiny, grid=(2, 1, 1, 1), policy="blocking",
-            engine="interpreted", transport="mpi",
-        )
-        assert "transport=shm" in shm.aux
-        assert "transport=mpi" in mpi.aux
-        assert shm != mpi
-        serial = dslash_tune_key(geom_tiny)
-        assert "transport=" not in serial.aux
-        assert "mpi4py=" in serial.aux  # env fingerprint rides along
-
-    def test_transport_winner_not_replayed_across_transports(
-        self, gauge_tiny, tmp_path
-    ):
-        """The cross-env replay contract for transports: record a
-        backend choice under shm, reload in a fresh tuner — the same
-        transport is a pure lookup, a different one re-races."""
-        u = gauge_tiny.fermion_links(antiperiodic_t=True)
-        u_dag = np.conjugate(np.swapaxes(u, -1, -2))
-        geom = gauge_tiny.geometry
-
-        def pick(tuner, transport):
-            return select_backend(
-                tuner, u, u_dag, geom, grid=(2, 1, 1, 1),
-                policy="blocking", engine="interpreted", transport=transport,
-            )
-
-        tuner = KernelAutotuner(rng=0, launches_per_candidate=1)
-        choice = pick(tuner, "shm")
-        assert tuner.tune_calls == 1
-        path = tmp_path / "tunecache.json"
-        tuner.save(path)
-
-        fresh = KernelAutotuner(rng=1, launches_per_candidate=1)
-        assert fresh.load(path) >= 1
-        assert pick(fresh, "shm") == choice
-        assert fresh.tune_calls == 0  # same transport: replayed
-        pick(fresh, "mpi")
-        assert fresh.tune_calls == 1  # shm winner NOT replayed under mpi
-
-    def test_cross_environment_replay_invalidated(
-        self, gauge_tiny, tmp_path, monkeypatch
-    ):
-        """A winner raced *with* numba must not be replayed *without* it
-        (and vice versa): flipping availability changes the tune key, so
-        the loaded tunecache misses and the race reruns."""
-        from repro.dirac.kernels import numba_soa
-
-        tuner = KernelAutotuner(rng=0, launches_per_candidate=1)
-        w = WilsonOperator(gauge_tiny, mass=0.2, backend="auto", tuner=tuner)
-        path = tmp_path / "tunecache.json"
-        tuner.save(path)
-
-        fresh = KernelAutotuner(rng=1, launches_per_candidate=1)
-        assert fresh.load(path) >= 1
-        monkeypatch.setattr(
-            numba_soa, "NUMBA_AVAILABLE", not numba_soa.NUMBA_AVAILABLE
-        )
-        choice = select_backend(fresh, w.u, w.u_dag, gauge_tiny.geometry)
-        assert fresh.tune_calls == 1  # cache miss: re-raced, not replayed
-        assert choice in available_backends()
-
-    def test_verification_gates_promotion(self, gauge_tiny, monkeypatch):
-        """A registered-but-wrong backend never wins the race, no matter
-        how fast: the oracle gate drops it before timing."""
-        from repro.dirac.kernels import registry
-        from repro.dirac.kernels.reference import ReferenceKernel
-
-        class Drifted(ReferenceKernel):
-            name = "drifted"
-
-            def hopping(self, phi):
-                return 1.0001 * super().hopping(phi)
-
-        monkeypatch.setitem(registry._REGISTRY, "drifted", Drifted)
-        tuner = KernelAutotuner(rng=0, launches_per_candidate=1)
-        w = WilsonOperator(gauge_tiny, mass=0.2, backend="auto", tuner=tuner)
-        assert "drifted" in available_backends()
-        assert w.backend != "drifted"
-        key = dslash_tune_key(gauge_tiny.geometry)
-        entry = tuner._backend_cache[key]
-        assert "drifted" not in entry.times

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSim, NaiveBundler, Task, WorkloadSpec, make_propagator_workload
-from repro.comm.mpi import MPI_IMPLEMENTATIONS
+from repro.machines.mpi import MPI_IMPLEMENTATIONS
 from repro.jobmgr import METAQ, MpiJm, MpiJmConfig, startup_time
 from repro.machines import get_machine
 

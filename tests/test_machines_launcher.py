@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.comm.mpi import MPI_IMPLEMENTATIONS
+from repro.machines.mpi import MPI_IMPLEMENTATIONS
 from repro.machines.launcher import (
     LAUNCHERS,
     Launcher,

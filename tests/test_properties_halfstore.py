@@ -1,19 +1,14 @@
-"""Property suite for the 16-bit storage codec and the SoA layout.
+"""Property suite for the 16-bit storage codec.
 
-The contracts the mixed-precision solver and the compiled kernel tier
-rest on, explored by hypothesis under the deterministic profiles of
-``tests/conftest.py``.  Every equality here is *exact on any host*:
-the codec and the SoA layout are data movement plus elementwise
-arithmetic — no reduction, nothing a BLAS build could reorder:
-
-* ``Half16Codec``: ``decode(encode(x))`` is, to the bit, the dense
-  ``HalfPrecision.roundtrip`` (the identity that makes compressed and
-  dense reliable-update solves produce identical iterates), the
-  relative error per site is bounded by the fixed-point step, exact
-  zeros survive, and the handle really is ~4x smaller;
-* SoA ``pack_fermion``/``unpack_fermion``: an exact round-trip (a
-  permutation of the reals) for any batch width and (even or odd)
-  lattice dims.
+The contracts the mixed-precision solver rests on, explored by
+hypothesis under the deterministic profiles of ``tests/conftest.py``.
+Every equality here is *exact on any host*: the codec is data movement
+plus elementwise arithmetic — no reduction, nothing a BLAS build could
+reorder.  ``Half16Codec``: ``decode(encode(x))`` is, to the bit, the
+dense ``HalfPrecision.roundtrip`` (the identity that makes compressed
+and dense reliable-update solves produce identical iterates), the
+relative error per site is bounded by the fixed-point step, exact zeros
+survive, and the handle really is ~4x smaller.
 """
 
 from __future__ import annotations
@@ -22,13 +17,11 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dirac.kernels import pack_fermion, unpack_fermion
 from repro.solvers import Half16Codec, HalfPrecision
 from repro.solvers.precision import _FIXED_POINT_MAX
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 n_rhss = st.integers(min_value=1, max_value=3)
-dims = st.tuples(*[st.integers(min_value=1, max_value=4)] * 4)
 #: log10 of the field's overall magnitude — the codec's per-site block
 #: scale must make the error bound hold across wild dynamic ranges.
 scales = st.integers(min_value=-12, max_value=12)
@@ -83,11 +76,3 @@ def test_codec_handle_is_compact(seed, n):
     # component vs 16 dense -> strictly under 30%.
     assert f.nbytes < 0.3 * x.nbytes
     assert f.copy().nbytes == f.nbytes
-
-
-@given(seed=seeds, n=n_rhss, d=dims)
-def test_soa_pack_unpack_roundtrip_is_bitwise(seed, n, d):
-    """A permutation of the reals, undone exactly (exact on any host)."""
-    phi = _field(seed, (n,) + d + (4, 3))
-    re, im = pack_fermion(phi)
-    np.testing.assert_array_equal(unpack_fermion(re, im, phi.shape), phi)

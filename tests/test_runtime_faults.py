@@ -160,9 +160,8 @@ class TestLedgerOnDisk:
 class TestDistributedSolverMode:
     def test_distributed_campaign_matches_percolumn(self, tmp_path):
         """``--solver-mode distributed`` routes the 12-source solve
-        through the rank-parallel runtime (compiled SoA engine where
-        numba imports) and lands the same propagator to solver
-        tolerance; telemetry records the mode."""
+        through the rank-parallel runtime and lands the same propagator
+        to solver tolerance; telemetry records the mode."""
         import numpy as np
 
         rt_ref, res_ref = _campaign(tmp_path / "percolumn", pool="thread")

@@ -114,6 +114,14 @@ class TestBuilder:
         with pytest.raises(ValueError, match="unknown campaign builder"):
             build_from_spec({"builder": "nope"})
 
+    def test_spec_transports_are_the_executed_ones(self):
+        """The builder spells the transport names out so that admitting a
+        spec never imports the comm stack; they are the executed ones."""
+        from repro.comm.transports import TRANSPORTS
+        from repro.runtime.builder import DIST_TRANSPORTS
+
+        assert DIST_TRANSPORTS == TRANSPORTS
+
 
 class TestLedger:
     def test_replay_reduces_lifecycle(self, tmp_path):

@@ -43,13 +43,16 @@ def _running(pid: int) -> bool:
 
 
 def test_process_campaign_driver_stays_lean_and_workers_exit_cleanly(tmp_path):
-    """A ``pool="process"`` campaign never loads the physics into its
-    driver (the workers import it at boot), every worker leaves with exit
-    code 0 at the sentinel, and two idle workers shut down well within a
-    second."""
+    """A ``pool="process"`` campaign never loads the physics or the comm
+    stack into its driver (the workers import them at boot, and building a
+    distributed spec checks its transport without them), every worker
+    leaves with exit code 0 at the sentinel, and two idle workers shut
+    down well within a second."""
     code = _BOOT_POOL + (
         "import time\n"
-        "from repro.runtime import CampaignConfig, CampaignRuntime, build_sleep_campaign\n"
+        "from repro.runtime import (CampaignConfig, CampaignRuntime, build_ga_campaign,\n"
+        "                           build_sleep_campaign)\n"
+        "build_ga_campaign(solver_mode='distributed', dist_transport='shm')  # admit a spec\n"
         "graph, spec = build_sleep_campaign(n_long=2, n_short=2, long_s=0.05, short_s=0.01)\n"
         "cfg = CampaignConfig(workers=2, pool='process')\n"
         "res = CampaignRuntime(sys.argv[1] + '/campaign', cfg, spec).run(graph)\n"
@@ -58,7 +61,7 @@ def test_process_campaign_driver_stays_lean_and_workers_exit_cleanly(tmp_path):
         "print(json.dumps({\n"
         "    'all_done': res.all_done,\n"
         "    'heavy': [m for m in ('repro.lattice', 'repro.dirac', 'repro.solvers',\n"
-        "                          'repro.contractions') if m in sys.modules],\n"
+        "                          'repro.contractions', 'repro.comm') if m in sys.modules],\n"
         "    'shutdown_s': time.monotonic() - t0,\n"
         "    'exitcodes': [p.exitcode for p in pool._workers.values()],\n"
         "}))\n"

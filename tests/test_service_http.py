@@ -97,6 +97,23 @@ class TestRequestResponse:
         assert e.value.code == 400
         assert "nope" in str(e.value.payload)
 
+    @pytest.mark.parametrize(
+        "kwargs, reason",
+        [
+            ({"solver_mode": "nonsense"}, "solver_mode"),
+            ({"solver_mode": "distributed", "dist_transport": "bogus"}, "dist_transport"),
+            ({"solver_mode": "distributed", "dist_ranks": 0}, "dist_ranks"),
+        ],
+        ids=["solver_mode", "dist_transport", "dist_ranks"],
+    )
+    def test_bad_solver_spec_400_before_any_task(self, client, kwargs, reason):
+        """A solver setting no worker can run is refused at admission,
+        not discovered by the first propagator task."""
+        with pytest.raises(ServiceHTTPError) as e:
+            run_sync(client.submit({"builder": "ga", "kwargs": kwargs}))
+        assert e.value.code == 400
+        assert reason in str(e.value.payload)
+
     def test_non_dict_body_400(self, client):
         with pytest.raises(ServiceHTTPError) as e:
             run_sync(client._json("POST", "/campaigns", [1, 2, 3]))
