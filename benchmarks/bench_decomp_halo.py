@@ -80,11 +80,13 @@ def test_decomp_headline_speedup(report):
     assert cg["iterations_serial"] == cg["iterations_distributed"]
     assert cg["speedup"] >= 1.5
     assert results["host"]["cpu_count"] >= 1
-    # per-transport halo rows: every executed transport reports measured waits
+    # per-transport halo rows: every executed transport reports measured
+    # waits and the measured fraction of them the overlap schedule hides
     th = results["transport_halo"]["transports"]
     for transport in ("threads", "shm"):
         assert "policies" in th[transport], th[transport]
         assert all("halo_wait_s" in r for r in th[transport]["policies"].values())
+        assert th[transport]["overlap_efficiency"] is not None, th[transport]
 
 
 if __name__ == "__main__":

@@ -314,13 +314,14 @@ def run(
         "speedup_vs_worst": res.speedup_vs_worst,
     }
 
-    # per-transport halo rows (threads/shm) on the small ladder volume
+    # per-transport halo rows (threads/shm) on the small ladder volume, at
+    # the most ranks that leave the overlap schedule feasible (local x >= 2)
     label, dims = HALO_VOLUMES[0]
     geom = Geometry(*dims)
     results["transport_halo"] = bench_transport_halo(
         GaugeField.random(geom, make_rng(55), scale=0.35),
         mass,
-        ranks=max(r for r in ranks if dims[0] % r == 0),
+        ranks=max(r for r in ranks if dims[0] % r == 0 and dims[0] // r >= 2),
         n_rhs=n_rhs,
         repeats=repeats,
     )

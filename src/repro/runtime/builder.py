@@ -20,6 +20,8 @@ sufficient to rebuild the identical graph — the ledger stores it, and
 
 from __future__ import annotations
 
+import math
+
 from repro.runtime.tasks import CampaignTask, TaskGraph
 
 __all__ = [
@@ -54,7 +56,6 @@ def build_ga_campaign(
     solver_mode: str = "percolumn",
     dist_ranks: int = 2,
     dist_transport: str = "threads",
-    shifts: tuple[float, ...] = (),
 ) -> tuple[TaskGraph, dict]:
     """One configuration's worth of the gA production chain.
 
@@ -63,11 +64,10 @@ def build_ga_campaign(
     12-source tasks; with
     ``solver_mode="distributed"``, ``dist_ranks`` and ``dist_transport``
     (``threads``/``shm``) pick the decomposition and the executed halo
-    transport.  An unknown mode or transport, or fewer than one rank, is
-    a ``ValueError`` here, before any task runs.  A non-empty ``shifts``
-    tuple adds one ``multishift_prop`` task on the base mass solving the
-    whole shifted family
-    ``(D^H D + sigma_i)`` in one Krylov sweep.
+    transport.  An unknown mode or transport, fewer than one rank,
+    ``dims`` that are not four even extents >= 2, a zero or non-finite
+    mass, or a ``t_snk`` off the time axis is a ``ValueError`` here,
+    before any task runs.
 
     The defaults reproduce the historical per-column campaign
     bit-for-bit.
@@ -78,9 +78,15 @@ def build_ga_campaign(
         raise ValueError(f"unknown dist_transport {dist_transport!r}; have {DIST_TRANSPORTS}")
     if solver_mode == "distributed" and int(dist_ranks) < 1:
         raise ValueError(f"dist_ranks must be >= 1, got {dist_ranks}")
+    if len(dims) != 4 or any(int(d) != d or d < 2 or d % 2 for d in dims):
+        raise ValueError(f"dims must be four even extents >= 2, got {list(dims)}")
     masses = tuple(float(m) for m in masses)
+    if not all(m != 0.0 and math.isfinite(m) for m in masses):
+        raise ValueError(f"masses must be non-zero and finite, got {list(masses)}")
     if t_snk is None:
         t_snk = dims[3] // 2
+    if not 0 <= t_snk < dims[3]:
+        raise ValueError(f"t_snk must be in 0..{dims[3] - 1}, got {t_snk}")
     spec = {
         "builder": "ga",
         "kwargs": {
@@ -94,7 +100,6 @@ def build_ga_campaign(
             "t_snk": int(t_snk),
             "scale": float(scale),
             "solver_mode": str(solver_mode),
-            "shifts": list(float(s) for s in shifts),
         },
     }
     if solver_mode == "distributed":
@@ -219,27 +224,6 @@ def build_ga_campaign(
             )
             corr_refs[cid] = f"{cid}:corr"
 
-    if shifts:
-        # One shifted-family sweep on the base mass: every sigma_i
-        # propagator for (almost) the cost of the smallest shift.
-        tasks.append(
-            CampaignTask(
-                task_id="mshift_m0",
-                kind="multishift_prop",
-                params={
-                    "gauge": "gaugefix:links",
-                    "sources": "smear:sources",
-                    "mass": masses[0],
-                    "shifts": [float(s) for s in shifts],
-                    "tol": tol,
-                    "max_iter": max_iter,
-                },
-                deps=("gaugefix", "smear"),
-                est_seconds=4.0 / masses[0],
-                priority=6,
-            )
-        )
-
     tasks.append(
         CampaignTask(
             task_id="assemble",
@@ -325,7 +309,10 @@ def build_from_spec(spec: dict) -> tuple[TaskGraph, dict]:
     if name not in _BUILDERS:
         raise ValueError(f"unknown campaign builder {name!r}")
     kwargs = dict(spec.get("kwargs", {}))
-    for key in ("dims", "masses", "shifts"):
+    # specs written while the builder had a shifted-family task spell "shifts": []
+    if kwargs.pop("shifts", None):
+        raise ValueError("'shifts' was removed: the shifted-family solve task is gone")
+    for key in ("dims", "masses"):
         if key in kwargs:
             kwargs[key] = tuple(kwargs[key])
     return _BUILDERS[name](**kwargs)

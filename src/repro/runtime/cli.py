@@ -101,7 +101,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         solver_mode=args.solver_mode,
         dist_ranks=args.dist_ranks,
         dist_transport=args.dist_transport,
-        shifts=tuple(args.shifts),
     )
     rt = CampaignRuntime(args.workdir, _build_config(args), spec=spec)
     res = rt.run(graph, faults=_fault_plan(args))
@@ -204,10 +203,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="halo transport for --solver-mode distributed: "
                        "in-process thread fabric or shared-memory worker "
                        "processes")
-    p_run.add_argument("--shifts", type=float, nargs="*", default=[],
-                       help="add a multishift_prop task solving "
-                       "(D^H D + sigma_i) for this shift family on the "
-                       "base mass")
     p_run.set_defaults(fn=_cmd_run)
 
     p_res = sub.add_parser("resume", help="resume a campaign from its ledger")

@@ -12,11 +12,11 @@ correlators across fault-free, fault-injected and ledger-resumed runs.
 The physics the executors run is imported here, at module top, and a
 process worker imports this module before it takes its first message
 (:func:`repro.runtime.worker.worker_main`): the import cost is paid at
-boot, off the campaign's critical path.  Only the modes that pull in a
-further subsystem (``distributed``: :mod:`repro.comm`; ``multishift_prop``:
-its solver) import it locally.  The campaign driver never imports this
-module — it would pay the physics' memory for nothing; the artifact store
-it verifies lives in :mod:`repro.io.container`.
+boot, off the campaign's critical path.  Only the mode that pulls in a
+further subsystem (``distributed``: :mod:`repro.comm`) imports it
+locally.  The campaign driver never imports this module — it would pay
+the physics' memory for nothing; the artifact store it verifies lives in
+:mod:`repro.io.container`.
 
 Task kinds (the paper's Fig. 2 menu):
 
@@ -31,8 +31,6 @@ Task kinds (the paper's Fig. 2 menu):
                     stacks, or one 12-stack / block / rank-parallel
 ``seq_solve``       ``sequential_propagator`` -> ``prop`` (same system and
                     modes, no mid-solve checkpoint)
-``multishift_prop`` one shifted-CG family ``(D^H D + sigma_i)`` per
-                    column of the same sources -> ``shifted``
 ``contraction``     pion/proton/FH correlators (CPU-cheap) -> ``corr``
 ``assemble``        gather all correlators into one container
 ``sleep``/``poison``  scheduling/fault-path test stubs (no physics)
@@ -422,54 +420,6 @@ def _exec_seq_solve(params: dict, ctx: ExecContext) -> dict[str, str]:
     return {"prop": _save_prop(ctx, "prop", seq)}
 
 
-def _exec_multishift_prop(params: dict, ctx: ExecContext) -> dict[str, str]:
-    """Shifted-family propagators via multishift CG.
-
-    For every source column, solves the whole family
-    ``(D^H D + sigma_i) y_i = D^H b`` in one Krylov sweep — all shifts
-    for (almost) the cost of the smallest, the rational-HMC trick
-    applied to the campaign's multi-mass analysis.  Multishift CG
-    requires a zero initial guess (shifted residuals must stay collinear
-    with the base residual), so no initial guess can seed it; its
-    amortization is the shift axis itself.
-    """
-    from repro.solvers.multishift import MultiShiftCG
-
-    gauge = _load_gauge(ctx, params["gauge"])
-    geom = gauge.geometry
-    wilson = WilsonOperator(gauge, mass=float(params["mass"]))
-    shifts = [float(s) for s in params["shifts"]]
-    site = tuple(params.get("site", (0, 0, 0, 0)))
-    solver = MultiShiftCG(
-        tol=float(params.get("tol", 1e-8)),
-        max_iter=int(params.get("max_iter", 4000)),
-    )
-    sources = _load_sources(params, ctx, geom)
-
-    data = np.zeros((len(shifts), 12) + geom.dims + (4, 3), dtype=np.complex128)
-    totals = {"iterations": 0, "matvecs": 0, "flops": 0.0}
-    for col in range(12):
-        rhs = wilson.apply_dagger(sources[col])
-        res = solver.solve(wilson.apply_normal, rhs, shifts)
-        if not res.converged:
-            raise RuntimeError(
-                f"{ctx.task_id}: column {col} shifted family did not converge "
-                f"(worst relres {max(res.final_relres):.2e})"
-            )
-        data[:, col] = res.solutions
-        for key in totals:
-            totals[key] += getattr(res, key)
-
-    ff = FieldFile({"shifts": shifts, "site": list(site), "iterations": totals["iterations"],
-                    "matvecs": totals["matvecs"]})
-    ff.add("data", data)
-    ref = ctx.store.save(ctx.task_id, "shifted", ff)
-    ctx.emit(
-        "solve_done", task=ctx.task_id, **totals, solver_mode="multishift", n_shifts=len(shifts)
-    )
-    return {"shifted": ref}
-
-
 def _exec_contraction(params: dict, ctx: ExecContext) -> dict[str, str]:
     ff = FieldFile({"label": params.get("label", ctx.task_id)})
     if "prop" in params:
@@ -517,7 +467,6 @@ EXECUTORS: dict[str, Callable[[dict, ExecContext], dict[str, str]]] = {
     "smear_sources": _exec_smear_sources,
     "propagator": _exec_propagator,
     "seq_solve": _exec_seq_solve,
-    "multishift_prop": _exec_multishift_prop,
     "contraction": _exec_contraction,
     "assemble": _exec_assemble,
     "sleep": _exec_sleep,

@@ -24,21 +24,15 @@ from repro.solvers.cg import (
     solve_normal_equations,
     solve_normal_equations_batched,
 )
-from repro.solvers.halfstore import Half16Codec, Half16Field
 from repro.solvers.multiprec import ReliableUpdateCG, RUCGState
 from repro.solvers.blockcg import BlockCG
-from repro.solvers.multishift import MultiShiftCG, MultiShiftResult
 
 __all__ = [
-    "MultiShiftCG",
-    "MultiShiftResult",
     "BlockCG",
     "Precision",
     "DoublePrecision",
     "SinglePrecision",
     "HalfPrecision",
-    "Half16Codec",
-    "Half16Field",
     "PRECISIONS",
     "ConjugateGradient",
     "ReliableUpdateCG",

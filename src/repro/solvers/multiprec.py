@@ -16,16 +16,6 @@ operator's answer through a complex64 cast.  Either way solution and
 true residual are refreshed in double whenever the inner residual has
 dropped by ``delta``, and convergence is only declared on a refresh.
 
-With ``storage="compressed"`` the inner-loop Krylov vectors (residual,
-search direction, partial solution) are additionally *persisted* between
-iterations in the 16-bit fixed-point form via
-:class:`repro.solvers.halfstore.Half16Codec`, shrinking the inner
-working set ~4x.  Because ``decode(encode(v))`` and the dense storage
-round-trip are the same store/load pair (equal *exactly, on any host*),
-the compressed solve produces exactly the same iterates — iteration
-counts pinned for the dense half path cover the compressed path too
-(asserted in ``tests/test_solvers_halfstore.py``).
-
 The cycle is written once (:meth:`ReliableUpdateCG._run`), stacked and
 against an inner product passed as an argument, like
 :meth:`ConjugateGradient._run`: ``solve_batched`` is that function,
@@ -52,8 +42,7 @@ from repro.solvers.cg import (
     _record,
     _width_one,
 )
-from repro.solvers.halfstore import Half16Codec
-from repro.solvers.precision import DoublePrecision, HalfPrecision, Precision, SinglePrecision
+from repro.solvers.precision import DoublePrecision, Precision, SinglePrecision
 
 __all__ = ["ReliableUpdateCG", "RUCGState"]
 
@@ -103,15 +92,6 @@ class ReliableUpdateCG:
     flops_per_matvec, blas_flops_per_iter:
         Model-flop accounting, as in
         :class:`repro.solvers.cg.ConjugateGradient`.
-    storage:
-        How inner-loop Krylov vectors live *between* iterations:
-        ``"dense"`` keeps them as complex128 arrays that have been
-        round-tripped through ``inner_precision`` (the historical
-        behaviour); ``"compressed"`` persists them as
-        :class:`~repro.solvers.halfstore.Half16Field` handles (int16
-        mantissas + per-site float32 scale, requires a
-        :class:`HalfPrecision` inner format).  Both modes execute
-        identical float operations (exact on any host).
     """
 
     inner_precision: Precision
@@ -120,52 +100,19 @@ class ReliableUpdateCG:
     max_iter: int = 10_000
     flops_per_matvec: float = 0.0
     blas_flops_per_iter: float = 0.0
-    storage: str = "dense"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.storage not in ("dense", "compressed"):
-            raise ValueError(
-                f"storage must be 'dense' or 'compressed', got {self.storage!r}"
-            )
-        self._codec: Half16Codec | None = None
-        if self.storage == "compressed":
-            if not isinstance(self.inner_precision, HalfPrecision):
-                raise ValueError(
-                    "compressed storage requires a HalfPrecision inner format; "
-                    f"got {type(self.inner_precision).__name__}"
-                )
-            self._codec = Half16Codec(self.inner_precision)
         #: dtype the cycle's arithmetic runs in: single precision is executed
         single = isinstance(self.inner_precision, SinglePrecision)
         self._dtype = np.dtype(np.complex64 if single else np.complex128)
-        #: resident bytes of the persisted inner Krylov triplet (r, p, x)
-        #: in the most recent inner cycle — reported on solve spans
-        self._last_storage_nbytes = 0
 
     def _truncate(self, v: np.ndarray) -> np.ndarray:
         """One storage round-trip (executed single: the complex64 array)."""
         if self._dtype == np.complex64:
             return np.asarray(v, dtype=np.complex64)
         return self.inner_precision.roundtrip(v)
-
-    def _persist(self, v: np.ndarray):
-        """Store a vector in the inner format, returning its handle.
-
-        Dense mode: the handle *is* the round-tripped array.
-        Compressed mode: the handle is a :class:`Half16Field`; decoding
-        it yields exactly the values the dense round-trip would.
-        """
-        if self._codec is not None:
-            return self._codec.encode(v)
-        return self._truncate(v)
-
-    def _use(self, h) -> np.ndarray:
-        """Materialize a persisted handle as the array arithmetic runs on."""
-        if self._codec is not None:
-            return self._codec.decode(h)
-        return h
 
     def _compute(self, v: np.ndarray) -> np.ndarray:
         """Single-precision arithmetic (half's emulation casts it back)."""
@@ -232,8 +179,6 @@ class ReliableUpdateCG:
             result,
             reliable_updates=result.reliable_updates,
             inner=self._dtype.name,
-            storage=self.storage,
-            storage_nbytes=self._last_storage_nbytes,
         )
 
     def _run(
@@ -297,20 +242,16 @@ class ReliableUpdateCG:
         last_ckpt = iterations
         while iterations < self.max_iter and not bool(converged.all()):
             # --- start (or restart) an inner low-precision cycle -------
-            # Krylov vectors live as storage handles between iterations:
-            # complex64 arrays, or dense complex128 round-trips / compressed
-            # Half16Fields decoding to identical values.
+            # Krylov vectors are stored in the inner format between
+            # iterations: complex64 arrays, or complex128 round-trips.
             prev_anchor = anchor
-            r_s = self._persist(r_true)
-            p_s = r_s.copy()
-            x_s = self._persist(np.zeros_like(b))  # low-precision partial solution
-            self._last_storage_nbytes = int(r_s.nbytes + p_s.nbytes + x_s.nbytes)
-            r = self._use(r_s)
+            r = self._truncate(r_true)
+            p = r.copy()
+            x_s = self._truncate(np.zeros_like(b))  # low-precision partial solution
             rsq = dot(r, r)
             active = ~converged
 
             while iterations < self.max_iter:
-                p = self._use(p_s)
                 ap = self._compute(matvec(self._truncate(p)))
                 iterations += 1
                 matvecs += k
@@ -320,21 +261,20 @@ class ReliableUpdateCG:
                 if not bool(ok.any()):
                     break
                 alpha = np.where(ok, rsq / np.where(p_ap > 0.0, p_ap, 1.0), 0.0)
-                x_s = self._persist(self._use(x_s) + col(alpha) * p)
-                r_s = self._persist(r - col(alpha) * ap)
-                r = self._use(r_s)
+                x_s = self._truncate(x_s + col(alpha) * p)
+                r = self._truncate(r - col(alpha) * ap)
                 new_rsq = dot(r, r)
                 rnorm = np.sqrt(new_rsq)
                 history.append(rnorm / safe_bnorm)
                 beta = np.where(ok, new_rsq / np.where(rsq > 0.0, rsq, 1.0), 0.0)
                 rsq = new_rsq
-                p_s = self._persist(r + col(beta) * p)
+                p = self._truncate(r + col(beta) * p)
                 active = ok & (rnorm > self.delta * anchor) & (rnorm > target)
                 if not bool(active.any()):
                     break
 
             # --- reliable update: fold in and refresh in double ---------
-            x += self._use(x_s)
+            x += x_s
             r_true = b - matvec(x)
             flops += cost
             matvecs += k

@@ -4,9 +4,10 @@ Two clients describing the same campaign — different dict orderings,
 defaults spelled out or omitted, ``1`` vs ``1.0``, tuples vs lists —
 must land on the same fingerprint, or the content-addressed cache
 fragments and the service re-solves work it already has.  The seeded
-Fig. 2 spec's fingerprint is pinned: any change to canonicalization or
-builder defaults that silently invalidates every cached result in every
-deployment must fail a test first.
+Fig. 2 spec's fingerprint and its task fingerprints are pinned: any
+change to canonicalization or builder defaults that silently re-keys
+campaigns or cached artifacts in every deployment must fail a test
+first.
 """
 
 from __future__ import annotations
@@ -22,15 +23,44 @@ from repro.service.fingerprint import (
     task_fingerprints,
 )
 
-# The seeded Fig. 2 campaign (build_ga_campaign defaults). Changing this
-# value invalidates every content-addressed cache in existence — bump it
-# only with a deliberate cache-format migration.
-FIG2_FINGERPRINT = "d5750f1ce599bd09fdf5174b"
+# The seeded Fig. 2 campaign (build_ga_campaign defaults). The spec
+# fingerprint keys campaign entries (and their directories): changing it
+# makes a restarted service stop re-registering campaigns finished
+# before — re-pin it only with a deliberate change of the canonical spec.
+FIG2_FINGERPRINT = "97a5c2f3a2aa680b659cf759"
+# Its task fingerprints key the artifact CAS: a change re-solves every
+# cached propagator, so they move only with an EXECUTOR_REVISION bump.
+FIG2_TASK_FINGERPRINTS = {
+    "assemble": "bd531bcdc8818169e2e8f698b0ed1476",
+    "corr_m0": "7d45fd8f2b96302c0f07bfc46515fc14",
+    "corr_m0m1": "130ceb06f75e00b6b6897a44c69791a5",
+    "corr_m1": "43977bf9f4226cd60338dda02a67e926",
+    "gauge": "cccd4b5524c78cfe8891875a5f06a185",
+    "gaugefix": "b5a26e04a8d3c20e17de481115fa6c91",
+    "prop_m0": "7c978df0b536a79b8c5f0a4b4bbd24ac",
+    "prop_m1": "29aeb5a05ffddfffcfdb01137869c522",
+    "seq_m0": "7b909c04cfda58dfd6fb8fff02bc29cf",
+    "seq_m1": "a038d35df4f3c5cce0539650ca89ec96",
+    "smear": "fe031d17cefac35a75d778b11fb631ff",
+}
 
 
 class TestSpecCanonicalization:
     def test_fig2_fingerprint_pinned(self):
         assert spec_fingerprint({"builder": "ga", "kwargs": {}}) == FIG2_FINGERPRINT
+
+    def test_fig2_task_fingerprints_pinned(self):
+        graph, _, _ = normalize_spec({"builder": "ga", "kwargs": {}})
+        assert task_fingerprints(graph) == FIG2_TASK_FINGERPRINTS
+
+    def test_an_empty_shifts_key_of_an_old_spec_is_dropped(self):
+        """Specs and ledgers written while the builder had a shifted-family
+        task spell ``"shifts": []``; they build the same graph under the
+        same spec fingerprint as one without the key."""
+        old_graph, _, old_fp = normalize_spec({"builder": "ga", "kwargs": {"shifts": []}})
+        graph, _, fp = normalize_spec({"builder": "ga", "kwargs": {}})
+        assert old_fp == fp == FIG2_FINGERPRINT
+        assert old_graph.fingerprint() == graph.fingerprint()
 
     def test_defaults_spelled_out_hash_identically(self):
         explicit = {
@@ -84,6 +114,7 @@ class TestSpecValidation:
             {"builder": "ga", "kwargs": {}, "extra": 1},
             {"builder": "ga", "kwargs": {"poly_degree": 4}},  # not a builder knob
             {"builder": "ga", "kwargs": {"n_eigen": 8}},  # deflation was removed
+            {"builder": "ga", "kwargs": {"shifts": [0.1]}},  # the shifted family was removed
         ],
     )
     def test_invalid_specs_raise_spec_error(self, bad):

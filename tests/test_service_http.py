@@ -103,12 +103,21 @@ class TestRequestResponse:
             ({"solver_mode": "nonsense"}, "solver_mode"),
             ({"solver_mode": "distributed", "dist_transport": "bogus"}, "dist_transport"),
             ({"solver_mode": "distributed", "dist_ranks": 0}, "dist_ranks"),
+            ({"masses": [0]}, "masses"),
+            ({"dims": [4, 4, 4]}, "dims"),
+            ({"dims": [3, 4, 4, 8]}, "dims"),
+            ({"t_snk": 99}, "t_snk"),
+            ({"shifts": [0.1]}, "shifts"),
         ],
-        ids=["solver_mode", "dist_transport", "dist_ranks"],
+        ids=[
+            "solver_mode", "dist_transport", "dist_ranks",
+            "zero_mass", "three_dims", "odd_extent", "t_snk", "shifts",
+        ],
     )
     def test_bad_solver_spec_400_before_any_task(self, client, kwargs, reason):
-        """A solver setting no worker can run is refused at admission,
-        not discovered by the first propagator task."""
+        """A spec no worker can run — a solver setting, a lattice or a mass
+        the physics rejects, a removed knob — is refused at admission,
+        not discovered by the first task that runs it."""
         with pytest.raises(ServiceHTTPError) as e:
             run_sync(client.submit({"builder": "ga", "kwargs": kwargs}))
         assert e.value.code == 400

@@ -29,7 +29,6 @@ from repro.lattice import GaugeField, Geometry
 from repro.solvers import (
     BlockCG,
     ConjugateGradient,
-    MultiShiftCG,
     ReliableUpdateCG,
 )
 from repro.solvers.cg import (
@@ -47,7 +46,6 @@ SEED = 7
 SCALE = 0.05
 MASS = 0.02
 TOL = 1e-7
-SHIFTS = [0.0, 0.1, 0.5]
 
 
 def measure() -> dict[str, int]:
@@ -84,16 +82,6 @@ def measure() -> dict[str, int]:
     res = solve_normal_equations(wilson.apply, wilson.apply_dagger, b, ru_dbl)
     assert res.converged, "double-sloppy reliable-update solve diverged"
     counts["reliable_update_double_sloppy_iters"] = res.iterations
-    ru_store = ReliableUpdateCG(
-        HalfPrecision(), tol=TOL, max_iter=30000, storage="compressed"
-    )
-    res = solve_normal_equations(wilson.apply, wilson.apply_dagger, b, ru_store)
-    assert res.converged, "half-storage reliable-update solve diverged"
-    counts["reliable_update_half_storage_iters"] = res.iterations
-    ms = MultiShiftCG(tol=TOL, max_iter=30000).solve(
-        wilson.apply_normal, wilson.apply_dagger(b), SHIFTS
-    )
-    counts["multishift_iters"] = ms.iterations
     return counts
 
 
@@ -133,20 +121,10 @@ def test_no_unpinned_solvers(measured, baseline):
     )
 
 
-def test_half_storage_matches_dense_half(measured):
-    """Compressed persistence is a memory format, not an algorithm: the
-    iterate sequence — and so the count — must equal the dense half path
-    exactly."""
-    assert (
-        measured["reliable_update_half_storage_iters"]
-        == measured["reliable_update_iters"]
-    )
-
-
 def test_half_storage_growth_vs_double_sloppy_bounded(measured):
     """16-bit Krylov storage may cost at most 5% extra iterations over
     running the sloppy inner loop in full double precision."""
-    half = measured["reliable_update_half_storage_iters"]
+    half = measured["reliable_update_iters"]
     dbl = measured["reliable_update_double_sloppy_iters"]
     assert half <= math.ceil(dbl * MAX_GROWTH), (
         f"half-storage inner loop needs {half} iters vs {dbl} in double "

@@ -328,8 +328,7 @@ class TestPerColumnIterations:
         with np.load(golden.GOLDEN) as f:
             assert total == int(f["solver_iterations"])
 
-    @pytest.mark.parametrize("storage", ["dense", "compressed"])
-    def test_reliable_update_solve_is_the_width_one_stack(self, gauge_tiny, storage):
+    def test_reliable_update_solve_is_the_width_one_stack(self, gauge_tiny):
         """``ReliableUpdateCG.solve`` is the width-1 call of the stacked
         cycle: same iterates, same update schedule, same bits (exact on
         any host; wider stacks synchronize their reliable updates, so
@@ -337,7 +336,7 @@ class TestPerColumnIterations:
         from repro.contractions.propagator import point_source
 
         w = WilsonOperator(gauge_tiny, mass=0.3)
-        solver = ReliableUpdateCG(HalfPrecision(), tol=1e-8, max_iter=2000, storage=storage)
+        solver = ReliableUpdateCG(HalfPrecision(), tol=1e-8, max_iter=2000)
         for spin, color in ((0, 0), (3, 2)):
             rhs = w.apply_dagger(point_source(gauge_tiny.geometry, (0, 0, 0, 0), spin, color))
             alone = solver.solve(w.apply_normal, rhs)
