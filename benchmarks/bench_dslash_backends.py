@@ -1,17 +1,18 @@
-"""Wall-clock timing of the dslash kernel backends, per volume.
+"""Wall-clock timing of the dslash kernels, per volume.
 
-Runs both registered hopping-term backends (the production
-``halfspinor`` kernel and its ``reference`` oracle) on a ladder of local volumes
-and emits ``BENCH_dslash.json`` (next to this file) with per-backend
-timings and model GFlop/s, plus the multi-RHS amortization factor of the
-batched path — the perf trajectory future PRs compare against.
+Runs both hopping-term kernels (the production ``halfspinor`` kernel and
+its ``reference`` oracle) behind a Wilson operator on a ladder of local
+volumes and emits ``BENCH_dslash.json`` (next to this file) with
+per-kernel timings and model GFlop/s, plus the multi-RHS amortization
+factor of the batched path — the perf trajectory future PRs compare
+against.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_dslash_backends.py
 
 or through pytest (registers a report section and asserts the
-half-spinor backend beats the reference stencil)::
+half-spinor kernel beats the reference stencil)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_dslash_backends.py -q
 """
@@ -26,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.comm.bench import host_metadata
-from repro.dirac import WilsonOperator, available_backends
+from repro.dirac import WilsonOperator
+from repro.dirac.kernels import ReferenceKernel
 from repro.lattice import GaugeField, Geometry
 from repro.perfmodel.roofline import host_roofline
 from repro.utils.rng import make_rng
@@ -60,7 +62,7 @@ def run(
     ranks: int = 1,
     policy: str = "blocking",
 ) -> dict:
-    """Time the backends; ``ranks > 1`` additionally times the stacked
+    """Time the kernels; ``ranks > 1`` additionally times the stacked
     hopping through the decomposition runtime under ``policy``."""
     roofline = host_roofline()
     results: dict = {
@@ -86,9 +88,14 @@ def run(
             size=(N_RHS,) + shape
         )
 
-        per_backend: dict = {}
-        for name in available_backends():
-            w = WilsonOperator(gauge, mass=0.1, backend=name)
+        w = WilsonOperator(gauge, mass=0.1)
+        kernels = {
+            "halfspinor": w.kernel,
+            "reference": ReferenceKernel(w.u, w.u_dag, w.geometry),
+        }
+        per_kernel: dict = {}
+        for name, kernel in kernels.items():
+            w.kernel = kernel
             t = _best_of(lambda: w.hopping(psi), repeats)
             flops = w.flops_per_apply(psi.shape)
             # Same traffic model as the dslash span: read the fermion and
@@ -96,25 +103,25 @@ def run(
             nbytes = 2 * psi.nbytes + w.u.nbytes + w.u_dag.nbytes
             ai = flops / nbytes
             gflops = flops / t / 1e9
-            per_backend[name] = {
+            per_kernel[name] = {
                 "time_s": t,
                 "gflops": gflops,
                 "arithmetic_intensity": ai,
                 "fraction_of_roofline": gflops / roofline.predict_gflops(ai),
             }
 
-        # Multi-RHS amortization on the default backend: one stacked
+        # Multi-RHS amortization on the production kernel: one stacked
         # application vs N_RHS single ones.
-        w = WilsonOperator(gauge, mass=0.1)
+        w.kernel = kernels["halfspinor"]
         t_stacked = _best_of(lambda: w.hopping(stack), repeats)
-        t_single = per_backend[w.backend]["time_s"]
-        ref = per_backend["reference"]["time_s"]
-        half = per_backend["halfspinor"]["time_s"]
+        t_single = per_kernel["halfspinor"]["time_s"]
+        ref = per_kernel["reference"]["time_s"]
+        half = per_kernel["halfspinor"]["time_s"]
         entry = {
-            "backends": per_backend,
+            "backends": per_kernel,
             "speedup_halfspinor_vs_reference": ref / half,
             "batched": {
-                "backend": w.backend,
+                "backend": w.kernel.name,
                 "time_s_stacked": t_stacked,
                 "gflops": w.flops_per_apply(stack.shape) / t_stacked / 1e9,
                 "amortization_vs_single": (N_RHS * t_single) / t_stacked,
@@ -163,7 +170,7 @@ def test_halfspinor_beats_reference(report):
             f"{label:>10s}  halfspinor vs reference: "
             f"{vol['speedup_halfspinor_vs_reference']:.2f}x"
         )
-    report("Dslash backend race (wrote BENCH_dslash.json)", "\n".join(lines))
+    report("Dslash kernels (wrote BENCH_dslash.json)", "\n".join(lines))
     assert results["volumes"]["8x8x8x16"]["speedup_halfspinor_vs_reference"] >= 1.5
 
 

@@ -90,67 +90,37 @@ def _memory() -> str:
 
 
 def _kernels() -> str:
-    """Dslash kernels: halfspinor vs its reference oracle, GF/s vs roofline.
-
-    Prefers the committed ``BENCH_dslash.json`` artifact (the full
-    ladder, refreshed by ``benchmarks/bench_dslash_backends.py``); when
-    it is absent, falls back to a quick live timing at 4^3x8 so the
-    section always renders.
-    """
+    """Dslash kernels: halfspinor vs its reference oracle, GF/s vs roofline
+    (``BENCH_dslash.json``, refreshed by ``benchmarks/bench_dslash_backends.py``)."""
     import json
-    import time
     from pathlib import Path
 
-    from repro.dirac import WilsonOperator, available_backends
-    from repro.lattice import GaugeField, Geometry
-    from repro.perfmodel import host_roofline
-    from repro.utils.rng import make_rng
-
     bench = Path(__file__).resolve().parents[2] / "BENCH_dslash.json"
+    if not bench.exists():
+        return (
+            "dslash kernels: no BENCH_dslash.json found — run\n"
+            "  PYTHONPATH=src python benchmarks/bench_dslash_backends.py"
+        )
+    data = json.loads(bench.read_text())
     rows = []
     notes = []
-    if bench.exists():
-        data = json.loads(bench.read_text())
-        for label, vol in sorted(data["volumes"].items()):
-            for name, e in sorted(vol["backends"].items()):
-                rows.append(
-                    (label, name, f"{e['gflops']:.3f}", f"{100 * e['fraction_of_roofline']:.1f}%")
-                )
-            notes.append(
-                f"{label}: halfspinor {vol['speedup_halfspinor_vs_reference']:.2f}x "
-                "over reference"
-            )
-        rl = data.get("roofline", {})
-        notes.append(
-            f"artifact: BENCH_dslash.json "
-            f"(roofline {rl.get('peak_gflops', 0):.0f} GF/s "
-            f"/ {rl.get('peak_bw_gbs', 0):.0f} GB/s)"
-        )
-    else:
-        roofline = host_roofline()
-        geom = Geometry(4, 4, 4, 8)
-        gauge = GaugeField.random(geom, make_rng(55), scale=0.35)
-        rng = make_rng(56)
-        shape = geom.dims + (4, 3)
-        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        for name in available_backends():
-            w = WilsonOperator(gauge, mass=0.1, backend=name)
-            w.hopping(psi)  # warm-up
-            best = float("inf")
-            for _ in range(3):
-                t0 = time.perf_counter()
-                w.hopping(psi)
-                best = min(best, time.perf_counter() - t0)
-            flops = w.flops_per_apply(psi.shape)
-            ai = flops / (2 * psi.nbytes + w.u.nbytes + w.u_dag.nbytes)
-            gflops = flops / best / 1e9
+    for label, vol in sorted(data["volumes"].items()):
+        for name, e in sorted(vol["backends"].items()):
             rows.append(
-                ("4x4x4x8", name, f"{gflops:.3f}",
-                 f"{100 * gflops / roofline.predict_gflops(ai):.1f}%")
+                (label, name, f"{e['gflops']:.3f}", f"{100 * e['fraction_of_roofline']:.1f}%")
             )
-        notes.append("live timing (no BENCH_dslash.json found)")
+        notes.append(
+            f"{label}: halfspinor {vol['speedup_halfspinor_vs_reference']:.2f}x "
+            "over reference"
+        )
+    rl = data.get("roofline", {})
+    notes.append(
+        f"artifact: BENCH_dslash.json "
+        f"(roofline {rl.get('peak_gflops', 0):.0f} GF/s "
+        f"/ {rl.get('peak_bw_gbs', 0):.0f} GB/s)"
+    )
     table = format_table(
-        ["volume", "backend", "GF/s", "% roofline"],
+        ["volume", "kernel", "GF/s", "% roofline"],
         rows,
         title="Dslash kernels: sustained GF/s vs host roofline",
     )

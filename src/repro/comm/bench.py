@@ -58,42 +58,6 @@ def host_metadata() -> dict:
     }
 
 
-def _race_policies(rt, psi, repeats: int, policies=None) -> dict:
-    """Race the halo schedules ``rt``'s grid can run on a stacked hopping.
-
-    Per policy: ``seconds`` is the best of ``repeats`` timed hoppings
-    after a warm-up (workspace allocation, einsum path resolution), and
-    ``halo_wait_s`` / ``interior_s`` the per-hopping halo wait and
-    overlap window, each the max over ranks of the cumulative counters'
-    growth between two ``halo_stats()`` reads around the timed calls.
-    """
-    from repro.comm.exchange import feasible_policies
-
-    rows: dict = {}
-    for policy in feasible_policies(rt.grid):
-        if policies is not None and policy not in policies:
-            continue
-        rt.set_policy(policy)
-        rt.hopping(psi)  # warm-up
-        before = rt.halo_stats()
-        best = np.inf
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            rt.hopping(psi)
-            best = min(best, time.perf_counter() - t0)
-        after = rt.halo_stats()
-
-        def growth(key: str) -> float:
-            return max(b[key] - a[key] for a, b in zip(before, after)) / repeats
-
-        rows[policy] = {
-            "seconds": best,
-            "halo_wait_s": growth("wait_seconds"),
-            "interior_s": growth("interior_seconds"),
-        }
-    return rows
-
-
 def bench_halo(
     gauge,
     mass: float,
@@ -106,6 +70,7 @@ def bench_halo(
     timeout: float = 120.0,
 ) -> dict:
     """Per-(ranks, transport, policy) stacked-hopping timings."""
+    from repro.autotune.comm import race_policies
     from repro.comm.distributed import DecompRuntime
     from repro.utils.rng import make_rng
 
@@ -127,7 +92,7 @@ def bench_halo(
                 max_rhs=n_rhs,
                 timeout=timeout,
             ) as rt:
-                rows = _race_policies(rt, psi, repeats, policies)
+                rows = race_policies(rt, psi, repeats, policies)
             per_rank[transport] = {p: row["seconds"] for p, row in rows.items()}
         out[str(nr)] = per_rank
     return out
@@ -151,6 +116,7 @@ def bench_transport_halo(
     wait_blocking`` — the fraction of the blocking schedule's halo wait
     the overlap schedule hides.
     """
+    from repro.autotune.comm import race_policies
     from repro.comm.distributed import DecompRuntime
     from repro.comm.transports import TRANSPORTS
     from repro.utils.rng import make_rng
@@ -174,7 +140,7 @@ def bench_transport_halo(
             gauge, mass, ranks=ranks, transport=transport,
             policy="blocking", max_rhs=n_rhs, timeout=timeout,
         ) as rt:
-            raced = _race_policies(rt, psi, repeats)
+            raced = race_policies(rt, psi, repeats)
         policies = {
             p: {"seconds": row["seconds"], "halo_wait_s": row["halo_wait_s"]}
             for p, row in raced.items()
@@ -215,7 +181,7 @@ def bench_cg_headline(
     shape = (n_rhs,) + geom.dims + (4, 3)
     b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    eo = EvenOddWilson(WilsonOperator(gauge, mass, backend="halfspinor"))
+    eo = EvenOddWilson(WilsonOperator(gauge, mass))
 
     def serial_solve(rhs, iters):
         prepared = eo.prepare_rhs(rhs)

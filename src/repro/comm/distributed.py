@@ -28,8 +28,8 @@ partitioned direction it is a direct call of the kernel — serial is the
 WilsonSchur`, the class behind the serial ``EvenOddWilson``, instantiated
 on the rank's hopping term: on full-lattice fields for the field
 operations, and for the solve on checkerboard-*packed* half-volume
-fields where the grid allows it (t unpartitioned, every global extent
-even) — Schur vectors occupy one parity only, so packing halves the
+fields (a solve runs on a slab grid along x, so t is unpartitioned) —
+Schur vectors occupy one parity only, so packing halves the
 sites every hot pass touches, mirroring QUDA's half-lattice
 preconditioned dslash.
 
@@ -319,12 +319,10 @@ class _RankContext:
         hop = self.stencil.hopping
         #: the red-black chain on full-lattice local fields (field ops)
         self.eo = WilsonSchur(lambda x, parity: hop(x), mass, *parity_fields(geometry))
-        #: the chain the solve runs: on checkerboard-packed fields where
-        #: the layout splices across ranks (t, the packed axis,
-        #: unpartitioned; every global extent even), else the full-lattice one
-        self.eo_solve = self.eo
-        if 3 not in grid.partitioned and all(L % 2 == 0 for L in grid.global_dims):
-            self.eo_solve = WilsonSchur.packed(kernel, hop, mass)
+        #: the chain the solve runs, on checkerboard-packed fields: a solve
+        #: needs a slab grid along x (the reducer), so t, the packed axis,
+        #: is never partitioned, and ``Geometry`` makes every extent even
+        self.eo_solve = WilsonSchur.packed(kernel, hop, mass)
         self._reducer_args = (fabric, grid, rank)
 
     @cached_property
@@ -356,9 +354,9 @@ def rank_solve(
 ) -> BatchedSolveResult:
     """The full propagator pipeline on one rank (collective throughout).
 
-    Prepares the even-site system (on ``ctx.eo_solve``'s fields:
-    checkerboard-packed where the grid allows, half the work
-    everywhere), hands the normal system to the *serial* solvers' own
+    Prepares the even-site system (on ``ctx.eo_solve``'s
+    checkerboard-packed fields, half the work everywhere), hands the
+    normal system to the *serial* solvers' own
     recurrence — by default the paper's double-single solver,
     :meth:`ReliableUpdateCG._run` with a complex64 inner loop (stencil,
     halo faces, Krylov vectors) and double refreshes at ``delta``

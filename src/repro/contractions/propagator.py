@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.dirac import gamma as g
 from repro.dirac.evenodd import EvenOddMobius
-from repro.dirac.evenodd_wilson import EvenOddWilson, WilsonSchur
+from repro.dirac.evenodd_wilson import WilsonSchur
 from repro.dirac.mobius import MobiusOperator
 from repro.dirac.wilson import WilsonOperator
 from repro.lattice.geometry import Geometry
@@ -279,9 +279,7 @@ class SchurColumnStacks:
     ``op`` is a :class:`WilsonOperator` or a :class:`MobiusOperator`.  The
     even-site system lives on checkerboard-packed fields (half the sites
     in every stencil pass and solver array): :meth:`WilsonSchur.packed`
-    and :class:`EvenOddMobius` share that one field space.  Only a Wilson
-    kernel without the layout falls back to masked full-lattice fields
-    (:class:`EvenOddWilson` — the iteration count alone).  ``width``
+    and :class:`EvenOddMobius` share that one field space.  ``width``
     defaults to the workspace budget's answer for an *even-site* column,
     and the right-hand sides are prepared a stack at a time, so every hop
     of a task has one shape and the kernel pools one workspace.
@@ -290,10 +288,8 @@ class SchurColumnStacks:
     def __init__(self, op, b: np.ndarray, width: int | None = None):
         if isinstance(op, MobiusOperator):
             self.eo = EvenOddMobius(op)
-        elif hasattr(op.kernel, "pack"):
-            self.eo = WilsonSchur.packed(op.kernel, op.hopping, op.mass)
         else:
-            self.eo = EvenOddWilson(op)
+            self.eo = WilsonSchur.packed(op.kernel, op.hopping, op.mass)
         self.op, self.b = op, b
         n, column = b.shape[0], self.eo.split(b[:1])[0]
         self.width = width or stack_width(column.nbytes, n)

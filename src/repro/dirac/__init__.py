@@ -8,13 +8,6 @@ matrix-free stencil kernels).
 """
 
 from repro.dirac.gamma import GAMMA, GAMMA5, P_MINUS, P_PLUS, proj_minus, proj_plus
-from repro.dirac.kernels import (
-    DEFAULT_BACKEND,
-    available_backends,
-    get_backend,
-    make_kernel,
-    register_backend,
-)
 from repro.dirac.wilson import WilsonOperator
 from repro.dirac.mobius import MobiusOperator
 from repro.dirac.evenodd import EvenOddMobius
@@ -25,11 +18,6 @@ from repro.dirac.flops import (
 )
 
 __all__ = [
-    "DEFAULT_BACKEND",
-    "available_backends",
-    "get_backend",
-    "make_kernel",
-    "register_backend",
     "GAMMA",
     "GAMMA5",
     "P_MINUS",

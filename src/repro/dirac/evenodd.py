@@ -42,8 +42,7 @@ class EvenOddMobius:
     Parameters
     ----------
     mobius:
-        The full operator to precondition; its Wilson kernel must have
-        the checkerboard-packed layout (``kernel.pack``).
+        The full operator to precondition.
 
     ``split(b) -> (b_even, b_odd)`` packs a full 5D field (any leading
     axes) and ``join`` unpacks; ``b_apply(x, p)`` / ``b_dagger_apply(x,
@@ -51,14 +50,8 @@ class EvenOddMobius:
     """
 
     def __init__(self, mobius: MobiusOperator):
-        kernel = mobius.wilson.kernel
-        if not hasattr(kernel, "pack"):
-            raise ValueError(
-                f"the even-odd Mobius chain needs a checkerboard-packed kernel; "
-                f"backend {mobius.backend!r} has none"
-            )
         self.mobius = mobius
-        self.split, self.join = packed_fields(kernel)
+        self.split, self.join = packed_fields(mobius.wilson.kernel)
         self.alpha = (4.0 - mobius.m5) * mobius.b5 + 1.0
         self.beta = (4.0 - mobius.m5) * mobius.c5 - 1.0
         self._inv = self._a_inv_weights()

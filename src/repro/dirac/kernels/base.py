@@ -1,7 +1,8 @@
-"""Shared infrastructure for dslash kernel backends.
+"""Shared infrastructure for the dslash kernels.
 
-A *backend* is one concrete implementation of the Wilson hopping stencil
-(the hot loop of every solve).  All backends share the same contract:
+A kernel is one implementation of the Wilson hopping stencil (the hot
+loop of every solve).  The production kernel and its test oracle share
+the same contract:
 
 * constructed once per operator from the boundary-conditioned links;
 * :meth:`DslashKernel.hopping` maps a flattened fermion stack of shape
@@ -72,7 +73,7 @@ def roll_into(src: np.ndarray, shift: int, axis: int, out: np.ndarray) -> np.nda
 
 
 class DslashKernel:
-    """Base class for Wilson hopping-term backends.
+    """Base class for the Wilson hopping-term kernels.
 
     Parameters
     ----------
@@ -83,7 +84,7 @@ class DslashKernel:
         The 4D lattice.
     """
 
-    #: Registry name, set by the concrete backend.
+    #: Short name; an operator's span is ``dslash.{name}``.
     name: str = "?"
 
     def __init__(self, u: np.ndarray, u_dag: np.ndarray, geometry: Geometry):

@@ -1,4 +1,4 @@
-"""Half-spinor (spin-projected) dslash backend — the one NumPy stencil.
+"""Half-spinor (spin-projected) dslash kernel — the one NumPy stencil.
 
 QUDA's key flop optimization (Section IV): the hopping projectors
 ``(1 -+ gamma_mu)`` have rank two, so in the DeGrand-Rossi chiral basis —
@@ -14,7 +14,7 @@ half the neighbour-exchange traffic), and the full spinor is
 reconstructed afterwards by the trivial row map ``R``.  Both ``A`` and
 ``R`` have a single ``+-1``/``+-i`` entry per row, so projection and
 reconstruction are pure slicing plus scaled adds: no 4x4 spin einsum
-appears anywhere in this backend.
+appears anywhere in this kernel.
 
 The 3x3 color multiply is unrolled into nine broadcast
 multiply-accumulates over contiguous per-component link planes, which
@@ -69,7 +69,6 @@ import numpy as np
 
 from repro.dirac import gamma as g
 from repro.dirac.kernels.base import DslashKernel, roll_into
-from repro.dirac.kernels.registry import register_backend
 
 __all__ = ["HalfSpinorKernel"]
 
@@ -157,7 +156,6 @@ def _planes(links: np.ndarray, fold=np.ascontiguousarray) -> tuple:
     )
 
 
-@register_backend("halfspinor")
 class HalfSpinorKernel(DslashKernel):
     """Spin-projected stencil with an unrolled broadcast color multiply.
 

@@ -1,8 +1,8 @@
-"""The reference dslash backend — the correctness oracle.
+"""The reference dslash kernel — the correctness oracle.
 
 This is the original :meth:`WilsonOperator.hopping` stencil verbatim:
 four full 4-spinor einsum contractions with ``np.roll`` neighbour
-gathers.  Every other backend is validated against it to double
+gathers.  The half-spinor kernel is validated against it to double
 precision; it is deliberately left unoptimized so the oracle stays
 simple to audit.
 """
@@ -13,12 +13,10 @@ import numpy as np
 
 from repro.dirac import gamma as g
 from repro.dirac.kernels.base import DslashKernel
-from repro.dirac.kernels.registry import register_backend
 
 __all__ = ["ReferenceKernel"]
 
 
-@register_backend("reference")
 class ReferenceKernel(DslashKernel):
     """Full 4-spinor einsum stencil (the seed implementation)."""
 

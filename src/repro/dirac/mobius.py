@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.dirac import gamma as g
 from repro.dirac.flops import mobius_dslash_flops_per_5d_site
-from repro.dirac.kernels import DEFAULT_BACKEND
 from repro.dirac.wilson import WilsonOperator
 from repro.lattice.gauge import GaugeField
 
@@ -61,9 +60,6 @@ class MobiusOperator:
         Mobius coefficients; ``b5 - c5 = 1`` keeps the approach to the
         continuum 5th dimension Shamir-like while ``b5 + c5`` scales the
         effective ``Ls``.
-    backend:
-        Dslash backend of the 4D Wilson kernel, forwarded to
-        :class:`repro.dirac.wilson.WilsonOperator`.
     """
 
     def __init__(
@@ -75,7 +71,6 @@ class MobiusOperator:
         b5: float = 1.5,
         c5: float = 0.5,
         antiperiodic_t: bool = True,
-        backend: str = DEFAULT_BACKEND,
     ):
         if ls < 2:
             raise ValueError(f"ls must be >= 2, got {ls}")
@@ -87,18 +82,7 @@ class MobiusOperator:
         self.m5 = float(m5)
         self.b5 = float(b5)
         self.c5 = float(c5)
-        self.wilson = WilsonOperator(
-            gauge, mass=-m5, antiperiodic_t=antiperiodic_t, backend=backend
-        )
-
-    @property
-    def backend(self) -> str:
-        """Dslash backend of the underlying 4D Wilson kernel."""
-        return self.wilson.backend
-
-    def set_backend(self, name: str) -> None:
-        """Switch the 4D Wilson kernel to a registered dslash backend."""
-        self.wilson.set_backend(name)
+        self.wilson = WilsonOperator(gauge, mass=-m5, antiperiodic_t=antiperiodic_t)
 
     @property
     def field_shape(self) -> tuple[int, ...]:

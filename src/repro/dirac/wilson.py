@@ -13,9 +13,9 @@ domain-wall operator, or a stack of right-hand sides in the multi-RHS
 solver path); the four site axes are always the last six axes minus spin
 and colour, i.e. shape ``(..., Lx, Ly, Lz, Lt, 4, 3)``.
 
-The hopping term itself is computed by a pluggable *kernel backend*
-(:mod:`repro.dirac.kernels`): the spin-projected ``halfspinor`` kernel,
-or the ``reference`` einsum stencil the tests hold it against.
+The hopping term itself is computed by the spin-projected
+:class:`~repro.dirac.kernels.HalfSpinorKernel`; the tests hold it
+against the ``reference`` einsum stencil.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from repro import obs
 from repro.dirac import gamma as g
-from repro.dirac import kernels as _kernels
+from repro.dirac.kernels import HalfSpinorKernel
 from repro.dirac.flops import wilson_dslash_flops_per_site
 from repro.lattice.gauge import GaugeField
 
@@ -45,45 +45,18 @@ class WilsonOperator:
     antiperiodic_t:
         Apply antiperiodic temporal boundary conditions (default, the
         physical choice for fermions at finite temporal extent).
-    backend:
-        Dslash backend name (:data:`repro.dirac.kernels.DEFAULT_BACKEND`
-        unless a test pins the ``reference`` oracle).
+
+    ``kernel`` is the :class:`~repro.dirac.kernels.HalfSpinorKernel` the
+    hopping term runs on (a test may assign the ``ReferenceKernel``
+    oracle in its place).
     """
 
-    def __init__(
-        self,
-        gauge: GaugeField,
-        mass: float,
-        antiperiodic_t: bool = True,
-        backend: str = _kernels.DEFAULT_BACKEND,
-    ):
+    def __init__(self, gauge: GaugeField, mass: float, antiperiodic_t: bool = True):
         self.geometry = gauge.geometry
         self.mass = float(mass)
         self.u = gauge.fermion_links(antiperiodic_t=antiperiodic_t)
         self.u_dag = np.conjugate(np.swapaxes(self.u, -1, -2))
-        self._kernels: dict[str, _kernels.DslashKernel] = {}
-        self.set_backend(backend)
-
-    # -- backend routing -----------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """Name of the dslash backend currently in use."""
-        return self._kernel.name
-
-    def set_backend(self, name: str) -> None:
-        """Switch the hopping term to a registered backend.
-
-        Instantiated backends are kept, so switching back is free (the
-        QUDA analogue: tuned kernel instances persist in the tunecache).
-        """
-        if name not in self._kernels:
-            self._kernels[name] = _kernels.make_kernel(name, self.u, self.u_dag, self.geometry)
-        self._kernel = self._kernels[name]
-
-    @property
-    def kernel(self) -> _kernels.DslashKernel:
-        """The active kernel instance (exposes workspace/statistics)."""
-        return self._kernel
+        self.kernel = HalfSpinorKernel(self.u, self.u_dag, self.geometry)
 
     # -- shape handling ------------------------------------------------------
     def _flatten(self, psi: np.ndarray, packed: bool = False) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -104,8 +77,8 @@ class WilsonOperator:
 
         ``H`` strictly couples opposite checkerboard parities — the
         property exploited by the red-black preconditioning.  With
-        ``parity``, ``psi`` holds that parity's sites in the active
-        kernel's checkerboard-packed layout (``kernel.pack``) and the
+        ``parity``, ``psi`` holds that parity's sites in the kernel's
+        checkerboard-packed layout (``kernel.pack``) and the
         result the other parity's: half the sites per application.
 
         Every application opens an :mod:`repro.obs` span attributed
@@ -118,14 +91,14 @@ class WilsonOperator:
         """
         phi, _ = self._flatten(psi, packed=parity is not None)
         with obs.span(
-            f"dslash.{self._kernel.name}",
+            f"dslash.{self.kernel.name}",
             flops=float(phi.size // 12 * wilson_dslash_flops_per_site()),
             lead=phi.shape[0],
         ) as sp:
             if parity is None:
-                out = self._kernel.hopping(phi)
+                out = self.kernel.hopping(phi)
             else:
-                out = self._kernel.hopping(phi, parity=parity)
+                out = self.kernel.hopping(phi, parity=parity)
             links = (self.u.nbytes + self.u_dag.nbytes) * out.itemsize // self.u.itemsize
             sp.add_bytes(phi.nbytes + out.nbytes + (links if parity is None else links // 2))
         return out.reshape(psi.shape)

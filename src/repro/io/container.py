@@ -12,9 +12,10 @@ dtype, shape and byte offset of each.  Integrity is protected end to
 end: a CRC32 over the JSON header (format v2) plus a CRC32 per array,
 both checked on load, and truncated files are reported as such.  Writes
 are crash-safe and concurrent-writer-safe: the container is assembled in
-a same-directory temp file, fsynced, then atomically renamed over the
-destination (the tunecache v3 pattern), so readers only ever observe a
-complete old or complete new file — never a torn mix of two writers.
+a same-directory temp file, fsynced, then renamed over the destination
+— a rename within one file system swaps the name to the new inode in
+one step — so readers only ever observe a complete old or complete new
+file, never a torn mix of two writers.
 
 Format v1 (``REPROLQ1``, no header CRC) is still read.
 

@@ -5,14 +5,22 @@
 time only MPICH and MVAPICH2 supported.  SpectrumMPI jobs therefore ran
 as individual scheduler submissions, and the MVAPICH2 build carried a
 small untuned-performance penalty on Sierra.  These traits feed the
-Fig. 5 weak-scaling comparison.
+Fig. 5 weak-scaling comparison; :func:`mpi_implementation_for` reads
+them off a Table II machine's ``mpi`` string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["MPIImplementation", "MPI_IMPLEMENTATIONS"]
+from repro.machines.registry import MachineSpec
+
+__all__ = [
+    "MPIImplementation",
+    "MPI_IMPLEMENTATIONS",
+    "mpi_implementation_for",
+    "dpm_supported",
+]
 
 
 @dataclass(frozen=True)
@@ -58,3 +66,32 @@ MPI_IMPLEMENTATIONS: dict[str, MPIImplementation] = {
         "tuned for Sierra (the paper's 15% -> 20% headroom)",
     ),
 }
+
+#: ``MachineSpec.mpi`` prefix -> :data:`MPI_IMPLEMENTATIONS` key (Cray
+#: MPICH has no modeled entry — its traits never fed Fig. 5).
+_MPI_PREFIXES = {
+    "spectrum": "spectrum",
+    "mvapich2": "mvapich2",
+    "openmpi": "openmpi",
+    "open mpi": "openmpi",
+}
+
+
+def mpi_implementation_for(machine: MachineSpec) -> MPIImplementation | None:
+    """The modeled MPI stack behind a machine's ``mpi`` string, if any."""
+    label = machine.mpi.lower()
+    for prefix, key in _MPI_PREFIXES.items():
+        if label.startswith(prefix):
+            return MPI_IMPLEMENTATIONS[key]
+    return None
+
+
+def dpm_supported(machine: MachineSpec) -> bool:
+    """Whether the machine's MPI stack supports dynamic process management.
+
+    ``mpi_jm``-style lumped launches need ``MPI_Comm_spawn_multiple`` +
+    disconnect; an unmodeled stack (Cray MPICH) is conservatively
+    treated as unsupported, matching the paper's per-job fallback.
+    """
+    impl = mpi_implementation_for(machine)
+    return impl is not None and impl.dpm_supported

@@ -39,10 +39,6 @@ SOLVER_MODES = ("percolumn", "batched", "block", "distributed")
 DIST_TRANSPORTS = ("threads", "shm")
 
 
-def _mass_tag(i: int, mass: float) -> str:
-    return f"m{i}"
-
-
 def build_ga_campaign(
     dims: tuple[int, int, int, int] = (4, 4, 4, 8),
     masses: tuple[float, ...] = (0.35, 0.5),
@@ -65,9 +61,10 @@ def build_ga_campaign(
     ``solver_mode="distributed"``, ``dist_ranks`` and ``dist_transport``
     (``threads``/``shm``) pick the decomposition and the executed halo
     transport.  An unknown mode or transport, fewer than one rank,
-    ``dims`` that are not four even extents >= 2, a zero or non-finite
-    mass, or a ``t_snk`` off the time axis is a ``ValueError`` here,
-    before any task runs.
+    ``dims`` that are not four even extents >= 2, no mass or a zero or
+    non-finite one (negative Wilson masses are physical), a ``tol`` or
+    ``scale`` outside ``(0, inf)`` / ``[0, inf)``, ``max_iter < 1`` or a
+    ``t_snk`` off the time axis is a ``ValueError`` here, before any task runs.
 
     The defaults reproduce the historical per-column campaign
     bit-for-bit.
@@ -81,8 +78,10 @@ def build_ga_campaign(
     if len(dims) != 4 or any(int(d) != d or d < 2 or d % 2 for d in dims):
         raise ValueError(f"dims must be four even extents >= 2, got {list(dims)}")
     masses = tuple(float(m) for m in masses)
-    if not all(m != 0.0 and math.isfinite(m) for m in masses):
-        raise ValueError(f"masses must be non-zero and finite, got {list(masses)}")
+    if not masses or not all(m != 0.0 and math.isfinite(m) for m in masses):
+        raise ValueError(f"masses must be non-empty, non-zero and finite, got {list(masses)}")
+    if not (0.0 < tol < math.inf and max_iter >= 1 and 0.0 <= scale < math.inf):
+        raise ValueError(f"need finite tol > 0, max_iter >= 1, scale >= 0: {tol}, {max_iter}, {scale}")
     if t_snk is None:
         t_snk = dims[3] // 2
     if not 0 <= t_snk < dims[3]:
@@ -136,7 +135,7 @@ def build_ga_campaign(
 
     corr_refs: dict[str, str] = {}
     for i, mass in enumerate(masses):
-        tag = _mass_tag(i, mass)
+        tag = f"m{i}"
         prop_id, seq_id, corr_id = f"prop_{tag}", f"seq_{tag}", f"corr_{tag}"
         solve_extra: dict = {}
         if solver_mode != "percolumn":
@@ -144,7 +143,7 @@ def build_ga_campaign(
         if solver_mode == "distributed":
             solve_extra["dist_ranks"] = int(dist_ranks)
             solve_extra["dist_transport"] = str(dist_transport)
-        # Lighter quarks condition worse: est scales like 1/mass, which
+        # Lighter quarks condition worse: est scales like 1/|mass|, which
         # is the heterogeneity the schedulers exploit.
         tasks.append(
             CampaignTask(
@@ -160,7 +159,7 @@ def build_ga_campaign(
                     **solve_extra,
                 },
                 deps=("gaugefix", "smear"),
-                est_seconds=4.0 / mass,
+                est_seconds=4.0 / abs(mass),
                 priority=8,
             )
         )
@@ -179,7 +178,7 @@ def build_ga_campaign(
                         **solve_extra,
                     },
                     deps=("gaugefix", prop_id),
-                    est_seconds=4.0 / mass,
+                    est_seconds=4.0 / abs(mass),
                     priority=7,
                 )
             )
@@ -205,7 +204,7 @@ def build_ga_campaign(
     # unlocks late — the tail METAQ fills and naive bundling serializes.
     for i in range(len(masses)):
         for j in range(i + 1, len(masses)):
-            ti, tj = _mass_tag(i, masses[i]), _mass_tag(j, masses[j])
+            ti, tj = f"m{i}", f"m{j}"
             cid = f"corr_{ti}{tj}"
             tasks.append(
                 CampaignTask(
@@ -312,7 +311,4 @@ def build_from_spec(spec: dict) -> tuple[TaskGraph, dict]:
     # specs written while the builder had a shifted-family task spell "shifts": []
     if kwargs.pop("shifts", None):
         raise ValueError("'shifts' was removed: the shifted-family solve task is gone")
-    for key in ("dims", "masses"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
     return _BUILDERS[name](**kwargs)

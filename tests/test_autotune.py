@@ -1,4 +1,4 @@
-"""Autotuners: brute-force search, tune cache, persistence, comm policies."""
+"""Autotuners: brute-force search, tune cache, comm policies."""
 
 from __future__ import annotations
 
@@ -17,10 +17,6 @@ def _kernel(bytes_moved=5e7, ws=0.8):
 
 
 class TestTuneKey:
-    def test_string_roundtrip(self):
-        k = TuneKey("dslash", 442368, "half", "dagger=1")
-        assert TuneKey.from_string(k.as_string()) == k
-
     def test_distinct_aux_distinct_keys(self):
         a = TuneKey("dslash", 10, "half", "x")
         b = TuneKey("dslash", 10, "half", "y")
@@ -70,17 +66,6 @@ class TestKernelAutotuner:
         entry = noisy.tune(TuneKey("dslash", 1000, "half"), model)
         # Chosen point within 10% of the true optimum despite 10% noise.
         assert model.time(entry.params) < 1.10 * model.best_time()
-
-    def test_persistence_roundtrip(self, tmp_path):
-        tuner = KernelAutotuner(rng=4, noise=0.0)
-        key = TuneKey("dslash", 1000, "half", "a")
-        entry = tuner.tune(key, _kernel())
-        path = tmp_path / "tunecache.json"
-        tuner.save(path)
-        fresh = KernelAutotuner(rng=5)
-        assert fresh.load(path) == 1
-        assert fresh.tune(key, _kernel()).block_size == entry.block_size
-        assert fresh.tune_calls == 0  # served from the loaded cache
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -158,91 +143,6 @@ class TestCommPolicyTuner:
         assert max(spreads) > 1.01
 
 
-class TestTunecacheV3:
-    """Process-safe persistence: comm section, atomic writes, locking."""
-
-    def _tuner_with_comm_entry(self):
-        tuner = KernelAutotuner(launches_per_candidate=1)
-        key = TuneKey("halo_policy", 512, "complex128", "ranks2|rhs2|threads")
-        tuner.tune_comm_policy(
-            key, {"threads/blocking": lambda: None, "threads/pairwise": lambda: None}
-        )
-        return tuner, key
-
-    def test_comm_section_roundtrip(self, tmp_path):
-        tuner, key = self._tuner_with_comm_entry()
-        path = tmp_path / "tunecache.json"
-        tuner.save(path)
-        fresh = KernelAutotuner()
-        assert fresh.load(path) == 1
-        assert fresh.comm_choice(key) == tuner.comm_choice(key)
-        assert fresh.comm_choice(key) in ("threads/blocking", "threads/pairwise")
-
-    def test_version_3_payload(self, tmp_path):
-        import json
-
-        tuner, _ = self._tuner_with_comm_entry()
-        path = tmp_path / "tunecache.json"
-        tuner.save(path)
-        payload = json.loads(path.read_text())
-        assert payload["version"] == 3
-        assert set(payload) == {"version", "kernels", "comm"}
-
-    def test_backends_section_of_an_old_file_is_ignored(self, tmp_path):
-        """A version-3 file written while the dslash backend race existed
-        still loads: its ``"backends"`` section is skipped, not counted."""
-        import json
-
-        tuner, key = self._tuner_with_comm_entry()
-        path = tmp_path / "tunecache.json"
-        tuner.save(path)
-        payload = json.loads(path.read_text())
-        payload["backends"] = {
-            "wilson_hopping|v512|double|nrhs=1": {
-                "backend": "halfspinor",
-                "time_s": 1e-3,
-                "times": {"halfspinor": 1e-3, "reference": 4e-3},
-                "n_candidates": 2,
-            }
-        }
-        path.write_text(json.dumps(payload))
-        fresh = KernelAutotuner()
-        assert fresh.load(path) == 1
-        assert len(fresh) == 1
-        assert fresh.comm_choice(key) == tuner.comm_choice(key)
-
-    def test_save_leaves_no_litter(self, tmp_path):
-        """Atomic rename: no temp or lock files survive a save."""
-        tuner, _ = self._tuner_with_comm_entry()
-        path = tmp_path / "tunecache.json"
-        tuner.save(path)
-        assert [p.name for p in tmp_path.iterdir()] == ["tunecache.json"]
-
-    def test_stale_lock_broken(self, tmp_path):
-        """A lock abandoned by a dead process must not wedge saves."""
-        import os
-
-        tuner, _ = self._tuner_with_comm_entry()
-        path = tmp_path / "tunecache.json"
-        lock = tmp_path / "tunecache.json.lock"
-        lock.write_text("99999")
-        old = os.stat(lock).st_mtime - KernelAutotuner.LOCK_STALE_S - 1
-        os.utime(lock, (old, old))
-        tuner.save(path)  # must not block for LOCK_TIMEOUT_S
-        assert path.exists()
-        assert not lock.exists()
-
-    def test_live_lock_timeout_still_saves(self, tmp_path, monkeypatch):
-        """Waiting out a live lock degrades to an unlocked (still atomic)
-        write rather than an error."""
-        monkeypatch.setattr(KernelAutotuner, "LOCK_TIMEOUT_S", 0.05)
-        tuner, _ = self._tuner_with_comm_entry()
-        path = tmp_path / "tunecache.json"
-        (tmp_path / "tunecache.json.lock").write_text("1")  # fresh = live
-        tuner.save(path)
-        assert path.exists()
-
-
 class TestMeasuredCommTuning:
     def test_measured_race_through_runtime(self):
         from repro.lattice import GaugeField, Geometry
@@ -250,18 +150,15 @@ class TestMeasuredCommTuning:
 
         geom = Geometry(4, 6, 2, 8)
         gauge = GaugeField.random(geom, make_rng(3), scale=0.3)
-        ktuner = KernelAutotuner(launches_per_candidate=1)
         tuner = CommPolicyTuner()
-        res = tuner.tune_measured(
-            gauge, 0.1, ranks=2, n_rhs=2, transports=("threads",), tuner=ktuner
-        )
+        res = tuner.tune_measured(gauge, 0.1, ranks=2, n_rhs=2, transports=("threads",))
         assert res.source == "measured"
         assert all(p.executable for p in res.times)
         assert res.best == res.ranking()[0][0]
         assert res.speedup_vs_worst >= 1.0
         # cached: same object back, no re-race
         assert tuner.tune_measured(
-            gauge, 0.1, ranks=2, n_rhs=2, transports=("threads",), tuner=ktuner
+            gauge, 0.1, ranks=2, n_rhs=2, transports=("threads",)
         ) is res
 
     def test_modeled_result_tagged(self):
@@ -269,25 +166,7 @@ class TestMeasuredCommTuning:
         res = tuner.tune(get_machine("sierra"), (48, 48, 48, 64), 20, 16)
         assert res.source == "model"
 
-    def test_measured_aux_carries_grid_and_transports(self):
-        """The tunecache aux of a distributed race must key on the rank
-        grid and the raced transport set — not just the rhs width."""
-        from repro.lattice import GaugeField, Geometry
-        from repro.utils.rng import make_rng
-
-        geom = Geometry(4, 6, 2, 8)
-        gauge = GaugeField.random(geom, make_rng(3), scale=0.3)
-        ktuner = KernelAutotuner(launches_per_candidate=1)
-        CommPolicyTuner().tune_measured(
-            gauge, 0.1, ranks=2, n_rhs=2, transports=("threads",), tuner=ktuner
-        )
-        keys = [k for k in ktuner._comm_cache if k.kernel == "halo_policy"]
-        assert len(keys) == 1
-        aux = keys[0].aux
-        assert "grid=2x1x1x1" in aux
-        assert "rhs2|threads|" in aux
-
-    def test_transport_set_rekeys_the_race(self, tmp_path):
+    def test_transport_set_rekeys_the_race(self):
         """A comm winner recorded under one transport set is re-raced —
         not replayed — when the raced set changes."""
         from repro.lattice import GaugeField, Geometry
@@ -295,20 +174,10 @@ class TestMeasuredCommTuning:
 
         geom = Geometry(4, 6, 2, 8)
         gauge = GaugeField.random(geom, make_rng(3), scale=0.3)
-        ktuner = KernelAutotuner(launches_per_candidate=1)
-        CommPolicyTuner().tune_measured(
-            gauge, 0.1, ranks=2, n_rhs=2, transports=("threads",), tuner=ktuner
+        tuner = CommPolicyTuner()
+        threads = tuner.tune_measured(gauge, 0.1, ranks=2, n_rhs=2, transports=("threads",))
+        both = tuner.tune_measured(
+            gauge, 0.1, ranks=2, n_rhs=2, transports=("threads", "shm")
         )
-        assert ktuner.tune_calls == 1
-        path = tmp_path / "tunecache.json"
-        ktuner.save(path)
-
-        fresh = KernelAutotuner(launches_per_candidate=1)
-        assert fresh.load(path) >= 1
-        CommPolicyTuner().tune_measured(
-            gauge, 0.1, ranks=2, n_rhs=2,
-            transports=("threads", "shm"), tuner=fresh,
-        )
-        assert fresh.tune_calls == 1  # wider set: cache miss, re-raced
-        keys = [k for k in fresh._comm_cache if k.kernel == "halo_policy"]
-        assert any("threads+shm" in k.aux for k in keys)
+        assert both is not threads and len(tuner) == 2  # wider set: re-raced
+        assert set(threads.times) < set(both.times)

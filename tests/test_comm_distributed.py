@@ -46,7 +46,7 @@ def test_hopping_and_apply_bitwise(dims, ranks):
     if dims[0] % ranks:
         pytest.skip(f"{ranks} ranks do not divide Lx={dims[0]}")
     gauge, psi = _background(dims)
-    serial = WilsonOperator(gauge, MASS, backend="halfspinor")
+    serial = WilsonOperator(gauge, MASS)
     with DistributedWilsonOperator(
         gauge, MASS, ranks=ranks, timeout=60.0
     ) as op:
@@ -58,7 +58,7 @@ def test_hopping_and_apply_bitwise(dims, ranks):
 def test_policies_all_bitwise(transport, policy):
     """serial == threads == shm, every schedule."""
     gauge, psi = _background((4, 6, 2, 8))
-    serial = WilsonOperator(gauge, MASS, backend="halfspinor")
+    serial = WilsonOperator(gauge, MASS)
     got = dist_fieldwise(
         "apply", gauge, MASS, psi, transport=transport, ranks=2, policy=policy
     )
@@ -69,7 +69,7 @@ def test_policies_all_bitwise(transport, policy):
 def test_hopping_parity_across_transports(transport, ranks):
     """One source of truth: the serial operator, every transport/ranks."""
     gauge, psi = _background((8, 4, 2, 8))
-    serial = WilsonOperator(gauge, MASS, backend="halfspinor")
+    serial = WilsonOperator(gauge, MASS)
     got = dist_fieldwise(
         "hopping", gauge, MASS, psi, transport=transport, ranks=ranks
     )
@@ -87,7 +87,7 @@ def test_complex64_ops_bitwise(transport, ranks, policy):
     chain on any rank count, transport and schedule (exact on any host)."""
     gauge, psi = _background((8, 4, 2, 8))
     psi = psi.astype(np.complex64)
-    serial = WilsonOperator(gauge, MASS, backend="halfspinor")
+    serial = WilsonOperator(gauge, MASS)
     eo = EvenOddWilson(serial)
     x = eo.restrict(psi, 0)
     knobs = dict(transport=transport, ranks=ranks, policy=policy)
@@ -131,7 +131,7 @@ def test_ghosts_follow_the_rhs_tile(monkeypatch, policy):
     psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     local_column = psi[0, :4].nbytes  # one column of a 2-rank block
     monkeypatch.setattr(halfspinor, "TILE_BYTES", 2 * local_column)
-    serial = WilsonOperator(gauge, MASS, backend="halfspinor")
+    serial = WilsonOperator(gauge, MASS)
     got = dist_fieldwise(
         "hopping", gauge, MASS, psi, transport="threads", ranks=2, policy=policy
     )
@@ -158,7 +158,7 @@ def test_one_engine_two_transports(knob):
 
 def test_schur_ops_parity_across_transports(transport):
     gauge, psi = _background((4, 6, 2, 8))
-    eo = EvenOddWilson(WilsonOperator(gauge, MASS, backend="halfspinor"))
+    eo = EvenOddWilson(WilsonOperator(gauge, MASS))
     x = eo.restrict(psi, 0)
     for op, want in (
         ("schur", eo.schur_apply(x)),
@@ -184,7 +184,7 @@ def test_overlap_equals_blocking_bitwise():
 
 def test_evenodd_schur_ops_bitwise():
     gauge, psi = _background((8, 4, 2, 8))
-    eo = EvenOddWilson(WilsonOperator(gauge, MASS, backend="halfspinor"))
+    eo = EvenOddWilson(WilsonOperator(gauge, MASS))
     x = eo.restrict(psi, 0)
     with DistributedEvenOddOperator(
         gauge, MASS, ranks=4, timeout=60.0
@@ -200,7 +200,7 @@ def test_pairwise_ghosts_outlive_the_next_hopping():
     mailbox slot this rank is still reading.  Shared-memory mailboxes are
     overwritten in place: every op that hops twice came back wrong."""
     gauge, psi = _background((4, 4, 2, 4))
-    eo = EvenOddWilson(WilsonOperator(gauge, MASS, backend="halfspinor"))
+    eo = EvenOddWilson(WilsonOperator(gauge, MASS))
     x = eo.restrict(psi, 0)
     want = eo.schur_normal_apply(x)
     with DecompRuntime(
@@ -232,7 +232,7 @@ def test_cb_packed_path_bitwise(dims):
     bit-identical to the full-field chain on the nonzero parity."""
     ctx = _rank0_context(dims, (1, 1, 1, 1))
     kernel, full, packed = ctx.stencil.kernel, ctx.eo, ctx.eo_solve
-    assert packed is not full  # eligible grid: the solve runs packed
+    assert packed is not full  # the solve runs packed
     rng = np.random.default_rng(3)
     shape = (2,) + dims + (4, 3)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -254,12 +254,6 @@ def test_cb_packed_path_bitwise(dims):
         packed.schur_dagger_apply(kernel.pack(xe, 0)),
         kernel.pack(full.schur_dagger_apply(xe), 0),
     )
-
-
-def test_cb_ineligible_when_t_partitioned():
-    """Packing along t requires t unpartitioned and even global extents."""
-    ctx = _rank0_context((4, 6, 2, 8), (1, 1, 1, 2))
-    assert ctx.eo_solve is ctx.eo  # the solve falls back to the full layout
 
 
 # -- failure paths: a rank that raises, a rank that dies ----------------------

@@ -106,7 +106,7 @@ def test_cg_invariant_under_the_rhs_tile(monkeypatch):
 
 def test_cg_matches_legacy_serial_solver():
     gauge, b = _sources((4, 4, 4, 8))
-    eo = EvenOddWilson(WilsonOperator(gauge, MASS, backend="halfspinor"))
+    eo = EvenOddWilson(WilsonOperator(gauge, MASS))
     legacy = solve_normal_equations_batched(
         eo.schur_apply,
         eo.schur_dagger_apply,
@@ -126,7 +126,7 @@ def test_cg_matches_legacy_serial_solver():
 def test_cg_true_residual_small():
     """The returned solution solves D x = b, not just the Schur system."""
     gauge, b = _sources((4, 4, 4, 8))
-    serial = WilsonOperator(gauge, MASS, backend="halfspinor")
+    serial = WilsonOperator(gauge, MASS)
     with DistributedEvenOddOperator(
         gauge, MASS, ranks=2, timeout=60.0
     ) as op:

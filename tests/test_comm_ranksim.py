@@ -40,8 +40,12 @@ def _traffic(gauge, grid, psi):
 
 
 class TestDistributedWilson:
+    # the 2-rank x slab, once grid1, is test_comm_distributed.py's
+    # test_hopping_and_apply_bitwise; the other grids keep their ids
     @pytest.mark.parametrize(
-        "grid", [(1, 1, 1, 2), (2, 1, 1, 1), (2, 2, 1, 2), (2, 2, 2, 2), (1, 1, 1, 4)]
+        "grid",
+        [(1, 1, 1, 2), (2, 2, 1, 2), (2, 2, 2, 2), (1, 1, 1, 4)],
+        ids=["grid0", "grid2", "grid3", "grid4"],
     )
     def test_matches_single_rank_exactly(self, setup, grid):
         """Exact on any host: the rank stencil keeps the serial kernel's

@@ -67,11 +67,6 @@ class TestBlockStructure:
             rhs = np.vdot(eo.b_dagger_apply(phi, 1 - parity), psi)
             assert lhs == pytest.approx(rhs, rel=1e-11)
 
-    def test_needs_the_packed_layout(self, gauge_tiny):
-        mob = MobiusOperator(gauge_tiny, ls=4, mass=0.1, backend="reference")
-        with pytest.raises(ValueError, match="'reference'"):
-            EvenOddMobius(mob)
-
 
 class TestSchur:
     def test_schur_adjoint(self, eo, mobius, rng):

@@ -1,5 +1,5 @@
-"""Dslash kernel backends: registry, parity with the reference stencil,
-and multi-RHS batching."""
+"""Dslash kernels: the half-spinor kernel against the reference
+stencil, and multi-RHS batching."""
 
 from __future__ import annotations
 
@@ -8,63 +8,48 @@ import pytest
 
 from repro.dirac import WilsonOperator, MobiusOperator
 from repro.dirac import gamma as g
-from repro.dirac.kernels import (
-    DEFAULT_BACKEND,
-    Workspace,
-    available_backends,
-    get_backend,
-    make_kernel,
-    register_backend,
-)
+from repro.dirac.kernels import HalfSpinorKernel, ReferenceKernel, Workspace
 from repro.lattice import GaugeField, Geometry
 from repro.utils.rng import make_rng
 from tests.conftest import random_fermion
 
-BACKENDS = available_backends()
+#: the production kernel and its oracle, by their span names
+KERNELS = {"halfspinor": HalfSpinorKernel, "reference": ReferenceKernel}
 
 
-@pytest.fixture
-def wilson(gauge_tiny):
-    return WilsonOperator(gauge_tiny, mass=0.2, backend="reference")
+def _wilson(gauge, mass, kernel="halfspinor"):
+    """A Wilson operator whose hopping term runs on the named kernel."""
+    w = WilsonOperator(gauge, mass=mass)
+    if kernel != "halfspinor":
+        w.kernel = KERNELS[kernel](w.u, w.u_dag, w.geometry)
+    return w
 
 
-class TestRegistry:
-    def test_expected_backends_registered(self):
-        assert {"reference", "halfspinor"} <= set(BACKENDS)
-
-    def test_default_backend_is_registered(self):
-        assert DEFAULT_BACKEND in BACKENDS
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(KeyError, match="unknown dslash backend"):
-            get_backend("no-such-kernel")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("reference")(get_backend("reference"))
-
-    def test_make_kernel_sets_name(self, gauge_tiny):
-        w = WilsonOperator(gauge_tiny, mass=0.1, backend="reference")
-        for name in BACKENDS:
-            k = make_kernel(name, w.u, w.u_dag, w.geometry)
-            assert k.name == name
+def test_operators_run_the_halfspinor_kernel(gauge_tiny):
+    """Every operator runs the half-spinor kernel; a kernel's span name
+    (``dslash.{name}``) is a class attribute."""
+    assert type(WilsonOperator(gauge_tiny, mass=0.2).kernel) is HalfSpinorKernel
+    mobius = MobiusOperator(gauge_tiny, mass=0.1, m5=1.4, ls=4)
+    assert type(mobius.wilson.kernel) is HalfSpinorKernel
+    assert all(cls.name == name for name, cls in KERNELS.items())
 
 
 class TestBackendParity:
-    """Every backend must reproduce the reference stencil bit-tight."""
+    """Both kernels obey the stencil's algebra; the half-spinor kernel
+    reproduces the reference stencil bit-tight."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_hopping_matches_reference(self, gauge_tiny, rng, backend):
-        ref = WilsonOperator(gauge_tiny, mass=0.2, backend="reference")
-        alt = WilsonOperator(gauge_tiny, mass=0.2, backend=backend)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_hopping_matches_reference(self, gauge_tiny, rng, kernel):
+        ref = _wilson(gauge_tiny, 0.2, "reference")
+        alt = _wilson(gauge_tiny, 0.2, kernel)
         psi = random_fermion(rng, gauge_tiny.geometry.dims + (4, 3))
         np.testing.assert_allclose(
             alt.hopping(psi), ref.hopping(psi), rtol=1e-12, atol=1e-13
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batched_stack_matches_per_rhs(self, gauge_tiny, rng, backend):
-        w = WilsonOperator(gauge_tiny, mass=0.2, backend=backend)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_batched_stack_matches_per_rhs(self, gauge_tiny, rng, kernel):
+        w = _wilson(gauge_tiny, 0.2, kernel)
         stack = random_fermion(rng, (3,) + gauge_tiny.geometry.dims + (4, 3))
         batched = w.hopping(stack)
         for i in range(3):
@@ -72,28 +57,28 @@ class TestBackendParity:
                 batched[i], w.hopping(stack[i]), rtol=1e-12, atol=1e-13
             )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_gamma5_hermiticity(self, gauge_tiny, rng, backend):
-        w = WilsonOperator(gauge_tiny, mass=0.3, backend=backend)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_gamma5_hermiticity(self, gauge_tiny, rng, kernel):
+        w = _wilson(gauge_tiny, 0.3, kernel)
         shape = gauge_tiny.geometry.dims + (4, 3)
         psi, phi = random_fermion(rng, shape), random_fermion(rng, shape)
         lhs = np.vdot(phi, w.apply(psi))
         rhs = np.vdot(g.spin_mul(g.GAMMA5, w.apply(g.spin_mul(g.GAMMA5, phi))), psi)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_hopping_flips_checkerboard_parity(self, gauge_tiny, rng, backend):
-        w = WilsonOperator(gauge_tiny, mass=0.2, backend=backend)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_hopping_flips_checkerboard_parity(self, gauge_tiny, rng, kernel):
+        w = _wilson(gauge_tiny, 0.2, kernel)
         geom = gauge_tiny.geometry
         even = geom.parity_mask(0)[..., None, None]
         psi = random_fermion(rng, geom.dims + (4, 3)) * even
         out = w.hopping(psi)
         np.testing.assert_allclose(out * even, 0.0, atol=1e-13)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_repeat_application_stable(self, gauge_tiny, rng, backend):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_repeat_application_stable(self, gauge_tiny, rng, kernel):
         """Workspace buffer reuse must not leak state between calls."""
-        w = WilsonOperator(gauge_tiny, mass=0.2, backend=backend)
+        w = _wilson(gauge_tiny, 0.2, kernel)
         psi = random_fermion(rng, gauge_tiny.geometry.dims + (4, 3))
         first = w.hopping(psi)
         second = w.hopping(psi)
@@ -109,31 +94,6 @@ class TestBackendParity:
             )
 
 
-class TestBackendSwitching:
-    def test_set_backend_switches_and_caches(self, gauge_tiny, rng):
-        w = WilsonOperator(gauge_tiny, mass=0.2, backend="reference")
-        psi = random_fermion(rng, gauge_tiny.geometry.dims + (4, 3))
-        ref_out = w.hopping(psi)
-        w.set_backend("halfspinor")
-        assert w.backend == "halfspinor"
-        np.testing.assert_allclose(w.hopping(psi), ref_out, rtol=1e-12, atol=1e-13)
-        first_instance = w.kernel
-        w.set_backend("reference")
-        w.set_backend("halfspinor")
-        assert w.kernel is first_instance  # instances persist across switches
-
-    def test_default_backend_without_tuner(self, gauge_tiny):
-        w = WilsonOperator(gauge_tiny, mass=0.2)
-        assert w.backend == DEFAULT_BACKEND
-
-    def test_mobius_and_evenodd_delegate(self, gauge_tiny):
-        m = MobiusOperator(gauge_tiny, mass=0.1, m5=1.4, ls=4, backend="reference")
-        assert m.backend == "reference"
-        m.set_backend("halfspinor")
-        assert m.backend == "halfspinor"
-        assert m.wilson.backend == "halfspinor"
-
-
 class TestTiledWorkspace:
     """The halfspinor stencil's RHS-tiled component-major workspace."""
 
@@ -142,7 +102,7 @@ class TestTiledWorkspace:
     @staticmethod
     def _kernel(dims):
         gauge = GaugeField.random(Geometry(*dims), make_rng(3), scale=0.3)
-        return WilsonOperator(gauge, mass=0.3, backend="halfspinor").kernel
+        return WilsonOperator(gauge, mass=0.3).kernel
 
     @pytest.mark.parametrize("dims", VOLUMES)
     def test_stack_and_tile_invariance(self, rng, dims):
@@ -179,7 +139,7 @@ class TestComplex64Stencil:
     @classmethod
     def _wilson(cls):
         gauge = GaugeField.random(Geometry(*cls.DIMS), make_rng(3), scale=0.3)
-        return WilsonOperator(gauge, mass=0.3, backend="halfspinor")
+        return WilsonOperator(gauge, mass=0.3)
 
     @staticmethod
     def _close(got, want):
@@ -242,7 +202,7 @@ class TestComplex64Stencil:
         it is given: correct to single rounding, not faster, no
         capability flag."""
         psi = random_fermion(rng, gauge_tiny.geometry.dims + (4, 3))
-        w = WilsonOperator(gauge_tiny, mass=0.2, backend="reference")
+        w = _wilson(gauge_tiny, 0.2, "reference")
         got, want = w.hopping(psi.astype(np.complex64)), w.hopping(psi)
         assert np.abs(got - want).max() <= 2e-6 * np.abs(want).max()
 

@@ -1,4 +1,5 @@
-"""Machine registry: Table I, II, III contents."""
+"""Machine registry: Table I, II, III contents, and the MPI stack
+behind each Table II machine."""
 
 from __future__ import annotations
 
@@ -6,10 +7,12 @@ import pytest
 
 from repro.machines import (
     MACHINES,
+    MPI_IMPLEMENTATIONS,
     PERFORMANCE_ATTRIBUTES,
     SOFTWARE_STACK,
     get_machine,
 )
+from repro.machines.mpi import dpm_supported, mpi_implementation_for
 
 
 class TestTable2:
@@ -86,3 +89,26 @@ class TestTable3:
     def test_commits_recorded(self):
         quda = next(p for p in SOFTWARE_STACK if p.name == "QUDA")
         assert quda.commit == "6d7f74b"
+
+
+# -- DPM capability gating (Table II x MPI_IMPLEMENTATIONS) -------------------
+
+
+def test_mpi_implementation_resolution():
+    assert mpi_implementation_for(MACHINES["sierra"]) is MPI_IMPLEMENTATIONS["mvapich2"]
+    assert mpi_implementation_for(MACHINES["ray"]) is MPI_IMPLEMENTATIONS["spectrum"]
+    assert mpi_implementation_for(MACHINES["summit"]) is MPI_IMPLEMENTATIONS["spectrum"]
+    # Cray MPICH never fed the Fig. 5 model: no entry
+    assert mpi_implementation_for(MACHINES["titan"]) is None
+
+
+def test_dpm_gating_matches_modeled_stacks():
+    """dpm_supported must agree with the comm-model's per-stack flag,
+    with unmodeled stacks conservatively unsupported."""
+    expected = {"sierra": True, "ray": False, "summit": False, "titan": False}
+    for key, want in expected.items():
+        assert dpm_supported(MACHINES[key]) is want, key
+    for key, want in expected.items():
+        impl = mpi_implementation_for(MACHINES[key])
+        if impl is not None:
+            assert impl.dpm_supported is want

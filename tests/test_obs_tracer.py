@@ -140,13 +140,13 @@ def test_wilson_hopping_emits_attributed_kernel_span(tmp_path, gauge_tiny):
     # Tracing must never perturb the numbers.
     np.testing.assert_array_equal(out_silent, out_traced)
     (rec,) = obs.load_spans(tmp_path)
-    assert rec["name"] == f"dslash.{op.backend}"
+    assert rec["name"] == f"dslash.{op.kernel.name}"
     assert rec["flops"] == gauge_tiny.geometry.volume * wilson_dslash_flops_per_site()
     assert rec["bytes"] > 0
 
 
 def test_packed_hopping_is_the_kernels_and_a_half_volume_span(tmp_path, gauge_tiny):
-    """``WilsonOperator.hopping(xp, parity=p)`` is the active kernel's
+    """``WilsonOperator.hopping(xp, parity=p)`` is the kernel's
     packed hop behind the same span: one ``dslash.*`` record per call,
     charged half the sites' flops and link bytes."""
     from repro.dirac import WilsonOperator
@@ -167,7 +167,7 @@ def test_packed_hopping_is_the_kernels_and_a_half_volume_span(tmp_path, gauge_ti
         # the packed hop is the full one restricted to the other parity
         assert np.array_equal(got, kernel.pack(full, 1 - parity))
         half, whole = obs.load_spans(tmp_path / str(parity))
-        assert half["name"] == whole["name"] == f"dslash.{op.backend}"
+        assert half["name"] == whole["name"] == f"dslash.{op.kernel.name}"
         assert half["flops"] == 3 * (geom.volume // 2) * wilson_dslash_flops_per_site()
         assert 2 * half["flops"] == whole["flops"]
         assert 2 * half["bytes"] == whole["bytes"]
@@ -183,7 +183,7 @@ def test_spans_say_which_precision_ran(tmp_path, gauge_tiny):
     from repro.dirac.evenodd_wilson import EvenOddWilson
     from repro.solvers import PRECISIONS, ReliableUpdateCG
 
-    op = WilsonOperator(gauge_tiny, mass=0.3, backend="halfspinor")
+    op = WilsonOperator(gauge_tiny, mass=0.3)
     rng = np.random.default_rng(9)
     psi = rng.normal(size=(1,) + gauge_tiny.geometry.dims + (4, 3)) + 0j
     links = op.u.nbytes + op.u_dag.nbytes

@@ -108,16 +108,28 @@ class TestRequestResponse:
             ({"dims": [3, 4, 4, 8]}, "dims"),
             ({"t_snk": 99}, "t_snk"),
             ({"shifts": [0.1]}, "shifts"),
+            ({"masses": []}, "masses"),
+            ({"tol": 0.0}, "tol"),
+            ({"tol": -1.0}, "tol"),
+            ({"tol": float("nan")}, "tol"),
+            ({"tol": float("inf")}, "tol"),
+            ({"max_iter": 0}, "max_iter"),
+            ({"scale": -0.1}, "scale"),
+            ({"scale": float("nan")}, "scale"),
+            ({"scale": float("inf")}, "scale"),
         ],
         ids=[
             "solver_mode", "dist_transport", "dist_ranks",
             "zero_mass", "three_dims", "odd_extent", "t_snk", "shifts",
+            "no_masses", "zero_tol", "negative_tol", "nan_tol", "inf_tol",
+            "zero_max_iter", "negative_scale", "nan_scale", "inf_scale",
         ],
     )
     def test_bad_solver_spec_400_before_any_task(self, client, kwargs, reason):
-        """A spec no worker can run — a solver setting, a lattice or a mass
-        the physics rejects, a removed knob — is refused at admission,
-        not discovered by the first task that runs it."""
+        """A spec no worker can run or that solves nothing — a solver
+        setting, a lattice, a mass list or a gauge scale the physics
+        rejects, a removed knob — is refused at admission, not discovered
+        by the first task that runs it."""
         with pytest.raises(ServiceHTTPError) as e:
             run_sync(client.submit({"builder": "ga", "kwargs": kwargs}))
         assert e.value.code == 400

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.dirac import EvenOddMobius, MobiusOperator, WilsonOperator
+from repro.dirac.kernels import ReferenceKernel
 from repro.lattice import GaugeField, Geometry
 from repro.solvers import (
     ConjugateGradient,
@@ -113,10 +114,13 @@ class TestSingleIsExecuted:
     """``SinglePrecision`` is a dtype the cycle runs in, not a round trip."""
 
     @staticmethod
-    def _system(gauge, rng, backend):
+    def _system(gauge, rng, kernel=None):
         from repro.dirac import EvenOddWilson, WilsonOperator
 
-        eo = EvenOddWilson(WilsonOperator(gauge, mass=0.3, backend=backend))
+        wilson = WilsonOperator(gauge, mass=0.3)
+        if kernel is not None:
+            wilson.kernel = kernel(wilson.u, wilson.u_dag, wilson.geometry)
+        eo = EvenOddWilson(wilson)
         b = random_fermion(rng, (2,) + gauge.geometry.dims + (4, 3))
         return eo, b, eo.schur_dagger_apply(eo.prepare_rhs(b))
 
@@ -125,7 +129,7 @@ class TestSingleIsExecuted:
         itself and answers in complex64; the operator sees complex128
         exactly once per reliable update (the refresh), and the exit
         reuses that refresh instead of applying it again."""
-        eo, _, rhs = self._system(gauge_tiny, rng, "halfspinor")
+        eo, _, rhs = self._system(gauge_tiny, rng)
         seen = []
 
         def matvec(v):
@@ -147,10 +151,10 @@ class TestSingleIsExecuted:
         assert np.array_equal(res.final_relres, want)
 
     def test_operator_without_a_complex64_path(self, gauge_tiny, rng):
-        """``backend="reference"`` multiplies in double whatever it is
+        """The ``ReferenceKernel`` oracle multiplies in double whatever it is
         given; the cycle stores what it gets in complex64 and reaches the
         same tolerance on the full system."""
-        eo, b, rhs = self._system(gauge_tiny, rng, "reference")
+        eo, b, rhs = self._system(gauge_tiny, rng, ReferenceKernel)
         res = ReliableUpdateCG(PRECISIONS["single"], tol=1e-9, delta=1e-3).solve_batched(
             eo.schur_normal_apply, rhs
         )
