@@ -2,8 +2,9 @@
 
 The chain that turns correlator ensembles into the paper's headline
 numbers: jackknife/bootstrap resampling, correlated least-squares fits of
-the two-point and Feynman-Hellmann data, Parisi-Lepage signal-to-noise
-diagnostics, and the Standard-Model neutron lifetime formula Eq. (1).
+the two-point and Feynman-Hellmann data, model averaging over fit
+windows, Parisi-Lepage signal-to-noise diagnostics, and the Standard-Model
+neutron lifetime formula Eq. (1).
 """
 
 from repro.analysis.resampling import jackknife, jackknife_covariance, bootstrap
@@ -11,10 +12,7 @@ from repro.analysis.fitting import FitResult, correlated_fit, two_state_c2, g_ef
 from repro.analysis.ga_fit import GAFitResult, fit_fh_ensemble, fit_traditional_ensemble
 from repro.analysis.stn import signal_to_noise, fit_stn_decay
 from repro.analysis.lifetime import neutron_lifetime, NEUTRON_LIFETIME_NUMERATOR
-from repro.analysis.autocorr import AutocorrResult, effective_samples, integrated_autocorr
 from repro.analysis.model_average import ModelAverageResult, average_ga_over_windows, model_average
-from repro.analysis.ward import axial_pseudoscalar_correlator, pcac_mass
-from repro.analysis.gevp import GEVPResult, effective_energies, solve_gevp
 
 __all__ = [
     "jackknife",
@@ -32,15 +30,7 @@ __all__ = [
     "fit_stn_decay",
     "neutron_lifetime",
     "NEUTRON_LIFETIME_NUMERATOR",
-    "AutocorrResult",
-    "integrated_autocorr",
-    "effective_samples",
     "ModelAverageResult",
     "model_average",
     "average_ga_over_windows",
-    "axial_pseudoscalar_correlator",
-    "pcac_mass",
-    "GEVPResult",
-    "solve_gevp",
-    "effective_energies",
 ]

@@ -44,20 +44,6 @@ class GAFitResult:
         )
 
 
-def g_eff_samples(c2: np.ndarray, cfh: np.ndarray) -> np.ndarray:
-    """Per-sample effective coupling from ``(n, lt)`` correlator arrays.
-
-    Mean-of-ratios; biased once the per-sample noise is O(10%) — kept
-    for diagnostics.  The fits use :func:`g_eff_jackknife` instead.
-    """
-    c2 = np.asarray(c2)
-    cfh = np.asarray(cfh)
-    if c2.shape != cfh.shape:
-        raise ValueError("correlator sample arrays must have equal shape")
-    r = cfh / c2
-    return r[:, 1:] - r[:, :-1]
-
-
 def g_eff_jackknife(c2: np.ndarray, cfh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ratio-of-means effective coupling with jackknife replicates.
 

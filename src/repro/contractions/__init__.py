@@ -23,7 +23,6 @@ from repro.contractions.propagator import (
 from repro.contractions.mesons import pion_correlator
 from repro.contractions.baryons import proton_correlator, proton_correlator_bilinear
 from repro.contractions.smearing import GaussianSmearing
-from repro.contractions.momenta import momentum_phase, pion_correlator_momentum
 from repro.contractions.sequential import (
     pion_three_point,
     pion_two_point_matrix,
@@ -47,8 +46,6 @@ __all__ = [
     "proton_correlator",
     "proton_correlator_bilinear",
     "GaussianSmearing",
-    "momentum_phase",
-    "pion_correlator_momentum",
     "sequential_propagator",
     "pion_three_point",
     "pion_two_point_matrix",

@@ -1,4 +1,5 @@
-"""Lattice substrate: geometry, SU(3) group algebra, gauge fields, updates.
+"""Lattice substrate: geometry, SU(3) group algebra, gauge fields, the
+quenched heatbath and gauge fixing.
 
 This is the "femtoscale universe" of the paper title: a periodic 4D
 space-time grid carrying SU(3) gauge links.  The paper runs on lattices up
@@ -22,34 +23,14 @@ from repro.lattice.su3 import (
 )
 from repro.lattice.gauge import GaugeField
 from repro.lattice.heatbath import HeatbathUpdater
-from repro.lattice.hmc import PureGaugeHMC, HMCResult
 from repro.lattice.gaugefix import GaugeFixer, GaugeFixResult
-from repro.lattice.linksmear import StoutSmearing
-from repro.lattice.flow import WilsonFlow, FlowPoint
-from repro.lattice.wilsonloops import creutz_ratio, static_potential, wilson_loop
-from repro.lattice.topology import (
-    clover_field_strength,
-    energy_density_clover,
-    topological_charge,
-)
 
 __all__ = [
     "Geometry",
     "GaugeField",
     "HeatbathUpdater",
-    "PureGaugeHMC",
-    "HMCResult",
     "GaugeFixer",
     "GaugeFixResult",
-    "StoutSmearing",
-    "WilsonFlow",
-    "FlowPoint",
-    "wilson_loop",
-    "creutz_ratio",
-    "static_potential",
-    "clover_field_strength",
-    "energy_density_clover",
-    "topological_charge",
     "NC",
     "dagger",
     "identity_links",

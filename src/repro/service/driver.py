@@ -362,9 +362,9 @@ class CampaignService:
     def _load_existing(self) -> None:
         """Re-register finished campaigns found on disk (restart path).
 
-        A completed campaign whose artifacts still verify serves future
-        identical submissions straight from its entry; anything
-        unfinished is left for resubmission to resume.
+        A completed campaign whose artifacts still verify serves identical
+        submissions under its spec's current fingerprint, also when written
+        under an older one; anything unfinished is left for resubmission.
         """
         root = self.workdir / "campaigns"
         if not root.is_dir():
@@ -378,9 +378,9 @@ class CampaignService:
                 graph, canonical, fp = normalize_spec(spec)
             except Exception:
                 continue
-            if fp in self._entries or marker.parent.name != fp:
+            if fp in self._entries:
                 continue
-            state = replay_ledger(marker.parent / "ledger.jsonl", campaign=fp)
+            state = replay_ledger(marker.parent / "ledger.jsonl", campaign=marker.parent.name)
             if not state.finished:
                 continue
             store = ArtifactStore(marker.parent / "artifacts")

@@ -1,80 +1,54 @@
-"""Autocorrelation, model averaging and the PCAC Ward identity."""
+"""Model averaging and the PCAC Ward identity."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    average_ga_over_windows,
-    axial_pseudoscalar_correlator,
-    effective_samples,
-    integrated_autocorr,
-    model_average,
-    pcac_mass,
-)
-from repro.contractions import compute_wilson_propagator, pion_correlator
+from repro.analysis import average_ga_over_windows, model_average
+from repro.contractions import Propagator, compute_wilson_propagator, pion_correlator
 from repro.core import SyntheticGAEnsemble
 from repro.dirac import WilsonOperator
-from repro.lattice import GaugeField, Geometry, HeatbathUpdater
+from repro.dirac import gamma as g
+from repro.lattice import GaugeField, Geometry
 from repro.solvers import ConjugateGradient
 from repro.utils.rng import make_rng
 
 
-def _ar1(tau: float, n: int, seed: int) -> np.ndarray:
-    """AR(1) chain with known integrated autocorrelation time.
+def axial_pseudoscalar_correlator(prop: Propagator) -> np.ndarray:
+    """``C_AP(t) = sum_x <A_4(x,t) P(0)>`` from one propagator.
 
-    For phi = exp(-1/tau_exp), tau_int = (1+phi)/(2(1-phi)).
+    With degenerate quarks and gamma_5-hermiticity:
+    ``C_AP(t) = -sum_x tr[ S(x)^H gamma_4 S(x) ]`` (the gamma_5 factors
+    from the axial current and the pseudoscalar source cancel against
+    the hermiticity conjugations; the overall sign is fixed so that
+    ``m_PCAC > 0`` for positive bare mass in the DeGrand-Rossi basis).
     """
-    rng = np.random.default_rng(seed)
-    phi = np.exp(-1.0 / tau)
-    x = np.empty(n)
-    x[0] = rng.normal()
-    noise = rng.normal(size=n) * np.sqrt(1 - phi**2)
-    for i in range(1, n):
-        x[i] = phi * x[i - 1] + noise[i]
-    return x
+    s = prop.shifted_to_origin()
+    site = np.einsum(
+        "xyztABab,AC,xyztCBab->xyzt",
+        np.conjugate(s),
+        g.GAMMA[3],
+        s,
+        optimize=True,
+    )
+    return -site.sum(axis=(0, 1, 2))
 
 
-class TestAutocorrelation:
-    def test_iid_series_has_tau_half(self):
-        x = np.random.default_rng(0).normal(size=4000)
-        res = integrated_autocorr(x)
-        assert res.tau_int == pytest.approx(0.5, abs=0.15)
+def pcac_mass(c_ap: np.ndarray, c_pp: np.ndarray) -> np.ndarray:
+    """Effective PCAC mass per interior timeslice (length ``Lt - 2``).
 
-    def test_ar1_matches_theory(self):
-        tau_exp = 5.0
-        phi = np.exp(-1.0 / tau_exp)
-        expected = (1 + phi) / (2 * (1 - phi))
-        x = _ar1(tau_exp, 40_000, seed=1)
-        res = integrated_autocorr(x)
-        assert res.tau_int == pytest.approx(expected, rel=0.15)
-
-    def test_effective_samples_shrink_with_correlation(self):
-        n = 8000
-        iid = np.random.default_rng(2).normal(size=n)
-        corr = _ar1(8.0, n, seed=3)
-        assert effective_samples(corr) < 0.4 * effective_samples(iid)
-
-    def test_error_estimate_positive(self):
-        res = integrated_autocorr(_ar1(3.0, 2000, seed=4))
-        assert res.tau_int_error > 0
-        assert res.effective_samples < res.n_samples
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            integrated_autocorr(np.ones(4))
-        with pytest.raises(ValueError):
-            integrated_autocorr(np.ones(100))  # constant series
-
-    def test_heatbath_plaquette_history_is_correlated(self):
-        """Real Monte Carlo: successive heatbath sweeps are correlated."""
-        g = GaugeField.hot(Geometry(4, 4, 4, 4), make_rng(5))
-        hb = HeatbathUpdater(beta=5.9, rng=make_rng(6), n_overrelax=0)
-        hb.thermalize(g, 10)
-        history = np.array(hb.thermalize(g, 60))
-        res = integrated_autocorr(history, c=4.0)
-        assert res.tau_int >= 0.5
+    The partially-conserved axial current relation
+    ``partial_mu <A_mu(x) P(0)> = 2 m_PCAC <P(x) P(0)>`` with the
+    symmetric lattice derivative: ``m_PCAC(t) = dt C_AP(t) / (2 C_PP(t))``.
+    At tree level ``m_PCAC == m0``, the check that ``WilsonOperator`` has
+    the right chiral structure.
+    """
+    c_ap = np.asarray(c_ap)
+    c_pp = np.asarray(c_pp)
+    if c_ap.shape != c_pp.shape:
+        raise ValueError("correlator shapes differ")
+    return np.real(0.5 * (c_ap[2:] - c_ap[:-2]) / (2.0 * c_pp[1:-1]))
 
 
 class TestModelAverage:

@@ -1,70 +1,10 @@
-"""GEVP variational analysis and the GPU memory-footprint model."""
+"""The GPU memory-footprint model."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.analysis.gevp import GEVPResult, effective_energies, solve_gevp
 from repro.perfmodel.memory import minimum_gpus, solve_footprint
-
-
-def _two_state_matrix(nt=16, e=(0.5, 0.9), noise=0.0, seed=0):
-    """C_ij(t) = sum_k Z_ik Z_jk exp(-E_k t) with known overlaps."""
-    rng = np.random.default_rng(seed)
-    z = np.array([[1.0, 0.4], [0.3, 1.1]])
-    t = np.arange(nt)
-    corr = np.einsum("ik,jk,tk->tij", z, z, np.exp(-np.outer(t, e)))
-    if noise:
-        corr = corr * (1.0 + noise * rng.normal(size=corr.shape))
-        corr = 0.5 * (corr + np.swapaxes(corr, 1, 2))
-    return corr
-
-
-class TestGEVP:
-    def test_recovers_both_energies_exactly(self):
-        corr = _two_state_matrix()
-        res = solve_gevp(corr, t0=2)
-        energies = effective_energies(res)
-        # plateaus at t > t0: both states resolved
-        np.testing.assert_allclose(energies[6], [0.5, 0.9], atol=1e-8)
-
-    def test_eigenvalues_descending(self):
-        res = solve_gevp(_two_state_matrix(), t0=2)
-        lam = res.eigenvalues[5]
-        assert lam[0] > lam[1] > 0
-
-    def test_noise_tolerant(self):
-        corr = _two_state_matrix(noise=1e-4, seed=3)
-        res = solve_gevp(corr, t0=2)
-        energies = effective_energies(res)
-        np.testing.assert_allclose(energies[5], [0.5, 0.9], atol=0.05)
-
-    def test_ground_state_matches_single_operator_at_late_t(self):
-        """At large t the principal correlator and the 00 element give
-        the same effective mass."""
-        corr = _two_state_matrix(nt=20)
-        res = solve_gevp(corr, t0=2)
-        gevp_e = effective_energies(res)[12, 0]
-        diag = corr[:, 0, 0]
-        plain_e = np.log(diag[12] / diag[13])
-        assert gevp_e == pytest.approx(0.5, abs=1e-6)
-        assert plain_e == pytest.approx(0.5, abs=0.01)  # still contaminated
-
-    def test_validation(self):
-        corr = _two_state_matrix()
-        with pytest.raises(ValueError):
-            solve_gevp(corr[:, :, :1], t0=2)
-        with pytest.raises(ValueError):
-            solve_gevp(corr, t0=99)
-        with pytest.raises(ValueError):
-            solve_gevp(corr, t0=2, t_ref=99)
-
-    def test_non_positive_metric_rejected(self):
-        corr = _two_state_matrix()
-        corr[2] = -corr[2]
-        with pytest.raises(ValueError, match="positive definite"):
-            solve_gevp(corr, t0=2)
 
 
 class TestMemoryModel:

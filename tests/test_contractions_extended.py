@@ -1,4 +1,4 @@
-"""Smearing, momentum projection and the sequential-source method."""
+"""Smearing and the sequential-source method."""
 
 from __future__ import annotations
 
@@ -8,14 +8,11 @@ import pytest
 from repro.contractions import (
     GaussianSmearing,
     compute_wilson_propagator,
-    momentum_phase,
     pion_correlator,
-    pion_correlator_momentum,
     pion_three_point,
     pion_two_point_matrix,
     sequential_propagator,
 )
-from repro.contractions.momenta import effective_energy
 from repro.contractions.propagator import Propagator
 from repro.core.feynman_hellmann import AxialInsertion4D
 from repro.dirac import WilsonOperator
@@ -77,51 +74,6 @@ class TestSmearing:
         r1 = GaussianSmearing(gauge_tiny, n_iter=4).smearing_radius()
         r2 = GaussianSmearing(gauge_tiny, n_iter=16).smearing_radius()
         assert r2 == pytest.approx(2.0 * r1)
-
-
-class TestMomentum:
-    def test_zero_momentum_phase_is_one(self, geom_tiny):
-        np.testing.assert_allclose(momentum_phase(geom_tiny, (0, 0, 0)), 1.0)
-
-    def test_phase_periodicity(self):
-        geom = Geometry(4, 4, 4, 4)
-        p1 = momentum_phase(geom, (1, 0, 0))
-        p5 = momentum_phase(geom, (5, 0, 0))  # n and n+L are identical
-        np.testing.assert_allclose(p1, p5, atol=1e-12)
-
-    @pytest.fixture(scope="class")
-    def free_prop(self):
-        geom = Geometry(4, 4, 4, 8)
-        gauge = GaugeField.cold(geom)
-        w = WilsonOperator(gauge, mass=0.4)
-        prop, _ = compute_wilson_propagator(
-            w, solver=ConjugateGradient(tol=1e-10, max_iter=4000)
-        )
-        return geom, prop
-
-    def test_zero_momentum_matches_plain_pion(self, free_prop):
-        geom, prop = free_prop
-        c0 = pion_correlator(prop)
-        cp = pion_correlator_momentum(prop, geom, (0, 0, 0))
-        np.testing.assert_allclose(cp.real, c0, rtol=1e-12)
-        assert np.abs(cp.imag).max() < 1e-12 * c0.max()
-
-    def test_dispersion_relation(self, free_prop):
-        """E(p) > E(0), ordered with |p| (free-field boost)."""
-        geom, prop = free_prop
-        energies = []
-        for n in ((0, 0, 0), (1, 0, 0), (1, 1, 0)):
-            c = np.abs(pion_correlator_momentum(prop, geom, n))
-            e = effective_energy(c)[2]  # mid-lattice effective energy
-            energies.append(e)
-        assert energies[0] < energies[1] < energies[2]
-
-    def test_momentum_symmetry(self, free_prop):
-        """C(p) == C(-p) on a parity-symmetric background."""
-        geom, prop = free_prop
-        cp = pion_correlator_momentum(prop, geom, (1, 0, 0))
-        cm = pion_correlator_momentum(prop, geom, (-1, 0, 0))
-        np.testing.assert_allclose(cp, cm, rtol=1e-8)
 
 
 class TestSequentialMethod:

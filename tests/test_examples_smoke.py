@@ -1,10 +1,10 @@
 """Smoke tests: the fast examples must run end to end.
 
 The slow, solver-heavy examples (quickstart, traditional_vs_fh,
-ensemble_campaign, dynamical_ensemble, feynman_hellmann_lattice,
-mixed_precision_solver) are exercised by the equivalent unit tests of
-their building blocks; the quick ones are executed for real here so the
-published entry points cannot rot.
+ensemble_campaign, feynman_hellmann_lattice, mixed_precision_solver) are
+exercised by the equivalent unit tests of their building blocks; the
+quick ones are executed for real here so the published entry points
+cannot rot.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class TestFastExamples:
             "traditional_vs_fh.py",
             "ensemble_campaign.py",
             "distributed_stencil.py",
-            "dynamical_ensemble.py",
         }
         found = {p.name for p in EXAMPLES.glob("*.py")}
         assert expected <= found

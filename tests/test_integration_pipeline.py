@@ -1,7 +1,7 @@
-"""Cross-package integration: dynamical ensemble -> measurement -> analysis.
+"""Cross-package integration: quenched ensemble -> measurement -> analysis.
 
 One thread through the whole library, the way a user would run it:
-generate configurations with the dynamical HMC, persist them through the
+generate configurations with the heatbath, persist them through the
 field container, measure the g_A pipeline on each, and push the
 correlators through the jackknife — every subsystem touching every
 other.
@@ -14,23 +14,22 @@ import pytest
 
 from repro.analysis import jackknife, neutron_lifetime
 from repro.core import GAPipeline
-from repro.hmc import TwoFlavorWilsonHMC
 from repro.io import FieldFile
-from repro.lattice import GaugeField, Geometry
+from repro.lattice import GaugeField, Geometry, HeatbathUpdater
 from repro.utils.rng import make_rng
 
 
 @pytest.fixture(scope="module")
 def mini_campaign(tmp_path_factory):
-    """Three dynamical configurations, measured and persisted."""
+    """Three heatbath configurations, measured and persisted."""
     geom = Geometry(2, 2, 2, 4)
     gauge = GaugeField.random(geom, make_rng(90), scale=0.3)
-    hmc = TwoFlavorWilsonHMC(beta=5.5, mass=0.5, n_steps=10, rng=make_rng(91))
+    updater = HeatbathUpdater(beta=5.5, rng=make_rng(91))
     pipe = GAPipeline(fermion="wilson", mass=0.5, tol=1e-8)
     outdir = tmp_path_factory.mktemp("campaign")
     measurements = []
     for i in range(3):
-        hmc.run(gauge, 2)  # decorrelation
+        updater.thermalize(gauge, 2)  # decorrelation
         m = pipe.measure(gauge)
         ff = FieldFile({"config": i, "plaquette": gauge.plaquette()})
         ff.add("links", gauge.u)

@@ -1,11 +1,11 @@
-"""Gauge-field generation: heatbath thermalization and HMC exactness."""
+"""Gauge-field generation: heatbath thermalization and overrelaxation."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.lattice import GaugeField, Geometry, HeatbathUpdater, PureGaugeHMC
+from repro.lattice import GaugeField, Geometry, HeatbathUpdater
 from repro.lattice.heatbath import _kennedy_pendleton, _quat_mul, _quat_conj, _quat_to_su2
 from repro.utils.rng import make_rng
 
@@ -104,57 +104,6 @@ class TestHeatbath:
         hb._sweep(g, mode="overrelax")
         after = g.wilson_action(5.5)
         assert after == pytest.approx(before, rel=1e-6)
-
-
-class TestHMC:
-    def test_reversibility(self, geom_tiny):
-        hmc = PureGaugeHMC(beta=5.5, n_steps=8, rng=make_rng(16))
-        g = GaugeField.random(geom_tiny, make_rng(17), scale=0.4)
-        p = hmc.sample_momenta(g)
-        g2, p2 = hmc.leapfrog(g, p)
-        g3, p3 = hmc.leapfrog(g2, -p2)
-        np.testing.assert_allclose(g3.u, g.u, atol=1e-9)
-        np.testing.assert_allclose(-p3, p, atol=1e-9)
-
-    def test_energy_violation_scales_as_dt_squared(self, geom_tiny):
-        g = GaugeField.random(geom_tiny, make_rng(18), scale=0.4)
-        dhs = []
-        for n_steps in (8, 16):
-            hmc = PureGaugeHMC(beta=5.5, n_steps=n_steps, rng=make_rng(19))
-            p = hmc.sample_momenta(g)
-            h0 = hmc.hamiltonian(g, p)
-            g2, p2 = hmc.leapfrog(g, p)
-            dhs.append(abs(hmc.hamiltonian(g2, p2) - h0))
-        # Leapfrog is O(dt^2): halving dt cuts |dH| by ~4 (allow slack).
-        assert dhs[1] < dhs[0] / 2.5
-
-    def test_acceptance_high_for_fine_steps(self, geom_tiny):
-        hmc = PureGaugeHMC(beta=5.5, n_steps=20, rng=make_rng(20))
-        g = GaugeField.random(geom_tiny, make_rng(21), scale=0.4)
-        for _ in range(4):
-            hmc.trajectory(g)  # thermalize a bit
-        results = hmc.run(g, 10)
-        assert sum(r.accepted for r in results) >= 7
-
-    def test_kinetic_energy_positive(self, geom_tiny):
-        hmc = PureGaugeHMC(beta=5.0, rng=make_rng(22))
-        g = GaugeField.cold(geom_tiny)
-        p = hmc.sample_momenta(g)
-        assert hmc.kinetic_energy(p) > 0.0
-
-    def test_momentum_distribution_matches_energy(self, geom_tiny):
-        """<K> = dof/2 for Gaussian momenta with density exp(tr P^2)."""
-        hmc = PureGaugeHMC(beta=5.0, rng=make_rng(23))
-        g = GaugeField.cold(geom_tiny)
-        ks = [hmc.kinetic_energy(hmc.sample_momenta(g)) for _ in range(50)]
-        dof = 8 * 4 * g.geometry.volume  # 8 generators x 4 links/site
-        assert np.mean(ks) == pytest.approx(dof / 2.0, rel=0.05)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            PureGaugeHMC(beta=5.0, n_steps=0)
-        with pytest.raises(ValueError):
-            PureGaugeHMC(beta=5.0, traj_length=0.0)
 
 
 def _dense_sweep(hb: HeatbathUpdater, gauge: GaugeField, mode: str) -> None:

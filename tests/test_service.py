@@ -346,6 +346,30 @@ class TestRestartRecovery:
         svc2 = CampaignService(tmp_path / "svc", ServiceConfig(workers=1))
         assert svc2.status(sub["id"]) is None
 
+    def test_a_campaign_written_under_an_older_spec_id_is_reregistered(self, tmp_path):
+        """A finished campaign whose directory and ledger carry the id of
+        an older canonical spec still serves the same spec after a
+        restart: a resubmission attaches and runs no task."""
+        with CampaignService(tmp_path / "svc", ServiceConfig(workers=1)) as svc:
+            sub = svc.submit(sleep_spec())
+            res = svc.result(sub["id"], timeout=60)
+        old_id = "0" * len(sub["id"])
+        workdir = Path(res["workdir"])
+        old_dir = workdir.rename(workdir.with_name(old_id))
+        for name in ("campaign.json", "ledger.jsonl"):
+            f = old_dir / name
+            f.write_text(f.read_text().replace(f'"campaign": "{sub["id"]}"', f'"campaign": "{old_id}"'))
+        ledger = (old_dir / "ledger.jsonl").read_text()
+        assert f'"campaign": "{sub["id"]}"' not in ledger
+        with CampaignService(tmp_path / "svc", ServiceConfig(workers=1)) as svc2:
+            again = svc2.submit(sleep_spec())
+            res2 = svc2.result(again["id"], timeout=60)
+            assert not again["created"]
+            assert res2["state"] == CampaignState.DONE
+            assert res2["counts"] == {"done": res2["n_tasks"]}
+            assert svc2.stats()["tenants"]["default"]["tasks_done"] == 0
+        assert (old_dir / "ledger.jsonl").read_text() == ledger
+
 
 class TestWorkerDeath:
     def test_idle_death_is_reported_like_the_runtime(self, service):

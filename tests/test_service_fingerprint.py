@@ -24,9 +24,10 @@ from repro.service.fingerprint import (
 )
 
 # The seeded Fig. 2 campaign (build_ga_campaign defaults). The spec
-# fingerprint keys campaign entries (and their directories): changing it
-# makes a restarted service stop re-registering campaigns finished
-# before — re-pin it only with a deliberate change of the canonical spec.
+# fingerprint keys campaign entries and names new campaign directories: a
+# restarted service re-registers a finished campaign under the current
+# one, but a change still starts an unfinished campaign in a new
+# directory — re-pin it only with a deliberate change of the canonical spec.
 FIG2_FINGERPRINT = "97a5c2f3a2aa680b659cf759"
 # Its task fingerprints key the artifact CAS: a change re-solves every
 # cached propagator, so they move only with an EXECUTOR_REVISION bump.

@@ -1,4 +1,4 @@
-"""Tests for repro.utils: rng spawning, timers, table rendering."""
+"""Tests for repro.utils: rng spawning, table rendering."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.tables import format_table
-from repro.utils.timer import Timer, WallClock
 
 
 class TestRng:
@@ -33,51 +32,6 @@ class TestRng:
 
     def test_spawn_zero_is_empty(self):
         assert spawn_rngs(0, 0) == []
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t:
-            pass
-        with t:
-            pass
-        assert t.calls == 2
-        assert t.elapsed >= 0.0
-
-    def test_mean_zero_when_unused(self):
-        assert Timer().mean == 0.0
-
-    def test_double_start_rejected(self):
-        t = Timer()
-        t.start()
-        with pytest.raises(RuntimeError):
-            t.start()
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.calls == 0 and t.elapsed == 0.0
-
-    def test_injectable_clock(self):
-        class Fake(WallClock):
-            def __init__(self):
-                self.t = 0.0
-
-            def now(self):
-                self.t += 1.5
-                return self.t
-
-        t = Timer(clock=Fake())
-        with t:
-            pass
-        assert t.elapsed == pytest.approx(1.5)
 
 
 class TestFormatTable:
