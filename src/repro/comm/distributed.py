@@ -6,10 +6,10 @@ serving ``(cmd, field, args)`` messages from a channel through one
 dispatch, :func:`rank_command`.  How ranks are started is a scheduling
 decision, never a second program: a *launcher* starts ``rank_main`` n
 times (threads or spawned processes) and hands the driver its channel
-ends.  The driver (:class:`DecompRuntime`) scatters
-global fields into per-rank blocks, sends a command down every channel
-and gathers the replies; how a field crosses that boundary is the
-channel's business alone.  The facades at the bottom mirror the serial
+ends.  The driver (:class:`DecompRuntime`) hands each channel a view
+of its rank's slice of a global field with the command and gathers the
+replies straight into one output; how a field crosses that boundary is
+the channel's business alone.  The facades at the bottom mirror the serial
 operator/solver APIs.
 
 One stencil, one schedule, one Schur class
@@ -441,7 +441,8 @@ def rank_main(plan: RankPlan, rank: int, fabric: Fabric, u_local: np.ndarray, ch
 
 @dataclass
 class _QueueChannel:
-    """One end of an in-process channel: a message's field crosses by reference."""
+    """One end of an in-process channel: a message's field crosses by
+    reference, made contiguous (a strided slice becomes the rank's block)."""
 
     inbox: queue.Queue
     outbox: queue.Queue
@@ -455,31 +456,32 @@ class _QueueChannel:
         return self.inbox.get()
 
     def send(self, msg) -> None:
-        self.outbox.put(msg)
+        head, field, tail = msg
+        self.outbox.put((head, None if field is None else np.ascontiguousarray(field), tail))
 
 
 @dataclass
 class _ArenaChannel:
-    """One end (either end) of a pipe whose fields are staged through the arena:
-    ``send`` copies the field into this end's region and puts its *shape
-    and dtype* on the pipe, ``recv`` returns a window onto the peer's region, valid
-    until the peer's next send — a rank computes on it before it replies,
-    and the driver consumes it in ``RankGrid.gather`` (a fresh array)."""
+    """One end (either end) of a pipe whose fields are staged through the
+    rank's one arena region: ``send`` copies the field in and puts its
+    *shape and dtype* on the pipe, ``recv`` returns a window onto it, valid
+    until the peer's next send.  A rank's reply overwrites the command it
+    has consumed (replies are fresh arrays, and numpy buffers an
+    overlapping assignment); the driver gathers it before its next send."""
 
     conn: object
     arena: ShmArena
-    out_key: tuple
-    in_key: tuple
+    key: tuple
 
     def recv(self):
         head, spec, tail = self.conn.recv()
-        field = None if spec is None else self.arena.view(self.in_key, *spec)
+        field = None if spec is None else self.arena.view(self.key, *spec)
         return head, field, tail
 
     def send(self, msg) -> None:
         head, field, tail = msg
         if field is not None:
-            self.arena.view(self.out_key, field.shape, field.dtype)[...] = field
+            self.arena.view(self.key, field.shape, field.dtype)[...] = field
             field = (field.shape, field.dtype)
         self.conn.send((head, field, tail))
 
@@ -490,7 +492,7 @@ def _spawned_rank(plan: RankPlan, rank: int, shm_name: str, barrier, conn) -> No
     try:
         arena = ShmArena(plan.spec, name=shm_name)
         fabric = ShmFabric(plan.spec, rank, arena, barrier)
-        chan = _ArenaChannel(conn, arena, ("fout", rank), ("fin", rank))
+        chan = _ArenaChannel(conn, arena, ("field", rank))
         rank_main(plan, rank, fabric, conn.recv(), chan)
     except Exception:  # pragma: no cover - defensive: surfaced to the driver
         with contextlib.suppress(Exception):
@@ -621,7 +623,7 @@ class DecompRuntime:
             )
             rank.start()
             theirs.close()
-            self._chans.append(_ArenaChannel(ours, arena, ("fin", r), ("fout", r)))
+            self._chans.append(_ArenaChannel(ours, arena, ("field", r)))
             self._ranks.append(rank)
         # The link blocks follow down the pipes once every rank is starting:
         # as a spawn argument, megabytes of links block ``start()`` until the
@@ -658,10 +660,11 @@ class DecompRuntime:
         return replies
 
     def _field_command(self, cmd: str, psi: np.ndarray, args=None) -> tuple:
-        """Scatter a global field (stack), run ``cmd`` on every block and
-        gather: the result shaped like ``psi``, and rank 0's meta."""
-        blocks = self.grid.scatter(self._plan.stack(psi), site_axis=1)
-        replies = self._command(cmd, blocks, args)
+        """Run ``cmd`` on a view of every rank's slice of a global field
+        (stack) and gather: the result shaped like ``psi``, and rank 0's meta."""
+        stack = self._plan.stack(psi)
+        slices = map(self.grid.site_slices, range(self.grid.n_ranks))
+        replies = self._command(cmd, [stack[(slice(None),) + s] for s in slices], args)
         out = self.grid.gather([field for field, _ in replies], site_axis=1)
         return out.reshape(psi.shape), replies[0][1]
 

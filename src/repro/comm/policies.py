@@ -154,9 +154,6 @@ class CommPolicy:
             HaloGranularity.OVERLAP: 2,  # interior pass + boundary fixup
         }[self.granularity]
 
-    def requires_gdr(self) -> bool:
-        return self.path is TransferPath.GDR
-
     # -- executed-policy mapping ------------------------------------------
     @property
     def executable(self) -> bool:

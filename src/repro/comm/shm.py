@@ -206,7 +206,8 @@ def _align(n: int) -> int:
 def _plan_layout(spec: FabricSpec) -> tuple[dict[tuple, tuple[int, int]], int]:
     """Deterministic region map ``key -> (offset, nbytes)`` plus total size.
 
-    Keys: ``("reduce",)``, ``("fin", r)``, ``("fout", r)`` and
+    Keys: ``("reduce",)``, ``("field", r)`` — both legs of rank ``r``'s
+    channel, its reply overwriting the consumed command — and
     ``("mbox", dst, slot, d, mu)``.
     """
     regions: dict[tuple, tuple[int, int]] = {}
@@ -219,8 +220,7 @@ def _plan_layout(spec: FabricSpec) -> tuple[dict[tuple, tuple[int, int]], int]:
 
     add(("reduce",), spec.reduce_nbytes)
     for r in range(spec.n_ranks):
-        add(("fin", r), spec.field_nbytes)
-        add(("fout", r), spec.field_nbytes)
+        add(("field", r), spec.field_nbytes)
     for dst in range(spec.n_ranks):
         for slot in (0, 1):
             for d, mu in spec.face_tags():

@@ -1,4 +1,4 @@
-"""SU(3) gauge-field container with observables and gauge transformations.
+"""SU(3) gauge-field container with the plaquette and gauge transformations.
 
 The link array has shape ``(4, Lx, Ly, Lz, Lt, 3, 3)``: ``U[mu][x]`` is the
 parallel transporter from site ``x`` to ``x + mu_hat``.
@@ -90,35 +90,6 @@ class GaugeField:
                 total += float(np.trace(p, axis1=-2, axis2=-1).real.mean())
                 nplanes += 1
         return total / (NC * nplanes)
-
-    def wilson_action(self, beta: float) -> float:
-        """Wilson gauge action ``S = beta * sum_{x, mu<nu} (1 - Re tr P / 3)``."""
-        return beta * 6.0 * self.geometry.volume * (1.0 - self.plaquette())
-
-    def staple(self, mu: int) -> np.ndarray:
-        """Sum of the six staples around the ``mu`` link at every site.
-
-        With this convention ``Re tr [U_mu(x) staple_mu(x)]`` summed over
-        sites counts each plaquette in the mu planes twice (once per
-        orientation), so the heatbath/HMC local action is
-        ``-beta/3 Re tr (U A)`` with ``A = staple``.
-        """
-        g = self.geometry
-        total = np.zeros_like(self.u[mu])
-        for nu in range(4):
-            if nu == mu:
-                continue
-            u_nu_xmu = g.shift(self.u[nu], mu, +1)
-            u_mu_xnu = g.shift(self.u[mu], nu, +1)
-            u_nu = self.u[nu]
-            # forward (upper) staple: U_nu(x+mu) U_mu(x+nu)^H U_nu(x)^H
-            total += u_nu_xmu @ dagger(u_mu_xnu) @ dagger(u_nu)
-            # backward (lower) staple: U_nu(x+mu-nu)^H U_mu(x-nu)^H U_nu(x-nu)
-            u_nu_xmu_mnu = g.shift(u_nu_xmu, nu, -1)
-            u_mu_mnu = g.shift(self.u[mu], nu, -1)
-            u_nu_mnu = g.shift(self.u[nu], nu, -1)
-            total += dagger(u_nu_xmu_mnu) @ dagger(u_mu_mnu) @ u_nu_mnu
-        return total
 
     # -- symmetry operations -------------------------------------------------
     def gauge_transform(self, g_field: np.ndarray) -> "GaugeField":

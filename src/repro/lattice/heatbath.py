@@ -210,8 +210,9 @@ class HeatbathUpdater:
 
 
 def _staple(planes: np.ndarray, fwd: np.ndarray, bwd: np.ndarray, mu: int, p: int) -> np.ndarray:
-    """:meth:`GaugeField.staple` ``(mu)`` on the parity-``p`` sites of packed planes:
-    the three ``nu != mu`` ride a leading axis, each with its own hop table."""
+    """The sum of the six staples around the ``mu`` link on the parity-``p``
+    sites of packed planes: the three ``nu != mu`` ride a leading axis, each
+    with its own hop table."""
     q, nus, u_mu = 1 - p, [nu for nu in range(4) if nu != mu], planes[mu, 1 - p][None]
     hop = lambda m, idx: np.take_along_axis(m, idx[:, None, None], axis=-1)
     dag = lambda m: m.conj().swapaxes(-3, -2)

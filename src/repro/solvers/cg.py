@@ -158,14 +158,6 @@ class BatchedSolveResult:
         ]
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> complex:
-    return complex(np.vdot(a, b))
-
-
-def _norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a.ravel()))
-
-
 def _batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-RHS ``Re <a_i, b_i>`` over the leading axis — the serial reducer.
 

@@ -200,7 +200,8 @@ class ReliableUpdateCG:
         decision — the ``delta`` trigger, per-system breakdown, the
         no-progress stop, the checkpoint cadence — derives from its
         results, so ranks stay in lock-step; ``b`` is caller-owned and
-        ``ap`` is consumed before the next operator application.
+        ``ap`` is consumed before the next operator application, but the
+        refresh subtracts into ``matvec(x)``: a fresh complex128 array.
         ``state`` / ``on_checkpoint`` speak :class:`RUCGState` in
         stacked form.
         """
@@ -274,8 +275,12 @@ class ReliableUpdateCG:
                     break
 
             # --- reliable update: fold in and refresh in double ---------
+            # The cycle's vectors and the stale residual are dead: free them
+            # before the operator allocates, and subtract into its answer.
             x += x_s
-            r_true = b - matvec(x)
+            del r, p, x_s, ap, r_true
+            r_true = matvec(x)
+            np.subtract(b, r_true, out=r_true)
             flops += cost
             matvecs += k
             reliable_updates += 1

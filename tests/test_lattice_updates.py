@@ -8,6 +8,7 @@ import pytest
 from repro.lattice import GaugeField, Geometry, HeatbathUpdater
 from repro.lattice.heatbath import _kennedy_pendleton, _quat_mul, _quat_conj, _quat_to_su2
 from repro.utils.rng import make_rng
+from tests.gauge_action import staple, wilson_action
 
 
 class TestKennedyPendleton:
@@ -100,14 +101,14 @@ class TestHeatbath:
         """A pure overrelaxation sweep must leave the action unchanged."""
         g = GaugeField.hot(geom_small, make_rng(14))
         hb = HeatbathUpdater(beta=5.5, rng=make_rng(15))
-        before = g.wilson_action(5.5)
+        before = wilson_action(g, 5.5)
         hb._sweep(g, mode="overrelax")
-        after = g.wilson_action(5.5)
+        after = wilson_action(g, 5.5)
         assert after == pytest.approx(before, rel=1e-6)
 
 
 def _dense_sweep(hb: HeatbathUpdater, gauge: GaugeField, mode: str) -> None:
-    """The sweep on full-lattice arrays: ``GaugeField.staple`` everywhere,
+    """The sweep on full-lattice arrays: ``gauge_action.staple`` everywhere,
     masked gathers and a dense embedded ``g3`` per SU(2) subgroup."""
     from repro.lattice.heatbath import _SUBGROUPS, _random_unit_vector, _su2_extract
 
@@ -115,7 +116,7 @@ def _dense_sweep(hb: HeatbathUpdater, gauge: GaugeField, mode: str) -> None:
     for mu in range(4):
         for parity in (0, 1):
             mask = geom.parity_mask(parity)
-            w = gauge.u[mu][mask] @ gauge.staple(mu)[mask]
+            w = gauge.u[mu][mask] @ staple(gauge, mu)[mask]
             for i, j in _SUBGROUPS:
                 x = _su2_extract(w[:, (i, j)][:, :, (i, j)])
                 k = np.linalg.norm(x, axis=-1)
