@@ -11,7 +11,7 @@ decomposed lattice needs and the global geometry cannot express:
 * ghost-cell (halo-padded) allocation for a radius-one stencil.
 
 :class:`RankGrid` maps ranks onto blocks: coordinates, neighbours,
-scatter/gather between global fields and per-rank local fields (with
+site slices and gather between global fields and per-rank local fields (with
 arbitrary leading axes, e.g. a multi-RHS stack), and the
 interior/boundary masks the overlap communication policy splits work by.
 """
@@ -148,32 +148,13 @@ class RankGrid:
         )
         return LocalGeometry(*self.local_dims, origin=origin)
 
-    # -- scatter / gather ----------------------------------------------------
+    # -- site blocks / gather -------------------------------------------------
     def site_slices(self, rank: int) -> tuple[slice, ...]:
         """Global-array slices of the rank's site block."""
         return tuple(
             slice(c * L, (c + 1) * L)
             for c, L in zip(self.coords(rank), self.local_dims)
         )
-
-    def _check_global(self, arr: np.ndarray, site_axis: int) -> None:
-        got = arr.shape[site_axis : site_axis + 4]
-        if got != self.global_dims:
-            raise ValueError(f"site axes {got} do not match lattice {self.global_dims}")
-
-    def scatter(self, arr: np.ndarray, site_axis: int = 0) -> list[np.ndarray]:
-        """Split a global array into contiguous per-rank local copies.
-
-        ``site_axis`` is the index of the first site axis (e.g. 1 for a
-        multi-RHS fermion stack ``(n, X, Y, Z, T, 4, 3)``, 1 for gauge
-        links ``(4, X, Y, Z, T, 3, 3)``).
-        """
-        self._check_global(arr, site_axis)
-        lead = (slice(None),) * site_axis
-        return [
-            np.ascontiguousarray(arr[lead + self.site_slices(r)])
-            for r in range(self.n_ranks)
-        ]
 
     def gather(self, blocks: list[np.ndarray], site_axis: int = 0) -> np.ndarray:
         """Reassemble per-rank local arrays into one global array."""

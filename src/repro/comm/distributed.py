@@ -168,24 +168,28 @@ class RankStencil:
             self.interior_seconds += time.perf_counter() - t0
         return ex.complete(), done
 
-    def hopping(self, phi: np.ndarray, parity: int | None = None) -> np.ndarray:
+    def hopping(
+        self, phi: np.ndarray, parity: int | None = None, dagger: bool = False, diag=None
+    ) -> np.ndarray:
         """``H phi`` on the local block ``(n,) + local_dims + (4, 3)`` (or,
-        with ``parity``, on its packed parity-``parity`` sites)."""
-        k = self.kernel
+        with ``parity``, on its packed parity-``parity`` sites); ``dagger``
+        and ``diag`` are the kernel's, and the faces follow ``dagger``."""
+        k, fused = self.kernel, {"dagger": dagger, "diag": diag}
         if not self.part:
-            return k.hopping(phi, parity=parity)
+            return k.hopping(phi, parity=parity, **fused)
         ghosts, out = self._halo(
-            lambda mu: k.faces(phi, mu, parity), lambda: k.hopping(phi, parity=parity)
+            lambda mu: k.faces(phi, mu, parity, dagger=dagger),
+            lambda: k.hopping(phi, parity=parity, **fused),
         )
         if self.policy != "overlap":
-            return k.hopping(phi, ghosts, parity=parity)
+            return k.hopping(phi, ghosts, parity=parity, **fused)
         for d in self.part:
             thin = phi.shape[1 + d] == 2  # one box, both of its planes boundary
             for side in (LOW,) if thin else (LOW, HIGH):
                 box = (slice(None),) * (1 + d) + (slice(-2, None) if side else slice(0, 2),)
                 keep = box if thin else face_index(d, side)
                 slab = k.hopping(
-                    phi[box], {tag: g[box] for tag, g in ghosts.items()}, box[1:], parity
+                    phi[box], {tag: g[box] for tag, g in ghosts.items()}, box[1:], parity, **fused
                 )
                 out[keep] = slab[keep]
         return out
@@ -318,7 +322,9 @@ class _RankContext:
         self.stencil = RankStencil(kernel, grid, rank, fabric, plan.policy)
         hop = self.stencil.hopping
         #: the red-black chain on full-lattice local fields (field ops)
-        self.eo = WilsonSchur(lambda x, parity: hop(x), mass, *parity_fields(geometry))
+        self.eo = WilsonSchur(
+            lambda x, parity, dagger=False: hop(x, dagger=dagger), mass, *parity_fields(geometry)
+        )
         #: the chain the solve runs, on checkerboard-packed fields: a solve
         #: needs a slab grid along x (the reducer), so t, the packed axis,
         #: is never partitioned, and ``Geometry`` makes every extent even
@@ -336,7 +342,7 @@ class _RankContext:
 #: caller, so an operation is added here and nowhere else.
 RANK_OPS = {
     "hopping": lambda ctx, phi: ctx.stencil.hopping(phi),
-    "apply": lambda ctx, phi: (ctx.plan.mass + 4.0) * phi + ctx.stencil.hopping(phi),
+    "apply": lambda ctx, phi: ctx.stencil.hopping(phi, diag=ctx.plan.mass + 4.0),
     "schur": lambda ctx, phi: ctx.eo.schur_apply(phi),
     "schur_dagger": lambda ctx, phi: ctx.eo.schur_dagger_apply(phi),
     "schur_normal": lambda ctx, phi: ctx.eo.schur_normal_apply(phi),

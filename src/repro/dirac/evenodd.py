@@ -30,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dirac.evenodd_wilson import packed_fields
-from repro.dirac.gamma import gamma5_mul
 from repro.dirac.mobius import MobiusOperator
 
 __all__ = ["EvenOddMobius"]
@@ -107,9 +106,8 @@ class EvenOddMobius:
         return self.mobius.wilson.hopping(self.mobius.d5_plus(psi), parity=parity)
 
     def b_dagger_apply(self, psi: np.ndarray, parity: int) -> np.ndarray:
-        """``B^H psi = D5_plus^H gamma_5 H gamma_5 psi``, likewise."""
-        h = self.mobius.wilson.hopping(gamma5_mul(psi), parity=parity)
-        return self.mobius.d5_plus_dagger(gamma5_mul(h, out=h))
+        """``B^H psi = D5_plus^H H^H psi``, likewise."""
+        return self.mobius.d5_plus_dagger(self.mobius.wilson.hopping(psi, parity, dagger=True))
 
     # -- Schur complement --------------------------------------------------------------
     def schur_apply(self, x_even: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.dirac.gamma import gamma5_mul
 from repro.dirac.wilson import WilsonOperator
 
 __all__ = ["WilsonSchur", "EvenOddWilson", "parity_fields", "packed_fields"]
@@ -54,9 +53,9 @@ class WilsonSchur:
     Parameters
     ----------
     hop:
-        ``hop(x, parity)``: the hopping term applied to a field living on
-        ``parity``'s sites; the result (always a fresh array) lives on
-        the other parity's.
+        ``hop(x, parity, dagger=False)``: the hopping term (``H^H`` with
+        ``dagger``) applied to a field living on ``parity``'s sites; the
+        result (always a fresh array) lives on the other parity's.
     mass:
         Bare quark mass; the diagonal block is ``(mass + 4) I``.
     split, join:
@@ -68,14 +67,14 @@ class WilsonSchur:
         arrays can hold the other parity too; the identity where they
         cannot (checkerboard-packed fields).
 
-    ``A^{-1}`` is a reciprocal multiply, the ``gamma_5`` pair around it
-    in ``S^H`` is cancelled (signs are exact), and every pass after a
+    ``A^{-1}`` is a reciprocal multiply, ``S^H`` runs the same chain on
+    the hops' own adjoint (no ``gamma_5`` pass), and every pass after a
     ``hop`` is in place on its fresh output.
     """
 
     def __init__(
         self,
-        hop: Callable[[np.ndarray, int], np.ndarray],
+        hop: Callable[..., np.ndarray],
         mass: float,
         split: Callable,
         join: Callable,
@@ -84,10 +83,9 @@ class WilsonSchur:
         self.hop, self.split, self.join, self._even = hop, split, join, to_even
         self.diag = float(mass) + 4.0
         self._inv_diag = 1.0 / self.diag
-        self._g5_diag = gamma5_mul(np.full((4, 3), self.diag))
 
     @classmethod
-    def packed(cls, kernel, hop: Callable[[np.ndarray, int], np.ndarray], mass: float) -> "WilsonSchur":
+    def packed(cls, kernel, hop: Callable[..., np.ndarray], mass: float) -> "WilsonSchur":
         """The chain on ``kernel``'s checkerboard-packed fields
         (``kernel.pack`` / ``kernel.unpack``): half the sites in every
         pass.  ``hop(x, parity)`` is the packed hopping term — a serial
@@ -95,25 +93,22 @@ class WilsonSchur:
         return cls(hop, mass, *packed_fields(kernel))
 
     # -- Schur complement ---------------------------------------------------
-    def _hop_inv_hop(self, x: np.ndarray) -> np.ndarray:
-        """``H A^{-1} H x`` (even -> odd -> even)."""
-        t = self.hop(x, 0)
+    def _schur(self, x: np.ndarray, dagger: bool) -> np.ndarray:
+        """``(m+4) x - H A^{-1} H x`` (even -> odd -> even), every ``H``
+        an ``H^H`` with ``dagger``."""
+        t = self.hop(x, 0, dagger=dagger)
         t *= self._inv_diag
-        return self.hop(t, 1)
+        t = self.hop(t, 1, dagger=dagger)
+        return self._even(np.subtract(self.diag * x, t, out=t))
 
     def schur_apply(self, x_even: np.ndarray) -> np.ndarray:
         """``S x = (m+4) x - H A^{-1} H x`` on even sites."""
-        t = self._hop_inv_hop(x_even)
-        return self._even(np.subtract(self.diag * x_even, t, out=t))
+        return self._schur(x_even, False)
 
     def schur_dagger_apply(self, x_even: np.ndarray) -> np.ndarray:
-        """``S^H`` via gamma_5-hermiticity of the hopping term."""
-        y = gamma5_mul(x_even)
-        t = self._hop_inv_hop(y)
-        gamma5_mul(t, out=t)
-        # diag * x == (gamma_5 diag) * (gamma_5 x), to the bit
-        np.multiply(y, self._g5_diag.astype(y.real.dtype), out=y)
-        return self._even(np.subtract(y, t, out=t))
+        """``S^H x = (m+4) x - H^H A^{-1} H^H x``: the same chain on the
+        hops' own adjoint."""
+        return self._schur(x_even, True)
 
     def schur_normal_apply(self, x_even: np.ndarray) -> np.ndarray:
         return self.schur_dagger_apply(self.schur_apply(x_even))
@@ -143,7 +138,8 @@ class EvenOddWilson(WilsonSchur):
         self.even = geom.parity_mask(0)
         self.odd = geom.parity_mask(1)
         super().__init__(
-            lambda x, parity: wilson.hopping(x), wilson.mass, *parity_fields(geom)
+            lambda x, parity, dagger=False: wilson.hopping(x, dagger=dagger),
+            wilson.mass, *parity_fields(geom),
         )
 
     def restrict(self, psi: np.ndarray, parity: int) -> np.ndarray:

@@ -1,16 +1,11 @@
 """Shared infrastructure for the dslash kernels.
 
 A kernel is one implementation of the Wilson hopping stencil (the hot
-loop of every solve).  The production kernel and its test oracle share
-the same contract:
-
-* constructed once per operator from the boundary-conditioned links;
-* :meth:`DslashKernel.hopping` maps a flattened fermion stack of shape
-  ``(n,) + dims + (4, 3)`` to a freshly allocated array of the same
-  shape (callers may hold results across subsequent applications);
-* internal temporaries come from a :class:`Workspace` buffer pool keyed
-  by shape, so steady-state applications perform no large allocations
-  beyond the returned output.
+loop of every solve), built once per operator from the
+boundary-conditioned links.  The production kernel and its test oracle
+share one contract: :meth:`DslashKernel.hopping` maps a flattened stack
+``(n,) + dims + (4, 3)`` to a fresh array of that shape, and its
+temporaries come from a :class:`Workspace` pool keyed by shape.
 """
 
 from __future__ import annotations
@@ -92,8 +87,8 @@ class DslashKernel:
         self.u_dag = u_dag
         self.geometry = geometry
         self.workspace = Workspace()
-        self.applications = 0
 
-    def hopping(self, phi: np.ndarray) -> np.ndarray:
-        """``H phi`` on a flattened stack ``(n,) + dims + (4, 3)``."""
+    def hopping(self, phi: np.ndarray, *, dagger: bool = False, diag=None) -> np.ndarray:
+        """``H phi`` (``H^H phi`` with ``dagger``) ``+ diag * phi`` on a
+        flattened stack ``(n,) + dims + (4, 3)``."""
         raise NotImplementedError

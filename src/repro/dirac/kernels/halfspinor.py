@@ -17,14 +17,12 @@ reconstruction are pure slicing plus scaled adds: no 4x4 spin einsum
 appears anywhere in this kernel.
 
 The 3x3 color multiply is unrolled into nine broadcast
-multiply-accumulates over contiguous per-component link planes, which
-sidesteps the per-site small-matrix overhead of ``einsum``/``matmul``.
-The hopping prefactor ``-1/2`` is folded into those planes once at
-construction — exact, because scaling by a power of two only decrements
-IEEE exponents and so commutes with every rounding in the
-multiply-accumulate chain.
+multiply-accumulates over contiguous per-component link planes (no
+per-site ``einsum``/``matmul``), with the hopping prefactor ``-1/2``
+folded in once — exact, as scaling by a power of two commutes with every
+rounding of the chain.
 
-One loop, three callers (QUDA has one dslash, Section IV-V):
+One loop (QUDA has one dslash, Section IV-V):
 :meth:`HalfSpinorKernel.hopping` is the only place the eight hops
 (project -> shift -> colour-multiply -> accumulate, forward then
 backward, mu = 0..3) are sequenced.
@@ -46,18 +44,19 @@ backward, mu = 0..3) are sequenced.
   (the paper's bandwidth lever): link planes are cast once per dtype from
   the double ``-U/2`` ones, the workspace is keyed on it, faces travel in
   it.  Same loop; the complex128 bits are unchanged.
+* *The adjoint and the diagonal are inputs* (QUDA fuses both, Section
+  IV).  ``dagger=True`` is ``gamma_5 H gamma_5`` by a swap of the
+  forward and backward projector tables; ``diag=d`` adds ``d phi`` inside
+  each tile.  A Wilson ``D psi`` or ``D^H psi`` is one pass.
 
-Workspace layout (QUDA's field order, Section IV): the loop runs on
-buffers whose *memory* is component-major ``(spin, colour, rhs, x, y, z,
-t)`` but whose *shape*, as the primitives see it, is the usual ``(rhs,
-x, y, z, t, spin, colour)`` — one transposing copy in, one out, and every
-``[..., s, :]`` / ``[..., c]`` slice in between is a contiguous plane
-instead of a stride-12 / stride-3 gather.  Every primitive is
-elementwise, so neither the layout, the RHS tiling nor the site box
-changes a bit of the result.  The RHS axis is processed in tiles of
-:data:`TILE_BYTES` of fermion field, so the workspace is bounded
-independently of the stack width, and steady-state applications allocate
-only the returned output field.
+Workspace layout (QUDA's field order, Section IV): buffers whose
+*memory* is component-major ``(spin, colour, rhs, x, y, z, t)`` but whose
+*shape* is the usual ``(rhs, x, y, z, t, spin, colour)`` — one
+transposing copy in, one out, and every ``[..., s, :]`` / ``[..., c]``
+slice in between a contiguous plane.  Every primitive is elementwise, so
+neither the layout, the RHS tiles of :data:`TILE_BYTES` (a workspace
+bounded whatever the stack width) nor the site box changes a bit of the
+result, and an application allocates only the returned output field.
 """
 
 from __future__ import annotations
@@ -80,13 +79,10 @@ TILE_BYTES = 12 * (512 * 12 * 16)
 
 @dataclass(frozen=True)
 class _Proj:
-    """Half-spinor form of one hopping projector ``1 + sign*gamma_mu``.
-
+    """Half-spinor form of one hopping projector ``1 + sign*gamma_mu``:
     ``h[s] = psi[s] + acoef[s] * psi[lower][s]`` (projection) and
-    ``out[2 + s] = rcoef[s] * h[rsel][s]`` (reconstruction), with
-    ``lower``/``rsel`` spin-axis slices (possibly order-reversing views —
-    never copies).
-    """
+    ``out[2 + s] = rcoef[s] * h[rsel][s]`` (reconstruction), ``lower`` /
+    ``rsel`` spin-axis slices (order-reversing views, never copies)."""
 
     lower: slice
     acoef: np.ndarray
@@ -97,8 +93,7 @@ class _Proj:
 def _build_tables(dtype) -> tuple[tuple[_Proj, ...], tuple[_Proj, ...]]:
     """Derive projection/reconstruction tables from the gamma basis, their
     ``+-1``/``+-i`` coefficients held in ``dtype``."""
-    fwd: list[_Proj] = []
-    bwd: list[_Proj] = []
+    fwd, bwd = [], []
     rows = np.arange(2)
     for mu in range(4):
         for sign, dest in ((-1.0, fwd), (+1.0, bwd)):
@@ -118,9 +113,12 @@ def _build_tables(dtype) -> tuple[tuple[_Proj, ...], tuple[_Proj, ...]]:
     return tuple(fwd), tuple(bwd)
 
 
-#: ``(forward, backward)`` projector tables by the dtype a hop computes in.
-_TABLES = {np.dtype(t): _build_tables(t) for t in (np.complex128, np.complex64)}
-_FWD, _BWD = _TABLES[np.dtype(np.complex128)]
+#: ``(forward, backward)`` projector tables by ``(dtype, dagger)``: ``H^H``
+#: swaps them, as ``gamma_5 (1 -+ gamma_mu) gamma_5 = 1 +- gamma_mu``.
+_TABLES = {
+    (np.dtype(t), d): _build_tables(t)[:: -1 if d else 1]
+    for t in (np.complex128, np.complex64) for d in (False, True)
+}
 
 
 def _aos_view(buf: np.ndarray, ncomp: int) -> np.ndarray:
@@ -157,14 +155,10 @@ def _planes(links: np.ndarray, fold=np.ascontiguousarray) -> tuple:
 
 
 class HalfSpinorKernel(DslashKernel):
-    """Spin-projected stencil with an unrolled broadcast color multiply.
-
-    The links are pre-split into 18 contiguous component planes per
-    direction (9 for ``-U/2``, 9 for ``-U^H/2``).  The 3x3 multiply is
-    then nine vectorized multiply-accumulates over the whole lattice — no
-    per-site small-matrix dispatch at all.  ``geometry`` may be a rank's
-    :class:`~repro.comm.decomp.LocalGeometry`: the packed layout reads the
-    *global* parity of its sites from it.
+    """Spin-projected stencil on 18 contiguous link component planes per
+    direction (9 for ``-U/2``, 9 for ``-U^H/2``).  ``geometry`` may be a
+    rank's :class:`~repro.comm.decomp.LocalGeometry`: the packed layout
+    reads the *global* parity of its sites from it.
     """
 
     name = "halfspinor"
@@ -268,17 +262,17 @@ class HalfSpinorKernel(DslashKernel):
             out[..., 2:4, :] += rtmp
 
     # -- the stencil --------------------------------------------------------
-    def faces(self, phi: np.ndarray, mu: int, parity: int | None = None) -> dict:
+    def faces(self, phi, mu: int, parity: int | None = None, *, dagger: bool = False) -> dict:
         """Both halo faces of direction ``mu``, from ``phi``'s two boundary
         slabs: ``("f", mu)`` the forward-projected low plane (the ``-mu``
         neighbour's ``psi(x + mu)`` ghost), ``("b", mu)`` the
         backward-projected, ``U^H``-multiplied high plane (the ``+mu``
         neighbour's ghost; links never travel).  12 of 24 reals per site.
         The chain is elementwise, so these are the bits the loop itself
-        computes on those planes."""
+        computes on those planes (``dagger``: with its swapped tables)."""
         high = _face(mu, True)
         dtype = np.result_type(phi.dtype, np.complex64)
-        pf, pb = _TABLES[dtype]
+        pf, pb = _TABLES[dtype, dagger]
         udag = _cut(self._layout(parity, dtype)[1][mu], high[1:])
         fwd = np.empty(phi[high].shape[:-2] + (2, 3), dtype=dtype)
         h, bwd = np.empty_like(fwd), np.empty_like(fwd)
@@ -288,11 +282,8 @@ class HalfSpinorKernel(DslashKernel):
         return {("f", mu): fwd, ("b", mu): bwd}
 
     def hopping(
-        self,
-        phi: np.ndarray,
-        ghosts: dict | None = None,
-        sites: tuple | None = None,
-        parity: int | None = None,
+        self, phi: np.ndarray, ghosts: dict | None = None, sites: tuple | None = None,
+        parity: int | None = None, *, dagger: bool = False, diag: float | None = None,
     ) -> np.ndarray:
         """``H phi`` on a stack ``(n,) + box + (4, 3)``.
 
@@ -306,10 +297,15 @@ class HalfSpinorKernel(DslashKernel):
         ``parity``
             ``phi`` holds this parity's sites in the packed layout; the
             result holds the other parity's.
+        ``dagger``
+            ``H^H = gamma_5 H gamma_5``: the projector tables swap, which
+            moves exactly the sandwich's sign flips (``faces`` too).
+        ``diag``
+            ``+ diag * phi`` in each tile after the eight hops, on the
+            input workspace: ``fl(H phi + fl(diag * phi))``, one pass.
         """
-        self.applications += 1
         dtype = np.result_type(phi.dtype, np.complex64)
-        u, udag, masks = _cut(self._layout(parity, dtype), sites)
+        layout, tables = _cut(self._layout(parity, dtype), sites), _TABLES[dtype, dagger]
         n, box = phi.shape[0], phi.shape[1:-2]
         tile = min(n, max(1, TILE_BYTES // phi[0].nbytes))
         ws = self.workspace
@@ -325,15 +321,18 @@ class HalfSpinorKernel(DslashKernel):
             # tile's own memory is the two half-field scratch buffers.
             h, hs = (_aos_view(half, 2) for half in dst.reshape((2, 2, 3, k) + box))
             halo = {tag: face[cols] for tag, face in (ghosts or {}).items()}
-            self._hop_tile(phi[cols], dst, halo, u, udag, masks, src[:k], acc[:k], h, hs, tmp[:k])
+            args = (src[:k], acc[:k], h, hs, tmp[:k])
+            self._hop_tile(phi[cols], dst, halo, layout, tables, diag, *args)
         return out
 
-    def _hop_tile(self, phi_aos, out_aos, halo, u, udag, masks, phi, out, h, hs, tmp) -> None:
-        """One RHS tile: transpose in, the eight hops, transpose out."""
+    def _hop_tile(self, phi_aos, out_aos, halo, layout, tables, diag, phi, out, h, hs, tmp) -> None:
+        """One RHS tile: transpose in, the eight hops (and the diagonal
+        term), transpose out."""
         phi[...] = phi_aos
-        fwd, bwd = _TABLES[phi.dtype]
+        u, udag, masks = layout
+        fwd, bwd = tables
         for mu in range(4):
-            # forward hop: -(1/2) (1 - gamma_mu) U_mu(x) psi(x + mu)
+            # forward hop: -(1/2) (1 -+ gamma_mu) U_mu(x) psi(x + mu), H^H the lower sign
             pf = fwd[mu]
             self._project(phi, pf, h)
             self._shift(h, -1, mu, masks[0], hs)
@@ -341,7 +340,7 @@ class HalfSpinorKernel(DslashKernel):
                 hs[_face(mu, True)] = halo["f", mu]
             self._color_mul(u[mu], hs, h, tmp)
             self._accumulate(out, h, pf, hs, first=mu == 0)
-            # backward hop: -(1/2) (1 + gamma_mu) U_mu(x-mu)^H psi(x - mu)
+            # backward hop: -(1/2) (1 +- gamma_mu) U_mu(x-mu)^H psi(x - mu)
             pb = bwd[mu]
             self._project(phi, pb, h)
             self._color_mul(udag[mu], h, hs, tmp)
@@ -349,4 +348,6 @@ class HalfSpinorKernel(DslashKernel):
             if ("b", mu) in halo:
                 h[_face(mu, False)] = halo["b", mu]
             self._accumulate(out, h, pb, hs)
+        if diag is not None:
+            out += np.multiply(phi, diag, out=phi)
         out_aos[...] = out

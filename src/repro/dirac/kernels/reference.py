@@ -3,8 +3,9 @@
 This is the original :meth:`WilsonOperator.hopping` stencil verbatim:
 four full 4-spinor einsum contractions with ``np.roll`` neighbour
 gathers.  The half-spinor kernel is validated against it to double
-precision; it is deliberately left unoptimized so the oracle stays
-simple to audit.
+precision; it is deliberately left unoptimized, and takes ``dagger`` and
+``diag`` by composition (a ``gamma_5`` sandwich, a plain add), so the
+oracle stays independent of the fused path and simple to audit.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ class ReferenceKernel(DslashKernel):
         """``(U psi)(x)`` with ``u`` of shape dims+(3,3), psi (n, dims, 4, 3)."""
         return np.einsum("xyztab,nxyztsb->nxyztsa", u, psi, optimize=True)
 
-    def hopping(self, phi: np.ndarray) -> np.ndarray:
-        self.applications += 1
+    def hopping(self, phi: np.ndarray, *, dagger: bool = False, diag=None) -> np.ndarray:
+        if dagger:
+            return g.gamma5_mul(self.hopping(g.gamma5_mul(phi), diag=diag))
         out = np.zeros_like(phi)
         for mu in range(4):
             axis = 1 + mu  # site axes start after the flattened lead axis
@@ -41,4 +43,6 @@ class ReferenceKernel(DslashKernel):
             out -= 0.5 * g.spin_mul(self._proj_fwd[mu], self._color_mul(self.u[mu], fwd))
             back = np.roll(self._color_mul(self.u_dag[mu], phi), +1, axis=axis)
             out -= 0.5 * g.spin_mul(self._proj_bwd[mu], back)
+        if diag is not None:
+            out += diag * phi
         return out

@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.dirac import gamma as g
 from repro.dirac.kernels import HalfSpinorKernel
 from repro.dirac.flops import wilson_dslash_flops_per_site
 from repro.lattice.gauge import GaugeField
@@ -72,8 +71,11 @@ class WilsonOperator:
         return psi.reshape((-1,) + expected_tail), lead
 
     # -- the stencil -----------------------------------------------------------
-    def hopping(self, psi: np.ndarray, parity: int | None = None) -> np.ndarray:
-        """The pure hopping term ``H psi`` (no mass/diagonal piece).
+    def hopping(
+        self, psi: np.ndarray, parity: int | None = None, *, dagger: bool = False, diag=None
+    ) -> np.ndarray:
+        """The hopping term ``H psi`` — ``H^H psi`` with ``dagger``, plus
+        ``diag * psi`` with ``diag``, all in the kernel's one pass.
 
         ``H`` strictly couples opposite checkerboard parities — the
         property exploited by the red-black preconditioning.  With
@@ -95,24 +97,19 @@ class WilsonOperator:
             flops=float(phi.size // 12 * wilson_dslash_flops_per_site()),
             lead=phi.shape[0],
         ) as sp:
-            if parity is None:
-                out = self.kernel.hopping(phi)
-            else:
-                out = self.kernel.hopping(phi, parity=parity)
+            kw = {} if parity is None else {"parity": parity}
+            out = self.kernel.hopping(phi, dagger=dagger, diag=diag, **kw)
             links = (self.u.nbytes + self.u_dag.nbytes) * out.itemsize // self.u.itemsize
             sp.add_bytes(phi.nbytes + out.nbytes + (links if parity is None else links // 2))
         return out.reshape(psi.shape)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        """``D psi``."""
-        out = self.hopping(psi)
-        out += (self.mass + 4.0) * psi
-        return out
+        """``D psi``: the mass term joins the stencil pass."""
+        return self.hopping(psi, diag=self.mass + 4.0)
 
     def apply_dagger(self, psi: np.ndarray) -> np.ndarray:
-        """``D^H psi`` via gamma_5-hermiticity."""
-        out = self.apply(g.gamma5_mul(psi))
-        return g.gamma5_mul(out, out=out)
+        """``D^H psi = gamma_5 D gamma_5 psi``, likewise one pass."""
+        return self.hopping(psi, dagger=True, diag=self.mass + 4.0)
 
     def apply_normal(self, psi: np.ndarray) -> np.ndarray:
         """``D^H D psi`` — the hermitian positive operator CG inverts."""

@@ -429,10 +429,10 @@ def _cgne(solve, lift, apply_op, apply_dagger, b, x0, **resume):
     """
     result = solve(lambda v: apply_dagger(apply_op(v)), apply_dagger(b), x0=x0, **resume)
     bnorm = _batch_norm(lift(b))
+    r = apply_op(result.x)
+    np.subtract(b, r, out=r)
     result.final_relres = np.where(
-        bnorm > 0.0,
-        _batch_norm(lift(b - apply_op(result.x))) / np.where(bnorm > 0.0, bnorm, 1.0),
-        result.final_relres,
+        bnorm > 0.0, _batch_norm(lift(r)) / np.where(bnorm > 0.0, bnorm, 1.0), result.final_relres
     )
     return result
 

@@ -1,4 +1,4 @@
-"""Rank geometry, scatter/gather, and real halo exchange vs np.roll."""
+"""Rank geometry, site blocks/gather, and real halo exchange vs np.roll."""
 
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ class TestRankGrid:
         grid = RankGrid.make((4, 6, 2, 8), (2, 3, 1, 1))
         rng = np.random.default_rng(1)
         stack = rng.normal(size=(3, 4, 6, 2, 8, 4, 3))
-        blocks = grid.scatter(stack, site_axis=1)
+        blocks = [stack[(slice(None),) + grid.site_slices(r)] for r in range(grid.n_ranks)]
         assert blocks[0].shape == (3, 2, 2, 2, 8, 4, 3)
         assert np.array_equal(grid.gather(blocks, site_axis=1), stack)
 
@@ -117,7 +117,10 @@ def test_exchanged_halos_match_np_roll(grid_shape):
     phi = rng.normal(size=(2,) + dims + (4, 3)) + 1j * rng.normal(
         size=(2,) + dims + (4, 3)
     )
-    blocks = grid.scatter(phi, site_axis=1)
+    blocks = [
+        np.ascontiguousarray(phi[(slice(None),) + grid.site_slices(r)])
+        for r in range(grid.n_ranks)
+    ]
 
     def exchange(r, fabric):
         ex = HaloExchanger(fabric, grid, r)
@@ -157,7 +160,7 @@ def test_exchange_counts_messages():
     grid = RankGrid.make(dims, (2, 1, 1, 1))
     rng = np.random.default_rng(3)
     phi = rng.normal(size=dims + (4, 3)) + 0j
-    blocks = grid.scatter(phi, site_axis=0)
+    blocks = [np.ascontiguousarray(phi[grid.site_slices(r)]) for r in range(grid.n_ranks)]
 
     def exchange(r, fabric):
         ex = HaloExchanger(fabric, grid, r)
