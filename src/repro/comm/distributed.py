@@ -168,21 +168,21 @@ class RankStencil:
             self.interior_seconds += time.perf_counter() - t0
         return ex.complete(), done
 
-    def hopping(
-        self, phi: np.ndarray, parity: int | None = None, dagger: bool = False, diag=None
-    ) -> np.ndarray:
+    def hopping(self, phi, parity=None, dagger: bool = False, diag=None, out=None) -> np.ndarray:
         """``H phi`` on the local block ``(n,) + local_dims + (4, 3)`` (or,
-        with ``parity``, on its packed parity-``parity`` sites); ``dagger``
-        and ``diag`` are the kernel's, and the faces follow ``dagger``."""
+        with ``parity``, on its packed parity-``parity`` sites); ``dagger``,
+        ``diag`` and ``out`` are the kernel's (``overlap``'s recompute
+        re-reads ``phi``: it ignores ``out``), the faces follow ``dagger``."""
         k, fused = self.kernel, {"dagger": dagger, "diag": diag}
         if not self.part:
-            return k.hopping(phi, parity=parity, **fused)
-        ghosts, out = self._halo(
+            return k.hopping(phi, parity=parity, out=out, **fused)
+        ghosts, interior = self._halo(
             lambda mu: k.faces(phi, mu, parity, dagger=dagger),
             lambda: k.hopping(phi, parity=parity, **fused),
         )
         if self.policy != "overlap":
-            return k.hopping(phi, ghosts, parity=parity, **fused)
+            return k.hopping(phi, ghosts, parity=parity, out=out, **fused)
+        out = interior
         for d in self.part:
             thin = phi.shape[1 + d] == 2  # one box, both of its planes boundary
             for side in (LOW,) if thin else (LOW, HIGH):
@@ -316,15 +316,12 @@ class _RankContext:
     def __init__(self, plan: RankPlan, rank: int, fabric: Fabric, u_local: np.ndarray):
         grid, mass = plan.grid, plan.mass
         geometry = grid.local_geometry(rank)
-        u_dag = np.conjugate(np.swapaxes(u_local, -1, -2))
         self.plan = plan
-        kernel = HalfSpinorKernel(u_local, u_dag, geometry)
+        kernel = HalfSpinorKernel(u_local, geometry)
         self.stencil = RankStencil(kernel, grid, rank, fabric, plan.policy)
         hop = self.stencil.hopping
         #: the red-black chain on full-lattice local fields (field ops)
-        self.eo = WilsonSchur(
-            lambda x, parity, dagger=False: hop(x, dagger=dagger), mass, *parity_fields(geometry)
-        )
+        self.eo = WilsonSchur(lambda x, parity, **kw: hop(x, **kw), mass, *parity_fields(geometry))
         #: the chain the solve runs, on checkerboard-packed fields: a solve
         #: needs a slab grid along x (the reducer), so t, the packed axis,
         #: is never partitioned, and ``Geometry`` makes every extent even
@@ -372,7 +369,7 @@ def rank_solve(
 
     Returns the solver's own result (identical on every rank) with ``x``
     this rank's block of the solution and ``final_relres`` the prepared
-    even-site system's residual.
+    even-site system's residual.  Each field is freed at its last use.
     """
     eo, dot = ctx.eo_solve, ctx.reducer.batch_dot
     b_prep = eo.prepare_rhs(b)
@@ -383,12 +380,14 @@ def rank_solve(
     else:
         solver = ConjugateGradient(tol=tol, max_iter=max_iter)
     res = solver._run(eo.schur_normal_apply, rhs, dot=dot)
-    pnorm = np.sqrt(dot(b_prep, b_prep))
-    orig = b_prep - eo.schur_apply(res.x)
+    del rhs
+    pnorm, orig = np.sqrt(dot(b_prep, b_prep)), eo.schur_apply(res.x)
+    np.subtract(b_prep, orig, out=orig)
+    del b_prep
+    onorm = np.sqrt(dot(orig, orig))
+    del orig
     res.final_relres = np.where(
-        pnorm > 0.0,
-        np.sqrt(dot(orig, orig)) / np.where(pnorm > 0.0, pnorm, 1.0),
-        res.final_relres,
+        pnorm > 0.0, onorm / np.where(pnorm > 0.0, pnorm, 1.0), res.final_relres
     )
     res.x = eo.reconstruct(res.x, b)
     return res
@@ -443,6 +442,7 @@ def rank_main(plan: RankPlan, rank: int, fabric: Fabric, u_local: np.ndarray, ch
         except Exception:
             reply = ("err", None, traceback.format_exc())
         chan.send(reply)
+        del reply, field  # a solve's x must not outlive its send
 
 
 @dataclass

@@ -198,13 +198,12 @@ def compute_wilson_propagator(
 
 # Bytes of live solver workspace one column stack may hold.  A wider
 # stack buys interpreter overhead per stencil call (and fewer checkpoint
-# files), which saturates after a few columns; it costs ~12 live
-# column-sized arrays per column (x, r, p, tmp, the normal-system RHS,
-# the operator's results and the stencil's tile workspace: 11.0 by
-# tracemalloc inside the loop, 12.5 by worker RSS, at 4^3 x 8).  4 MiB
-# admits 3 columns of a 4^3 x 8 field (96 KiB each) and 1 of an 8^3 x 16
-# one (1.5 MiB), where a column already is a whole stencil tile and a
-# stack has nothing left to amortize (DESIGN section 11 has the table).
+# files), which saturates after a few columns; it costs at most ~12 live
+# column-sized arrays per column (x, r, p, ap, the normal-system RHS, the
+# operator's result and the stencil's tile workspace: 7.7 by tracemalloc
+# in a full-operator loop at 4^3 x 8).  4 MiB admits 3 columns of a 4^3 x 8
+# field (96 KiB each) and 1 of an 8^3 x 16 one (1.5 MiB), where a column is
+# a whole stencil tile and nothing is left to amortize (DESIGN section 11).
 _STACK_WORKSPACE_BYTES = 4 << 20
 _LIVE_ARRAYS_PER_COLUMN = 12
 

@@ -147,6 +147,7 @@ def compute_fh_wilson_pair(
     insertion = insertion or AxialInsertion4D()
     sources = point_sources(wilson.geometry, site)
     x, stats = solve_columns(wilson, sources, solver, schur=False, width=12)
+    del sources  # dead before the FH solve allocates
     x_fh, stats_fh = solve_columns(wilson, insertion.apply(x), solver, schur=False, width=12)
     return Propagator.from_columns(x, site), Propagator.from_columns(x_fh, site), stats + stats_fh
 

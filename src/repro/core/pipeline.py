@@ -106,6 +106,7 @@ class GAPipeline:
                 blas_flops_per_iter=cg_blas_flops_per_site() * volume,
             )
             u, u_fh, stats = compute_fh_wilson_pair(op, site=self.source, solver=solver)
+        del op  # links and stencil workspace are dead before the contractions
         # Degenerate light quarks: the d-quark propagators equal the u ones.
         pion = pion_correlator(u)
         proton = proton_correlator(u, u)

@@ -32,11 +32,7 @@ def parity_fields(geometry) -> tuple[Callable, Callable, Callable]:
     checkerboards are the field times a parity mask, joined by ``+``;
     ``to_even`` zeroes the odd sites in place."""
     keep = tuple(geometry.parity_mask(p)[..., None, None] for p in (0, 1))
-
-    def to_even(x: np.ndarray) -> np.ndarray:
-        x *= keep[0]
-        return x
-
+    to_even = lambda x: np.multiply(x, keep[0], out=x)  # noqa: E731
     return (lambda b: (b * keep[0], b * keep[1])), np.add, to_even
 
 
@@ -53,9 +49,9 @@ class WilsonSchur:
     Parameters
     ----------
     hop:
-        ``hop(x, parity, dagger=False)``: the hopping term (``H^H`` with
-        ``dagger``) applied to a field living on ``parity``'s sites; the
-        result (always a fresh array) lives on the other parity's.
+        ``hop(x, parity, dagger=False, out=None)``: the hopping term
+        (``H^H`` with ``dagger``) of a field on ``parity``'s sites, on the
+        other parity's: into ``out`` (``x`` allowed) or a fresh array.
     mass:
         Bare quark mass; the diagonal block is ``(mass + 4) I``.
     split, join:
@@ -68,8 +64,8 @@ class WilsonSchur:
         cannot (checkerboard-packed fields).
 
     ``A^{-1}`` is a reciprocal multiply, ``S^H`` runs the same chain on
-    the hops' own adjoint (no ``gamma_5`` pass), and every pass after a
-    ``hop`` is in place on its fresh output.
+    the hops' own adjoint (no ``gamma_5`` pass), and every pass after the
+    first ``hop`` is in place on its fresh output.
     """
 
     def __init__(
@@ -98,8 +94,11 @@ class WilsonSchur:
         an ``H^H`` with ``dagger``."""
         t = self.hop(x, 0, dagger=dagger)
         t *= self._inv_diag
-        t = self.hop(t, 1, dagger=dagger)
-        return self._even(np.subtract(self.diag * x, t, out=t))
+        t = self.hop(t, 1, dagger=dagger, out=t)
+        dx = np.empty_like(x[0])  # (m+4) x, one leading slice at a time
+        for xi, ti in zip(x, t):
+            np.subtract(np.multiply(xi, self.diag, out=dx), ti, out=ti)
+        return self._even(t)
 
     def schur_apply(self, x_even: np.ndarray) -> np.ndarray:
         """``S x = (m+4) x - H A^{-1} H x`` on even sites."""
@@ -134,14 +133,9 @@ class EvenOddWilson(WilsonSchur):
 
     def __init__(self, wilson: WilsonOperator):
         self.wilson = wilson
-        geom = wilson.geometry
-        self.even = geom.parity_mask(0)
-        self.odd = geom.parity_mask(1)
-        super().__init__(
-            lambda x, parity, dagger=False: wilson.hopping(x, dagger=dagger),
-            wilson.mass, *parity_fields(geom),
-        )
+        hop = lambda x, parity, **kw: wilson.hopping(x, **kw)  # noqa: E731
+        super().__init__(hop, wilson.mass, *parity_fields(wilson.geometry))
 
     def restrict(self, psi: np.ndarray, parity: int) -> np.ndarray:
         """Zero the opposite checkerboard; supports leading RHS axes."""
-        return psi * (self.even, self.odd)[parity][..., None, None]
+        return psi * self.wilson.geometry.parity_mask(parity)[..., None, None]

@@ -72,9 +72,8 @@ class DslashKernel:
 
     Parameters
     ----------
-    u, u_dag:
-        Boundary-conditioned links ``U_mu(x)`` and their adjoints, shape
-        ``(4,) + dims + (3, 3)``.
+    u:
+        Boundary-conditioned links ``U_mu(x)``, shape ``(4,) + dims + (3, 3)``.
     geometry:
         The 4D lattice.
     """
@@ -82,13 +81,13 @@ class DslashKernel:
     #: Short name; an operator's span is ``dslash.{name}``.
     name: str = "?"
 
-    def __init__(self, u: np.ndarray, u_dag: np.ndarray, geometry: Geometry):
+    def __init__(self, u: np.ndarray, geometry: Geometry):
         self.u = u
-        self.u_dag = u_dag
         self.geometry = geometry
         self.workspace = Workspace()
 
-    def hopping(self, phi: np.ndarray, *, dagger: bool = False, diag=None) -> np.ndarray:
+    def hopping(self, phi: np.ndarray, *, dagger: bool = False, diag=None, out=None) -> np.ndarray:
         """``H phi`` (``H^H phi`` with ``dagger``) ``+ diag * phi`` on a
-        flattened stack ``(n,) + dims + (4, 3)``."""
+        flattened stack ``(n,) + dims + (4, 3)``, into ``out`` if given
+        (``phi`` itself allowed)."""
         raise NotImplementedError

@@ -133,40 +133,18 @@ def _face(mu: int, high: bool) -> tuple:
     return (slice(None),) * (1 + mu) + (slice(-1, None) if high else slice(0, 1),)
 
 
-def _each(planes, fn):
-    """Nested tuples of site-indexed arrays (or ``None``), ``fn`` of each."""
-    if isinstance(planes, tuple):
-        return tuple(_each(p, fn) for p in planes)
-    return None if planes is None else fn(planes)
-
-
-def _cut(planes, sites: tuple | None):
-    """``planes``, each restricted to the site-axis slices ``sites``."""
-    return planes if sites is None else _each(planes, lambda p: p[sites])
-
-
-def _planes(links: np.ndarray, fold=np.ascontiguousarray) -> tuple:
-    """``[mu][a][b]`` contiguous component planes of a link field, shaped
-    ``dims + (1,)`` so one plane broadcasts over the half-spinor axis."""
-    return tuple(
-        tuple(tuple(fold(links[mu, ..., a, b])[..., None] for b in range(3)) for a in range(3))
-        for mu in range(4)
-    )
-
-
 class HalfSpinorKernel(DslashKernel):
     """Spin-projected stencil on 18 contiguous link component planes per
-    direction (9 for ``-U/2``, 9 for ``-U^H/2``).  ``geometry`` may be a
-    rank's :class:`~repro.comm.decomp.LocalGeometry`: the packed layout
-    reads the *global* parity of its sites from it.
+    direction (9 for ``-U/2``, 9 for ``-U^H/2``), held once per layout and
+    dtype it runs.  ``geometry`` may be a rank's
+    :class:`~repro.comm.decomp.LocalGeometry`: the packed layout reads the
+    *global* parity of its sites from it.
     """
 
     name = "halfspinor"
 
-    def __init__(self, u, u_dag, geometry):
-        super().__init__(u, u_dag, geometry)
-        self._u = _planes(-0.5 * u)
-        self._udag = _planes(-0.5 * u_dag)
+    def __init__(self, u, geometry):
+        super().__init__(u, geometry)
         self._layouts: dict = {}
 
     # -- the checkerboard-packed layout -------------------------------------
@@ -177,47 +155,57 @@ class HalfSpinorKernel(DslashKernel):
     # cancel) and only the t-shift needs the column mask; packed blocks
     # splice across rank boundaries whenever every global extent is even.
     @cached_property
-    def _packed(self) -> tuple:
-        """``(masks, u, udag)`` by parity: ``masks[P]`` marks the columns
-        whose parity-``P`` site occupies the even t-slot."""
+    def _masks(self) -> tuple:
+        """By parity ``P``: the columns whose parity-``P`` site occupies
+        the even t-slot."""
         if self.geometry.dims[3] % 2:
             raise ValueError(f"packing needs an even t extent, got {self.geometry.dims[3]}")
         even_slot = self.geometry.parity[..., 0, None]
-        masks = tuple((even_slot == P)[..., None, None] for P in (0, 1))
-        fold = lambda P: lambda c: np.ascontiguousarray(
-            np.where(even_slot == P, c[..., 0::2], c[..., 1::2])
-        )
-        u, udag = (
-            tuple(_planes(links, fold(P)) for P in (0, 1))
-            for links in (-0.5 * self.u, -0.5 * self.u_dag)
-        )
-        return masks, u, udag
+        return tuple((even_slot == P)[..., None, None] for P in (0, 1))
 
     def pack(self, field: np.ndarray, parity: int) -> np.ndarray:
         """One parity of a full field (any leading axes) as a packed array."""
-        m = self._packed[0][parity]
+        m = self._masks[parity]
         return np.where(m, field[..., 0::2, :, :], field[..., 1::2, :, :])
 
     def unpack(self, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
         """The full field (any leading axes) whose two packed parities are given."""
-        m = self._packed[0][0]
+        m = self._masks[0]
         out = np.empty(p0.shape[:-3] + (2 * p0.shape[-3], 4, 3), dtype=p0.dtype)
-        out[..., 0::2, :, :] = np.where(m, p0, p1)
-        out[..., 1::2, :, :] = np.where(m, p1, p0)
+        for slot, (on, off) in enumerate(((p0, p1), (p1, p0))):
+            np.copyto(out[..., slot::2, :, :], off)
+            np.copyto(out[..., slot::2, :, :], on, where=m)
         return out
 
-    def _layout(self, parity: int | None, dtype: np.dtype) -> tuple:
-        """Link planes of the forward hop (at the output site) and of the
-        backward hop (at the source site) in ``dtype`` — cast once, on
-        first use, from the double ``-U/2`` planes — and the t-shift masks
-        of each, for the full or the packed layout."""
+    def layout(self, parity: int | None = None, dtype=None) -> tuple:
+        """``(planes, masks)`` of the full (``parity=None``) or packed layout
+        in ``dtype`` (the links'), built on first use as one contiguous block
+        ``(2, 4, 3, 3) + box + (1,)``: ``planes[0][mu][a, b]`` the ``-U/2``
+        planes of the forward hop (at the output site), ``planes[1]`` the
+        ``-U^H/2`` ones of the backward hop (at the source site), each
+        broadcasting over the half-spinor axis; ``masks`` the t-shift
+        column masks of each (``None`` unpacked).  ``-U^H/2`` is
+        ``conj(-U/2)`` with the colour indices swapped and a complex64
+        block the cast of the double one: both exact."""
+        dtype = np.dtype(self.u.dtype if dtype is None else dtype)
         if (parity, dtype) not in self._layouts:
-            u, udag, masks = self._u, self._udag, (None, None)
-            if parity is not None:
-                m, pu, pudag = self._packed
-                u, udag, masks = pu[1 - parity], pudag[parity], (m[1 - parity], m[parity])
-            cast = lambda p: p.astype(dtype, copy=False)  # the double planes are themselves
-            self._layouts[parity, dtype] = _each(u, cast), _each(udag, cast), masks
+            masks = (None, None) if parity is None else (self._masks[1 - parity], self._masks[parity])
+            if dtype != self.u.dtype:
+                planes = self.layout(parity)[0].astype(dtype)
+            else:
+                half = -0.5 * self.u
+                fwd, bwd = (
+                    np.moveaxis(
+                        half if m is None
+                        else np.where(m, half[..., 0::2, :, :], half[..., 1::2, :, :]),
+                        (-2, -1), (1, 2),
+                    )[..., None]
+                    for m in masks
+                )
+                planes = np.empty((2,) + fwd.shape, dtype)
+                planes[0] = fwd
+                np.conjugate(bwd.swapaxes(1, 2), out=planes[1])
+            self._layouts[parity, dtype] = planes, masks
         return self._layouts[parity, dtype]
 
     # -- primitive steps ----------------------------------------------------
@@ -238,15 +226,15 @@ class HalfSpinorKernel(DslashKernel):
             np.copyto(out, src, where=mask)
 
     @staticmethod
-    def _color_mul(comp: tuple, h: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    def _color_mul(comp: np.ndarray, h: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
         """``out = U h`` on the half field, ``comp`` the nine planes of
         ``U`` and ``tmp`` one colour plane of scratch."""
         for a in range(3):
             oa = out[..., a]
-            np.multiply(comp[a][0], h[..., 0], out=oa)
-            np.multiply(comp[a][1], h[..., 1], out=tmp)
+            np.multiply(comp[a, 0], h[..., 0], out=oa)
+            np.multiply(comp[a, 1], h[..., 1], out=tmp)
             oa += tmp
-            np.multiply(comp[a][2], h[..., 2], out=tmp)
+            np.multiply(comp[a, 2], h[..., 2], out=tmp)
             oa += tmp
 
     @staticmethod
@@ -273,7 +261,7 @@ class HalfSpinorKernel(DslashKernel):
         high = _face(mu, True)
         dtype = np.result_type(phi.dtype, np.complex64)
         pf, pb = _TABLES[dtype, dagger]
-        udag = _cut(self._layout(parity, dtype)[1][mu], high[1:])
+        udag = self.layout(parity, dtype)[0][1, mu][(slice(None),) * 2 + high[1:]]
         fwd = np.empty(phi[high].shape[:-2] + (2, 3), dtype=dtype)
         h, bwd = np.empty_like(fwd), np.empty_like(fwd)
         self._project(phi[_face(mu, False)], pf[mu], fwd)
@@ -284,6 +272,7 @@ class HalfSpinorKernel(DslashKernel):
     def hopping(
         self, phi: np.ndarray, ghosts: dict | None = None, sites: tuple | None = None,
         parity: int | None = None, *, dagger: bool = False, diag: float | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """``H phi`` on a stack ``(n,) + box + (4, 3)``.
 
@@ -303,16 +292,24 @@ class HalfSpinorKernel(DslashKernel):
         ``diag``
             ``+ diag * phi`` in each tile after the eight hops, on the
             input workspace: ``fl(H phi + fl(diag * phi))``, one pass.
+        ``out``
+            The result's array (default: a fresh one); ``phi`` itself for
+            a whole-box call, as each RHS tile is copied into the
+            workspace before its output tile is written.
         """
         dtype = np.result_type(phi.dtype, np.complex64)
-        layout, tables = _cut(self._layout(parity, dtype), sites), _TABLES[dtype, dagger]
+        planes, masks = self.layout(parity, dtype)
+        if sites is not None:
+            planes = planes[(slice(None),) * 4 + sites]
+            masks = tuple(None if m is None else m[sites] for m in masks)
+        layout, tables = (*planes, masks), _TABLES[dtype, dagger]
         n, box = phi.shape[0], phi.shape[1:-2]
         tile = min(n, max(1, TILE_BYTES // phi[0].nbytes))
         ws = self.workspace
         src = _aos_view(ws.get("phi", (4, 3, tile) + box, dtype), 2)
         acc = _aos_view(ws.get("out", (4, 3, tile) + box, dtype), 2)
         tmp = _aos_view(ws.get("cmul_tmp", (2, tile) + box, dtype), 1)
-        out = np.empty(phi.shape, dtype=dtype)
+        out = np.empty(phi.shape, dtype=dtype) if out is None else out
         for lo in range(0, n, tile):
             k = min(tile, n - lo)
             cols = slice(lo, lo + k)

@@ -3,9 +3,9 @@
 This is the original :meth:`WilsonOperator.hopping` stencil verbatim:
 four full 4-spinor einsum contractions with ``np.roll`` neighbour
 gathers.  The half-spinor kernel is validated against it to double
-precision; it is deliberately left unoptimized, and takes ``dagger`` and
-``diag`` by composition (a ``gamma_5`` sandwich, a plain add), so the
-oracle stays independent of the fused path and simple to audit.
+precision; it is deliberately left unoptimized, and takes ``dagger``,
+``diag`` and ``out`` by composition (a ``gamma_5`` sandwich, a plain add,
+a copy), so the oracle stays independent of the fused path.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ class ReferenceKernel(DslashKernel):
     name = "reference"
 
     def __init__(self, u, u_dag, geometry):
-        super().__init__(u, u_dag, geometry)
+        super().__init__(u, geometry)
+        self.u_dag = u_dag
         self._proj_fwd = tuple(g.IDENTITY - g.GAMMA[mu] for mu in range(4))
         self._proj_bwd = tuple(g.IDENTITY + g.GAMMA[mu] for mu in range(4))
 
@@ -33,7 +34,10 @@ class ReferenceKernel(DslashKernel):
         """``(U psi)(x)`` with ``u`` of shape dims+(3,3), psi (n, dims, 4, 3)."""
         return np.einsum("xyztab,nxyztsb->nxyztsa", u, psi, optimize=True)
 
-    def hopping(self, phi: np.ndarray, *, dagger: bool = False, diag=None) -> np.ndarray:
+    def hopping(self, phi: np.ndarray, *, dagger: bool = False, diag=None, out=None) -> np.ndarray:
+        if out is not None:  # by composition too: a copy
+            out[...] = self.hopping(phi, dagger=dagger, diag=diag)
+            return out
         if dagger:
             return g.gamma5_mul(self.hopping(g.gamma5_mul(phi), diag=diag))
         out = np.zeros_like(phi)

@@ -47,32 +47,35 @@ class WilsonOperator:
 
     ``kernel`` is the :class:`~repro.dirac.kernels.HalfSpinorKernel` the
     hopping term runs on (a test may assign the ``ReferenceKernel``
-    oracle in its place).
+    oracle in its place); its double full layout is built here.
     """
 
     def __init__(self, gauge: GaugeField, mass: float, antiperiodic_t: bool = True):
         self.geometry = gauge.geometry
         self.mass = float(mass)
         self.u = gauge.fermion_links(antiperiodic_t=antiperiodic_t)
-        self.u_dag = np.conjugate(np.swapaxes(self.u, -1, -2))
-        self.kernel = HalfSpinorKernel(self.u, self.u_dag, self.geometry)
+        self.kernel = HalfSpinorKernel(self.u, self.geometry)
+        self.kernel.layout()
+
+    @property
+    def u_dag(self) -> np.ndarray:
+        """The adjoint links ``U_mu(x)^H``, computed on access (never stored)."""
+        return np.conjugate(np.swapaxes(self.u, -1, -2))
 
     # -- shape handling ------------------------------------------------------
-    def _flatten(self, psi: np.ndarray, packed: bool = False) -> tuple[np.ndarray, tuple[int, ...]]:
+    def _flatten(self, psi: np.ndarray, packed: bool = False) -> np.ndarray:
         dims = self.geometry.dims
         if packed:  # one checkerboard, folded pairwise along t
             dims = dims[:3] + (dims[3] // 2,)
-        expected_tail = dims + (4, 3)
-        if psi.shape[-6:] != expected_tail:
-            raise ValueError(
-                f"field tail shape {psi.shape[-6:]} != lattice {expected_tail}"
-            )
-        lead = psi.shape[:-6]
-        return psi.reshape((-1,) + expected_tail), lead
+        tail = dims + (4, 3)
+        if psi.shape[-6:] != tail:
+            raise ValueError(f"field tail shape {psi.shape[-6:]} != lattice {tail}")
+        return psi.reshape((-1,) + tail)
 
     # -- the stencil -----------------------------------------------------------
     def hopping(
-        self, psi: np.ndarray, parity: int | None = None, *, dagger: bool = False, diag=None
+        self, psi: np.ndarray, parity: int | None = None, *, dagger: bool = False, diag=None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """The hopping term ``H psi`` — ``H^H psi`` with ``dagger``, plus
         ``diag * psi`` with ``diag``, all in the kernel's one pass.
@@ -80,8 +83,8 @@ class WilsonOperator:
         ``H`` strictly couples opposite checkerboard parities — the
         property exploited by the red-black preconditioning.  With
         ``parity``, ``psi`` holds that parity's sites in the kernel's
-        checkerboard-packed layout (``kernel.pack``) and the
-        result the other parity's: half the sites per application.
+        checkerboard-packed layout (``kernel.pack``) and the result the
+        other parity's.  ``out`` (``psi`` allowed) is C-contiguous.
 
         Every application opens an :mod:`repro.obs` span attributed
         with the LQCD-convention flop count (1320/site/RHS) and the
@@ -91,17 +94,19 @@ class WilsonOperator:
         ones).  The result has ``psi``'s dtype where the kernel has a
         complex64 path, else double.
         """
-        phi, _ = self._flatten(psi, packed=parity is not None)
+        phi = self._flatten(psi, packed=parity is not None)
         with obs.span(
             f"dslash.{self.kernel.name}",
             flops=float(phi.size // 12 * wilson_dslash_flops_per_site()),
             lead=phi.shape[0],
         ) as sp:
             kw = {} if parity is None else {"parity": parity}
-            out = self.kernel.hopping(phi, dagger=dagger, diag=diag, **kw)
-            links = (self.u.nbytes + self.u_dag.nbytes) * out.itemsize // self.u.itemsize
-            sp.add_bytes(phi.nbytes + out.nbytes + (links if parity is None else links // 2))
-        return out.reshape(psi.shape)
+            if out is not None:
+                kw["out"] = out.reshape(phi.shape)
+            res = self.kernel.hopping(phi, dagger=dagger, diag=diag, **kw)
+            links = 2 * self.u.nbytes * res.itemsize // self.u.itemsize
+            sp.add_bytes(phi.nbytes + res.nbytes + (links if parity is None else links // 2))
+        return res.reshape(psi.shape)
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """``D psi``: the mass term joins the stencil pass."""
@@ -112,8 +117,9 @@ class WilsonOperator:
         return self.hopping(psi, dagger=True, diag=self.mass + 4.0)
 
     def apply_normal(self, psi: np.ndarray) -> np.ndarray:
-        """``D^H D psi`` — the hermitian positive operator CG inverts."""
-        return self.apply_dagger(self.apply(psi))
+        """``D^H D psi`` (CG's operator), ``D^H`` into ``D psi``'s output."""
+        t = self.apply(psi)
+        return self.hopping(t, dagger=True, diag=self.mass + 4.0, out=t)
 
     # -- accounting --------------------------------------------------------------
     def flops_per_apply(self, psi_shape: tuple[int, ...]) -> float:

@@ -155,7 +155,7 @@ class HeatbathUpdater:
 
     beta: float
     n_overrelax: int = 1
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
+    rng: np.random.Generator = field(default_factory=make_rng)
 
     def __post_init__(self) -> None:
         if self.beta < 0:

@@ -314,9 +314,9 @@ class ConjugateGradient:
         is derived from its results and the iteration count alone, so
         ranks handed a collective ``dot`` stay in lock-step.
 
-        Workspace protocol: ``b`` is caller-owned and never written;
-        ``matvec`` may return a buffer it will reuse, because ``ap`` is
-        consumed before the next application.
+        Working set: ``b`` is caller-owned and never written; ``x``, ``r``,
+        ``p`` and ``ap`` — the axpy scratch once ``r`` is updated, so
+        ``matvec`` may return a buffer it reuses (not ``p``'s: copied).
 
         ``state`` / ``on_checkpoint`` speak :class:`CGState` in stacked
         form (array fields carry the leading axis, ``rsq``/``bnorm``/
@@ -363,9 +363,11 @@ class ConjugateGradient:
         column_iterations = np.full(k, iterations, dtype=np.int64)
         if state is not None and state.column_iterations is not None:
             column_iterations[:] = state.column_iterations
-        tmp = np.empty_like(r)
         while bool(active.any()) and iterations < self.max_iter:
+            ap = None  # dead: freed before the operator allocates
             ap = matvec(p)
+            if np.may_share_memory(ap, p):
+                ap = ap.copy()
             iterations += 1
             column_iterations += active
             matvecs += k
@@ -376,10 +378,8 @@ class ConjugateGradient:
                 break  # operator not positive along any live p
             alpha = np.where(ok, rsq / np.where(p_ap > 0.0, p_ap, 1.0), 0.0)
             al = alpha.reshape(lead)
-            np.multiply(p, al, out=tmp)
-            x += tmp
-            np.multiply(ap, al, out=tmp)
-            r -= tmp
+            r -= np.multiply(ap, al, out=ap)
+            x += np.multiply(p, al, out=ap)
             new_rsq = dot(r, r)
             history.append(np.sqrt(new_rsq) / safe_bnorm)
             active = ok & (new_rsq > target)
@@ -400,7 +400,9 @@ class ConjugateGradient:
                     )
                 )
 
-        resid = b - matvec(x)
+        r = p = ap = None  # dead: freed before the closing b - A x
+        resid = matvec(x)
+        np.subtract(b, resid, out=resid)
         true_res = np.sqrt(dot(resid, resid)) / safe_bnorm
         # Convergence is judged on the true residual (with a small
         # rounding allowance for the recurrence-vs-true drift when the
@@ -425,9 +427,14 @@ def _cgne(solve, lift, apply_op, apply_dagger, b, x0, **resume):
     views a field of the matching form as a stack.  Returns the solver's
     result with ``final_relres`` replaced by the stacked residual of the
     *original* system — convergence is judged on the normal system (the
-    quantity CG controls).
+    quantity CG controls).  An operator's own ``apply`` / ``apply_dagger``
+    pair runs as its ``apply_normal`` (Wilson: ``D^H`` into ``D``'s output).
     """
-    result = solve(lambda v: apply_dagger(apply_op(v)), apply_dagger(b), x0=x0, **resume)
+    op = getattr(apply_op, "__self__", None)
+    normal = getattr(op, "apply_normal", None)
+    if normal is None or apply_dagger != getattr(op, "apply_dagger", None):
+        normal = lambda v: apply_dagger(apply_op(v))  # noqa: E731
+    result = solve(normal, apply_dagger(b), x0=x0, **resume)
     bnorm = _batch_norm(lift(b))
     r = apply_op(result.x)
     np.subtract(b, r, out=r)
@@ -458,15 +465,8 @@ def solve_normal_equations(
     system, which is all a resume needs.
     """
     result = _cgne(
-        (solver or ConjugateGradient()).solve,
-        lambda a: a[None],
-        apply_op,
-        apply_dagger,
-        b,
-        x0,
-        state=state,
-        checkpoint_every=checkpoint_every,
-        on_checkpoint=on_checkpoint,
+        (solver or ConjugateGradient()).solve, lambda a: a[None], apply_op, apply_dagger, b, x0,
+        state=state, checkpoint_every=checkpoint_every, on_checkpoint=on_checkpoint,
     )
     result.final_relres = float(result.final_relres[0])
     return result
@@ -491,11 +491,6 @@ def solve_normal_equations_batched(
     only when given: a solver without checkpoints is called as before.
     """
     return _cgne(
-        (solver or ConjugateGradient()).solve_batched,
-        lambda a: a,
-        apply_op,
-        apply_dagger,
-        b,
-        x0,
+        (solver or ConjugateGradient()).solve_batched, lambda a: a, apply_op, apply_dagger, b, x0,
         **resume,
     )

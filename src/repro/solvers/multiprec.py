@@ -199,11 +199,11 @@ class ReliableUpdateCG:
         collective ``SliceReducer.batch_dot``) and every control
         decision — the ``delta`` trigger, per-system breakdown, the
         no-progress stop, the checkpoint cadence — derives from its
-        results, so ranks stay in lock-step; ``b`` is caller-owned and
-        ``ap`` is consumed before the next operator application, but the
-        refresh subtracts into ``matvec(x)``: a fresh complex128 array.
-        ``state`` / ``on_checkpoint`` speak :class:`RUCGState` in
-        stacked form.
+        results, so ranks stay in lock-step; ``b`` is caller-owned.  A
+        cycle holds ``x``, ``r``, ``p``, ``x_s`` and ``ap`` (its updates'
+        scratch, as in CG), and the refresh subtracts into ``matvec(x)``.
+        ``state`` / ``on_checkpoint`` speak :class:`RUCGState` in stacked
+        form.
         """
         b = np.asarray(b, dtype=np.complex128)
         k = b.shape[0]
@@ -247,13 +247,17 @@ class ReliableUpdateCG:
             # iterations: complex64 arrays, or complex128 round-trips.
             prev_anchor = anchor
             r = self._truncate(r_true)
+            del r_true  # refreshed at the cycle's end
             p = r.copy()
-            x_s = self._truncate(np.zeros_like(b))  # low-precision partial solution
+            x_s = self._truncate(np.zeros(b.shape, self._dtype))  # low-precision partial solution
             rsq = dot(r, r)
             active = ~converged
 
             while iterations < self.max_iter:
+                ap = None  # dead: freed before the operator allocates
                 ap = self._compute(matvec(self._truncate(p)))
+                if np.may_share_memory(ap, p):
+                    ap = ap.copy()
                 iterations += 1
                 matvecs += k
                 flops += k * (self.flops_per_matvec + self.blas_flops_per_iter)
@@ -262,14 +266,14 @@ class ReliableUpdateCG:
                 if not bool(ok.any()):
                     break
                 alpha = np.where(ok, rsq / np.where(p_ap > 0.0, p_ap, 1.0), 0.0)
-                x_s = self._truncate(x_s + col(alpha) * p)
-                r = self._truncate(r - col(alpha) * ap)
+                r = self._truncate(np.subtract(r, np.multiply(ap, col(alpha), out=ap), out=r))
+                x_s = self._truncate(np.add(x_s, np.multiply(p, col(alpha), out=ap), out=x_s))
                 new_rsq = dot(r, r)
                 rnorm = np.sqrt(new_rsq)
                 history.append(rnorm / safe_bnorm)
                 beta = np.where(ok, new_rsq / np.where(rsq > 0.0, rsq, 1.0), 0.0)
                 rsq = new_rsq
-                p = self._truncate(r + col(beta) * p)
+                p = self._truncate(np.add(r, np.multiply(p, col(beta), out=p), out=p))
                 active = ok & (rnorm > self.delta * anchor) & (rnorm > target)
                 if not bool(active.any()):
                     break
@@ -278,7 +282,7 @@ class ReliableUpdateCG:
             # The cycle's vectors and the stale residual are dead: free them
             # before the operator allocates, and subtract into its answer.
             x += x_s
-            del r, p, x_s, ap, r_true
+            del r, p, x_s, ap
             r_true = matvec(x)
             np.subtract(b, r_true, out=r_true)
             flops += cost
