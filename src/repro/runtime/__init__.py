@@ -22,10 +22,16 @@ Layout::
     ledger.py      fsynced write-ahead ledger (the campaign's one log) + replay
     telemetry.py   ledger -> utilization summaries
     core.py        the pure scheduling state machine (retry, backoff,
-                   quarantine, worker loss) shared with repro.service
-    campaign.py    its single-campaign shell: pool, ledger, the driver loop
+                   quarantine, worker loss)
+    loop.py        the one driver loop over N campaigns and one pool,
+                   and the config validation both drivers share
+    campaign.py    the loop's one-campaign configuration (repro.service
+                   is its many-campaign one)
     report.py      reports + executed-vs-modeled cross-validation
     cli.py         the ``repro-campaign`` entry point
+
+The package exports what its callers import; everything else is
+imported from its module.
 """
 
 from repro.runtime.builder import build_from_spec, build_ga_campaign, build_sleep_campaign
@@ -37,17 +43,10 @@ from repro.runtime.campaign import (
     LedgerMismatchError,
     WorkerStormError,
 )
-from repro.runtime.faults import FaultPlan, FaultSpec, WorkerKilled
-from repro.runtime.ledger import (
-    LedgerCollisionError,
-    LedgerState,
-    TaskLedger,
-    open_campaign_ledger,
-    replay_ledger,
-)
-from repro.runtime.policies import POLICIES, make_policy
+from repro.runtime.faults import FaultPlan, FaultSpec
+from repro.runtime.ledger import TaskLedger, replay_ledger
 from repro.runtime.tasks import CampaignTask, TaskGraph, TaskStatus
-from repro.runtime.telemetry import TelemetrySummary, summarize
+from repro.runtime.telemetry import summarize
 
 __all__ = [
     "CampaignTask",
@@ -64,14 +63,7 @@ __all__ = [
     "WorkerStormError",
     "FaultPlan",
     "FaultSpec",
-    "WorkerKilled",
     "TaskLedger",
-    "LedgerState",
-    "LedgerCollisionError",
-    "open_campaign_ledger",
     "replay_ledger",
-    "POLICIES",
-    "make_policy",
-    "TelemetrySummary",
     "summarize",
 ]

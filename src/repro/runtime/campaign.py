@@ -1,15 +1,16 @@
-"""The campaign driver: fault-tolerant execution of a task DAG.
+"""The campaign driver: fault-tolerant execution of one task DAG.
 
 This is the executed counterpart of Section V's job-manager layer.  The
-scheduling state machine itself — which task an idle worker takes,
-retry with backoff after a worker death or a task timeout, quarantine
-of a poison task and everything downstream of it — is
-:mod:`repro.runtime.core`; this module is its single-campaign shell:
-one worker pool, one write-ahead ledger every transition and fault is
-recorded in *before* it is acted on (the campaign's only log — the
-workers' facts arrive on their result reports and are recorded there
-too), and the loop that feeds the machine the pool's results and the
-clock.
+scheduling state machine — which task an idle worker takes, retry with
+backoff after a worker death or a task timeout, quarantine of a poison
+task and everything downstream of it — is :mod:`repro.runtime.core`;
+the loop that feeds it the pool's results and the clock is
+:class:`repro.runtime.loop.DriverLoop`, and :class:`CampaignRuntime` is
+that loop's one-campaign configuration: run synchronously, in the
+campaign's own workdir, with no service log and no CAS, and one
+write-ahead ledger every transition and fault is recorded in *before*
+it is acted on (the campaign's only log — the workers' facts arrive on
+their result reports and are recorded there too).
 
 A campaign killed outright (allocation timeout, driver crash) resumes
 with ``resume=True``: the ledger replay skips every completed task whose
@@ -24,25 +25,22 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 from repro.io.container import ArtifactStore, verify_artifacts
 from repro.runtime.core import (
     DIED,
     SETTLED,
-    TIMEOUT,
     CampaignError,
     LedgerMismatchError,
-    Lost,
     TaskMachine,
-    WorkerSlots,
     WorkerStormError,
 )
 from repro.runtime.faults import FaultPlan
 from repro.runtime.ledger import TaskLedger, replay_ledger
-from repro.runtime.policies import make_policy
+from repro.runtime.loop import CampaignState, DriverLoop, LoopConfig
 from repro.runtime.tasks import TaskGraph, TaskStatus
 from repro.runtime.telemetry import summarize
-from repro.runtime.worker import make_pool
 
 __all__ = [
     "CampaignConfig",
@@ -54,34 +52,11 @@ __all__ = [
 ]
 
 
-def replace_workers(pool, lost: list[Lost], log) -> None:
-    """Carry out a :meth:`WorkerSlots.sweep`: kill the overdue, respawn."""
-    for w, reason, _ in lost:
-        if reason == TIMEOUT:
-            pool.kill(w)
-        pool.spawn(w)
-        log("worker_spawn", worker=w, respawn=True)
-
-
 @dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(LoopConfig):
     """Knobs of one campaign execution."""
 
-    workers: int = 4
-    policy: str = "metaq"
-    pool: str = "process"
-    task_timeout_s: float = 300.0
-    backoff_base_s: float = 0.1
-    backoff_factor: float = 2.0
-    poll_interval_s: float = 0.02
     abort_on_worker_death: bool = False  # model losing the whole allocation
-    max_respawns: int = 64  # worker-death storm -> error, not a silent hang
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
 
 
 @dataclass
@@ -112,7 +87,7 @@ class CampaignResult:
         )
 
 
-class CampaignRuntime:
+class CampaignRuntime(DriverLoop):
     """Drive a :class:`TaskGraph` over a worker pool to completion.
 
     Parameters
@@ -135,9 +110,9 @@ class CampaignRuntime:
         config: CampaignConfig | None = None,
         spec: dict | None = None,
     ):
+        super().__init__(config or CampaignConfig())
         self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
-        self.config = config or CampaignConfig()
         self.spec = spec or {}
         self.store = ArtifactStore(self.workdir / "artifacts")
         self._cancel = threading.Event()
@@ -154,7 +129,6 @@ class CampaignRuntime:
         """
         self._cancel.set()
 
-    # -- the scheduling loop -------------------------------------------------
     def run(
         self,
         graph: TaskGraph,
@@ -169,78 +143,86 @@ class CampaignRuntime:
         half-written ledger (nothing is cleaned up, exactly like the
         real thing).
         """
-        cfg = self.config
-        faults = faults or FaultPlan()
-        policy = make_policy(cfg.policy)
+        self._faults = faults or FaultPlan()
+        self._abort_after, self._completions = abort_after, 0
         self._cancel.clear()  # one runtime may run / cancel / resume repeatedly
         path = self.workdir / "ledger.jsonl"
         with TaskLedger(path) as ledger:
-            log = ledger.record
-            machine = TaskMachine(graph, log, cfg)
+            machine = TaskMachine(graph, ledger.record, self.config)
             if resume:
                 machine.restore(
                     replay_ledger(path), lambda arts: verify_artifacts(self.store, arts)
                 )
-            pool = make_pool(cfg.pool, cfg.workers, self.workdir)
-            slots = WorkerSlots(cfg, pool.kind, log)
-            result = CampaignResult(
-                status=machine.status,
-                attempts=machine.attempts,
-                artifacts=machine.artifacts,
-                makespan=0.0,
-                tasks_reused=machine.reused,
+            self._open(self.workdir, ledger.record)
+            self._campaign = SimpleNamespace(
+                machine=machine, workdir=self.workdir, state=CampaignState.ACTIVE
             )
-            machine.open(spec=self.spec, resume=resume, faults=faults.to_json())
-            t_start = time.monotonic()
-            completions = 0
-
+            machine.open(spec=self.spec, resume=resume, faults=self._faults.to_json())
+            t_start, stop = time.monotonic(), None
             try:
-                pool.start()
-                while not machine.settled():
-                    if self._cancel.is_set():
-                        result.cancelled = True
-                        raise _Interrupted("cancelled by caller")
-                    now = time.monotonic()
-                    for w, tid in policy.select(
-                        machine.dispatchable(now), slots.idle(pool.alive), len(slots.running())
-                    ):
-                        fault = faults.get(tid)
-                        msg = slots.assign(w, machine, tid, now, fault and fault.to_json())
-                        pool.dispatch(w, msg)
-
-                    res = pool.poll_result(cfg.poll_interval_s)
-                    if res is not None and slots.result(res, time.monotonic()):
-                        completions += bool(res["ok"])
-                        if abort_after is not None and completions >= abort_after:
-                            raise _Interrupted(f"abort_after={abort_after} reached")
-
-                    lost = slots.sweep(pool.alive, time.monotonic())
-                    died = [w for w, reason, tid in lost if reason == DIED and tid is not None]
-                    if died and cfg.abort_on_worker_death:
-                        raise _Interrupted(f"worker {died[0]} died; abandoning allocation")
-                    replace_workers(pool, lost, log)
-
-                machine.finish()
+                self._pool.start()
+                self.drive()
             except _Interrupted as e:
                 # A simulated (or policy-mandated) allocation loss: leave the
                 # task records exactly as they stand — that is what resume
                 # replays; the closing record only bounds this run.
-                log("campaign_interrupted", reason=str(e))
-                result.interrupted = True
+                ledger.record("campaign_interrupted", reason=str(e))
+                stop = e
             finally:
-                result.makespan = time.monotonic() - t_start
-                pool.shutdown()
-        result.retries = machine.retries
-        result.worker_deaths, result.timeouts = slots.deaths, slots.timeouts
-        status = machine.status.items()
-        result.quarantined = [t for t, s in status if s == TaskStatus.QUARANTINED]
-        result.skipped = [t for t, s in status if s == TaskStatus.SKIPPED]
-        return result
+                makespan = time.monotonic() - t_start
+                self._pool.shutdown()
+        status = machine.status
+        return CampaignResult(
+            status=status,
+            attempts=machine.attempts,
+            artifacts=machine.artifacts,
+            makespan=makespan,
+            interrupted=stop is not None,
+            cancelled=isinstance(stop, _Cancelled),
+            quarantined=[t for t, s in status.items() if s == TaskStatus.QUARANTINED],
+            skipped=[t for t, s in status.items() if s == TaskStatus.SKIPPED],
+            worker_deaths=self._slots.deaths,
+            timeouts=self._slots.timeouts,
+            retries=machine.retries,
+            tasks_reused=machine.reused,
+        )
 
     def summarize(self):
         """Utilization roll-up of this workdir's latest run."""
         return summarize(self.workdir)
 
+    # -- the loop's hooks: one campaign, interrupted where the service drains
+    def _more(self) -> bool:
+        if self._campaign.state != CampaignState.ACTIVE:
+            return False
+        if self._cancel.is_set():
+            raise _Cancelled("cancelled by caller")
+        return True
+
+    def _campaigns(self) -> list:
+        return [self._campaign] if self._campaign.state == CampaignState.ACTIVE else []
+
+    def _finalize(self, campaign, state: str) -> None:
+        campaign.state = state
+
+    def _fault(self, tid: str) -> dict | None:
+        fault = self._faults.get(tid)
+        return fault and fault.to_json()
+
+    def _landed(self, machine, tid: str, res: dict) -> None:
+        self._completions += bool(res["ok"])
+        if self._abort_after is not None and self._completions >= self._abort_after:
+            raise _Interrupted(f"abort_after={self._abort_after} reached")
+
+    def _lost(self, lost: list) -> None:
+        died = [w for w, reason, tid in lost if reason == DIED and tid is not None]
+        if died and self.config.abort_on_worker_death:
+            raise _Interrupted(f"worker {died[0]} died; abandoning allocation")
+
 
 class _Interrupted(RuntimeError):
     """Internal control flow for simulated allocation loss."""
+
+
+class _Cancelled(_Interrupted):
+    """A cooperative :meth:`CampaignRuntime.cancel`."""

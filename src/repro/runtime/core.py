@@ -1,9 +1,10 @@
 """The scheduling state machine, once: pure transitions, no effects.
 
 Section V's job-manager layer (METAQ / mpi_jm: retry, backfill, survive
-node loss) reduced to two small machines that
-:class:`repro.runtime.campaign.CampaignRuntime` drives with one campaign
-and :class:`repro.service.driver.CampaignService` with many:
+node loss) reduced to two small machines that the one driver loop
+(:class:`repro.runtime.loop.DriverLoop`) drives, with one campaign in
+:class:`repro.runtime.campaign.CampaignRuntime` and with many in
+:class:`repro.service.driver.CampaignService`:
 
 * :class:`TaskMachine` — one campaign's tasks: ``pending -> running ->
   done``, a failed attempt retried after exponential backoff, a poison
@@ -15,7 +16,7 @@ and :class:`repro.service.driver.CampaignService` with many:
 
 Nothing here touches a file, a thread, a process or a clock.  Time
 arrives as a ``now`` argument; every log record leaves through the
-injected ``log(ev, **fields)`` callable (both shells pass the campaign's
+injected ``log(ev, **fields)`` callable (both drivers pass the campaign's
 write-ahead ``TaskLedger.record``, its one log — a worker's facts reach
 it on the result report); pool actions — the
 message to dispatch, the workers to kill and spawn — are return values.
@@ -195,7 +196,7 @@ class TaskMachine:
 
 
 class Lost(NamedTuple):
-    """A worker :meth:`WorkerSlots.sweep` wrote off and the shell must
+    """A worker :meth:`WorkerSlots.sweep` wrote off and the loop must
     replace (killing it first after a ``TIMEOUT``)."""
 
     worker: int

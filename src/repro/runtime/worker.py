@@ -158,7 +158,8 @@ def worker_main(
 
 
 class _PoolBase:
-    """Shared bookkeeping for both fabrics."""
+    """Shared bookkeeping for both fabrics: ``_queue()`` makes a worker's
+    task queue and ``_worker(target=, args=, daemon=)`` its handle."""
 
     kind = "base"
 
@@ -169,10 +170,14 @@ class _PoolBase:
         self.workdir = str(workdir)
         self._workers: dict[int, Any] = {}
         self._task_qs: dict[int, Any] = {}
-        self.spawns = 0
 
     def spawn(self, worker_id: int) -> None:
-        raise NotImplementedError
+        task_q = self._queue()
+        args = (worker_id, self.workdir, task_q, self.result_q, self.kind)
+        handle = self._worker(target=worker_main, args=args, daemon=True)
+        handle.start()
+        self._workers[worker_id] = handle
+        self._task_qs[worker_id] = task_q
 
     def start(self) -> None:
         for w in range(self.n_workers):
@@ -216,20 +221,9 @@ class ProcessWorkerPool(_PoolBase):
 
     def __init__(self, n_workers: int, workdir: str | Path):
         super().__init__(n_workers, workdir)
-        self._ctx = spawn_context()
-        self.result_q = self._ctx.Queue()
-
-    def spawn(self, worker_id: int) -> None:
-        task_q = self._ctx.Queue()
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(worker_id, self.workdir, task_q, self.result_q, "process"),
-            daemon=True,
-        )
-        proc.start()
-        self._workers[worker_id] = proc
-        self._task_qs[worker_id] = task_q
-        self.spawns += 1
+        ctx = spawn_context()
+        self._queue, self._worker = ctx.Queue, ctx.Process
+        self.result_q = ctx.Queue()
 
     def kill(self, worker_id: int) -> None:
         proc = self._workers.get(worker_id)
@@ -245,22 +239,11 @@ class ThreadWorkerPool(_PoolBase):
     """In-process thread workers (fast; cannot enforce timeouts)."""
 
     kind = "thread"
+    _queue, _worker = queue_mod.Queue, threading.Thread
 
     def __init__(self, n_workers: int, workdir: str | Path):
         super().__init__(n_workers, workdir)
         self.result_q: queue_mod.Queue = queue_mod.Queue()
-
-    def spawn(self, worker_id: int) -> None:
-        task_q: queue_mod.Queue = queue_mod.Queue()
-        th = threading.Thread(
-            target=worker_main,
-            args=(worker_id, self.workdir, task_q, self.result_q, "thread"),
-            daemon=True,
-        )
-        th.start()
-        self._workers[worker_id] = th
-        self._task_qs[worker_id] = task_q
-        self.spawns += 1
 
     def kill(self, worker_id: int) -> None:
         raise RuntimeError(

@@ -93,17 +93,6 @@ class ServiceClient:
     async def list_campaigns(self) -> list:
         return await self._json("GET", "/campaigns")
 
-    async def submit_and_wait(
-        self,
-        spec: dict,
-        tenant: str = "default",
-        priority: float = 0.0,
-        timeout: float = 300.0,
-    ) -> dict:
-        """The common client story: submit, then block on the result."""
-        sub = await self.submit(spec, tenant=tenant, priority=priority)
-        return await self.result(sub["id"], timeout=timeout)
-
     # -- the event stream ----------------------------------------------------
     async def events(
         self, cid: str, offset: int = 0, follow: bool = True

@@ -1,36 +1,26 @@
 """CampaignService: many concurrent campaigns over one shared pool.
 
-:class:`repro.runtime.campaign.CampaignRuntime` owns a pool for the
-lifetime of one campaign; a service that admits thousands of them cannot
-afford a pool per campaign any more than the paper's allocation could
-afford a batch job per solve.  So this driver inverts the ownership: one
-worker pool, started once, and a single scheduling loop multiplexing
-every *active* campaign's ready tasks over it —
+The service is the many-campaign configuration of the one driver loop
+(:class:`repro.runtime.loop.DriverLoop`), run in a daemon thread over a
+pool started once.  What it passes the loop is its own:
 
 * **admission** in bounded windows with priority aging and per-tenant
   quotas (:mod:`repro.service.scheduler`), each admitted campaign
   getting a namespaced write-ahead ledger
   (:func:`repro.runtime.ledger.open_campaign_ledger`);
-* **fair share** between tenants for every idle worker, then the
-  existing per-campaign task policy (naive/metaq/mpijm) within the
-  chosen campaign;
-* **caching** at two levels: identical specs dedupe to one campaign
-  entry (a second ``submit`` attaches, in flight or finished), and every
-  completed task publishes to the cross-campaign
-  :class:`repro.service.cache.ArtifactCAS`, so overlapping specs share
-  gauge configurations and propagators task-by-task — with in-flight
-  dedup (a task whose content fingerprint is being computed by another
-  campaign waits for that solve instead of duplicating it);
-* **fault handling** by the same state machine as the single-campaign
-  driver (:mod:`repro.runtime.core`): retry with backoff, quarantine +
-  transitive skip, worker respawn with a storm budget;
-* **cancellation** that stops dispatching, lets in-flight tasks land in
-  the ledger, and leaves the campaign resumable bit-for-bit by simply
-  resubmitting the same spec.
+* **fair share**: the tenant pick orders the campaigns ahead of each
+  campaign's own task policy;
+* **caching**: identical specs dedupe to one entry (a second ``submit``
+  attaches, in flight or finished), every completed task publishes to
+  the cross-campaign :class:`repro.service.cache.ArtifactCAS`, and a
+  task whose content another campaign is computing waits for that solve;
+* **cancellation** that drains in-flight tasks into the ledger, so
+  resubmitting the same spec resumes bit-for-bit;
+* **restart recovery** of finished campaigns, and the thread-safe
+  methods the HTTP layer (:mod:`repro.service.server`) calls.
 
-The loop runs in a daemon thread; the public methods are thread-safe
-and are what the asyncio HTTP layer (:mod:`repro.service.server`) calls
-via executors.
+Any exception that ends the loop becomes the service's error and fails
+every campaign not yet terminal.
 """
 
 from __future__ import annotations
@@ -38,6 +28,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import traceback
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,79 +36,46 @@ from typing import Any
 
 from repro import obs
 from repro.io.container import ArtifactStore, verify_artifacts
-from repro.runtime.campaign import replace_workers
-from repro.runtime.core import LedgerMismatchError, TaskMachine, WorkerSlots, WorkerStormError
+from repro.runtime.core import LedgerMismatchError, TaskMachine
 from repro.runtime.ledger import TaskLedger, open_campaign_ledger, replay_ledger
+from repro.runtime.loop import CampaignState, DriverLoop, LoopConfig
 from repro.runtime.policies import make_policy
 from repro.runtime.tasks import TaskGraph, TaskStatus
-from repro.runtime.worker import make_pool
 from repro.service.cache import ArtifactCAS
 from repro.service.fingerprint import normalize_spec, task_fingerprints
-from repro.service.scheduler import (
-    QueuedCampaign,
-    TenantConfig,
-    pick_tenant,
-    select_admissions,
-)
+from repro.service.scheduler import TenantConfig, pick_tenant, select_admissions
 
 __all__ = ["CampaignEntry", "CampaignService", "CampaignState", "ServiceConfig"]
 
 
-class CampaignState:
-    """Lifecycle of a submitted campaign."""
-
-    QUEUED = "queued"
-    ACTIVE = "active"
-    CANCELLING = "cancelling"  # drain in-flight tasks, dispatch nothing new
-    DONE = "done"  # every task completed
-    FAILED = "failed"  # settled, but with quarantined/skipped tasks
-    CANCELLED = "cancelled"  # resubmit the same spec to resume
-
-    TERMINAL = (DONE, FAILED, CANCELLED)
-
-
 @dataclass(frozen=True)
-class ServiceConfig:
+class ServiceConfig(LoopConfig):
     """Knobs of the shared pool and the tenant scheduler."""
 
-    workers: int = 4
     pool: str = "thread"
     policy: str = "mpijm"
+    backoff_base_s: float = 0.05
     window: int = 8  # max concurrently active campaigns
     aging_rate: float = 0.05  # priority units earned per queued second
-    poll_interval_s: float = 0.02
-    task_timeout_s: float = 300.0  # enforced on the process pool only
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    max_respawns: int = 64
     tenants: tuple[TenantConfig, ...] = ()
-
-    def tenant_map(self) -> dict[str, TenantConfig]:
-        return {t.name: t for t in self.tenants}
 
 
 @dataclass
 class CampaignEntry:
     """One deduplicated campaign: spec, graph, ledger, progress."""
 
-    cid: str
-    fingerprint: str
+    cid: str  # the spec's fingerprint
     spec: dict
     graph: TaskGraph
     task_fps: dict[str, str]
     tenant: str
     priority: float
     workdir: Path
-    submitted: float
+    submitted: float = field(default_factory=time.monotonic)
     state: str = CampaignState.QUEUED
     started: float | None = None
     finished: float | None = None
-    # status / attempts / artifacts are the dicts of ``machine``, the
-    # scheduling state of the current (or last) admission.
-    status: dict[str, str] = field(default_factory=dict)
-    attempts: dict[str, int] = field(default_factory=dict)
-    artifacts: dict[str, dict[str, str]] = field(default_factory=dict)
-    machine: TaskMachine | None = None
+    machine: TaskMachine | None = None  # of the current (or last) admission
     store: ArtifactStore | None = None
     ledger: TaskLedger | None = None
     cache_hits: int = 0  # tasks satisfied from the CAS
@@ -126,11 +84,15 @@ class CampaignEntry:
     error: str | None = None
     done_event: threading.Event = field(default_factory=threading.Event)
 
+    @property
+    def artifacts(self) -> dict[str, dict[str, str]]:
+        return self.machine.artifacts if self.machine else {}
+
     def counts(self) -> dict[str, int]:
-        return dict(Counter(self.status.values()))
+        return dict(Counter(self.machine.status.values())) if self.machine else {}
 
 
-class CampaignService:
+class CampaignService(DriverLoop):
     """The long-running multi-tenant campaign driver.
 
     Its own log — start and stop, submissions, admissions, workers that
@@ -139,22 +101,17 @@ class CampaignService:
     """
 
     def __init__(self, workdir: str | Path, config: ServiceConfig | None = None):
+        super().__init__(config or ServiceConfig())
+        make_policy(self.config.policy)  # an unknown policy fails here, not at start
         self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
-        self.config = config or ServiceConfig()
         self.cas = ArtifactCAS(self.workdir / "cas")
-        self._tenants = self.config.tenant_map()
+        self._tenants = {t.name: t for t in self.config.tenants}
         self._entries: dict[str, CampaignEntry] = {}
-        self._lock = threading.RLock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._pool = None
-        self._policy = make_policy(self.config.policy)
-        self._slots: WorkerSlots | None = None
         self._log: TaskLedger | None = None  # the service's own ledger.jsonl
-        self._tenant_busy: dict[str, float] = {}
-        self._tenant_done: dict[str, int] = {}
-        self._tenant_submitted: dict[str, int] = {}
+        self._tally: dict[str, dict[str, float]] = {}  # tenant -> its counters
         self._submissions = 0
         self._dedup_attach = 0
         self._error: str | None = None
@@ -165,14 +122,13 @@ class CampaignService:
         if self._thread is not None:
             return self
         cfg = self.config
-        self._pool = make_pool(cfg.pool, cfg.workers, self.workdir)
-        self._pool.start()
         self._log = TaskLedger(self.workdir / "ledger.jsonl")
-        self._slots = WorkerSlots(cfg, self._pool.kind, self._log.record)
+        self._open(self.workdir, self._log.record)
+        self._pool.start()
         self._log.record("service_start", workers=cfg.workers, pool=cfg.pool)
         self._stop.clear()
         self._thread = threading.Thread(
-            target=self._loop, name="campaign-service", daemon=True
+            target=self._serve, name="campaign-service", daemon=True
         )
         self._thread.start()
         return self
@@ -214,21 +170,19 @@ class CampaignService:
         graph, canonical, fp = normalize_spec(spec)
         with self._lock:
             self._submissions += 1
-            self._tenant_submitted[tenant] = self._tenant_submitted.get(tenant, 0) + 1
+            self._tenant(tenant)["submitted"] += 1
             entry = self._entries.get(fp)
             created = entry is None
             reenqueued = False
             if entry is None:
                 entry = CampaignEntry(
                     cid=fp,
-                    fingerprint=fp,
                     spec=canonical,
                     graph=graph,
                     task_fps=task_fingerprints(graph),
                     tenant=tenant,
                     priority=float(priority),
                     workdir=self.workdir / "campaigns" / fp,
-                    submitted=time.monotonic(),
                 )
                 self._entries[fp] = entry
             else:
@@ -251,6 +205,8 @@ class CampaignService:
                     reenqueued=reenqueued,
                     state=entry.state,
                 )
+            if self._error is not None and entry.state == CampaignState.QUEUED:
+                self._finalize(entry, CampaignState.FAILED, self._error)  # no loop admits it
         with obs.span("service.submit", cat="service", campaign=entry.cid):
             pass
         return {
@@ -310,9 +266,6 @@ class CampaignService:
             by_state: dict[str, int] = {}
             for e in self._entries.values():
                 by_state[e.state] = by_state.get(e.state, 0) + 1
-            tenants = sorted(
-                set(self._tenant_submitted) | set(self._tenant_busy) | set(self._tenant_done)
-            )
             return {
                 "submissions": self._submissions,
                 "dedup_attached": self._dedup_attach,
@@ -321,15 +274,13 @@ class CampaignService:
                 "pool": self.config.pool,
                 "error": self._error,
                 "cas": self.cas.stats(),
-                "tenants": {
-                    t: {
-                        "submitted": self._tenant_submitted.get(t, 0),
-                        "busy_seconds": self._tenant_busy.get(t, 0.0),
-                        "tasks_done": self._tenant_done.get(t, 0),
-                    }
-                    for t in tenants
-                },
+                "tenants": {t: dict(c) for t, c in sorted(self._tally.items())},
             }
+
+    def _tenant(self, name: str) -> dict[str, float]:
+        return self._tally.setdefault(
+            name, {"submitted": 0, "busy_seconds": 0.0, "tasks_done": 0}
+        )
 
     def read_events(self, cid: str, offset: int = 0) -> tuple[list[str], int, bool]:
         """Tail a campaign's ledger: (new lines, new offset, terminal?).
@@ -380,109 +331,81 @@ class CampaignService:
                 continue
             if fp in self._entries:
                 continue
-            state = replay_ledger(marker.parent / "ledger.jsonl", campaign=marker.parent.name)
-            if not state.finished:
-                continue
-            store = ArtifactStore(marker.parent / "artifacts")
-            restored = TaskMachine(graph, None, self.config)  # restores only
-            try:
-                restored.restore(state, lambda arts: verify_artifacts(store, arts))
-            except LedgerMismatchError:
-                continue  # the builder now makes another graph of this spec
-            if restored.count(TaskStatus.DONE) < len(graph):
-                continue
             entry = CampaignEntry(
                 cid=fp,
-                fingerprint=fp,
                 spec=canonical,
                 graph=graph,
                 task_fps=task_fingerprints(graph),
                 tenant=str(rec.get("tenant", "default")),
                 priority=0.0,
                 workdir=marker.parent,
-                submitted=time.monotonic(),
                 state=CampaignState.DONE,
-                status=restored.status,
-                artifacts=restored.artifacts,
-                store=store,
             )
-            entry.done_event.set()
-            self._entries[fp] = entry
-            for tid, arts in restored.artifacts.items():
-                self.cas.put(entry.task_fps[tid], store, arts)
+            try:
+                prior = self._restore(entry, campaign=marker.parent.name)
+            except LedgerMismatchError:
+                continue  # the builder now makes another graph of this spec
+            if prior.finished and entry.machine.count(TaskStatus.DONE) == len(graph):
+                entry.done_event.set()
+                self._entries[fp] = entry
 
-    # -- the multiplexing loop ----------------------------------------------
-    def _loop(self) -> None:
-        cfg = self.config
+    def _restore(self, entry: CampaignEntry, log=None, campaign: str | None = None):
+        """Replay ``entry``'s ledger (records of ``campaign``, by default its
+        own id) into a fresh machine, trusting only artifacts that verify,
+        and publish those to the CAS; returns the replayed state."""
+        entry.store = store = ArtifactStore(entry.workdir / "artifacts")
+        entry.machine = m = TaskMachine(entry.graph, log, self.config, campaign=entry.cid)
+        prior = replay_ledger(entry.workdir / "ledger.jsonl", campaign=campaign or entry.cid)
+        m.restore(prior, lambda arts: verify_artifacts(store, arts))
+        for tid, arts in m.artifacts.items():
+            self.cas.put(entry.task_fps[tid], store, arts)
+        return prior
+
+    # -- the loop, configured for many campaigns ---------------------------
+    def _serve(self) -> None:
         try:
-            while not self._stop.is_set():
-                with self._lock:
-                    self._admit()
-                    self._cas_sweep()
-                    self._settle()
-                    self._dispatch()
-                res = self._pool.poll_result(cfg.poll_interval_s)
-                with self._lock:
-                    while res is not None:
-                        self._handle_result(res)
-                        # Drain whatever else already landed before sleeping.
-                        res = self._pool.poll_result(0.0)
-                    lost = self._slots.sweep(self._pool.alive, time.monotonic())
-                    replace_workers(self._pool, lost, self._log.record)
-                    self._settle()
-        except WorkerStormError as e:
+            self.drive()
+        except Exception as e:  # the one loop ended: no campaign may wait on it
+            error = f"{type(e).__name__}: {e}"
             with self._lock:
-                self._error = str(e)
-                self._log.record("service_error", error=str(e))
+                self._error = error
+                self._log.record("service_error", error=error, trace=traceback.format_exc())
                 for entry in list(self._entries.values()):
                     if entry.state not in CampaignState.TERMINAL:
-                        entry.error = str(e)
-                        self._finalize(entry, CampaignState.FAILED)
+                        self._finalize(entry, CampaignState.FAILED, error)
+
+    def _more(self) -> bool:
+        return not self._stop.is_set()
+
+    def _campaigns(self) -> list[CampaignEntry]:
+        admitted = (CampaignState.ACTIVE, CampaignState.CANCELLING)
+        return [e for e in self._entries.values() if e.state in admitted]
 
     def _admit(self) -> None:
-        queue = [
-            QueuedCampaign(
-                cid=e.cid, tenant=e.tenant, priority=e.priority, submitted=e.submitted
-            )
-            for e in self._entries.values()
-            if e.state == CampaignState.QUEUED
-        ]
-        if not queue:
-            return
-        active_by_tenant: dict[str, int] = {}
-        for e in self._entries.values():
-            if e.state in (CampaignState.ACTIVE, CampaignState.CANCELLING):
-                active_by_tenant[e.tenant] = active_by_tenant.get(e.tenant, 0) + 1
-        for q in select_admissions(
-            queue,
-            active_by_tenant,
-            self._tenants,
-            self.config.window,
-            time.monotonic(),
-            self.config.aging_rate,
-        ):
-            self._activate(self._entries[q.cid])
+        # an entry is the scheduler's QueuedCampaign: cid, tenant, priority, submitted
+        queue = [e for e in self._entries.values() if e.state == CampaignState.QUEUED]
+        if queue:
+            active = Counter(e.tenant for e in self._campaigns())
+            cfg = self.config
+            now = time.monotonic()
+            for entry in select_admissions(
+                queue, active, self._tenants, cfg.window, now, cfg.aging_rate
+            ):
+                self._activate(entry)
 
     def _activate(self, entry: CampaignEntry) -> None:
         """Admit a campaign: open its ledger, replay whatever a previous
         admission left there (resubmission *is* resume), queue the rest."""
-        cfg = self.config
         entry.ledger = open_campaign_ledger(
             self.workdir / "campaigns",
             entry.cid,
             fingerprint=entry.graph.fingerprint(),
             meta={"spec": entry.spec, "tenant": entry.tenant},
         )
-        entry.store = store = ArtifactStore(entry.workdir / "artifacts")
-        m = entry.machine = TaskMachine(entry.graph, entry.ledger.record, cfg, campaign=entry.cid)
-        prior = replay_ledger(entry.workdir / "ledger.jsonl", campaign=entry.cid)
-        m.restore(prior, lambda arts: verify_artifacts(store, arts))
-        for tid, arts in m.artifacts.items():
-            self.cas.put(entry.task_fps[tid], store, arts)
-        entry.status, entry.attempts, entry.artifacts = m.status, m.attempts, m.artifacts
-        entry.cache_hits, entry.tasks_reused = 0, m.reused
+        prior = self._restore(entry, entry.ledger.record)
+        entry.cache_hits, entry.tasks_reused = 0, entry.machine.reused
         resume = bool(prior.campaign)
-        m.open(spec=entry.spec, resume=resume, tenant=entry.tenant)
+        entry.machine.open(spec=entry.spec, resume=resume, tenant=entry.tenant)
         entry.state = CampaignState.ACTIVE
         entry.started = time.monotonic()
         self._log.record(
@@ -495,9 +418,6 @@ class CampaignService:
         with obs.span("service.admit", cat="service", campaign=entry.cid):
             pass
 
-    def _active(self) -> list[CampaignEntry]:
-        return [e for e in self._entries.values() if e.state == CampaignState.ACTIVE]
-
     def _inflight(self) -> dict[str, str]:
         """Content fingerprint -> campaign computing it right now."""
         return {
@@ -505,7 +425,7 @@ class CampaignService:
             for m, tid in self._slots.running()
         }
 
-    def _cas_sweep(self) -> None:
+    def _cache_sweep(self) -> None:
         """Satisfy ready tasks from the CAS until a fixpoint.
 
         A hit can unlock dependents that hit in turn (a fully-cached
@@ -517,8 +437,8 @@ class CampaignService:
         changed = True
         while changed:
             changed = False
-            for entry in self._active():
-                for task in entry.machine.dispatchable(float("inf")):
+            for entry, tasks in self._ready(float("inf")):
+                for task in tasks:
                     fp = entry.task_fps[task.task_id]
                     if fp in inflight or not self.cas.has(fp):
                         continue
@@ -529,75 +449,39 @@ class CampaignService:
                     entry.cache_hits += 1
                     changed = True
 
-    def _dispatch(self) -> None:
-        now = time.monotonic()
-        for w in self._slots.idle(self._pool.alive):
-            inflight = self._inflight()
-            running_by_tenant = Counter(
-                self._entries[m.campaign].tenant for m, _ in self._slots.running()
-            )
-            candidates: Counter[str] = Counter()
-            ready: dict[str, list] = {}
-            for entry in self._active():
-                # In-flight dedup: content another campaign is computing
-                # right now is awaited (its CAS publish), not duplicated.
-                tasks = [
-                    t
-                    for t in entry.machine.dispatchable(now)
-                    if inflight.get(entry.task_fps[t.task_id], entry.cid) == entry.cid
-                ]
-                if tasks:
-                    ready[entry.cid] = tasks
-                    candidates[entry.tenant] += len(tasks)
-            tenant = pick_tenant(candidates, running_by_tenant, self._tenants)
-            if tenant is None:
-                return
-            # Oldest-admitted campaign of the winning tenant first: FIFO
-            # completion order within a tenant, deterministic across runs.
-            entry = min(
-                (e for e in map(self._entries.get, ready) if e.tenant == tenant),
-                key=lambda e: (e.started or 0.0, e.cid),
-            )
-            pairs = self._policy.select(
-                ready[entry.cid], [w], len(self._slots.running(entry.machine))
-            )
-            if not pairs:
-                continue
-            msg = self._slots.assign(w, entry.machine, pairs[0][1], now)
-            msg.update(workdir=str(entry.workdir), campaign=entry.cid)
-            self._pool.dispatch(w, msg)
+    def _pick(self, ready: list[tuple[CampaignEntry, list]]) -> tuple | None:
+        """In-flight dedup (content another campaign is computing right now
+        is awaited, not duplicated), fair share across tenants, then the
+        winner's oldest-admitted campaign: FIFO within a tenant."""
+        inflight, mine, candidates = self._inflight(), [], Counter()
+        for entry, tasks in ready:
+            fps = entry.task_fps
+            tasks = [t for t in tasks if inflight.get(fps[t.task_id], entry.cid) == entry.cid]
+            if tasks:
+                mine.append((entry, tasks))
+                candidates[entry.tenant] += len(tasks)
+        running = Counter(self._entries[m.campaign].tenant for m, _ in self._slots.running())
+        tenant = pick_tenant(candidates, running, self._tenants)
+        if tenant is None:
+            return None
+        return min(
+            (pair for pair in mine if pair[0].tenant == tenant),
+            key=lambda pair: (pair[0].started or 0.0, pair[0].cid),
+        )
 
-    def _handle_result(self, res: dict) -> None:
-        held = self._slots.result(res, time.monotonic())
-        if held is None:
-            return
-        machine, tid = held
+    def _landed(self, machine: TaskMachine, tid: str, res: dict) -> None:
         entry = self._entries[machine.campaign]
-        elapsed = float(res.get("elapsed", 0.0))
-        self._tenant_busy[entry.tenant] = self._tenant_busy.get(entry.tenant, 0.0) + elapsed
+        tally = self._tenant(entry.tenant)
+        tally["busy_seconds"] += float(res.get("elapsed", 0.0))
         if res["ok"]:
-            self._tenant_done[entry.tenant] = self._tenant_done.get(entry.tenant, 0) + 1
+            tally["tasks_done"] += 1
             self.cas.put(entry.task_fps[tid], entry.store, machine.artifacts[tid])
 
-    def _settle(self) -> None:
-        """Finish every campaign with nothing left to wait for: all tasks
-        settled, or cancelled with its in-flight tasks drained."""
-        for entry in self._entries.values():
-            if entry.state == CampaignState.CANCELLING:
-                if not self._slots.running(entry.machine):
-                    self._finalize(entry, CampaignState.CANCELLED)
-            elif entry.state == CampaignState.ACTIVE and entry.machine.settled():
-                entry.machine.finish()
-                all_done = entry.machine.count(TaskStatus.DONE) == len(entry.graph)
-                if not all_done:
-                    entry.error = "completed with quarantined/skipped tasks"
-                self._finalize(
-                    entry, CampaignState.DONE if all_done else CampaignState.FAILED
-                )
-
-    def _finalize(self, entry: CampaignEntry, state: str) -> None:
+    def _finalize(self, entry: CampaignEntry, state: str, error: str | None = None) -> None:
         entry.state = state
         entry.finished = time.monotonic()
+        if state == CampaignState.FAILED:
+            entry.error = error or "completed with quarantined/skipped tasks"
         if entry.ledger is not None:
             entry.ledger.close()
             entry.ledger = None
@@ -612,7 +496,7 @@ class CampaignService:
         now = time.monotonic()
         return {
             "id": entry.cid,
-            "fingerprint": entry.fingerprint,
+            "fingerprint": entry.cid,
             "tenant": entry.tenant,
             "state": entry.state,
             "priority": entry.priority,
