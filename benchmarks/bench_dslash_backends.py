@@ -26,12 +26,16 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.comm.bench import host_metadata
 from repro.dirac import WilsonOperator
 from repro.dirac.kernels import ReferenceKernel
 from repro.lattice import GaugeField, Geometry
 from repro.perfmodel.roofline import host_roofline
 from repro.utils.rng import make_rng
+
+try:  # under pytest ``benchmarks`` is a package; as a script this file's folder is on sys.path
+    from benchmarks.conftest import host_metadata
+except ImportError:
+    from conftest import host_metadata
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_dslash.json"
 
@@ -184,9 +188,9 @@ if __name__ == "__main__":
     )
     parser.add_argument(
         "--policy",
-        choices=["blocking", "pairwise", "overlap"],
+        choices=["blocking"],
         default="blocking",
-        help="executed halo policy for the distributed timing",
+        help="halo schedule for the distributed timing (the one executed schedule)",
     )
     args = parser.parse_args()
     out = run(ranks=args.ranks, policy=args.policy)

@@ -31,10 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.comm.bench import host_metadata
 from repro.dirac import WilsonOperator
 from repro.lattice import GaugeField, Geometry
 from repro.utils.rng import make_rng
+
+try:  # under pytest ``benchmarks`` is a package; as a script this file's folder is on sys.path
+    from benchmarks.conftest import host_metadata
+except ImportError:
+    from conftest import host_metadata
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 

@@ -5,13 +5,28 @@ pytest captures stdout, each benchmark registers its rendered tables with
 the :func:`report` fixture; a terminal-summary hook prints everything at
 the end of the run, so ``pytest benchmarks/ --benchmark-only | tee
 bench_output.txt`` contains the full reproduction report.
+:func:`host_metadata` is the machine stamp of the benchmark JSON files.
 """
 
 from __future__ import annotations
 
+import os
+import platform
+
+import numpy as np
 import pytest
 
 _SECTIONS: list[tuple[str, str]] = []
+
+
+def host_metadata() -> dict:
+    """Machine facts every benchmark JSON should carry for comparability."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
 
 
 @pytest.fixture

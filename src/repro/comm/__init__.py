@@ -9,8 +9,8 @@ machine parameters.  The communication-policy autotuner
 Beyond the model, the package *executes* a decomposition: per-rank
 subdomains (:mod:`repro.comm.decomp`), worker fabrics over threads or
 ``multiprocessing.shared_memory`` (:mod:`repro.comm.shm`), real halo
-exchange under three schedules (:mod:`repro.comm.exchange`), and a
-rank-parallel Wilson/even-odd/CG runtime bitwise-equivalent to the
+exchange in one blocking round per hopping (:mod:`repro.comm.exchange`),
+and a rank-parallel Wilson/even-odd/CG runtime bitwise-equivalent to the
 serial operators (:mod:`repro.comm.distributed`).
 """
 
@@ -23,7 +23,7 @@ from repro.comm.policies import (
 from repro.comm.halo import Decomposition, best_decomposition, halo_message_bytes
 from repro.comm.model import CommCostModel
 from repro.comm.decomp import LocalGeometry, RankGrid, slab_grid
-from repro.comm.exchange import EXECUTED_POLICIES, HaloExchanger
+from repro.comm.exchange import HaloExchanger
 from repro.comm.shm import CommTimeoutError
 from repro.comm.distributed import (
     DecompRuntime,
@@ -44,7 +44,6 @@ __all__ = [
     "LocalGeometry",
     "RankGrid",
     "slab_grid",
-    "EXECUTED_POLICIES",
     "CommTimeoutError",
     "HaloExchanger",
     "DecompRuntime",

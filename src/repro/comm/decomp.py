@@ -12,8 +12,7 @@ decomposed lattice needs and the global geometry cannot express:
 
 :class:`RankGrid` maps ranks onto blocks: coordinates, neighbours,
 site slices and gather between global fields and per-rank local fields (with
-arbitrary leading axes, e.g. a multi-RHS stack), and the
-interior/boundary masks the overlap communication policy splits work by.
+arbitrary leading axes, e.g. a multi-RHS stack).
 """
 
 from __future__ import annotations
@@ -169,51 +168,6 @@ class RankGrid:
         for r, blk in enumerate(blocks):
             out[lead + self.site_slices(r)] = blk
         return out
-
-    # -- overlap bookkeeping ----------------------------------------------------
-    def interior_mask(self) -> np.ndarray:
-        """Local sites whose radius-one stencil touches no halo."""
-        mask = np.ones(self.local_dims, dtype=bool)
-        for mu in self.partitioned:
-            idx = [slice(None)] * 4
-            idx[mu] = 0
-            mask[tuple(idx)] = False
-            idx[mu] = -1
-            mask[tuple(idx)] = False
-        return mask
-
-    def interior_fraction(self) -> float:
-        """Work available to hide communication behind (overlap policy)."""
-        mask = self.interior_mask()
-        return float(mask.sum() / mask.size)
-
-    def min_partitioned_extent(self) -> int:
-        """Smallest local extent along any partitioned direction."""
-        if not self.partitioned:
-            return min(self.local_dims)
-        return min(self.local_dims[mu] for mu in self.partitioned)
-
-    def check_overlap_feasible(self) -> None:
-        """Raise if the overlap halo policy cannot run on this grid.
-
-        Overlap needs a non-degenerate boundary: local extent >= 2 along
-        every partitioned direction, else the LOW and HIGH slabs of a
-        direction coincide and interior/surface are not disjoint.  This
-        is the single precondition both the per-rank stencils and the
-        driver runtime enforce; the error names the offending axes.
-        """
-        thin = [
-            ("xyzt"[mu], self.local_dims[mu])
-            for mu in sorted(self.partitioned)
-            if self.local_dims[mu] < 2
-        ]
-        if thin:
-            axes = ", ".join(f"{name} (extent {L})" for name, L in thin)
-            raise ValueError(
-                "overlap policy needs local extent >= 2 along partitioned "
-                f"directions; offending axes: {axes} "
-                f"(local dims {self.local_dims})"
-            )
 
 
 def slab_grid(

@@ -20,11 +20,11 @@ serial one — :meth:`HalfSpinorKernel.hopping(phi, ghosts)
 rank's links — and a rank differs from the serial operator only in
 passing ``ghosts``: the neighbours' :meth:`~repro.dirac.kernels.
 halfspinor.HalfSpinorKernel.faces`, spin-projected so 12 of 24 reals per
-face site travel.  :class:`RankStencil` is the *schedule*: it decides
-when those faces move (``blocking`` / ``pairwise`` / ``overlap``), for
-the full and for the checkerboard-packed layout alike, and with no
-partitioned direction it is a direct call of the kernel — serial is the
-1-rank case.  The red-black chain is :class:`repro.dirac.evenodd_wilson.
+face site travel.  :class:`RankStencil` is the *schedule*, and there is
+one: each hopping sends the faces of every partitioned direction in one
+blocking round, for the full and for the checkerboard-packed layout
+alike, and with no partitioned direction it is a direct call of the
+kernel — serial is the 1-rank case.  The red-black chain is :class:`repro.dirac.evenodd_wilson.
 WilsonSchur`, the class behind the serial ``EvenOddWilson``, instantiated
 on the rank's hopping term: on full-lattice fields for the field
 operations, and for the solve on checkerboard-*packed* half-volume
@@ -38,7 +38,7 @@ Reproducibility: two guarantees, of two kinds
 Both are engineered in, and the test suite pins both:
 
 * **Dslash and the Schur field operations equal the serial ones for any
-  rank grid, policy and layout — exact on any host.**  NumPy elementwise
+  rank grid and layout — exact on any host.**  NumPy elementwise
   kernels are per-element deterministic regardless of array shape, and
   the distributed path runs the serial kernel's own per-site operation
   chain; only *data movement* differs: a local periodic roll whose
@@ -47,9 +47,8 @@ Both are engineered in, and the test suite pins both:
   are the bytes the loop computes there, and packing is a permutation.
   No reduction is involved, so the identity holds whatever BLAS numpy
   was built on.
-* **The solvers are invariant under the rank count, the transport and
-  the halo policy (1-rank runtime included) — deterministic, same
-  host.**  The Krylov recurrence is the serial solvers' own
+* **The solvers are invariant under the rank count and the transport
+  (1-rank runtime included) — deterministic, same host.**  The Krylov recurrence is the serial solvers' own
   (:func:`rank_solve` hands ``ConjugateGradient._run`` /
   ``ReliableUpdateCG._run`` a collective inner product); global inner
   products are computed as per-global-slice partial sums deposited into
@@ -67,7 +66,6 @@ from __future__ import annotations
 import contextlib
 import queue
 import threading
-import time
 import traceback
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -76,7 +74,7 @@ import numpy as np
 
 from repro import obs
 from repro.comm.decomp import RankGrid, slab_grid
-from repro.comm.exchange import EXECUTED_POLICIES, HaloExchanger, face_index
+from repro.comm.exchange import HaloExchanger
 from repro.comm.shm import Fabric, FabricSpec, ShmArena, ShmFabric, ThreadShared
 from repro.dirac.evenodd_wilson import WilsonSchur, parity_fields
 from repro.dirac.kernels import HalfSpinorKernel
@@ -96,7 +94,6 @@ __all__ = [
     "DistributedCG",
 ]
 
-LOW, HIGH = 0, 1
 
 # ---------------------------------------------------------------------------
 # rank-side stencil: a halo schedule around the serial kernel
@@ -104,95 +101,33 @@ LOW, HIGH = 0, 1
 
 
 class RankStencil:
-    """The Wilson hopping term on one rank's block, under a real policy.
+    """The Wilson hopping term on one rank's block.
 
     ``kernel`` is the serial half-spinor kernel over the local links; this
-    class only decides when its faces travel.  One exchange per hopping
-    (never per RHS tile), the same three schedules for the full layout
-    and — ``parity=`` — the checkerboard-packed one:
-
-    * no partitioned direction: ``kernel.hopping(phi)``, nothing else;
-    * ``pairwise``: one round per partitioned direction;
-    * ``blocking``: one round carrying every face;
-    * ``overlap``: one round begun, the whole block computed with the
-      local periodic wrap while the faces are in flight (wrong only on
-      the boundary planes), the round completed, and each boundary plane
-      recomputed as the kept plane of the kernel applied to the two-plane
-      box touching that face.  Every primitive of the kernel is
-      elementwise, so the recomputed planes are the bits ``blocking``
-      gives.
+    class only moves its faces.  One schedule, for the full layout and —
+    ``parity=`` — the checkerboard-packed one: with no partitioned
+    direction, ``kernel.hopping(phi)`` and nothing else; otherwise one
+    blocking round per hopping (never per RHS tile) carrying the faces of
+    every partitioned direction, then the kernel on the received ghosts.
     """
 
-    def __init__(
-        self,
-        kernel: DslashKernel,
-        grid: RankGrid,
-        rank: int,
-        fabric: Fabric,
-        policy: str = "blocking",
-    ):
+    def __init__(self, kernel: DslashKernel, grid: RankGrid, rank: int, fabric: Fabric):
         self.kernel = kernel
-        self.grid = grid
         self.part = grid.partitioned
         self.exchanger = HaloExchanger(fabric, grid, rank)
-        #: cumulative seconds of compute between ``begin`` and ``complete``
-        #: under the overlap schedule — the window the halo wait hides behind
-        self.interior_seconds = 0.0
-        self.set_policy(policy)
-
-    def set_policy(self, policy: str) -> None:
-        self.policy = _normalize_policy(policy, self.grid)
-
-    def _halo(self, faces, interior) -> tuple[dict, object]:
-        """Move ``faces(mu)`` of every partitioned direction under the
-        policy; returns the received ghosts and — ``overlap`` only — what
-        ``interior()`` computed while they were in flight."""
-        ex = self.exchanger
-        if self.policy == "pairwise":
-            ghosts: dict = {}
-            for mu in self.part:
-                got = ex.exchange(faces(mu))
-                # Transport storage lasts until the slot's next round and only
-                # the barrier inside a round orders ranks: with two or more
-                # rounds per hopping, a peer's *next* hopping re-posts a slot
-                # while its ghosts are still being consumed here.
-                if len(self.part) > 1:
-                    got = {tag: face.copy() for tag, face in got.items()}
-                ghosts.update(got)
-            return ghosts, None
-        ex.begin({tag: face for mu in self.part for tag, face in faces(mu).items()})
-        done = None
-        if self.policy == "overlap":
-            t0 = time.perf_counter()
-            done = interior()
-            self.interior_seconds += time.perf_counter() - t0
-        return ex.complete(), done
 
     def hopping(self, phi, parity=None, dagger: bool = False, diag=None, out=None) -> np.ndarray:
         """``H phi`` on the local block ``(n,) + local_dims + (4, 3)`` (or,
         with ``parity``, on its packed parity-``parity`` sites); ``dagger``,
-        ``diag`` and ``out`` are the kernel's (``overlap``'s recompute
-        re-reads ``phi``: it ignores ``out``), the faces follow ``dagger``."""
-        k, fused = self.kernel, {"dagger": dagger, "diag": diag}
-        if not self.part:
-            return k.hopping(phi, parity=parity, out=out, **fused)
-        ghosts, interior = self._halo(
-            lambda mu: k.faces(phi, mu, parity, dagger=dagger),
-            lambda: k.hopping(phi, parity=parity, **fused),
-        )
-        if self.policy != "overlap":
-            return k.hopping(phi, ghosts, parity=parity, out=out, **fused)
-        out = interior
-        for d in self.part:
-            thin = phi.shape[1 + d] == 2  # one box, both of its planes boundary
-            for side in (LOW,) if thin else (LOW, HIGH):
-                box = (slice(None),) * (1 + d) + (slice(-2, None) if side else slice(0, 2),)
-                keep = box if thin else face_index(d, side)
-                slab = k.hopping(
-                    phi[box], {tag: g[box] for tag, g in ghosts.items()}, box[1:], parity, **fused
-                )
-                out[keep] = slab[keep]
-        return out
+        ``diag`` and ``out`` are the kernel's, the faces follow ``dagger``."""
+        k = self.kernel
+        ghosts = None
+        if self.part:
+            faces = {}
+            for mu in self.part:
+                faces.update(k.faces(phi, mu, parity, dagger=dagger))
+            ghosts = self.exchanger.exchange(faces)
+        return k.hopping(phi, ghosts, parity=parity, dagger=dagger, diag=diag, out=out)
 
 
 class SliceReducer:
@@ -237,23 +172,6 @@ class SliceReducer:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_policy(policy, grid: RankGrid) -> str:
-    """The executed schedule a policy value names, checked runnable on
-    ``grid`` — by the driver before any rank, so construction and
-    ``set_policy`` raise the same structured error, not a rank's traceback."""
-    from repro.comm.policies import CommPolicy, HaloGranularity
-
-    if isinstance(policy, CommPolicy):
-        policy = policy.granularity
-    if isinstance(policy, HaloGranularity):
-        policy = policy.schedule
-    if policy not in EXECUTED_POLICIES:
-        raise ValueError(f"unknown halo policy {policy!r}; have {EXECUTED_POLICIES}")
-    if policy == "overlap":
-        grid.check_overlap_feasible()
-    return policy
-
-
 @dataclass(frozen=True)
 class RankPlan:
     """The validated, picklable value a run is built from, made once: the
@@ -262,14 +180,12 @@ class RankPlan:
 
     grid: RankGrid
     mass: float
-    policy: str  # the schedule ranks start under (``set_policy`` moves them)
     max_rhs: int
     timeout: float
 
     @classmethod
     def make(
-        cls, dims, mass, *, ranks=None, grid=None, policy="blocking",
-        max_rhs=12, timeout=60.0,
+        cls, dims, mass, *, ranks=None, grid=None, max_rhs=12, timeout=60.0,
     ) -> "RankPlan":
         """Normalise and check every knob of :class:`DecompRuntime` that
         reaches a rank — ``ValueError`` here, before any rank is started."""
@@ -278,8 +194,7 @@ class RankPlan:
                 raise ValueError("pass either ranks= or grid=")
             grid = slab_grid(dims, ranks)
         grid = RankGrid.make(dims, tuple(grid))
-        policy = _normalize_policy(policy, grid)
-        return cls(grid, float(mass), policy, int(max_rhs), float(timeout))
+        return cls(grid, float(mass), int(max_rhs), float(timeout))
 
     @property
     def spec(self) -> FabricSpec:
@@ -318,7 +233,7 @@ class _RankContext:
         geometry = grid.local_geometry(rank)
         self.plan = plan
         kernel = HalfSpinorKernel(u_local, geometry)
-        self.stencil = RankStencil(kernel, grid, rank, fabric, plan.policy)
+        self.stencil = RankStencil(kernel, grid, rank, fabric)
         hop = self.stencil.hopping
         #: the red-black chain on full-lattice local fields (field ops)
         self.eo = WilsonSchur(lambda x, parity, **kw: hop(x, **kw), mass, *parity_fields(geometry))
@@ -396,13 +311,9 @@ def rank_solve(
 def rank_command(ctx: _RankContext, cmd: str, field, args) -> tuple:
     """The one dispatch of the rank program: the ``(field, meta)`` reply
     to a command, its local ``field`` block (or ``None``) and ``args``.
-    ``policy`` switches the halo schedule, ``stats`` is one ``halo_stats``
-    row, ``cg`` is :func:`rank_solve` (keywords in ``args``; the block of
-    ``x`` travels as the field, the rest of the result as meta), anything
-    else a :data:`RANK_OPS` code."""
-    if cmd == "policy":
-        ctx.stencil.set_policy(args)
-        return None, None
+    ``stats`` is one ``halo_stats`` row, ``cg`` is :func:`rank_solve`
+    (keywords in ``args``; the block of ``x`` travels as the field, the
+    rest of the result as meta), anything else a :data:`RANK_OPS` code."""
     if cmd == "stats":
         ex = ctx.stencil.exchanger
         return None, {
@@ -410,7 +321,7 @@ def rank_command(ctx: _RankContext, cmd: str, field, args) -> tuple:
             "messages": ex.messages,
             "bytes_sent": ex.bytes_sent,
             "wait_seconds": ex.wait_seconds,
-            "interior_seconds": ctx.stencil.interior_seconds,
+            "interior_seconds": 0.0,  # read by benchmarks/e2e/workloads.py
         }
     if cmd == "cg":
         res = rank_solve(ctx, field.astype(np.complex128, copy=False), **args)  # b is double
@@ -554,14 +465,12 @@ class DecompRuntime:
         analogue) or ``"processes"``/``"shm"`` (spawned ranks over
         ``multiprocessing.shared_memory`` — the staged-CPU analogue).
         :class:`TransferPath` values are accepted.
-    policy:
-        Executed halo policy (``"blocking"``/``"pairwise"``/``"overlap"``,
-        or a :class:`CommPolicy`/:class:`HaloGranularity`).
-    engine:
-        Only ``"interpreted"`` (the half-spinor stencil every rank runs);
-        anything else is a ``ValueError``.  The keyword is held only for
-        the end-to-end benchmark's ``prop12_dist_r2`` workload, which
-        passes it.
+    policy, engine:
+        Only ``"blocking"`` (the one halo schedule) and ``"interpreted"``
+        (the half-spinor stencil every rank runs); anything else is a
+        ``ValueError`` before any rank starts.  Both keywords are held
+        only for the end-to-end benchmark's ``prop12_dist_r2`` workload,
+        which passes them.
     max_rhs:
         Widest multi-RHS stack the transport is sized for.
     timeout:
@@ -585,14 +494,14 @@ class DecompRuntime:
     ):
         if engine != "interpreted":
             raise ValueError(f"unknown dslash engine {engine!r}; the only one is 'interpreted'")
+        if policy != "blocking":
+            raise ValueError(f"unknown halo policy {policy!r}; the only one is 'blocking'")
         self.geometry = gauge.geometry
         self._plan = plan = RankPlan.make(
-            self.geometry.dims, mass, ranks=ranks, grid=grid, policy=policy,
-            max_rhs=max_rhs, timeout=timeout,
+            self.geometry.dims, mass, ranks=ranks, grid=grid, max_rhs=max_rhs, timeout=timeout,
         )
         self.transport = _normalize_transport(transport)
         self.grid, self.mass, self.max_rhs = plan.grid, plan.mass, plan.max_rhs
-        self.policy = plan.policy
         self._closed = False
         self._arena: ShmArena | None = None
         self._chans, self._ranks = [], []
@@ -684,11 +593,6 @@ class DecompRuntime:
     def hopping(self, psi: np.ndarray) -> np.ndarray:
         return self.fieldwise("hopping", psi)
 
-    def set_policy(self, policy) -> None:
-        name = _normalize_policy(policy, self.grid)
-        self._command("policy", args=name)
-        self.policy = name
-
     def solve_cgne(
         self,
         b: np.ndarray,
@@ -719,9 +623,10 @@ class DecompRuntime:
 
     # -- diagnostics --------------------------------------------------------
     def halo_stats(self) -> list:
-        """Per-rank exchanger counters: rounds, off-rank messages/bytes,
-        cumulative seconds blocked in :meth:`HaloExchanger.complete`
-        (the halo wait), and interior-pass seconds under overlap."""
+        """Per-rank exchanger counters: rounds, off-rank messages/bytes and
+        cumulative seconds blocked in a round (the halo wait).  Each row
+        also carries ``interior_seconds``, always ``0.0``: the end-to-end
+        benchmark's ``prop12_dist_r2`` workload reads the key."""
         return [meta for _, meta in self._command("stats")]
 
     # -- lifecycle ----------------------------------------------------------
@@ -761,7 +666,7 @@ class DistributedWilsonOperator:
     """Drop-in Wilson operator running rank-parallel underneath.
 
     Accepts the same background as :class:`WilsonOperator` plus the
-    decomposition/transport/policy knobs of :class:`DecompRuntime`
+    decomposition and transport knobs of :class:`DecompRuntime`
     (forwarded verbatim).  ``hopping``/``apply`` are bitwise identical
     to the serial operator for any rank grid.
     """
@@ -772,15 +677,8 @@ class DistributedWilsonOperator:
         self.mass = self.runtime.mass
 
     @property
-    def policy(self) -> str:
-        return self.runtime.policy
-
-    @property
     def grid(self) -> RankGrid:
         return self.runtime.grid
-
-    def set_policy(self, policy) -> None:
-        self.runtime.set_policy(policy)
 
     def hopping(self, psi: np.ndarray) -> np.ndarray:
         return self.runtime.hopping(psi)

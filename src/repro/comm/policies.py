@@ -14,15 +14,13 @@ Two orthogonal choices define a policy:
 Intra-node transfers always use CUDA IPC over NVLink where the machine
 has it (the dense-node optimization of Section V).
 
-One enum serves both the *modeled* policy space (ranked through
-:class:`repro.perfmodel.solver.SolverPerfModel`) and the *executed* one
-(raced wall-clock by the decomposition runtime): each granularity maps
-to an executed schedule via :attr:`HaloGranularity.schedule`, and each
-transfer path to a local transport via :attr:`CommPolicy.transport` —
-``staged-cpu`` runs as worker processes staging through
-``multiprocessing.shared_memory``, ``zero-copy`` as worker threads
-sharing one address space, and ``gdr`` has no local analogue
-(:attr:`CommPolicy.executable` is false).
+This is the *modeled* policy space, ranked through
+:class:`repro.perfmodel.solver.SolverPerfModel`.  The executed
+decomposition runtime (:mod:`repro.comm.distributed`) runs ``FUSED``
+alone — one blocking round per hopping — on a local transport standing
+in for a path: ``staged-cpu`` as spawned ranks staging through
+``multiprocessing.shared_memory``, ``zero-copy`` as rank threads sharing
+one address space; ``gdr`` has no local analogue.
 """
 
 from __future__ import annotations
@@ -42,11 +40,6 @@ class TransferPath(Enum):
     ZERO_COPY = "zero-copy"
     GDR = "gdr"
 
-    @property
-    def transport(self) -> str | None:
-        """Local executed transport emulating this path (None if none)."""
-        return _EXECUTED_TRANSPORT.get(self)
-
 
 class HaloGranularity(Enum):
     """How halo updates are scheduled against the stencil kernels.
@@ -60,25 +53,6 @@ class HaloGranularity(Enum):
     FUSED = "fused"
     FINE_GRAINED = "fine-grained"
     OVERLAP = "overlap"
-
-    @property
-    def schedule(self) -> str:
-        """Name of the executed halo schedule implementing this granularity."""
-        return _EXECUTED_SCHEDULE[self]
-
-
-#: granularity -> executed schedule raced by the decomposition runtime
-_EXECUTED_SCHEDULE = {
-    HaloGranularity.FUSED: "blocking",
-    HaloGranularity.FINE_GRAINED: "pairwise",
-    HaloGranularity.OVERLAP: "overlap",
-}
-
-#: transfer path -> local worker transport (GDR has no local analogue)
-_EXECUTED_TRANSPORT = {
-    TransferPath.STAGED_CPU: "processes",
-    TransferPath.ZERO_COPY: "threads",
-}
 
 
 @dataclass(frozen=True)
@@ -153,33 +127,6 @@ class CommPolicy:
             HaloGranularity.FINE_GRAINED: 8,
             HaloGranularity.OVERLAP: 2,  # interior pass + boundary fixup
         }[self.granularity]
-
-    # -- executed-policy mapping ------------------------------------------
-    @property
-    def executable(self) -> bool:
-        """Whether the local decomposition runtime can race this policy."""
-        return self.path.transport is not None
-
-    @property
-    def schedule(self) -> str:
-        """Executed halo schedule name (``blocking``/``pairwise``/``overlap``)."""
-        return self.granularity.schedule
-
-    @property
-    def transport(self) -> str | None:
-        """Executed transport name (``threads``/``processes``), if any."""
-        return self.path.transport
-
-    @classmethod
-    def from_executed(cls, transport: str, schedule: str) -> "CommPolicy":
-        """The modeled policy corresponding to an executed combination
-        (``shm`` is the ``processes`` transport's public name)."""
-        paths = {t: p for p, t in _EXECUTED_TRANSPORT.items()}
-        paths["shm"] = TransferPath.STAGED_CPU
-        grans = {s: g for g, s in _EXECUTED_SCHEDULE.items()}
-        if transport not in paths or schedule not in grans:
-            raise ValueError(f"no modeled policy for {transport}/{schedule}")
-        return cls(paths[transport], grans[schedule])
 
 
 def available_policies(machine: MachineSpec) -> list[CommPolicy]:

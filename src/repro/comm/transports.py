@@ -37,7 +37,6 @@ def dist_fieldwise(
     *,
     transport: str,
     ranks: int,
-    policy: str = "blocking",
     timeout: float = 60.0,
 ) -> np.ndarray:
     """One distributed field operation through the named transport.
@@ -50,9 +49,7 @@ def dist_fieldwise(
 
     if op not in RANK_OPS:
         raise ValueError(f"unknown field op {op!r}; have {sorted(RANK_OPS)}")
-    with _runtime(
-        gauge, mass, psi, transport=transport, ranks=ranks, policy=policy, timeout=timeout
-    ) as rt:
+    with _runtime(gauge, mass, psi, transport=transport, ranks=ranks, timeout=timeout) as rt:
         return rt.fieldwise(op, psi)
 
 
@@ -67,11 +64,8 @@ def dist_solve(
     max_iter: int = 10_000,
     reliable: bool = False,
     delta: float = 0.1,
-    policy: str = "blocking",
     timeout: float = 60.0,
 ):
     """Distributed batched CGNE/RU-CG through the named transport."""
-    with _runtime(
-        gauge, mass, b, transport=transport, ranks=ranks, policy=policy, timeout=timeout
-    ) as rt:
+    with _runtime(gauge, mass, b, transport=transport, ranks=ranks, timeout=timeout) as rt:
         return rt.solve_cgne(b, tol=tol, max_iter=max_iter, reliable=reliable, delta=delta)

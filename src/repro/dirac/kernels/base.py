@@ -5,7 +5,7 @@ loop of every solve), built once per operator from the
 boundary-conditioned links.  The production kernel and its test oracle
 share one contract: :meth:`DslashKernel.hopping` maps a flattened stack
 ``(n,) + dims + (4, 3)`` to a fresh array of that shape, and its
-temporaries come from a :class:`Workspace` pool keyed by shape.
+temporaries come from a :class:`Workspace` pool keyed by tag.
 """
 
 from __future__ import annotations
@@ -18,26 +18,29 @@ __all__ = ["Workspace", "DslashKernel", "roll_into"]
 
 
 class Workspace:
-    """Shape-keyed pool of reusable scratch buffers.
+    """Tag-keyed pool of reusable scratch buffers.
 
-    Buffers are identified by ``(tag, shape, dtype)``; asking twice for
-    the same key returns the *same* array, so a kernel must use distinct
-    tags for buffers that are live simultaneously.  The pool grows only
-    when a new field shape is encountered (e.g. a different multi-RHS
-    batch size) — the QUDA analogue is the persistent device workspace
-    attached to each tuned kernel instance.
+    One byte buffer per tag: :meth:`get` hands out a view of it in the
+    requested shape and dtype, and grows it when a request is larger.  So
+    a kernel must use distinct tags for buffers that are live
+    simultaneously, and a view is valid until the next request of its tag.
+    Shapes and dtypes share a tag's buffer — a rank running the
+    double–single cycle pools the larger of its two precisions' tiles, not
+    both; the QUDA analogue is the persistent device workspace attached to
+    each tuned kernel instance.
     """
 
     def __init__(self) -> None:
-        self._bufs: dict[tuple, np.ndarray] = {}
+        self._bufs: dict[str, np.ndarray] = {}
 
     def get(self, tag: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
-        key = (tag, tuple(shape), np.dtype(dtype))
-        buf = self._bufs.get(key)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            self._bufs[key] = buf
-        return buf
+        dtype = np.dtype(dtype)
+        nbytes = int(np.prod(shape)) * dtype.itemsize
+        buf = self._bufs.get(tag)
+        if buf is None or buf.nbytes < nbytes:
+            # complex128 elements: the view is aligned for every dtype asked for
+            buf = self._bufs[tag] = np.empty(-(-nbytes // 16), dtype=np.complex128)
+        return buf.view(np.uint8)[:nbytes].view(dtype).reshape(shape)
 
     @property
     def nbytes(self) -> int:

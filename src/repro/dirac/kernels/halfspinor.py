@@ -32,18 +32,18 @@ backward, mu = 0..3) are sequenced.
   exchange of :meth:`HalfSpinorKernel.faces` returns — and each
   partitioned direction's wrapped plane is overwritten with the
   neighbour's face after the local roll, which yields the bytes a global
-  ``np.roll`` would.  ``sites`` restricts the links to a sub-box, so the
-  same function recomputes a boundary slab (the overlap halo policy).
+  ``np.roll`` would.
 * *Checkerboard-packed is a layout.*  ``hopping(xp, parity=p)`` maps one
   parity's sites, folded pairwise along t (:meth:`HalfSpinorKernel.pack`),
   to the other parity's: per-parity packed link planes, plain rolls along
-  x, y, z, and a column-masked roll along t.  Same loop, same ``ghosts``,
-  same ``sites``; half the sites in every pass of a red-black solve.
+  x, y, z, and a column-masked roll along t.  Same loop, same ``ghosts``;
+  half the sites in every pass of a red-black solve.
 * *Precision is a dtype.*  ``hopping`` / ``faces`` compute and answer in
   ``phi``'s dtype — complex128, or complex64 at half the bytes per site
   (the paper's bandwidth lever): link planes are cast once per dtype from
-  the double ``-U/2`` ones, the workspace is keyed on it, faces travel in
-  it.  Same loop; the complex128 bits are unchanged.
+  the double ``-U/2`` ones, the workspace holds its tiles (one buffer per
+  tag serves both dtypes), faces travel in it.  Same loop; the complex128
+  bits are unchanged.
 * *The adjoint and the diagonal are inputs* (QUDA fuses both, Section
   IV).  ``dagger=True`` is ``gamma_5 H gamma_5`` by a swap of the
   forward and backward projector tables; ``diag=d`` adds ``d phi`` inside
@@ -54,9 +54,9 @@ Workspace layout (QUDA's field order, Section IV): buffers whose
 *shape* is the usual ``(rhs, x, y, z, t, spin, colour)`` — one
 transposing copy in, one out, and every ``[..., s, :]`` / ``[..., c]``
 slice in between a contiguous plane.  Every primitive is elementwise, so
-neither the layout, the RHS tiles of :data:`TILE_BYTES` (a workspace
-bounded whatever the stack width) nor the site box changes a bit of the
-result, and an application allocates only the returned output field.
+neither the layout nor the RHS tiles of :data:`TILE_BYTES` (a workspace
+bounded whatever the stack width) changes a bit of the result, and an
+application allocates only the returned output field.
 """
 
 from __future__ import annotations
@@ -270,9 +270,8 @@ class HalfSpinorKernel(DslashKernel):
         return {("f", mu): fwd, ("b", mu): bwd}
 
     def hopping(
-        self, phi: np.ndarray, ghosts: dict | None = None, sites: tuple | None = None,
-        parity: int | None = None, *, dagger: bool = False, diag: float | None = None,
-        out: np.ndarray | None = None,
+        self, phi: np.ndarray, ghosts: dict | None = None, parity: int | None = None, *,
+        dagger: bool = False, diag: float | None = None, out: np.ndarray | None = None,
     ) -> np.ndarray:
         """``H phi`` on a stack ``(n,) + box + (4, 3)``.
 
@@ -280,9 +279,6 @@ class HalfSpinorKernel(DslashKernel):
             ``{("f" | "b", mu): face}`` for the whole stack — what a halo
             exchange of :meth:`faces` returns; directions without an
             entry wrap periodically inside the box.
-        ``sites``
-            Site-axis slices of the sub-box ``phi`` (and ``ghosts``)
-            cover, when that is not the kernel's whole block.
         ``parity``
             ``phi`` holds this parity's sites in the packed layout; the
             result holds the other parity's.
@@ -293,15 +289,12 @@ class HalfSpinorKernel(DslashKernel):
             ``+ diag * phi`` in each tile after the eight hops, on the
             input workspace: ``fl(H phi + fl(diag * phi))``, one pass.
         ``out``
-            The result's array (default: a fresh one); ``phi`` itself for
-            a whole-box call, as each RHS tile is copied into the
-            workspace before its output tile is written.
+            The result's array (default: a fresh one); ``phi`` itself is
+            allowed, as each RHS tile is copied into the workspace before
+            its output tile is written.
         """
         dtype = np.result_type(phi.dtype, np.complex64)
         planes, masks = self.layout(parity, dtype)
-        if sites is not None:
-            planes = planes[(slice(None),) * 4 + sites]
-            masks = tuple(None if m is None else m[sites] for m in masks)
         layout, tables = (*planes, masks), _TABLES[dtype, dagger]
         n, box = phi.shape[0], phi.shape[1:-2]
         tile = min(n, max(1, TILE_BYTES // phi[0].nbytes))

@@ -279,18 +279,17 @@ def _wilson_solve(params: dict, ctx: ExecContext):
 
 
 def _solve_distributed(params: dict, gauge, sources, tol: float, max_iter: int):
-    """The 12-column solve through the rank-parallel decomposition runtime."""
+    """The 12-column solve through the rank-parallel decomposition runtime;
+    a ``dist_*`` parameter it does not take is refused before any rank starts."""
     from repro.comm.transports import dist_solve
 
+    unknown = sorted({k for k in params if k.startswith("dist_")} - {"dist_ranks", "dist_transport"})
+    if unknown:
+        raise ValueError(f"unknown distributed-solve parameters {unknown}")
+    transport, ranks = str(params.get("dist_transport", "threads")), int(params.get("dist_ranks", 2))
     return dist_solve(
-        gauge,
-        float(params["mass"]),
-        sources,
-        transport=str(params.get("dist_transport", "threads")),
-        ranks=int(params.get("dist_ranks", 2)),
-        tol=tol,
+        gauge, float(params["mass"]), sources, transport=transport, ranks=ranks, tol=tol,
         max_iter=max_iter,
-        policy=str(params.get("dist_policy", "blocking")),
     )
 
 
@@ -325,9 +324,8 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
     ``distributed``
         The 12-stack through the rank-parallel decomposition runtime
         (:func:`repro.comm.transports.dist_solve`) on a collective
-        reducer, deterministic for any rank count.  ``dist_ranks``/
-        ``dist_policy``/``dist_transport`` (``threads``/``shm``) select
-        the decomposition.
+        reducer, deterministic for any rank count.  ``dist_ranks`` and
+        ``dist_transport`` (``threads``/``shm``) select the decomposition.
     ``block``
         The 12-stack in one true block CGNE (a Krylov space shared by
         the 12 columns).

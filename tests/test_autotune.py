@@ -144,40 +144,7 @@ class TestCommPolicyTuner:
 
 
 class TestMeasuredCommTuning:
-    def test_measured_race_through_runtime(self):
-        from repro.lattice import GaugeField, Geometry
-        from repro.utils.rng import make_rng
-
-        geom = Geometry(4, 6, 2, 8)
-        gauge = GaugeField.random(geom, make_rng(3), scale=0.3)
-        tuner = CommPolicyTuner()
-        res = tuner.tune_measured(gauge, 0.1, ranks=2, n_rhs=2, transports=("threads",))
-        assert res.source == "measured"
-        assert all(p.executable for p in res.times)
-        assert res.best == res.ranking()[0][0]
-        assert res.speedup_vs_worst >= 1.0
-        # cached: same object back, no re-race
-        assert tuner.tune_measured(
-            gauge, 0.1, ranks=2, n_rhs=2, transports=("threads",)
-        ) is res
-
     def test_modeled_result_tagged(self):
         tuner = CommPolicyTuner()
         res = tuner.tune(get_machine("sierra"), (48, 48, 48, 64), 20, 16)
         assert res.source == "model"
-
-    def test_transport_set_rekeys_the_race(self):
-        """A comm winner recorded under one transport set is re-raced —
-        not replayed — when the raced set changes."""
-        from repro.lattice import GaugeField, Geometry
-        from repro.utils.rng import make_rng
-
-        geom = Geometry(4, 6, 2, 8)
-        gauge = GaugeField.random(geom, make_rng(3), scale=0.3)
-        tuner = CommPolicyTuner()
-        threads = tuner.tune_measured(gauge, 0.1, ranks=2, n_rhs=2, transports=("threads",))
-        both = tuner.tune_measured(
-            gauge, 0.1, ranks=2, n_rhs=2, transports=("threads", "shm")
-        )
-        assert both is not threads and len(tuner) == 2  # wider set: re-raced
-        assert set(threads.times) < set(both.times)

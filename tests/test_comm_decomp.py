@@ -61,11 +61,6 @@ class TestRankGrid:
         assert grid.local_geometry(0).origin == (0, 0, 0, 0)
         assert grid.local_geometry(grid.n_ranks - 1).origin == (4, 0, 0, 8)
 
-    def test_interior_fraction_shrinks_with_splits(self):
-        one = RankGrid.make((8, 8, 8, 16), (2, 1, 1, 1))
-        two = RankGrid.make((8, 8, 8, 16), (2, 2, 1, 1))
-        assert two.interior_fraction() < one.interior_fraction()
-
     def test_slab_grid(self):
         assert slab_grid((8, 8, 8, 16), 4) == (4, 1, 1, 1)
         with pytest.raises(ValueError):

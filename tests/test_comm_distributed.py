@@ -2,8 +2,8 @@
 
 The decomposition runtime must *reproduce*, not approximate: hopping,
 Wilson apply, and the Schur ops are required to match the single-process
-operators bit for bit on any rank grid, any transport, any policy —
-*exact on any host*, because the rank stencils keep the serial kernel's
+operators bit for bit on any rank grid and any transport, under the one
+halo schedule — *exact on any host*, because the rank stencils keep the serial kernel's
 per-site operation chain and no reduction is involved.  The
 ``transport`` fixture (``tests/conftest.py``) parameterizes the parity
 assertions over threads/shm from one source of truth.
@@ -54,14 +54,12 @@ def test_hopping_and_apply_bitwise(dims, ranks):
         assert np.array_equal(op.apply(psi), serial.apply(psi))
 
 
-@pytest.mark.parametrize("policy", ["blocking", "pairwise", "overlap"])
+@pytest.mark.parametrize("policy", ["blocking"])
 def test_policies_all_bitwise(transport, policy):
-    """serial == threads == shm, every schedule."""
+    """serial == threads == shm under the one schedule (``blocking``)."""
     gauge, psi = _background((4, 6, 2, 8))
     serial = WilsonOperator(gauge, MASS)
-    got = dist_fieldwise(
-        "apply", gauge, MASS, psi, transport=transport, ranks=2, policy=policy
-    )
+    got = dist_fieldwise("apply", gauge, MASS, psi, transport=transport, ranks=2)
     assert np.array_equal(got, serial.apply(psi))
 
 
@@ -77,20 +75,19 @@ def test_hopping_parity_across_transports(transport, ranks):
 
 
 @pytest.mark.parametrize(
-    "ranks,policy",
-    [(1, "blocking"), (2, "blocking"), (2, "pairwise"), (2, "overlap"), (4, "overlap")],
+    "ranks,policy", [(1, "blocking"), (2, "blocking"), (4, "blocking")]
 )
 def test_complex64_ops_bitwise(transport, ranks, policy):
     """Precision is a dtype of the one stencil: given complex64 fields the
     rank ops compute and answer in complex64, their halo faces travel in
     it, and — no reduction involved — they equal the serial complex64
-    chain on any rank count, transport and schedule (exact on any host)."""
+    chain on any rank count and transport (exact on any host)."""
     gauge, psi = _background((8, 4, 2, 8))
     psi = psi.astype(np.complex64)
     serial = WilsonOperator(gauge, MASS)
     eo = EvenOddWilson(serial)
     x = eo.restrict(psi, 0)
-    knobs = dict(transport=transport, ranks=ranks, policy=policy)
+    knobs = dict(transport=transport, ranks=ranks)
     for op, arg, want in (
         ("apply", psi, serial.apply(psi)),
         ("schur_normal", x, eo.schur_normal_apply(x)),
@@ -116,7 +113,7 @@ def test_complex64_faces_halve_the_halo_bytes():
     assert single == {**double, "bytes_sent": double["bytes_sent"] // 2}
 
 
-@pytest.mark.parametrize("policy", ["blocking", "pairwise", "overlap"])
+@pytest.mark.parametrize("policy", ["blocking"])
 def test_ghosts_follow_the_rhs_tile(monkeypatch, policy):
     """The exchange happens once per hopping, for the whole stack; each
     RHS tile of the stencil must then read its own columns of the ghosts.
@@ -132,9 +129,7 @@ def test_ghosts_follow_the_rhs_tile(monkeypatch, policy):
     local_column = psi[0, :4].nbytes  # one column of a 2-rank block
     monkeypatch.setattr(halfspinor, "TILE_BYTES", 2 * local_column)
     serial = WilsonOperator(gauge, MASS)
-    got = dist_fieldwise(
-        "hopping", gauge, MASS, psi, transport="threads", ranks=2, policy=policy
-    )
+    got = dist_fieldwise("hopping", gauge, MASS, psi, transport="threads", ranks=2)
     assert np.array_equal(got, serial.hopping(psi))
 
 
@@ -170,18 +165,6 @@ def test_schur_ops_parity_across_transports(transport):
         assert np.array_equal(got, want), op
 
 
-def test_overlap_equals_blocking_bitwise():
-    """Regression: the interior/boundary split must change nothing."""
-    gauge, psi = _background((8, 4, 2, 8))
-    with DistributedWilsonOperator(
-        gauge, MASS, ranks=4, policy="blocking", timeout=60.0
-    ) as op:
-        blocking = op.apply(psi)
-        op.runtime.set_policy("overlap")
-        overlap = op.apply(psi)
-    assert np.array_equal(blocking, overlap)
-
-
 def test_evenodd_schur_ops_bitwise():
     gauge, psi = _background((8, 4, 2, 8))
     eo = EvenOddWilson(WilsonOperator(gauge, MASS))
@@ -194,26 +177,20 @@ def test_evenodd_schur_ops_bitwise():
         assert np.array_equal(op.prepare_rhs(psi), eo.prepare_rhs(psi))
 
 
-def test_pairwise_ghosts_outlive_the_next_hopping():
-    """Regression: on a grid with two partitioned directions ``pairwise``
-    runs two rounds per hopping, so a peer's *next* hopping re-posts a
-    mailbox slot this rank is still reading.  Shared-memory mailboxes are
-    overwritten in place: every op that hops twice came back wrong."""
+def test_ghosts_outlive_the_next_hopping():
+    """Regression (transport hazard): mailbox slots are double-buffered
+    and only the barrier inside a round orders ranks, so a peer's *next*
+    hopping may post while this rank still reads its ghosts.  On a grid
+    with two partitioned directions over shared memory, whose mailboxes
+    are overwritten in place, five back-to-back ops that hop four times
+    each must all come back exact."""
     gauge, psi = _background((4, 4, 2, 4))
     eo = EvenOddWilson(WilsonOperator(gauge, MASS))
     x = eo.restrict(psi, 0)
     want = eo.schur_normal_apply(x)
-    with DecompRuntime(
-        gauge, MASS, grid=(2, 2, 1, 1), transport="shm", policy="pairwise", max_rhs=2
-    ) as rt:
+    with DecompRuntime(gauge, MASS, grid=(2, 2, 1, 1), transport="shm", max_rhs=2) as rt:
         for _ in range(5):
             assert np.array_equal(rt.fieldwise("schur_normal", x), want)
-
-
-def test_overlap_needs_thick_slabs():
-    gauge, _ = _background((8, 4, 2, 8))
-    with pytest.raises(ValueError, match="local extent"):
-        DecompRuntime(gauge, MASS, ranks=8, policy="overlap")
 
 
 # -- checkerboard-packed Schur fast path ------------------------------------

@@ -1,5 +1,5 @@
-"""Distributed-stencil execution on 4D rank grids: exactness, wire
-accounting, overlap structure.
+"""Distributed-stencil execution on 4D rank grids: exactness and wire
+accounting.
 
 First written against the seed-era in-process rank simulator
 (``comm/ranksim.py``, deleted); every check now drives the *executed*
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm import DecompRuntime, DistributedWilsonOperator, RankGrid, halo_message_bytes
+from repro.comm import DistributedWilsonOperator, RankGrid, halo_message_bytes
 from repro.dirac import WilsonOperator
 from repro.lattice import GaugeField, Geometry
 from repro.utils.rng import make_rng
@@ -84,20 +84,6 @@ class TestDistributedWilson:
         blocks = [psi[ranks.site_slices(r)] for r in range(ranks.n_ranks)]
         np.testing.assert_array_equal(ranks.gather(blocks), psi)
 
-    def test_interior_fraction_shrinks_with_partitioning(self, setup):
-        geom, gauge, psi, ref = setup
-        f_t = RankGrid.make(geom.dims, (1, 1, 1, 2)).interior_fraction()
-        f_all = RankGrid.make(geom.dims, (2, 2, 2, 2)).interior_fraction()
-        assert f_t > f_all
-        # local extent 2 in a partitioned dim leaves no interior at all —
-        # nothing to overlap communication with (the strong-scaling wall).
-        assert f_all == 0.0
-
-    def test_interior_fraction_large_local_volume(self):
-        # 8/2 = 4-wide local x: half the sites are interior in x.
-        ranks = RankGrid.make((8, 4, 4, 8), (2, 1, 1, 1))
-        assert ranks.interior_fraction() == pytest.approx(0.5)
-
     def test_antiperiodic_bc_preserved_across_ranks(self):
         """The time-direction sign lives in the links and survives the
         distribution: compare against the single-rank operator on a
@@ -122,7 +108,7 @@ class TestDistributedWilson:
                 op.apply(np.zeros((2, 2, 2, 2, 4, 3), dtype=complex))
 
 
-# -- minimal-overlap regime and the overlap precondition ----------------------
+# -- the thinnest blocks: local extent 2 along every partitioned axis -----------
 
 MASS = 0.12
 
@@ -135,41 +121,20 @@ def _background(dims, n_rhs=2, seed=21):
     return gauge, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-@pytest.mark.parametrize("policy", ["blocking", "pairwise", "overlap"])
+@pytest.mark.parametrize("policy", ["blocking"])
 @pytest.mark.parametrize("n_rhs", [1, 12])
 def test_extent_two_every_partitioned_axis(policy, n_rhs):
     """(4, 4, 2, 8) on a (2, 2, 1, 1) grid: local block (2, 2, 2, 8) —
-    every partitioned axis sits at the minimal overlap-legal extent, so
-    no site is interior and the boundary recompute does all the work.
-    Both parities, 1 and 12 RHS, every policy."""
+    every partitioned axis at extent 2, so every site is a boundary site
+    and both faces of an axis come from the same neighbour.  Both
+    parities, 1 and 12 RHS, under the one schedule."""
     gauge, psi = _background((4, 4, 2, 8), n_rhs=n_rhs)
     geom = gauge.geometry
     serial = WilsonOperator(gauge, MASS)
     with DistributedWilsonOperator(
-        gauge, MASS, grid=(2, 2, 1, 1), policy=policy, max_rhs=n_rhs, timeout=60.0
+        gauge, MASS, grid=(2, 2, 1, 1), max_rhs=n_rhs, timeout=60.0
     ) as op:
         for parity in (0, 1):
             x = psi * geom.parity_mask(parity)[..., None, None]
             got = np.array(op.hopping(x), copy=True)
             assert np.allclose(got, serial.hopping(x), rtol=1e-12, atol=1e-13)
-
-
-def test_overlap_error_identical_both_paths():
-    """One structured error, naming the offending axis, from the
-    constructor and from ``set_policy`` alike."""
-    gauge, _ = _background((8, 4, 2, 8))
-    with pytest.raises(ValueError, match=r"offending axes: x \(extent 1\)") as ctor:
-        DecompRuntime(gauge, MASS, ranks=8, policy="overlap")
-    with DecompRuntime(gauge, MASS, ranks=8, policy="blocking") as rt:
-        with pytest.raises(ValueError, match=r"offending axes: x \(extent 1\)") as setp:
-            rt.set_policy("overlap")
-        assert rt.policy == "blocking"  # failed switch leaves policy alone
-        assert str(ctor.value) == str(setp.value)
-
-
-def test_overlap_error_names_every_thin_axis():
-    gauge, _ = _background((4, 4, 2, 8))
-    with pytest.raises(ValueError) as exc:
-        DecompRuntime(gauge, MASS, grid=(4, 4, 1, 1), policy="overlap")
-    msg = str(exc.value)
-    assert "x (extent 1)" in msg and "y (extent 1)" in msg

@@ -2,8 +2,8 @@
 chain runs in place.  Each RHS tile is copied into the stencil's
 workspace before its output tile is written, so the in-place result is
 the fresh one bit for bit — serial (full and packed, both dtypes) and on
-two thread ranks under every halo schedule (``overlap`` returns a fresh
-array: its slab recompute re-reads ``phi``).
+two thread ranks under the one halo schedule, which honours ``out=`` on
+every path.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def test_in_place_hop_is_the_fresh_one(dtype, parity, dagger):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("policy", ("blocking", "pairwise", "overlap"))
+@pytest.mark.parametrize("policy", ("blocking",))
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_rank_stencil_in_place_hop_equals_serial(policy, dtype):
     dims = (8, 4, 2, 8)
@@ -43,7 +43,7 @@ def test_rank_stencil_in_place_hop_equals_serial(policy, dtype):
             shared[key] = np.shares_memory(got[key], phi)
         return got, shared
 
-    for r, (_, shared) in enumerate(got := _two_thread_ranks(dims, policy, run)):
-        assert all(v == (policy != "overlap") for v in shared.values()), (r, shared)
+    for r, (_, shared) in enumerate(got := _two_thread_ranks(dims, run)):
+        assert all(shared.values()), (r, shared)
     for key, full in want.items():
         assert np.array_equal(np.concatenate([g[0][key] for g in got], axis=1), full), key

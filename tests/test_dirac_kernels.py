@@ -129,6 +129,18 @@ class TestTiledWorkspace:
         assert kernel.workspace.nbytes <= untiled + slack
 
 
+    def test_precisions_share_one_workspace(self, rng):
+        """A complex64 and a complex128 packed hop on a 12-stack (a 2-rank
+        block of 8^3x16, 4x8x8x16: three columns per complex128 tile, six
+        per complex64 one) pool the bytes of the complex128 hop alone."""
+        kernel = self._kernel((4, 8, 8, 16))
+        x = kernel.pack(random_fermion(rng, (12, 4, 8, 8, 16, 4, 3)), 0)
+        kernel.hopping(x, parity=0)
+        alone = kernel.workspace.nbytes
+        kernel.hopping(x.astype(np.complex64), parity=0)
+        assert len(kernel.workspace) == 3 and kernel.workspace.nbytes == alone
+
+
 class TestComplex64Stencil:
     """Precision is a dtype of the one stencil: a complex64 field is
     computed on (and answered) in complex64, within single rounding of
@@ -165,9 +177,9 @@ class TestComplex64Stencil:
     @pytest.mark.parametrize("parity", [None, 0, 1])
     def test_ghosts_and_site_boxes(self, rng, parity):
         """A box whose neighbour is itself: its own faces are its ghosts
-        (exactly the periodic wrap), and a two-plane ``sites`` slab
-        recomputes a boundary plane to the bit — in complex64 as in
-        complex128 — with faces that travel in complex64."""
+        (exactly the periodic wrap) — in complex64 as in complex128 — with
+        faces that travel in complex64.  (The id keeps the name of the
+        sub-box recompute the kernel no longer has.)"""
         k = self._wilson().kernel
         psi = random_fermion(rng, (2,) + self.DIMS + (4, 3)).astype(np.complex64)
         phi = psi if parity is None else k.pack(psi, parity)
@@ -175,14 +187,8 @@ class TestComplex64Stencil:
         for mu in (0, 1):
             ghosts = k.faces(phi, mu, parity)
             assert all(f.dtype == np.complex64 for f in ghosts.values())
-            assert np.array_equal(k.hopping(phi, ghosts, parity=parity), want)
-            box = (slice(None),) * (1 + mu) + (slice(0, 2),)
-            slab = k.hopping(
-                phi[box], {t: f[box] for t, f in ghosts.items()}, box[1:], parity
-            )
-            low = (slice(None),) * (1 + mu) + (slice(0, 1),)
-            assert slab.dtype == np.complex64
-            assert np.array_equal(slab[low], want[low])
+            got = k.hopping(phi, ghosts, parity=parity)
+            assert got.dtype == np.complex64 and np.array_equal(got, want)
 
     def test_multi_tile_stack_is_its_columns(self, rng, monkeypatch):
         """Tile boundaries (two complex64 columns per tile here) change no
@@ -208,14 +214,18 @@ class TestComplex64Stencil:
 
 
 class TestWorkspace:
-    def test_buffers_reused_by_shape(self):
+    def test_one_buffer_per_tag(self):
+        """A tag's requests share one buffer whatever their shape and
+        dtype; a larger request grows it, another tag gets its own."""
         ws = Workspace()
         a = ws.get("tmp", (4, 3), np.complex128)
-        b = ws.get("tmp", (4, 3), np.complex128)
-        assert a is b
-        c = ws.get("tmp", (2, 3), np.complex128)
-        assert c is not a
+        b = ws.get("tmp", (2, 3), np.complex64)
+        assert ws.get("tmp", (4, 3), np.complex128).base is a.base
+        assert b.shape == (2, 3) and b.dtype == np.complex64 and np.shares_memory(a, b)
+        assert len(ws) == 1 and ws.nbytes == a.nbytes
+        c = ws.get("tmp", (8, 3), np.complex128)
+        assert not np.shares_memory(a, c) and ws.nbytes == c.nbytes
+        ws.get("other", (2,), np.complex64)
         assert len(ws) == 2
-        assert ws.nbytes > 0
         ws.clear()
         assert len(ws) == 0
