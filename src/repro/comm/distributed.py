@@ -83,7 +83,7 @@ from repro.lattice.gauge import GaugeField
 from repro.solvers.cg import BatchedSolveResult, ConjugateGradient
 from repro.solvers.multiprec import ReliableUpdateCG
 from repro.solvers.precision import SinglePrecision
-from repro.utils.spawn import spawn_context
+from repro.utils.spawn import spawn_context, start_process
 
 __all__ = [
     "RankStencil",
@@ -533,10 +533,7 @@ class DecompRuntime:
         barrier = self._barrier = mpctx.Barrier(plan.grid.n_ranks)
         for r in range(plan.grid.n_ranks):
             ours, theirs = mpctx.Pipe()
-            rank = mpctx.Process(
-                target=_spawned_rank, args=(plan, r, arena.name, barrier, theirs), daemon=True
-            )
-            rank.start()
+            rank = start_process(_spawned_rank, (plan, r, arena.name, barrier, theirs))
             theirs.close()
             self._chans.append(_ArenaChannel(ours, arena, ("field", r)))
             self._ranks.append(rank)

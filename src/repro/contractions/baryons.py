@@ -87,8 +87,9 @@ def proton_correlator_bilinear(
     s1 = _color_major(u1.shifted_to_origin())
     # G^{bb'}_{AS} = (T Sd Tbar)_{AS}: the diquark-dressed d propagator;
     # P S2, whose spin trace closes the direct term.
-    gtilde = _T @ _color_major(d.shifted_to_origin()) @ _TBAR
-    ps2 = proj @ _color_major(u2.shifted_to_origin())
+    # (one colour-major copy serves every slot a propagator fills)
+    gtilde = _T @ (s1 if d is u1 else _color_major(d.shifted_to_origin())) @ _TBAR
+    ps2 = proj @ (s1 if u2 is u1 else _color_major(u2.shifted_to_origin()))
     tr2 = np.trace(ps2, axis1=-2, axis2=-1)[..., None, None]
 
     # eps_abc eps_def Gt^{be}_{AS} [ S1^{ad}_{AS} tr_s(P S2^{cf})   (direct)

@@ -91,10 +91,6 @@ class Propagator:
         cols = np.moveaxis(self.data, (-3, -1), (0, 1))
         return cols.reshape((12,) + cols.shape[2:])
 
-    @property
-    def geometry_dims(self) -> tuple[int, ...]:
-        return self.data.shape[:4]
-
     def shifted_to_origin(self) -> np.ndarray:
         """Data rolled so the source sits at the origin (for correlators)."""
         out = self.data
@@ -102,14 +98,6 @@ class Propagator:
             if s:
                 out = np.roll(out, -s, axis=axis)
         return out
-
-    def apply_spin(self, mat: np.ndarray, side: str = "snk") -> np.ndarray:
-        """``mat @ S`` (snk side) or ``S @ mat`` (src side) in spin space."""
-        if side == "snk":
-            return np.einsum("ab,...bcde->...acde", mat, self.data, optimize=True)
-        if side == "src":
-            return np.einsum("...abde,bc->...acde", self.data, mat, optimize=True)
-        raise ValueError(f"side must be 'snk' or 'src', got {side}")
 
 
 def point_source(geometry: Geometry, site: tuple[int, int, int, int], spin: int, color: int) -> np.ndarray:
@@ -343,6 +331,7 @@ def collect_columns(
                 f"(worst relres {float(np.max(res.final_relres)):.2e})"
             )
         x[lo : lo + res.n_rhs] = res.x
+        res.x = x[lo : lo + res.n_rhs]  # the stack's own copy is freed before the next one runs
         columns = res.split()
         if totals is not None:
             its = sum(r.iterations for r in columns) if percolumn else res.iterations

@@ -71,17 +71,18 @@ def sequential_propagator(
     if solver is None:
         solver = ConjugateGradient(tol=1e-10, max_iter=6000)
 
-    # Source: gamma_5 (S_d delta_{t, t_snk}) column by column.
-    b = prop_d.columns()
+    # Source: gamma_5 (S_d delta_{t, t_snk}) column by column; each stack's
+    # solutions overwrite its columns once they are read for the last time.
+    b, source = prop_d.columns(), prop_d.source
+    del prop_d  # only its source site is read from here on
     b[:, :, :, :, np.arange(geom.lt) != t_snk] = 0.0
     g.gamma5_mul(b, out=b)
     width = b.shape[0] if mode == "batched" else None
     stacks = SchurColumnStacks(wilson, b, width).solve(solver)
-    x = np.empty_like(b)
     collect_columns(
-        stacks, x, stats, percolumn=mode == "percolumn", label=f"sequential {mode} solve"
+        stacks, b, stats, percolumn=mode == "percolumn", label=f"sequential {mode} solve"
     )
-    return Propagator.from_columns(g.gamma5_mul(x, out=x), prop_d.source)
+    return Propagator.from_columns(g.gamma5_mul(b, out=b), source)
 
 
 def pion_three_point(

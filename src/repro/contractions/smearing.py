@@ -50,12 +50,12 @@ class GaussianSmearing:
         geom = self.gauge.geometry
         out = np.zeros_like(psi)
         for mu in range(3):
-            fwd = np.roll(psi, -1, axis=mu)
-            out += np.einsum("xyztab,xyzt...b->xyzt...a", self._u[mu], fwd, optimize=True)
-            back = np.einsum(
+            hop = np.roll(psi, -1, axis=mu)  # one neighbour field live at a time
+            out += np.einsum("xyztab,xyzt...b->xyzt...a", self._u[mu], hop, optimize=True)
+            hop = np.einsum(
                 "xyztba,xyzt...b->xyzt...a", np.conjugate(self._u[mu]), psi, optimize=True
             )
-            out += np.roll(back, +1, axis=mu)
+            out += np.roll(hop, +1, axis=mu)
         return out
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
@@ -66,6 +66,7 @@ class GaussianSmearing:
             )
         norm = 1.0 / (1.0 + 6.0 * self.alpha)
         out = np.asarray(psi, dtype=np.complex128)
+        del psi  # a field passed in as a temporary is freed after the first pass
         for _ in range(self.n_iter):
             out = norm * (out + self.alpha * self._hop(out))
         return out

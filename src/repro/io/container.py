@@ -150,36 +150,40 @@ class FieldFile:
     @classmethod
     def load(cls, path: str | Path) -> "FieldFile":
         """Read a container, verifying magic, length and checksums."""
-        raw = Path(path).read_bytes()
-        magic = raw[:8]
-        if magic not in (_MAGIC, _MAGIC_V1):
-            raise ValueError(f"{path}: not a FieldFile (bad magic)")
-        hlen = int.from_bytes(raw[8:16], "little")
-        base = 16
-        if magic == _MAGIC:
-            hcrc = int.from_bytes(raw[16:20], "little")
-            base = 20
-        hdr_bytes = raw[base : base + hlen]
-        if len(hdr_bytes) < hlen:
-            raise ValueError(f"{path}: truncated FieldFile (header incomplete)")
-        if magic == _MAGIC and (zlib.crc32(hdr_bytes) & 0xFFFFFFFF) != hcrc:
-            raise ValueError(f"{path}: header checksum mismatch (corrupt file)")
-        header = json.loads(hdr_bytes.decode())
+        header, blobs = _checked_blobs(path)
         out = cls(header.get("metadata", {}))
-        base += hlen
-        payload = sum(ent["nbytes"] for ent in header["arrays"])
-        if len(raw) < base + payload:
-            raise ValueError(
-                f"{path}: truncated FieldFile "
-                f"({len(raw)} bytes < {base + payload} expected)"
-            )
-        for ent in header["arrays"]:
-            blob = raw[base + ent["offset"] : base + ent["offset"] + ent["nbytes"]]
-            if (zlib.crc32(blob) & 0xFFFFFFFF) != ent["crc32"]:
-                raise ValueError(f"{path}: checksum mismatch in array {ent['name']!r}")
-            arr = np.frombuffer(blob, dtype=ent["dtype"]).reshape(ent["shape"]).copy()
-            out._arrays[ent["name"]] = arr
+        for ent, blob in blobs:  # one copy per array, out of the file's bytes
+            arr = np.frombuffer(blob, ent["dtype"]).reshape(ent["shape"])
+            out._arrays[ent["name"]] = arr.copy()
         return out
+
+
+def _checked_blobs(path: str | Path) -> tuple[dict, list[tuple[dict, memoryview]]]:
+    """``(header, [(array entry, its bytes)])`` of a container whose magic,
+    length and checksums all pass; each array's bytes are a memoryview
+    slice of the one read of the file, never a copy."""
+    raw = memoryview(Path(path).read_bytes())
+    magic, hlen = bytes(raw[:8]), int.from_bytes(raw[8:16], "little")
+    if magic not in (_MAGIC, _MAGIC_V1):
+        raise ValueError(f"{path}: not a FieldFile (bad magic)")
+    base = 20 if magic == _MAGIC else 16  # v2 adds the header's CRC32
+    hdr_bytes = raw[base : base + hlen]
+    if len(hdr_bytes) < hlen:
+        raise ValueError(f"{path}: truncated FieldFile (header incomplete)")
+    if magic == _MAGIC and zlib.crc32(hdr_bytes) != int.from_bytes(raw[16:20], "little"):
+        raise ValueError(f"{path}: header checksum mismatch (corrupt file)")
+    header = json.loads(bytes(hdr_bytes))
+    base += hlen
+    payload = sum(ent["nbytes"] for ent in header["arrays"])
+    if len(raw) < base + payload:
+        raise ValueError(f"{path}: truncated FieldFile ({len(raw)} < {base + payload} bytes)")
+    blobs = []
+    for ent in header["arrays"]:
+        blob = raw[base + ent["offset"] : base + ent["offset"] + ent["nbytes"]]
+        if zlib.crc32(blob) != ent["crc32"]:
+            raise ValueError(f"{path}: checksum mismatch in array {ent['name']!r}")
+        blobs.append((ent, blob))
+    return header, blobs
 
 
 class ArtifactStore:
@@ -208,10 +212,11 @@ class ArtifactStore:
 
 
 def verify_artifacts(store: ArtifactStore, artifacts: dict[str, str]) -> bool:
-    """True when every artifact exists and passes its checksums."""
+    """True when every artifact exists and passes its checksums (checked
+    on the file's bytes: no array is built)."""
     for ref in artifacts.values():
         try:
-            store.load(ref)
+            _checked_blobs(store.path(ref))
         except (ValueError, KeyError, OSError):
             return False
     return True

@@ -30,40 +30,33 @@ Layout::
     report.py      reports + executed-vs-modeled cross-validation
     cli.py         the ``repro-campaign`` entry point
 
-The package exports what its callers import; everything else is
-imported from its module.
+The package exports what its callers import and resolves each export on
+first use (PEP 562): a worker imports :mod:`repro.runtime.worker` without
+the driver's ``campaign``, ``loop``, ``core``, ``ledger``, ``telemetry``
+and ``policies``.  Everything else is imported from its module.
 """
 
-from repro.runtime.builder import build_from_spec, build_ga_campaign, build_sleep_campaign
-from repro.runtime.campaign import (
-    CampaignConfig,
-    CampaignError,
-    CampaignResult,
-    CampaignRuntime,
-    LedgerMismatchError,
-    WorkerStormError,
-)
-from repro.runtime.faults import FaultPlan, FaultSpec
-from repro.runtime.ledger import TaskLedger, replay_ledger
-from repro.runtime.tasks import CampaignTask, TaskGraph, TaskStatus
-from repro.runtime.telemetry import summarize
+from importlib import import_module
 
-__all__ = [
-    "CampaignTask",
-    "TaskGraph",
-    "TaskStatus",
-    "build_ga_campaign",
-    "build_sleep_campaign",
-    "build_from_spec",
-    "CampaignConfig",
-    "CampaignError",
-    "CampaignResult",
-    "CampaignRuntime",
-    "LedgerMismatchError",
-    "WorkerStormError",
-    "FaultPlan",
-    "FaultSpec",
-    "TaskLedger",
-    "replay_ledger",
-    "summarize",
-]
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "tasks": ("CampaignTask", "TaskGraph", "TaskStatus"),
+        "builder": ("build_ga_campaign", "build_sleep_campaign", "build_from_spec"),
+        "campaign": ("CampaignConfig", "CampaignError", "CampaignResult", "CampaignRuntime",
+                     "LedgerMismatchError", "WorkerStormError"),
+        "faults": ("FaultPlan", "FaultSpec"),
+        "ledger": ("TaskLedger", "replay_ledger"),
+        "telemetry": ("summarize",),
+    }.items()
+    for name in names
+}
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    return value
+

@@ -61,7 +61,7 @@ from repro.contractions import (
 from repro.dirac.flops import cg_blas_flops_per_site, wilson_dslash_flops_per_site
 from repro.dirac.gamma import GAMMA, GAMMA5
 from repro.dirac.wilson import WilsonOperator
-from repro.io.container import ArtifactStore, FieldFile, verify_artifacts
+from repro.io.container import ArtifactStore, FieldFile
 from repro.lattice import GaugeField, Geometry
 from repro.lattice.gaugefix import GaugeFixer
 from repro.runtime.builder import SOLVER_MODES
@@ -75,7 +75,6 @@ __all__ = [
     "ExecContext",
     "ArtifactStore",
     "execute_task",
-    "verify_artifacts",
     "EXECUTORS",
 ]
 
@@ -184,9 +183,9 @@ def _exec_smear_sources(params: dict, ctx: ExecContext) -> dict[str, str]:
     # all 12 columns through one smearing pass: the kernel is diagonal in
     # everything between the site axes and colour, so the column index
     # rides there and each column gets the arithmetic of its own call
-    columns = np.ascontiguousarray(np.moveaxis(point_sources(geom, site), 0, 4))
+    smeared = smear.apply(np.ascontiguousarray(np.moveaxis(point_sources(geom, site), 0, 4)))
     ff = FieldFile({"site": list(site)})
-    ff.add("sources", np.moveaxis(smear.apply(columns), 4, 0))
+    ff.add("sources", np.moveaxis(smeared, 4, 0))
     return {"sources": ctx.store.save(ctx.task_id, "sources", ff)}
 
 
@@ -198,8 +197,8 @@ def _stack_ckpt_save(
 ) -> None:
     """One atomic file: the finished columns + the in-flight stack's CG state.
 
-    ``column`` is the first column of the stack in flight (every column
-    before it is final in ``data``), ``stack_shape`` the shape of a stack
+    ``column`` is the first column of the stack in flight, ``data`` the
+    solved columns before it, ``stack_shape`` the shape of a stack
     of the linear system the file was written under, ``cg_state`` the
     stacked mid-solve :class:`repro.solvers.cg.CGState` (None at a stack
     boundary).
@@ -221,16 +220,17 @@ def _stack_ckpt_save(
     ff.save(ctx.ckpt.path_for(ctx.task_id))
 
 
-def _stack_ckpt_load(ctx: ExecContext, shape: tuple[int, ...], stack_shape: tuple[int, ...]):
-    """(partial data, first column of the stack to run, CGState | None, totals).
+def _stack_ckpt_load(ctx: ExecContext, column_shape: tuple, stack_shape: tuple[int, ...]):
+    """(finished columns, first column of the stack to run, CGState | None, totals).
 
     None unless the file is a stack checkpoint of *this* task's solve,
     whose stacks have ``stack_shape``: any other kind (the one-column
     ``prop_ckpt`` of earlier versions included), the stacks of another
     width, lattice or linear system (the full-lattice ones written
-    before the solve was red-black preconditioned name no ``stack``), or
-    a column that is not a stack boundary are ignored whole and the task
-    recomputes — a checkpoint is never half-loaded.
+    before the solve was red-black preconditioned name no ``stack``),
+    columns not of ``column_shape`` (files in propagator layout
+    included) or a column that is not a stack boundary are ignored
+    whole and the task recomputes — a checkpoint is never half-loaded.
     """
     ff = ctx.ckpt.load_fieldfile(ctx.task_id)
     if ff is None or ff.metadata.get("kind") != "prop_stack_ckpt":
@@ -241,7 +241,7 @@ def _stack_ckpt_load(ctx: ExecContext, shape: tuple[int, ...], stack_shape: tupl
         md.get("stack") != list(stack_shape)
         or column % stack_shape[0]
         or not 0 <= column < 12
-        or ff["data"].shape != shape
+        or ff["data"].shape != (column,) + tuple(column_shape)
         or (scalars and ff["state_x"].shape != stack_shape)
     ):
         return None
@@ -255,8 +255,8 @@ def _stack_ckpt_load(ctx: ExecContext, shape: tuple[int, ...], stack_shape: tupl
 
 
 def _wilson_solve(params: dict, ctx: ExecContext):
-    """``(gauge, operator, solver_mode, solver)`` of a 12-column Wilson
-    solve task.
+    """``(operator, solver_mode, solver)`` of a 12-column Wilson solve
+    task (the operator holds the links; the loaded gauge field is not kept).
 
     The system is always the red-black one; ``block`` picks a
     :class:`repro.solvers.blockcg.BlockCG` (one Krylov space shared by
@@ -266,19 +266,19 @@ def _wilson_solve(params: dict, ctx: ExecContext):
     hops, and the BLAS-1 of an iteration runs on the even sites a Krylov
     vector occupies.
     """
-    gauge = _load_gauge(ctx, params["gauge"])
+    wilson = WilsonOperator(_load_gauge(ctx, params["gauge"]), mass=float(params["mass"]))
     mode = str(params.get("solver_mode", "percolumn"))
-    volume = gauge.geometry.volume
+    volume = wilson.geometry.volume
     solver = (BlockCG if mode == "block" else ConjugateGradient)(
         tol=float(params.get("tol", 1e-8)),
         max_iter=int(params.get("max_iter", 4000)),
         flops_per_matvec=float(2 * volume * wilson_dslash_flops_per_site()),
         blas_flops_per_iter=cg_blas_flops_per_site() * (volume // 2),
     )
-    return gauge, WilsonOperator(gauge, mass=float(params["mass"])), mode, solver
+    return wilson, mode, solver
 
 
-def _solve_distributed(params: dict, gauge, sources, tol: float, max_iter: int):
+def _solve_distributed(params: dict, ctx: ExecContext, sources, tol: float, max_iter: int):
     """The 12-column solve through the rank-parallel decomposition runtime;
     a ``dist_*`` parameter it does not take is refused before any rank starts."""
     from repro.comm.transports import dist_solve
@@ -288,8 +288,8 @@ def _solve_distributed(params: dict, gauge, sources, tol: float, max_iter: int):
         raise ValueError(f"unknown distributed-solve parameters {unknown}")
     transport, ranks = str(params.get("dist_transport", "threads")), int(params.get("dist_ranks", 2))
     return dist_solve(
-        gauge, float(params["mass"]), sources, transport=transport, ranks=ranks, tol=tol,
-        max_iter=max_iter,
+        _load_gauge(ctx, params["gauge"]), float(params["mass"]), sources,
+        transport=transport, ranks=ranks, tol=tol, max_iter=max_iter,
     )
 
 
@@ -337,19 +337,18 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
     the per-column sum under ``percolumn`` (what twelve one-column solves
     count), the stacked count otherwise.
     """
-    gauge, wilson, mode, solver = _wilson_solve(params, ctx)
+    wilson, mode, solver = _wilson_solve(params, ctx)
     if mode not in SOLVER_MODES:
         raise ValueError(f"{ctx.task_id}: unknown solver_mode {mode!r}")
-    geom = gauge.geometry
+    geom = wilson.geometry
     site = tuple(params.get("site", (0, 0, 0, 0)))
     ck_every = int(params.get("checkpoint_every", 0))
     checkpointing = mode == "percolumn" and ck_every > 0
-    sources = _load_sources(params, ctx, geom)
-    x = np.zeros_like(sources)
+    sources = x = _load_sources(params, ctx, geom)  # solutions overwrite finished stacks
     totals = {"iterations": 0, "matvecs": 0, "flops": 0.0, "true_relres": 0.0}
 
     if mode == "distributed":
-        res = _solve_distributed(params, gauge, sources, solver.tol, solver.max_iter)
+        res = _solve_distributed(params, ctx, sources, solver.tol, solver.max_iter)
         # the rank solver charges no model flops and reports the
         # even-site system's residual
         res.flops = (
@@ -361,12 +360,12 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
         system = SchurColumnStacks(wilson, sources, None if mode == "percolumn" else 12)
         resume = {}
         restored = (
-            _stack_ckpt_load(ctx, geom.dims + (4, 4, 3, 3), system.stack_shape)
+            _stack_ckpt_load(ctx, x.shape[1:], system.stack_shape)
             if mode == "percolumn" else None
         )
         if restored is not None:
             data, start_col, resume_state, totals = restored
-            x = Propagator(data, site).columns()
+            x[:start_col] = data
             resume = dict(start=start_col, state=resume_state)
             ctx.emit(
                 "checkpoint_restored",
@@ -376,8 +375,7 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
             )
 
         def on_checkpoint(lo, st):
-            data = Propagator.from_columns(x, site).data
-            _stack_ckpt_save(ctx, data, lo, system.stack_shape, st, totals)
+            _stack_ckpt_save(ctx, x[:lo], lo, system.stack_shape, st, totals)
             ctx.checkpoint_saved()
 
         if checkpointing:
@@ -399,7 +397,7 @@ def _exec_propagator(params: dict, ctx: ExecContext) -> dict[str, str]:
 
 
 def _exec_seq_solve(params: dict, ctx: ExecContext) -> dict[str, str]:
-    _, wilson, mode, solver = _wilson_solve(params, ctx)
+    wilson, mode, solver = _wilson_solve(params, ctx)
     if mode == "distributed":
         # sequential sink solves stay in-process: the through-the-sink
         # source is built from an already-gathered propagator, so the
@@ -420,17 +418,16 @@ def _exec_seq_solve(params: dict, ctx: ExecContext) -> dict[str, str]:
 
 def _exec_contraction(params: dict, ctx: ExecContext) -> dict[str, str]:
     ff = FieldFile({"label": params.get("label", ctx.task_id)})
-    if "prop" in params:
-        prop = _load_prop(ctx, params["prop"])
+    prop = _load_prop(ctx, params["prop"]) if "prop" in params else None
+    if prop is not None:
         ff.add("pion", np.asarray(pion_correlator(prop), dtype=np.float64))
         ff.add("proton", np.asarray(proton_correlator(prop, prop)))
     if "prop_a" in params and "prop_b" in params:
         pa = _load_prop(ctx, params["prop_a"])
         pb = _load_prop(ctx, params["prop_b"])
         ff.add("pion_ab", np.asarray(pion_two_point_matrix(pa, pb)))
-    if "seq" in params and "prop" in params:
+    if "seq" in params and prop is not None:
         seq = _load_prop(ctx, params["seq"])
-        prop = _load_prop(ctx, params["prop"])
         ff.add(
             "axial_3pt",
             np.asarray(pion_three_point(seq, prop, GAMMA[2] @ GAMMA5)),

@@ -35,7 +35,7 @@ from repro import obs
 from repro.io.container import ArtifactStore
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.faults import FaultSpec, WorkerKilled
-from repro.utils.spawn import spawn_context
+from repro.utils.spawn import spawn_context, start_process
 
 __all__ = ["worker_main", "ProcessWorkerPool", "ThreadWorkerPool", "make_pool"]
 
@@ -158,8 +158,9 @@ def worker_main(
 
 
 class _PoolBase:
-    """Shared bookkeeping for both fabrics: ``_queue()`` makes a worker's
-    task queue and ``_worker(target=, args=, daemon=)`` its handle."""
+    """Shared bookkeeping for both fabrics: ``_queue()`` makes the result
+    queue and each worker's task queue, ``_start(target, args)`` starts a
+    worker's daemon handle."""
 
     kind = "base"
 
@@ -170,13 +171,12 @@ class _PoolBase:
         self.workdir = str(workdir)
         self._workers: dict[int, Any] = {}
         self._task_qs: dict[int, Any] = {}
+        self.result_q = self._queue()
 
     def spawn(self, worker_id: int) -> None:
         task_q = self._queue()
         args = (worker_id, self.workdir, task_q, self.result_q, self.kind)
-        handle = self._worker(target=worker_main, args=args, daemon=True)
-        handle.start()
-        self._workers[worker_id] = handle
+        self._workers[worker_id] = self._start(worker_main, args)
         self._task_qs[worker_id] = task_q
 
     def start(self) -> None:
@@ -218,12 +218,7 @@ class ProcessWorkerPool(_PoolBase):
     """Spawn-context process workers (the executed, killable fabric)."""
 
     kind = "process"
-
-    def __init__(self, n_workers: int, workdir: str | Path):
-        super().__init__(n_workers, workdir)
-        ctx = spawn_context()
-        self._queue, self._worker = ctx.Queue, ctx.Process
-        self.result_q = ctx.Queue()
+    _queue, _start = spawn_context().Queue, staticmethod(start_process)
 
     def kill(self, worker_id: int) -> None:
         proc = self._workers.get(worker_id)
@@ -239,11 +234,13 @@ class ThreadWorkerPool(_PoolBase):
     """In-process thread workers (fast; cannot enforce timeouts)."""
 
     kind = "thread"
-    _queue, _worker = queue_mod.Queue, threading.Thread
+    _queue = queue_mod.Queue
 
-    def __init__(self, n_workers: int, workdir: str | Path):
-        super().__init__(n_workers, workdir)
-        self.result_q: queue_mod.Queue = queue_mod.Queue()
+    @staticmethod
+    def _start(target, args: tuple) -> threading.Thread:
+        thread = threading.Thread(target=target, args=args, daemon=True)
+        thread.start()
+        return thread
 
     def kill(self, worker_id: int) -> None:
         raise RuntimeError(

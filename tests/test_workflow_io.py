@@ -232,6 +232,59 @@ class TestFieldFile:
         np.testing.assert_array_equal(back["x"], arr)
 
 
+class TestFieldFileMemory:
+    """Reading a container holds the file's bytes once: ``load`` copies
+    each array out of a memoryview slice of them (it went through a
+    ``bytes`` slice per array before, 3 payloads at its peak), and
+    ``verify_artifacts`` checks the CRCs on the slices and builds no
+    array at all."""
+
+    SLACK = 64 * 1024  # the header, the entry dicts and the objects around them
+
+    @staticmethod
+    def _propagator(tmp_path):
+        from repro.io.container import ArtifactStore
+
+        data = np.arange(2 * 4 * 4 * 4 * 8 * 144, dtype=np.float64).view(np.complex128)
+        ff = FieldFile({"source": [0, 0, 0, 0]})  # a 4^3x8 propagator's 1.125 MiB
+        ff.add("data", data.reshape(4, 4, 4, 8, 4, 4, 3, 3))
+        store = ArtifactStore(tmp_path)
+        return store, store.save("prop", "prop", ff), data
+
+    @staticmethod
+    def _peak(fn) -> int:
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_load_peaks_at_the_file_and_its_arrays(self, tmp_path):
+        store, ref, data = self._propagator(tmp_path)
+        assert self._peak(lambda: store.load(ref)) <= 2 * data.nbytes + self.SLACK
+        np.testing.assert_array_equal(store.load(ref)["data"].ravel(), data)
+
+    def test_verify_builds_no_array(self, tmp_path):
+        from repro.io.container import verify_artifacts
+
+        store, ref, data = self._propagator(tmp_path)
+        assert self._peak(lambda: verify_artifacts(store, {"prop": ref})) <= (
+            data.nbytes + self.SLACK
+        )
+        assert verify_artifacts(store, {"prop": ref})
+        raw = bytearray(store.path(ref).read_bytes())
+        raw[-5] ^= 0xFF  # a payload byte: only its array's CRC can see it
+        store.path(ref).write_bytes(bytes(raw))
+        assert not verify_artifacts(store, {"prop": ref})
+        store.path(ref).write_bytes(bytes(raw[:-64]))
+        assert not verify_artifacts(store, {"prop": ref})
+        assert not verify_artifacts(store, {"prop": "absent:prop"})
+
+
 class TestParallelIOModel:
     def test_sizes(self):
         assert gauge_bytes((48, 48, 48, 64)) == 48**3 * 64 * 4 * 9 * 16
