@@ -20,7 +20,8 @@ The package contains two halves that mirror the paper:
   :mod:`repro.cluster`, :mod:`repro.jobmgr`, :mod:`repro.workflow`).
 
 See ``DESIGN.md`` for the full system inventory and the per-experiment
-index mapping every table and figure of the paper to a benchmark.
+index mapping every table and figure of the paper to its renderer and
+tier-1 test.
 """
 
 from repro.version import __version__

@@ -2,13 +2,23 @@
 
 A one-command sanity view of the reproduction: Tables I-III from the
 registries, the Fig. 3 strong-scaling anchors from the performance
-model, the scheduling claims from the simulator, and Eq. (1).
+model, the scheduling claims from the simulator, and Eq. (1).  The
+first line says where the numbers come from (host, code revision,
+date); everything after it is computed from the models or measured
+when the command runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import datetime
+import os
+import platform
+import subprocess
 import sys
+from pathlib import Path
+
+import numpy as np
 
 from repro.analysis.lifetime import neutron_lifetime
 from repro.machines import MACHINES, PERFORMANCE_ATTRIBUTES, SOFTWARE_STACK
@@ -19,6 +29,30 @@ from repro.version import __version__
 from repro.workflow import machine_to_machine_speedup
 
 __all__ = ["main"]
+
+
+def _revision() -> str:
+    """``git <sha>`` when this package is a tracked file of a checkout."""
+    here = Path(__file__).resolve().parent
+    try:
+        for cmd in (["ls-files", "--error-unmatch", "cli.py"], ["rev-parse", "--short", "HEAD"]):
+            out = subprocess.run(
+                ["git", *cmd], cwd=here, capture_output=True, text=True, timeout=10
+            )
+            if out.returncode != 0:
+                return "not a checkout"
+    except (OSError, subprocess.SubprocessError):
+        return "not a checkout"
+    return f"git {out.stdout.strip()}"
+
+
+def _provenance() -> str:
+    return (
+        f"provenance: {platform.platform()}, {os.cpu_count()} CPUs, "
+        f"Python {platform.python_version()}, NumPy {np.__version__}; "
+        f"repro {__version__} ({_revision()}); "
+        f"{datetime.datetime.now(datetime.timezone.utc).isoformat(timespec='seconds')}"
+    )
 
 
 def _table1() -> str:
@@ -87,44 +121,6 @@ def _memory() -> str:
         rows,
         title="Memory floor of the mixed-precision DWF solve (Section V)",
     )
-
-
-def _kernels() -> str:
-    """Dslash kernels: halfspinor vs its reference oracle, GF/s vs roofline
-    (``BENCH_dslash.json``, refreshed by ``benchmarks/bench_dslash_backends.py``)."""
-    import json
-    from pathlib import Path
-
-    bench = Path(__file__).resolve().parents[2] / "BENCH_dslash.json"
-    if not bench.exists():
-        return (
-            "dslash kernels: no BENCH_dslash.json found — run\n"
-            "  PYTHONPATH=src python benchmarks/bench_dslash_backends.py"
-        )
-    data = json.loads(bench.read_text())
-    rows = []
-    notes = []
-    for label, vol in sorted(data["volumes"].items()):
-        for name, e in sorted(vol["backends"].items()):
-            rows.append(
-                (label, name, f"{e['gflops']:.3f}", f"{100 * e['fraction_of_roofline']:.1f}%")
-            )
-        notes.append(
-            f"{label}: halfspinor {vol['speedup_halfspinor_vs_reference']:.2f}x "
-            "over reference"
-        )
-    rl = data.get("roofline", {})
-    notes.append(
-        f"artifact: BENCH_dslash.json "
-        f"(roofline {rl.get('peak_gflops', 0):.0f} GF/s "
-        f"/ {rl.get('peak_bw_gbs', 0):.0f} GB/s)"
-    )
-    table = format_table(
-        ["volume", "kernel", "GF/s", "% roofline"],
-        rows,
-        title="Dslash kernels: sustained GF/s vs host roofline",
-    )
-    return table + "\n" + "\n".join(notes)
 
 
 def _comm() -> str:
@@ -233,42 +229,6 @@ def _campaign() -> str:
     return campaign_section()
 
 
-def _service() -> str:
-    """Campaign-as-a-service load-test headline (BENCH_service.json)."""
-    import json
-    from pathlib import Path
-
-    bench = Path(__file__).resolve().parents[2] / "BENCH_service.json"
-    if not bench.exists():
-        return (
-            "campaign service: no BENCH_service.json found — run\n"
-            "  PYTHONPATH=src python benchmarks/bench_service.py"
-        )
-    data = json.loads(bench.read_text())
-    h = data["headline"]
-    lat = data["latency_s"]
-    rows = [
-        ["campaigns served", str(h["campaigns"])],
-        ["unique specs", str(h["unique_specs"])],
-        ["tenants", str(h["tenants"])],
-        ["task cache hit rate", f"{h['cache_hit_rate'] * 100:.1f}%"],
-        ["campaign-level dedup", str(h["dedup_attached"])],
-        ["p50 / p95 / p99 latency", (
-            f"{lat['p50'] * 1000:.0f} / {lat['p95'] * 1000:.0f} / "
-            f"{lat['p99'] * 1000:.0f} ms"
-        )],
-        ["tenant fairness (Jain)", f"{h['jain_fairness']:.3f}"],
-        ["throughput", f"{h['campaigns_per_s']:.1f} campaigns/s"],
-        ["bitwise parity", "verified" if h["bitwise_equal"] else "FAILED"],
-    ]
-    table = format_table(
-        ["metric", "value"],
-        rows,
-        title="Campaign service load test (BENCH_service.json)",
-    )
-    return table + f"\nworkload: {data.get('workload', '')}"
-
-
 def _tts() -> str:
     from repro.perfmodel import CampaignSpec, time_to_solution
     from repro.workflow.speedup import TITAN_CAMPAIGN_NODES
@@ -302,8 +262,7 @@ def main(argv: list[str] | None = None) -> int:
         "--section",
         choices=[
             "all", "table1", "table2", "table3", "headlines",
-            "memory", "kernels", "comm", "perf",
-            "campaign", "service", "tts",
+            "memory", "comm", "perf", "campaign", "tts",
         ],
         default="all",
     )
@@ -316,14 +275,13 @@ def main(argv: list[str] | None = None) -> int:
         "table3": _table3,
         "headlines": _headlines,
         "memory": _memory,
-        "kernels": _kernels,
         "comm": _comm,
         "perf": _perf,
         "campaign": _campaign,
-        "service": _service,
         "tts": _tts,
     }
     chosen = sections.values() if args.section == "all" else [sections[args.section]]
+    print(_provenance())
     print("\n\n".join(fn() for fn in chosen))
     return 0
 

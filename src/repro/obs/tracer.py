@@ -17,8 +17,8 @@ read time (:mod:`repro.obs.readers`).
 Tracing is **disabled by default** and zero-cost when disabled: the
 module-level :func:`span` performs one global load and returns a shared
 no-op singleton, so instrumented hot loops (the dslash stencil) pay
-nanoseconds, not file I/O — the overhead budget is asserted in
-``benchmarks/bench_obs_overhead.py``.
+nanoseconds, not file I/O — the end-to-end benchmark's ``--trace 1``
+pass reports it as ``obs.trace_overhead_frac``.
 
 Enabling exports :data:`ENV_TRACE_DIR` into ``os.environ``, and the
 module re-enables itself from that variable at import, so workers

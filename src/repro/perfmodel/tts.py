@@ -19,7 +19,8 @@ from repro.perfmodel.solver import SolverPerfModel
 __all__ = ["CampaignSpec", "TimeToSolution", "time_to_solution"]
 
 #: Calibration of the FH analysis: relative g_A error at 784 samples
-#: (measured in bench_fig1: 0.88% with the joint fit).
+#: (the joint fit on Fig. 1's ensemble, examples/neutron_lifetime.py,
+#: reads 0.86%).
 _REFERENCE_SAMPLES = 784
 _REFERENCE_PRECISION = 0.0088
 

@@ -20,7 +20,7 @@ Layout::
     scheduler.py    tenant fair share, priority aging, admission windows
     driver.py       CampaignService: the loop's many-campaign configuration
     server.py       asyncio HTTP server (REST + chunked /events)
-    client.py       asyncio client (used by benchmarks/bench_service.py)
+    client.py       asyncio client (the end-to-end benchmark's service_dup3)
     cli.py          the ``repro-serve`` entry point
 
 The package exports what its callers import; everything else is

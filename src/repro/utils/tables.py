@@ -1,8 +1,8 @@
-"""Plain-text table rendering for benchmark reports.
+"""Plain-text table rendering for the reproduction's reports.
 
-Every benchmark regenerating a paper table or figure prints its rows with
-:func:`format_table` so ``bench_output.txt`` reads like the paper's
-evaluation section.
+``repro-report`` and the examples print every paper table or figure
+they regenerate with :func:`format_table`, so their output reads like
+the paper's evaluation section.
 """
 
 from __future__ import annotations

@@ -37,6 +37,14 @@ class TestGEffJackknife:
         center, reps = g_eff_jackknife(c2, cfh)
         assert np.abs(reps[:, :6] - center[:6]).max() < 0.05
 
+    def test_error_grows_exponentially_in_t(self, ensemble):
+        """Fig. 1's large-t noise: the jackknife error at t = 10 is more
+        than 20x the error at t = 1."""
+        _, c2, cfh = ensemble
+        _, reps = g_eff_jackknife(c2, cfh)
+        err = np.sqrt((reps.shape[0] - 1) * reps.var(axis=0))
+        assert err[10] > 20 * err[1]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             g_eff_jackknife(np.ones((3, 4)), np.ones((3, 5)))
@@ -121,6 +129,15 @@ class TestLifetime:
     def test_invalid_ga(self):
         with pytest.raises(ValueError):
             neutron_lifetime(-1.0)
+
+    def test_one_percent_brackets_both_experiments(self):
+        """The paper's 1 % g_A sits within 1.5 sigma of the trap and the
+        beam lifetimes; the 0.2 % goal puts the beam value > 2 sigma off."""
+        one_pct = neutron_lifetime(1.271, 0.013)
+        assert one_pct.sigma_from(TAU_TRAP) < 1.5
+        assert one_pct.sigma_from(TAU_BEAM) < 1.5
+        goal = neutron_lifetime(1.2755, 1.2755 * 0.002)
+        assert goal.sigma_from(TAU_BEAM) > 2.0
 
     def test_resolving_power_needs_two_permille(self):
         """The paper's motivation: 0.2% on g_A separates trap from beam."""

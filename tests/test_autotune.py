@@ -60,6 +60,25 @@ class TestKernelAutotuner:
         s = tuner.speedup_vs_default(TuneKey("blas", 100, "half"), _kernel(ws=0.05))
         assert s > 1.10
 
+    def test_gain_across_generations_and_kernels(self):
+        """Over three GPU generations and five kernel shapes, with 3 %
+        timing noise, tuning never loses and wins > 15 % somewhere."""
+        from repro.machines import GPU_K20X, GPU_P100
+
+        tuner = KernelAutotuner(rng=31, noise=0.03)
+        gains = [
+            tuner.speedup_vs_default(
+                TuneKey(kernel, 442368, "half", gpu.name),
+                GPUKernelModel(gpu, bytes_moved=5e7, flops=9.5e7, working_set_per_thread=ws),
+            )
+            for gpu in (GPU_K20X, GPU_P100, GPU_V100)
+            for kernel, ws in (
+                ("dslash_interior", 0.85), ("dslash_halo", 0.75), ("m5inv", 0.55),
+                ("blas_axpy", 0.10), ("reduction", 0.20),
+            )
+        ]
+        assert min(gains) >= 1.0 and max(gains) > 1.15
+
     def test_noise_suppressed_by_best_of_k(self):
         noisy = KernelAutotuner(rng=3, noise=0.10, launches_per_candidate=5)
         model = _kernel()

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import datetime
+import os
+import platform
+import re
+import subprocess
+
+import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.version import __version__
 
 
 class TestCli:
@@ -15,6 +23,31 @@ class TestCli:
         assert "Table II" in out
         assert "Table III" in out
         assert "Headline" in out
+
+    def test_first_line_says_where_the_numbers_come_from(self, capsys, monkeypatch):
+        """Host fingerprint, code revision and date, before any number."""
+        assert main(["--section", "table1"]) == 0
+        first, second = capsys.readouterr().out.splitlines()[:2]
+        assert first.startswith("provenance: ")
+        for fact in (
+            platform.platform(),
+            f"{os.cpu_count()} CPUs",
+            f"Python {platform.python_version()}",
+            f"NumPy {np.__version__}",
+            f"repro {__version__}",
+        ):
+            assert fact in first
+        assert re.search(r"\((git [0-9a-f]{4,}|not a checkout)\)", first)
+        stamp = datetime.datetime.fromisoformat(first.rsplit("; ", 1)[1])
+        assert abs(datetime.datetime.now(datetime.timezone.utc) - stamp).total_seconds() < 60
+        assert second.startswith("Table I")
+
+        def no_git(*args, **kwargs):
+            raise FileNotFoundError("git")
+
+        monkeypatch.setattr(subprocess, "run", no_git)
+        assert main(["--section", "table1"]) == 0
+        assert "(not a checkout)" in capsys.readouterr().out.splitlines()[0]
 
     def test_single_section(self, capsys):
         assert main(["--section", "table2"]) == 0
@@ -32,14 +65,6 @@ class TestCli:
         assert main(["--section", "memory"]) == 0
         out = capsys.readouterr().out
         assert "min V100 GPUs" in out
-
-    def test_kernels_section(self, capsys):
-        """The kernel tiers are the production stencil and its oracle."""
-        assert main(["--section", "kernels"]) == 0
-        out = capsys.readouterr().out
-        assert "Dslash kernels" in out
-        assert "halfspinor" in out and "reference" in out
-        assert "numba" not in out and "SoA" not in out
 
     def test_comm_section_reports_both_rankings(self, capsys):
         assert main(["--section", "comm"]) == 0

@@ -26,6 +26,22 @@ class TestErrorBudget:
         large = np.mean([measure_error_budget(1568, rng=s).statistical for s in range(3)])
         assert large < 0.7 * small
 
+    def test_calculation_time_improves_every_component(self):
+        """Section III: more samples shrink all three dominant
+        uncertainties at once (mean of 4 replicas), to ~1 % overall."""
+        means = []
+        for n in (196, 784, 3136):
+            budgets = [measure_error_budget(n, rng=seed) for seed in range(4)]
+            means.append(
+                {
+                    key: np.mean([getattr(b, key) for b in budgets])
+                    for key in ("statistical", "excited_state", "extrapolation", "relative_total")
+                }
+            )
+        for key in means[0]:
+            assert means[0][key] > means[1][key] > means[2][key], key
+        assert means[2]["relative_total"] < 0.02
+
     def test_validation(self):
         with pytest.raises(ValueError):
             measure_error_budget(4)

@@ -34,6 +34,7 @@ class TestFastExamples:
         out = _run("neutron_lifetime.py")
         assert "FH analysis" in out
         assert "tau_n" in out
+        assert "Fig. 1" in out and "Section III" in out
 
     def test_distributed_stencil(self):
         out = _run("distributed_stencil.py")
@@ -43,11 +44,14 @@ class TestFastExamples:
     def test_scaling_study(self):
         out = _run("scaling_study.py")
         assert "Fig. 3" in out and "Fig. 4" in out and "Fig. 5" in out
+        assert "Fig. 6" in out and "Section VII" in out
+        assert "kernel autotuning" in out
 
     def test_job_manager_demo(self):
         out = _run("job_manager_demo.py")
         assert "METAQ" in out and "mpi_jm" in out
         assert "3-5 minutes" in out
+        assert "Fig. 2" in out and "Fig. 7" in out
 
     def test_examples_exist_and_are_executable_python(self):
         expected = {

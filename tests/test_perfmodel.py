@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,16 @@ class TestCalibrationAnchors:
         eff_large = model.predict(4608).tflops_per_gpu
         assert eff_large < 0.5 * eff_small
 
+    def test_summit_total_still_grows_past_the_cliff(self):
+        model = SolverPerfModel(get_machine("summit"), (96, 96, 96, 144), 20)
+        assert model.predict(6912).pflops_total > model.predict(2304).pflops_total
+
+    def test_sierra_20_percent_at_its_smallest_point(self):
+        """Fig. 3's leftmost Sierra point, one node of 4 GPUs."""
+        sierra = get_machine("sierra")
+        p = solver_performance(sierra, (48, 48, 48, 64), 20, 4)
+        assert p.pct_peak(sierra.gpu.fp32_tflops) == pytest.approx(20.0, abs=2.0)
+
 
 class TestScalingShapes:
     def test_generation_ordering_everywhere(self):
@@ -128,6 +140,12 @@ class TestScalingShapes:
                 > curves["ray"][n].bw_per_gpu_gbs
                 > curves["titan"][n].bw_per_gpu_gbs
             )
+
+    @pytest.mark.parametrize("name,first", [("titan", 1), ("ray", 4), ("sierra", 4)])
+    def test_per_gpu_rate_declines_on_every_generation(self, name, first):
+        m = get_machine(name)
+        low, high = strong_scaling(m, (48, 48, 48, 64), 20, gpu_counts=[first, 144])
+        assert high.tflops_per_gpu < low.tflops_per_gpu
 
     def test_percent_of_peak_declines_with_scale(self):
         sierra = get_machine("sierra")
@@ -157,6 +175,30 @@ class TestScalingShapes:
             tuned = model.iteration_time(n, model.tuned_policy(n))
             for pol in available_policies(sierra):
                 assert tuned <= model.iteration_time(n, pol) + 1e-15
+
+    def test_tuning_beats_a_fixed_policy_somewhere(self):
+        """Against a fixed staged/fused policy the tuned one gains > 10 %
+        somewhere on Fig. 3's Sierra range."""
+        from repro.comm.policies import CommPolicy, HaloGranularity, TransferPath
+
+        model = SolverPerfModel(get_machine("sierra"), (48, 48, 48, 64), 20)
+        fixed = CommPolicy(TransferPath.STAGED_CPU, HaloGranularity.FUSED)
+        gains = [
+            model.iteration_time(n, fixed) / model.iteration_time(n, model.tuned_policy(n))
+            for n in (16, 32, 64, 96, 144)
+        ]
+        assert min(gains) >= 1.0 and max(gains) > 1.1
+
+    def test_gpu_direct_rdma_pays_most_at_the_cliff(self):
+        """The paper's missing piece: with GDR the Fig. 4 solve at 9216
+        GPUs runs > 1.3x faster, on a GDR policy."""
+        summit = get_machine("summit")
+        base = SolverPerfModel(summit, (96, 96, 96, 144), 20).predict(9216)
+        gdr = SolverPerfModel(
+            dataclasses.replace(summit, gdr_supported=True), (96, 96, 96, 144), 20
+        ).predict(9216)
+        assert gdr.pflops_total > 1.3 * base.pflops_total
+        assert "gdr" in gdr.policy
 
     def test_mpi_factor_scales_rate(self):
         sierra = get_machine("sierra")

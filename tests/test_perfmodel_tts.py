@@ -15,7 +15,7 @@ class TestCampaignSpec:
         assert s2.samples_needed == pytest.approx(4.0 * s1.samples_needed)
 
     def test_reference_point_calibration(self):
-        """At the bench_fig1 precision, samples ~ the bench sample count."""
+        """At Fig. 1's FH precision, samples ~ its 784-sample ensemble."""
         s = CampaignSpec(target_precision=0.0088)
         assert s.samples_needed == pytest.approx(784, rel=1e-9)
 
@@ -44,6 +44,16 @@ class TestTimeToSolution:
         titan = time_to_solution(get_machine("titan"), 10_000, spec)
         sierra = time_to_solution(get_machine("sierra"), 3388, spec, 0.93)
         assert titan.wall_seconds > 5.0 * sierra.wall_seconds
+
+    def test_titan_to_sierra_as_time_to_solution(self):
+        """Section VII's ~12x on the full machine, scaled to the 3388-node
+        single job: 12 x 3388 / 4200 ~ 9.5."""
+        from repro.workflow.speedup import TITAN_CAMPAIGN_NODES
+
+        spec = CampaignSpec(target_precision=0.01)
+        titan = time_to_solution(get_machine("titan"), TITAN_CAMPAIGN_NODES, spec)
+        sierra = time_to_solution(get_machine("sierra"), 3388, spec, 0.93)
+        assert titan.wall_seconds / sierra.wall_seconds == pytest.approx(9.0, abs=2.0)
 
     def test_mpi_penalty_slows_campaign(self):
         sierra = get_machine("sierra")

@@ -110,6 +110,24 @@ class TestReliableUpdates:
         assert mp.iterations <= 2.0 * cg.iterations + 10
 
 
+    def test_refresh_count_follows_delta_and_storage(self):
+        """Half storage refreshes at least as often as double at the same
+        trigger, and a larger ``delta`` refreshes more often."""
+        a, x_true = _spd_system(5, cond=100.0)
+        b = _matvec(a)(x_true)
+        updates = {}
+        for name in ("double", "half"):
+            for delta in (0.5, 0.02):
+                res = ReliableUpdateCG(
+                    inner_precision=PRECISIONS[name], tol=1e-10, delta=delta, max_iter=2000
+                ).solve(_matvec(a), b)
+                assert res.converged
+                updates[name, delta] = res.reliable_updates
+        for delta in (0.5, 0.02):
+            assert updates["half", delta] >= updates["double", delta]
+        assert updates["half", 0.5] >= updates["half", 0.02]
+
+
 class TestSingleIsExecuted:
     """``SinglePrecision`` is a dtype the cycle runs in, not a round trip."""
 

@@ -71,3 +71,37 @@ class TestHistogram:
         assert edges[0] > 0
         # a 16-GPU group cannot exceed ~16 x 2 TF even with jitter
         assert edges[-1] < 50.0
+
+
+class TestPaperFigures:
+    """The shapes of Figs. 5-7 at the paper's own scale."""
+
+    def test_fig5_launch_modes_within_twenty_percent(self, sierra):
+        rates = [
+            run_weak_scaling(sierra, 100, mode, rng=11).sustained_pflops
+            for mode in ("spectrum", "openmpi", "mvapich2")
+        ]
+        assert max(rates) / min(rates) < 1.20
+
+    def test_fig6_summit_metaq_scales_perfectly(self):
+        summit = get_machine("summit")
+        points = {
+            n: run_weak_scaling(summit, n, "metaq", global_dims=(64, 64, 64, 96), ls=12, rng=13)
+            for n in (12, 24, 48, 96, 144, 216, 288)
+        }
+        per_gpu = np.array([p.sustained_pflops / p.n_gpus for p in points.values()])
+        assert per_gpu.std() / per_gpu.mean() < 0.05
+        assert points[288].n_gpus == 6912
+        assert 5.0 < points[288].sustained_pflops < 11.0
+
+    def test_fig7_histogram_at_13520_gpus_is_unimodal(self, sierra):
+        """845 concurrent 4-node solves: a dominant peak, sparse tails,
+        and a spread from node jitter that stays bounded."""
+        counts, edges, point = solve_performance_histogram(sierra, 845, bins=14, rng=7)
+        assert point.n_gpus == 13520
+        assert counts.max() > 0.15 * counts.sum()
+        assert counts[0] + counts[-1] < 0.1 * counts.sum()
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        mean = np.average(mids, weights=counts)
+        std = np.sqrt(np.average((mids - mean) ** 2, weights=counts))
+        assert 0.02 < std / mean < 0.25

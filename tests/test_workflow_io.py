@@ -82,6 +82,13 @@ class TestSpeedups:
         pct = pf * 1e3 / (3388 * 60) * 1.675 * 100
         assert 14.0 < pct < 21.0
 
+    def test_tuned_mpi_is_the_headroom(self):
+        """A fully tuned MVAPICH2 (factor 1.0) sustains more than the
+        measured 0.93: the 15 % -> 20 % headroom the paper cites."""
+        sierra = get_machine("sierra")
+        tuned = sustained_application_pflops(sierra, 3388, mpi_performance_factor=1.0)
+        assert tuned > sustained_application_pflops(sierra, 3388, mpi_performance_factor=0.93)
+
     def test_minimum_nodes_validated(self):
         with pytest.raises(ValueError):
             sustained_application_pflops(get_machine("sierra"), 2)
